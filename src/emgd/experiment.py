@@ -72,8 +72,9 @@ class RunConfig:
         if self.editing not in EDITING:
             raise ConfigError(f"unknown editing {self.editing!r}, pick one of {EDITING}")
         for name in ("gamma", "gamma_heads", "temperature", "tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
 
@@ -330,11 +331,14 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             cfg: RunConfig) -> PclResult:
     """Train over the timeline and record accuracies and a tick log.
 
-    Per tick and per active stream: draw a batch, step the head with its own
-    gradient, re-read the backbone gradient, then combine all streams'
-    negative gradients per ``cfg.method`` and step the backbone. The memory
-    stream joins once a task has finished and the buffer holds data; editing
-    (when enabled) rewrites the sampled slots after the backbone update. A
+    Per tick and per active stream: draw a batch and make one forward and
+    one backward pass that steps the stream's head with its own gradient and
+    returns the backbone gradient at the stepped head. The memory stream
+    does the same in one pass over the whole memory batch, each row routed
+    through its task's head. Then combine all streams' negative gradients
+    per ``cfg.method`` and step the backbone. The memory stream joins once a
+    task has finished and the buffer holds data; editing (when enabled)
+    rewrites the sampled slots after the backbone update. A
     task's training data streams into the buffer at its finish tick.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
@@ -353,6 +357,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     tick_rows = []
     seen: list = []
     edit_cfg = cfg.edit_config()
+    memory_head_step = 0.0 if cfg.freeze_finished_heads else cfg.gamma_heads
 
     for tick in range(timeline.first_tick, timeline.final_tick + 1):
         active = streams.active_tasks(timeline, tick, any_finished=buffer.occupancy > 0)
@@ -368,21 +373,14 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         mem = None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            if not cfg.freeze_finished_heads:
-                _, _, head_grads = rehearsal.memory_gradient(net, mem)
-                apply_update(net, np.zeros(net.backbone_dim), 0.0,
-                             {t: (g, cfg.gamma_heads) for t, g in head_grads.items()})
-            backbone, loss0, _ = rehearsal.memory_gradient(net, mem)
+            backbone, loss0, _ = rehearsal.memory_gradient(net, mem, head_step=memory_head_step)
             task_ids.append(0)
             grads.append(-backbone)
             losses[0] = loss0
 
         for t in real_tasks:
             batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
-            rep = backward(net, batch)
-            apply_update(net, np.zeros(net.backbone_dim), 0.0,
-                         {t: (rep.head_grad, cfg.gamma_heads)})
-            rep = backward(net, batch)  # backbone gradient after the head step
+            rep = backward(net, batch, head_step=cfg.gamma_heads)
             task_ids.append(t)
             grads.append(-rep.backbone_grad)
             losses[t] = rep.loss

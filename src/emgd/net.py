@@ -144,44 +144,84 @@ def add_head(net: Network, task_id: int, num_classes: int, seed: int) -> None:
     )
 
 
-def _forward_pass(net: Network, batch: Batch):
-    if batch.task_id not in net.heads:
-        raise UnknownTaskError(f"no head for task {batch.task_id}")
-    if batch.inputs.shape[1] != net.input_dim:
+def _activations(net: Network, inputs: np.ndarray) -> list:
+    """Inputs followed by every backbone layer's output; the last entry is
+    the feature matrix."""
+    if inputs.shape[1] != net.input_dim:
         raise InvalidInputError(
-            f"input dim {batch.inputs.shape[1]} != network input dim {net.input_dim}"
+            f"input dim {inputs.shape[1]} != network input dim {net.input_dim}"
         )
-    W_h, b_h = net.heads[batch.task_id]
-    if np.any(batch.labels < 0) or np.any(batch.labels >= W_h.shape[1]):
-        raise InvalidInputError("label out of range for the task head")
-    activations = [batch.inputs]
+    activations = [inputs]
     for W, b in net.backbone:
         activations.append(np.tanh(activations[-1] @ W + b))
-    logits = activations[-1] @ W_h + b_h
+    return activations
+
+
+def _head(net: Network, task_id: int, labels: np.ndarray):
+    """The task's head parameters, after checking the labels fit it."""
+    if task_id not in net.heads:
+        raise UnknownTaskError(f"no head for task {task_id}")
+    W_h, b_h = net.heads[task_id]
+    if np.any(labels < 0) or np.any(labels >= W_h.shape[1]):
+        raise InvalidInputError("label out of range for the task head")
+    return W_h, b_h
+
+
+def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
+    """Class probabilities and mean cross-entropy of one group of rows."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
     logp = shifted - np.log(expz.sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(batch.size), batch.labels].mean())
-    return activations, probs, loss
+    loss = float(-logp[np.arange(labels.size), labels].mean())
+    return probs, loss
+
+
+def _dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean cross-entropy)/d(logits)."""
+    dlogits = probs.copy()
+    dlogits[np.arange(labels.size), labels] -= 1.0
+    dlogits /= labels.size
+    return dlogits
+
+
+def _head_pass(feats: np.ndarray, labels: np.ndarray, W_h: np.ndarray, b_h: np.ndarray):
+    """dlogits, flat head gradient and mean loss of one head on features."""
+    probs, loss = _softmax_loss(feats @ W_h + b_h, labels)
+    dlogits = _dlogits(probs, labels)
+    head_grad = np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    return dlogits, head_grad, loss
+
+
+def _backprop(net: Network, activations: list, delta: np.ndarray, want_input_grad: bool):
+    """Push d(loss)/d(features) back through the tanh layers.
+
+    Returns the flat backbone gradient, or with ``want_input_grad`` only
+    d(loss)/d(inputs); neither mode computes what the other returns.
+    """
+    parts = []
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        dz = delta * (1.0 - a_out * a_out)  # tanh'
+        if not want_input_grad:
+            parts.append((activations[i].T @ dz, dz.sum(axis=0)))
+        if want_input_grad or i > 0:
+            delta = dz @ net.backbone[i][0].T
+    if want_input_grad:
+        return delta
+    parts.reverse()
+    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in parts])
 
 
 def forward(net: Network, batch: Batch):
     """Class probabilities and mean cross-entropy loss for one batch."""
-    _, probs, loss = _forward_pass(net, batch)
-    return probs, loss
+    W_h, b_h = _head(net, batch.task_id, batch.labels)
+    return _softmax_loss(_activations(net, batch.inputs)[-1] @ W_h + b_h, batch.labels)
 
 
 def features(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Backbone output for raw inputs (no head, no loss)."""
-    a = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if a.shape[1] != net.input_dim:
-        raise InvalidInputError(
-            f"input dim {a.shape[1]} != network input dim {net.input_dim}"
-        )
-    for W, b in net.backbone:
-        a = np.tanh(a @ W + b)
-    return a
+    return _activations(net, np.atleast_2d(np.asarray(inputs, dtype=np.float64)))[-1]
 
 
 def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
@@ -193,41 +233,62 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     return feats @ W + b
 
 
-def _backward_pass(net: Network, batch: Batch, want_input_grad: bool):
-    activations, probs, loss = _forward_pass(net, batch)
-    W_h, _ = net.heads[batch.task_id]
-    dlogits = probs.copy()
-    dlogits[np.arange(batch.size), batch.labels] -= 1.0
-    dlogits /= batch.size
+def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.0):
+    """Gradients of the mean loss over all rows, each row scored by its
+    group's head, from one backbone forward and one backbone backward.
+
+    ``groups`` yields ``(task_id, rows)`` pairs, ``rows`` indexing
+    ``inputs``; the groups must cover every row once. A group of n_g of the
+    N rows enters with weight n_g / N. With ``head_step > 0`` each head
+    first takes the step ``flat - head_step * weighted_grad`` in place; the
+    head step leaves the features unchanged, so only the logits are
+    recomputed, and the loss and all returned gradients are those after the
+    step. Returns the flat backbone gradient, the loss and each task's
+    weighted head gradient.
+    """
+    activations = _activations(net, inputs)
     feats = activations[-1]
-    head_grad = np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
-    delta = dlogits @ W_h.T
-    backbone_parts = []
-    for i in range(len(net.backbone) - 1, -1, -1):
-        W, _ = net.backbone[i]
-        a_out = activations[i + 1]
-        dz = delta * (1.0 - a_out * a_out)  # tanh'
-        a_in = activations[i]
-        backbone_parts.append((a_in.T @ dz, dz.sum(axis=0)))
-        delta = dz @ W.T
-    backbone_parts.reverse()
-    backbone_grad = np.concatenate(
-        [np.concatenate([gW.ravel(), gb]) for gW, gb in backbone_parts]
+    delta = np.empty_like(feats)
+    head_grads: dict[int, np.ndarray] = {}
+    loss = 0.0
+    for task_id, rows in groups:
+        group_labels = labels[rows]
+        W_h, b_h = _head(net, task_id, group_labels)
+        group_feats = feats[rows]
+        weight = group_labels.size / labels.size
+        dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
+        if head_step > 0:
+            flat = net.flatten_head(task_id)
+            net.set_head_flat(task_id, flat - head_step * (weight * head_grad))
+            W_h, b_h = net.heads[task_id]
+            dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
+        delta[rows] = (weight * dlogits) @ W_h.T
+        head_grads[task_id] = weight * head_grad
+        loss += weight * group_loss
+    return _backprop(net, activations, delta, want_input_grad=False), float(loss), head_grads
+
+
+def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
+    """Positive gradients of the mean batch loss for backbone and head.
+
+    With ``head_step > 0`` the batch's head is first stepped in place by
+    ``head_step`` times its gradient; the report then holds the loss and
+    gradients at the stepped head. One backbone forward and one backbone
+    backward either way.
+    """
+    backbone_grad, loss, head_grads = grouped_backward(
+        net, batch.inputs, batch.labels, [(batch.task_id, slice(None))], head_step
     )
-    input_grad = delta if want_input_grad else None
-    return GradientReport(backbone_grad, head_grad, loss), input_grad
-
-
-def backward(net: Network, batch: Batch) -> GradientReport:
-    """Positive gradients of the mean batch loss for backbone and head."""
-    report, _ = _backward_pass(net, batch, want_input_grad=False)
-    return report
+    return GradientReport(backbone_grad, head_grads[batch.task_id], loss)
 
 
 def input_gradient(net: Network, batch: Batch) -> np.ndarray:
     """d(mean loss)/d(inputs), same shape as ``batch.inputs``."""
-    _, grad = _backward_pass(net, batch, want_input_grad=True)
-    return grad
+    W_h, b_h = _head(net, batch.task_id, batch.labels)
+    activations = _activations(net, batch.inputs)
+    probs, _ = _softmax_loss(activations[-1] @ W_h + b_h, batch.labels)
+    delta = _dlogits(probs, batch.labels) @ W_h.T
+    return _backprop(net, activations, delta, want_input_grad=True)
 
 
 def directional_edit_gradient(input_grad_at, theta: np.ndarray, v: np.ndarray, eps: float):
@@ -337,9 +398,20 @@ def read_blob(path):
     (hlen,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + hlen:
         raise FormatError("truncated header", offset=len(raw))
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    values = np.frombuffer(raw[12 + hlen :], dtype="<f8")
-    return header, values
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise FormatError(f"header is not UTF-8 JSON: {err}", offset=12) from None
+    if not isinstance(header, dict):
+        raise FormatError("header is not a JSON object", offset=12)
+    payload = raw[12 + hlen :]
+    whole = len(payload) - len(payload) % 8
+    if whole != len(payload):
+        raise FormatError(
+            f"payload of {len(payload)} bytes is not whole float64 values",
+            offset=12 + hlen + whole,
+        )
+    return header, np.frombuffer(payload, dtype="<f8")
 
 
 def save_checkpoint(net: Network, path) -> None:

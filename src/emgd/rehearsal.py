@@ -11,17 +11,19 @@ direction, the loss-difference variant is kept as a comparison arm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMemoryError, InvalidInputError
+from .errors import EmptyMemoryError, FormatError, InvalidInputError
 from .net import (
     Batch,
     Network,
     backward,
     edit_direction,
-    input_gradient,
     forward,
+    grouped_backward,
+    input_gradient,
     write_blob,
     read_blob,
 )
@@ -148,31 +150,17 @@ def _task_groups(mem: MemoryBatch):
         yield int(task_id), mask
 
 
-def memory_gradient(net: Network, mem: MemoryBatch):
+def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     """Backbone gradient, loss and per-head gradients of the memory loss.
 
     The memory loss averages per-sample losses over the whole batch, each
     sample routed through its original task head, so every group contributes
-    with weight (group size / batch size).
+    with weight (group size / batch size). One backbone forward and one
+    backward cover the whole batch. With ``head_step > 0`` every routed head
+    first steps by ``head_step`` times its weighted gradient, and the result
+    is read at the stepped heads.
     """
-    backbone = np.zeros(net.backbone_dim)
-    head_grads: dict[int, np.ndarray] = {}
-    loss = 0.0
-    for task_id, mask in _task_groups(mem):
-        weight = mask.sum() / mem.size
-        rep = backward(net, Batch(mem.inputs[mask], mem.labels[mask], task_id))
-        backbone += weight * rep.backbone_grad
-        head_grads[task_id] = weight * rep.head_grad
-        loss += weight * rep.loss
-    return backbone, float(loss), head_grads
-
-
-def memory_loss(net: Network, inputs, mem: MemoryBatch) -> float:
-    loss = 0.0
-    for task_id, mask in _task_groups(mem):
-        _, group_loss = forward(net, Batch(inputs[mask], mem.labels[mask], task_id))
-        loss += mask.sum() / mem.size * group_loss
-    return float(loss)
+    return grouped_backward(net, mem.inputs, mem.labels, _task_groups(mem), head_step)
 
 
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
@@ -288,6 +276,16 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
         raise InvalidInputError(f"not a buffer snapshot: {path}")
     buffer = MemoryBuffer(header["capacity_per_class"])
     dim = header["dim"]
+    if not isinstance(dim, int) or dim < 0:
+        raise FormatError(f"snapshot dim {dim!r} is not a non-negative integer", offset=12)
+    expected = len(header["slots"]) * dim
+    if values.size != expected:
+        # read_blob guarantees whole float64s, so the payload ends the file
+        payload_start = Path(path).stat().st_size - 8 * values.size
+        raise FormatError(
+            f"{values.size} stored values != {len(header['slots'])} slots x dim {dim}",
+            offset=payload_start + 8 * min(values.size, expected),
+        )
     buffer.seen_counts = {int(c): n for c, n in header["seen_counts"].items()}
     for i, meta in enumerate(header["slots"]):
         x = values[i * dim : (i + 1) * dim].copy()

@@ -464,11 +464,12 @@ def solve_request(doc: dict) -> dict:
         raw = doc.get("sigma")
         if raw is None:
             raw = [1.0] * bundle.size
-        if len(raw) != bundle.size:
-            raise InvalidInputError("field sigma must match the number of gradients")
-        sigma = np.asarray(raw, dtype=np.float64)
-        if np.any(sigma <= 0.0):
-            raise InvalidInputError("field sigma must be positive")
+        if not isinstance(raw, list) or len(raw) != bundle.size:
+            raise InvalidInputError("field sigma must list one factor per gradient")
+        try:
+            sigma = ElasticFactors(np.asarray(raw, dtype=np.float64))
+        except (InvalidInputError, NumericError, TypeError, ValueError) as err:
+            raise InvalidInputError(f"field sigma: {err}") from None
     else:
         raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
 

@@ -294,6 +294,32 @@ class TestRunPcl:
         with pytest.raises(ConfigError):
             run_pcl(specs[:1], tl, net, MemoryBuffer(5), quick_cfg())
 
+    def test_memory_batch_larger_than_buffer(self, monkeypatch):
+        # the sampled memory rows repeat; editing writes a repeated slot twice
+        import emgd.experiment as exp
+
+        real_sample = exp.rehearsal.sample_memory
+        draws = []
+
+        def recording_sample(buffer, batch_size, rng):
+            mem = real_sample(buffer, batch_size, rng)
+            draws.append((buffer.occupancy, mem))
+            return mem
+
+        monkeypatch.setattr(exp.rehearsal, "sample_memory", recording_sample)
+        specs, tl, net = pcl_setup(num_tasks=3)
+        cfg = quick_cfg(method="emgd_gs", editing="emgd", memory_batch_size=40,
+                        capacity_per_class=2)
+        result = run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        assert draws
+        for occupancy, mem in draws:
+            assert mem.size == 40 > occupancy
+        memory_rows = [r for r in result.tick_rows if 0 in r["active"]]
+        assert len(memory_rows) == len(draws)
+        assert all(np.isfinite(r["losses"][0]) for r in memory_rows)
+        for slot in result.buffer.slots:
+            assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
+
     def test_every_tick_direction_is_pareto_descent(self, monkeypatch):
         # record each tick's solve and re-check the certificate on the
         # sampled-batch gradients the solver actually saw
@@ -313,3 +339,11 @@ class TestRunPcl:
         assert calls
         for bundle, sigma, result in calls:
             assert pareto_descent_check(bundle, sigma, result, 1e-8)
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("name", ["gamma", "gamma_heads", "temperature", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_rejects_nonfinite_or_nonpositive(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: value})

@@ -185,6 +185,48 @@ class TestBackward:
         assert a.loss == pytest.approx(b.loss, abs=1e-14)
 
 
+class TestHeadStep:
+    """``backward(..., head_step=s)`` folds backward, head update and a
+    second backward into one pass."""
+
+    @pytest.mark.parametrize("step", [0.05, 0.7])
+    def test_equals_backward_step_backward_bitwise(self, step):
+        rng = np.random.default_rng(11)
+        heads = ((1, 4), (2, 3))
+        ref = make_net(heads=heads)
+        net = make_net(heads=heads)
+        for _ in range(3):  # repeated steps, as over consecutive ticks
+            batch = make_batch(rng, net, size=5)
+            first = backward(ref, batch)
+            apply_update(ref, np.zeros(ref.backbone_dim), 0.0, {1: (first.head_grad, step)})
+            expect = backward(ref, batch)
+            got = backward(net, batch, head_step=step)
+            np.testing.assert_array_equal(got.backbone_grad, expect.backbone_grad)
+            np.testing.assert_array_equal(got.head_grad, expect.head_grad)
+            assert got.loss == expect.loss
+            for task, _ in heads:
+                np.testing.assert_array_equal(net.flatten_head(task), ref.flatten_head(task))
+            np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
+
+    def test_zero_step_leaves_head_unchanged(self):
+        rng = np.random.default_rng(12)
+        net = make_net()
+        batch = make_batch(rng, net)
+        head = net.flatten_head(1).copy()
+        report = backward(net, batch, head_step=0.0)
+        np.testing.assert_array_equal(net.flatten_head(1), head)
+        np.testing.assert_array_equal(report.head_grad, backward(net, batch).head_grad)
+
+    def test_step_lowers_batch_loss(self):
+        rng = np.random.default_rng(13)
+        net = make_net()
+        batch = make_batch(rng, net, size=6)
+        before = forward(net, batch)[1]
+        report = backward(net, batch, head_step=0.1)
+        assert report.loss < before
+        assert report.loss == forward(net, batch)[1]
+
+
 class TestInputGradient:
     def test_zero_backbone_gives_zero_input_gradient(self):
         net = zero_net()
@@ -413,6 +455,32 @@ class TestCheckpoint:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "trunc.bin"
         path.write_bytes(b"EMGD\x01\x00\x00\x00\xff\x00\x00\x00ab")
+        with pytest.raises(FormatError):
+            read_blob(path)
+
+    def test_partial_float_payload(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        write_blob(path, {"kind": "test"}, np.arange(3, dtype=float))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-3])
+        with pytest.raises(FormatError) as err:
+            read_blob(path)
+        assert err.value.offset == len(raw) - 8  # start of the cut float64
+
+    def test_header_not_utf8_json(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        write_blob(path, {"kind": "test"}, np.zeros(2))
+        raw = bytearray(path.read_bytes())
+        raw[12] = 0xFF  # first header byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_blob(path)
+        assert err.value.offset == 12
+        raw[12] = ord("x")  # valid UTF-8, invalid JSON
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError):
+            read_blob(path)
+        write_blob(path, [1, 2], np.zeros(2))  # JSON, but not an object
         with pytest.raises(FormatError):
             read_blob(path)
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from emgd.errors import EmptyMemoryError, InvalidInputError
-from emgd.net import Batch, Network, add_head, backward, directional_edit_gradient
+from emgd.errors import EmptyMemoryError, FormatError, InvalidInputError
+from emgd.net import (
+    Batch,
+    Network,
+    add_head,
+    apply_update,
+    backward,
+    directional_edit_gradient,
+    forward,
+)
 from emgd.rehearsal import (
     EditConfig,
     MemoryBuffer,
@@ -12,7 +20,6 @@ from emgd.rehearsal import (
     insert,
     load_buffer_snapshot,
     memory_gradient,
-    memory_loss,
     sample_memory,
     save_buffer_snapshot,
 )
@@ -149,19 +156,69 @@ class TestMemoryGradient:
         mem = sample_memory(buf, buf.occupancy, 2)
         backbone, loss, heads = memory_gradient(net, mem)
         total = np.zeros_like(backbone)
-        check_loss = 0.0
+        check_loss = forward_loss = 0.0
         for t in (1, 2):
             mask = mem.task_ids == t
             if not mask.any():
                 continue
-            rep = backward(net, Batch(mem.inputs[mask], mem.labels[mask], t))
+            group = Batch(mem.inputs[mask], mem.labels[mask], t)
+            rep = backward(net, group)
             w = mask.sum() / mem.size
             total += w * rep.backbone_grad
             check_loss += w * rep.loss
+            forward_loss += w * forward(net, group)[1]
             np.testing.assert_allclose(heads[t], w * rep.head_grad, atol=1e-14)
         np.testing.assert_allclose(backbone, total, atol=1e-14)
         assert loss == pytest.approx(check_loss, abs=1e-14)
-        assert memory_loss(net, mem.inputs, mem) == pytest.approx(loss, abs=1e-14)
+        assert forward_loss == pytest.approx(loss, abs=1e-14)
+
+    @pytest.mark.parametrize("head_step", [0.0, 0.4])
+    def test_batched_pass_matches_per_group_reference(self, head_step):
+        rng = np.random.default_rng(23)
+        heads = ((1, 3), (2, 3), (3, 3))
+        net, ref = make_net(heads=heads), make_net(heads=heads)
+        buf = filled_buffer(rng, tasks=(1, 2, 3), per_task=7)
+        for draw in range(3):
+            # the last draw is larger than the buffer, so rows repeat
+            size = buf.occupancy + 4 if draw == 2 else 6
+            mem = sample_memory(buf, size, draw)
+            backbone, loss, head_grads = memory_gradient(net, mem, head_step=head_step)
+            ref_backbone, ref_loss, ref_heads = per_group_memory_gradient(ref, mem, head_step)
+            rel = np.abs(backbone - ref_backbone).max() / np.abs(ref_backbone).max()
+            assert rel <= 1e-12
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert set(head_grads) == set(ref_heads)
+            for t in ref_heads:
+                np.testing.assert_allclose(head_grads[t], ref_heads[t], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(
+                    net.flatten_head(t), ref.flatten_head(t), rtol=1e-12, atol=0
+                )
+            np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
+
+
+def per_group_memory_gradient(net, mem, head_step):
+    """Reference memory gradient: one backward per task group, with the
+    head step as a separate backward and head update before it."""
+    groups = [(int(t), mem.task_ids == t) for t in np.unique(mem.task_ids)]
+
+    def group_batch(t, mask):
+        return Batch(mem.inputs[mask], mem.labels[mask], t)
+
+    if head_step > 0:
+        steps = {
+            t: (mask.sum() / mem.size * backward(net, group_batch(t, mask)).head_grad, head_step)
+            for t, mask in groups
+        }
+        apply_update(net, np.zeros(net.backbone_dim), 0.0, steps)
+    backbone = np.zeros(net.backbone_dim)
+    heads, loss = {}, 0.0
+    for t, mask in groups:
+        w = mask.sum() / mem.size
+        rep = backward(net, group_batch(t, mask))
+        backbone += w * rep.backbone_grad
+        heads[t] = w * rep.head_grad
+        loss += w * rep.loss
+    return backbone, loss, heads
 
 
 def snapshot(buf, net):
@@ -260,8 +317,6 @@ class TestEditGmed:
         def squared_diff(inputs):
             batch = Batch(inputs, mem.labels, 1)
             net.set_backbone_flat(theta)
-            from emgd.net import forward
-
             _, l_now = forward(net, batch)
             net.set_backbone_flat(theta_ahead)
             _, l_ahead = forward(net, batch)
@@ -338,6 +393,28 @@ class TestSnapshot:
         for a, b in zip(buf.slots, back.slots):
             np.testing.assert_array_equal(a.x, b.x)
             assert (a.label, a.task_id, a.class_id) == (b.label, b.task_id, b.class_id)
+
+    def test_truncated_payload(self, tmp_path):
+        rng = np.random.default_rng(20)
+        buf = filled_buffer(rng)
+        path = tmp_path / "buffer.bin"
+        save_buffer_snapshot(buf, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])  # one float64 short: the last slot would lose a dim
+        with pytest.raises(FormatError) as err:
+            load_buffer_snapshot(path)
+        assert err.value.offset == len(raw) - 8
+
+    @pytest.mark.parametrize("dim", ["6", -1, 1.5])
+    def test_rejects_bad_dim(self, tmp_path, dim):
+        from emgd.net import write_blob
+
+        path = tmp_path / "buffer.bin"
+        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": dim,
+                  "seen_counts": {}, "slots": []}
+        write_blob(path, header, np.zeros(0))
+        with pytest.raises(FormatError, match="dim"):
+            load_buffer_snapshot(path)
 
     def test_rejects_other_blobs(self, tmp_path):
         from emgd.net import write_blob

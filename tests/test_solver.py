@@ -448,6 +448,14 @@ class TestSolveRequest:
         with pytest.raises(InvalidInputError):
             solve_request({"grads": [[1.0, 0.0], [1.0]]})
 
+    @pytest.mark.parametrize(
+        "sigma", [[5.0, 5.0], [0.5, 1.5], [0.0, 1.0], [-0.5, 0.5], [float("nan"), 1.0], [1.0], 0.5]
+    )
+    def test_fixed_sigma_outside_unit_interval_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="sigma"):
+            solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": "fixed",
+                           "sigma": sigma})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             solve_request({"grads": [[1.0]], "bogus": 1})
