@@ -19,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rehearsal, solver, streams
-from .errors import (
-    ConfigError,
-    DegenerateGradientError,
-    IncompleteMatrixError,
-    NumericError,
-)
+from .errors import ConfigError, IncompleteMatrixError, NumericError
 from .net import (
     Batch,
     Network,
@@ -77,6 +72,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
 
     def edit_config(self) -> EditConfig:
         return EditConfig(
@@ -187,22 +184,6 @@ class ToyTrace:
         return self.f2_init if tick == 0 else self.rows[tick - 1].f2
 
 
-def _toy_combine(method, grads, state, temperature, tol, max_iter):
-    bundle = solver.GradientBundle(tuple(range(1, len(grads) + 1)), np.stack(grads))
-    if method == "avg_grad":
-        return solver.avg_grad(bundle), np.ones(len(grads)) / len(grads)
-    if method == "mgda":
-        return solver.solve_mgda(bundle, tol, max_iter), np.ones(len(grads))
-    if method == "emgd_gmc":
-        sigma = solver.elastic_factors_gmc(bundle, state)
-    else:
-        try:
-            sigma = solver.elastic_factors_gs(bundle, temperature)
-        except DegenerateGradientError:
-            sigma = solver.ElasticFactors(np.ones(len(grads)) / len(grads))
-    return solver.solve_emgd(bundle, sigma, tol, max_iter), sigma.sigma
-
-
 def run_toy(
     method: str = "emgd_gs",
     iterations: int = 1500,
@@ -228,9 +209,10 @@ def run_toy(
         grads = [-toy_grad_f1(x, y)]
         if tick > join_tick:
             grads.append(-toy_grad_f2(x, y))
-        result, sigma = _toy_combine(method, grads, state, temperature, tol, max_iter)
+        bundle = solver.GradientBundle(tuple(range(1, len(grads) + 1)), np.stack(grads))
+        result, sigma = solver.combine(method, bundle, state, tol, max_iter)
         d = result.direction
-        dd = float(d @ d)
+        dd = result.objective
         margin = min(float(g @ d) - float(s) * dd for g, s in zip(grads, sigma))
         x += step * float(d[0])
         y += step * float(d[1])
@@ -387,22 +369,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
 
         try:
             bundle = solver.GradientBundle(tuple(task_ids), np.stack(grads))
-            if cfg.method == "avg_grad":
-                result = solver.avg_grad(bundle)
-                sigma = np.ones(bundle.size) / bundle.size
-            elif cfg.method == "mgda":
-                result = solver.solve_mgda(bundle, cfg.tol, cfg.max_iter)
-                sigma = np.ones(bundle.size)
-            else:
-                if cfg.method == "emgd_gmc":
-                    factors = solver.elastic_factors_gmc(bundle, state)
-                else:
-                    try:
-                        factors = solver.elastic_factors_gs(bundle, cfg.temperature)
-                    except DegenerateGradientError:
-                        factors = solver.ElasticFactors(np.ones(bundle.size) / bundle.size)
-                result = solver.solve_emgd(bundle, factors, cfg.tol, cfg.max_iter)
-                sigma = factors.sigma
+            result, sigma = solver.combine(cfg.method, bundle, state, cfg.tol, cfg.max_iter)
         except NumericError as err:
             raise NumericError(str(err), tick=tick) from None
         if not result.converged:
@@ -435,7 +402,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
                 "losses": dict(losses),
                 "lambda": tuple(float(v) for v in result.lam),
                 "sigma": tuple(float(v) for v in sigma),
-                "d_norm": float(np.linalg.norm(result.direction)),
+                "d_norm": float(np.sqrt(result.objective)),
                 "edit_objective": edit_objective,
             }
         )

@@ -414,6 +414,23 @@ def read_blob(path):
     return header, np.frombuffer(payload, dtype="<f8")
 
 
+def header_field(header, key: str, kind: type, where: str = ""):
+    """``header[key]`` if it is a ``kind`` (a bool is no int), else FormatError."""
+    value = header.get(key) if isinstance(header, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise FormatError(f"header field {where}{key} is missing or not {kind.__name__}",
+                          offset=12)
+    return value
+
+
+def header_int_map(header: dict, key: str) -> dict:
+    """``header[key]`` as a dict from integer keys to integers."""
+    raw = header_field(header, key, dict)
+    if not all(k.isdecimal() for k in raw):
+        raise FormatError(f"header field {key} has a non-integer key", offset=12)
+    return {int(k): header_field(raw, k, int, f"{key}.") for k in raw}
+
+
 def save_checkpoint(net: Network, path) -> None:
     """Write the network as one flat parameter blob plus a JSON header."""
     header = {
@@ -427,9 +444,12 @@ def save_checkpoint(net: Network, path) -> None:
 
 def load_checkpoint(path) -> Network:
     header, values = read_blob(path)
-    net = Network(header["layer_sizes"], seed=0)
+    sizes = header_field(header, "layer_sizes", list)
+    if not all(type(size) is int for size in sizes):
+        raise FormatError("header field layer_sizes holds a non-integer", offset=12)
+    heads = header_int_map(header, "heads")
+    net = Network(sizes, seed=0)
     expected = net.backbone_dim
-    heads = {int(t): c for t, c in header["heads"].items()}
     for t in sorted(heads):
         expected += (net.feature_dim + 1) * heads[t]
     if values.shape != (expected,):

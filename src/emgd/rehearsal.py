@@ -23,6 +23,8 @@ from .net import (
     edit_direction,
     forward,
     grouped_backward,
+    header_field,
+    header_int_map,
     input_gradient,
     write_blob,
     read_blob,
@@ -274,21 +276,24 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
     header, values = read_blob(path)
     if header.get("kind") != "memory-buffer":
         raise InvalidInputError(f"not a buffer snapshot: {path}")
-    buffer = MemoryBuffer(header["capacity_per_class"])
-    dim = header["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    buffer = MemoryBuffer(header_field(header, "capacity_per_class", int))
+    dim = header_field(header, "dim", int)
+    if dim < 0:
         raise FormatError(f"snapshot dim {dim!r} is not a non-negative integer", offset=12)
-    expected = len(header["slots"]) * dim
+    slots = header_field(header, "slots", list)
+    expected = len(slots) * dim
     if values.size != expected:
         # read_blob guarantees whole float64s, so the payload ends the file
         payload_start = Path(path).stat().st_size - 8 * values.size
         raise FormatError(
-            f"{values.size} stored values != {len(header['slots'])} slots x dim {dim}",
+            f"{values.size} stored values != {len(slots)} slots x dim {dim}",
             offset=payload_start + 8 * min(values.size, expected),
         )
-    buffer.seen_counts = {int(c): n for c, n in header["seen_counts"].items()}
-    for i, meta in enumerate(header["slots"]):
+    buffer.seen_counts = header_int_map(header, "seen_counts")
+    for i, meta in enumerate(slots):
+        label, task, cls = (header_field(meta, key, int, f"slots.{i}.")
+                            for key in ("label", "task", "class"))
         x = values[i * dim : (i + 1) * dim].copy()
-        buffer.slots.append(Slot(x, meta["label"], meta["task"], meta["class"]))
-        buffer._by_class.setdefault(meta["class"], []).append(i)
+        buffer.slots.append(Slot(x, label, task, cls))
+        buffer._by_class.setdefault(cls, []).append(i)
     return buffer

@@ -6,20 +6,25 @@ combined direction d is a Pareto descent direction when
 
     <g_i, d> >= sigma_i * ||d||^2    for every task i,
 
-which is what the elastic solver guarantees (up to the solve tolerance).
+which is what the elastic solver guarantees up to tol * max_i ||g_i||^2,
+a slack relative to the gradients' scale.
 
 The elastic problem  min ||sum_i lambda_i g_i||^2  s.t.  sum_i lambda_i
 sigma_i = 1, lambda >= 0  reduces exactly to the classic min-norm-point
 problem over the scaled points g_i / sigma_i via mu_i = lambda_i * sigma_i,
-so one simplex solver backs both the elastic and the uniform (sigma = 1)
-variants.
+which needs only their Gram matrix G / (sigma sigma^T) (Wolfe 1976; Sener &
+Koltun 2018). A bundle forms G once; norms, cosines and the solve all read
+it, so the only D-length products per solve are G and d = lambda @ grads.
+``combine`` dispatches every method; ``mgda`` is the solve at sigma = 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +80,13 @@ class GradientBundle:
     def dim(self) -> int:
         return self.grads.shape[1]
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """k x k inner products <g_i, g_j>, formed once per bundle."""
+        return self.grads @ self.grads.T
+
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.grads, axis=1)
+        return np.sqrt(np.diag(self.gram))
 
 
 @dataclass(frozen=True)
@@ -185,8 +195,7 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     norms = bundle.norms()
     if np.any(norms == 0.0):
         raise DegenerateGradientError("zero-norm gradient: cosine undefined")
-    unit = bundle.grads / norms[:, None]
-    scores = (unit @ unit.T).sum(axis=1)
+    scores = (bundle.gram / np.outer(norms, norms)).sum(axis=1)
     return ElasticFactors(_softmax(scores / temperature))
 
 
@@ -211,38 +220,43 @@ def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
 
 
 def solve_min_norm_simplex(
-    points: Sequence, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+    gram: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    scale: float | None = None,
 ) -> MinNormResult:
-    """Minimum-norm point of the convex hull of ``points``.
+    """Minimum-norm point of the convex hull of k points, given their Gram matrix.
 
-    Solves min_mu ||sum_i mu_i p_i||^2 over the probability simplex by the
+    Solves min_mu mu' M mu over the probability simplex (M = ``gram``) by the
     min-norm-point active-set method: repeatedly add the most violating
     point to the working set, re-solve the affine subproblem exactly, and
     clip back to the simplex when a weight would go negative. Stops when the
-    duality gap ||q||^2 - min_i <p_i, q> drops to ``tol``; with two points a
-    single affine solve reproduces the clipped closed form.
+    duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (default
+    scale max_i M_ii, so the test is the same at every magnitude), or after
+    ``max(max_iter, 4k)`` iterations: each adds at most one working point.
+    With two points a single affine solve reproduces the clipped closed form.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if P.shape[0] < 1:
-        raise InvalidInputError("need at least one point")
-    if not np.all(np.isfinite(P)):
-        raise NumericError("points contain non-finite entries")
-    if tol <= 0:
+    M = np.atleast_2d(np.asarray(gram, dtype=np.float64))
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise InvalidInputError("gram must be a square matrix")
+    if not np.all(np.isfinite(M)):
+        raise NumericError("gram contains non-finite entries")
+    if not tol > 0:
         raise InvalidInputError("tol must be positive")
-    k = P.shape[0]
+    k = M.shape[0]
     if k == 1:
-        return MinNormResult(np.ones(1), float(P[0] @ P[0]), 0, True)
+        return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
+    gap_tol = tol * (float(np.max(np.diag(M))) if scale is None else scale)
 
-    M = P @ P.T
     S = [int(np.argmin(np.diag(M)))]
     w = np.array([1.0])
 
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, max(max_iter, 4 * k) + 1):
         inner = M[:, S] @ w  # <p_i, q> for all i
         objective = float(w @ inner[S])
         j = int(np.argmin(inner))
-        if objective - inner[j] <= tol:
+        if objective - inner[j] <= gap_tol:
             mu = np.zeros(k)
             mu[S] = w
             return MinNormResult(mu, objective, iterations, True)
@@ -275,20 +289,17 @@ def solve_min_norm_simplex(
 
 
 def _as_sigma(sigma, k: int) -> np.ndarray:
-    arr = sigma.sigma if isinstance(sigma, ElasticFactors) else np.asarray(sigma, dtype=np.float64)
+    arr = (sigma if isinstance(sigma, ElasticFactors) else ElasticFactors(sigma)).sigma
     if arr.shape != (k,):
         raise InvalidInputError(f"expected {k} elastic factors, got shape {arr.shape}")
-    if np.any(arr <= 0.0):
-        raise InvalidInputError("elastic factors must be positive")
     return arr
 
 
 def _combine(bundle: GradientBundle, lam: np.ndarray, res: MinNormResult) -> CombinationResult:
     direction = lam @ bundle.grads
     objective = float(direction @ direction)
-    degenerate = tuple(
-        tid for tid, n in zip(bundle.task_ids, bundle.norms()) if n == 0.0
-    )
+    zero = np.diag(bundle.gram) == 0.0
+    degenerate = tuple(tid for tid, z in zip(bundle.task_ids, zero) if z)
     return CombinationResult(
         lam=lam,
         direction=direction,
@@ -309,24 +320,17 @@ def solve_emgd(
     """Elastic combination: min ||sum lambda_i g_i||^2 s.t. sum lambda_i sigma_i = 1.
 
     Substituting mu_i = lambda_i * sigma_i turns the problem into the plain
-    min-norm point of {g_i / sigma_i}; the weights are recovered as
-    mu_i / sigma_i. On a converged solve the direction satisfies
-    <g_i / sigma_i, d> >= ||d||^2 - tol for every i.
+    min-norm point of {g_i / sigma_i}, with Gram matrix G / (sigma sigma^T);
+    the weights are recovered as mu_i / sigma_i. The stopping gap is scaled
+    by the unscaled max_j ||g_j||^2, so on a converged solve
+    <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
     """
     s = _as_sigma(sigma, bundle.size)
-    scaled = bundle.grads / s[:, None]
-    res = solve_min_norm_simplex(scaled, tol=tol, max_iter=max_iter)
+    G = bundle.gram
+    res = solve_min_norm_simplex(
+        G / np.outer(s, s), tol, max_iter, scale=float(np.max(np.diag(G)))
+    )
     return _combine(bundle, res.mu / s, res)
-
-
-def solve_mgda(
-    bundle: GradientBundle,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CombinationResult:
-    """Uniform-constraint combination (all elastic factors equal to one)."""
-    res = solve_min_norm_simplex(bundle.grads, tol=tol, max_iter=max_iter)
-    return _combine(bundle, res.mu, res)
 
 
 def avg_grad(bundle: GradientBundle) -> CombinationResult:
@@ -335,6 +339,41 @@ def avg_grad(bundle: GradientBundle) -> CombinationResult:
     return _combine(
         bundle, lam, MinNormResult(lam, 0.0, 0, True)
     )
+
+
+def combine(
+    method: str,
+    bundle: GradientBundle,
+    state: ElasticState,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    sigma: ElasticFactors | None = None,
+):
+    """Combine a bundle per ``method``; returns (CombinationResult, sigma used).
+
+    ``emgd_gmc`` and ``emgd_gs`` compute elastic factors from ``state``
+    (momenta, temperature); ``emgd_gs`` falls back to factors 1/k when a zero
+    gradient leaves cosines undefined. ``mgda`` fixes every factor at one,
+    ``fixed`` uses ``sigma`` (all ones when omitted), and ``avg_grad`` is the
+    plain mean, reported with factors 1/k.
+    """
+    k = bundle.size
+    if method == "avg_grad":
+        return avg_grad(bundle), np.full(k, 1.0 / k)
+    if method == "emgd_gmc":
+        factors = elastic_factors_gmc(bundle, state)
+    elif method == "emgd_gs":
+        try:
+            factors = elastic_factors_gs(bundle, state.temperature)
+        except DegenerateGradientError:
+            factors = ElasticFactors(np.full(k, 1.0 / k))
+    elif method == "mgda":
+        factors = ElasticFactors(np.ones(k))
+    elif method == "fixed":
+        factors = ElasticFactors(np.ones(k)) if sigma is None else sigma
+    else:
+        raise InvalidInputError(f"unknown combination method {method!r}")
+    return solve_emgd(bundle, factors, tol, max_iter), factors.sigma
 
 
 def two_task_closed_form(g1, g2, sigma1: float, sigma2: float) -> TwoTaskSolution:
@@ -421,17 +460,35 @@ def pareto_descent_check(bundle: GradientBundle, sigma, result: CombinationResul
 
 
 _REQUEST_KEYS = {"grads", "sigma_mode", "sigma", "temperature", "tol", "max_iter"}
+_SIGMA_MODES = {"gmc": "emgd_gmc", "gs": "emgd_gs", "fixed": "fixed"}
+
+
+def _request_number(doc: dict, name: str, default, kind: type):
+    # a positive finite float or an integer >= 1; a value that the conversion
+    # changes (a string, 2.5 for an integer, NaN) is rejected
+    value = doc.get(name, default)
+    try:
+        number = kind(value)
+        ok = number == value and (number >= 1 if kind is int else 0 < number < math.inf)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        wanted = "an integer >= 1" if kind is int else "a positive finite number"
+        raise InvalidInputError(f"field {name} must be {wanted}, got {value!r}")
+    return number
 
 
 def solve_request(doc: dict) -> dict:
     """One-shot solver call on a JSON-style document.
 
     Accepts {"grads": [[...], ...], "sigma_mode": "gmc"|"gs"|"fixed",
-    "sigma": [...], "temperature": 1.0} and returns {"lambda", "direction",
-    "objective", "converged"}. Unknown keys are rejected. In a one-shot call
-    "gmc" has no momentum history, so the factors reduce to a softmax of the
-    gradient norms. Uniform weighting ("fixed" with all-ones sigma) gives the
-    plain min-norm combination.
+    "sigma": [...], "temperature": 1.0, "tol": 1e-8, "max_iter": 250} and
+    returns {"lambda", "direction", "objective", "converged"}; unknown keys
+    and malformed values are rejected by name. "gs" and "gmc" run
+    ``combine`` as the training methods ``emgd_gs`` and ``emgd_gmc`` do, so
+    a zero gradient under "gs" gets uniform factors; one-shot "gmc" has no
+    momentum history, so its factors are a softmax of the gradient norms.
+    "fixed" uses ``sigma``; all ones (the default) is plain min-norm.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("request must be a JSON object")
@@ -440,40 +497,30 @@ def solve_request(doc: dict) -> dict:
         raise InvalidInputError(f"unknown field: {sorted(unknown)[0]}")
     if "grads" not in doc:
         raise InvalidInputError("missing field: grads")
-    grads = doc["grads"]
-    if not isinstance(grads, list) or not grads:
-        raise InvalidInputError("field grads must be a non-empty list of vectors")
     try:
-        lengths = {len(g) for g in grads}
-    except TypeError:
-        raise InvalidInputError("field grads must be a list of vectors") from None
-    if len(lengths) != 1:
-        raise InvalidInputError("field grads has vectors of unequal dimension")
-    bundle = GradientBundle(tuple(range(1, len(grads) + 1)), np.asarray(grads, dtype=np.float64))
+        grads = np.asarray(doc["grads"], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        grads = np.zeros(0)
+    if grads.ndim != 2 or not grads.size:
+        raise InvalidInputError("field grads must be a non-empty list of equal-length "
+                                "numeric vectors")
+    bundle = GradientBundle(tuple(range(1, len(grads) + 1)), grads)
 
     mode = doc.get("sigma_mode", "fixed")
-    temperature = float(doc.get("temperature", 1.0))
-    tol = float(doc.get("tol", DEFAULT_TOL))
-    max_iter = int(doc.get("max_iter", DEFAULT_MAX_ITER))
-    if mode == "gmc":
-        state = ElasticState(temperature=temperature)
-        sigma = elastic_factors_gmc(bundle, state)
-    elif mode == "gs":
-        sigma = elastic_factors_gs(bundle, temperature)
-    elif mode == "fixed":
-        raw = doc.get("sigma")
-        if raw is None:
-            raw = [1.0] * bundle.size
+    if not isinstance(mode, str) or mode not in _SIGMA_MODES:
+        raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
+    raw, sigma = doc.get("sigma"), None
+    if mode == "fixed" and raw is not None:
         if not isinstance(raw, list) or len(raw) != bundle.size:
             raise InvalidInputError("field sigma must list one factor per gradient")
         try:
             sigma = ElasticFactors(np.asarray(raw, dtype=np.float64))
         except (InvalidInputError, NumericError, TypeError, ValueError) as err:
             raise InvalidInputError(f"field sigma: {err}") from None
-    else:
-        raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
-
-    result = solve_emgd(bundle, sigma, tol=tol, max_iter=max_iter)
+    state = ElasticState(temperature=_request_number(doc, "temperature", 1.0, float))
+    tol = _request_number(doc, "tol", DEFAULT_TOL, float)
+    max_iter = _request_number(doc, "max_iter", DEFAULT_MAX_ITER, int)
+    result, _ = combine(_SIGMA_MODES[mode], bundle, state, tol, max_iter, sigma)
     return {
         "lambda": result.lam.tolist(),
         "direction": result.direction.tolist(),

@@ -149,24 +149,6 @@ class TaskSpec:
         return np.array([self._local[int(c)] for c in global_labels], dtype=np.int64)
 
 
-@dataclass
-class SyntheticTaskConfig:
-    """Gaussian-blob task: seeded class centers inside the unit cube."""
-
-    classes: int = 4
-    input_dim: int = 32
-    samples_per_class: int = 50
-    test_per_class: int = 20
-    noise_sigma: float = 0.1
-    centers: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.classes < 2:
-            raise InvalidInputError("need at least two classes")
-        if self.noise_sigma <= 0:
-            raise InvalidInputError("noise_sigma must be positive")
-
-
 def _draw_centers(rng, classes: int, dim: int, min_gap: float) -> np.ndarray:
     # rejection-sample until all pairwise distances reach the separation bound
     for _ in range(200):
@@ -181,54 +163,30 @@ def _draw_centers(rng, classes: int, dim: int, min_gap: float) -> np.ndarray:
     )
 
 
-def _blob_samples(rng, centers, per_class, noise_sigma, label_offset):
+def _blob_samples(rng, centers, per_class, noise_sigma):
     xs, ys = [], []
     for c, center in enumerate(centers):
         pts = center + noise_sigma * rng.standard_normal((per_class, centers.shape[1]))
         xs.append(np.clip(pts, 0.0, 1.0))
-        ys.append(np.full(per_class, label_offset + c, dtype=np.int64))
+        ys.append(np.full(per_class, c, dtype=np.int64))
     return np.vstack(xs), np.concatenate(ys)
-
-
-def generate_synthetic(config: SyntheticTaskConfig, seed: int, task_id: int = 1,
-                       label_offset: int = 0) -> TaskSpec:
-    """Deterministic Gaussian-blob task spec.
-
-    Centers are drawn at least 4 * noise_sigma apart, so the classes stay
-    Bayes-separable; samples are clipped into [0, 1].
-    """
-    if config.centers is not None:
-        centers = np.asarray(config.centers, dtype=np.float64)
-    else:
-        centers = _draw_centers(
-            substream(seed, "centers", task_id),
-            config.classes,
-            config.input_dim,
-            4.0 * config.noise_sigma,
-        )
-    train_x, train_y = _blob_samples(
-        substream(seed, "train", task_id), centers, config.samples_per_class,
-        config.noise_sigma, label_offset,
-    )
-    test_x, test_y = _blob_samples(
-        substream(seed, "test", task_id), centers, config.test_per_class,
-        config.noise_sigma, label_offset,
-    )
-    labels = tuple(range(label_offset, label_offset + config.classes))
-    return TaskSpec(task_id, labels, train_x, train_y, test_x, test_y)
 
 
 def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
                       test_per_class: int, noise_sigma: float, seed: int) -> Dataset:
-    """Gaussian-blob dataset over ``num_classes`` global classes."""
+    """Deterministic Gaussian-blob dataset over ``num_classes`` global classes.
+
+    Centers are drawn at least 4 * noise_sigma apart, so the classes stay
+    Bayes-separable; samples are clipped into [0, 1].
+    """
     centers = _draw_centers(
         substream(seed, "centers"), num_classes, input_dim, 4.0 * noise_sigma
     )
     train_x, train_y = _blob_samples(
-        substream(seed, "train"), centers, samples_per_class, noise_sigma, 0
+        substream(seed, "train"), centers, samples_per_class, noise_sigma
     )
     test_x, test_y = _blob_samples(
-        substream(seed, "test"), centers, test_per_class, noise_sigma, 0
+        substream(seed, "test"), centers, test_per_class, noise_sigma
     )
     return Dataset(train_x, train_y, test_x, test_y)
 

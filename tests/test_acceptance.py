@@ -34,10 +34,10 @@ from emgd.solver import (
     ElasticState,
     GradientBundle,
     brute_force_weights,
+    combine,
     elastic_factors_gmc,
     elastic_factors_gs,
     solve_emgd,
-    solve_mgda,
     two_task_closed_form,
 )
 from emgd.streams import build_parallel_split, derive_seed, synthetic_dataset
@@ -98,7 +98,7 @@ def test_criterion_02_pareto_descent_certificate(solver_instances):
         scaled = bundle.grads / np.asarray(sigma)[:, None]
         assert np.min(scaled @ d) >= dd - 1e-8
         # sigma = 1 reproduces the uniform-constraint certificate
-        mgda = solve_mgda(bundle)
+        mgda, _ = combine("mgda", bundle, ElasticState())
         assert mgda.converged
         dd_m = float(mgda.direction @ mgda.direction)
         assert np.min(bundle.grads @ mgda.direction) >= dd_m - 1e-8
@@ -141,7 +141,7 @@ def test_criterion_04_small_gradient_preference():
             continue
         if n1 < n2:
             g1, g2 = g2, g1
-        result = solve_mgda(GradientBundle((1, 2), np.stack([g1, g2])))
+        result, _ = combine("mgda", GradientBundle((1, 2), np.stack([g1, g2])), ElasticState())
         assert result.lam[0] <= result.lam[1] + 1e-9
         checked += 1
     ok(4, "1000 random pairs with ||g1|| > ||g2|| all give lambda1 <= lambda2 + 1e-9")

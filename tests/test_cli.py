@@ -73,6 +73,27 @@ class TestSolve:
         assert code == 1
         assert "bogus" in captured.err
 
+    @pytest.mark.parametrize("field, request_text", [
+        ("grads", '{"grads": [["a", 1.0]]}'),
+        ("temperature", '{"grads": [[1.0, 0.0]], "temperature": "x"}'),
+        ("tol", '{"grads": [[1.0, 0.0]], "tol": "x"}'),
+        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": "x"}'),
+        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": 0}'),
+    ])
+    def test_malformed_value_exit_1(self, monkeypatch, capsys, field, request_text):
+        code = run_cli(["solve"], request_text, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and field in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_gs_zero_gradient_uses_uniform_factors(self, monkeypatch, capsys):
+        code = run_cli(["solve"], '{"grads": [[1.0, 0.0], [0.0, 0.0]], "sigma_mode": "gs"}',
+                       monkeypatch)
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["direction"] == pytest.approx([0.0, 0.0], abs=1e-12)
+
 
 class TestRunToy:
     def test_default_trace_has_1500_rows(self, tmp_path):

@@ -22,7 +22,7 @@ from emgd.experiment import (
 )
 from emgd.net import Network, add_head, backward, apply_update
 from emgd.rehearsal import MemoryBuffer
-from emgd.solver import GradientBundle, solve_mgda
+from emgd.solver import ElasticState, GradientBundle, combine
 from emgd.streams import (
     TaskCursor,
     build_parallel_split,
@@ -111,7 +111,7 @@ class TestConvergenceProbe:
     def test_pareto_critical_start_has_zero_direction(self):
         # opposed equal gradients: the combined direction vanishes at tick 1
         g = np.array([1.0, -2.0, 0.5])
-        res = solve_mgda(GradientBundle((1, 2), np.stack([g, -g])))
+        res, _ = combine("mgda", GradientBundle((1, 2), np.stack([g, -g])), ElasticState())
         rows = [
             {"d_norm": float(np.linalg.norm(res.direction)), "losses": {1: 1.0, 2: 1.0}},
             {"d_norm": 0.0, "losses": {1: 1.0, 2: 1.0}},
@@ -347,3 +347,8 @@ class TestRunConfig:
     def test_rejects_nonfinite_or_nonpositive(self, name, value):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_max_iter_below_one(self, value):
+        with pytest.raises(ConfigError, match="max_iter"):
+            RunConfig(max_iter=value)

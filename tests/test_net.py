@@ -484,6 +484,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             read_blob(path)
 
+    @pytest.mark.parametrize("field, change", [
+        ("layer_sizes", {"layer_sizes": None}),
+        ("heads", {"heads": None}),
+        ("layer_sizes", {"layer_sizes": "3,2"}),
+        ("layer_sizes", {"layer_sizes": [3, "2"]}),
+        ("layer_sizes", {"layer_sizes": [3, 2.0]}),
+        ("heads", {"heads": [2]}),
+        ("heads", {"heads": {"x": 2}}),
+        ("heads.1", {"heads": {"1": "2"}}),
+    ])
+    def test_checkpoint_missing_or_ill_typed_header_field(self, tmp_path, field, change):
+        net = make_net(heads=((1, 2),))
+        path = tmp_path / "model.bin"
+        save_checkpoint(net, path)
+        header, values = read_blob(path)
+        header.update(change)
+        header = {k: v for k, v in header.items() if v is not None}
+        write_blob(path, header, values)
+        with pytest.raises(FormatError, match=field) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
     def test_blob_roundtrip(self, tmp_path):
         path = tmp_path / "blob.bin"
         values = np.arange(5, dtype=float)

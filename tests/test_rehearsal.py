@@ -416,6 +416,34 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="dim"):
             load_buffer_snapshot(path)
 
+    @pytest.mark.parametrize("field, change", [
+        ("capacity_per_class", {"capacity_per_class": None}),
+        ("dim", {"dim": None}),
+        ("slots", {"slots": None}),
+        ("seen_counts", {"seen_counts": None}),
+        ("capacity_per_class", {"capacity_per_class": 2.0}),
+        ("slots", {"slots": {"0": 1}}),
+        ("seen_counts", {"seen_counts": [1]}),
+        ("seen_counts", {"seen_counts": {"x": 1}}),
+        ("seen_counts.0", {"seen_counts": {"0": "1"}}),
+        ("slots.0.label", {"slots": [{"task": 1, "class": 0}]}),
+        ("slots.0.class", {"slots": [{"task": 1, "class": "0", "label": 0}]}),
+        ("slots.0.label", {"slots": [7]}),
+    ])
+    def test_missing_or_ill_typed_header_field(self, tmp_path, field, change):
+        from emgd.net import write_blob
+
+        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": 3,
+                  "seen_counts": {"0": 1},
+                  "slots": [{"task": 1, "class": 0, "label": 0}]}
+        header.update(change)
+        header = {k: v for k, v in header.items() if v is not None}
+        path = tmp_path / "buffer.bin"
+        write_blob(path, header, np.zeros(3))
+        with pytest.raises(FormatError, match=field) as err:
+            load_buffer_snapshot(path)
+        assert err.value.offset == 12
+
     def test_rejects_other_blobs(self, tmp_path):
         from emgd.net import write_blob
 

@@ -17,11 +17,11 @@ from emgd.solver import (
     GradientBundle,
     avg_grad,
     brute_force_weights,
+    combine,
     elastic_factors_gmc,
     elastic_factors_gs,
     pareto_descent_check,
     solve_emgd,
-    solve_mgda,
     solve_min_norm_simplex,
     solve_request,
     two_task_closed_form,
@@ -40,6 +40,22 @@ def random_bundle(rng, k, dim, scale_spread=False):
     if scale_spread:
         g *= rng.uniform(0.2, 3.0, size=(k, 1))
     return GradientBundle(tuple(range(1, k + 1)), g)
+
+
+def gram(points):
+    P = np.asarray(points, dtype=float)
+    return P @ P.T
+
+
+def mgda(b):
+    return combine("mgda", b, ElasticState())[0]
+
+
+def certificate_margin(b, sigma, result):
+    """min_i <g_i, d> - sigma_i ||d||^2, relative to max_i ||g_i||^2."""
+    d = result.direction
+    margin = np.min(b.grads @ d - np.asarray(sigma) * float(d @ d))
+    return margin / np.max(np.einsum("ij,ij->i", b.grads, b.grads))
 
 
 class TestBundleInvariants:
@@ -143,24 +159,24 @@ class TestElasticFactorsGs:
 
 class TestMinNormSimplex:
     def test_single_point(self):
-        res = solve_min_norm_simplex([[3.0, 4.0]])
+        res = solve_min_norm_simplex(gram([[3.0, 4.0]]))
         assert res.mu.tolist() == [1.0]
         assert res.objective == pytest.approx(25.0)
         assert res.converged
 
     def test_orthogonal_pair(self):
-        res = solve_min_norm_simplex([[1.0, 0.0], [0.0, 1.0]])
+        res = solve_min_norm_simplex(gram([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(res.mu, [0.5, 0.5], atol=1e-12)
         assert res.objective == pytest.approx(0.5, abs=1e-12)
 
     def test_opposed_pair_contains_origin(self):
         # 1-D clipped formula: mu1 = (p2.p2 - p1.p2) / ||p1 - p2||^2 = 1/3
-        res = solve_min_norm_simplex([[2.0, 0.0], [-1.0, 0.0]])
+        res = solve_min_norm_simplex(gram([[2.0, 0.0], [-1.0, 0.0]]))
         np.testing.assert_allclose(res.mu, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert res.objective <= 1e-16
 
     def test_dominated_point_gets_zero_weight(self):
-        res = solve_min_norm_simplex([[1.0, 0.0], [3.0, 0.0]])
+        res = solve_min_norm_simplex(gram([[1.0, 0.0], [3.0, 0.0]]))
         np.testing.assert_allclose(res.mu, [1.0, 0.0], atol=1e-12)
         assert res.objective == pytest.approx(1.0)
 
@@ -170,7 +186,7 @@ class TestMinNormSimplex:
             k = int(rng.integers(2, 5))
             dim = int(rng.integers(1, 33))
             P = rng.normal(size=(k, dim)) * rng.uniform(0.2, 3.0, size=(k, 1))
-            res = solve_min_norm_simplex(P, tol=1e-10)
+            res = solve_min_norm_simplex(gram(P), tol=1e-10)
             assert res.converged
             q = res.mu @ P
             gaps = P @ q - float(q @ q)
@@ -179,7 +195,7 @@ class TestMinNormSimplex:
             assert np.all(res.mu >= 0.0)
 
     def test_duplicate_points(self):
-        res = solve_min_norm_simplex([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+        res = solve_min_norm_simplex(gram([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]))
         assert res.converged
         assert res.objective <= 1e-16
 
@@ -230,26 +246,42 @@ class TestSolveEmgd:
         assert np.linalg.norm(res.direction) <= 1e-9
         assert res.degenerate_tasks == (2,)
 
-    def test_scale_equivariance(self):
-        rng = np.random.default_rng(91)
-        for c in (0.5, 2.0, 10.0):
-            b = random_bundle(rng, 3, 8)
-            sig = elastic_factors_gs(b)
-            base = solve_emgd(b, sig, tol=1e-12)
-            scaled = solve_emgd(
-                GradientBundle(b.task_ids, b.grads * c), sig, tol=1e-12
-            )
-            np.testing.assert_allclose(scaled.lam, base.lam, atol=1e-9)
-            np.testing.assert_allclose(scaled.direction, base.direction * c, rtol=1e-8, atol=1e-10)
+    @given(st.floats(-8.0, 8.0), st.integers(2, 6), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_scale_equivariance(self, log_c, k, seed):
+        # the relative gap makes the solve the same at every gradient scale
+        c = 10.0 ** log_c
+        b = random_bundle(np.random.default_rng(seed), k, 8)
+        scaled_b = GradientBundle(b.task_ids, b.grads * c)
+        base, sig = combine("emgd_gs", b, ElasticState(), tol=1e-12)
+        scaled, scaled_sig = combine("emgd_gs", scaled_b, ElasticState(), tol=1e-12)
+        assert base.converged and scaled.converged
+        np.testing.assert_allclose(scaled_sig, sig, rtol=1e-12)
+        np.testing.assert_allclose(scaled.lam, base.lam, atol=1e-9)
+        np.testing.assert_allclose(scaled.direction, base.direction * c, rtol=1e-8,
+                                   atol=1e-10 * c)
+        assert certificate_margin(scaled_b, scaled_sig, scaled) >= -1e-8
+        default, default_sig = combine("emgd_gs", scaled_b, ElasticState())
+        assert default.converged
+        assert certificate_margin(scaled_b, default_sig, default) >= -1e-8
+
+    def test_k256_converges_under_default_max_iter(self):
+        # near-orthogonal gradients put every task in the active set, one
+        # iteration each: more than the default max_iter of 250
+        b = random_bundle(np.random.default_rng(256), 256, 1024)
+        result, sigma = combine("emgd_gs", b, ElasticState())
+        assert result.converged
+        assert result.iterations > 250
+        assert certificate_margin(b, sigma, result) >= -1e-8
 
 
 class TestSolveMgda:
     def test_singleton(self):
-        res = solve_mgda(bundle([1.0, 1.0]))
+        res = mgda(bundle([1.0, 1.0]))
         np.testing.assert_allclose(res.lam, [1.0])
 
     def test_symmetric_pair(self):
-        res = solve_mgda(bundle([1.0, 0.0], [0.0, 1.0]))
+        res = mgda(bundle([1.0, 0.0], [0.0, 1.0]))
         np.testing.assert_allclose(res.lam, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(res.direction, [0.5, 0.5], atol=1e-12)
 
@@ -263,14 +295,14 @@ class TestSolveMgda:
                 g1, g2 = g2, g1
             if np.linalg.norm(g1) == np.linalg.norm(g2):
                 continue
-            res = solve_mgda(bundle(g1, g2))
+            res = mgda(bundle(g1, g2))
             assert res.lam[0] <= res.lam[1] + 1e-9
 
     def test_simplex_sum(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
             b = random_bundle(rng, 4, 5)
-            res = solve_mgda(b)
+            res = mgda(b)
             assert abs(res.lam.sum() - 1.0) <= 1e-8
 
 
@@ -388,13 +420,13 @@ class TestParetoDescentCheck:
 
     def test_zero_direction_vacuous(self):
         b = bundle([1.0, 0.0], [-1.0, 0.0])
-        res = solve_mgda(b)
+        res = mgda(b)
         assert np.linalg.norm(res.direction) <= 1e-9
         assert pareto_descent_check(b, [1.0, 1.0], res, 1e-8)
 
     def test_corrupted_weights_fail(self):
         b = bundle([3.0, 0.0], [0.0, 1.0])
-        res = solve_mgda(b)
+        res = mgda(b)
         assert res.lam[0] != pytest.approx(res.lam[1])
         bad = CombinationResult(
             lam=res.lam[::-1].copy(),
@@ -463,3 +495,61 @@ class TestSolveRequest:
     def test_gs_mode(self):
         out = solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": "gs"})
         assert out["lambda"] == pytest.approx([1.0, 1.0], abs=1e-9)
+
+    def test_gs_zero_gradient_falls_back_to_uniform_factors(self):
+        # the same fallback as the training loops: factors 1/k, and the zero
+        # gradient makes the point Pareto critical
+        grads = [[1.0, 2.0], [0.0, 0.0]]
+        out = solve_request({"grads": grads, "sigma_mode": "gs"})
+        result, sigma = combine("emgd_gs", bundle(*grads), ElasticState())
+        np.testing.assert_array_equal(sigma, [0.5, 0.5])
+        assert out["lambda"] == result.lam.tolist()
+        assert out["direction"] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert out["converged"] is True
+
+    @pytest.mark.parametrize("field, doc", [
+        ("grads", {"grads": [["a", 1.0]]}),
+        ("grads", {"grads": [[{}, 1.0]]}),
+        ("grads", {"grads": [[10 ** 400, 1.0]]}),
+        ("temperature", {"temperature": "x"}),
+        ("temperature", {"temperature": float("nan")}),
+        ("temperature", {"temperature": 0.0}),
+        ("tol", {"tol": "x"}),
+        ("tol", {"tol": [1e-8]}),
+        ("tol", {"tol": float("inf")}),
+        ("tol", {"tol": -1.0}),
+        ("max_iter", {"max_iter": "x"}),
+        ("max_iter", {"max_iter": 2.5}),
+        ("max_iter", {"max_iter": float("inf")}),
+        ("max_iter", {"max_iter": 0}),
+        ("sigma_mode", {"sigma_mode": ["gs"]}),
+    ])
+    def test_malformed_field_named(self, field, doc):
+        request = {"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": "gs", **doc}
+        with pytest.raises(InvalidInputError, match=field):
+            solve_request(request)
+
+    def test_integral_max_iter_accepted(self):
+        out = solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "max_iter": 3.0})
+        assert out["converged"] is True
+
+
+class TestCombine:
+    def test_unknown_method_rejected(self):
+        with pytest.raises(InvalidInputError, match="bogus"):
+            combine("bogus", bundle([1.0, 0.0]), ElasticState())
+
+    def test_fixed_without_sigma_is_mgda(self):
+        b = bundle([2.0, 0.0], [0.5, 1.0])
+        fixed, sigma = combine("fixed", b, ElasticState())
+        np.testing.assert_array_equal(sigma, [1.0, 1.0])
+        np.testing.assert_array_equal(fixed.lam, combine("mgda", b, ElasticState())[0].lam)
+
+    def test_mgda_is_elastic_solve_at_unit_sigma(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            b = random_bundle(rng, 4, 6)
+            result, sigma = combine("mgda", b, ElasticState())
+            np.testing.assert_array_equal(sigma, np.ones(4))
+            plain = solve_min_norm_simplex(b.grads @ b.grads.T)
+            np.testing.assert_array_equal(result.lam, plain.mu)

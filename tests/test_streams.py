@@ -7,12 +7,10 @@ from emgd.errors import ConfigError, FormatError, InvalidInputError, StreamEnd
 from emgd.net import Batch, Network, add_head, apply_update, backward, forward
 from emgd.streams import (
     Dataset,
-    SyntheticTaskConfig,
     TaskCursor,
     TaskTimeline,
     active_tasks,
     build_parallel_split,
-    generate_synthetic,
     load_idx,
     next_batch,
     read_manifest,
@@ -188,27 +186,18 @@ class TestNextBatch:
 
 class TestSynthetic:
     def test_tiny_noise_sticks_to_centers(self):
-        cfg = SyntheticTaskConfig(classes=3, input_dim=5, samples_per_class=4,
-                                  noise_sigma=1e-12)
-        spec = generate_synthetic(cfg, seed=3)
+        data = synthetic_dataset(3, 5, 4, 4, noise_sigma=1e-12, seed=3)
         for c in range(3):
-            rows = spec.train_inputs[spec.train_labels == c]
-            assert np.ptp(rows, axis=0).max() <= 1e-9
-
-    def test_deterministic(self):
-        cfg = SyntheticTaskConfig(classes=3, input_dim=5, samples_per_class=4)
-        a = generate_synthetic(cfg, seed=11)
-        b = generate_synthetic(cfg, seed=11)
-        np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
-        np.testing.assert_array_equal(a.test_inputs, b.test_inputs)
+            for inputs, labels in ((data.train_inputs, data.train_labels),
+                                   (data.test_inputs, data.test_labels)):
+                rows = inputs[labels == c]
+                assert np.ptp(rows, axis=0).max() <= 1e-9
 
     def test_classifier_separates_blobs(self):
-        cfg = SyntheticTaskConfig(classes=4, input_dim=8, samples_per_class=30,
-                                  noise_sigma=0.05)
-        spec = generate_synthetic(cfg, seed=21)
+        data = synthetic_dataset(4, 8, 30, 20, noise_sigma=0.05, seed=21)
         net = Network((8, 16), seed=0)
         add_head(net, 1, 4, seed=1)
-        batch = Batch(spec.train_inputs, spec.to_local(spec.train_labels), 1)
+        batch = Batch(data.train_inputs, data.train_labels, 1)
         for _ in range(300):
             rep = backward(net, batch)
             apply_update(net, -rep.backbone_grad, 0.5, {1: (rep.head_grad, 0.5)})
@@ -220,6 +209,7 @@ class TestSynthetic:
         a = synthetic_dataset(6, 8, 5, 2, 0.1, seed=4)
         b = synthetic_dataset(6, 8, 5, 2, 0.1, seed=4)
         np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
+        np.testing.assert_array_equal(a.test_inputs, b.test_inputs)
         assert a.num_classes == 6
 
 
