@@ -3,7 +3,8 @@
 Data goes to stdout or files under --out, diagnostics go to stderr. Exit
 codes: 0 success, 1 input error, 2 solver non-convergence (solve), 3 mid-run
 numeric failure (run-pcl, reported with the failing tick). Config documents
-are parsed strictly: unknown keys are rejected by name. All randomness flows
+are parsed strictly: unknown keys and ill-typed values are rejected naming
+the dotted field path, range errors by the field's name. All randomness flows
 from the single top-level seed through named substreams, so identical
 configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity.
 """
@@ -11,6 +12,7 @@ configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, rehearsal, solver, streams
-from .errors import EmgdError, ConfigError, NumericError
+from .errors import ConfigError, EmgdError, NumericError, load_json_object, read_field, section
 from .net import Network
 
 log = logging.getLogger("emgd")
@@ -35,118 +37,58 @@ def _configure_logging() -> None:
     )
 
 
-def _check_keys(doc: dict, allowed, context: str) -> None:
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown field: {context}.{sorted(unknown)[0]}")
+# Each table gives a config section's fields with their defaults, and so their JSON
+# types; a type in place of a default marks a required field.
+_TOP = {"dataset": dict, "split": {}, "manifest": "", "run": {}, "net": {}, "seed": 1234}
+_SYNTHETIC = {"num_classes": 12, "input_dim": 32, "samples_per_class": 50, "test_per_class": 20,
+              "noise_sigma": 0.1}
+_IDX = {"train_images": str, "train_labels": str, "test_images": str, "test_labels": str}
+_SPLIT = {"num_tasks": 3, "label_bounds": [2, 15], "overlap": 0.0, "serial": False,
+          "batch_size": 128, "epochs": 1}
+# batch_size and epochs come from the split or manifest, the seed from the top level
+_RUN = {f.name: f.default for f in dataclasses.fields(experiment.RunConfig)
+        if f.name not in ("batch_size", "epochs", "seed")} | {"snapshot_buffer": False}
+_NET = {"hidden": [100], "feature_dim": 64}
 
 
-def _load_config(path) -> dict:
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    return doc
+def _load_config(args):
+    """The checked top level of the config, the seed and the dataset."""
+    doc = section(load_json_object(args.config, "config"), "config", _TOP)
+    seed = doc["seed"] if args.seed is None else args.seed
+    return doc, seed, _build_dataset(doc["dataset"], seed)
 
 
-_SYNTH_KEYS = {"num_classes", "input_dim", "samples_per_class", "test_per_class",
-               "noise_sigma"}
-_IDX_KEYS = {"train_images", "train_labels", "test_images", "test_labels"}
-
-
-def _build_dataset(doc: dict, seed: int) -> streams.Dataset:
-    _check_keys(doc, {"synthetic", "idx"}, "dataset")
-    if ("synthetic" in doc) == ("idx" in doc):
+def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
+    doc = section(raw, "dataset", {"synthetic": {}, "idx": {}})
+    if ("synthetic" in raw) == ("idx" in raw):
         raise ConfigError("dataset needs exactly one of: synthetic, idx")
-    if "synthetic" in doc:
-        spec = doc["synthetic"]
-        _check_keys(spec, _SYNTH_KEYS, "dataset.synthetic")
-        return streams.synthetic_dataset(
-            num_classes=int(spec.get("num_classes", 12)),
-            input_dim=int(spec.get("input_dim", 32)),
-            samples_per_class=int(spec.get("samples_per_class", 50)),
-            test_per_class=int(spec.get("test_per_class", 20)),
-            noise_sigma=float(spec.get("noise_sigma", 0.1)),
-            seed=seed,
-        )
-    spec = doc["idx"]
-    _check_keys(spec, _IDX_KEYS, "dataset.idx")
-    for key in _IDX_KEYS:
-        if key not in spec:
-            raise ConfigError(f"dataset.idx missing field: {key}")
+    if "synthetic" in raw:
+        spec = section(doc["synthetic"], "dataset.synthetic", _SYNTHETIC)
+        return streams.synthetic_dataset(**spec, seed=seed)
+    spec = section(doc["idx"], "dataset.idx", _IDX)
     train_x, train_y = streams.load_idx(spec["train_images"], spec["train_labels"])
     test_x, test_y = streams.load_idx(spec["test_images"], spec["test_labels"])
     return streams.Dataset(train_x, train_y, test_x, test_y)
 
 
-_SPLIT_KEYS = {"num_tasks", "label_bounds", "overlap", "serial", "batch_size", "epochs"}
-
-
-def _build_split(doc: dict, dataset: streams.Dataset, seed: int, serial_flag: bool,
-                 overlap_flag):
-    _check_keys(doc, _SPLIT_KEYS, "split")
-    batch_size = int(doc.get("batch_size", 128))
-    epochs = int(doc.get("epochs", 1))
-    bounds = doc.get("label_bounds", [2, 15])
+def _build_split(doc: dict, dataset: streams.Dataset, seed: int, args):
+    split = section(doc, "split", _SPLIT)
     specs, timeline = streams.build_parallel_split(
         dataset,
-        num_tasks=int(doc.get("num_tasks", 3)),
-        label_bounds=(int(bounds[0]), int(bounds[1])),
+        num_tasks=split["num_tasks"],
+        label_bounds=split["label_bounds"],
         seed=seed,
-        overlap_fraction=float(overlap_flag if overlap_flag is not None
-                               else doc.get("overlap", 0.0)),
-        batch_size=batch_size,
-        epochs=epochs,
-        serial=bool(serial_flag or doc.get("serial", False)),
+        overlap_fraction=split["overlap"] if args.overlap is None else args.overlap,
+        batch_size=split["batch_size"],
+        epochs=split["epochs"],
+        serial=args.serial or split["serial"],
     )
-    return specs, timeline, batch_size, epochs
-
-
-_RUN_KEYS = {"method", "editing", "gamma", "gamma_heads", "temperature",
-             "capacity_per_class", "eta_edit", "edit_iterations", "fd_eps",
-             "clamp", "freeze_finished_heads", "memory_batch_size", "eval_every",
-             "eval_mode", "tol", "max_iter", "snapshot_buffer"}
-_NET_KEYS = {"hidden", "feature_dim"}
-_TOP_KEYS = {"dataset", "split", "manifest", "run", "net", "seed"}
-
-
-def _run_config(doc: dict, seed: int, batch_size: int, epochs: int,
-                method_flag, editing_flag) -> experiment.RunConfig:
-    _check_keys(doc, _RUN_KEYS, "run")
-    return experiment.RunConfig(
-        method=method_flag or doc.get("method", "emgd_gs"),
-        editing=editing_flag or doc.get("editing", "none"),
-        gamma=float(doc.get("gamma", 0.05)),
-        gamma_heads=float(doc.get("gamma_heads", 0.05)),
-        batch_size=batch_size,
-        epochs=epochs,
-        temperature=float(doc.get("temperature", 1.0)),
-        eval_every=int(doc.get("eval_every", 0)),
-        seed=seed,
-        memory_batch_size=(int(doc["memory_batch_size"])
-                           if "memory_batch_size" in doc else None),
-        capacity_per_class=int(doc.get("capacity_per_class", 5)),
-        eta_edit=float(doc.get("eta_edit", 0.05)),
-        edit_iterations=int(doc.get("edit_iterations", 1)),
-        fd_eps=float(doc.get("fd_eps", 1e-4)),
-        clamp=bool(doc.get("clamp", True)),
-        freeze_finished_heads=bool(doc.get("freeze_finished_heads", False)),
-        tol=float(doc.get("tol", 1e-8)),
-        max_iter=int(doc.get("max_iter", 250)),
-    )
+    return specs, timeline, split["batch_size"], split["epochs"]
 
 
 def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
-    _check_keys(doc, _NET_KEYS, "net")
-    hidden = [int(h) for h in doc.get("hidden", [100])]
-    feature = int(doc.get("feature_dim", 64))
-    return Network([input_dim, *hidden, feature],
+    net = section(doc, "net", _NET)
+    return Network([input_dim, *net["hidden"], net["feature_dim"]],
                    seed=streams.derive_seed(seed, "net-init"))
 
 
@@ -180,30 +122,18 @@ def cmd_run_toy(args) -> int:
 
 
 def cmd_run_pcl(args) -> int:
-    doc = _load_config(args.config)
-    _check_keys(doc, _TOP_KEYS, "config")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 1234))
-    if "dataset" not in doc:
-        raise ConfigError("config missing field: dataset")
-    dataset = _build_dataset(doc["dataset"], seed)
-
-    if "manifest" in doc:
-        manifest = streams.read_manifest(doc["manifest"])
-        specs, timeline = streams.specs_from_manifest(manifest, dataset)
-        batch_size = int(manifest.get("batch_size", 128))
-        epochs = int(manifest.get("epochs", 1))
+    doc, seed, dataset = _load_config(args)
+    if doc["manifest"]:
+        specs, timeline, batch_size, epochs = streams.specs_from_manifest(
+            streams.read_manifest(doc["manifest"]), dataset)
     else:
-        specs, timeline, batch_size, epochs = _build_split(
-            doc.get("split", {}), dataset, seed, args.serial, args.overlap
-        )
-
-    run_doc = doc.get("run", {})
-    cfg = _run_config(run_doc, seed, batch_size, epochs, args.method, args.editing)
-    eval_mode = args.eval_mode or run_doc.get("eval_mode", "task")
-    eval_mode = {"task-incremental": "task", "class-incremental": "class"}.get(
-        eval_mode, eval_mode
-    )
-    net = _build_net(doc.get("net", {}), dataset.input_dim, seed)
+        specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
+    run = section(doc["run"], "run", _RUN)
+    snapshot = run.pop("snapshot_buffer")
+    flags = {"method": args.method, "editing": args.editing, "eval_mode": args.eval_mode}
+    run.update((key, value) for key, value in flags.items() if value)
+    cfg = experiment.RunConfig(**run, batch_size=batch_size, epochs=epochs, seed=seed)
+    net = _build_net(doc["net"], dataset.input_dim, seed)
     buffer = rehearsal.MemoryBuffer(cfg.capacity_per_class)
 
     try:
@@ -215,10 +145,8 @@ def cmd_run_pcl(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))
-    experiment.dump_json(
-        experiment.metrics_document(result, cfg, eval_mode), out / "metrics.json"
-    )
-    if run_doc.get("snapshot_buffer", False):
+    experiment.dump_json(experiment.metrics_document(result, cfg), out / "metrics.json")
+    if snapshot:
         rehearsal.save_buffer_snapshot(result.buffer, out / "buffer_snapshot.bin")
     log.info("run (%s/%s, seed %d) written to %s", cfg.method, cfg.editing, seed, out)
     return 0
@@ -226,15 +154,8 @@ def cmd_run_pcl(args) -> int:
 
 def cmd_build_splits(args) -> int:
     # accepts the same document as run-pcl so one config serves both commands
-    doc = _load_config(args.config)
-    _check_keys(doc, _TOP_KEYS, "config")
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 1234))
-    if "dataset" not in doc:
-        raise ConfigError("config missing field: dataset")
-    dataset = _build_dataset(doc["dataset"], seed)
-    specs, timeline, batch_size, epochs = _build_split(
-        doc.get("split", {}), dataset, seed, args.serial, args.overlap
-    )
+    doc, seed, dataset = _load_config(args)
+    specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
     manifest = streams.split_manifest(
         specs, timeline, seed, batch_size, epochs, dataset_info=doc["dataset"]
     )
@@ -244,17 +165,10 @@ def cmd_build_splits(args) -> int:
 
 
 def _metric_fields(path: Path) -> tuple:
-    doc = json.loads(path.read_text())
-    for key in ("A_final", "F_final"):
-        if key not in doc:
-            raise ConfigError(f"incomplete metrics file {path}: missing {key}")
-    return (
-        str(doc.get("method", "?")),
-        str(doc.get("editing", "none")),
-        int(doc.get("seed", -1)),
-        float(doc["A_final"]),
-        float(doc["F_final"]),
-    )
+    doc = load_json_object(path, "metrics file")
+    fields = (("method", "?"), ("editing", "none"), ("seed", -1), ("A_final", float),
+              ("F_final", float))
+    return tuple(read_field(doc, key, default, str(path)) for key, default in fields)
 
 
 def cmd_report(args) -> int:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +37,12 @@ log = logging.getLogger("emgd")
 
 METHODS = ("emgd_gmc", "emgd_gs", "mgda", "avg_grad")
 EDITING = ("none", "emgd", "gmed")
+EVAL_MODE_ALIASES = {"task-incremental": "task", "class-incremental": "class"}
 
 
 @dataclass
 class RunConfig:
-    """Knobs for one training run."""
+    """Knobs for one training run; ``memory_batch_size`` 0 means ``batch_size``."""
 
     method: str = "emgd_gs"
     editing: str = "none"
@@ -50,30 +52,33 @@ class RunConfig:
     epochs: int = 1
     temperature: float = 1.0
     eval_every: int = 0
+    eval_mode: str = "task"
     seed: int = 1234
-    memory_batch_size: int | None = None
+    memory_batch_size: int = 0
     capacity_per_class: int = 5
     eta_edit: float = 0.05
     edit_iterations: int = 1
     fd_eps: float = 1e-4
     clamp: bool = True
     freeze_finished_heads: bool = False
-    tol: float = 1e-8
-    max_iter: int = 250
+    tol: float = solver.DEFAULT_TOL
+    max_iter: int = solver.DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}, pick one of {METHODS}")
-        if self.editing not in EDITING:
-            raise ConfigError(f"unknown editing {self.editing!r}, pick one of {EDITING}")
+        self.eval_mode = EVAL_MODE_ALIASES.get(self.eval_mode, self.eval_mode)
+        for name, allowed in (("method", METHODS), ("editing", EDITING),
+                              ("eval_mode", ("task", "class"))):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, pick one of {allowed}")
         for name in ("gamma", "gamma_heads", "temperature", "tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("eval_every", 0),
+                          ("memory_batch_size", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        self.edit_config()
 
     def edit_config(self) -> EditConfig:
         return EditConfig(
@@ -191,8 +196,8 @@ def run_toy(
     join_tick: int = 500,
     start=(3.0, 3.0),
     temperature: float = 1.0,
-    tol: float = 1e-8,
-    max_iter: int = 250,
+    tol: float = solver.DEFAULT_TOL,
+    max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> ToyTrace:
     """Two synthetic objectives optimized in sequence-then-parallel.
 
@@ -202,6 +207,9 @@ def run_toy(
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, pick one of {METHODS}")
+    if iterations < 1 or join_tick < 0 or not 0 < step < math.inf:
+        raise ConfigError("need iterations >= 1, join_tick >= 0 and a positive finite step, got "
+                          f"iterations={iterations!r}, join_tick={join_tick!r}, step={step!r}")
     x, y = float(start[0]), float(start[1])
     trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
     state = solver.ElasticState(temperature=temperature)
@@ -467,10 +475,8 @@ def tick_log_csv(tick_rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def metrics_document(result: PclResult, cfg: RunConfig, eval_mode: str = "task") -> dict:
-    """Metrics JSON: headline A/F for the chosen mode, both modes nested."""
-    if eval_mode not in ("task", "class"):
-        raise ConfigError(f"unknown eval mode {eval_mode!r}")
+def metrics_document(result: PclResult, cfg: RunConfig) -> dict:
+    """Metrics JSON: headline A/F for ``cfg.eval_mode``, both modes nested."""
     docs = {}
     for mode, matrix in (("task", result.matrix_task), ("class", result.matrix_class)):
         a_final, f_final = compute_metrics(matrix)
@@ -485,10 +491,10 @@ def metrics_document(result: PclResult, cfg: RunConfig, eval_mode: str = "task")
                 for t in matrix.tasks()
             },
         }
-    head = dict(docs[eval_mode])
+    head = dict(docs[cfg.eval_mode])
     head.update(
         {
-            "eval_mode": eval_mode,
+            "eval_mode": cfg.eval_mode,
             "method": cfg.method,
             "editing": cfg.editing,
             "seed": cfg.seed,

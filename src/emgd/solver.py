@@ -33,6 +33,7 @@ from .errors import (
     InvalidInputError,
     NumericError,
     UnsupportedSizeError,
+    read_field,
 )
 
 DEFAULT_TOL = 1e-8
@@ -120,8 +121,9 @@ class ElasticState:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidInputError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise InvalidInputError(
+                f"temperature must be positive and finite, got {self.temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +192,8 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     Raises DegenerateGradientError on a zero-norm gradient; callers fall back
     to uniform factors.
     """
-    if temperature <= 0:
-        raise InvalidInputError("temperature must be positive")
+    if not 0 < temperature < math.inf:
+        raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
     norms = bundle.norms()
     if np.any(norms == 0.0):
         raise DegenerateGradientError("zero-norm gradient: cosine undefined")
@@ -243,6 +245,8 @@ def solve_min_norm_simplex(
         raise NumericError("gram contains non-finite entries")
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter!r}")
     k = M.shape[0]
     if k == 1:
         return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
@@ -463,28 +467,14 @@ _REQUEST_KEYS = {"grads", "sigma_mode", "sigma", "temperature", "tol", "max_iter
 _SIGMA_MODES = {"gmc": "emgd_gmc", "gs": "emgd_gs", "fixed": "fixed"}
 
 
-def _request_number(doc: dict, name: str, default, kind: type):
-    # a positive finite float or an integer >= 1; a value that the conversion
-    # changes (a string, 2.5 for an integer, NaN) is rejected
-    value = doc.get(name, default)
-    try:
-        number = kind(value)
-        ok = number == value and (number >= 1 if kind is int else 0 < number < math.inf)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        wanted = "an integer >= 1" if kind is int else "a positive finite number"
-        raise InvalidInputError(f"field {name} must be {wanted}, got {value!r}")
-    return number
-
-
 def solve_request(doc: dict) -> dict:
     """One-shot solver call on a JSON-style document.
 
     Accepts {"grads": [[...], ...], "sigma_mode": "gmc"|"gs"|"fixed",
-    "sigma": [...], "temperature": 1.0, "tol": 1e-8, "max_iter": 250} and
-    returns {"lambda", "direction", "objective", "converged"}; unknown keys
-    and malformed values are rejected by name. "gs" and "gmc" run
+    "sigma": [...], "temperature": 1.0, "tol", "max_iter"} (tol and max_iter
+    default to DEFAULT_TOL and DEFAULT_MAX_ITER) and returns {"lambda",
+    "direction", "objective", "converged"}; unknown keys and malformed values
+    are rejected by name. "gs" and "gmc" run
     ``combine`` as the training methods ``emgd_gs`` and ``emgd_gmc`` do, so
     a zero gradient under "gs" gets uniform factors; one-shot "gmc" has no
     momentum history, so its factors are a softmax of the gradient norms.
@@ -506,8 +496,8 @@ def solve_request(doc: dict) -> dict:
                                 "numeric vectors")
     bundle = GradientBundle(tuple(range(1, len(grads) + 1)), grads)
 
-    mode = doc.get("sigma_mode", "fixed")
-    if not isinstance(mode, str) or mode not in _SIGMA_MODES:
+    mode = read_field(doc, "sigma_mode", "fixed", error=InvalidInputError)
+    if mode not in _SIGMA_MODES:
         raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
     raw, sigma = doc.get("sigma"), None
     if mode == "fixed" and raw is not None:
@@ -517,9 +507,9 @@ def solve_request(doc: dict) -> dict:
             sigma = ElasticFactors(np.asarray(raw, dtype=np.float64))
         except (InvalidInputError, NumericError, TypeError, ValueError) as err:
             raise InvalidInputError(f"field sigma: {err}") from None
-    state = ElasticState(temperature=_request_number(doc, "temperature", 1.0, float))
-    tol = _request_number(doc, "tol", DEFAULT_TOL, float)
-    max_iter = _request_number(doc, "max_iter", DEFAULT_MAX_ITER, int)
+    state = ElasticState(temperature=read_field(doc, "temperature", 1.0, error=InvalidInputError))
+    tol = read_field(doc, "tol", DEFAULT_TOL, error=InvalidInputError)
+    max_iter = read_field(doc, "max_iter", DEFAULT_MAX_ITER, error=InvalidInputError)
     result, _ = combine(_SIGMA_MODES[mode], bundle, state, tol, max_iter, sigma)
     return {
         "lambda": result.lam.tolist(),

@@ -17,7 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InvalidInputError, StreamEnd
+from .errors import (
+    ConfigError,
+    FormatError,
+    InvalidInputError,
+    StreamEnd,
+    load_json_object,
+    read_field,
+    section,
+)
 from .net import Batch
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -179,6 +187,13 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
     Centers are drawn at least 4 * noise_sigma apart, so the classes stay
     Bayes-separable; samples are clipped into [0, 1].
     """
+    counts = {"num_classes": num_classes, "input_dim": input_dim,
+              "samples_per_class": samples_per_class, "test_per_class": test_per_class}
+    for name, count in counts.items():
+        if count < 1:
+            raise ConfigError(f"{name} must be >= 1, got {count!r}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     centers = _draw_centers(
         substream(seed, "centers"), num_classes, input_dim, 4.0 * noise_sigma
     )
@@ -193,6 +208,8 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
 
 def task_duration(train_size: int, batch_size: int, epochs: int) -> int:
     # one tick per optimization step; the final short batch still costs a tick
+    if batch_size < 1 or epochs < 1:
+        raise ConfigError(f"batch_size and epochs must be >= 1, got {batch_size!r}, {epochs!r}")
     return max(1, epochs * math.ceil(train_size / batch_size))
 
 
@@ -216,9 +233,9 @@ def build_parallel_split(
     """
     if num_tasks < 1:
         raise ConfigError("num_tasks must be >= 1")
+    if len(label_bounds) != 2 or not 1 <= label_bounds[0] <= label_bounds[1]:
+        raise ConfigError(f"label_bounds must be [lo, hi] with 1 <= lo <= hi, got {label_bounds!r}")
     lo, hi = int(label_bounds[0]), int(label_bounds[1])
-    if not (1 <= lo <= hi):
-        raise ConfigError(f"bad label bounds [{lo}, {hi}]")
     if not (0.0 <= overlap_fraction < 1.0):
         raise ConfigError("overlap_fraction must lie in [0, 1)")
     num_classes = dataset.num_classes
@@ -340,6 +357,13 @@ def next_batch(spec: TaskSpec, batch_size: int, cursor: TaskCursor) -> Batch:
 # --- IDX binary format ------------------------------------------------------
 
 
+def _read_bytes(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as err:
+        raise ConfigError(f"cannot read IDX file {path}: {err.strerror}") from None
+
+
 def _read_be32(raw: bytes, offset: int, what: str) -> int:
     if len(raw) < offset + 4:
         raise FormatError(f"truncated file reading {what}", offset=len(raw))
@@ -353,7 +377,7 @@ def load_idx(images_path, labels_path):
     dimension sizes as u32, then raw unsigned bytes, images flattened
     row-major.
     """
-    raw = Path(images_path).read_bytes()
+    raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, "image magic")
     if magic != IDX_IMAGE_MAGIC:
         raise FormatError(f"bad image magic 0x{magic:08x}", offset=0)
@@ -369,7 +393,7 @@ def load_idx(images_path, labels_path):
     images = (pixels.reshape(count, rows * cols) if count else
               np.zeros((0, rows * cols))).astype(np.float64) / 255.0
 
-    raw_l = Path(labels_path).read_bytes()
+    raw_l = _read_bytes(labels_path)
     magic_l = _read_be32(raw_l, 0, "label magic")
     if magic_l != IDX_LABEL_MAGIC:
         raise FormatError(f"bad label magic 0x{magic_l:08x}", offset=0)
@@ -417,26 +441,29 @@ def write_manifest(manifest: dict, path) -> None:
 
 
 def read_manifest(path) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"split manifest not found: {path}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"split manifest is not valid JSON: {err}") from None
+    return load_json_object(path, "split manifest")
+
+
+_MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}
 
 
 def specs_from_manifest(manifest: dict, dataset: Dataset):
-    """Rebuild task specs and the timeline from a manifest over ``dataset``."""
-    if "tasks" not in manifest:
-        raise ConfigError("manifest missing field: tasks")
+    """Rebuild task specs and the timeline from a manifest over ``dataset``.
+
+    Returns (specs, timeline, batch_size, epochs).
+    """
+    tasks = manifest.get("tasks")
+    if not isinstance(tasks, list):
+        raise ConfigError(f"field manifest.tasks must be a list of task objects, got {tasks!r}")
     specs, entries = [], []
-    for entry in manifest["tasks"]:
-        labels = tuple(int(c) for c in entry["labels"])
+    for i, entry in enumerate(tasks):
+        task = section(entry, f"manifest.tasks[{i}]", _MANIFEST_TASK)
+        labels = tuple(task["labels"])
         train_mask = np.isin(dataset.train_labels, labels)
         test_mask = np.isin(dataset.test_labels, labels)
         specs.append(
             TaskSpec(
-                int(entry["id"]),
+                task["id"],
                 labels,
                 dataset.train_inputs[train_mask],
                 dataset.train_labels[train_mask],
@@ -444,10 +471,10 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
                 dataset.test_labels[test_mask],
             )
         )
-        entries.append((int(entry["id"]), int(entry["s"]), int(entry["e"])))
+        entries.append((task["id"], task["s"], task["e"]))
     timeline = TaskTimeline(entries)
-    batch_size = int(manifest.get("batch_size", 128))
-    epochs = int(manifest.get("epochs", 1))
+    batch_size = read_field(manifest, "batch_size", 128, "manifest")
+    epochs = read_field(manifest, "epochs", 1, "manifest")
     for spec in specs:
         s, e = timeline.window(spec.task_id)
         expect = task_duration(spec.train_size, batch_size, epochs)
@@ -456,4 +483,4 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
                 f"task {spec.task_id}: window [{s}, {e}] does not match "
                 f"{expect} steps from {spec.train_size} samples"
             )
-    return specs, timeline
+    return specs, timeline, batch_size, epochs

@@ -2,6 +2,8 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emgd.cli import main
 
@@ -278,3 +280,169 @@ class TestReport:
     def test_empty_dir_exit_1(self, tmp_path, capsys):
         assert main(["report", str(tmp_path)]) == 1
         assert "no metrics" in capsys.readouterr().err
+
+
+# One field of a valid config set to a malformed value. The expected text is
+# the dotted field path for a value of the wrong type or an unknown key, and
+# the field's name for a range error raised by the constructor that owns it.
+CONFIG_MUTATIONS = [
+    (("seed",), "x", "config.seed"),
+    (("dataset",), {}, "dataset"),
+    (("dataset", "synthetic", "input_dim"), True, "dataset.synthetic.input_dim"),
+    (("dataset", "synthetic", "num_classes"), 0, "num_classes"),
+    (("dataset", "synthetic", "noise_sigma"), -0.1, "noise_sigma"),
+    (("split", "batch_size"), "x", "split.batch_size"),
+    (("split", "batch_size"), 2.5, "split.batch_size"),
+    (("split", "batch_size"), 0, "batch_size"),
+    (("split", "epochs"), 0, "epochs"),
+    (("split", "label_bounds"), [4], "label_bounds"),
+    (("split", "label_bounds"), "x", "split.label_bounds"),
+    (("split", "num_tasks"), 0, "num_tasks"),
+    (("split", "serial"), "no", "split.serial"),
+    (("run", "gamma"), "fast", "run.gamma"),
+    (("run", "gamma"), float("nan"), "run.gamma"),
+    (("run", "clamp"), "no", "run.clamp"),
+    (("run", "method"), 3, "run.method"),
+    (("run", "method"), "sgd", "method"),
+    (("run", "eval_mode"), "both", "eval_mode"),
+    (("run", "eval_every"), -1, "eval_every"),
+    (("run", "eval_every"), 1.5, "run.eval_every"),
+    (("run", "memory_batch_size"), -1, "memory_batch_size"),
+    (("run", "memory_batch_size"), 0, None),  # 0 means the batch size
+    (("run", "max_iter"), "x", "run.max_iter"),
+    (("run", "edit_iterations"), -1, "iterations"),
+    (("run", "eta_edit"), 2.0, "eta_edit"),
+    (("run", "capacity_per_class"), 0, "capacity_per_class"),
+    (("run", "typo"), 1, "run.typo"),
+    (("net", "hidden"), 5, "net.hidden"),
+    (("net", "hidden"), [16.5], "net.hidden"),
+]
+
+
+def mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def assert_named_exit_1(code, captured, name):
+    assert code == 1
+    assert captured.err.startswith("error:") and name in captured.err
+    assert "Traceback" not in captured.err
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("path, value, name", CONFIG_MUTATIONS)
+    def test_one_field_mutation(self, tmp_path, capsys, path, value, name):
+        base = json.loads(pcl_config(tmp_path).read_text())
+        cfg = tmp_path / "mutated.json"
+        cfg.write_text(json.dumps(mutated(base, path, value)))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        if name is None:
+            assert code == 0
+        else:
+            assert_named_exit_1(code, capsys.readouterr(), name)
+
+    @pytest.mark.parametrize("edit, name", [
+        (lambda m: m["tasks"][0].pop("id"), "manifest.tasks[0].id"),
+        (lambda m: m.update(tasks=5), "manifest.tasks"),
+        (lambda m: m["tasks"][0].update(labels="x"), "manifest.tasks[0].labels"),
+        (lambda m: m.update(batch_size="x"), "manifest.batch_size"),
+        (lambda m: m.update(batch_size=0), "batch_size"),
+        (None, "must be a JSON object"),  # the manifest is a list
+    ])
+    def test_manifest_mutation(self, tmp_path, capsys, edit, name):
+        manifest_path = tmp_path / "m.json"
+        main(["build-splits", "--config", str(pcl_config(tmp_path)), "--out", str(manifest_path)])
+        manifest = json.loads(manifest_path.read_text())
+        if edit is None:
+            manifest = manifest["tasks"]
+        else:
+            edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        cfg = pcl_config(tmp_path, manifest=str(manifest_path))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(), name)
+
+    @pytest.mark.parametrize("keys, name", [
+        (("train_images", "train_labels", "test_images"), "dataset.idx.test_labels"),
+        (("train_images", "train_labels", "test_images", "test_labels"), "cannot read IDX file"),
+    ])
+    def test_idx_dataset_fault_named(self, tmp_path, capsys, keys, name):
+        idx = {key: str(tmp_path / f"{key}.idx") for key in keys}
+        cfg = pcl_config(tmp_path, dataset={"idx": idx})
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(), name)
+
+    def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never)
+        code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--eval-mode", "both",
+                     "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(), "eval_mode")
+
+
+def config_fields(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from config_fields(value, prefix + (key,))
+
+
+FULL_CONFIG = {
+    "seed": 1234,
+    "dataset": {"synthetic": {"num_classes": 8, "input_dim": 8, "samples_per_class": 12,
+                              "test_per_class": 6, "noise_sigma": 0.08}},
+    "split": {"num_tasks": 2, "label_bounds": [4, 4], "overlap": 0.0, "serial": False,
+              "batch_size": 8, "epochs": 2},
+    "run": {"method": "emgd_gs", "editing": "emgd", "gamma": 0.2, "gamma_heads": 1.0,
+            "temperature": 1.0, "eval_every": 3, "eval_mode": "task", "memory_batch_size": 4,
+            "capacity_per_class": 2, "eta_edit": 0.05, "edit_iterations": 2, "fd_eps": 1e-4,
+            "clamp": True, "freeze_finished_heads": False, "tol": 1e-8, "max_iter": 50,
+            "snapshot_buffer": False},
+    "net": {"hidden": [16], "feature_dim": 8},
+}
+
+
+@given(st.sampled_from(list(config_fields(FULL_CONFIG))),
+       st.sampled_from(["x", True, None, 2.5, float("nan"), [1, 2, 3], {}, -1]))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_field_mutation_exits_0_or_1(tmp_path, capsys, path, value):
+    cfg = tmp_path / "mutated.json"
+    cfg.write_text(json.dumps(mutated(FULL_CONFIG, path, value)))
+    code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in err
+
+
+class TestRunToyRanges:
+    @pytest.mark.parametrize("argv, name", [
+        (["--join-tick", "-5", "--iters", "3"], "join_tick=-5"),
+        (["--iters", "0"], "iterations=0"),
+        (["--step", "inf"], "step=inf"),
+        (["--step=-1e-5"], "step=-1e-05"),
+        (["--temperature", "nan"], "temperature"),
+    ])
+    def test_out_of_range_exit_1(self, tmp_path, capsys, argv, name):
+        code = main(["run-toy", *argv, "--out", str(tmp_path)])
+        assert_named_exit_1(code, capsys.readouterr(), name)
+
+
+class TestReportMalformed:
+    @pytest.mark.parametrize("text, name", [
+        ("{not json", "not valid JSON"),
+        ('{"A_final": "x", "F_final": 0.0}', "A_final"),
+        ("[1, 2]", "must be a JSON object"),
+    ])
+    def test_named_exit_1(self, tmp_path, capsys, text, name):
+        (tmp_path / "metrics_bad.json").write_text(text)
+        code = main(["report", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured, name)
+        assert "metrics_bad.json" in captured.err

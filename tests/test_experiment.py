@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emgd.errors import ConfigError, IncompleteMatrixError
+from emgd.errors import ConfigError, IncompleteMatrixError, InvalidInputError
 from emgd.experiment import (
     AccuracyMatrix,
     RunConfig,
@@ -92,6 +92,17 @@ class TestRunToy:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             run_toy(method="gradnorm")
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"iterations": 0}, "iterations=0"),
+        ({"join_tick": -5, "iterations": 3}, "join_tick=-5"),
+        ({"step": 0.0}, "step=0.0"),
+        ({"step": float("nan")}, "step=nan"),
+        ({"step": float("inf")}, "step=inf"),
+    ])
+    def test_out_of_range_arguments_named(self, kwargs, name):
+        with pytest.raises(ConfigError, match=name):
+            run_toy(**kwargs)
 
     def test_csv_and_summary_shapes(self, traces):
         csv = toy_trace_csv(traces["emgd_gs"])
@@ -273,12 +284,12 @@ class TestRunPcl:
 
     def test_metrics_document_schema(self):
         specs, tl, net = pcl_setup(num_tasks=2)
-        cfg = quick_cfg()
+        cfg = quick_cfg(eval_mode="task")
         result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
-        doc = metrics_document(result, cfg, eval_mode="task")
+        doc = metrics_document(result, cfg)
         assert set(doc) >= {"A_final", "F_final", "per_task", "method", "seed"}
         assert set(doc["modes"]) == {"task", "class"}
-        class_doc = metrics_document(result, cfg, eval_mode="class")
+        class_doc = metrics_document(result, quick_cfg(eval_mode="class"))
         assert class_doc["A_final"] == doc["modes"]["class"]["A_final"]
 
     def test_task_incremental_beats_class_incremental(self):
@@ -320,6 +331,32 @@ class TestRunPcl:
         for slot in result.buffer.slots:
             assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
 
+    def test_eval_every_adds_evaluation_ticks(self):
+        specs, tl, _ = pcl_setup(num_tasks=2)
+        ticks = {}
+        for every in (0, 2):
+            net = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
+            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(eval_every=every))
+            ticks[every] = {tick for _, tick in result.matrix_task.entries}
+        base = set(tl.finish_ticks().values())
+        assert ticks[0] == base
+        assert ticks[2] == base | set(range(tl.first_tick, tl.final_tick + 1, 2))
+
+    def test_edit_iterations_sets_the_number_of_edit_steps(self):
+        specs, tl, _ = pcl_setup(num_tasks=3)
+
+        def memory(**knobs):
+            net = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
+            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(**knobs))
+            return np.stack([slot.x for slot in result.buffer.slots])
+
+        unedited = memory()
+        np.testing.assert_array_equal(memory(editing="emgd", edit_iterations=0), unedited)
+        once = memory(editing="emgd", edit_iterations=1)
+        twice = memory(editing="emgd", edit_iterations=2)
+        assert not np.array_equal(once, unedited)
+        assert not np.array_equal(twice, once)
+
     def test_every_tick_direction_is_pareto_descent(self, monkeypatch):
         # record each tick's solve and re-check the certificate on the
         # sampled-batch gradients the solver actually saw
@@ -352,3 +389,23 @@ class TestRunConfig:
     def test_rejects_max_iter_below_one(self, value):
         with pytest.raises(ConfigError, match="max_iter"):
             RunConfig(max_iter=value)
+
+    @pytest.mark.parametrize("name", ["eval_every", "memory_batch_size"])
+    def test_rejects_negative_counts(self, name):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: -1})
+
+    def test_eval_mode_aliases_resolved(self):
+        assert RunConfig(eval_mode="class-incremental").eval_mode == "class"
+        assert RunConfig(eval_mode="task-incremental").eval_mode == "task"
+        with pytest.raises(ConfigError, match="eval_mode"):
+            RunConfig(eval_mode="both")
+
+    @pytest.mark.parametrize("knobs, name", [
+        ({"eta_edit": 1.5}, "eta_edit"),
+        ({"edit_iterations": -1}, "iterations"),
+        ({"fd_eps": 0.0}, "fd_eps"),
+    ])
+    def test_edit_knobs_checked_at_construction(self, knobs, name):
+        with pytest.raises(InvalidInputError, match=name):
+            RunConfig(**knobs)

@@ -145,6 +145,13 @@ class TestElasticFactorsGs:
         with pytest.raises(DegenerateGradientError):
             elastic_factors_gs(bundle([1.0, 0.0], [0.0, 0.0]))
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_positive_or_non_finite_temperature_named(self, temperature):
+        with pytest.raises(InvalidInputError, match="temperature"):
+            elastic_factors_gs(bundle([1.0, 0.0], [0.0, 1.0]), temperature)
+        with pytest.raises(InvalidInputError, match="temperature"):
+            ElasticState(temperature=temperature)
+
     @given(st.floats(0.1, 10.0), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=50, deadline=None)
     def test_invariant_to_single_gradient_rescale(self, c, seed):

@@ -107,6 +107,19 @@ class TestBuildParallelSplit:
         with pytest.raises(ConfigError):
             build_parallel_split(ds, 3, label_bounds=(2, 3), seed=0, batch_size=8)
 
+    @pytest.mark.parametrize("bounds", [(4,), (2, 3, 4), ()])
+    def test_label_bounds_must_be_a_pair(self, bounds):
+        with pytest.raises(ConfigError, match="label_bounds"):
+            build_parallel_split(toy_dataset(), 2, label_bounds=bounds, seed=0, batch_size=8)
+
+    @pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-1, 1), (8, 0)])
+    def test_batch_size_and_epochs_below_one_rejected(self, batch_size, epochs):
+        with pytest.raises(ConfigError, match="batch_size and epochs"):
+            task_duration(10, batch_size, epochs)
+        with pytest.raises(ConfigError, match="batch_size and epochs"):
+            build_parallel_split(toy_dataset(), 2, label_bounds=(2, 3), seed=0,
+                                 batch_size=batch_size, epochs=epochs)
+
 
 class TestActiveTasks:
     def test_before_second_task(self):
@@ -205,6 +218,20 @@ class TestSynthetic:
         acc = float((probs.argmax(axis=1) == batch.labels).mean())
         assert acc >= 0.99
 
+    @pytest.mark.parametrize("index, name", [
+        (0, "num_classes"), (1, "input_dim"), (2, "samples_per_class"), (3, "test_per_class")])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one_rejected(self, index, name, count):
+        args = [3, 4, 5, 2]
+        args[index] = count
+        with pytest.raises(ConfigError, match=name):
+            synthetic_dataset(*args, noise_sigma=0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="noise_sigma"):
+            synthetic_dataset(3, 4, 5, 2, noise_sigma=sigma, seed=0)
+
     def test_dataset_variant_deterministic(self):
         a = synthetic_dataset(6, 8, 5, 2, 0.1, seed=4)
         b = synthetic_dataset(6, 8, 5, 2, 0.1, seed=4)
@@ -277,7 +304,7 @@ class TestManifest:
         path = tmp_path / "split.json"
         write_manifest(manifest, path)
         back = read_manifest(path)
-        specs2, tl2 = specs_from_manifest(back, ds)
+        specs2, tl2, _, _ = specs_from_manifest(back, ds)
         assert tl2.entries == tl.entries
         assert [s.label_set for s in specs2] == [s.label_set for s in specs]
 
@@ -287,6 +314,13 @@ class TestManifest:
         manifest = split_manifest(specs, tl, seed=5, batch_size=8, epochs=1)
         manifest["batch_size"] = 2  # inconsistent with the recorded windows
         with pytest.raises(ConfigError):
+            specs_from_manifest(manifest, ds)
+
+    def test_manifest_batch_size_zero_rejected(self):
+        ds = toy_dataset()
+        specs, tl = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
+        manifest = split_manifest(specs, tl, seed=5, batch_size=0, epochs=1)
+        with pytest.raises(ConfigError, match="batch_size"):
             specs_from_manifest(manifest, ds)
 
     def test_missing_file(self, tmp_path):
