@@ -1,10 +1,11 @@
 """Command-line front end: solve | run-toy | run-pcl | build-splits | report.
 
 Data goes to stdout or files under --out, diagnostics go to stderr. Exit
-codes: 0 success, 1 input error, 2 solver non-convergence (solve), 3 mid-run
-numeric failure (run-pcl, reported with the failing tick). Config documents
-are parsed strictly: unknown keys and ill-typed values are rejected naming
-the dotted field path, range errors by the field's name. All randomness flows
+codes: 0 success, 1 input error (an unwritable output path included), 2 solver
+non-convergence (solve), 3 mid-run numeric failure (run-pcl, reported with the
+failing tick). Config documents are parsed strictly: unknown keys and ill-typed
+values are rejected naming the dotted field path, range errors by the field's
+name (net widths by their dotted path). All randomness flows
 from the single top-level seed through named substreams, so identical
 configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity.
 """
@@ -88,6 +89,9 @@ def _build_split(doc: dict, dataset: streams.Dataset, seed: int, args):
 
 def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
     net = section(doc, "net", _NET)
+    for key, widths in (("hidden", net["hidden"]), ("feature_dim", [net["feature_dim"]])):
+        if any(width < 1 for width in widths):
+            raise ConfigError(f"widths in field net.{key} must be >= 1, got {net[key]!r}")
     return Network([input_dim, *net["hidden"], net["feature_dim"]],
                    seed=streams.derive_seed(seed, "net-init"))
 
@@ -262,7 +266,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EmgdError as err:
+    except (EmgdError, OSError) as err:  # an OSError names its path
         print(f"error: {err}", file=sys.stderr)
         return 1
 

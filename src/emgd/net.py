@@ -58,9 +58,32 @@ class GradientReport:
     loss: float
 
 
-def _uniform_init(rng, fan_in: int, shape) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _layers(flat: np.ndarray, sizes) -> list:
+    """(W, b) views of a flat parameter vector laid out per layer as W
+    (fan_in x fan_out, row-major) then b. The one parameter layout: it holds
+    the backbone, each head, their gradients and the checkpoint payload."""
+    layers, pos = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        W = flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        pos += fan_in * fan_out
+        layers.append((W, flat[pos : pos + fan_out]))
+        pos += fan_out
+    return layers
+
+
+def _layout_size(sizes) -> int:
+    """Length of the flat vector ``_layers`` reads for these widths."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def _seeded_layers(rng, sizes) -> np.ndarray:
+    """A flat parameter vector with each layer uniform in +-1/sqrt(fan_in)."""
+    flat = np.empty(_layout_size(sizes))
+    for W, b in _layers(flat, sizes):
+        bound = 1.0 / np.sqrt(W.shape[0])
+        W[...] = rng.uniform(-bound, bound, size=W.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    return flat
 
 
 class Network:
@@ -68,23 +91,20 @@ class Network:
 
     ``layer_sizes`` gives the backbone widths, e.g. (32, 64, 16): input 32,
     one hidden layer of 64, feature dimension 16. Every backbone layer is
-    followed by tanh; heads are linear.
+    followed by tanh; heads are linear. The backbone is the flat vector
+    ``theta`` and each head the flat vector ``heads[task_id]``; ``backbone``
+    and ``head(task_id)`` are ``(W, b)`` views of them, so every update
+    writes in place.
     """
 
     def __init__(self, layer_sizes, seed: int = 0):
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise InvalidInputError("layer_sizes needs >= 2 positive widths")
-        rng = np.random.default_rng(seed)
         self.layer_sizes = tuple(sizes)
-        self.backbone = [
-            (
-                _uniform_init(rng, sizes[i], (sizes[i], sizes[i + 1])),
-                _uniform_init(rng, sizes[i], (sizes[i + 1],)),
-            )
-            for i in range(len(sizes) - 1)
-        ]
-        self.heads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.theta = _seeded_layers(np.random.default_rng(seed), sizes)
+        self.backbone = _layers(self.theta, sizes)
+        self.heads: dict[int, np.ndarray] = {}
 
     @property
     def input_dim(self) -> int:
@@ -96,37 +116,25 @@ class Network:
 
     @property
     def backbone_dim(self) -> int:
-        return sum(W.size + b.size for W, b in self.backbone)
+        return self.theta.size
 
     def head_classes(self, task_id: int) -> int:
-        return self.heads[task_id][0].shape[1]
+        return self.heads[task_id].size // (self.feature_dim + 1)
+
+    def head(self, task_id: int):
+        """(W, b) views of one head's flat parameters."""
+        return _layers(self.heads[task_id], (self.feature_dim, self.head_classes(task_id)))[0]
 
     def flatten_backbone(self) -> np.ndarray:
-        return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in self.backbone])
+        """A copy of ``theta``: a snapshot later updates leave alone."""
+        return self.theta.copy()
 
     def set_backbone_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.backbone_dim,):
+        if flat.shape != self.theta.shape:
             raise InvalidInputError(
                 f"expected {self.backbone_dim} backbone parameters, got {flat.shape}"
             )
-        pos = 0
-        for i, (W, b) in enumerate(self.backbone):
-            n = W.size
-            newW = flat[pos : pos + n].reshape(W.shape)
-            pos += n
-            newb = flat[pos : pos + b.size].copy()
-            pos += b.size
-            self.backbone[i] = (newW, newb)
-
-    def flatten_head(self, task_id: int) -> np.ndarray:
-        W, b = self.heads[task_id]
-        return np.concatenate([W.ravel(), b])
-
-    def set_head_flat(self, task_id: int, flat: np.ndarray) -> None:
-        W, b = self.heads[task_id]
-        if flat.shape != (W.size + b.size,):
-            raise InvalidInputError("head parameter count mismatch")
-        self.heads[task_id] = (flat[: W.size].reshape(W.shape), flat[W.size :].copy())
+        self.theta[...] = flat
 
 
 def add_head(net: Network, task_id: int, num_classes: int, seed: int) -> None:
@@ -137,11 +145,7 @@ def add_head(net: Network, task_id: int, num_classes: int, seed: int) -> None:
     if num_classes < 1:
         raise InvalidInputError("num_classes must be >= 1")
     rng = np.random.default_rng(seed)
-    fan_in = net.feature_dim
-    net.heads[task_id] = (
-        _uniform_init(rng, fan_in, (fan_in, num_classes)),
-        _uniform_init(rng, fan_in, (num_classes,)),
-    )
+    net.heads[task_id] = _seeded_layers(rng, (net.feature_dim, num_classes))
 
 
 def _activations(net: Network, inputs: np.ndarray) -> list:
@@ -161,7 +165,7 @@ def _head(net: Network, task_id: int, labels: np.ndarray):
     """The task's head parameters, after checking the labels fit it."""
     if task_id not in net.heads:
         raise UnknownTaskError(f"no head for task {task_id}")
-    W_h, b_h = net.heads[task_id]
+    W_h, b_h = net.head(task_id)
     if np.any(labels < 0) or np.any(labels >= W_h.shape[1]):
         raise InvalidInputError("label out of range for the task head")
     return W_h, b_h
@@ -199,18 +203,18 @@ def _backprop(net: Network, activations: list, delta: np.ndarray, want_input_gra
     Returns the flat backbone gradient, or with ``want_input_grad`` only
     d(loss)/d(inputs); neither mode computes what the other returns.
     """
-    parts = []
+    grad = np.empty(net.backbone_dim)
+    grad_layers = _layers(grad, net.layer_sizes)
     for i in range(len(net.backbone) - 1, -1, -1):
         a_out = activations[i + 1]
         dz = delta * (1.0 - a_out * a_out)  # tanh'
         if not want_input_grad:
-            parts.append((activations[i].T @ dz, dz.sum(axis=0)))
+            gW, gb = grad_layers[i]
+            np.matmul(activations[i].T, dz, out=gW)
+            dz.sum(axis=0, out=gb)
         if want_input_grad or i > 0:
             delta = dz @ net.backbone[i][0].T
-    if want_input_grad:
-        return delta
-    parts.reverse()
-    return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in parts])
+    return delta if want_input_grad else grad
 
 
 def forward(net: Network, batch: Batch):
@@ -229,7 +233,7 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     scores across heads without per-head softmax renormalization."""
     if task_id not in net.heads:
         raise UnknownTaskError(f"no head for task {task_id}")
-    W, b = net.heads[task_id]
+    W, b = net.head(task_id)
     return feats @ W + b
 
 
@@ -240,7 +244,7 @@ def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.
     ``groups`` yields ``(task_id, rows)`` pairs, ``rows`` indexing
     ``inputs``; the groups must cover every row once. A group of n_g of the
     N rows enters with weight n_g / N. With ``head_step > 0`` each head
-    first takes the step ``flat - head_step * weighted_grad`` in place; the
+    first takes the step ``head -= head_step * weighted_grad`` in place; the
     head step leaves the features unchanged, so only the logits are
     recomputed, and the loss and all returned gradients are those after the
     step. Returns the flat backbone gradient, the loss and each task's
@@ -257,10 +261,8 @@ def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.
         group_feats = feats[rows]
         weight = group_labels.size / labels.size
         dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
-        if head_step > 0:
-            flat = net.flatten_head(task_id)
-            net.set_head_flat(task_id, flat - head_step * (weight * head_grad))
-            W_h, b_h = net.heads[task_id]
+        if head_step > 0:  # W_h and b_h are views, so they see the step
+            net.heads[task_id] -= head_step * (weight * head_grad)
             dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
         delta[rows] = (weight * dlogits) @ W_h.T
         head_grads[task_id] = weight * head_grad
@@ -346,26 +348,12 @@ def edit_direction(net: Network, batch: Batch, target_d: np.ndarray, fd_eps: flo
     return delta
 
 
-def apply_update(
-    net: Network,
-    backbone_direction: np.ndarray,
-    step_gamma: float,
-    head_updates: dict | None = None,
-) -> None:
-    """theta <- theta + gamma * d for the backbone; each listed head is
-    decremented by its own step times its gradient."""
+def apply_update(net: Network, backbone_direction: np.ndarray, step_gamma: float) -> None:
+    """theta <- theta + gamma * d, in place."""
     d = np.asarray(backbone_direction, dtype=np.float64)
-    if d.shape != (net.backbone_dim,):
+    if d.shape != net.theta.shape:
         raise InvalidInputError("backbone direction dimension mismatch")
-    net.set_backbone_flat(net.flatten_backbone() + step_gamma * d)
-    for task_id, (grad, step) in (head_updates or {}).items():
-        if task_id not in net.heads:
-            raise UnknownTaskError(f"no head for task {task_id}")
-        grad = np.asarray(grad, dtype=np.float64)
-        flat = net.flatten_head(task_id)
-        if grad.shape != flat.shape:
-            raise InvalidInputError(f"head {task_id} gradient dimension mismatch")
-        net.set_head_flat(task_id, flat - step * grad)
+    net.theta += step_gamma * d
 
 
 # --- checkpoint container -------------------------------------------------
@@ -432,35 +420,33 @@ def header_int_map(header: dict, key: str) -> dict:
 
 
 def save_checkpoint(net: Network, path) -> None:
-    """Write the network as one flat parameter blob plus a JSON header."""
+    """Write ``theta`` then each head in task-id order as one flat blob, plus
+    a JSON header with the widths and head class counts."""
     header = {
         "layer_sizes": list(net.layer_sizes),
         "heads": {str(t): int(net.head_classes(t)) for t in sorted(net.heads)},
     }
-    parts = [net.flatten_backbone()]
-    parts += [net.flatten_head(t) for t in sorted(net.heads)]
-    write_blob(path, header, np.concatenate(parts))
+    heads = [net.heads[t] for t in sorted(net.heads)]
+    write_blob(path, header, np.concatenate([net.theta, *heads]))
 
 
 def load_checkpoint(path) -> Network:
     header, values = read_blob(path)
     sizes = header_field(header, "layer_sizes", list)
-    if not all(type(size) is int for size in sizes):
-        raise FormatError("header field layer_sizes holds a non-integer", offset=12)
+    if len(sizes) < 2 or not all(type(size) is int and size >= 1 for size in sizes):
+        raise FormatError("header field layer_sizes needs >= 2 positive integers", offset=12)
     heads = header_int_map(header, "heads")
-    net = Network(sizes, seed=0)
-    expected = net.backbone_dim
     for t in sorted(heads):
-        expected += (net.feature_dim + 1) * heads[t]
-    if values.shape != (expected,):
+        if heads[t] < 1:
+            raise FormatError(f"header field heads.{t} is {heads[t]}, needs >= 1", offset=12)
+    # sized from the header alone, so a lying header allocates nothing
+    counts = [_layout_size(sizes)] + [_layout_size((sizes[-1], heads[t])) for t in sorted(heads)]
+    if values.size != sum(counts):
         raise FormatError(
-            f"parameter count {values.size} != expected {expected}", offset=12
+            f"parameter count {values.size} != expected {sum(counts)}", offset=12
         )
-    pos = net.backbone_dim
-    net.set_backbone_flat(values[:pos].copy())
-    for t in sorted(heads):
-        add_head(net, t, heads[t], seed=0)
-        n = (net.feature_dim + 1) * heads[t]
-        net.set_head_flat(t, values[pos : pos + n].copy())
-        pos += n
+    net = Network(sizes, seed=0)
+    parts = np.split(values, np.cumsum(counts)[:-1])
+    net.set_backbone_flat(parts[0])
+    net.heads = {t: part.copy() for t, part in zip(sorted(heads), parts[1:])}
     return net

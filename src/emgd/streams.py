@@ -384,6 +384,8 @@ def load_idx(images_path, labels_path):
     count = _read_be32(raw, 4, "image count")
     rows = _read_be32(raw, 8, "row count")
     cols = _read_be32(raw, 12, "column count")
+    if rows * cols > np.iinfo(np.intp).max // 8:  # a float64 row must be addressable
+        raise FormatError(f"image of {rows} x {cols} pixels is too large", offset=8)
     need = count * rows * cols
     if len(raw) < 16 + need:
         raise FormatError(

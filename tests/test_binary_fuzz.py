@@ -1,0 +1,98 @@
+"""Byte-level fuzzing of the binary readers.
+
+Each test writes a valid file, truncates it or XORs some of its bytes, and
+reads it back. The only allowed outcomes are a successful load or an
+``EmgdError``; any other exception (a traceback at the CLI) fails the test.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from emgd.errors import EmgdError, FormatError
+from emgd.net import Batch, Network, add_head, load_checkpoint, save_checkpoint
+from emgd.rehearsal import MemoryBuffer, insert, load_buffer_snapshot, save_buffer_snapshot
+from emgd.streams import load_idx
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def corruptions(draw, size: int):
+    """A cut length (keep the whole file when ``None``) and (offset, xor) flips."""
+    cut = draw(st.none() | st.integers(0, size - 1))
+    flips = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(1, 255)),
+                          max_size=8))
+    return cut, flips
+
+
+def corrupt(raw: bytes, corruption) -> bytes:
+    cut, flips = corruption
+    out = bytearray(raw)
+    for offset, xor in flips:
+        out[offset] ^= xor
+    return bytes(out if cut is None else out[:cut])
+
+
+def load_or_emgd_error(load, *paths) -> None:
+    try:
+        load(*paths)
+    except EmgdError:
+        pass
+
+
+def checkpoint_bytes(tmp_path) -> bytes:
+    net = Network((3, 4, 2), seed=1)
+    add_head(net, 1, 3, seed=2)
+    add_head(net, 4, 2, seed=3)
+    save_checkpoint(net, tmp_path / "valid.bin")
+    return (tmp_path / "valid.bin").read_bytes()
+
+
+def snapshot_bytes(tmp_path) -> bytes:
+    buf = MemoryBuffer(2)
+    insert(buf, Batch(np.linspace(0.0, 1.0, 9).reshape(3, 3), [0, 1, 0], 1), [0, 1, 5], 0)
+    save_buffer_snapshot(buf, tmp_path / "valid.bin")
+    return (tmp_path / "valid.bin").read_bytes()
+
+
+def idx_bytes(count: int) -> tuple:
+    images = struct.pack(">IIII", 0x803, count, 2, 2) + bytes(range(4 * count))
+    labels = struct.pack(">II", 0x801, count) + bytes(range(count))
+    return images, labels
+
+
+@pytest.mark.parametrize("valid_bytes, load", [(checkpoint_bytes, load_checkpoint),
+                                               (snapshot_bytes, load_buffer_snapshot)])
+@FUZZ
+@given(data=st.data())
+def test_container_truncated_or_flipped(tmp_path, valid_bytes, load, data):
+    raw = valid_bytes(tmp_path)
+    path = tmp_path / "fuzzed.bin"
+    path.write_bytes(corrupt(raw, data.draw(corruptions(len(raw)))))
+    load_or_emgd_error(load, path)
+
+
+class TestIdxFuzz:
+    @FUZZ
+    @given(count=st.sampled_from([0, 3]), which=st.sampled_from([0, 1]), data=st.data())
+    def test_truncated_or_flipped(self, tmp_path, count, which, data):
+        files = list(idx_bytes(count))
+        files[which] = corrupt(files[which], data.draw(corruptions(len(files[which]))))
+        paths = [tmp_path / "images.idx", tmp_path / "labels.idx"]
+        for path, raw in zip(paths, files):
+            path.write_bytes(raw)
+        load_or_emgd_error(load_idx, *paths)
+
+    def test_empty_file_with_huge_rows(self, tmp_path):
+        _, labels = idx_bytes(0)
+        (tmp_path / "images.idx").write_bytes(
+            struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1))
+        (tmp_path / "labels.idx").write_bytes(labels)
+        with pytest.raises(FormatError, match="too large") as err:
+            load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+        assert err.value.offset == 8

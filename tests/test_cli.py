@@ -316,6 +316,8 @@ CONFIG_MUTATIONS = [
     (("run", "typo"), 1, "run.typo"),
     (("net", "hidden"), 5, "net.hidden"),
     (("net", "hidden"), [16.5], "net.hidden"),
+    (("net", "hidden"), [0], "net.hidden"),
+    (("net", "feature_dim"), 0, "net.feature_dim"),
 ]
 
 
@@ -432,6 +434,33 @@ class TestRunToyRanges:
     def test_out_of_range_exit_1(self, tmp_path, capsys, argv, name):
         code = main(["run-toy", *argv, "--out", str(tmp_path)])
         assert_named_exit_1(code, capsys.readouterr(), name)
+
+
+class TestOutputPaths:
+    """An output path the command cannot write exits 1 naming the path."""
+
+    def test_run_toy_out_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("")
+        code = main(["run-toy", "--iters", "3", "--out", str(target)])
+        assert_named_exit_1(code, capsys.readouterr(), str(target))
+
+    def test_run_pcl_out_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "afile"
+        target.write_text("")
+        code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--out", str(target)])
+        assert_named_exit_1(code, capsys.readouterr(), str(target))
+
+    def test_build_splits_out_is_a_directory(self, tmp_path, capsys):
+        code = main(["build-splits", "--config", str(pcl_config(tmp_path)),
+                     "--out", str(tmp_path)])
+        assert_named_exit_1(code, capsys.readouterr(), str(tmp_path))
+
+    def test_report_csv_is_a_directory(self, tmp_path, capsys):
+        TestReport().write_metrics(tmp_path / "metrics.json", "emgd_gs", 1, 0.9, -0.01)
+        (tmp_path / "report_summary.csv").mkdir()
+        code = main(["report", str(tmp_path)])
+        assert_named_exit_1(code, capsys.readouterr(), "report_summary.csv")
 
 
 class TestReportMalformed:

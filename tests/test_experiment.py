@@ -210,8 +210,7 @@ class TestRunPcl:
         for _ in range(tl.final_tick + 1):
             batch = next_batch(specs[0], cfg.batch_size, cursor)
             rep = backward(ref, batch)
-            apply_update(ref, np.zeros(ref.backbone_dim), 0.0,
-                         {1: (rep.head_grad, cfg.gamma_heads)})
+            ref.heads[1] -= cfg.gamma_heads * rep.head_grad
             rep = backward(ref, batch)
             apply_update(ref, -rep.backbone_grad, cfg.gamma)
             ref_losses.append(rep.loss)
@@ -250,7 +249,7 @@ class TestRunPcl:
                        type(solo_tl)([solo_tl.entries[0]]),
                        solo_net, MemoryBuffer(5), cfg)
         np.testing.assert_array_equal(
-            result.net.flatten_head(1), solo.net.flatten_head(1)
+            result.net.heads[1], solo.net.heads[1]
         )
 
     def test_unfrozen_heads_move(self):
@@ -263,7 +262,7 @@ class TestRunPcl:
                        type(solo_tl)([solo_tl.entries[0]]),
                        solo_net, MemoryBuffer(5), cfg)
         assert not np.array_equal(
-            result.net.flatten_head(1), solo.net.flatten_head(1)
+            result.net.heads[1], solo.net.heads[1]
         )
 
     def test_editing_keeps_buffer_in_unit_cube(self):

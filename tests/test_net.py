@@ -48,7 +48,7 @@ def zero_net(layers=(6, 10, 5), heads=((1, 4),)):
     net = make_net(layers=layers, heads=heads)
     net.set_backbone_flat(np.zeros(net.backbone_dim))
     for task, classes in heads:
-        net.set_head_flat(task, np.zeros((net.feature_dim + 1) * classes))
+        net.heads[task][...] = 0.0
     return net
 
 
@@ -76,7 +76,7 @@ class TestForward:
         for gap in (5.0, 20.0, 50.0):
             flat = np.zeros((net.feature_dim + 1) * 2)
             flat[-2] = gap
-            net.set_head_flat(1, flat)
+            net.heads[1][...] = flat
             _, loss = forward(net, Batch(np.zeros((1, 2)), [0], task_id=1))
             assert loss <= math.exp(-gap) * 1.1 + 1e-12
 
@@ -146,17 +146,17 @@ class TestBackward:
         net = make_net()
         batch = make_batch(rng, net, size=3)
         report = backward(net, batch)
-        flat = net.flatten_head(1)
+        flat = net.heads[1].copy()
         h = 1e-5
         for coord in rng.choice(flat.size, size=8, replace=False):
             mod = flat.copy()
             mod[coord] += h
-            net.set_head_flat(1, mod)
+            net.heads[1][...] = mod
             _, up = forward(net, batch)
             mod[coord] -= 2 * h
-            net.set_head_flat(1, mod)
+            net.heads[1][...] = mod
             _, down = forward(net, batch)
-            net.set_head_flat(1, flat)
+            net.heads[1][...] = flat
             assert report.head_grad[coord] == pytest.approx(
                 (up - down) / (2 * h), rel=1e-4, abs=1e-9
             )
@@ -198,23 +198,23 @@ class TestHeadStep:
         for _ in range(3):  # repeated steps, as over consecutive ticks
             batch = make_batch(rng, net, size=5)
             first = backward(ref, batch)
-            apply_update(ref, np.zeros(ref.backbone_dim), 0.0, {1: (first.head_grad, step)})
+            ref.heads[1] -= step * first.head_grad
             expect = backward(ref, batch)
             got = backward(net, batch, head_step=step)
             np.testing.assert_array_equal(got.backbone_grad, expect.backbone_grad)
             np.testing.assert_array_equal(got.head_grad, expect.head_grad)
             assert got.loss == expect.loss
             for task, _ in heads:
-                np.testing.assert_array_equal(net.flatten_head(task), ref.flatten_head(task))
+                np.testing.assert_array_equal(net.heads[task], ref.heads[task])
             np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
 
     def test_zero_step_leaves_head_unchanged(self):
         rng = np.random.default_rng(12)
         net = make_net()
         batch = make_batch(rng, net)
-        head = net.flatten_head(1).copy()
+        head = net.heads[1].copy()
         report = backward(net, batch, head_step=0.0)
-        np.testing.assert_array_equal(net.flatten_head(1), head)
+        np.testing.assert_array_equal(net.heads[1], head)
         np.testing.assert_array_equal(report.head_grad, backward(net, batch).head_grad)
 
     def test_step_lowers_batch_loss(self):
@@ -367,7 +367,7 @@ class TestHeads:
         a, b = make_net(), make_net()
         add_head(a, 2, 3, seed=99)
         add_head(b, 2, 3, seed=99)
-        np.testing.assert_array_equal(a.flatten_head(2), b.flatten_head(2))
+        np.testing.assert_array_equal(a.heads[2], b.heads[2])
 
     def test_adding_head_leaves_other_gradients_unchanged(self):
         rng = np.random.default_rng(20)
@@ -404,10 +404,10 @@ class TestApplyUpdate:
         net = make_net()
         batch = make_batch(rng, net)
         report = backward(net, batch)
-        flat_before = net.flatten_head(1).copy()
-        apply_update(net, np.zeros(net.backbone_dim), 0.0, {1: (report.head_grad, 0.5)})
+        flat_before = net.heads[1].copy()
+        net.heads[1] -= 0.5 * report.head_grad
         np.testing.assert_allclose(
-            net.flatten_head(1), flat_before - 0.5 * report.head_grad, atol=1e-15
+            net.heads[1], flat_before - 0.5 * report.head_grad, atol=1e-15
         )
 
     def test_single_task_step_equals_plain_descent(self):
@@ -440,7 +440,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.flatten_backbone(), net.flatten_backbone())
         for task in (1, 3):
-            np.testing.assert_array_equal(loaded.flatten_head(task), net.flatten_head(task))
+            np.testing.assert_array_equal(loaded.heads[task], net.heads[task])
         rng = np.random.default_rng(1)
         batch = make_batch(rng, net)
         assert forward(loaded, batch)[1] == forward(net, batch)[1]
@@ -506,6 +506,28 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert err.value.offset == 12
 
+    @pytest.mark.parametrize("field, change", [
+        ("layer_sizes", {"layer_sizes": [6]}),
+        ("layer_sizes", {"layer_sizes": [6, 0, 5]}),
+        ("heads.1", {"heads": {"1": -3}}),
+        ("heads.1", {"heads": {"1": 0}}),
+        ("parameter count", {"layer_sizes": [60000, 60000]}),
+    ])
+    def test_header_checked_before_allocating(self, tmp_path, monkeypatch, field, change):
+        net = make_net(heads=((1, 2),))
+        path = tmp_path / "model.bin"
+        save_checkpoint(net, path)
+        header, values = read_blob(path)
+        write_blob(path, header | change, values[:1])
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("network allocated before the header was checked")
+
+        monkeypatch.setattr("emgd.net.Network", no_network)
+        with pytest.raises(FormatError, match=field) as err:
+            load_checkpoint(path)
+        assert err.value.offset == 12
+
     def test_blob_roundtrip(self, tmp_path):
         path = tmp_path / "blob.bin"
         values = np.arange(5, dtype=float)
@@ -513,3 +535,53 @@ class TestCheckpoint:
         header, back = read_blob(path)
         assert header == {"kind": "test"}
         np.testing.assert_array_equal(back, values)
+
+
+class TestLayout:
+    """The backbone and each head are flat vectors; (W, b) are views."""
+
+    def test_backbone_layers_are_views_of_theta(self):
+        net = make_net(layers=(6, 10, 7, 5))
+        for W, b in net.backbone:
+            assert np.shares_memory(W, net.theta) and np.shares_memory(b, net.theta)
+        W_h, b_h = net.head(1)
+        assert np.shares_memory(W_h, net.heads[1]) and np.shares_memory(b_h, net.heads[1])
+        W0 = net.backbone[0][0]
+        net.theta[0] = 7.0
+        assert W0[0, 0] == 7.0
+
+    def test_updates_keep_the_arrays(self):
+        rng = np.random.default_rng(30)
+        net = make_net()
+        theta, head = net.theta, net.heads[1]
+        apply_update(net, rng.normal(size=net.backbone_dim), 0.1)
+        backward(net, make_batch(rng, net), head_step=0.5)
+        assert net.theta is theta and net.heads[1] is head
+        assert all(np.shares_memory(W, theta) for W, _ in net.backbone)
+
+    def test_flatten_backbone_is_a_copy(self):
+        net = make_net()
+        saved = net.theta.copy()
+        flat = net.flatten_backbone()
+        flat += 1.0
+        np.testing.assert_array_equal(net.theta, saved)
+
+    def test_set_backbone_flat_copies_in_place(self):
+        net = make_net()
+        theta = net.theta
+        flat = np.arange(net.backbone_dim, dtype=float)
+        net.set_backbone_flat(flat)
+        flat[0] = -1.0
+        assert net.theta is theta and net.theta[0] == 0.0
+        with pytest.raises(InvalidInputError):
+            net.set_backbone_flat(np.zeros(net.backbone_dim + 1))
+
+    def test_checkpoint_payload_order(self, tmp_path):
+        net = make_net(layers=(6, 10, 7, 5), heads=((3, 2), (1, 4)))
+        path = tmp_path / "model.bin"
+        save_checkpoint(net, path)
+        header, values = read_blob(path)
+        expect = [part for W, b in net.backbone for part in (W.ravel(), b)]
+        expect += [part for t in (1, 3) for part in (net.head(t)[0].ravel(), net.head(t)[1])]
+        np.testing.assert_array_equal(values, np.concatenate(expect))
+        assert header == {"layer_sizes": [6, 10, 7, 5], "heads": {"1": 4, "3": 2}}

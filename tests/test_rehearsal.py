@@ -6,7 +6,6 @@ from emgd.net import (
     Batch,
     Network,
     add_head,
-    apply_update,
     backward,
     directional_edit_gradient,
     forward,
@@ -191,7 +190,7 @@ class TestMemoryGradient:
             for t in ref_heads:
                 np.testing.assert_allclose(head_grads[t], ref_heads[t], rtol=1e-12, atol=0)
                 np.testing.assert_allclose(
-                    net.flatten_head(t), ref.flatten_head(t), rtol=1e-12, atol=0
+                    net.heads[t], ref.heads[t], rtol=1e-12, atol=0
                 )
             np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
 
@@ -209,7 +208,8 @@ def per_group_memory_gradient(net, mem, head_step):
             t: (mask.sum() / mem.size * backward(net, group_batch(t, mask)).head_grad, head_step)
             for t, mask in groups
         }
-        apply_update(net, np.zeros(net.backbone_dim), 0.0, steps)
+        for t, (grad, step) in steps.items():
+            net.heads[t] -= step * grad
     backbone = np.zeros(net.backbone_dim)
     heads, loss = {}, 0.0
     for t, mask in groups:
@@ -224,7 +224,7 @@ def per_group_memory_gradient(net, mem, head_step):
 def snapshot(buf, net):
     slots = [(s.x.copy(), s.label, s.task_id, s.class_id) for s in buf.slots]
     return slots, net.flatten_backbone().copy(), {
-        t: net.flatten_head(t).copy() for t in net.heads
+        t: net.heads[t].copy() for t in net.heads
     }
 
 
@@ -287,7 +287,7 @@ class TestEditEmgd:
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), EditConfig())
         np.testing.assert_array_equal(net.flatten_backbone(), backbone_before)
         for t, flat in heads_before.items():
-            np.testing.assert_array_equal(net.flatten_head(t), flat)
+            np.testing.assert_array_equal(net.heads[t], flat)
         for (x0, label, task, cls), s in zip(slots_before, buf.slots):
             assert (s.label, s.task_id, s.class_id) == (label, task, cls)
 

@@ -213,7 +213,8 @@ class TestSynthetic:
         batch = Batch(data.train_inputs, data.train_labels, 1)
         for _ in range(300):
             rep = backward(net, batch)
-            apply_update(net, -rep.backbone_grad, 0.5, {1: (rep.head_grad, 0.5)})
+            apply_update(net, -rep.backbone_grad, 0.5)
+            net.heads[1] -= 0.5 * rep.head_grad
         probs, _ = forward(net, batch)
         acc = float((probs.argmax(axis=1) == batch.labels).mean())
         assert acc >= 0.99
