@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment, rehearsal, solver, streams
-from .errors import ConfigError, EmgdError, NumericError, load_json_object, read_field, section
+from .errors import (ConfigError, EmgdError, InvalidInputError, NumericError, load_json_object,
+                     read_field, section)
 from .net import Network
 
 log = logging.getLogger("emgd")
@@ -69,7 +70,10 @@ def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
     spec = section(doc["idx"], "dataset.idx", _IDX)
     train_x, train_y = streams.load_idx(spec["train_images"], spec["train_labels"])
     test_x, test_y = streams.load_idx(spec["test_images"], spec["test_labels"])
-    return streams.Dataset(train_x, train_y, test_x, test_y)
+    try:
+        return streams.Dataset(train_x, train_y, test_x, test_y)
+    except InvalidInputError as err:  # load_idx already matched each file pair's counts
+        raise ConfigError(f"test images {spec['test_images']}: {err}") from None
 
 
 def _build_split(doc: dict, dataset: streams.Dataset, seed: int, args):
@@ -139,6 +143,8 @@ def cmd_run_pcl(args) -> int:
     cfg = experiment.RunConfig(**run, batch_size=batch_size, epochs=epochs, seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
     buffer = rehearsal.MemoryBuffer(cfg.capacity_per_class)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before training
 
     try:
         result = experiment.run_pcl(specs, timeline, net, buffer, cfg)
@@ -146,8 +152,6 @@ def cmd_run_pcl(args) -> int:
         print(f"error: numeric failure at tick {err.tick}: {err}", file=sys.stderr)
         return 3
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))
     experiment.dump_json(experiment.metrics_document(result, cfg), out / "metrics.json")
     if snapshot:

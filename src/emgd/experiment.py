@@ -58,7 +58,6 @@ class RunConfig:
     capacity_per_class: int = 5
     eta_edit: float = 0.05
     edit_iterations: int = 1
-    fd_eps: float = 1e-4
     clamp: bool = True
     freeze_finished_heads: bool = False
     tol: float = solver.DEFAULT_TOL
@@ -84,7 +83,6 @@ class RunConfig:
         return EditConfig(
             eta_edit=self.eta_edit,
             iterations=self.edit_iterations,
-            fd_eps=self.fd_eps,
             clamp=self.clamp,
         )
 
@@ -389,11 +387,9 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
 
         edit_objective = ""
         if mem is not None and cfg.editing != "none":
-            before = rehearsal.editing_objective(net, mem.inputs, mem, result.direction)
-            if cfg.editing == "emgd":
-                rehearsal.edit_memory_emgd(buffer, net, mem, result.direction, edit_cfg)
-            else:
-                rehearsal.edit_memory_gmed(buffer, net, mem, result.direction, edit_cfg)
+            edit = (rehearsal.edit_memory_emgd if cfg.editing == "emgd"
+                    else rehearsal.edit_memory_gmed)
+            before = edit(buffer, net, mem, result.direction, edit_cfg)
             after = rehearsal.editing_objective(net, mem.inputs, mem, result.direction)
             edit_objective = f"{before:.6e}->{after:.6e}"
 

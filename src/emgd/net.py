@@ -4,7 +4,7 @@ Everything runs in float64 so finite-difference checks are meaningful. The
 backbone maps inputs to a feature vector through tanh layers; each head is a
 linear map from the feature space to its task's class logits, trained with
 mean softmax cross-entropy. Parameter gradients, input gradients and the
-second-order editing direction are all computed here.
+exact second-order editing gradient are all computed here.
 """
 
 from __future__ import annotations
@@ -293,59 +293,95 @@ def input_gradient(net: Network, batch: Batch) -> np.ndarray:
     return _backprop(net, activations, delta, want_input_grad=True)
 
 
-def directional_edit_gradient(input_grad_at, theta: np.ndarray, v: np.ndarray, eps: float):
-    """Core of the editing direction: gradient of ||g(x) - d||^2 w.r.t. x.
+def _edit_pass(net: Network, inputs, labels, groups, target_d):
+    """One backbone forward and one shared backward for the editing objective.
 
-    ``v = g(x) - d`` in the negative-gradient convention. Since
-    dg/dx = -d2(loss)/dtheta dx, the chain rule gives
-    grad_x ||v||^2 = 2 * (d2l/dtheta dx)^T (-v), evaluated by a central
-    difference of the input gradient through a parameter perturbation along
-    u = -v. ``input_grad_at(theta')`` must return the input gradient of the
-    loss at parameters ``theta'``.
-    """
-    norm_v = float(np.linalg.norm(v))
-    if norm_v < 1e-12:
-        return None
-    u = -v / norm_v
-    plus = input_grad_at(theta + eps * u)
-    minus = input_grad_at(theta - eps * u)
-    return (plus - minus) * (norm_v / eps)
-
-
-def edit_direction(net: Network, batch: Batch, target_d: np.ndarray, fd_eps: float = 1e-4):
-    """Gradient of ||g(x) - d||^2 w.r.t. the batch inputs.
-
-    ``g(x)`` is the negative backbone gradient of the batch's mean loss and
-    ``target_d`` is the combined update direction, both in the stored
-    convention. Returns the zero matrix when the batch gradient already
-    matches the target. The second-order term is approximated by a
-    directional central difference through the backbone parameters (one
-    extra forward-backward pair), scaled relative to the parameter
-    magnitude.
+    ``groups`` holds ``(task_id, rows)`` pairs, ``rows`` a slice of
+    contiguous rows; each group is scored by its task's head with its own
+    mean loss. Row j of the k x D array ``U`` is group j's positive backbone
+    gradient plus ``target_d``, written in place. Returns the activations,
+    each backbone layer's dz, each group's (W_h, probs), ``U`` and the
+    objective sum_j ||U_j||^2.
     """
     target_d = np.asarray(target_d, dtype=np.float64)
     if target_d.shape != (net.backbone_dim,):
         raise InvalidInputError(
             f"target direction must have backbone dimension {net.backbone_dim}"
         )
-    if fd_eps <= 0:
-        raise InvalidInputError("fd_eps must be positive")
-    report = backward(net, batch)
-    v = -report.backbone_grad - target_d
-    theta = net.flatten_backbone()
-    eps = fd_eps * (1.0 + float(np.sqrt(np.mean(theta * theta))))
+    activations = _activations(net, inputs)
+    feats = activations[-1]
+    delta = np.empty_like(feats)
+    heads = []
+    for task_id, rows in groups:
+        group_labels = labels[rows]
+        W_h, b_h = _head(net, task_id, group_labels)
+        probs, _ = _softmax_loss(feats[rows] @ W_h + b_h, group_labels)
+        delta[rows] = _dlogits(probs, group_labels) @ W_h.T
+        heads.append((W_h, probs))
+    U = np.empty((len(groups), net.backbone_dim))
+    grads = [_layers(row, net.layer_sizes) for row in U]
+    dzs = [None] * len(net.backbone)
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        dz = dzs[i] = delta * (1.0 - a_out * a_out)  # tanh'
+        for (_, rows), grad in zip(groups, grads):
+            gW, gb = grad[i]
+            np.matmul(activations[i][rows].T, dz[rows], out=gW)
+            dz[rows].sum(axis=0, out=gb)
+        if i > 0:
+            delta = dz @ net.backbone[i][0].T
+    U += target_d
+    objective = sum(float(u @ u) for u in U)
+    return activations, dzs, heads, U, objective
 
-    def input_grad_at(theta_prime):
-        net.set_backbone_flat(theta_prime)
-        return input_gradient(net, batch)
 
-    try:
-        delta = directional_edit_gradient(input_grad_at, theta, v, eps)
-    finally:
-        net.set_backbone_flat(theta)
-    if delta is None:
-        return np.zeros_like(batch.inputs)
-    return delta
+def edit_objective(net: Network, inputs, labels, groups, target_d) -> float:
+    """sum_g ||grad_theta L_g + d||^2 at ``inputs`` over ``(task_id, slice)``
+    groups: one forward and one backward over all rows, no tangent pass."""
+    return _edit_pass(net, inputs, labels, list(groups), target_d)[-1]
+
+
+def edit_direction(net: Network, inputs, labels, groups, target_d):
+    """Gradient of the editing objective w.r.t. every input row, and the
+    objective at ``inputs`` (see ``edit_objective``).
+
+    ``target_d`` is the combined update direction and ``-grad_theta L_g``
+    the group's stored-convention gradient, so the objective is
+    sum_g ||g_g - d||^2 = sum_g ||U_g||^2 with U_g = grad_theta L_g + d. The
+    rows of group g get grad_x ||U_g||^2 = 2 R{grad_x L_g}(U_g): the exact
+    derivative of the group's input gradient along U_g in parameter space,
+    forward-over-reverse (Pearlmutter 1994). On top of the shared pass it
+    costs one tangent forward and one tangent backward; parameters are
+    never touched.
+    """
+    groups = list(groups)
+    activations, dzs, heads, U, objective = _edit_pass(net, inputs, labels, groups, target_d)
+    tangents = [_layers(row, net.layer_sizes) for row in U]
+    # tangent forward: Rz_l = Ra_{l-1} W_l + a_{l-1} dW_l + db_l, Ra_l = (1 - a_l^2) Rz_l
+    Rzs = []
+    for i, (W, _) in enumerate(net.backbone):
+        Rz = np.zeros_like(activations[i + 1]) if i == 0 else Ra @ W
+        for (_, rows), tangent in zip(groups, tangents):
+            dW, db = tangent[i]
+            Rz[rows] += activations[i][rows] @ dW + db
+        Rzs.append(Rz)
+        a_out = activations[i + 1]
+        Ra = (1.0 - a_out * a_out) * Rz
+    # tangent of d(mean cross-entropy)/d(features) through the fixed head
+    Rdelta = np.empty_like(Ra)
+    for (_, rows), (W_h, probs) in zip(groups, heads):
+        Rs = Ra[rows] @ W_h
+        Rp = probs * (Rs - (probs * Rs).sum(axis=1, keepdims=True))
+        Rdelta[rows] = (Rp / probs.shape[0]) @ W_h.T
+    # tangent backward: R(dz) = (1 - a^2) R(delta) - 2 a dz Rz, R(dz W^T) = R(dz) W^T + dz dW^T
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        Rdz = (1.0 - a_out * a_out) * Rdelta - 2.0 * a_out * dzs[i] * Rzs[i]
+        Rdelta = Rdz @ net.backbone[i][0].T
+        for (_, rows), tangent in zip(groups, tangents):
+            Rdelta[rows] += dzs[i][rows] @ tangent[i][0].T
+    Rdelta *= 2.0
+    return Rdelta, objective
 
 
 def apply_update(net: Network, backbone_direction: np.ndarray, step_gamma: float) -> None:

@@ -19,8 +19,9 @@ from .errors import EmptyMemoryError, FormatError, InvalidInputError
 from .net import (
     Batch,
     Network,
-    backward,
+    backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
+    edit_objective,
     forward,
     grouped_backward,
     header_field,
@@ -45,7 +46,6 @@ class EditConfig:
 
     eta_edit: float = 0.05
     iterations: int = 1
-    fd_eps: float = 1e-4
     clamp: bool = True
 
     def __post_init__(self):
@@ -53,8 +53,6 @@ class EditConfig:
             raise InvalidInputError("eta_edit must lie in [0, 1]")
         if self.iterations < 0:
             raise InvalidInputError("iterations must be >= 0")
-        if self.fd_eps <= 0:
-            raise InvalidInputError("fd_eps must be positive")
 
 
 @dataclass
@@ -165,15 +163,19 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     return grouped_backward(net, mem.inputs, mem.labels, _task_groups(mem), head_step)
 
 
+def _sorted_groups(task_ids: np.ndarray):
+    """A stable order that sorts the rows by task id, and each task's
+    ``(task_id, slice)`` of contiguous rows in that order."""
+    order = np.argsort(task_ids, kind="stable")
+    sorted_ids = task_ids[order]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_ids)) + 1).tolist(), sorted_ids.size]
+    return order, [(int(sorted_ids[lo]), slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
     """Sum over task groups of ||g_group(x) - d||^2 at the given inputs."""
-    d = np.asarray(direction_d, dtype=np.float64)
-    total = 0.0
-    for task_id, mask in _task_groups(mem):
-        rep = backward(net, Batch(inputs[mask], mem.labels[mask], task_id))
-        v = -rep.backbone_grad - d
-        total += float(v @ v)
-    return total
+    order, groups = _sorted_groups(mem.task_ids)
+    return edit_objective(net, inputs[order], mem.labels[order], groups, direction_d)
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> None:
@@ -191,25 +193,31 @@ def edit_memory_emgd(
     mem: MemoryBatch,
     direction_d,
     cfg: EditConfig,
-) -> None:
+) -> float:
     """Move sampled inputs down the gradient of ||g(x) - d||^2.
 
     Each task group is edited against the shared target direction; inputs
     are clamped back into [0, 1]. Labels, task ids and network parameters
-    are never touched.
+    are never touched. The rows are sorted by task once, so every edit
+    iteration is one ``edit_direction`` pass over the batch. Returns the
+    editing objective before the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    inputs = mem.inputs.copy()
-    for _ in range(cfg.iterations):
-        if cfg.eta_edit == 0.0:
-            break
-        for task_id, mask in _task_groups(mem):
-            batch = Batch(inputs[mask], mem.labels[mask], task_id)
-            delta = edit_direction(net, batch, d, cfg.fd_eps)
-            inputs[mask] = inputs[mask] - cfg.eta_edit * delta
+    order, groups = _sorted_groups(mem.task_ids)
+    inputs, labels = mem.inputs[order], mem.labels[order]
+    objective = None
+    for _ in range(cfg.iterations if cfg.eta_edit > 0.0 else 0):
+        delta, value = edit_direction(net, inputs, labels, groups, d)
+        objective = value if objective is None else objective
+        inputs -= cfg.eta_edit * delta
         if cfg.clamp:
-            inputs = np.clip(inputs, 0.0, 1.0)
-    _write_back(buffer, mem, inputs, cfg.clamp)
+            np.clip(inputs, 0.0, 1.0, out=inputs)
+    if objective is None:
+        objective = editing_objective(net, mem.inputs, mem, d)
+    edited = np.empty_like(inputs)
+    edited[order] = inputs
+    _write_back(buffer, mem, edited, cfg.clamp)
+    return objective
 
 
 def edit_memory_gmed(
@@ -218,17 +226,19 @@ def edit_memory_gmed(
     mem: MemoryBatch,
     direction_d,
     cfg: EditConfig,
-) -> None:
+) -> float:
     """Loss-difference editing baseline.
 
     A look-ahead parameter set theta' = theta + eta * d (one virtual update)
     defines the interference score (loss(x, theta) - loss(x, theta'))^2;
     inputs step down its exact input gradient
-    2 (l - l') (grad_x l - grad_x l').
+    2 (l - l') (grad_x l - grad_x l'). Returns the editing objective
+    ||g(x) - d||^2 (see ``editing_objective``) before the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
+    objective = editing_objective(net, mem.inputs, mem, d)
     theta = net.flatten_backbone()
     inputs = mem.inputs.copy()
     try:
@@ -250,6 +260,7 @@ def edit_memory_gmed(
     finally:
         net.set_backbone_flat(theta)
     _write_back(buffer, mem, inputs, cfg.clamp)
+    return objective
 
 
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
@@ -272,6 +283,13 @@ def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
     write_blob(path, header, values)
 
 
+def _check_count(value: int, where: str) -> int:
+    """A snapshot id or count; the buffer relies on none being negative."""
+    if value < 0:
+        raise FormatError(f"header field {where} is {value}, needs >= 0", offset=12)
+    return value
+
+
 def load_buffer_snapshot(path) -> MemoryBuffer:
     header, values = read_blob(path)
     if header.get("kind") != "memory-buffer":
@@ -290,8 +308,11 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
             offset=payload_start + 8 * min(values.size, expected),
         )
     buffer.seen_counts = header_int_map(header, "seen_counts")
+    for c, seen in buffer.seen_counts.items():
+        _check_count(seen, f"seen_counts.{c}")
     for i, meta in enumerate(slots):
-        label, task, cls = (header_field(meta, key, int, f"slots.{i}.")
+        label, task, cls = (_check_count(header_field(meta, key, int, f"slots.{i}."),
+                                         f"slots.{i}.{key}")
                             for key in ("label", "task", "class"))
         x = values[i * dim : (i + 1) * dim].copy()
         buffer.slots.append(Slot(x, label, task, cls))

@@ -66,6 +66,9 @@ class Dataset:
             raise InvalidInputError("train inputs/labels count mismatch")
         if self.test_inputs.shape[0] != self.test_labels.shape[0]:
             raise InvalidInputError("test inputs/labels count mismatch")
+        if self.test_inputs.shape[1] != self.train_inputs.shape[1]:
+            raise InvalidInputError(f"test inputs have width {self.test_inputs.shape[1]}, "
+                                    f"train inputs width {self.train_inputs.shape[1]}")
 
     @property
     def num_classes(self) -> int:

@@ -1,5 +1,6 @@
 import io
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -318,6 +319,7 @@ CONFIG_MUTATIONS = [
     (("net", "hidden"), [16.5], "net.hidden"),
     (("net", "hidden"), [0], "net.hidden"),
     (("net", "feature_dim"), 0, "net.feature_dim"),
+    (("run", "fd_eps"), 1e-4, "unknown field: run.fd_eps"),  # the editor has no step
 ]
 
 
@@ -328,6 +330,10 @@ def mutated(doc, path, value):
         target = target[key]
     target[path[-1]] = value
     return doc
+
+
+def never_train(*args, **kwargs):
+    raise AssertionError("training started")
 
 
 def assert_named_exit_1(code, captured, name):
@@ -379,11 +385,28 @@ class TestMalformedConfig:
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert_named_exit_1(code, capsys.readouterr(), name)
 
-    def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("training started")
+    def test_idx_width_mismatch_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def write_idx(name, side, count=8):
+            pixels = bytes(range(count * side * side))
+            (tmp_path / f"{name}_images.idx").write_bytes(
+                struct.pack(">IIII", 0x803, count, side, side) + pixels)
+            (tmp_path / f"{name}_labels.idx").write_bytes(
+                struct.pack(">II", 0x801, count) + bytes(i % 4 for i in range(count)))
 
-        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never)
+        write_idx("train", 2)
+        write_idx("test", 3)
+        idx = {f"{name}_{kind}": str(tmp_path / f"{name}_{kind}.idx")
+               for name in ("train", "test") for kind in ("images", "labels")}
+        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
+        cfg = pcl_config(tmp_path, dataset={"idx": idx},
+                         split={"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 4})
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured, idx["test_images"])
+        assert "width 9" in captured.err and "width 4" in captured.err
+
+    def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
         code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--eval-mode", "both",
                      "--out", str(tmp_path / "o")])
         assert_named_exit_1(code, capsys.readouterr(), "eval_mode")
@@ -404,8 +427,8 @@ FULL_CONFIG = {
               "batch_size": 8, "epochs": 2},
     "run": {"method": "emgd_gs", "editing": "emgd", "gamma": 0.2, "gamma_heads": 1.0,
             "temperature": 1.0, "eval_every": 3, "eval_mode": "task", "memory_batch_size": 4,
-            "capacity_per_class": 2, "eta_edit": 0.05, "edit_iterations": 2, "fd_eps": 1e-4,
-            "clamp": True, "freeze_finished_heads": False, "tol": 1e-8, "max_iter": 50,
+            "capacity_per_class": 2, "eta_edit": 0.05, "edit_iterations": 2, "clamp": True,
+            "freeze_finished_heads": False, "tol": 1e-8, "max_iter": 50,
             "snapshot_buffer": False},
     "net": {"hidden": [16], "feature_dim": 8},
 }
@@ -445,9 +468,10 @@ class TestOutputPaths:
         code = main(["run-toy", "--iters", "3", "--out", str(target)])
         assert_named_exit_1(code, capsys.readouterr(), str(target))
 
-    def test_run_pcl_out_is_a_file(self, tmp_path, capsys):
+    def test_run_pcl_out_is_a_file(self, tmp_path, capsys, monkeypatch):
         target = tmp_path / "afile"
         target.write_text("")
+        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
         code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--out", str(target)])
         assert_named_exit_1(code, capsys.readouterr(), str(target))
 

@@ -15,8 +15,8 @@ from emgd.net import (
     add_head,
     apply_update,
     backward,
-    directional_edit_gradient,
     edit_direction,
+    edit_objective,
     features,
     forward,
     head_logits,
@@ -26,6 +26,7 @@ from emgd.net import (
     save_checkpoint,
     write_blob,
 )
+from oracles import central_difference_edit, directional_edit_gradient
 
 
 def make_net(rng_seed=1234, layers=(6, 10, 5), heads=((1, 4),)):
@@ -271,7 +272,7 @@ class TestEditDirection:
         net = make_net()
         batch = make_batch(rng, net)
         g = -backward(net, batch).backbone_grad
-        delta = edit_direction(net, batch, g)
+        delta, _ = edit_direction(net, batch.inputs, batch.labels, [(1, slice(None))], g)
         np.testing.assert_allclose(delta, 0.0)
 
     def test_quadratic_model_analytic_oracle(self):
@@ -306,7 +307,7 @@ class TestEditDirection:
             v = -rep.backbone_grad - target
             return float(v @ v)
 
-        delta = edit_direction(net, batch, target, fd_eps=1e-4)
+        delta, _ = edit_direction(net, batch.inputs, batch.labels, [(1, slice(None))], target)
         h = 1e-5
         checked = 0
         while checked < 20:
@@ -339,16 +340,52 @@ class TestEditDirection:
                 return float(v @ v)
 
             before = objective(batch.inputs)
-            delta = edit_direction(net, batch, target)
+            delta, _ = edit_direction(net, batch.inputs, batch.labels, [(1, slice(None))],
+                                      target)
             after = objective(batch.inputs - 1e-3 * delta)
             if after <= before + 1e-12:
                 decreased += 1
         assert decreased >= 0.95 * trials
 
+    @pytest.mark.parametrize("layers, sizes", [
+        ((6, 10, 5), {1: 3, 2: 1, 3: 4}),  # a one-row group
+        ((5, 7, 9, 4), {1: 2, 2: 5}),  # two hidden layers
+        ((12, 16, 6), {1: 1, 2: 1, 3: 1, 4: 6}),
+    ])
+    def test_matches_central_difference_oracle(self, layers, sizes):
+        rng = np.random.default_rng(30 + len(layers))
+        net = make_net(layers=layers, heads=[(t, 2 + t % 3) for t in sizes])
+        rows, batches, start = [], {}, 0
+        for t, n in sizes.items():
+            batch = make_batch(rng, net, task=t, size=n)
+            if n > 2:  # repeated rows: the last row repeats the first
+                batch.inputs[-1], batch.labels[-1] = batch.inputs[0], batch.labels[0]
+            batches[t] = batch
+            rows.append((t, slice(start, start + n)))
+            start += n
+        inputs = np.vstack([b.inputs for b in batches.values()])
+        labels = np.concatenate([b.labels for b in batches.values()])
+        target = -backward(net, make_batch(rng, net, task=1, size=5)).backbone_grad
+        theta, heads = net.theta.copy(), {t: h.copy() for t, h in net.heads.items()}
+        got, objective = edit_direction(net, inputs, labels, rows, target)
+        np.testing.assert_array_equal(net.theta, theta)
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
+        assert got.shape == inputs.shape
+        expected_objective = 0.0
+        for t, sl in rows:
+            ref = central_difference_edit(net, batches[t], target, fd_eps=1e-4)
+            assert np.linalg.norm(got[sl] - ref) <= 1e-6 * np.linalg.norm(ref)
+            v = backward(net, batches[t]).backbone_grad + target
+            expected_objective += float(v @ v)
+        assert objective == pytest.approx(expected_objective, rel=1e-12)
+        assert edit_objective(net, inputs, labels, rows, target) == objective
+
     def test_dimension_check(self):
         net = make_net()
         with pytest.raises(InvalidInputError):
-            edit_direction(net, Batch(np.zeros((1, 6)), [0], 1), np.zeros(3))
+            edit_direction(net, np.zeros((1, 6)), np.zeros(1, dtype=np.int64),
+                           [(1, slice(None))], np.zeros(3))
 
 
 class TestHeads:

@@ -7,7 +7,7 @@ from emgd.net import (
     Network,
     add_head,
     backward,
-    directional_edit_gradient,
+    edit_direction,
     forward,
 )
 from emgd.rehearsal import (
@@ -22,6 +22,7 @@ from emgd.rehearsal import (
     sample_memory,
     save_buffer_snapshot,
 )
+from oracles import directional_edit_gradient
 
 CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
@@ -278,6 +279,44 @@ class TestEditEmgd:
         for s in buf.slots:
             assert s.x.min() >= 0.0 and s.x.max() <= 1.0
 
+    def test_sorted_slices_equal_one_call_per_group(self):
+        # three tasks interleaved, and more rows than slots, so rows repeat
+        rng = np.random.default_rng(20)
+        net = make_net(heads=((1, 4), (2, 3), (3, 3)))
+        buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5)
+        mem = sample_memory(buf, buf.occupancy + 5, 6)
+        assert len(set(mem.slot_indices.tolist())) < mem.size
+        assert np.any(np.diff(mem.task_ids) < 0)  # not already sorted
+        d = rng.normal(size=net.backbone_dim)
+        x0, eta = mem.inputs.copy(), 0.5
+        expected, objective = x0.copy(), 0.0
+        for t in np.unique(mem.task_ids):
+            mask = mem.task_ids == t
+            delta, value = edit_direction(net, x0[mask], mem.labels[mask],
+                                          [(int(t), slice(None))], d)
+            expected[mask] = x0[mask] - eta * delta
+            objective += value
+        before = edit_memory_emgd(buf, net, mem, d, EditConfig(eta_edit=eta, clamp=False))
+        np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
+        assert before == pytest.approx(objective, rel=1e-12)
+        assert before == editing_objective(net, x0, mem, d)
+        for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
+            last = np.flatnonzero(mem.slot_indices == slot)[-1]
+            np.testing.assert_array_equal(buf.slots[slot].x, mem.inputs[last])
+
+    def test_returns_objective_before_the_edit(self):
+        rng = np.random.default_rng(21)
+        net = make_net()
+        buf = filled_buffer(rng)
+        mem = sample_memory(buf, 4, 5)
+        d = rng.normal(size=net.backbone_dim)
+        for edit, cfg in ((edit_memory_emgd, EditConfig(iterations=0)),
+                          (edit_memory_emgd, EditConfig(eta_edit=0.0)),
+                          (edit_memory_emgd, EditConfig(eta_edit=0.5, iterations=3)),
+                          (edit_memory_gmed, EditConfig())):
+            expected = editing_objective(net, mem.inputs, mem, d)
+            assert edit(buf, net, mem, d, cfg) == expected
+
     def test_edits_touch_only_inputs(self):
         rng = np.random.default_rng(14)
         net = make_net()
@@ -429,6 +468,10 @@ class TestSnapshot:
         ("slots.0.label", {"slots": [{"task": 1, "class": 0}]}),
         ("slots.0.class", {"slots": [{"task": 1, "class": "0", "label": 0}]}),
         ("slots.0.label", {"slots": [7]}),
+        ("slots.0.label", {"slots": [{"task": 1, "class": 0, "label": -7}]}),
+        ("slots.0.task", {"slots": [{"task": -1, "class": 0, "label": 0}]}),
+        ("slots.0.class", {"slots": [{"task": 1, "class": -2, "label": 0}]}),
+        ("seen_counts.0", {"seen_counts": {"0": -5}}),
     ])
     def test_missing_or_ill_typed_header_field(self, tmp_path, field, change):
         from emgd.net import write_blob
@@ -459,5 +502,6 @@ class TestEditConfig:
             EditConfig(eta_edit=1.5)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(InvalidInputError):
+        # the editing gradient is exact: no finite-difference step to set
+        with pytest.raises(TypeError, match="fd_eps"):
             EditConfig(fd_eps=0.0)

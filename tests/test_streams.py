@@ -32,6 +32,12 @@ def toy_dataset(num_classes=12, per_class=10, dim=4, seed=0):
     return Dataset(inputs, labels, t_inputs, t_labels)
 
 
+class TestDataset:
+    def test_rejects_train_and_test_of_different_widths(self):
+        with pytest.raises(InvalidInputError, match="width 9.*width 4"):
+            Dataset(np.zeros((2, 4)), [0, 1], np.zeros((2, 9)), [0, 1])
+
+
 class TestTimeline:
     def test_rejects_gap(self):
         with pytest.raises(InvalidInputError):
