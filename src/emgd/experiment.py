@@ -26,9 +26,10 @@ from .net import (
     Network,
     add_head,
     apply_update,
-    backward,
+    backward,  # unused here, but perfbench/tracing.py SITES patches experiment.backward
     features,
     head_logits,
+    stream_gradients,
 )
 from .rehearsal import EditConfig, MemoryBuffer
 from .streams import TaskCursor, TaskTimeline, substream
@@ -319,15 +320,14 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             cfg: RunConfig) -> PclResult:
     """Train over the timeline and record accuracies and a tick log.
 
-    Per tick and per active stream: draw a batch and make one forward and
-    one backward pass that steps the stream's head with its own gradient and
-    returns the backbone gradient at the stepped head. The memory stream
-    does the same in one pass over the whole memory batch, each row routed
-    through its task's head. Then combine all streams' negative gradients
-    per ``cfg.method`` and step the backbone. The memory stream joins once a
-    task has finished and the buffer holds data; editing (when enabled)
-    rewrites the sampled slots after the backbone update. A
-    task's training data streams into the buffer at its finish tick.
+    Per tick, draw a batch per active stream and make one pass over them all
+    (``stream_gradients``): each head steps with its own gradient, and each
+    stream's backbone gradient is read at the stepped heads. The memory
+    stream, live once the buffer holds a finished task's data, routes each
+    row through its task's head. The negated gradients are combined per
+    ``cfg.method``, the backbone steps, and editing (when enabled) rewrites
+    the sampled slots. A task's training data enters the buffer at its
+    finish tick.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
@@ -357,24 +357,18 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
                     add_head(net, t, specs_by_id[t].class_count,
                              streams.derive_seed(cfg.seed, "head", t))
 
-        task_ids, grads, losses = [], [], {}
-        mem = None
+        task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            backbone, loss0, _ = rehearsal.memory_gradient(net, mem, head_step=memory_head_step)
-            task_ids.append(0)
-            grads.append(-backbone)
-            losses[0] = loss0
-
+            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, memory_head_step))
         for t in real_tasks:
             batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
-            rep = backward(net, batch, head_step=cfg.gamma_heads)
-            task_ids.append(t)
-            grads.append(-rep.backbone_grad)
-            losses[t] = rep.loss
+            tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
 
+        grads, losses, _ = stream_gradients(net, tick_streams)
+        np.negative(grads, out=grads)  # the bundle holds negative gradients
         try:
-            bundle = solver.GradientBundle(tuple(task_ids), np.stack(grads))
+            bundle = solver.GradientBundle(tuple(task_ids), grads)
             result, sigma = solver.combine(cfg.method, bundle, state, cfg.tol, cfg.max_iter)
         except NumericError as err:
             raise NumericError(str(err), tick=tick) from None
@@ -403,7 +397,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             {
                 "tick": tick,
                 "active": tuple(task_ids),
-                "losses": dict(losses),
+                "losses": dict(zip(task_ids, losses)),
                 "lambda": tuple(float(v) for v in result.lam),
                 "sigma": tuple(float(v) for v in sigma),
                 "d_norm": float(np.sqrt(result.objective)),

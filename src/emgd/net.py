@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,56 +172,90 @@ def _head(net: Network, task_id: int, labels: np.ndarray):
     return W_h, b_h
 
 
-def _softmax_loss(logits: np.ndarray, labels: np.ndarray):
-    """Class probabilities and mean cross-entropy of one group of rows."""
+# A head's rows in a pass (slice or indices), its (W, b) views, stream, share of it, step.
+_Group = namedtuple("_Group", "task_id rows W b stream weight step")
+
+
+def _stack(net: Network, streams: list) -> tuple:
+    """The streams' rows stacked in order, each stream's ``(lo, hi)`` in the
+    stack, and one group per head with its rows in the stack."""
+    spans, groups, lo = [], [], 0
+    for s, (_, labels, task_ids, head_step) in enumerate(streams):
+        n = len(labels)
+        routed = ([(int(task_ids), slice(0, n))] if np.ndim(task_ids) == 0 else
+                  [(int(t), np.flatnonzero(task_ids == t)) for t in np.unique(task_ids)])
+        for task_id, rows in routed:
+            if any(g.task_id == task_id for g in groups):
+                raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
+            W_h, b_h = _head(net, task_id, labels[rows])
+            shifted = slice(lo, lo + n) if isinstance(rows, slice) else rows + lo
+            groups.append(_Group(task_id, shifted, W_h, b_h, s, labels[rows].size / n, head_step))
+        spans.append((lo, lo + n))
+        lo += n
+    inputs = np.concatenate([x for x, *_ in streams])
+    return inputs, np.concatenate([y for _, y, *_ in streams]), spans, groups
+
+
+def _head_stage(feats: np.ndarray, labels: np.ndarray, groups) -> tuple:
+    """Softmax cross-entropy of every row under its group's head, in one N x C
+    matrix (C the widest head's; a narrower head's extra columns are -inf).
+    Returns probs, d(group mean loss)/d(logits) and each label's log-prob."""
+    n = feats.shape[0]
+    logits = np.full((n, max(g.W.shape[1] for g in groups)), -np.inf)
+    sizes = np.empty(n)
+    for g in groups:
+        group_feats = feats[g.rows]
+        logits[g.rows, : g.W.shape[1]] = group_feats @ g.W + g.b
+        sizes[g.rows] = group_feats.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
-    logp = shifted - np.log(expz.sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(labels.size), labels].mean())
-    return probs, loss
-
-
-def _dlogits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean cross-entropy)/d(logits)."""
+    total = expz.sum(axis=1, keepdims=True)
+    probs = expz / total
+    every = np.arange(n)
     dlogits = probs.copy()
-    dlogits[np.arange(labels.size), labels] -= 1.0
-    dlogits /= labels.size
-    return dlogits
+    dlogits[every, labels] -= 1.0
+    dlogits /= sizes[:, None]
+    return probs, dlogits, shifted[every, labels] - np.log(total[:, 0])
 
 
-def _head_pass(feats: np.ndarray, labels: np.ndarray, W_h: np.ndarray, b_h: np.ndarray):
-    """dlogits, flat head gradient and mean loss of one head on features."""
-    probs, loss = _softmax_loss(feats @ W_h + b_h, labels)
-    dlogits = _dlogits(probs, labels)
-    head_grad = np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
-    return dlogits, head_grad, loss
+def _head_grad(feats: np.ndarray, dlogits: np.ndarray, g: _Group) -> np.ndarray:
+    """Flat gradient of the group's mean loss w.r.t. its head."""
+    d = dlogits[g.rows, : g.W.shape[1]]
+    return np.concatenate([(feats[g.rows].T @ d).ravel(), d.sum(axis=0)])
 
 
-def _backprop(net: Network, activations: list, delta: np.ndarray, want_input_grad: bool):
-    """Push d(loss)/d(features) back through the tanh layers.
+def _feature_delta(feats: np.ndarray, dlogits: np.ndarray, groups) -> np.ndarray:
+    """d(stream loss)/d(features): each row's weighted dlogits through its head."""
+    delta = np.empty_like(feats)
+    for g in groups:
+        delta[g.rows] = (g.weight * dlogits[g.rows, : g.W.shape[1]]) @ g.W.T
+    return delta
 
-    Returns the flat backbone gradient, or with ``want_input_grad`` only
-    d(loss)/d(inputs); neither mode computes what the other returns.
-    """
-    grad = np.empty(net.backbone_dim)
-    grad_layers = _layers(grad, net.layer_sizes)
+
+def _backprop(net: Network, activations: list, delta: np.ndarray, spans) -> tuple:
+    """Push d(loss)/d(features) back through the tanh layers in one chain of
+    ``dz @ W.T`` over all rows, writing each layer's ``a.T @ dz`` over rows
+    ``spans[s] = (lo, hi)`` into row s of a k x D array. Returns it and the dzs."""
+    grads = np.empty((len(spans), net.backbone_dim))
+    views = [_layers(row, net.layer_sizes) for row in grads]
+    dzs = [None] * len(net.backbone)
     for i in range(len(net.backbone) - 1, -1, -1):
         a_out = activations[i + 1]
-        dz = delta * (1.0 - a_out * a_out)  # tanh'
-        if not want_input_grad:
-            gW, gb = grad_layers[i]
-            np.matmul(activations[i].T, dz, out=gW)
-            dz.sum(axis=0, out=gb)
-        if want_input_grad or i > 0:
+        dz = dzs[i] = delta * (1.0 - a_out * a_out)  # tanh'
+        for (lo, hi), grad in zip(spans, views):
+            gW, gb = grad[i]
+            np.matmul(activations[i][lo:hi].T, dz[lo:hi], out=gW)
+            dz[lo:hi].sum(axis=0, out=gb)
+        if i > 0:
             delta = dz @ net.backbone[i][0].T
-    return delta if want_input_grad else grad
+    return grads, dzs
 
 
 def forward(net: Network, batch: Batch):
     """Class probabilities and mean cross-entropy loss for one batch."""
-    W_h, b_h = _head(net, batch.task_id, batch.labels)
-    return _softmax_loss(_activations(net, batch.inputs)[-1] @ W_h + b_h, batch.labels)
+    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
+    probs, _, logp = _head_stage(_activations(net, inputs)[-1], labels, groups)
+    return probs, float(-logp.mean())
 
 
 def features(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -237,101 +272,72 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     return feats @ W + b
 
 
-def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.0):
-    """Gradients of the mean loss over all rows, each row scored by its
-    group's head, from one backbone forward and one backbone backward.
+def stream_gradients(net: Network, streams):
+    """Every stream's backbone gradient from one backbone forward, one head
+    stage over all rows and one backward chain.
 
-    ``groups`` yields ``(task_id, rows)`` pairs, ``rows`` indexing
-    ``inputs``; the groups must cover every row once. A group of n_g of the
-    N rows enters with weight n_g / N. With ``head_step > 0`` each head
-    first takes the step ``head -= head_step * weighted_grad`` in place; the
-    head step leaves the features unchanged, so only the logits are
-    recomputed, and the loss and all returned gradients are those after the
-    step. Returns the flat backbone gradient, the loss and each task's
-    weighted head gradient.
-    """
+    ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
+    for the stream or one per row. A head's n_g of n rows weigh n_g / n in
+    the stream's mean loss. With ``head_step > 0`` each head first steps in
+    place by ``head_step`` times its weighted gradient, and all results are
+    read at the stepped heads; as all heads are read before any step, a head
+    may serve one stream only. Returns the k x D positive backbone
+    gradients, the losses and the weighted head gradients."""
+    inputs, labels, spans, groups = _stack(net, list(streams))
     activations = _activations(net, inputs)
     feats = activations[-1]
-    delta = np.empty_like(feats)
-    head_grads: dict[int, np.ndarray] = {}
-    loss = 0.0
-    for task_id, rows in groups:
-        group_labels = labels[rows]
-        W_h, b_h = _head(net, task_id, group_labels)
-        group_feats = feats[rows]
-        weight = group_labels.size / labels.size
-        dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
-        if head_step > 0:  # W_h and b_h are views, so they see the step
-            net.heads[task_id] -= head_step * (weight * head_grad)
-            dlogits, head_grad, group_loss = _head_pass(group_feats, group_labels, W_h, b_h)
-        delta[rows] = (weight * dlogits) @ W_h.T
-        head_grads[task_id] = weight * head_grad
-        loss += weight * group_loss
-    return _backprop(net, activations, delta, want_input_grad=False), float(loss), head_grads
+    _, dlogits, logp = _head_stage(feats, labels, groups)
+    if any(g.step > 0 for g in groups):
+        for g in groups:
+            if g.step > 0:  # g.W and g.b are views, so they see the step
+                net.heads[g.task_id] -= g.step * (g.weight * _head_grad(feats, dlogits, g))
+        _, dlogits, logp = _head_stage(feats, labels, groups)
+    losses, head_grads = [0.0] * len(spans), {}
+    for g in groups:
+        losses[g.stream] += g.weight * float(-logp[g.rows].mean())
+        head_grads[g.task_id] = g.weight * _head_grad(feats, dlogits, g)
+    grads, _ = _backprop(net, activations, _feature_delta(feats, dlogits, groups), spans)
+    return grads, losses, head_grads
 
 
 def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
-    """Positive gradients of the mean batch loss for backbone and head.
-
-    With ``head_step > 0`` the batch's head is first stepped in place by
-    ``head_step`` times its gradient; the report then holds the loss and
-    gradients at the stepped head. One backbone forward and one backbone
-    backward either way.
-    """
-    backbone_grad, loss, head_grads = grouped_backward(
-        net, batch.inputs, batch.labels, [(batch.task_id, slice(None))], head_step
-    )
-    return GradientReport(backbone_grad, head_grads[batch.task_id], loss)
+    """Positive gradients of the mean batch loss for backbone and head: a
+    one-stream ``stream_gradients`` pass, read at the head after its step."""
+    stream = (batch.inputs, batch.labels, batch.task_id, head_step)
+    grads, losses, head_grads = stream_gradients(net, [stream])
+    return GradientReport(grads[0], head_grads[batch.task_id], losses[0])
 
 
 def input_gradient(net: Network, batch: Batch) -> np.ndarray:
     """d(mean loss)/d(inputs), same shape as ``batch.inputs``."""
-    W_h, b_h = _head(net, batch.task_id, batch.labels)
-    activations = _activations(net, batch.inputs)
-    probs, _ = _softmax_loss(activations[-1] @ W_h + b_h, batch.labels)
-    delta = _dlogits(probs, batch.labels) @ W_h.T
-    return _backprop(net, activations, delta, want_input_grad=True)
+    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
+    activations = _activations(net, inputs)
+    _, dlogits, _ = _head_stage(activations[-1], labels, groups)
+    delta = _feature_delta(activations[-1], dlogits, groups)
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        delta = (delta * (1.0 - a_out * a_out)) @ net.backbone[i][0].T  # tanh'
+    return delta
 
 
 def _edit_pass(net: Network, inputs, labels, groups, target_d):
-    """One backbone forward and one shared backward for the editing objective.
-
-    ``groups`` holds ``(task_id, rows)`` pairs, ``rows`` a slice of
-    contiguous rows; each group is scored by its task's head with its own
-    mean loss. Row j of the k x D array ``U`` is group j's positive backbone
-    gradient plus ``target_d``, written in place. Returns the activations,
-    each backbone layer's dz, each group's (W_h, probs), ``U`` and the
-    objective sum_j ||U_j||^2.
-    """
+    """``stream_gradients``' head stage and backward chain, each ``(task_id,
+    slice)`` group its own stream, no head step; row j of ``U`` is group j's
+    gradient plus ``target_d``. Returns the activations, the dzs, each
+    group's (W_h, probs), ``U`` and the objective sum_j ||U_j||^2."""
     target_d = np.asarray(target_d, dtype=np.float64)
     if target_d.shape != (net.backbone_dim,):
-        raise InvalidInputError(
-            f"target direction must have backbone dimension {net.backbone_dim}"
-        )
+        raise InvalidInputError(f"target direction must have backbone dimension {net.backbone_dim}")
     activations = _activations(net, inputs)
     feats = activations[-1]
-    delta = np.empty_like(feats)
-    heads = []
-    for task_id, rows in groups:
-        group_labels = labels[rows]
-        W_h, b_h = _head(net, task_id, group_labels)
-        probs, _ = _softmax_loss(feats[rows] @ W_h + b_h, group_labels)
-        delta[rows] = _dlogits(probs, group_labels) @ W_h.T
-        heads.append((W_h, probs))
-    U = np.empty((len(groups), net.backbone_dim))
-    grads = [_layers(row, net.layer_sizes) for row in U]
-    dzs = [None] * len(net.backbone)
-    for i in range(len(net.backbone) - 1, -1, -1):
-        a_out = activations[i + 1]
-        dz = dzs[i] = delta * (1.0 - a_out * a_out)  # tanh'
-        for (_, rows), grad in zip(groups, grads):
-            gW, gb = grad[i]
-            np.matmul(activations[i][rows].T, dz[rows], out=gW)
-            dz[rows].sum(axis=0, out=gb)
-        if i > 0:
-            delta = dz @ net.backbone[i][0].T
+    groups = [_Group(task_id, rows, *_head(net, task_id, labels[rows]), j, 1.0, 0.0)
+              for j, (task_id, rows) in enumerate(groups)]
+    probs, dlogits, _ = _head_stage(feats, labels, groups)
+    spans = [g.rows.indices(labels.size)[:2] for g in groups]
+    U, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups), spans)
     U += target_d
     objective = sum(float(u @ u) for u in U)
+    heads = [(g.W, probs[g.rows, : g.W.shape[1]]) for g in groups]
     return activations, dzs, heads, U, objective
 
 

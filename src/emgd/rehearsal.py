@@ -23,10 +23,10 @@ from .net import (
     edit_direction,
     edit_objective,
     forward,
-    grouped_backward,
     header_field,
     header_int_map,
     input_gradient,
+    stream_gradients,
     write_blob,
     read_blob,
 )
@@ -144,23 +144,13 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryB
     )
 
 
-def _task_groups(mem: MemoryBatch):
-    for task_id in np.unique(mem.task_ids):
-        mask = mem.task_ids == task_id
-        yield int(task_id), mask
-
-
 def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
-    """Backbone gradient, loss and per-head gradients of the memory loss.
-
-    The memory loss averages per-sample losses over the whole batch, each
-    sample routed through its original task head, so every group contributes
-    with weight (group size / batch size). One backbone forward and one
-    backward cover the whole batch. With ``head_step > 0`` every routed head
-    first steps by ``head_step`` times its weighted gradient, and the result
-    is read at the stepped heads.
-    """
-    return grouped_backward(net, mem.inputs, mem.labels, _task_groups(mem), head_step)
+    """Backbone gradient, loss and per-head gradients of the memory loss, the
+    mean per-sample loss over the batch (so each task group weighs group
+    size / batch size): a one-stream ``stream_gradients`` pass."""
+    stream = (mem.inputs, mem.labels, mem.task_ids, head_step)
+    grads, losses, head_grads = stream_gradients(net, [stream])
+    return grads[0], losses[0], head_grads
 
 
 def _sorted_groups(task_ids: np.ndarray):
@@ -245,7 +235,8 @@ def edit_memory_gmed(
         for _ in range(cfg.iterations):
             if cfg.eta_edit == 0.0:
                 break
-            for task_id, mask in _task_groups(mem):
+            for task_id in np.unique(mem.task_ids).tolist():
+                mask = mem.task_ids == task_id
                 batch = Batch(inputs[mask], mem.labels[mask], task_id)
                 net.set_backbone_flat(theta)
                 _, loss_now = forward(net, batch)
@@ -316,5 +307,12 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
                             for key in ("label", "task", "class"))
         x = values[i * dim : (i + 1) * dim].copy()
         buffer.slots.append(Slot(x, label, task, cls))
-        buffer._by_class.setdefault(cls, []).append(i)
+        stored = buffer._by_class.setdefault(cls, [])
+        stored.append(i)
+        if len(stored) > buffer.capacity_per_class:  # insert keeps this bound
+            raise FormatError(f"header field slots.{i}.class {cls} overfills capacity_per_class "
+                              f"{buffer.capacity_per_class}", offset=12)
+        if buffer.seen_counts.get(cls, -1) < len(stored):  # keeps insert's odds cap/seen <= 1
+            raise FormatError(f"header field seen_counts.{cls} is missing or below the "
+                              f"{len(stored)} stored slots of that class", offset=12)
     return buffer

@@ -49,13 +49,12 @@ class GradientBundle:
     """Per-task flat gradient vectors for one optimization step.
 
     ``grads[i]`` is the negative loss gradient of task ``task_ids[i]`` with
-    respect to the shared parameters (``negated=True`` records that sign
-    convention). The memory stream, when present, uses task id 0.
+    respect to the shared parameters. The memory stream, when present, uses
+    task id 0.
     """
 
     task_ids: tuple
     grads: np.ndarray
-    negated: bool = True
 
     def __post_init__(self):
         grads = np.atleast_2d(np.asarray(self.grads, dtype=np.float64))

@@ -98,6 +98,36 @@ class TestSolve:
         assert out["direction"] == pytest.approx([0.0, 0.0], abs=1e-12)
 
 
+NUMBERS = st.one_of(st.floats(width=64), st.integers(-3, 3),
+                    st.sampled_from([0.0, 1e-300, 1e300, -1e300]))
+JUNK = st.sampled_from(["x", True, None, [], {}, [1, "a"], {"a": 1}, [[1.0]]])
+VECTORS = st.lists(st.one_of(NUMBERS, NUMBERS, JUNK), max_size=4)  # ragged or empty too
+REQUESTS = st.one_of(JUNK, st.fixed_dictionaries({}, optional={
+    "grads": st.one_of(st.lists(VECTORS, max_size=4), VECTORS, NUMBERS, JUNK),
+    "sigma_mode": st.one_of(st.sampled_from(["fixed", "gs", "gmc", "bogus"]), JUNK),
+    "sigma": st.one_of(st.lists(NUMBERS, max_size=5), JUNK),
+    "temperature": st.one_of(NUMBERS, JUNK),
+    "tol": st.one_of(NUMBERS, JUNK),
+    # bounded, so a request that never converges still ends quickly
+    "max_iter": st.one_of(st.integers(-2, 300), st.floats(-2.0, 300.0), JUNK,
+                          st.sampled_from([float("nan"), float("inf")])),
+    "bogus": NUMBERS,
+}))
+
+
+@given(REQUESTS)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_solve_request_exits_0_1_or_2(monkeypatch, capsys, request_doc):
+    code = run_cli(["solve"], json.dumps(request_doc), monkeypatch)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2) and "Traceback" not in captured.err
+    if code == 1:
+        assert captured.err.startswith("error:")
+    else:
+        assert set(json.loads(captured.out)) == {"lambda", "direction", "objective", "converged"}
+
+
 class TestRunToy:
     def test_default_trace_has_1500_rows(self, tmp_path):
         assert main(["run-toy", "--out", str(tmp_path)]) == 0

@@ -24,9 +24,10 @@ from emgd.net import (
     load_checkpoint,
     read_blob,
     save_checkpoint,
+    stream_gradients,
     write_blob,
 )
-from oracles import central_difference_edit, directional_edit_gradient
+from oracles import central_difference_edit, directional_edit_gradient, per_stream_gradients
 
 
 def make_net(rng_seed=1234, layers=(6, 10, 5), heads=((1, 4),)):
@@ -226,6 +227,84 @@ class TestHeadStep:
         report = backward(net, batch, head_step=0.1)
         assert report.loss < before
         assert report.loss == forward(net, batch)[1]
+
+
+def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(8, 16, 6)):
+    """Two identical nets and one tick's streams: a memory batch over 1-6
+    heads with repeated rows, then 0-4 task batches, each on its own head.
+    Every stream has at least ``min_rows`` rows."""
+    mem_heads, tasks = int(rng.integers(1, 7)), int(rng.integers(0, 5))
+    heads = [(t, 5 if same_classes else int(rng.integers(3, 10)))
+             for t in range(1, mem_heads + tasks + 1)]
+    net, ref = make_net(layers=layers, heads=heads), make_net(layers=layers, heads=heads)
+    classes = dict(heads)
+    size = max(min_rows, mem_heads + int(rng.integers(0, 12)))
+    task_ids = np.concatenate([np.arange(1, mem_heads + 1),
+                               rng.integers(1, mem_heads + 1, size - mem_heads)])
+    rng.shuffle(task_ids)
+    inputs = rng.uniform(0.0, 1.0, (size, layers[0]))
+    labels = np.array([rng.integers(0, classes[t]) for t in task_ids])
+    for _ in range(size // 3):  # repeated rows, as sampling with replacement gives
+        i, j = rng.integers(0, size, 2)
+        inputs[j], labels[j], task_ids[j] = inputs[i], labels[i], task_ids[i]
+    streams = [(inputs, labels, task_ids, mem_step)]
+    for t in range(mem_heads + 1, mem_heads + tasks + 1):
+        batch = make_batch(rng, net, task=t, size=int(rng.integers(min_rows, 9)))
+        streams.append((batch.inputs, batch.labels, t, task_step))
+    return net, ref, streams
+
+
+class TestStreamGradients:
+    """``stream_gradients`` against the per-stream path it replaced
+    (``grouped_backward`` per stream, then ``np.stack``). Bitwise when every
+    head has the same class count and every stream at least two rows; a
+    narrower head's padded softmax row, or a one-row stream (a vector-matrix
+    product in the per-stream path), changes only the rounding."""
+
+    @pytest.mark.parametrize("mem_step", [0.3, 0.0])  # 0.0: freeze_finished_heads
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_class_counts_bitwise(self, seed, mem_step):
+        net, ref, streams = random_tick(np.random.default_rng(seed), True, mem_step)
+        for _ in range(2):  # a second tick reads the stepped heads
+            grads, losses, head_grads = stream_gradients(net, streams)
+            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
+            np.testing.assert_array_equal(grads, ref_grads)
+            assert losses == ref_losses
+            assert head_grads.keys() == ref_heads.keys()
+            for t in ref_heads:
+                np.testing.assert_array_equal(head_grads[t], ref_heads[t])
+                np.testing.assert_array_equal(net.heads[t], ref.heads[t])
+
+    @pytest.mark.parametrize("mem_step", [0.3, 0.0])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mixed_class_counts_within_rounding(self, seed, mem_step):
+        def close(a, b):
+            return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+        net, ref, streams = random_tick(np.random.default_rng(100 + seed), False, mem_step,
+                                        min_rows=1)
+        for _ in range(2):
+            grads, losses, head_grads = stream_gradients(net, streams)
+            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
+            assert all(close(g, r) for g, r in zip(grads, ref_grads))
+            assert losses == pytest.approx(ref_losses, rel=1e-12)
+            assert head_grads.keys() == ref_heads.keys()
+            for t in ref_heads:
+                assert close(head_grads[t], ref_heads[t])
+                assert close(net.heads[t], ref.heads[t])
+
+    def test_head_serving_two_streams_is_rejected(self):
+        rng = np.random.default_rng(5)
+        net = make_net(heads=((1, 4), (2, 3)))
+        mem = make_batch(rng, net, task=1, size=4)
+        task = make_batch(rng, net, task=2, size=3)
+        heads = {t: h.copy() for t, h in net.heads.items()}
+        mem_ids = np.array([1, 2, 1, 1])  # task 2's head also routes a memory row
+        with pytest.raises(InvalidInputError, match="task 2"):
+            stream_gradients(net, [(mem.inputs, np.zeros(4, dtype=np.int64), mem_ids, 0.3),
+                                   (task.inputs, task.labels, 2, 0.3)])
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
 
 
 class TestInputGradient:

@@ -487,6 +487,26 @@ class TestSnapshot:
             load_buffer_snapshot(path)
         assert err.value.offset == 12
 
+    @pytest.mark.parametrize("field, change", [
+        # three class-0 slots under capacity 1 used to load with occupancy 3
+        ("slots.1.class", {"capacity_per_class": 1,
+                           "slots": [{"task": 1, "class": 0, "label": 0}] * 3}),
+        ("seen_counts.0", {"slots": [{"task": 1, "class": 0, "label": 0}] * 2}),
+        ("seen_counts.0", {"seen_counts": {"1": 4}}),  # class 0 stored, never seen
+    ])
+    def test_slot_counts_must_fit_capacity_and_seen_counts(self, tmp_path, field, change):
+        from emgd.net import write_blob
+
+        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": 3,
+                  "seen_counts": {"0": 1},
+                  "slots": [{"task": 1, "class": 0, "label": 0}]}
+        header.update(change)
+        path = tmp_path / "buffer.bin"
+        write_blob(path, header, np.zeros(3 * len(header["slots"])))
+        with pytest.raises(FormatError, match=field) as err:
+            load_buffer_snapshot(path)
+        assert err.value.offset == 12
+
     def test_rejects_other_blobs(self, tmp_path):
         from emgd.net import write_blob
 
