@@ -28,10 +28,6 @@ class DegenerateGradientError(EmgdError):
     """A zero-norm gradient makes cosine similarity undefined."""
 
 
-class UnsupportedSizeError(EmgdError):
-    """Problem size outside the supported range (e.g. grid search with k > 4)."""
-
-
 class UnknownTaskError(EmgdError):
     """Referenced task has no classifier head."""
 

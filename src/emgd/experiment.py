@@ -69,15 +69,19 @@ class RunConfig:
         for name, allowed in (("method", METHODS), ("editing", EDITING),
                               ("eval_mode", ("task", "class"))):
             if getattr(self, name) not in allowed:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}, pick one of {allowed}")
+                raise ConfigError(
+                    f"unknown run.{name} {getattr(self, name)!r}, pick one of {allowed}")
         for name in ("gamma", "gamma_heads", "temperature", "tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
         for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("eval_every", 0),
                           ("memory_batch_size", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value < low:
+                # batch_size and epochs come from the split or the manifest, which check them first
+                where = name if name in ("batch_size", "epochs") else f"run.{name}"
+                raise ConfigError(f"{where} must be >= {low}, got {value!r}")
         self.edit_config()
 
     def edit_config(self) -> EditConfig:

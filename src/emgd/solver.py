@@ -15,12 +15,13 @@ problem over the scaled points g_i / sigma_i via mu_i = lambda_i * sigma_i,
 which needs only their Gram matrix G / (sigma sigma^T) (Wolfe 1976; Sener &
 Koltun 2018). A bundle forms G once; norms, cosines and the solve all read
 it, so the only D-length products per solve are G and d = lambda @ grads.
+The solve keeps one working-set inverse across its iterations, so each
+change of the working set costs O(|S|^2) and no linear system is re-solved.
 ``combine`` dispatches every method; ``mgda`` is the solve at sigma = 1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -32,16 +33,11 @@ from .errors import (
     DegenerateGradientError,
     InvalidInputError,
     NumericError,
-    UnsupportedSizeError,
     read_field,
 )
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 250
-
-# Squared-norm threshold below which two scaled gradients are treated as the
-# same hull point (any convex weight is then optimal).
-PARALLEL_EPS = 1e-18
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,13 @@ class ElasticState:
 class CombinationResult:
     """Solver output: weights, combined direction and diagnostics.
 
-    ``alpha`` is the dual estimate -||d||^2 (0 at a Pareto critical point).
+    ``objective`` is ||d||^2, 0 at a Pareto critical point.
     ``degenerate_tasks`` lists task ids whose gradient was exactly zero.
     """
 
     lam: np.ndarray
     direction: np.ndarray
     objective: float
-    alpha: float
     iterations: int
     converged: bool
     degenerate_tasks: tuple = ()
@@ -147,12 +142,6 @@ class MinNormResult(NamedTuple):
     objective: float
     iterations: int
     converged: bool
-
-
-class TwoTaskSolution(NamedTuple):
-    lam1: float
-    lam2: float
-    degenerate: bool
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,24 +189,23 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     return ElasticFactors(_softmax(scores / temperature))
 
 
-def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
-    # Minimize w' M_SS w subject to sum(w) = 1 (weights may be negative):
-    # KKT system [[2 M_SS, 1], [1', 0]] [w; nu] = [0; 1].
-    n = len(idx)
-    sub = M[np.ix_(idx, idx)]
-    A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = 2.0 * sub
-    A[:n, n] = 1.0
-    A[n, :n] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    try:
-        sol = np.linalg.solve(A, b)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol[:n]
+def _border(B: np.ndarray, n: int, u: np.ndarray, pivot: float) -> None:
+    # The leading n x n block of B holds A^-1; grow it in place to the inverse
+    # of [[A, a], [a', alpha]], given u = A^-1 a and pivot = alpha - a'u.
+    B[:n, :n] += np.outer(u / pivot, u)
+    B[:n, n] = B[n, :n] = -u / pivot
+    B[n, n] = 1.0 / pivot
+
+
+def _drop(B: np.ndarray, n: int, p: int) -> None:
+    # The leading n x n block of B holds A^-1; shrink it in place to the
+    # inverse of A without row and column p (a Schur downdate, O(n^2)):
+    # B_{-p,-p} - B_{-p,p} B_{p,-p} / B_pp, shifted over row and column p.
+    col = np.delete(B[:n, p], p)
+    pivot = B[p, p]
+    B[p:n - 1, :n] = B[p + 1:n, :n]
+    B[:n - 1, p:n - 1] = B[:n - 1, p + 1:n]
+    B[:n - 1, :n - 1] -= np.outer(col / pivot, col)
 
 
 def solve_min_norm_simplex(
@@ -228,14 +216,27 @@ def solve_min_norm_simplex(
 ) -> MinNormResult:
     """Minimum-norm point of the convex hull of k points, given their Gram matrix.
 
-    Solves min_mu mu' M mu over the probability simplex (M = ``gram``) by the
-    min-norm-point active-set method: repeatedly add the most violating
-    point to the working set, re-solve the affine subproblem exactly, and
-    clip back to the simplex when a weight would go negative. Stops when the
+    Solves min_mu mu' M mu over the probability simplex (M = ``gram``) by
+    Wolfe's min-norm-point method: repeatedly add the most violating point
+    to the working set S, move to the affine minimiser over S, and clip
+    back to the simplex when a weight would go negative. Stops when the
     duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (default
     scale max_i M_ii, so the test is the same at every magnitude), or after
     ``max(max_iter, 4k)`` iterations: each adds at most one working point.
     With two points a single affine solve reproduces the clipped closed form.
+
+    The affine minimiser is read off one inverse kept across iterations,
+    B = (c ee' + M_SS)^-1: M_SS w = nu e with e'w = 1 gives
+    (c ee' + M_SS) w = (nu + c) e, so w = B e / (e'B e) for any c > 0.
+    Adding a point borders B and dropping one downdates it, each O(|S|^2);
+    nothing is re-factorised. c is M_jj of the first working point, the
+    smallest squared norm (1 when that is 0): the points' squared norms can
+    span many orders of magnitude (elastic factors divide them by sigma^2),
+    and a c at the largest would leave c ee' + M_SS badly conditioned. If
+    the most violating point is already in S, or is numerically affinely
+    dependent on S (its pivot is not positive), the iterate can no longer
+    change: the solve stops there, not converged, and reports the whole
+    budget as used, as running it out would have.
     """
     M = np.atleast_2d(np.asarray(gram, dtype=np.float64))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -250,25 +251,39 @@ def solve_min_norm_simplex(
     if k == 1:
         return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
     gap_tol = tol * (float(np.max(np.diag(M))) if scale is None else scale)
+    budget = max(max_iter, 4 * k)
 
-    S = [int(np.argmin(np.diag(M)))]
-    w = np.array([1.0])
+    first = int(np.argmin(np.diag(M)))
+    c = float(M[first, first]) or 1.0
+    S = np.array([first])
+    B = np.empty((k, k))  # leading |S| x |S| block: (c ee' + M_SS)^-1
+    B[0, 0] = 1.0 / (c + M[first, first])
+    w = np.ones(1)
+    mu = np.zeros(k)
+    mu[first] = 1.0
 
-    iterations = 0
-    for iterations in range(1, max(max_iter, 4 * k) + 1):
-        inner = M[:, S] @ w  # <p_i, q> for all i
-        objective = float(w @ inner[S])
+    for iterations in range(1, budget + 1):
+        inner = M @ mu  # <p_i, q> for all i
+        objective = float(mu @ inner)
         j = int(np.argmin(inner))
         if objective - inner[j] <= gap_tol:
-            mu = np.zeros(k)
-            mu[S] = w
             return MinNormResult(mu, objective, iterations, True)
-        if j not in S:
-            S.append(j)
-            w = np.append(w, 0.0)
-        # Minor cycle: exact affine solve, clipped back to the simplex.
+        if j in S:  # the iterate cannot change any more (see above)
+            break
+        n = len(S)
+        a = c + M[S, j]
+        u = B[:n, :n] @ a
+        pivot = c + M[j, j] - float(a @ u)
+        if not pivot > 0:  # j is affinely dependent on S, up to rounding
+            break
+        _border(B, n, u, pivot)
+        S = np.append(S, j)
+        w = np.append(w, 0.0)
+        # Minor cycle: affine minimiser, clipped back to the simplex.
         for _ in range(2 * k + 2):
-            v = _affine_min_norm(M, S)
+            n = len(S)
+            v = B[:n, :n].sum(axis=1)
+            v /= v.sum()
             if np.all(v > -1e-14):
                 w = np.clip(v, 0.0, None)
                 w /= w.sum()
@@ -281,14 +296,16 @@ def solve_min_norm_simplex(
             if not keep.any():
                 keep[int(np.argmax(v))] = True
                 w[keep] = 1.0
-            S = [s for s, k_ in zip(S, keep) if k_]
+            for p in np.flatnonzero(~keep)[::-1]:
+                _drop(B, n, p)
+                n -= 1
+            S = S[keep]
             w = w[keep]
             w /= w.sum()
+        mu = np.zeros(k)
+        mu[S] = w
 
-    mu = np.zeros(k)
-    mu[S] = w
-    inner = M[:, S] @ w
-    return MinNormResult(mu, float(w @ inner[S]), iterations, False)
+    return MinNormResult(mu, float(mu @ (M @ mu)), budget, False)
 
 
 def _as_sigma(sigma, k: int) -> np.ndarray:
@@ -307,7 +324,6 @@ def _combine(bundle: GradientBundle, lam: np.ndarray, res: MinNormResult) -> Com
         lam=lam,
         direction=direction,
         objective=objective,
-        alpha=-objective,
         iterations=res.iterations,
         converged=res.converged,
         degenerate_tasks=degenerate,
@@ -377,89 +393,6 @@ def combine(
     else:
         raise InvalidInputError(f"unknown combination method {method!r}")
     return solve_emgd(bundle, factors, tol, max_iter), factors.sigma
-
-
-def two_task_closed_form(g1, g2, sigma1: float, sigma2: float) -> TwoTaskSolution:
-    """Closed-form elastic weights for exactly two gradients.
-
-    The constrained quadratic has a piecewise solution: all weight on one
-    task when the other's scaled projection dominates, otherwise the interior
-    formula with denominator ||sigma2 g1 - sigma1 g2||^2. When the two scaled
-    gradients coincide (denominator ~ 0) any hull point is optimal; the
-    weight then goes to the smaller-norm gradient and the solution is
-    flagged degenerate.
-    """
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise InvalidInputError("elastic factors must be positive")
-    g1 = np.asarray(g1, dtype=np.float64)
-    g2 = np.asarray(g2, dtype=np.float64)
-    if g1.shape != g2.shape:
-        raise InvalidInputError("gradients must share a dimension")
-    g11 = float(g1 @ g1)
-    g22 = float(g2 @ g2)
-    g12 = float(g1 @ g2)
-    den = sigma2 * sigma2 * g11 - 2.0 * sigma1 * sigma2 * g12 + sigma1 * sigma1 * g22
-    if den < PARALLEL_EPS:
-        if g11 < g22:
-            return TwoTaskSolution(1.0 / sigma1, 0.0, True)
-        return TwoTaskSolution(0.0, 1.0 / sigma2, True)
-    if sigma1 * g22 < sigma2 * g12:
-        return TwoTaskSolution(0.0, 1.0 / sigma2, False)
-    if sigma2 * g11 < sigma1 * g12:
-        return TwoTaskSolution(1.0 / sigma1, 0.0, False)
-    lam1 = (sigma1 * g22 - sigma2 * g12) / den
-    lam2 = (sigma2 * g11 - sigma1 * g12) / den
-    return TwoTaskSolution(lam1, lam2, False)
-
-
-def _simplex_grid(k: int, steps: int) -> np.ndarray:
-    # All integer compositions of `steps` into k parts, scaled to sum to 1.
-    combos = itertools.combinations(range(steps + k - 1), k - 1)
-    cuts = np.fromiter(
-        itertools.chain.from_iterable(combos), dtype=np.int64
-    ).reshape(-1, k - 1)
-    bounds = np.hstack(
-        [
-            np.full((cuts.shape[0], 1), -1, dtype=np.int64),
-            cuts,
-            np.full((cuts.shape[0], 1), steps + k - 1, dtype=np.int64),
-        ]
-    )
-    parts = np.diff(bounds, axis=1) - 1
-    return parts / float(steps)
-
-
-def brute_force_weights(bundle: GradientBundle, sigma, grid_step: float):
-    """Grid-search oracle for the elastic combination, k <= 4 only.
-
-    Enumerates mu on the simplex at resolution ``grid_step``, maps back to
-    lambda = mu / sigma and returns the best (lambda, objective) found. The
-    objective is an upper bound on the true optimum with O(grid_step) gap.
-    """
-    if bundle.size > 4:
-        raise UnsupportedSizeError(f"grid search supports k <= 4, got k={bundle.size}")
-    if not (0.0 < grid_step <= 0.1):
-        raise InvalidInputError("grid_step must lie in (0, 0.1]")
-    s = _as_sigma(sigma, bundle.size)
-    if bundle.size == 1:
-        lam = np.array([1.0 / s[0]])
-        d = lam @ bundle.grads
-        return lam, float(d @ d)
-    steps = int(round(1.0 / grid_step))
-    W = _simplex_grid(bundle.size, steps)
-    scaled = bundle.grads / s[:, None]
-    gram = scaled @ scaled.T
-    objectives = np.einsum("nk,kl,nl->n", W, gram, W)
-    best = int(np.argmin(objectives))
-    return W[best] / s, float(objectives[best])
-
-
-def pareto_descent_check(bundle: GradientBundle, sigma, result: CombinationResult, tol: float) -> bool:
-    """True iff <g_i, d> >= sigma_i * ||d||^2 - tol for every task."""
-    s = _as_sigma(sigma, bundle.size)
-    d = result.direction
-    dd = float(d @ d)
-    return bool(np.all(bundle.grads @ d >= s * dd - tol))
 
 
 _REQUEST_KEYS = {"grads", "sigma_mode", "sigma", "temperature", "tol", "max_iter"}

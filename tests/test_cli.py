@@ -350,6 +350,10 @@ CONFIG_MUTATIONS = [
     (("net", "hidden"), [0], "net.hidden"),
     (("net", "feature_dim"), 0, "net.feature_dim"),
     (("run", "fd_eps"), 1e-4, "unknown field: run.fd_eps"),  # the editor has no step
+    # range errors name the dotted path, as type errors do
+    (("run", "max_iter"), 0, "run.max_iter must be >= 1, got 0"),
+    (("run", "tol"), -1.0, "run.tol must be positive"),
+    (("run", "temperature"), 0.0, "run.temperature must be positive"),
 ]
 
 

@@ -360,7 +360,8 @@ class TestRunPcl:
         # record each tick's solve and re-check the certificate on the
         # sampled-batch gradients the solver actually saw
         import emgd.experiment as exp
-        from emgd.solver import pareto_descent_check, solve_emgd as real_solve
+        from emgd.solver import solve_emgd as real_solve
+        from oracles import pareto_descent_check
 
         calls = []
 

@@ -5,25 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgd.errors import (
-    DegenerateGradientError,
-    InvalidInputError,
-    NumericError,
-    UnsupportedSizeError,
-)
+from emgd.errors import DegenerateGradientError, InvalidInputError, NumericError
 from emgd.solver import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     CombinationResult,
     ElasticState,
     GradientBundle,
     avg_grad,
-    brute_force_weights,
     combine,
     elastic_factors_gmc,
     elastic_factors_gs,
-    pareto_descent_check,
     solve_emgd,
     solve_min_norm_simplex,
     solve_request,
+)
+from oracles import (
+    brute_force_weights,
+    kkt_min_norm_simplex,
+    pareto_descent_check,
     two_task_closed_form,
 )
 
@@ -281,6 +281,99 @@ class TestSolveEmgd:
         assert result.iterations > 250
         assert certificate_margin(b, sigma, result) >= -1e-8
 
+    def test_k256_needs_no_dense_solve(self, monkeypatch):
+        # every working-set change is a bordered or downdated inverse; no
+        # iteration may factorise or solve a dense system
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra inside the min-norm loop")
+
+        for name in ("solve", "inv", "lstsq", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        b = random_bundle(np.random.default_rng(256), 256, 1024)
+        result, sigma = combine("emgd_gs", b, ElasticState())
+        assert result.converged
+        assert result.iterations > 250
+        assert certificate_margin(b, sigma, result) >= -1e-8
+
+
+def pooled(grads, mu):
+    """Weights summed over identical gradients. With equal factors they are
+    one point, up to the rounding of their Gram rows, and any split of the
+    weight between them is a solution."""
+    _, group = np.unique(grads, axis=0, return_inverse=True)
+    return np.bincount(group.ravel(), weights=mu)
+
+
+def assert_matches_kkt_oracle(grads, sigma):
+    # the scaled Gram matrix and gap scale that solve_emgd hands the solver
+    G = grads @ grads.T
+    M, scale = G / np.outer(sigma, sigma), float(np.max(np.diag(G)))
+    res = solve_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
+    ref = kkt_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
+    assert res.converged == ref.converged
+    assert res.iterations == ref.iterations
+    np.testing.assert_allclose(pooled(grads, res.mu), pooled(grads, ref.mu), rtol=0, atol=1e-9)
+    if res.converged:
+        d = (res.mu / sigma) @ grads
+        margin = np.min(grads @ d - sigma * float(d @ d)) / scale
+        assert margin >= -1e-8
+    return res
+
+
+class TestKktOracleEquivalence:
+    """The working-set inverse takes the same steps as a dense KKT re-solve."""
+
+    @given(k=st.integers(2, 64), extra_dim=st.integers(0, 64), log_scale=st.floats(-8.0, 8.0),
+           mode=st.sampled_from(["gs", "mgda", "fixed"]), shared=st.floats(0.0, 1.0),
+           duplicate=st.booleans(), zero=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bundles(self, k, extra_dim, log_scale, mode, shared, duplicate, zero, seed):
+        # D >= k, as for any bundle of parameter gradients; with fewer
+        # dimensions than points the hull is degenerate and the weights of a
+        # min-norm point are no longer unique
+        rng = np.random.default_rng(seed)
+        dim = k + extra_dim
+        g = (rng.normal(size=(k, dim)) * np.exp(rng.uniform(-0.5, 0.5, size=(k, 1)))
+             + shared * rng.normal(size=dim)) * 10.0 ** log_scale
+        if duplicate:
+            g[0] = g[k - 1]
+        if zero:
+            g[k // 2] = 0.0
+        b = GradientBundle(tuple(range(1, k + 1)), g)
+        if mode == "gs":
+            _, sigma = combine("emgd_gs", b, ElasticState())
+        elif mode == "mgda":
+            sigma = np.ones(k)
+        else:
+            sigma = rng.uniform(0.05, 1.0, size=k)
+            sigma[0] = sigma[k - 1]  # a duplicate gradient stays a duplicate point
+        assert_matches_kkt_oracle(b.grads, sigma)
+
+    @pytest.mark.parametrize("seed, shared", [(0, 0.0), (1, 0.125)])
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5])
+    def test_near_orthogonal_k256(self, seed, shared, scale):
+        rng = np.random.default_rng(seed)
+        g = (rng.normal(size=(256, 1024)) * np.exp(rng.uniform(-0.5, 0.5, size=(256, 1)))
+             + shared * rng.normal(size=1024)) * scale
+        b = GradientBundle(tuple(range(1, 257)), g)
+        _, sigma = combine("emgd_gs", b, ElasticState())
+        res = assert_matches_kkt_oracle(b.grads, sigma)
+        assert res.converged
+        # the first point and one per iteration but the last entered the
+        # working set; fewer carry weight, so the minor cycle dropped some
+        assert np.count_nonzero(res.mu) < res.iterations
+
+    def test_point_that_cannot_enter_stops_unconverged(self):
+        # not a Gram matrix: point 0 is the most violating, but its pivot
+        # c + M_00 - (c + M_01)^2 / (c + M_11) = 1.5 - 2.25 is negative, so it
+        # cannot enter the working set {1} and the iterate can never change
+        M = np.array([[1.0, -2.0], [-2.0, 0.5]])
+        res = solve_min_norm_simplex(M)
+        assert not res.converged
+        assert res.iterations == DEFAULT_MAX_ITER
+        np.testing.assert_array_equal(res.mu, [0.0, 1.0])
+        assert res.objective == 0.5
+
 
 class TestSolveMgda:
     def test_singleton(self):
@@ -388,7 +481,7 @@ class TestBruteForce:
 
     def test_rejects_large_k(self):
         b = random_bundle(np.random.default_rng(0), 5, 3)
-        with pytest.raises(UnsupportedSizeError):
+        with pytest.raises(InvalidInputError, match="k <= 4"):
             brute_force_weights(b, np.full(5, 0.2), 0.05)
 
     def test_rejects_bad_grid(self):
@@ -439,7 +532,6 @@ class TestParetoDescentCheck:
             lam=res.lam[::-1].copy(),
             direction=res.lam[::-1] @ b.grads,
             objective=0.0,
-            alpha=0.0,
             iterations=0,
             converged=True,
         )
@@ -456,7 +548,7 @@ class TestLemmaProperties:
             sig = np.array([0.5, 0.5])
             res = solve_emgd(b, sig)
             assert np.linalg.norm(res.direction) <= 1e-6
-            assert abs(res.alpha) <= 1e-6
+            assert abs(-res.objective) <= 1e-6
 
     def test_min_norm_inequality_in_scaled_space(self):
         rng = np.random.default_rng(29)
