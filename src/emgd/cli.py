@@ -3,9 +3,9 @@
 Data goes to stdout or files under --out, diagnostics go to stderr. Exit
 codes: 0 success, 1 input error (an unwritable output path included), 2 solver
 non-convergence (solve), 3 mid-run numeric failure (run-pcl, reported with the
-failing tick). Config documents are parsed strictly: unknown keys and ill-typed
-values are rejected naming the dotted field path, range errors by the field's
-name (net widths by their dotted path). All randomness flows
+failing tick). Config documents are parsed strictly: unknown keys, ill-typed
+values and out-of-range values are rejected naming the dotted field path. All
+randomness flows
 from the single top-level seed through named substreams, so identical
 configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity.
 """

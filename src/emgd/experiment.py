@@ -76,7 +76,7 @@ class RunConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
         for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("eval_every", 0),
-                          ("memory_batch_size", 0)):
+                          ("memory_batch_size", 0), ("capacity_per_class", 1)):
             value = getattr(self, name)
             if value < low:
                 # batch_size and epochs come from the split or the manifest, which check them first
@@ -250,34 +250,23 @@ class ProbeReport:
     nonincrease_fraction: float
 
 
-def convergence_probe(trace_or_rows) -> ProbeReport:
+def convergence_probe(trace: ToyTrace) -> ProbeReport:
     """Direction-norm summary plus the fraction of ticks where every loss
     that was active at consecutive ticks did not increase."""
-    if isinstance(trace_or_rows, ToyTrace):
-        rows = [
-            {
-                "d_norm": r.d_norm,
-                "losses": {1: r.f1, 2: r.f2} if r.tick > trace_or_rows.join_tick else {1: r.f1},
-            }
-            for r in trace_or_rows.rows
-        ]
-    else:
-        rows = trace_or_rows
+    rows = trace.rows
     if not rows:
         raise IncompleteMatrixError("empty log")
-    norms = [r["d_norm"] for r in rows]
-    good = total = 0
-    for prev, cur in zip(rows, rows[1:]):
-        shared = set(prev["losses"]) & set(cur["losses"])
-        if not shared:
-            continue
-        total += 1
-        if all(cur["losses"][t] <= prev["losses"][t] + 1e-15 for t in shared):
-            good += 1
+
+    def losses(r: ToyRow) -> tuple:
+        return (r.f1, r.f2) if r.tick > trace.join_tick else (r.f1,)
+
+    # f1 is active at every tick, so every consecutive pair shares a loss
+    good = sum(all(cur <= prev + 1e-15 for prev, cur in zip(losses(a), losses(b)))
+               for a, b in zip(rows, rows[1:]))
     return ProbeReport(
-        final_direction_norm=float(norms[-1]),
-        min_direction_norm=float(min(norms)),
-        nonincrease_fraction=(good / total) if total else 1.0,
+        final_direction_norm=float(rows[-1].d_norm),
+        min_direction_norm=float(min(r.d_norm for r in rows)),
+        nonincrease_fraction=good / (len(rows) - 1) if len(rows) > 1 else 1.0,
     )
 
 

@@ -235,7 +235,8 @@ def _feature_delta(feats: np.ndarray, dlogits: np.ndarray, groups) -> np.ndarray
 def _backprop(net: Network, activations: list, delta: np.ndarray, spans) -> tuple:
     """Push d(loss)/d(features) back through the tanh layers in one chain of
     ``dz @ W.T`` over all rows, writing each layer's ``a.T @ dz`` over rows
-    ``spans[s] = (lo, hi)`` into row s of a k x D array. Returns it and the dzs."""
+    ``spans[s] = (lo, hi)`` into row s of a k x D array (none for no spans).
+    Returns it and the dzs."""
     grads = np.empty((len(spans), net.backbone_dim))
     views = [_layers(row, net.layer_sizes) for row in grads]
     dzs = [None] * len(net.backbone)
@@ -308,16 +309,23 @@ def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientRepo
     return GradientReport(grads[0], head_grads[batch.task_id], losses[0])
 
 
-def input_gradient(net: Network, batch: Batch) -> np.ndarray:
-    """d(mean loss)/d(inputs), same shape as ``batch.inputs``."""
-    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
+def _task_groups(net: Network, labels: np.ndarray, groups) -> list:
+    """One ``_Group`` per ``(task_id, slice)``: each its own stream at weight 1,
+    no head step."""
+    return [_Group(task_id, rows, *_head(net, task_id, labels[rows]), j, 1.0, 0.0)
+            for j, (task_id, rows) in enumerate(groups)]
+
+
+def input_gradient(net: Network, inputs, labels, groups):
+    """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
+    same shape as ``inputs``, and each group's mean loss: one forward, one
+    head stage and a backward chain with no parameter gradients."""
+    groups = _task_groups(net, labels, list(groups))
     activations = _activations(net, inputs)
-    _, dlogits, _ = _head_stage(activations[-1], labels, groups)
-    delta = _feature_delta(activations[-1], dlogits, groups)
-    for i in range(len(net.backbone) - 1, -1, -1):
-        a_out = activations[i + 1]
-        delta = (delta * (1.0 - a_out * a_out)) @ net.backbone[i][0].T  # tanh'
-    return delta
+    feats = activations[-1]
+    _, dlogits, logp = _head_stage(feats, labels, groups)
+    _, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups), [])
+    return dzs[0] @ net.backbone[0][0].T, np.array([-logp[g.rows].mean() for g in groups])
 
 
 def _edit_pass(net: Network, inputs, labels, groups, target_d):
@@ -330,8 +338,7 @@ def _edit_pass(net: Network, inputs, labels, groups, target_d):
         raise InvalidInputError(f"target direction must have backbone dimension {net.backbone_dim}")
     activations = _activations(net, inputs)
     feats = activations[-1]
-    groups = [_Group(task_id, rows, *_head(net, task_id, labels[rows]), j, 1.0, 0.0)
-              for j, (task_id, rows) in enumerate(groups)]
+    groups = _task_groups(net, labels, groups)
     probs, dlogits, _ = _head_stage(feats, labels, groups)
     spans = [g.rows.indices(labels.size)[:2] for g in groups]
     U, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups), spans)

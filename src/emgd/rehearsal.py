@@ -22,7 +22,6 @@ from .net import (
     backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
     edit_objective,
-    forward,
     header_field,
     header_int_map,
     input_gradient,
@@ -49,10 +48,11 @@ class EditConfig:
     clamp: bool = True
 
     def __post_init__(self):
+        # named by the run config fields that feed them
         if not (0.0 <= self.eta_edit <= 1.0):
-            raise InvalidInputError("eta_edit must lie in [0, 1]")
+            raise InvalidInputError(f"run.eta_edit must lie in [0, 1], got {self.eta_edit!r}")
         if self.iterations < 0:
-            raise InvalidInputError("iterations must be >= 0")
+            raise InvalidInputError(f"run.edit_iterations must be >= 0, got {self.iterations!r}")
 
 
 @dataclass
@@ -84,9 +84,6 @@ class MemoryBuffer:
     @property
     def occupancy(self) -> int:
         return len(self.slots)
-
-    def class_counts(self) -> dict:
-        return {c: len(idx) for c, idx in self._by_class.items()}
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -177,27 +174,19 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> 
     mem.inputs = inputs
 
 
-def edit_memory_emgd(
-    buffer: MemoryBuffer,
-    net: Network,
-    mem: MemoryBatch,
-    direction_d,
-    cfg: EditConfig,
-) -> float:
-    """Move sampled inputs down the gradient of ||g(x) - d||^2.
-
-    Each task group is edited against the shared target direction; inputs
-    are clamped back into [0, 1]. Labels, task ids and network parameters
-    are never touched. The rows are sorted by task once, so every edit
-    iteration is one ``edit_direction`` pass over the batch. Returns the
-    editing objective before the edit.
-    """
-    d = np.asarray(direction_d, dtype=np.float64)
+def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
+               cfg: EditConfig, step) -> float:
+    """The editing loop both editors share. The rows are sorted by task once;
+    each iteration moves them by ``-eta_edit`` times ``step(inputs, labels,
+    groups)``'s first result over ``(task_id, slice)`` groups, then clamps.
+    The edited rows are unsorted and written back. Returns the editing
+    objective before the edit: a step's second result on its first call, or
+    else one ``editing_objective`` pass once the loop is done."""
     order, groups = _sorted_groups(mem.task_ids)
     inputs, labels = mem.inputs[order], mem.labels[order]
     objective = None
     for _ in range(cfg.iterations if cfg.eta_edit > 0.0 else 0):
-        delta, value = edit_direction(net, inputs, labels, groups, d)
+        delta, value = step(inputs, labels, groups)
         objective = value if objective is None else objective
         inputs -= cfg.eta_edit * delta
         if cfg.clamp:
@@ -210,6 +199,25 @@ def edit_memory_emgd(
     return objective
 
 
+def edit_memory_emgd(
+    buffer: MemoryBuffer,
+    net: Network,
+    mem: MemoryBatch,
+    direction_d,
+    cfg: EditConfig,
+) -> float:
+    """Move sampled inputs down the gradient of ||g(x) - d||^2.
+
+    Each task group is edited against the shared target direction; inputs
+    are clamped back into [0, 1]. Labels, task ids and network parameters
+    are never touched. Every edit iteration is one ``edit_direction`` pass
+    over the batch. Returns the editing objective before the edit.
+    """
+    d = np.asarray(direction_d, dtype=np.float64)
+    return _edit_loop(buffer, net, mem, d, cfg,
+                      lambda inputs, labels, groups: edit_direction(net, inputs, labels, groups, d))
+
+
 def edit_memory_gmed(
     buffer: MemoryBuffer,
     net: Network,
@@ -220,38 +228,34 @@ def edit_memory_gmed(
     """Loss-difference editing baseline.
 
     A look-ahead parameter set theta' = theta + eta * d (one virtual update)
-    defines the interference score (loss(x, theta) - loss(x, theta'))^2;
-    inputs step down its exact input gradient
-    2 (l - l') (grad_x l - grad_x l'). Returns the editing objective
-    ||g(x) - d||^2 (see ``editing_objective``) before the edit.
+    defines each task group's interference score (L(x, theta) - L(x, theta'))^2
+    with L the group's mean loss; inputs step down its exact input gradient
+    2 (L - L') (grad_x L - grad_x L'). Every edit iteration is two grouped
+    ``input_gradient`` passes over the batch, one per parameter set. Returns
+    the editing objective ||g(x) - d||^2 (see ``editing_objective``) before
+    the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
-    objective = editing_objective(net, mem.inputs, mem, d)
     theta = net.flatten_backbone()
-    inputs = mem.inputs.copy()
+    ahead = theta + cfg.eta_edit * d
+
+    def step(inputs, labels, groups):
+        # the look-ahead first, so each step leaves the network at theta
+        net.set_backbone_flat(ahead)
+        gx_ahead, loss_ahead = input_gradient(net, inputs, labels, groups)
+        net.set_backbone_flat(theta)
+        delta, loss_now = input_gradient(net, inputs, labels, groups)
+        delta -= gx_ahead
+        for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
+            delta[rows] *= 2.0 * (now - later)
+        return delta, None
+
     try:
-        for _ in range(cfg.iterations):
-            if cfg.eta_edit == 0.0:
-                break
-            for task_id in np.unique(mem.task_ids).tolist():
-                mask = mem.task_ids == task_id
-                batch = Batch(inputs[mask], mem.labels[mask], task_id)
-                net.set_backbone_flat(theta)
-                _, loss_now = forward(net, batch)
-                gx_now = input_gradient(net, batch)
-                net.set_backbone_flat(theta + cfg.eta_edit * d)
-                _, loss_ahead = forward(net, batch)
-                gx_ahead = input_gradient(net, batch)
-                delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
-                inputs[mask] = inputs[mask] - cfg.eta_edit * delta
-            if cfg.clamp:
-                inputs = np.clip(inputs, 0.0, 1.0)
+        return _edit_loop(buffer, net, mem, d, cfg, step)
     finally:
         net.set_backbone_flat(theta)
-    _write_back(buffer, mem, inputs, cfg.clamp)
-    return objective
 
 
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:

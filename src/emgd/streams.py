@@ -194,9 +194,10 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
               "samples_per_class": samples_per_class, "test_per_class": test_per_class}
     for name, count in counts.items():
         if count < 1:
-            raise ConfigError(f"{name} must be >= 1, got {count!r}")
+            raise ConfigError(f"dataset.synthetic.{name} must be >= 1, got {count!r}")
     if not 0 <= noise_sigma < math.inf:
-        raise ConfigError(f"noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+        raise ConfigError(
+            f"dataset.synthetic.noise_sigma must be finite and >= 0, got {noise_sigma!r}")
     centers = _draw_centers(
         substream(seed, "centers"), num_classes, input_dim, 4.0 * noise_sigma
     )
@@ -209,10 +210,29 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
     return Dataset(train_x, train_y, test_x, test_y)
 
 
+def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
+    """ConfigError naming ``where`` + each of batch_size and epochs below 1."""
+    low = [f"{where}{name} {value!r}" for name, value in
+           (("batch_size", batch_size), ("epochs", epochs)) if value < 1]
+    if low:
+        raise ConfigError(f"batch_size and epochs must be >= 1, got {', '.join(low)}")
+
+
+def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> TaskSpec:
+    """The task's train and test rows of ``dataset``; ``where`` names the
+    label set when no training row carries one of its labels."""
+    train_mask = np.isin(dataset.train_labels, labels)
+    if not train_mask.any():
+        raise ConfigError(f"{where} {list(labels)} has no training data")
+    test_mask = np.isin(dataset.test_labels, labels)
+    return TaskSpec(task_id, labels, dataset.train_inputs[train_mask],
+                    dataset.train_labels[train_mask], dataset.test_inputs[test_mask],
+                    dataset.test_labels[test_mask])
+
+
 def task_duration(train_size: int, batch_size: int, epochs: int) -> int:
     # one tick per optimization step; the final short batch still costs a tick
-    if batch_size < 1 or epochs < 1:
-        raise ConfigError(f"batch_size and epochs must be >= 1, got {batch_size!r}, {epochs!r}")
+    _check_steps(batch_size, epochs)
     return max(1, epochs * math.ceil(train_size / batch_size))
 
 
@@ -233,14 +253,17 @@ def build_parallel_split(
     predecessor. Task t starts uniformly inside the legal window
     [s_{t-1}, 1 + max previous end]; ``serial`` collapses that to
     back-to-back scheduling. Identical inputs reproduce identical splits.
+    Range errors name the ``split`` config field that feeds each argument.
     """
     if num_tasks < 1:
-        raise ConfigError("num_tasks must be >= 1")
+        raise ConfigError(f"split.num_tasks must be >= 1, got {num_tasks!r}")
     if len(label_bounds) != 2 or not 1 <= label_bounds[0] <= label_bounds[1]:
-        raise ConfigError(f"label_bounds must be [lo, hi] with 1 <= lo <= hi, got {label_bounds!r}")
+        raise ConfigError(
+            f"split.label_bounds must be [lo, hi] with 1 <= lo <= hi, got {label_bounds!r}")
     lo, hi = int(label_bounds[0]), int(label_bounds[1])
     if not (0.0 <= overlap_fraction < 1.0):
-        raise ConfigError("overlap_fraction must lie in [0, 1)")
+        raise ConfigError(f"split.overlap must lie in [0, 1), got {overlap_fraction!r}")
+    _check_steps(batch_size, epochs, "split.")
     num_classes = dataset.num_classes
     rng = substream(seed, "split")
 
@@ -270,22 +293,8 @@ def build_parallel_split(
             shared = list(rng.choice(prev, size=overlaps[t], replace=False))
         label_sets.append(tuple(sorted(int(c) for c in fresh + shared)))
 
-    specs = []
-    for t, labels in enumerate(label_sets, start=1):
-        train_mask = np.isin(dataset.train_labels, labels)
-        test_mask = np.isin(dataset.test_labels, labels)
-        if not train_mask.any():
-            raise ConfigError(f"task {t} label set {labels} has no training data")
-        specs.append(
-            TaskSpec(
-                t,
-                labels,
-                dataset.train_inputs[train_mask],
-                dataset.train_labels[train_mask],
-                dataset.test_inputs[test_mask],
-                dataset.test_labels[test_mask],
-            )
-        )
+    specs = [_task_spec(dataset, t, labels, f"task {t} label set")
+             for t, labels in enumerate(label_sets, start=1)]
 
     rng_timeline = substream(seed, "timeline")
     entries = []
@@ -463,23 +472,13 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
     specs, entries = [], []
     for i, entry in enumerate(tasks):
         task = section(entry, f"manifest.tasks[{i}]", _MANIFEST_TASK)
-        labels = tuple(task["labels"])
-        train_mask = np.isin(dataset.train_labels, labels)
-        test_mask = np.isin(dataset.test_labels, labels)
-        specs.append(
-            TaskSpec(
-                task["id"],
-                labels,
-                dataset.train_inputs[train_mask],
-                dataset.train_labels[train_mask],
-                dataset.test_inputs[test_mask],
-                dataset.test_labels[test_mask],
-            )
-        )
+        specs.append(_task_spec(dataset, task["id"], tuple(task["labels"]),
+                                f"manifest.tasks[{i}].labels"))
         entries.append((task["id"], task["s"], task["e"]))
     timeline = TaskTimeline(entries)
     batch_size = read_field(manifest, "batch_size", 128, "manifest")
     epochs = read_field(manifest, "epochs", 1, "manifest")
+    _check_steps(batch_size, epochs, "manifest.")
     for spec in specs:
         s, e = timeline.window(spec.task_id)
         expect = task_duration(spec.train_size, batch_size, epochs)

@@ -5,6 +5,11 @@ grad_x ||g(x) - d||^2 by differencing the input gradient through a
 parameter perturbation. ``emgd.net.edit_direction`` computes the same
 quantity exactly; these slower approximations pin it down.
 
+``per_group_gmed`` is the loss-difference editor that
+``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
+``forward`` and one ``input_gradient`` at theta and again at the look-ahead
+theta + eta * d, with the backbone written twice per group.
+
 ``per_stream_gradients`` is the per-stream training path that
 ``emgd.net.stream_gradients`` replaced: one forward and one backward per
 stream, one softmax per head group, then ``np.stack``.
@@ -22,7 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from emgd.errors import InvalidInputError
-from emgd.net import Batch, Network, _activations, _head, _layers, backward, input_gradient
+from emgd.net import (Batch, Network, _activations, _head, _layers, backward, forward,
+                      input_gradient)
+from emgd.rehearsal import _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_sigma
 
 # Squared-norm threshold below which two scaled gradients are treated as the
@@ -96,6 +103,38 @@ def per_stream_gradients(net: Network, streams):
     return np.stack(grads), losses, head_grads
 
 
+def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
+    """``edit_memory_gmed``'s edit and return value, one task group at a time."""
+    d = np.asarray(direction_d, dtype=np.float64)
+    if d.shape != (net.backbone_dim,):
+        raise InvalidInputError("direction dimension mismatch")
+    objective = editing_objective(net, mem.inputs, mem, d)
+    theta = net.flatten_backbone()
+    inputs = mem.inputs.copy()
+    try:
+        for _ in range(cfg.iterations):
+            if cfg.eta_edit == 0.0:
+                break
+            for task_id in np.unique(mem.task_ids).tolist():
+                mask = mem.task_ids == task_id
+                batch = Batch(inputs[mask], mem.labels[mask], task_id)
+                group = [(task_id, slice(None))]
+                net.set_backbone_flat(theta)
+                _, loss_now = forward(net, batch)
+                gx_now, _ = input_gradient(net, batch.inputs, batch.labels, group)
+                net.set_backbone_flat(theta + cfg.eta_edit * d)
+                _, loss_ahead = forward(net, batch)
+                gx_ahead, _ = input_gradient(net, batch.inputs, batch.labels, group)
+                delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
+                inputs[mask] = inputs[mask] - cfg.eta_edit * delta
+            if cfg.clamp:
+                inputs = np.clip(inputs, 0.0, 1.0)
+    finally:
+        net.set_backbone_flat(theta)
+    _write_back(buffer, mem, inputs, cfg.clamp)
+    return objective
+
+
 def directional_edit_gradient(input_grad_at, theta: np.ndarray, v: np.ndarray, eps: float):
     """Core of the editing direction: gradient of ||g(x) - d||^2 w.r.t. x.
 
@@ -126,7 +165,8 @@ def central_difference_edit(net: Network, batch: Batch, target_d: np.ndarray,
 
     def input_grad_at(theta_prime):
         net.set_backbone_flat(theta_prime)
-        return input_gradient(net, batch)
+        return input_gradient(net, batch.inputs, batch.labels,
+                              [(batch.task_id, slice(None))])[0]
 
     try:
         delta = directional_edit_gradient(input_grad_at, theta, v, eps)

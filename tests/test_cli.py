@@ -314,8 +314,9 @@ class TestReport:
 
 
 # One field of a valid config set to a malformed value. The expected text is
-# the dotted field path for a value of the wrong type or an unknown key, and
-# the field's name for a range error raised by the constructor that owns it.
+# the dotted field path for a value of the wrong type or an unknown key. Range
+# errors name the dotted path too; the older rows check the field's name only,
+# the rows at the end the dotted path.
 CONFIG_MUTATIONS = [
     (("seed",), "x", "config.seed"),
     (("dataset",), {}, "dataset"),
@@ -354,6 +355,22 @@ CONFIG_MUTATIONS = [
     (("run", "max_iter"), 0, "run.max_iter must be >= 1, got 0"),
     (("run", "tol"), -1.0, "run.tol must be positive"),
     (("run", "temperature"), 0.0, "run.temperature must be positive"),
+    (("run", "edit_iterations"), -1, "run.edit_iterations must be >= 0, got -1"),
+    (("run", "eta_edit"), 2.0, "run.eta_edit must lie in [0, 1], got 2.0"),
+    (("run", "capacity_per_class"), 0, "run.capacity_per_class must be >= 1, got 0"),
+    (("split", "overlap"), 1.5, "split.overlap must lie in [0, 1), got 1.5"),
+    (("split", "num_tasks"), 0, "split.num_tasks must be >= 1, got 0"),
+    (("split", "label_bounds"), [4], "split.label_bounds must be [lo, hi]"),
+    (("split", "batch_size"), 0, "must be >= 1, got split.batch_size 0"),
+    (("split", "epochs"), 0, "must be >= 1, got split.epochs 0"),
+    (("dataset", "synthetic", "num_classes"), 0, "dataset.synthetic.num_classes must be >= 1"),
+    (("dataset", "synthetic", "input_dim"), 0, "dataset.synthetic.input_dim must be >= 1"),
+    (("dataset", "synthetic", "samples_per_class"), 0,
+     "dataset.synthetic.samples_per_class must be >= 1"),
+    (("dataset", "synthetic", "test_per_class"), 0,
+     "dataset.synthetic.test_per_class must be >= 1"),
+    (("dataset", "synthetic", "noise_sigma"), -0.1,
+     "dataset.synthetic.noise_sigma must be finite and >= 0"),
 ]
 
 
@@ -395,6 +412,10 @@ class TestMalformedConfig:
         (lambda m: m.update(batch_size="x"), "manifest.batch_size"),
         (lambda m: m.update(batch_size=0), "batch_size"),
         (None, "must be a JSON object"),  # the manifest is a list
+        (lambda m: m.update(epochs=0), "must be >= 1, got manifest.epochs 0"),
+        # a label set with no training rows, on a one-tick window that fits it
+        (lambda m: m["tasks"][-1].update(labels=[99, 100], e=m["tasks"][-1]["s"]),
+         "manifest.tasks[1].labels [99, 100] has no training data"),
     ])
     def test_manifest_mutation(self, tmp_path, capsys, edit, name):
         manifest_path = tmp_path / "m.json"

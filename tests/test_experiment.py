@@ -7,6 +7,8 @@ from emgd.errors import ConfigError, IncompleteMatrixError, InvalidInputError
 from emgd.experiment import (
     AccuracyMatrix,
     RunConfig,
+    ToyRow,
+    ToyTrace,
     compute_metrics,
     convergence_probe,
     metrics_document,
@@ -123,13 +125,21 @@ class TestConvergenceProbe:
         # opposed equal gradients: the combined direction vanishes at tick 1
         g = np.array([1.0, -2.0, 0.5])
         res, _ = combine("mgda", GradientBundle((1, 2), np.stack([g, -g])), ElasticState())
-        rows = [
-            {"d_norm": float(np.linalg.norm(res.direction)), "losses": {1: 1.0, 2: 1.0}},
-            {"d_norm": 0.0, "losses": {1: 1.0, 2: 1.0}},
-        ]
-        probe = convergence_probe(rows)
+        trace = ToyTrace("mgda", (0.0, 0.0), join_tick=0, f1_init=1.0, f2_init=1.0, rows=[
+            ToyRow(tick, 0.0, 0.0, 1.0, 1.0, d_norm, (), (), 0.0)
+            for tick, d_norm in ((1, float(np.linalg.norm(res.direction))), (2, 0.0))
+        ])
+        probe = convergence_probe(trace)
         assert probe.min_direction_norm <= 1e-6
-        assert rows[0]["d_norm"] <= 1e-6
+        assert trace.rows[0].d_norm <= 1e-6
+
+    def test_second_loss_counts_only_after_the_join(self):
+        # f2 rises 5 -> 9 across the join (not yet shared) and 9 -> 10 after it
+        trace = ToyTrace("emgd_gs", (0.0, 0.0), join_tick=1, f1_init=1.0, f2_init=5.0, rows=[
+            ToyRow(tick, 0.0, 0.0, 1.0, f2, 1.0, (), (), 0.0)
+            for tick, f2 in ((1, 5.0), (2, 9.0), (3, 10.0))
+        ])
+        assert convergence_probe(trace).nonincrease_fraction == 0.5
 
 
 class TestMetrics:
@@ -230,7 +240,7 @@ class TestRunPcl:
             assert set(row["active"]) == expect
 
     def test_deterministic_replay(self):
-        for editing in ("none", "emgd"):
+        for editing in ("none", "emgd", "gmed"):
             specs_a, tl_a, net_a = pcl_setup()
             specs_b, tl_b, net_b = pcl_setup()
             cfg = quick_cfg(method="emgd_gs", editing=editing)
@@ -266,13 +276,14 @@ class TestRunPcl:
         )
 
     def test_editing_keeps_buffer_in_unit_cube(self):
-        specs, tl, net = pcl_setup(num_tasks=3)
-        cfg = quick_cfg(method="emgd_gs", editing="emgd", eta_edit=0.2)
-        result = run_pcl(specs, tl, net, MemoryBuffer(3), cfg)
-        for slot in result.buffer.slots:
-            assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
-        edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
-        assert edited_rows  # editing actually ran
+        for editing in ("emgd", "gmed"):
+            specs, tl, net = pcl_setup(num_tasks=3)
+            cfg = quick_cfg(method="emgd_gs", editing=editing, eta_edit=0.2)
+            result = run_pcl(specs, tl, net, MemoryBuffer(3), cfg)
+            for slot in result.buffer.slots:
+                assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
+            edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
+            assert edited_rows  # editing actually ran
 
     def test_learns_separable_blobs(self):
         specs, tl, net = pcl_setup(num_tasks=3, epochs=5)

@@ -311,14 +311,16 @@ class TestInputGradient:
     def test_zero_backbone_gives_zero_input_gradient(self):
         net = zero_net()
         batch = Batch(np.full((2, 6), 0.3), [0, 1], task_id=1)
-        grad = input_gradient(net, batch)
+        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+                                 [(batch.task_id, slice(None))])
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         net = make_net()
         batch = make_batch(rng, net, size=3)
-        grad = input_gradient(net, batch)
+        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+                                 [(batch.task_id, slice(None))])
         assert grad.shape == batch.inputs.shape
         h = 1e-5
         for _ in range(12):
@@ -335,14 +337,59 @@ class TestInputGradient:
         rng = np.random.default_rng(13)
         net = make_net()
         single = make_batch(rng, net, size=1)
-        grad1 = input_gradient(net, single)
+        grad1, _ = input_gradient(net, single.inputs, single.labels,
+                                  [(single.task_id, slice(None))])
         doubled = Batch(
             np.vstack([single.inputs, single.inputs]),
             np.concatenate([single.labels, single.labels]),
             task_id=1,
         )
-        grad2 = input_gradient(net, doubled)
+        grad2, _ = input_gradient(net, doubled.inputs, doubled.labels,
+                                  [(doubled.task_id, slice(None))])
         np.testing.assert_allclose(grad2[0], grad1[0] / 2.0, atol=1e-14)
+
+
+    @staticmethod
+    def grouped_batch(rng, net, sizes):
+        """Three task groups of the given sizes stacked as ``(task_id, slice)``."""
+        batches = [make_batch(rng, net, task=t, size=n) for t, n in zip((1, 2, 3), sizes)]
+        bounds = np.cumsum([0, *sizes])
+        groups = [(b.task_id, slice(lo, hi)) for b, lo, hi in zip(batches, bounds, bounds[1:])]
+        inputs = np.concatenate([b.inputs for b in batches])
+        return batches, inputs, np.concatenate([b.labels for b in batches]), groups
+
+    def test_grouped_matches_central_differences(self):
+        # each row gets the gradient of its own group's mean loss, under heads
+        # of different widths
+        rng = np.random.default_rng(30)
+        net = make_net(heads=((1, 4), (2, 2), (3, 5)))
+        batches, inputs, labels, groups = self.grouped_batch(rng, net, (3, 1, 4))
+        grad, losses = input_gradient(net, inputs, labels, groups)
+        assert grad.shape == inputs.shape and losses.shape == (3,)
+        h = 1e-5
+        for batch, (_, rows), loss in zip(batches, groups, losses):
+            assert loss == pytest.approx(forward(net, batch)[1], rel=1e-13)
+            for _ in range(8):
+                i = int(rng.integers(batch.size))
+                j = int(rng.integers(net.input_dim))
+                x = batch.inputs.copy()
+                x[i, j] += h
+                _, up = forward(net, Batch(x, batch.labels, batch.task_id))
+                x[i, j] -= 2 * h
+                _, down = forward(net, Batch(x, batch.labels, batch.task_id))
+                assert grad[rows][i, j] == pytest.approx((up - down) / (2 * h),
+                                                         rel=1e-4, abs=1e-9)
+
+    def test_grouped_matches_one_group_calls(self):
+        rng = np.random.default_rng(31)
+        net = make_net(heads=((1, 4), (2, 2), (3, 5)))
+        batches, inputs, labels, groups = self.grouped_batch(rng, net, (2, 5, 3))
+        grad, losses = input_gradient(net, inputs, labels, groups)
+        for batch, (_, rows), loss in zip(batches, groups, losses):
+            alone, (alone_loss,) = input_gradient(net, batch.inputs, batch.labels,
+                                                  [(batch.task_id, slice(None))])
+            np.testing.assert_allclose(grad[rows], alone, rtol=1e-12, atol=1e-17)
+            assert loss == pytest.approx(alone_loss, rel=1e-13)
 
 
 class TestEditDirection:

@@ -1,3 +1,6 @@
+import copy
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,7 @@ from emgd.rehearsal import (
     sample_memory,
     save_buffer_snapshot,
 )
-from oracles import directional_edit_gradient
+from oracles import directional_edit_gradient, per_group_gmed
 
 CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
@@ -40,6 +43,10 @@ def make_net(seed=0, dim=6, heads=((1, 4), (2, 3))):
     return net
 
 
+def class_counts(buf):
+    return Counter(s.class_id for s in buf.slots)
+
+
 def filled_buffer(rng, capacity=3, tasks=(1, 2), per_task=6, dim=6):
     buf = MemoryBuffer(capacity)
     for t in tasks:
@@ -55,7 +62,7 @@ class TestInsert:
         batch = class_batch(rng, 3, label=0)
         insert(buf, batch, class_ids=[7, 7, 7], seed_or_rng=1)
         assert buf.occupancy == 3
-        assert buf.class_counts() == {7: 3}
+        assert class_counts(buf) == {7: 3}
 
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(1)
@@ -63,8 +70,8 @@ class TestInsert:
         for _ in range(20):
             batch = class_batch(rng, 8, classes=3)
             insert(buf, batch, class_ids=batch.labels, seed_or_rng=rng)
-        assert all(n <= 4 for n in buf.class_counts().values())
-        assert buf.occupancy == sum(buf.class_counts().values())
+        assert all(n <= 4 for n in class_counts(buf).values())
+        assert buf.occupancy == sum(class_counts(buf).values())
 
     def test_inserting_one_class_never_evicts_another(self):
         rng = np.random.default_rng(2)
@@ -387,6 +394,45 @@ class TestEditGmed:
                          EditConfig(eta_edit=1.0))
         for s in buf.slots:
             assert s.x.min() >= 0.0 and s.x.max() <= 1.0
+
+    @pytest.mark.parametrize("cfg", [EditConfig(eta_edit=0.5, iterations=3, clamp=False),
+                                     EditConfig(eta_edit=0.2, iterations=2)])
+    def test_matches_per_group_oracle(self, cfg):
+        # three tasks interleaved in the batch, drawn with replacement so
+        # slots repeat; the oracle edits one task group at a time
+        rng = np.random.default_rng(22)
+        buf = filled_buffer(rng, tasks=(1, 2, 3))
+        mem = sample_memory(buf, buf.occupancy + 9, 6)
+        assert len(set(mem.slot_indices.tolist())) < mem.size
+        assert np.any(np.diff(mem.task_ids) < 0)  # not sorted by task
+        nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
+        d = rng.normal(size=nets[0].backbone_dim) * 5
+        bufs = [copy.deepcopy(buf) for _ in range(2)]
+        mems = [copy.deepcopy(mem) for _ in range(2)]
+        got = edit_memory_gmed(bufs[0], nets[0], mems[0], d, cfg)
+        expected = per_group_gmed(bufs[1], nets[1], mems[1], d, cfg)
+        assert got == expected
+        assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
+        np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
+        for a, b in zip(bufs[0].slots, bufs[1].slots):
+            np.testing.assert_allclose(a.x, b.x, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
+
+    @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
+    @pytest.mark.parametrize("iterations", [0, 1, 3])
+    def test_writes_backbone_twice_per_iteration(self, monkeypatch, tasks, iterations):
+        rng = np.random.default_rng(23)
+        net = make_net(heads=((1, 4), (2, 3), (3, 5)))
+        buf = filled_buffer(rng, tasks=tasks)
+        mem = sample_memory(buf, 8, 7)
+        assert len(np.unique(mem.task_ids)) == len(tasks)
+        calls = []
+        set_flat = Network.set_backbone_flat
+        monkeypatch.setattr(Network, "set_backbone_flat",
+                            lambda self, flat: calls.append(1) or set_flat(self, flat))
+        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim),
+                         EditConfig(iterations=iterations))
+        assert len(calls) == 2 * iterations + 1
 
     def test_restores_parameters(self):
         rng = np.random.default_rng(18)
