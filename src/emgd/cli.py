@@ -78,6 +78,9 @@ def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
 
 def _build_split(doc: dict, dataset: streams.Dataset, seed: int, args):
     split = section(doc, "split", _SPLIT)
+    if args.overlap is not None and not 0.0 <= args.overlap < 1.0:
+        # checked here so the error names the flag, not the config field
+        raise ConfigError(f"--overlap must lie in [0, 1), got {args.overlap!r}")
     specs, timeline = streams.build_parallel_split(
         dataset,
         num_tasks=split["num_tasks"],

@@ -217,10 +217,11 @@ def run_toy(
     trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
     state = solver.ElasticState(temperature=temperature)
     for tick in range(1, iterations + 1):
-        grads = [-toy_grad_f1(x, y)]
+        grads = [toy_grad_f1(x, y)]
         if tick > join_tick:
-            grads.append(-toy_grad_f2(x, y))
-        bundle = solver.GradientBundle(tuple(range(1, len(grads) + 1)), np.stack(grads))
+            grads.append(toy_grad_f2(x, y))
+        grads = np.negative(grads)  # the bundle holds negative gradients
+        bundle = solver.GradientBundle((1, 2)[:len(grads)], grads)
         result, sigma = solver.combine(method, bundle, state, tol, max_iter)
         d = result.direction
         dd = result.objective

@@ -259,6 +259,16 @@ class TestBuildSplits:
         shared = set(tasks[0]["labels"]) & set(tasks[1]["labels"])
         assert len(shared) == 2  # ceil(0.5 * 4)
 
+    @pytest.mark.parametrize("command", ["build-splits", "run-pcl"])
+    def test_out_of_range_overlap_flag_named(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr("emgd.experiment.run_pcl", never_train)
+        cfg = pcl_config(tmp_path)  # its split.overlap is the default, 0.0
+        code = main([command, "--config", str(cfg), "--overlap", "1.5",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured, "--overlap must lie in [0, 1), got 1.5")
+        assert "split.overlap" not in captured.err
+
     def test_infeasible_bounds_exit_1(self, tmp_path, capsys):
         cfg = pcl_config(
             tmp_path,

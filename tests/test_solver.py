@@ -10,6 +10,7 @@ from emgd.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     CombinationResult,
+    ElasticFactors,
     ElasticState,
     GradientBundle,
     avg_grad,
@@ -20,6 +21,7 @@ from emgd.solver import (
     solve_min_norm_simplex,
     solve_request,
 )
+from emgd.solver import _ROW_GRAM_MIN_DIM
 from oracles import (
     brute_force_weights,
     kkt_min_norm_simplex,
@@ -68,12 +70,52 @@ class TestBundleInvariants:
             GradientBundle((1, 1), np.ones((2, 3)))
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(NumericError):
-            GradientBundle((1,), np.array([[np.nan, 0.0]]))
+        for grads in ([[np.nan, 0.0]], [[np.inf, 0.0]], [[0.0, -np.inf]],
+                      [[1.0, 2.0], [3.0, np.nan]]):
+            with pytest.raises(NumericError, match="non-finite"):
+                GradientBundle(tuple(range(1, len(grads) + 1)), np.array(grads))
 
     def test_rejects_mismatched_ids(self):
         with pytest.raises(InvalidInputError):
             GradientBundle((1, 2, 3), np.ones((2, 3)))
+
+
+class TestBundleGram:
+    # k from 1 to 12 and D on both sides of the row-product threshold, so
+    # both Gram kernels run; scales from 1e-8 to 1e8.
+    @settings(max_examples=120, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        dim=st.one_of(st.integers(1, 256),
+                      st.integers(_ROW_GRAM_MIN_DIM - 8, _ROW_GRAM_MIN_DIM + 512)),
+        log_scale=st.floats(-8.0, 8.0),
+        shared=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matrix_product(self, k, dim, log_scale, shared, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((k, dim)) + shared * rng.standard_normal(dim)
+        g *= 10.0 ** log_scale * np.exp(rng.uniform(-1.0, 1.0, size=(k, 1)))
+        gram = GradientBundle(tuple(range(1, k + 1)), g).gram
+        assert gram.shape == (k, k)
+        assert np.array_equal(gram, gram.T)
+        assert (gram.diagonal() >= 0.0).all()
+        assert np.abs(gram - g @ g.T).max() <= 1e-12 * gram.diagonal().max()
+
+
+class TestElasticFactors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_numeric_error(self, bad):
+        with pytest.raises(NumericError, match="sigma contains non-finite entries"):
+            ElasticFactors([0.5, bad])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, 2.0])
+    def test_out_of_range_is_invalid_input(self, bad):
+        with pytest.raises(InvalidInputError, match=r"must lie in \(0, 1\]"):
+            ElasticFactors([bad, 0.5])
+
+    def test_accepts_the_closed_end(self):
+        assert ElasticFactors([1.0, 1e-300]).sigma.tolist() == [1.0, 1e-300]
 
 
 class TestElasticFactorsGmc:
@@ -186,6 +228,21 @@ class TestMinNormSimplex:
         res = solve_min_norm_simplex(gram([[1.0, 0.0], [3.0, 0.0]]))
         np.testing.assert_allclose(res.mu, [1.0, 0.0], atol=1e-12)
         assert res.objective == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("points", [
+        [[1, 2, -4, -2], [4, 0, 3, -3], [-3, 1, -4, -4], [-3, 2, 0, 4], [3, 0, 0, -4]],
+        [[-3, -4, 4, -4, 3], [-2, -4, -1, -2, 3], [0, 4, 2, 4, 0], [1, 1, 0, 3, 4],
+         [-3, 0, 1, 4, -3]],
+    ])
+    def test_clipping_twice_in_one_minor_cycle_matches_oracle(self, points):
+        # Here a minor cycle clips, drops a point and clips again, so its
+        # second step must start from the kept weights of the first.
+        M = gram(points)
+        res = solve_min_norm_simplex(M)
+        ref = kkt_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER)
+        assert res.converged and ref.converged
+        assert res.iterations == ref.iterations == 5
+        np.testing.assert_allclose(res.mu, ref.mu, atol=1e-12)
 
     def test_gap_condition_on_random_instances(self):
         rng = np.random.default_rng(11)
