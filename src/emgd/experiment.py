@@ -28,7 +28,7 @@ from .net import (
     apply_update,
     backward,  # unused here, but perfbench/tracing.py SITES patches experiment.backward
     features,
-    head_logits,
+    head_logits,  # unused here, but perfbench/tracing.py SITES patches experiment.head_logits
     stream_gradients,
 )
 from .rehearsal import EditConfig, MemoryBuffer
@@ -275,28 +275,31 @@ def convergence_probe(trace: ToyTrace) -> ProbeReport:
 
 
 def _evaluate(net: Network, specs_by_id: dict, seen: list):
-    """Accuracies per seen task: (task-incremental, class-incremental)."""
+    """Accuracies per seen task: (task-incremental, class-incremental).
+
+    Each task's test features are scored once against every created head's
+    columns side by side; the task's own column block gives the
+    task-incremental prediction and the argmax over all columns the
+    class-incremental one, whose winning column must carry the sample's
+    true global class."""
     task_acc, class_acc = {}, {}
     head_tasks = [t for t in seen if t in net.heads]
-    slot_globals = np.asarray(
-        [c for t in head_tasks for c in specs_by_id[t].label_set]
-    )
-    for t in head_tasks:
-        spec = specs_by_id[t]
+    heads = [net.head(t) for t in head_tasks]
+    W_all = np.concatenate([W for W, _ in heads], axis=1)
+    b_all = np.concatenate([b for _, b in heads])
+    column_globals = np.asarray([c for t in head_tasks for c in specs_by_id[t].label_set])
+    lo = 0
+    for t, (W, _) in zip(head_tasks, heads):
+        spec, hi = specs_by_id[t], lo + W.shape[1]
         if spec.test_inputs.shape[0] == 0:
-            task_acc[t] = 0.0
-            class_acc[t] = 0.0
-            continue
-        feats = features(net, spec.test_inputs)
-        labels_local = spec.to_local(spec.test_labels)
-        task_acc[t] = float(
-            (head_logits(net, feats, t).argmax(axis=1) == labels_local).mean()
-        )
-        # class-incremental: argmax over every created head's raw logits; the
-        # winning slot must carry the sample's true global class
-        stacked = np.hstack([head_logits(net, feats, o) for o in head_tasks])
-        winners = slot_globals[stacked.argmax(axis=1)]
-        class_acc[t] = float((winners == spec.test_labels).mean())
+            task_acc[t] = class_acc[t] = 0.0
+        else:
+            logits = features(net, spec.test_inputs) @ W_all
+            logits += b_all
+            task_acc[t] = float((logits[:, lo:hi].argmax(axis=1) == spec.test_local).mean())
+            winners = column_globals[logits.argmax(axis=1)]
+            class_acc[t] = float((winners == spec.test_labels).mean())
+        lo = hi
     return task_acc, class_acc
 
 
@@ -384,7 +387,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         finishing = [t for t, e in finish_ticks.items() if e == tick]
         for t in finishing:
             spec = specs_by_id[t]
-            batch = Batch(spec.train_inputs, spec.to_local(spec.train_labels), t)
+            batch = Batch(spec.train_inputs, spec.train_local, t)
             rehearsal.insert(buffer, batch, spec.train_labels, rng_reservoir)
 
         tick_rows.append(

@@ -106,6 +106,7 @@ class Network:
         self.theta = _seeded_layers(np.random.default_rng(seed), sizes)
         self.backbone = _layers(self.theta, sizes)
         self.heads: dict[int, np.ndarray] = {}
+        self._head_views: dict[int, tuple] = {}
 
     @property
     def input_dim(self) -> int:
@@ -123,8 +124,15 @@ class Network:
         return self.heads[task_id].size // (self.feature_dim + 1)
 
     def head(self, task_id: int):
-        """(W, b) views of one head's flat parameters."""
-        return _layers(self.heads[task_id], (self.feature_dim, self.head_classes(task_id)))[0]
+        """(W, b) views of one head's flat parameters, built once per flat
+        vector: a cached pair is rebuilt when ``heads[task_id]`` is replaced
+        (or copied, which leaves W owning its data)."""
+        flat = self.heads[task_id]
+        views = self._head_views.get(task_id)
+        if views is None or views[0].base is not flat:
+            views = self._head_views[task_id] = _layers(
+                flat, (self.feature_dim, self.head_classes(task_id)))[0]
+        return views
 
     def flatten_backbone(self) -> np.ndarray:
         """A copy of ``theta``: a snapshot later updates leave alone."""
@@ -158,7 +166,9 @@ def _activations(net: Network, inputs: np.ndarray) -> list:
         )
     activations = [inputs]
     for W, b in net.backbone:
-        activations.append(np.tanh(activations[-1] @ W + b))
+        z = activations[-1] @ W
+        z += b
+        activations.append(np.tanh(z, out=z))
     return activations
 
 
@@ -167,29 +177,47 @@ def _head(net: Network, task_id: int, labels: np.ndarray):
     if task_id not in net.heads:
         raise UnknownTaskError(f"no head for task {task_id}")
     W_h, b_h = net.head(task_id)
-    if np.any(labels < 0) or np.any(labels >= W_h.shape[1]):
+    if labels.size and (labels.min() < 0 or labels.max() >= W_h.shape[1]):
         raise InvalidInputError("label out of range for the task head")
     return W_h, b_h
 
 
-# A head's rows in a pass (slice or indices), its (W, b) views, stream, share of it, step.
+def task_slices(task_ids) -> list:
+    """``(task_id, slice)`` of each run of equal ids in a per-row id array
+    sorted by task, so that every task's rows are one contiguous slice."""
+    ids = np.asarray(task_ids)
+    if ids.size == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+    firsts = ids[bounds[:-1]].tolist()
+    if any(a > b for a, b in zip(firsts, firsts[1:])):  # sorted iff the runs ascend
+        raise InvalidInputError("per-row task ids must be sorted by task, so that each "
+                                "task's rows are contiguous")
+    return [(t, slice(lo, hi)) for t, lo, hi in zip(firsts, bounds, bounds[1:])]
+
+
+# A head's rows in a pass (a slice), its (W, b) views, stream, share of it, step.
 _Group = namedtuple("_Group", "task_id rows W b stream weight step")
 
 
 def _stack(net: Network, streams: list) -> tuple:
     """The streams' rows stacked in order, each stream's ``(lo, hi)`` in the
-    stack, and one group per head with its rows in the stack."""
+    stack, and one group per head with its slice of the stack."""
     spans, groups, lo = [], [], 0
     for s, (_, labels, task_ids, head_step) in enumerate(streams):
         n = len(labels)
-        routed = ([(int(task_ids), slice(0, n))] if np.ndim(task_ids) == 0 else
-                  [(int(t), np.flatnonzero(task_ids == t)) for t in np.unique(task_ids)])
+        if np.ndim(task_ids) == 0:
+            routed = [(int(task_ids), slice(0, n))]
+        elif len(task_ids) == n:
+            routed = task_slices(task_ids)
+        else:
+            raise InvalidInputError(f"{len(task_ids)} task ids for {n} rows")
         for task_id, rows in routed:
             if any(g.task_id == task_id for g in groups):
                 raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
             W_h, b_h = _head(net, task_id, labels[rows])
-            shifted = slice(lo, lo + n) if isinstance(rows, slice) else rows + lo
-            groups.append(_Group(task_id, shifted, W_h, b_h, s, labels[rows].size / n, head_step))
+            groups.append(_Group(task_id, slice(lo + rows.start, lo + rows.stop), W_h, b_h, s,
+                                 (rows.stop - rows.start) / n, head_step))
         spans.append((lo, lo + n))
         lo += n
     inputs = np.concatenate([x for x, *_ in streams])
@@ -278,12 +306,13 @@ def stream_gradients(net: Network, streams):
     stage over all rows and one backward chain.
 
     ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
-    for the stream or one per row. A head's n_g of n rows weigh n_g / n in
-    the stream's mean loss. With ``head_step > 0`` each head first steps in
-    place by ``head_step`` times its weighted gradient, and all results are
-    read at the stepped heads; as all heads are read before any step, a head
-    may serve one stream only. Returns the k x D positive backbone
-    gradients, the losses and the weighted head gradients."""
+    for the stream, or one per row sorted by task (see ``task_slices``). A
+    head's n_g of n rows weigh n_g / n in the stream's mean loss. With
+    ``head_step > 0`` each head first steps in place by ``head_step`` times
+    its weighted gradient, and all results are read at the stepped heads; as
+    all heads are read before any step, a head may serve one stream only.
+    Returns the k x D positive backbone gradients, the losses and the
+    weighted head gradients."""
     inputs, labels, spans, groups = _stack(net, list(streams))
     activations = _activations(net, inputs)
     feats = activations[-1]

@@ -26,17 +26,10 @@ from .net import (
     header_int_map,
     input_gradient,
     stream_gradients,
+    task_slices,
     write_blob,
     read_blob,
 )
-
-
-@dataclass
-class Slot:
-    x: np.ndarray
-    label: int
-    task_id: int
-    class_id: int
 
 
 @dataclass
@@ -57,7 +50,8 @@ class EditConfig:
 
 @dataclass
 class MemoryBatch:
-    """Samples drawn from the buffer; per-sample task routing for heads."""
+    """Samples drawn from the buffer, sorted by task id so that each task's
+    rows are one contiguous slice (see ``net.task_slices``)."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -71,19 +65,27 @@ class MemoryBatch:
 
 
 class MemoryBuffer:
-    """Fixed per-class capacity store of finished-task samples."""
+    """Fixed per-class capacity store of finished-task samples.
+
+    Slot i is row i of ``x`` with ``label[i]``, ``task_id[i]`` and
+    ``class_id[i]``; slots are numbered in insertion order and a reservoir
+    replacement rewrites a slot in place.
+    """
 
     def __init__(self, capacity_per_class: int):
         if capacity_per_class < 1:
             raise InvalidInputError("capacity_per_class must be >= 1")
         self.capacity_per_class = int(capacity_per_class)
-        self.slots: list[Slot] = []
+        self.x = np.empty((0, 0))
+        self.label = np.empty(0, dtype=np.int64)
+        self.task_id = np.empty(0, dtype=np.int64)
+        self.class_id = np.empty(0, dtype=np.int64)
         self.seen_counts: dict[int, int] = {}
         self._by_class: dict[int, list[int]] = {}
 
     @property
     def occupancy(self) -> int:
-        return len(self.slots)
+        return self.label.size
 
 
 def _as_rng(seed_or_rng) -> np.random.Generator:
@@ -98,32 +100,47 @@ def insert(buffer: MemoryBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
     ``class_ids`` gives each sample's global class (the batch labels are
     local head indices). While a class has free slots samples are appended;
     afterwards each new sample replaces a uniformly random stored sample of
-    its class with probability capacity / seen_count.
+    its class with probability capacity / seen_count. The draws are made
+    sample by sample; the rows are then written at once, a slot drawn twice
+    taking the later sample.
     """
     rng = _as_rng(seed_or_rng)
     class_ids = np.asarray(class_ids, dtype=np.int64)
     if class_ids.shape[0] != batch.size:
         raise InvalidInputError("class_ids must match the batch size")
-    cap = buffer.capacity_per_class
-    for i in range(batch.size):
-        c = int(class_ids[i])
+    width = batch.inputs.shape[1]
+    if buffer.occupancy and width != buffer.x.shape[1]:
+        raise InvalidInputError(
+            f"batch rows have width {width}, the stored rows width {buffer.x.shape[1]}")
+    cap, end = buffer.capacity_per_class, buffer.occupancy
+    writes: dict[int, int] = {}  # slot -> batch row
+    for i, c in enumerate(class_ids.tolist()):
         seen = buffer.seen_counts.get(c, 0) + 1
         buffer.seen_counts[c] = seen
         existing = buffer._by_class.setdefault(c, [])
         if len(existing) < cap:
-            existing.append(len(buffer.slots))
-            buffer.slots.append(
-                Slot(batch.inputs[i].copy(), int(batch.labels[i]), batch.task_id, c)
-            )
+            existing.append(end)
+            writes[end] = i
+            end += 1
         elif rng.random() < cap / seen:
-            victim = existing[int(rng.integers(len(existing)))]
-            buffer.slots[victim] = Slot(
-                batch.inputs[i].copy(), int(batch.labels[i]), batch.task_id, c
-            )
+            writes[existing[int(rng.integers(len(existing)))]] = i
+    if end > buffer.occupancy:  # append the new slots; the writes below fill them
+        new = end - buffer.occupancy
+        buffer.x = np.concatenate([buffer.x.reshape(-1, width), np.empty((new, width))])
+        buffer.label, buffer.task_id, buffer.class_id = (
+            np.concatenate([a, np.empty(new, dtype=np.int64)])
+            for a in (buffer.label, buffer.task_id, buffer.class_id))
+    slots = np.fromiter(writes, dtype=np.int64, count=len(writes))
+    rows = np.fromiter(writes.values(), dtype=np.int64, count=len(writes))
+    buffer.x[slots] = batch.inputs[rows]
+    buffer.label[slots] = batch.labels[rows]
+    buffer.task_id[slots] = batch.task_id
+    buffer.class_id[slots] = class_ids[rows]
 
 
 def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryBatch:
-    """Uniform sample of stored slots (without replacement when possible)."""
+    """Uniform sample of stored slots (without replacement when possible),
+    stably sorted by task id."""
     if buffer.occupancy == 0:
         raise EmptyMemoryError("rehearsal buffer is empty")
     if batch_size < 1:
@@ -131,13 +148,13 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryB
     rng = _as_rng(seed_or_rng)
     replace = batch_size > buffer.occupancy
     picks = rng.choice(buffer.occupancy, size=batch_size, replace=replace)
-    slots = [buffer.slots[int(i)] for i in picks]
+    picks = picks[np.argsort(buffer.task_id[picks], kind="stable")]
     return MemoryBatch(
-        inputs=np.stack([s.x for s in slots]),
-        labels=np.array([s.label for s in slots], dtype=np.int64),
-        task_ids=np.array([s.task_id for s in slots], dtype=np.int64),
-        class_ids=np.array([s.class_id for s in slots], dtype=np.int64),
-        slot_indices=np.asarray(picks, dtype=np.int64),
+        inputs=buffer.x[picks],
+        labels=buffer.label[picks],
+        task_ids=buffer.task_id[picks],
+        class_ids=buffer.class_id[picks],
+        slot_indices=picks,
     )
 
 
@@ -150,40 +167,31 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     return grads[0], losses[0], head_grads
 
 
-def _sorted_groups(task_ids: np.ndarray):
-    """A stable order that sorts the rows by task id, and each task's
-    ``(task_id, slice)`` of contiguous rows in that order."""
-    order = np.argsort(task_ids, kind="stable")
-    sorted_ids = task_ids[order]
-    bounds = [0, *(np.flatnonzero(np.diff(sorted_ids)) + 1).tolist(), sorted_ids.size]
-    return order, [(int(sorted_ids[lo]), slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
     """Sum over task groups of ||g_group(x) - d||^2 at the given inputs."""
-    order, groups = _sorted_groups(mem.task_ids)
-    return edit_objective(net, inputs[order], mem.labels[order], groups, direction_d)
+    return edit_objective(net, inputs, mem.labels, task_slices(mem.task_ids), direction_d)
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> None:
     if clamp:
         inputs = np.clip(inputs, 0.0, 1.0)
-    # a slot sampled twice (replacement) simply takes the last write
-    for row, slot_idx in enumerate(mem.slot_indices):
-        buffer.slots[int(slot_idx)].x = inputs[row].copy()
+    # a slot sampled twice (replacement) takes its last row
+    slots = mem.slot_indices
+    last = slots.size - 1 - np.unique(slots[::-1], return_index=True)[1]
+    buffer.x[slots[last]] = inputs[last]
     mem.inputs = inputs
 
 
 def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
                cfg: EditConfig, step) -> float:
-    """The editing loop both editors share. The rows are sorted by task once;
-    each iteration moves them by ``-eta_edit`` times ``step(inputs, labels,
-    groups)``'s first result over ``(task_id, slice)`` groups, then clamps.
-    The edited rows are unsorted and written back. Returns the editing
-    objective before the edit: a step's second result on its first call, or
-    else one ``editing_objective`` pass once the loop is done."""
-    order, groups = _sorted_groups(mem.task_ids)
-    inputs, labels = mem.inputs[order], mem.labels[order]
+    """The editing loop both editors share. Each iteration moves the batch's
+    rows by ``-eta_edit`` times ``step(inputs, labels, groups)``'s first
+    result over its ``(task_id, slice)`` groups, then clamps; the edited rows
+    are written back. Returns the editing objective before the edit: a
+    step's second result on its first call, or else one ``edit_objective``
+    pass once the loop is done."""
+    groups = task_slices(mem.task_ids)
+    inputs, labels = mem.inputs.copy(), mem.labels
     objective = None
     for _ in range(cfg.iterations if cfg.eta_edit > 0.0 else 0):
         delta, value = step(inputs, labels, groups)
@@ -192,10 +200,8 @@ def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarr
         if cfg.clamp:
             np.clip(inputs, 0.0, 1.0, out=inputs)
     if objective is None:
-        objective = editing_objective(net, mem.inputs, mem, d)
-    edited = np.empty_like(inputs)
-    edited[order] = inputs
-    _write_back(buffer, mem, edited, cfg.clamp)
+        objective = edit_objective(net, mem.inputs, labels, groups, d)
+    _write_back(buffer, mem, inputs, cfg.clamp)
     return objective
 
 
@@ -263,19 +269,15 @@ def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
     header = {
         "kind": "memory-buffer",
         "capacity_per_class": buffer.capacity_per_class,
-        "dim": int(buffer.slots[0].x.size) if buffer.slots else 0,
+        "dim": buffer.x.shape[1] if buffer.occupancy else 0,
         "seen_counts": {str(c): n for c, n in sorted(buffer.seen_counts.items())},
         "slots": [
-            {"task": s.task_id, "class": s.class_id, "label": s.label}
-            for s in buffer.slots
+            {"task": t, "class": c, "label": label}
+            for label, t, c in zip(buffer.label.tolist(), buffer.task_id.tolist(),
+                                   buffer.class_id.tolist())
         ],
     }
-    values = (
-        np.concatenate([s.x.ravel() for s in buffer.slots])
-        if buffer.slots
-        else np.zeros(0)
-    )
-    write_blob(path, header, values)
+    write_blob(path, header, buffer.x.ravel() if buffer.occupancy else np.zeros(0))
 
 
 def _check_count(value: int, where: str) -> int:
@@ -305,12 +307,11 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
     buffer.seen_counts = header_int_map(header, "seen_counts")
     for c, seen in buffer.seen_counts.items():
         _check_count(seen, f"seen_counts.{c}")
-    for i, meta in enumerate(slots):
-        label, task, cls = (_check_count(header_field(meta, key, int, f"slots.{i}."),
-                                         f"slots.{i}.{key}")
-                            for key in ("label", "task", "class"))
-        x = values[i * dim : (i + 1) * dim].copy()
-        buffer.slots.append(Slot(x, label, task, cls))
+    meta = []
+    for i, fields in enumerate(slots):
+        meta.append([_check_count(header_field(fields, key, int, f"slots.{i}."),
+                                  f"slots.{i}.{key}") for key in ("label", "task", "class")])
+        cls = meta[-1][2]
         stored = buffer._by_class.setdefault(cls, [])
         stored.append(i)
         if len(stored) > buffer.capacity_per_class:  # insert keeps this bound
@@ -319,4 +320,7 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
         if buffer.seen_counts.get(cls, -1) < len(stored):  # keeps insert's odds cap/seen <= 1
             raise FormatError(f"header field seen_counts.{cls} is missing or below the "
                               f"{len(stored)} stored slots of that class", offset=12)
+    buffer.x = values.reshape(len(slots), dim).copy()
+    columns = np.array(meta, dtype=np.int64).reshape(-1, 3).T.copy()
+    buffer.label, buffer.task_id, buffer.class_id = columns
     return buffer

@@ -53,6 +53,7 @@ DEFAULT_MAX_ITER = 250
 #   D = 1024:   k=2 5/9, k=3 10/13, k=8 12/33
 _ROW_GRAM_K = (2, 6)
 _ROW_GRAM_MIN_DIM = 4096
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,11 @@ class MinNormResult(NamedTuple):
     converged: bool
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
+    # logits / temperature can overflow only at temperatures below 1
+    if temperature < 1.0 and not np.abs(logits).max() < temperature * _FLOAT_MAX:
+        raise NumericError("elastic factor logits overflow float64; raise the temperature")
+    logits = logits / temperature
     z = np.exp(logits - logits.max())
     if (z == 0.0).any():
         raise NumericError(
@@ -195,7 +200,7 @@ def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticF
         else:
             state.momentum[tid] = state.eps1 * prev + state.eps2 * float(n)
     logits = np.array([state.momentum[tid] for tid in bundle.task_ids])
-    return ElasticFactors(_softmax(logits / state.temperature))
+    return ElasticFactors(_softmax(logits, state.temperature))
 
 
 def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> ElasticFactors:
@@ -212,7 +217,7 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     if (norms == 0.0).any():
         raise DegenerateGradientError("zero-norm gradient: cosine undefined")
     scores = (bundle.gram / (norms[:, None] * norms)).sum(axis=1)
-    return ElasticFactors(_softmax(scores / temperature))
+    return ElasticFactors(_softmax(scores, temperature))
 
 
 def _border(B: np.ndarray, n: int, u: np.ndarray, pivot: float) -> None:
@@ -377,9 +382,14 @@ def solve_emgd(
     """
     s = _as_sigma(sigma, bundle.size)
     G = bundle.gram
-    res = solve_min_norm_simplex(
-        G / (s[:, None] * s), tol, max_iter, scale=float(G.diagonal().max())
-    )
+    # Each scaled entry |G_ij| / (s_i s_j) is at most the geometric mean of
+    # two scaled diagonal entries (Cauchy-Schwarz), so finite G_ii / s_i^2
+    # (s_i^2 > 0 included; s_i <= 1, so s_i^2 * MAX cannot overflow) keeps
+    # every entry finite, checked before the division could warn.
+    diag = G.diagonal().tolist()
+    if not all(g < f * f * _FLOAT_MAX for g, f in zip(diag, s.tolist())):
+        raise NumericError("elastic factor underflowed to zero; raise the temperature")
+    res = solve_min_norm_simplex(G / (s[:, None] * s), tol, max_iter, scale=max(diag))
     return _combine(bundle, res.mu / s, res)
 
 
@@ -458,6 +468,11 @@ def solve_request(doc: dict) -> dict:
         raise InvalidInputError("field grads must be a non-empty list of equal-length "
                                 "numeric vectors")
     bundle = GradientBundle(tuple(range(1, len(grads) + 1)), grads)
+    with np.errstate(over="ignore"):  # request gradients may be of any size; named below
+        gram = bundle.gram  # cached for the solve
+    if not max(gram.diagonal().tolist()) < math.inf:  # Cauchy-Schwarz bounds the rest
+        raise NumericError("gram contains non-finite entries: a squared gradient norm "
+                           "overflows float64")
 
     mode = read_field(doc, "sigma_mode", "fixed", error=InvalidInputError)
     if mode not in _SIGMA_MODES:

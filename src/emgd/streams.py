@@ -147,6 +147,8 @@ class TaskSpec:
         if len(set(self.label_set)) != len(self.label_set):
             raise InvalidInputError("label set contains duplicates")
         self._local = {c: i for i, c in enumerate(self.label_set)}
+        self.train_local = self.to_local(self.train_labels)
+        self.test_local = self.to_local(self.test_labels)
 
     @property
     def class_count(self) -> int:
@@ -157,7 +159,13 @@ class TaskSpec:
         return self.train_inputs.shape[0]
 
     def to_local(self, global_labels: np.ndarray) -> np.ndarray:
-        return np.array([self._local[int(c)] for c in global_labels], dtype=np.int64)
+        """Each global label's index in ``label_set``."""
+        try:
+            return np.array([self._local[c] for c in np.asarray(global_labels).tolist()],
+                            dtype=np.int64)
+        except KeyError as err:
+            raise InvalidInputError(f"label {err.args[0]} is not in task {self.task_id}'s "
+                                    f"label set {list(self.label_set)}") from None
 
 
 def _draw_centers(rng, classes: int, dim: int, min_gap: float) -> np.ndarray:
@@ -361,7 +369,7 @@ def next_batch(spec: TaskSpec, batch_size: int, cursor: TaskCursor) -> Batch:
     cursor.pos += len(idx)
     return Batch(
         inputs=spec.train_inputs[idx],
-        labels=spec.to_local(spec.train_labels[idx]),
+        labels=spec.train_local[idx],
         task_id=spec.task_id,
     )
 

@@ -14,6 +14,12 @@ theta + eta * d, with the backbone written twice per group.
 ``emgd.net.stream_gradients`` replaced: one forward and one backward per
 stream, one softmax per head group, then ``np.stack``.
 
+``SlotListBuffer`` and ``slot_list_insert`` are the list-of-slots buffer
+and its row-at-a-time reservoir insert that ``emgd.rehearsal.MemoryBuffer``
+and ``insert`` replaced; ``per_head_evaluate`` is the evaluation that
+``emgd.experiment._evaluate`` replaced, one ``head_logits`` call per
+(task, head) pair and one ``np.hstack`` per task.
+
 ``kkt_min_norm_simplex`` is the min-norm-point loop that
 ``emgd.solver.solve_min_norm_simplex`` replaced: the same steps, with a
 dense KKT solve of the affine subproblem at every minor step. The
@@ -22,14 +28,15 @@ certificate check pin the solver down from outside.
 """
 
 import itertools
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from emgd.errors import InvalidInputError
-from emgd.net import (Batch, Network, _activations, _head, _layers, backward, forward,
-                      input_gradient)
-from emgd.rehearsal import _write_back, editing_objective
+from emgd.net import (Batch, Network, _activations, _head, _layers, backward, features,
+                      forward, head_logits, input_gradient)
+from emgd.rehearsal import _as_rng, _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_sigma
 
 # Squared-norm threshold below which two scaled gradients are treated as the
@@ -133,6 +140,69 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
         net.set_backbone_flat(theta)
     _write_back(buffer, mem, inputs, cfg.clamp)
     return objective
+
+
+@dataclass
+class Slot:
+    x: np.ndarray
+    label: int
+    task_id: int
+    class_id: int
+
+
+@dataclass
+class SlotListBuffer:
+    capacity_per_class: int
+    slots: list = field(default_factory=list)
+    seen_counts: dict = field(default_factory=dict)
+    by_class: dict = field(default_factory=dict)
+
+
+def slot_list_insert(buffer: SlotListBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
+    """Per-class reservoir insert, one row copied into its own ``Slot`` at a time."""
+    rng = _as_rng(seed_or_rng)
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    cap = buffer.capacity_per_class
+    for i in range(batch.size):
+        c = int(class_ids[i])
+        seen = buffer.seen_counts.get(c, 0) + 1
+        buffer.seen_counts[c] = seen
+        existing = buffer.by_class.setdefault(c, [])
+        if len(existing) < cap:
+            existing.append(len(buffer.slots))
+            buffer.slots.append(
+                Slot(batch.inputs[i].copy(), int(batch.labels[i]), batch.task_id, c)
+            )
+        elif rng.random() < cap / seen:
+            victim = existing[int(rng.integers(len(existing)))]
+            buffer.slots[victim] = Slot(
+                batch.inputs[i].copy(), int(batch.labels[i]), batch.task_id, c
+            )
+
+
+def per_head_evaluate(net: Network, specs_by_id: dict, seen: list):
+    """``_evaluate``'s accuracies: per task one forward, then one
+    ``head_logits`` call per created head and one ``np.hstack``."""
+    task_acc, class_acc = {}, {}
+    head_tasks = [t for t in seen if t in net.heads]
+    slot_globals = np.asarray(
+        [c for t in head_tasks for c in specs_by_id[t].label_set]
+    )
+    for t in head_tasks:
+        spec = specs_by_id[t]
+        if spec.test_inputs.shape[0] == 0:
+            task_acc[t] = 0.0
+            class_acc[t] = 0.0
+            continue
+        feats = features(net, spec.test_inputs)
+        labels_local = spec.to_local(spec.test_labels)
+        task_acc[t] = float(
+            (head_logits(net, feats, t).argmax(axis=1) == labels_local).mean()
+        )
+        stacked = np.hstack([head_logits(net, feats, o) for o in head_tasks])
+        winners = slot_globals[stacked.argmax(axis=1)]
+        class_acc[t] = float((winners == spec.test_labels).mean())
+    return task_acc, class_acc
 
 
 def directional_edit_gradient(input_grad_at, theta: np.ndarray, v: np.ndarray, eps: float):

@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -89,6 +90,17 @@ class TestSolve:
         assert code == 1
         assert captured.err.startswith("error:") and field in captured.err
         assert "Traceback" not in captured.err
+
+    def test_underflowed_factor_is_named_without_a_warning(self, monkeypatch, capsys):
+        # softmax of momenta 400 and 1 leaves sigma_2 ~ 1e-173, so sigma_2^2 is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve"], '{"grads": [[400.0, 0.0], [0.0, 1.0]], "sigma_mode": "gmc"}',
+                           monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ("error: elastic factor underflowed to zero; "
+                                "raise the temperature\n")
 
     def test_gs_zero_gradient_uses_uniform_factors(self, monkeypatch, capsys):
         code = run_cli(["solve"], '{"grads": [[1.0, 0.0], [0.0, 0.0]], "sigma_mode": "gs"}',

@@ -9,6 +9,7 @@ from emgd.experiment import (
     RunConfig,
     ToyRow,
     ToyTrace,
+    _evaluate,
     compute_metrics,
     convergence_probe,
     metrics_document,
@@ -280,8 +281,8 @@ class TestRunPcl:
             specs, tl, net = pcl_setup(num_tasks=3)
             cfg = quick_cfg(method="emgd_gs", editing=editing, eta_edit=0.2)
             result = run_pcl(specs, tl, net, MemoryBuffer(3), cfg)
-            for slot in result.buffer.slots:
-                assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
+            for x in result.buffer.x:
+                assert x.min() >= 0.0 and x.max() <= 1.0
             edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
             assert edited_rows  # editing actually ran
 
@@ -338,8 +339,8 @@ class TestRunPcl:
         memory_rows = [r for r in result.tick_rows if 0 in r["active"]]
         assert len(memory_rows) == len(draws)
         assert all(np.isfinite(r["losses"][0]) for r in memory_rows)
-        for slot in result.buffer.slots:
-            assert slot.x.min() >= 0.0 and slot.x.max() <= 1.0
+        for x in result.buffer.x:
+            assert x.min() >= 0.0 and x.max() <= 1.0
 
     def test_eval_every_adds_evaluation_ticks(self):
         specs, tl, _ = pcl_setup(num_tasks=2)
@@ -358,7 +359,7 @@ class TestRunPcl:
         def memory(**knobs):
             net = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
             result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(**knobs))
-            return np.stack([slot.x for slot in result.buffer.slots])
+            return result.buffer.x.copy()
 
         unedited = memory()
         np.testing.assert_array_equal(memory(editing="emgd", edit_iterations=0), unedited)
@@ -387,6 +388,26 @@ class TestRunPcl:
         assert calls
         for bundle, sigma, result in calls:
             assert pareto_descent_check(bundle, sigma, result, 1e-8)
+
+
+class TestEvaluate:
+    """The stacked-head evaluation against the per-head one it replaced."""
+
+    @pytest.mark.parametrize("seed", [1234, 7, 8])
+    def test_equals_per_head_evaluation(self, seed):
+        from oracles import per_head_evaluate
+
+        specs, tl, net = pcl_setup(num_tasks=4, seed=seed)
+        specs_by_id = {spec.task_id: spec for spec in specs}
+        result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(seed=seed))
+        for seen in ([1], [2, 1], [1, 2, 3, 4], [3, 1, 4]):
+            got = _evaluate(result.net, specs_by_id, seen)
+            assert got == per_head_evaluate(result.net, specs_by_id, seen)
+        fresh = Network((8, 16, 8), seed=seed)  # untrained heads too
+        for spec in specs:
+            add_head(fresh, spec.task_id, spec.class_count, seed=seed + spec.task_id)
+        seen = [spec.task_id for spec in specs]
+        assert _evaluate(fresh, specs_by_id, seen) == per_head_evaluate(fresh, specs_by_id, seen)
 
 
 class TestRunConfig:

@@ -230,8 +230,8 @@ class TestHeadStep:
 
 
 def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(8, 16, 6)):
-    """Two identical nets and one tick's streams: a memory batch over 1-6
-    heads with repeated rows, then 0-4 task batches, each on its own head.
+    """Two identical nets and one tick's streams: a task-sorted memory batch
+    over 1-6 heads with repeated rows, then 0-4 task batches, each on its own head.
     Every stream has at least ``min_rows`` rows."""
     mem_heads, tasks = int(rng.integers(1, 7)), int(rng.integers(0, 5))
     heads = [(t, 5 if same_classes else int(rng.integers(3, 10)))
@@ -247,7 +247,8 @@ def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(
     for _ in range(size // 3):  # repeated rows, as sampling with replacement gives
         i, j = rng.integers(0, size, 2)
         inputs[j], labels[j], task_ids[j] = inputs[i], labels[i], task_ids[i]
-    streams = [(inputs, labels, task_ids, mem_step)]
+    order = np.argsort(task_ids, kind="stable")  # sampled memory comes sorted by task
+    streams = [(inputs[order], labels[order], task_ids[order], mem_step)]
     for t in range(mem_heads + 1, mem_heads + tasks + 1):
         batch = make_batch(rng, net, task=t, size=int(rng.integers(min_rows, 9)))
         streams.append((batch.inputs, batch.labels, t, task_step))
@@ -299,7 +300,7 @@ class TestStreamGradients:
         mem = make_batch(rng, net, task=1, size=4)
         task = make_batch(rng, net, task=2, size=3)
         heads = {t: h.copy() for t, h in net.heads.items()}
-        mem_ids = np.array([1, 2, 1, 1])  # task 2's head also routes a memory row
+        mem_ids = np.array([1, 1, 1, 2])  # task 2's head also routes a memory row
         with pytest.raises(InvalidInputError, match="task 2"):
             stream_gradients(net, [(mem.inputs, np.zeros(4, dtype=np.int64), mem_ids, 0.3),
                                    (task.inputs, task.labels, 2, 0.3)])

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emgd.errors import EmptyMemoryError, FormatError, InvalidInputError
 from emgd.net import (
@@ -12,10 +14,13 @@ from emgd.net import (
     backward,
     edit_direction,
     forward,
+    stream_gradients,
 )
 from emgd.rehearsal import (
     EditConfig,
+    MemoryBatch,
     MemoryBuffer,
+    _write_back,
     edit_memory_emgd,
     edit_memory_gmed,
     editing_objective,
@@ -25,7 +30,8 @@ from emgd.rehearsal import (
     sample_memory,
     save_buffer_snapshot,
 )
-from oracles import directional_edit_gradient, per_group_gmed
+from oracles import (SlotListBuffer, directional_edit_gradient, per_group_gmed,
+                     slot_list_insert)
 
 CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
@@ -44,7 +50,7 @@ def make_net(seed=0, dim=6, heads=((1, 4), (2, 3))):
 
 
 def class_counts(buf):
-    return Counter(s.class_id for s in buf.slots)
+    return Counter(buf.class_id.tolist())
 
 
 def filled_buffer(rng, capacity=3, tasks=(1, 2), per_task=6, dim=6):
@@ -78,11 +84,11 @@ class TestInsert:
         buf = MemoryBuffer(2)
         b_batch = class_batch(rng, 2, label=1)
         insert(buf, b_batch, class_ids=[5, 5], seed_or_rng=3)
-        before = [s.x.copy() for s in buf.slots if s.class_id == 5]
+        before = buf.x[buf.class_id == 5]
         for _ in range(50):
             a_batch = class_batch(rng, 4, label=0)
             insert(buf, a_batch, class_ids=[9, 9, 9, 9], seed_or_rng=rng)
-        after = [s.x for s in buf.slots if s.class_id == 5]
+        after = buf.x[buf.class_id == 5]
         assert len(after) == 2
         for x, y in zip(before, after):
             np.testing.assert_array_equal(x, y)
@@ -97,11 +103,70 @@ class TestInsert:
             buf = MemoryBuffer(1)
             batch = Batch(inputs, np.zeros(n, dtype=np.int64), 1)
             insert(buf, batch, class_ids=np.zeros(n), seed_or_rng=trial)
-            survivor = buf.slots[0].x
+            survivor = buf.x[0]
             counts[int(np.argmax((inputs == survivor).all(axis=1)))] += 1
         expected = trials / n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99_DF7
+
+    def test_rejects_a_batch_of_another_width(self):
+        rng = np.random.default_rng(3)
+        buf = MemoryBuffer(2)
+        insert(buf, class_batch(rng, 3, dim=6), class_ids=[0, 1, 2], seed_or_rng=0)
+        with pytest.raises(InvalidInputError, match="width 5"):
+            insert(buf, class_batch(rng, 2, dim=5), class_ids=[0, 1], seed_or_rng=0)
+        assert buf.occupancy == 3 and buf.x.shape == (3, 6)
+
+
+def assert_matches_slot_list(buf, ref):
+    assert buf.seen_counts == ref.seen_counts
+    assert buf.occupancy == len(ref.slots)
+    for i, slot in enumerate(ref.slots):
+        np.testing.assert_array_equal(buf.x[i], slot.x)
+        assert (buf.label[i], buf.task_id[i], buf.class_id[i]) == (
+            slot.label, slot.task_id, slot.class_id)
+
+
+class TestInsertMatchesSlotList:
+    """The array buffer against the list-of-slots insert it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 4),
+           stream=st.lists(st.tuples(st.integers(1, 3),
+                                     st.lists(st.integers(0, 3), min_size=1, max_size=12)),
+                           min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_slots_counts_and_draws(self, capacity, stream, seed):
+        data = np.random.default_rng(seed)
+        buf, ref = MemoryBuffer(capacity), SlotListBuffer(capacity)
+        draws, ref_draws = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        for task, labels in stream:
+            batch = Batch(data.uniform(0.0, 1.0, (len(labels), 3)), labels, task)
+            class_ids = 10 * task + batch.labels
+            insert(buf, batch, class_ids, draws)
+            slot_list_insert(ref, batch, class_ids, ref_draws)
+            assert_matches_slot_list(buf, ref)
+        assert draws.random() == ref_draws.random()  # the same reservoir draws were made
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_a_victim_drawn_twice_keeps_the_later_row(self, capacity):
+        rng = np.random.default_rng(30)
+        n, seed = 40, 7
+        buf, ref = MemoryBuffer(capacity), SlotListBuffer(capacity)
+        batch = Batch(rng.uniform(0.0, 1.0, (n, 4)), np.zeros(n, dtype=np.int64), 1)
+        insert(buf, batch, np.zeros(n), seed)
+        slot_list_insert(ref, batch, np.zeros(n), seed)
+        # replay the draws: the rows after the first ``capacity`` that land
+        draws, victims = np.random.default_rng(seed), []
+        for seen in range(capacity + 1, n + 1):
+            if draws.random() < capacity / seen:
+                victims.append((int(draws.integers(capacity)), seen - 1))
+        slots = [v for v, _ in victims]
+        assert len(slots) > len(set(slots))  # one batch hits a victim twice
+        for slot in set(slots):
+            last_row = [row for v, row in victims if v == slot][-1]
+            np.testing.assert_array_equal(buf.x[slot], batch.inputs[last_row])
+        assert_matches_slot_list(buf, ref)
 
 
 class TestSampleMemory:
@@ -142,6 +207,55 @@ class TestSampleMemory:
         expected = 10000 / buf.occupancy
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99_DF5
+
+    @pytest.mark.parametrize("size", [1, 5, 12, 30])  # 30 > 12 slots: with replacement
+    def test_batch_is_task_sorted_and_rows_follow_their_slots(self, size):
+        rng = np.random.default_rng(24)
+        buf = filled_buffer(rng, capacity=2, tasks=(2, 1, 3), per_task=6)  # slots by task 2, 1, 3
+        for seed in range(5):
+            mem = sample_memory(buf, size, seed)
+            picks = np.random.default_rng(seed).choice(buf.occupancy, size=size,
+                                                       replace=size > buf.occupancy)
+            assert np.all(np.diff(mem.task_ids) >= 0)
+            order = np.argsort(buf.task_id[picks], kind="stable")
+            np.testing.assert_array_equal(mem.slot_indices, picks[order])
+            np.testing.assert_array_equal(mem.inputs, buf.x[mem.slot_indices])
+            np.testing.assert_array_equal(mem.labels, buf.label[mem.slot_indices])
+            np.testing.assert_array_equal(mem.task_ids, buf.task_id[mem.slot_indices])
+            np.testing.assert_array_equal(mem.class_ids, buf.class_id[mem.slot_indices])
+
+
+class TestInterleavedBatch:
+    """Memory batches are task-sorted at sampling; the gradient pass and
+    both editors read each task's rows as one slice and reject a batch
+    whose task ids interleave, before touching the buffer or the net."""
+
+    def interleaved(self, buf):
+        mem = sample_memory(buf, buf.occupancy, 0)
+        ones, twos = np.flatnonzero(mem.task_ids == 1), np.flatnonzero(mem.task_ids == 2)
+        rows = [ones[0], twos[0], ones[1]]
+        return MemoryBatch(mem.inputs[rows], mem.labels[rows], mem.task_ids[rows],
+                           mem.class_ids[rows], mem.slot_indices[rows])
+
+    @pytest.mark.parametrize("call", [
+        lambda net, buf, mem, d: stream_gradients(
+            net, [(mem.inputs, mem.labels, mem.task_ids, 0.3)]),
+        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, EditConfig()),
+        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, EditConfig()),
+    ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
+    def test_rejected_with_a_named_error(self, call):
+        rng = np.random.default_rng(25)
+        net, buf = make_net(), filled_buffer(rng)
+        mem = self.interleaved(buf)
+        assert np.any(np.diff(mem.task_ids) < 0)
+        x, theta = buf.x.copy(), net.theta.copy()
+        heads = {t: h.copy() for t, h in net.heads.items()}
+        with pytest.raises(InvalidInputError, match="sorted by task"):
+            call(net, buf, mem, rng.normal(size=net.backbone_dim))
+        np.testing.assert_array_equal(buf.x, x)
+        np.testing.assert_array_equal(net.theta, theta)
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
 
 
 class TestMemoryGradient:
@@ -230,7 +344,8 @@ def per_group_memory_gradient(net, mem, head_step):
 
 
 def snapshot(buf, net):
-    slots = [(s.x.copy(), s.label, s.task_id, s.class_id) for s in buf.slots]
+    slots = list(zip(buf.x.copy(), buf.label.tolist(), buf.task_id.tolist(),
+                     buf.class_id.tolist()))
     return slots, net.flatten_backbone().copy(), {
         t: net.heads[t].copy() for t in net.heads
     }
@@ -243,20 +358,20 @@ class TestEditEmgd:
         buf = filled_buffer(rng, tasks=(1,), per_task=3)
         mem = sample_memory(buf, buf.occupancy, 3)
         g, _, _ = memory_gradient(net, mem)
-        before = [s.x.copy() for s in buf.slots]
+        before = buf.x.copy()
         edit_memory_emgd(buf, net, mem, -g, EditConfig())
-        for x, s in zip(before, buf.slots):
-            np.testing.assert_array_equal(x, s.x)
+        for x, y in zip(before, buf.x):
+            np.testing.assert_array_equal(x, y)
 
     def test_zero_eta_is_bit_exact_noop(self):
         rng = np.random.default_rng(11)
         net = make_net()
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 4)
-        before = [s.x.copy() for s in buf.slots]
+        before = buf.x.copy()
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), EditConfig(eta_edit=0.0))
-        for x, s in zip(before, buf.slots):
-            np.testing.assert_array_equal(x, s.x)
+        for x, y in zip(before, buf.x):
+            np.testing.assert_array_equal(x, y)
 
     def test_objective_does_not_increase(self):
         rng = np.random.default_rng(12)
@@ -283,17 +398,18 @@ class TestEditEmgd:
         mem = sample_memory(buf, 2, 1)
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
                          EditConfig(eta_edit=1.0))
-        for s in buf.slots:
-            assert s.x.min() >= 0.0 and s.x.max() <= 1.0
+        for x in buf.x:
+            assert x.min() >= 0.0 and x.max() <= 1.0
 
     def test_sorted_slices_equal_one_call_per_group(self):
-        # three tasks interleaved, and more rows than slots, so rows repeat
+        # three tasks, and more rows than slots, so rows repeat
         rng = np.random.default_rng(20)
         net = make_net(heads=((1, 4), (2, 3), (3, 3)))
         buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5)
         mem = sample_memory(buf, buf.occupancy + 5, 6)
         assert len(set(mem.slot_indices.tolist())) < mem.size
-        assert np.any(np.diff(mem.task_ids) < 0)  # not already sorted
+        assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
+        assert len(np.unique(mem.task_ids)) >= 2
         d = rng.normal(size=net.backbone_dim)
         x0, eta = mem.inputs.copy(), 0.5
         expected, objective = x0.copy(), 0.0
@@ -309,7 +425,18 @@ class TestEditEmgd:
         assert before == editing_objective(net, x0, mem, d)
         for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
             last = np.flatnonzero(mem.slot_indices == slot)[-1]
-            np.testing.assert_array_equal(buf.slots[slot].x, mem.inputs[last])
+            np.testing.assert_array_equal(buf.x[slot], mem.inputs[last])
+
+    def test_write_back_keeps_the_last_row_of_a_repeated_slot(self):
+        rng = np.random.default_rng(26)
+        buf = filled_buffer(rng, tasks=(1, 2, 3))
+        mem = sample_memory(buf, buf.occupancy + 9, 4)
+        assert len(set(mem.slot_indices.tolist())) < mem.size
+        edited = rng.uniform(0.0, 1.0, mem.inputs.shape)  # repeated slots get different rows
+        _write_back(buf, mem, edited, clamp=False)
+        for slot in set(mem.slot_indices.tolist()):
+            last = np.flatnonzero(mem.slot_indices == slot)[-1]
+            np.testing.assert_array_equal(buf.x[slot], edited[last])
 
     def test_returns_objective_before_the_edit(self):
         rng = np.random.default_rng(21)
@@ -334,8 +461,9 @@ class TestEditEmgd:
         np.testing.assert_array_equal(net.flatten_backbone(), backbone_before)
         for t, flat in heads_before.items():
             np.testing.assert_array_equal(net.heads[t], flat)
-        for (x0, label, task, cls), s in zip(slots_before, buf.slots):
-            assert (s.label, s.task_id, s.class_id) == (label, task, cls)
+        for (x0, label, task, cls), *now in zip(slots_before, buf.label, buf.task_id,
+                                                 buf.class_id):
+            assert tuple(now) == (label, task, cls)
 
 
 class TestEditGmed:
@@ -344,10 +472,10 @@ class TestEditGmed:
         net = make_net()
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 3)
-        before = [s.x.copy() for s in buf.slots]
+        before = buf.x.copy()
         edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), EditConfig())
-        for x, s in zip(before, buf.slots):
-            np.testing.assert_array_equal(x, s.x)
+        for x, y in zip(before, buf.x):
+            np.testing.assert_array_equal(x, y)
 
     def test_matches_scalar_finite_difference(self):
         # oracle: central difference of (loss(x,theta) - loss(x,theta'))^2
@@ -392,19 +520,20 @@ class TestEditGmed:
         mem = sample_memory(buf, 2, 1)
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
                          EditConfig(eta_edit=1.0))
-        for s in buf.slots:
-            assert s.x.min() >= 0.0 and s.x.max() <= 1.0
+        for x in buf.x:
+            assert x.min() >= 0.0 and x.max() <= 1.0
 
     @pytest.mark.parametrize("cfg", [EditConfig(eta_edit=0.5, iterations=3, clamp=False),
                                      EditConfig(eta_edit=0.2, iterations=2)])
     def test_matches_per_group_oracle(self, cfg):
-        # three tasks interleaved in the batch, drawn with replacement so
-        # slots repeat; the oracle edits one task group at a time
+        # three tasks in the batch, drawn with replacement so slots repeat;
+        # the oracle edits one task group at a time
         rng = np.random.default_rng(22)
         buf = filled_buffer(rng, tasks=(1, 2, 3))
         mem = sample_memory(buf, buf.occupancy + 9, 6)
         assert len(set(mem.slot_indices.tolist())) < mem.size
-        assert np.any(np.diff(mem.task_ids) < 0)  # not sorted by task
+        assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
+        assert len(np.unique(mem.task_ids)) >= 2
         nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
         d = rng.normal(size=nets[0].backbone_dim) * 5
         bufs = [copy.deepcopy(buf) for _ in range(2)]
@@ -414,8 +543,8 @@ class TestEditGmed:
         assert got == expected
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
         np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
-        for a, b in zip(bufs[0].slots, bufs[1].slots):
-            np.testing.assert_allclose(a.x, b.x, rtol=1e-12, atol=0)
+        for a, b in zip(bufs[0].x, bufs[1].x):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
 
     @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
@@ -475,9 +604,10 @@ class TestSnapshot:
         assert back.occupancy == buf.occupancy
         assert back.capacity_per_class == buf.capacity_per_class
         assert back.seen_counts == buf.seen_counts
-        for a, b in zip(buf.slots, back.slots):
-            np.testing.assert_array_equal(a.x, b.x)
-            assert (a.label, a.task_id, a.class_id) == (b.label, b.task_id, b.class_id)
+        for i in range(buf.occupancy):
+            np.testing.assert_array_equal(buf.x[i], back.x[i])
+            assert ((buf.label[i], buf.task_id[i], buf.class_id[i])
+                    == (back.label[i], back.task_id[i], back.class_id[i]))
 
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestElasticFactorsGmc:
             assert abs(sig.sigma.sum() - 1.0) <= 1e-12
             assert np.all(sig.sigma > 0) and np.all(sig.sigma < 1)
 
+    @pytest.mark.parametrize("factors", [
+        lambda b: elastic_factors_gmc(b, ElasticState(temperature=1e-310)),
+        lambda b: elastic_factors_gs(b, temperature=1e-310),
+    ], ids=["gmc", "gs"])
+    def test_overflowing_logits_fail_cleanly(self, factors):
+        # logits / temperature passes float64's largest value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="raise the temperature"):
+                factors(bundle([3.0, 0.0], [1.0, 1.0]))
+
     def test_extreme_temperature_fails_cleanly(self):
         state = ElasticState(temperature=1e-4)
         with pytest.raises(NumericError, match="temperature"):
@@ -265,6 +277,24 @@ class TestMinNormSimplex:
 
 
 class TestSolveEmgd:
+    @pytest.mark.parametrize("grads, sigma", [
+        (([1.0, 0.0], [0.0, 1.0]), [1.0, 1e-170]),  # sigma_2^2 underflows to 0
+        (([1.0, 0.0], [0.0, 0.0]), [1.0, 1e-170]),  # even on a zero gradient
+        (([1.0, 0.0], [0.0, 1e30]), [1.0, 1e-140]),  # 1e60 / 1e-280 overflows
+    ])
+    def test_underflowed_factor_is_named_before_the_division(self, grads, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="elastic factor underflowed to zero"):
+                solve_emgd(bundle(*grads), sigma)
+
+    def test_tiny_factor_with_a_finite_scaled_gram_still_solves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_emgd(bundle([1.0, 0.0], [0.0, 1e-100]), [1.0, 1e-140])
+        assert res.converged and np.all(np.isfinite(res.direction))
+
+
     def test_singleton(self):
         res = solve_emgd(bundle([2.0, 1.0]), [1.0])
         np.testing.assert_allclose(res.lam, [1.0])
@@ -647,6 +677,16 @@ class TestSolveRequest:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             solve_request({"grads": [[1.0]], "bogus": 1})
+
+    @pytest.mark.parametrize("mode", ["fixed", "gs", "gmc"])
+    @pytest.mark.parametrize("dim", [2, _ROW_GRAM_MIN_DIM])  # both Gram kernels
+    def test_overflowing_squared_norm_is_named_without_a_warning(self, mode, dim):
+        grads = np.zeros((2, dim))
+        grads[0, 0], grads[1, 1] = 1.3407807929942597e154, 1.0  # squared: past float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="gram contains non-finite entries"):
+                solve_request({"grads": grads.tolist(), "sigma_mode": mode})
 
     def test_gs_mode(self):
         out = solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": "gs"})

@@ -8,6 +8,7 @@ from emgd.net import Batch, Network, add_head, apply_update, backward, forward
 from emgd.streams import (
     Dataset,
     TaskCursor,
+    TaskSpec,
     TaskTimeline,
     active_tasks,
     build_parallel_split,
@@ -201,6 +202,37 @@ class TestNextBatch:
         cursor = TaskCursor(spec, epochs=1, seed=2)
         batch = next_batch(spec, 100, cursor)
         assert set(np.unique(batch.labels)) <= set(range(spec.class_count))
+
+    def test_batch_labels_index_the_local_labels_computed_at_construction(self):
+        spec = self.make_spec()
+        np.testing.assert_array_equal(np.asarray(spec.label_set)[spec.train_local],
+                                      spec.train_labels)
+        np.testing.assert_array_equal(np.asarray(spec.label_set)[spec.test_local],
+                                      spec.test_labels)
+        cursor = TaskCursor(spec, epochs=1, seed=2)
+        rows = cursor.order[:4]
+        np.testing.assert_array_equal(next_batch(spec, 4, cursor).labels, spec.train_local[rows])
+
+
+class TestTaskSpec:
+    def spec(self, train_labels=(9, 2, 5, 5), test_labels=(2,)):
+        return TaskSpec(1, (5, 2, 9), np.zeros((len(train_labels), 2)), np.array(train_labels),
+                        np.zeros((len(test_labels), 2)), np.array(test_labels))
+
+    def test_to_local_follows_the_label_set_order(self):
+        spec = self.spec()
+        np.testing.assert_array_equal(spec.train_local, [2, 1, 0, 0])
+        np.testing.assert_array_equal(spec.test_local, [1])
+        np.testing.assert_array_equal(spec.to_local(np.array([9, 9, 5])), [2, 2, 0])
+
+    def test_to_local_names_a_label_outside_the_set(self):
+        with pytest.raises(InvalidInputError, match="label 7 is not in task 1's label set"):
+            self.spec().to_local(np.array([2, 7, 3]))
+
+    @pytest.mark.parametrize("train, test", [((9, 4), (2,)), ((9,), (2, 0))])
+    def test_a_partition_label_outside_the_set_is_rejected_at_construction(self, train, test):
+        with pytest.raises(InvalidInputError, match="is not in task 1's label set"):
+            self.spec(train, test)
 
 
 class TestSynthetic:
