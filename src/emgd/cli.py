@@ -49,7 +49,7 @@ _SPLIT = {"num_tasks": 3, "label_bounds": [2, 15], "overlap": 0.0, "serial": Fal
           "batch_size": 128, "epochs": 1}
 # batch_size and epochs come from the split or manifest, the seed from the top level
 _RUN = {f.name: f.default for f in dataclasses.fields(experiment.RunConfig)
-        if f.name not in ("batch_size", "epochs", "seed")} | {"snapshot_buffer": False}
+        if f.name not in ("batch_size", "epochs", "seed")}
 _NET = {"hidden": [100], "feature_dim": 64}
 
 
@@ -140,7 +140,6 @@ def cmd_run_pcl(args) -> int:
     else:
         specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
     run = section(doc["run"], "run", _RUN)
-    snapshot = run.pop("snapshot_buffer")
     flags = {"method": args.method, "editing": args.editing, "eval_mode": args.eval_mode}
     run.update((key, value) for key, value in flags.items() if value)
     cfg = experiment.RunConfig(**run, batch_size=batch_size, epochs=epochs, seed=seed)
@@ -157,7 +156,7 @@ def cmd_run_pcl(args) -> int:
 
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))
     experiment.dump_json(experiment.metrics_document(result, cfg), out / "metrics.json")
-    if snapshot:
+    if cfg.snapshot_buffer:
         rehearsal.save_buffer_snapshot(result.buffer, out / "buffer_snapshot.bin")
     log.info("run (%s/%s, seed %d) written to %s", cfg.method, cfg.editing, seed, out)
     return 0

@@ -24,10 +24,6 @@ class NumericError(EmgdError):
         self.tick = tick
 
 
-class DegenerateGradientError(EmgdError):
-    """A zero-norm gradient makes cosine similarity undefined."""
-
-
 class UnknownTaskError(EmgdError):
     """Referenced task has no classifier head."""
 

@@ -31,7 +31,7 @@ from .net import (
     head_logits,  # unused here, but perfbench/tracing.py SITES patches experiment.head_logits
     stream_gradients,
 )
-from .rehearsal import EditConfig, MemoryBuffer
+from .rehearsal import MemoryBuffer
 from .streams import TaskCursor, TaskTimeline, substream
 
 log = logging.getLogger("emgd")
@@ -43,7 +43,8 @@ EVAL_MODE_ALIASES = {"task-incremental": "task", "class-incremental": "class"}
 
 @dataclass
 class RunConfig:
-    """Knobs for one training run; ``memory_batch_size`` 0 means ``batch_size``."""
+    """Knobs for one training run; ``memory_batch_size`` 0 means ``batch_size``.
+    The memory editors read ``eta_edit``, ``edit_iterations`` and ``clamp``."""
 
     method: str = "emgd_gs"
     editing: str = "none"
@@ -63,6 +64,7 @@ class RunConfig:
     freeze_finished_heads: bool = False
     tol: float = solver.DEFAULT_TOL
     max_iter: int = solver.DEFAULT_MAX_ITER
+    snapshot_buffer: bool = False
 
     def __post_init__(self):
         self.eval_mode = EVAL_MODE_ALIASES.get(self.eval_mode, self.eval_mode)
@@ -76,20 +78,15 @@ class RunConfig:
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
         for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("eval_every", 0),
-                          ("memory_batch_size", 0), ("capacity_per_class", 1)):
+                          ("memory_batch_size", 0), ("capacity_per_class", 1),
+                          ("edit_iterations", 0)):
             value = getattr(self, name)
             if value < low:
                 # batch_size and epochs come from the split or the manifest, which check them first
                 where = name if name in ("batch_size", "epochs") else f"run.{name}"
                 raise ConfigError(f"{where} must be >= {low}, got {value!r}")
-        self.edit_config()
-
-    def edit_config(self) -> EditConfig:
-        return EditConfig(
-            eta_edit=self.eta_edit,
-            iterations=self.edit_iterations,
-            clamp=self.clamp,
-        )
+        if not 0.0 <= self.eta_edit <= 1.0:
+            raise ConfigError(f"run.eta_edit must lie in [0, 1], got {self.eta_edit!r}")
 
 
 @dataclass
@@ -210,10 +207,12 @@ def run_toy(
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, pick one of {METHODS}")
-    if iterations < 1 or join_tick < 0 or not 0 < step < math.inf:
-        raise ConfigError("need iterations >= 1, join_tick >= 0 and a positive finite step, got "
-                          f"iterations={iterations!r}, join_tick={join_tick!r}, step={step!r}")
     x, y = float(start[0]), float(start[1])
+    if (iterations < 1 or join_tick < 0 or not 0 < step < math.inf
+            or not (math.isfinite(x) and math.isfinite(y))):
+        raise ConfigError("need iterations >= 1, join_tick >= 0, a positive finite step and a "
+                          f"finite start, got iterations={iterations!r}, join_tick={join_tick!r}, "
+                          f"step={step!r}, start={(x, y)!r}")
     trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
     state = solver.ElasticState(temperature=temperature)
     for tick in range(1, iterations + 1):
@@ -341,7 +340,6 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     matrix_class = AccuracyMatrix(finish_ticks, timeline.final_tick)
     tick_rows = []
     seen: list = []
-    edit_cfg = cfg.edit_config()
     memory_head_step = 0.0 if cfg.freeze_finished_heads else cfg.gamma_heads
 
     for tick in range(timeline.first_tick, timeline.final_tick + 1):
@@ -380,7 +378,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         if mem is not None and cfg.editing != "none":
             edit = (rehearsal.edit_memory_emgd if cfg.editing == "emgd"
                     else rehearsal.edit_memory_gmed)
-            before = edit(buffer, net, mem, result.direction, edit_cfg)
+            before = edit(buffer, net, mem, result.direction, cfg)
             after = rehearsal.editing_objective(net, mem.inputs, mem, result.direction)
             edit_objective = f"{before:.6e}->{after:.6e}"
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,21 +32,8 @@ from .net import (
     read_blob,
 )
 
-
-@dataclass
-class EditConfig:
-    """Step size and schedule for memory editing."""
-
-    eta_edit: float = 0.05
-    iterations: int = 1
-    clamp: bool = True
-
-    def __post_init__(self):
-        # named by the run config fields that feed them
-        if not (0.0 <= self.eta_edit <= 1.0):
-            raise InvalidInputError(f"run.eta_edit must lie in [0, 1], got {self.eta_edit!r}")
-        if self.iterations < 0:
-            raise InvalidInputError(f"run.edit_iterations must be >= 0, got {self.iterations!r}")
+if TYPE_CHECKING:
+    from .experiment import RunConfig
 
 
 @dataclass
@@ -56,7 +44,6 @@ class MemoryBatch:
     inputs: np.ndarray
     labels: np.ndarray
     task_ids: np.ndarray
-    class_ids: np.ndarray
     slot_indices: np.ndarray
 
     @property
@@ -153,7 +140,6 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryB
         inputs=buffer.x[picks],
         labels=buffer.label[picks],
         task_ids=buffer.task_id[picks],
-        class_ids=buffer.class_id[picks],
         slot_indices=picks,
     )
 
@@ -183,17 +169,18 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> 
 
 
 def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
-               cfg: EditConfig, step) -> float:
-    """The editing loop both editors share. Each iteration moves the batch's
-    rows by ``-eta_edit`` times ``step(inputs, labels, groups)``'s first
-    result over its ``(task_id, slice)`` groups, then clamps; the edited rows
-    are written back. Returns the editing objective before the edit: a
+               cfg: RunConfig, step) -> float:
+    """The editing loop both editors share, set by the run config's
+    ``edit_iterations``, ``eta_edit`` and ``clamp``. Each iteration moves the
+    batch's rows by ``-eta_edit`` times ``step(inputs, labels, groups)``'s
+    first result over its ``(task_id, slice)`` groups, then clamps; the edited
+    rows are written back. Returns the editing objective before the edit: a
     step's second result on its first call, or else one ``edit_objective``
     pass once the loop is done."""
     groups = task_slices(mem.task_ids)
     inputs, labels = mem.inputs.copy(), mem.labels
     objective = None
-    for _ in range(cfg.iterations if cfg.eta_edit > 0.0 else 0):
+    for _ in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
         delta, value = step(inputs, labels, groups)
         objective = value if objective is None else objective
         inputs -= cfg.eta_edit * delta
@@ -210,7 +197,7 @@ def edit_memory_emgd(
     net: Network,
     mem: MemoryBatch,
     direction_d,
-    cfg: EditConfig,
+    cfg: RunConfig,
 ) -> float:
     """Move sampled inputs down the gradient of ||g(x) - d||^2.
 
@@ -229,7 +216,7 @@ def edit_memory_gmed(
     net: Network,
     mem: MemoryBatch,
     direction_d,
-    cfg: EditConfig,
+    cfg: RunConfig,
 ) -> float:
     """Loss-difference editing baseline.
 

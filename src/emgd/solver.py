@@ -34,12 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateGradientError,
-    InvalidInputError,
-    NumericError,
-    read_field,
-)
+from .errors import InvalidInputError, NumericError, read_field
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 250
@@ -208,14 +203,14 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
 
     Task i scores sum_k cos(g_i, g_k), self-similarity included, so the
     factors reflect how aligned each gradient is with the rest of the bundle.
-    Raises DegenerateGradientError on a zero-norm gradient; callers fall back
-    to uniform factors.
+    A zero-norm gradient leaves the cosines undefined; the factors are then
+    uniform, 1/k each.
     """
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
     norms = bundle.norms()
     if (norms == 0.0).any():
-        raise DegenerateGradientError("zero-norm gradient: cosine undefined")
+        return ElasticFactors(np.full(bundle.size, 1.0 / bundle.size))
     scores = (bundle.gram / (norms[:, None] * norms)).sum(axis=1)
     return ElasticFactors(_softmax(scores, temperature))
 
@@ -262,9 +257,10 @@ def solve_min_norm_simplex(
     (c ee' + M_SS) w = (nu + c) e, so w = B e / (e'B e) for any c > 0.
     Adding a point borders B and dropping one downdates it, each O(|S|^2);
     nothing is re-factorised. c is M_jj of the first working point, the
-    smallest squared norm (1 when that is 0): the points' squared norms can
-    span many orders of magnitude (elastic factors divide them by sigma^2),
-    and a c at the largest would leave c ee' + M_SS badly conditioned. If
+    smallest squared norm (1 when that is 0 or so small that its reciprocal
+    overflows): the points' squared norms can span many orders of magnitude
+    (elastic factors divide them by sigma^2), and a c at the largest would
+    leave c ee' + M_SS badly conditioned. If
     the most violating point is already in S, or is numerically affinely
     dependent on S (its pivot is not positive), the iterate can no longer
     change: the solve stops there, not converged, and reports the whole
@@ -287,7 +283,9 @@ def solve_min_norm_simplex(
     budget = max(max_iter, 4 * k)
 
     first = int(diag.argmin())
-    c = float(M[first, first]) or 1.0
+    c = float(M[first, first])
+    if not c > 1.0 / _FLOAT_MAX:  # B[0, 0] below would overflow
+        c = 1.0
     S = np.empty(k, dtype=np.intp)  # working set in S[:n], in order of entry
     w = np.empty(k)  # its weights in w[:n]
     in_S = np.zeros(k, dtype=bool)
@@ -351,19 +349,14 @@ def _as_sigma(sigma, k: int) -> np.ndarray:
     return arr
 
 
-def _combine(bundle: GradientBundle, lam: np.ndarray, res: MinNormResult) -> CombinationResult:
+def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
+             converged: bool) -> CombinationResult:
     direction = lam @ bundle.grads
-    objective = float(direction @ direction)
     zero = bundle.gram.diagonal() == 0.0
     degenerate = tuple(tid for tid, z in zip(bundle.task_ids, zero) if z)
-    return CombinationResult(
-        lam=lam,
-        direction=direction,
-        objective=objective,
-        iterations=res.iterations,
-        converged=res.converged,
-        degenerate_tasks=degenerate,
-    )
+    return CombinationResult(lam=lam, direction=direction, objective=float(direction @ direction),
+                             iterations=iterations, converged=converged,
+                             degenerate_tasks=degenerate)
 
 
 def solve_emgd(
@@ -390,15 +383,7 @@ def solve_emgd(
     if not all(g < f * f * _FLOAT_MAX for g, f in zip(diag, s.tolist())):
         raise NumericError("elastic factor underflowed to zero; raise the temperature")
     res = solve_min_norm_simplex(G / (s[:, None] * s), tol, max_iter, scale=max(diag))
-    return _combine(bundle, res.mu / s, res)
-
-
-def avg_grad(bundle: GradientBundle) -> CombinationResult:
-    """Plain average: every task weighted 1/k."""
-    lam = np.full(bundle.size, 1.0 / bundle.size)
-    return _combine(
-        bundle, lam, MinNormResult(lam, 0.0, 0, True)
-    )
+    return _combine(bundle, res.mu / s, res.iterations, res.converged)
 
 
 def combine(
@@ -412,21 +397,18 @@ def combine(
     """Combine a bundle per ``method``; returns (CombinationResult, sigma used).
 
     ``emgd_gmc`` and ``emgd_gs`` compute elastic factors from ``state``
-    (momenta, temperature); ``emgd_gs`` falls back to factors 1/k when a zero
-    gradient leaves cosines undefined. ``mgda`` fixes every factor at one,
+    (momenta, temperature); for ``emgd_gs`` a zero gradient gives factors
+    1/k (see ``elastic_factors_gs``). ``mgda`` fixes every factor at one,
     ``fixed`` uses ``sigma`` (all ones when omitted), and ``avg_grad`` is the
-    plain mean, reported with factors 1/k.
+    plain mean, every task weighted 1/k and reported with factors 1/k.
     """
     k = bundle.size
     if method == "avg_grad":
-        return avg_grad(bundle), np.full(k, 1.0 / k)
+        return _combine(bundle, np.full(k, 1.0 / k), 0, True), np.full(k, 1.0 / k)
     if method == "emgd_gmc":
         factors = elastic_factors_gmc(bundle, state)
     elif method == "emgd_gs":
-        try:
-            factors = elastic_factors_gs(bundle, state.temperature)
-        except DegenerateGradientError:
-            factors = ElasticFactors(np.full(k, 1.0 / k))
+        factors = elastic_factors_gs(bundle, state.temperature)
     elif method == "mgda":
         factors = ElasticFactors(np.ones(k))
     elif method == "fixed":

@@ -119,7 +119,7 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
     theta = net.flatten_backbone()
     inputs = mem.inputs.copy()
     try:
-        for _ in range(cfg.iterations):
+        for _ in range(cfg.edit_iterations):
             if cfg.eta_edit == 0.0:
                 break
             for task_id in np.unique(mem.task_ids).tolist():

@@ -102,6 +102,18 @@ class TestSolve:
         assert captured.err == ("error: elastic factor underflowed to zero; "
                                 "raise the temperature\n")
 
+    @pytest.mark.parametrize("mode", ["fixed", "gs", "gmc"])
+    def test_subnormal_squared_norm_solves_without_a_warning(self, monkeypatch, capsys, mode):
+        # ||g_1||^2 = 1e-320 is subnormal, so 1 / ||g_1||^2 overflows float64
+        request = {"grads": [[1e-160, 0.0], [0.0, 1.0]], "sigma_mode": mode}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve"], json.dumps(request), monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["converged"] is True and out["lambda"][1] == 0.0
+
     def test_gs_zero_gradient_uses_uniform_factors(self, monkeypatch, capsys):
         code = run_cli(["solve"], '{"grads": [[1.0, 0.0], [0.0, 0.0]], "sigma_mode": "gs"}',
                        monkeypatch)
@@ -111,7 +123,7 @@ class TestSolve:
 
 
 NUMBERS = st.one_of(st.floats(width=64), st.integers(-3, 3),
-                    st.sampled_from([0.0, 1e-300, 1e300, -1e300]))
+                    st.sampled_from([0.0, 1e-300, 1e-160, 1e300, -1e300]))
 JUNK = st.sampled_from(["x", True, None, [], {}, [1, "a"], {"a": 1}, [[1.0]]])
 VECTORS = st.lists(st.one_of(NUMBERS, NUMBERS, JUNK), max_size=4)  # ragged or empty too
 REQUESTS = st.one_of(JUNK, st.fixed_dictionaries({}, optional={
@@ -530,6 +542,8 @@ class TestRunToyRanges:
         (["--step", "inf"], "step=inf"),
         (["--step=-1e-5"], "step=-1e-05"),
         (["--temperature", "nan"], "temperature"),
+        (["--start", "inf", "0"], "start=(inf, 0.0)"),
+        (["--start", "0", "nan"], "start=(0.0, nan)"),
     ])
     def test_out_of_range_exit_1(self, tmp_path, capsys, argv, name):
         code = main(["run-toy", *argv, "--out", str(tmp_path)])

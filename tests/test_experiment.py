@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from emgd.errors import ConfigError, IncompleteMatrixError, InvalidInputError
+from emgd.errors import ConfigError, IncompleteMatrixError
 from emgd.experiment import (
     AccuracyMatrix,
     RunConfig,
@@ -440,6 +440,6 @@ class TestRunConfig:
     ])
     def test_edit_knobs_checked_at_construction(self, knobs, name):
         # the editing gradient is exact, so fd_eps is no RunConfig field at all
-        error = TypeError if name == "fd_eps" else InvalidInputError
+        error = TypeError if name == "fd_eps" else ConfigError
         with pytest.raises(error, match=name):
             RunConfig(**knobs)

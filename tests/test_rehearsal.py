@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emgd.errors import EmptyMemoryError, FormatError, InvalidInputError
+from emgd.experiment import RunConfig
 from emgd.net import (
     Batch,
     Network,
@@ -17,7 +18,6 @@ from emgd.net import (
     stream_gradients,
 )
 from emgd.rehearsal import (
-    EditConfig,
     MemoryBatch,
     MemoryBuffer,
     _write_back,
@@ -222,7 +222,6 @@ class TestSampleMemory:
             np.testing.assert_array_equal(mem.inputs, buf.x[mem.slot_indices])
             np.testing.assert_array_equal(mem.labels, buf.label[mem.slot_indices])
             np.testing.assert_array_equal(mem.task_ids, buf.task_id[mem.slot_indices])
-            np.testing.assert_array_equal(mem.class_ids, buf.class_id[mem.slot_indices])
 
 
 class TestInterleavedBatch:
@@ -235,13 +234,13 @@ class TestInterleavedBatch:
         ones, twos = np.flatnonzero(mem.task_ids == 1), np.flatnonzero(mem.task_ids == 2)
         rows = [ones[0], twos[0], ones[1]]
         return MemoryBatch(mem.inputs[rows], mem.labels[rows], mem.task_ids[rows],
-                           mem.class_ids[rows], mem.slot_indices[rows])
+                           mem.slot_indices[rows])
 
     @pytest.mark.parametrize("call", [
         lambda net, buf, mem, d: stream_gradients(
             net, [(mem.inputs, mem.labels, mem.task_ids, 0.3)]),
-        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, EditConfig()),
-        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, EditConfig()),
+        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, RunConfig()),
+        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, RunConfig()),
     ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
     def test_rejected_with_a_named_error(self, call):
         rng = np.random.default_rng(25)
@@ -359,7 +358,7 @@ class TestEditEmgd:
         mem = sample_memory(buf, buf.occupancy, 3)
         g, _, _ = memory_gradient(net, mem)
         before = buf.x.copy()
-        edit_memory_emgd(buf, net, mem, -g, EditConfig())
+        edit_memory_emgd(buf, net, mem, -g, RunConfig())
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
@@ -369,7 +368,7 @@ class TestEditEmgd:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 4)
         before = buf.x.copy()
-        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), EditConfig(eta_edit=0.0))
+        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig(eta_edit=0.0))
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
@@ -383,7 +382,7 @@ class TestEditEmgd:
             other = class_batch(rng, 4, task=1, classes=4)
             d = -backward(net, other).backbone_grad
             before = editing_objective(net, mem.inputs, mem, d)
-            edit_memory_emgd(buf, net, mem, d, EditConfig(eta_edit=1e-3, clamp=False))
+            edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=1e-3, clamp=False))
             after = editing_objective(net, mem.inputs, mem, d)
             if after <= before + 1e-6:
                 hits += 1
@@ -397,7 +396,7 @@ class TestEditEmgd:
         insert(buf, batch, class_ids=[0, 1], seed_or_rng=0)
         mem = sample_memory(buf, 2, 1)
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
-                         EditConfig(eta_edit=1.0))
+                         RunConfig(eta_edit=1.0))
         for x in buf.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
@@ -419,7 +418,7 @@ class TestEditEmgd:
                                           [(int(t), slice(None))], d)
             expected[mask] = x0[mask] - eta * delta
             objective += value
-        before = edit_memory_emgd(buf, net, mem, d, EditConfig(eta_edit=eta, clamp=False))
+        before = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
         assert before == editing_objective(net, x0, mem, d)
@@ -444,10 +443,10 @@ class TestEditEmgd:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 5)
         d = rng.normal(size=net.backbone_dim)
-        for edit, cfg in ((edit_memory_emgd, EditConfig(iterations=0)),
-                          (edit_memory_emgd, EditConfig(eta_edit=0.0)),
-                          (edit_memory_emgd, EditConfig(eta_edit=0.5, iterations=3)),
-                          (edit_memory_gmed, EditConfig())):
+        for edit, cfg in ((edit_memory_emgd, RunConfig(edit_iterations=0)),
+                          (edit_memory_emgd, RunConfig(eta_edit=0.0)),
+                          (edit_memory_emgd, RunConfig(eta_edit=0.5, edit_iterations=3)),
+                          (edit_memory_gmed, RunConfig())):
             expected = editing_objective(net, mem.inputs, mem, d)
             assert edit(buf, net, mem, d, cfg) == expected
 
@@ -457,7 +456,7 @@ class TestEditEmgd:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 2)
         slots_before, backbone_before, heads_before = snapshot(buf, net)
-        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), EditConfig())
+        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
         np.testing.assert_array_equal(net.flatten_backbone(), backbone_before)
         for t, flat in heads_before.items():
             np.testing.assert_array_equal(net.heads[t], flat)
@@ -473,7 +472,7 @@ class TestEditGmed:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 3)
         before = buf.x.copy()
-        edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), EditConfig())
+        edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), RunConfig())
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
@@ -498,7 +497,7 @@ class TestEditGmed:
             return (l_now - l_ahead) ** 2
 
         x0 = mem.inputs.copy()
-        edit_memory_gmed(buf, net, mem, d, EditConfig(eta_edit=eta, clamp=False))
+        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
         applied = (x0 - mem.inputs) / eta  # recovered gradient estimate
         h = 1e-6
         for _ in range(10):
@@ -519,12 +518,12 @@ class TestEditGmed:
         insert(buf, Batch(np.zeros((2, 6)), [0, 1], 1), class_ids=[0, 1], seed_or_rng=0)
         mem = sample_memory(buf, 2, 1)
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
-                         EditConfig(eta_edit=1.0))
+                         RunConfig(eta_edit=1.0))
         for x in buf.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    @pytest.mark.parametrize("cfg", [EditConfig(eta_edit=0.5, iterations=3, clamp=False),
-                                     EditConfig(eta_edit=0.2, iterations=2)])
+    @pytest.mark.parametrize("cfg", [RunConfig(eta_edit=0.5, edit_iterations=3, clamp=False),
+                                     RunConfig(eta_edit=0.2, edit_iterations=2)])
     def test_matches_per_group_oracle(self, cfg):
         # three tasks in the batch, drawn with replacement so slots repeat;
         # the oracle edits one task group at a time
@@ -560,7 +559,7 @@ class TestEditGmed:
         monkeypatch.setattr(Network, "set_backbone_flat",
                             lambda self, flat: calls.append(1) or set_flat(self, flat))
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim),
-                         EditConfig(iterations=iterations))
+                         RunConfig(edit_iterations=iterations))
         assert len(calls) == 2 * iterations + 1
 
     def test_restores_parameters(self):
@@ -569,7 +568,7 @@ class TestEditGmed:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 3, 9)
         before = net.flatten_backbone().copy()
-        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), EditConfig())
+        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
         np.testing.assert_array_equal(net.flatten_backbone(), before)
 
 
@@ -690,14 +689,3 @@ class TestSnapshot:
         write_blob(path, {"kind": "something-else"}, np.zeros(3))
         with pytest.raises(InvalidInputError):
             load_buffer_snapshot(path)
-
-
-class TestEditConfig:
-    def test_rejects_oversized_step(self):
-        with pytest.raises(InvalidInputError):
-            EditConfig(eta_edit=1.5)
-
-    def test_rejects_bad_eps(self):
-        # the editing gradient is exact: no finite-difference step to set
-        with pytest.raises(TypeError, match="fd_eps"):
-            EditConfig(fd_eps=0.0)

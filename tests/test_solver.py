@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgd.errors import DegenerateGradientError, InvalidInputError, NumericError
+from emgd.errors import InvalidInputError, NumericError
 from emgd.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -14,7 +14,6 @@ from emgd.solver import (
     ElasticFactors,
     ElasticState,
     GradientBundle,
-    avg_grad,
     combine,
     elastic_factors_gmc,
     elastic_factors_gs,
@@ -196,8 +195,9 @@ class TestElasticFactorsGs:
         np.testing.assert_allclose(sig.sigma, [0.2483, 0.2483, 0.5035], atol=5e-5)
 
     def test_zero_norm_gradient_raises(self):
-        with pytest.raises(DegenerateGradientError):
-            elastic_factors_gs(bundle([1.0, 0.0], [0.0, 0.0]))
+        # undefined cosines give uniform factors, not an error
+        sig = elastic_factors_gs(bundle([1.0, 0.0], [0.0, 0.0]))
+        np.testing.assert_array_equal(sig.sigma, [0.5, 0.5])
 
     @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 0.0, -1.0])
     def test_non_positive_or_non_finite_temperature_named(self, temperature):
@@ -495,17 +495,20 @@ class TestSolveMgda:
 
 class TestAvgGrad:
     def test_singleton(self):
-        res = avg_grad(bundle([2.0, 0.0]))
+        res, _ = combine("avg_grad", bundle([2.0, 0.0]), ElasticState())
         np.testing.assert_allclose(res.direction, [2.0, 0.0])
 
     def test_orthogonal_pair(self):
-        res = avg_grad(bundle([1.0, 0.0], [0.0, 1.0]))
+        res, _ = combine("avg_grad", bundle([1.0, 0.0], [0.0, 1.0]), ElasticState())
         np.testing.assert_allclose(res.direction, [0.5, 0.5])
 
     def test_three_task_mean(self):
-        res = avg_grad(bundle([2.0, 2.0], [0.0, -2.0], [1.0, 0.0]))
+        res, sigma = combine("avg_grad", bundle([2.0, 2.0], [0.0, -2.0], [1.0, 0.0]),
+                             ElasticState())
         np.testing.assert_allclose(res.direction, [1.0, 0.0])
         np.testing.assert_allclose(res.lam, [1 / 3, 1 / 3, 1 / 3])
+        np.testing.assert_allclose(sigma, [1 / 3, 1 / 3, 1 / 3])
+        assert (res.iterations, res.converged, res.degenerate_tasks) == (0, True, ())
 
 
 class TestTwoTaskClosedForm:
