@@ -103,6 +103,10 @@ def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
                    seed=streams.derive_seed(seed, "net-init"))
 
 
+def _write_json(doc: dict, path) -> None:
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def cmd_solve(args) -> int:
     try:
         doc = json.loads(sys.stdin.read())
@@ -126,8 +130,7 @@ def cmd_run_toy(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "toy_trace.csv").write_text(experiment.toy_trace_csv(trace))
-    experiment.dump_json(experiment.toy_summary(trace, args.iters),
-                         out / "toy_summary.json")
+    _write_json(experiment.toy_summary(trace, args.iters), out / "toy_summary.json")
     log.info("toy run (%s) written to %s", trace.method, out)
     return 0
 
@@ -136,7 +139,7 @@ def cmd_run_pcl(args) -> int:
     doc, seed, dataset = _load_config(args)
     if doc["manifest"]:
         specs, timeline, batch_size, epochs = streams.specs_from_manifest(
-            streams.read_manifest(doc["manifest"]), dataset)
+            load_json_object(doc["manifest"], "split manifest"), dataset)
     else:
         specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
     run = section(doc["run"], "run", _RUN)
@@ -155,7 +158,7 @@ def cmd_run_pcl(args) -> int:
         return 3
 
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))
-    experiment.dump_json(experiment.metrics_document(result, cfg), out / "metrics.json")
+    _write_json(experiment.metrics_document(result, cfg), out / "metrics.json")
     if cfg.snapshot_buffer:
         rehearsal.save_buffer_snapshot(result.buffer, out / "buffer_snapshot.bin")
     log.info("run (%s/%s, seed %d) written to %s", cfg.method, cfg.editing, seed, out)
@@ -169,7 +172,7 @@ def cmd_build_splits(args) -> int:
     manifest = streams.split_manifest(
         specs, timeline, seed, batch_size, epochs, dataset_info=doc["dataset"]
     )
-    streams.write_manifest(manifest, args.out)
+    _write_json(manifest, args.out)
     log.info("split manifest written to %s", args.out)
     return 0
 

@@ -12,7 +12,6 @@ class-incremental (argmax over all heads) modes.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -203,7 +202,9 @@ def run_toy(
 
     The first function trains alone until ``join_tick``, then the second
     joins and every update uses the configured combiner. Gradients are
-    analytic; the whole run is deterministic.
+    analytic; the whole run is deterministic. A start far enough out
+    overflows the objectives; the run then stops with a NumericError naming
+    the tick and the start.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, pick one of {METHODS}")
@@ -213,33 +214,32 @@ def run_toy(
         raise ConfigError("need iterations >= 1, join_tick >= 0, a positive finite step and a "
                           f"finite start, got iterations={iterations!r}, join_tick={join_tick!r}, "
                           f"step={step!r}, start={(x, y)!r}")
-    trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
     state = solver.ElasticState(temperature=temperature)
-    for tick in range(1, iterations + 1):
-        grads = [toy_grad_f1(x, y)]
-        if tick > join_tick:
-            grads.append(toy_grad_f2(x, y))
-        grads = np.negative(grads)  # the bundle holds negative gradients
-        bundle = solver.GradientBundle((1, 2)[:len(grads)], grads)
-        result, sigma = solver.combine(method, bundle, state, tol, max_iter)
-        d = result.direction
-        dd = result.objective
-        margin = min(float(g @ d) - float(s) * dd for g, s in zip(grads, sigma))
-        x += step * float(d[0])
-        y += step * float(d[1])
-        trace.rows.append(
-            ToyRow(
-                tick,
-                x,
-                y,
-                toy_f1(x, y),
-                toy_f2(x, y),
-                float(np.sqrt(dd)),
-                tuple(float(v) for v in result.lam),
-                tuple(float(v) for v in sigma),
-                margin,
-            )
-        )
+    # overflow shows up as non-finite values, which the checks below name
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
+        try:
+            for tick in range(1, iterations + 1):
+                grads = [toy_grad_f1(x, y)]
+                if tick > join_tick:
+                    grads.append(toy_grad_f2(x, y))
+                grads = np.negative(grads)  # the bundle holds negative gradients
+                bundle = solver.GradientBundle((1, 2)[:len(grads)], grads)
+                result, sigma = solver.combine(method, bundle, state, tol, max_iter)
+                d = result.direction
+                dd = result.objective
+                margin = min(float(g @ d) - float(s) * dd for g, s in zip(grads, sigma))
+                x += step * float(d[0])
+                y += step * float(d[1])
+                f1, f2 = toy_f1(x, y), toy_f2(x, y)
+                if not (math.isfinite(f1) and math.isfinite(f2)):
+                    raise NumericError(f"objectives f1={f1!r}, f2={f2!r} at ({x!r}, {y!r})")
+                trace.rows.append(ToyRow(tick, x, y, f1, f2, float(np.sqrt(dd)),
+                                         tuple(float(v) for v in result.lam),
+                                         tuple(float(v) for v in sigma), margin))
+        except NumericError as err:
+            raise NumericError(f"numeric failure at tick {tick} of the run from start "
+                               f"{trace.start!r}: {err}", tick=tick) from None
     return trace
 
 
@@ -378,8 +378,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         if mem is not None and cfg.editing != "none":
             edit = (rehearsal.edit_memory_emgd if cfg.editing == "emgd"
                     else rehearsal.edit_memory_gmed)
-            before = edit(buffer, net, mem, result.direction, cfg)
-            after = rehearsal.editing_objective(net, mem.inputs, mem, result.direction)
+            before, after = edit(buffer, net, mem, result.direction, cfg)
             edit_objective = f"{before:.6e}->{after:.6e}"
 
         finishing = [t for t, e in finish_ticks.items() if e == tick]
@@ -487,9 +486,3 @@ def metrics_document(result: PclResult, cfg: RunConfig) -> dict:
         }
     )
     return head
-
-
-def dump_json(doc: dict, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

@@ -9,6 +9,7 @@ exact second-order editing gradient are all computed here.
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
 from collections import namedtuple
@@ -137,6 +138,14 @@ class Network:
     def flatten_backbone(self) -> np.ndarray:
         """A copy of ``theta``: a snapshot later updates leave alone."""
         return self.theta.copy()
+
+    def ahead(self, direction: np.ndarray, step: float) -> Network:
+        """A network at backbone ``theta + step * direction``, a vector of its
+        own, that shares this one's heads; this one is left alone."""
+        other = copy.copy(self)
+        other.theta = self.theta + step * direction
+        other.backbone = _layers(other.theta, self.layer_sizes)
+        return other
 
     def set_backbone_flat(self, flat: np.ndarray) -> None:
         if flat.shape != self.theta.shape:
@@ -280,13 +289,6 @@ def _backprop(net: Network, activations: list, delta: np.ndarray, spans) -> tupl
     return grads, dzs
 
 
-def forward(net: Network, batch: Batch):
-    """Class probabilities and mean cross-entropy loss for one batch."""
-    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
-    probs, _, logp = _head_stage(_activations(net, inputs)[-1], labels, groups)
-    return probs, float(-logp.mean())
-
-
 def features(net: Network, inputs: np.ndarray) -> np.ndarray:
     """Backbone output for raw inputs (no head, no loss)."""
     return _activations(net, np.atleast_2d(np.asarray(inputs, dtype=np.float64)))[-1]
@@ -338,49 +340,45 @@ def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientRepo
     return GradientReport(grads[0], head_grads[batch.task_id], losses[0])
 
 
-def _task_groups(net: Network, labels: np.ndarray, groups) -> list:
-    """One ``_Group`` per ``(task_id, slice)``: each its own stream at weight 1,
-    no head step."""
-    return [_Group(task_id, rows, *_head(net, task_id, labels[rows]), j, 1.0, 0.0)
-            for j, (task_id, rows) in enumerate(groups)]
+def _group_pass(net: Network, inputs, labels, groups, grads: bool) -> tuple:
+    """``stream_gradients``' pass with each ``(task_id, slice)`` group of the
+    rows its own stream, no head step. Returns the activations, the
+    ``_Group``s, the head stage's probs and log-probs, each group's backbone
+    gradient (none unless ``grads``) and the dzs."""
+    inputs, labels, spans, groups = _stack(
+        net, [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups])
+    activations = _activations(net, inputs)
+    feats = activations[-1]
+    probs, dlogits, logp = _head_stage(feats, labels, groups)
+    delta = _feature_delta(feats, dlogits, groups)
+    U, dzs = _backprop(net, activations, delta, spans if grads else [])
+    return activations, groups, probs, logp, U, dzs
 
 
 def input_gradient(net: Network, inputs, labels, groups):
     """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
     same shape as ``inputs``, and each group's mean loss: one forward, one
     head stage and a backward chain with no parameter gradients."""
-    groups = _task_groups(net, labels, list(groups))
-    activations = _activations(net, inputs)
-    feats = activations[-1]
-    _, dlogits, logp = _head_stage(feats, labels, groups)
-    _, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups), [])
+    _, groups, _, logp, _, dzs = _group_pass(net, inputs, labels, groups, grads=False)
     return dzs[0] @ net.backbone[0][0].T, np.array([-logp[g.rows].mean() for g in groups])
 
 
 def _edit_pass(net: Network, inputs, labels, groups, target_d):
-    """``stream_gradients``' head stage and backward chain, each ``(task_id,
-    slice)`` group its own stream, no head step; row j of ``U`` is group j's
-    gradient plus ``target_d``. Returns the activations, the dzs, each
-    group's (W_h, probs), ``U`` and the objective sum_j ||U_j||^2."""
+    """``_group_pass`` with each group's gradient; row j of ``U`` is group j's
+    gradient plus ``target_d``. Returns the activations, the dzs, the
+    ``_Group``s, the probs, ``U`` and the objective sum_j ||U_j||^2."""
     target_d = np.asarray(target_d, dtype=np.float64)
     if target_d.shape != (net.backbone_dim,):
         raise InvalidInputError(f"target direction must have backbone dimension {net.backbone_dim}")
-    activations = _activations(net, inputs)
-    feats = activations[-1]
-    groups = _task_groups(net, labels, groups)
-    probs, dlogits, _ = _head_stage(feats, labels, groups)
-    spans = [g.rows.indices(labels.size)[:2] for g in groups]
-    U, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups), spans)
+    activations, groups, probs, _, U, dzs = _group_pass(net, inputs, labels, groups, grads=True)
     U += target_d
-    objective = sum(float(u @ u) for u in U)
-    heads = [(g.W, probs[g.rows, : g.W.shape[1]]) for g in groups]
-    return activations, dzs, heads, U, objective
+    return activations, dzs, groups, probs, U, sum(float(u @ u) for u in U)
 
 
 def edit_objective(net: Network, inputs, labels, groups, target_d) -> float:
     """sum_g ||grad_theta L_g + d||^2 at ``inputs`` over ``(task_id, slice)``
     groups: one forward and one backward over all rows, no tangent pass."""
-    return _edit_pass(net, inputs, labels, list(groups), target_d)[-1]
+    return _edit_pass(net, inputs, labels, groups, target_d)[-1]
 
 
 def edit_direction(net: Network, inputs, labels, groups, target_d):
@@ -396,32 +394,33 @@ def edit_direction(net: Network, inputs, labels, groups, target_d):
     costs one tangent forward and one tangent backward; parameters are
     never touched.
     """
-    groups = list(groups)
-    activations, dzs, heads, U, objective = _edit_pass(net, inputs, labels, groups, target_d)
+    activations, dzs, groups, probs, U, objective = _edit_pass(net, inputs, labels, groups,
+                                                               target_d)
     tangents = [_layers(row, net.layer_sizes) for row in U]
     # tangent forward: Rz_l = Ra_{l-1} W_l + a_{l-1} dW_l + db_l, Ra_l = (1 - a_l^2) Rz_l
     Rzs = []
     for i, (W, _) in enumerate(net.backbone):
         Rz = np.zeros_like(activations[i + 1]) if i == 0 else Ra @ W
-        for (_, rows), tangent in zip(groups, tangents):
+        for g, tangent in zip(groups, tangents):
             dW, db = tangent[i]
-            Rz[rows] += activations[i][rows] @ dW + db
+            Rz[g.rows] += activations[i][g.rows] @ dW + db
         Rzs.append(Rz)
         a_out = activations[i + 1]
         Ra = (1.0 - a_out * a_out) * Rz
     # tangent of d(mean cross-entropy)/d(features) through the fixed head
     Rdelta = np.empty_like(Ra)
-    for (_, rows), (W_h, probs) in zip(groups, heads):
-        Rs = Ra[rows] @ W_h
-        Rp = probs * (Rs - (probs * Rs).sum(axis=1, keepdims=True))
-        Rdelta[rows] = (Rp / probs.shape[0]) @ W_h.T
+    for g in groups:
+        p = probs[g.rows, : g.W.shape[1]]
+        Rs = Ra[g.rows] @ g.W
+        Rp = p * (Rs - (p * Rs).sum(axis=1, keepdims=True))
+        Rdelta[g.rows] = (Rp / p.shape[0]) @ g.W.T
     # tangent backward: R(dz) = (1 - a^2) R(delta) - 2 a dz Rz, R(dz W^T) = R(dz) W^T + dz dW^T
     for i in range(len(net.backbone) - 1, -1, -1):
         a_out = activations[i + 1]
         Rdz = (1.0 - a_out * a_out) * Rdelta - 2.0 * a_out * dzs[i] * Rzs[i]
         Rdelta = Rdz @ net.backbone[i][0].T
-        for (_, rows), tangent in zip(groups, tangents):
-            Rdelta[rows] += dzs[i][rows] @ tangent[i][0].T
+        for g, tangent in zip(groups, tangents):
+            Rdelta[g.rows] += dzs[i][g.rows] @ tangent[i][0].T
     Rdelta *= 2.0
     return Rdelta, objective
 

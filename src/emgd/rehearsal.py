@@ -158,10 +158,9 @@ def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> fl
     return edit_objective(net, inputs, mem.labels, task_slices(mem.task_ids), direction_d)
 
 
-def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> None:
-    if clamp:
-        inputs = np.clip(inputs, 0.0, 1.0)
-    # a slot sampled twice (replacement) takes its last row
+def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
+    """Store the edited rows in their slots and in ``mem``; a slot sampled
+    twice (replacement) takes its last row."""
     slots = mem.slot_indices
     last = slots.size - 1 - np.unique(slots[::-1], return_index=True)[1]
     buffer.x[slots[last]] = inputs[last]
@@ -169,27 +168,27 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs, clamp: bool) -> 
 
 
 def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
-               cfg: RunConfig, step) -> float:
+               cfg: RunConfig, step) -> tuple:
     """The editing loop both editors share, set by the run config's
     ``edit_iterations``, ``eta_edit`` and ``clamp``. Each iteration moves the
     batch's rows by ``-eta_edit`` times ``step(inputs, labels, groups)``'s
     first result over its ``(task_id, slice)`` groups, then clamps; the edited
-    rows are written back. Returns the editing objective before the edit: a
-    step's second result on its first call, or else one ``edit_objective``
-    pass once the loop is done."""
+    rows are written back. Returns the editing objective before the edit (a
+    step's second result on its first call, or else one ``editing_objective``
+    pass) and after it, at the written-back rows."""
     groups = task_slices(mem.task_ids)
-    inputs, labels = mem.inputs.copy(), mem.labels
-    objective = None
+    inputs = mem.inputs.copy()
+    before = None
     for _ in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
-        delta, value = step(inputs, labels, groups)
-        objective = value if objective is None else objective
+        delta, value = step(inputs, mem.labels, groups)
+        before = value if before is None else before
         inputs -= cfg.eta_edit * delta
         if cfg.clamp:
             np.clip(inputs, 0.0, 1.0, out=inputs)
-    if objective is None:
-        objective = edit_objective(net, mem.inputs, labels, groups, d)
-    _write_back(buffer, mem, inputs, cfg.clamp)
-    return objective
+    if before is None:
+        before = editing_objective(net, mem.inputs, mem, d)
+    _write_back(buffer, mem, inputs)
+    return before, editing_objective(net, inputs, mem, d)
 
 
 def edit_memory_emgd(
@@ -198,13 +197,13 @@ def edit_memory_emgd(
     mem: MemoryBatch,
     direction_d,
     cfg: RunConfig,
-) -> float:
+) -> tuple:
     """Move sampled inputs down the gradient of ||g(x) - d||^2.
 
     Each task group is edited against the shared target direction; inputs
     are clamped back into [0, 1]. Labels, task ids and network parameters
     are never touched. Every edit iteration is one ``edit_direction`` pass
-    over the batch. Returns the editing objective before the edit.
+    over the batch. Returns the editing objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
     return _edit_loop(buffer, net, mem, d, cfg,
@@ -217,38 +216,32 @@ def edit_memory_gmed(
     mem: MemoryBatch,
     direction_d,
     cfg: RunConfig,
-) -> float:
+) -> tuple:
     """Loss-difference editing baseline.
 
     A look-ahead parameter set theta' = theta + eta * d (one virtual update)
     defines each task group's interference score (L(x, theta) - L(x, theta'))^2
     with L the group's mean loss; inputs step down its exact input gradient
-    2 (L - L') (grad_x L - grad_x L'). Every edit iteration is two grouped
-    ``input_gradient`` passes over the batch, one per parameter set. Returns
-    the editing objective ||g(x) - d||^2 (see ``editing_objective``) before
-    the edit.
+    2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
+    network that shares the heads, so ``net`` is never written. Every edit
+    iteration is two grouped ``input_gradient`` passes over the batch, one
+    per network. Returns the editing objective ||g(x) - d||^2 (see
+    ``editing_objective``) before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
-    theta = net.flatten_backbone()
-    ahead = theta + cfg.eta_edit * d
+    ahead = net.ahead(d, cfg.eta_edit)
 
     def step(inputs, labels, groups):
-        # the look-ahead first, so each step leaves the network at theta
-        net.set_backbone_flat(ahead)
-        gx_ahead, loss_ahead = input_gradient(net, inputs, labels, groups)
-        net.set_backbone_flat(theta)
+        gx_ahead, loss_ahead = input_gradient(ahead, inputs, labels, groups)
         delta, loss_now = input_gradient(net, inputs, labels, groups)
         delta -= gx_ahead
         for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
             delta[rows] *= 2.0 * (now - later)
         return delta, None
 
-    try:
-        return _edit_loop(buffer, net, mem, d, cfg, step)
-    finally:
-        net.set_backbone_flat(theta)
+    return _edit_loop(buffer, net, mem, d, cfg, step)
 
 
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:

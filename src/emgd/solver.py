@@ -83,10 +83,6 @@ class GradientBundle:
     def size(self) -> int:
         return self.grads.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.grads.shape[1]
-
     @cached_property
     def gram(self) -> np.ndarray:
         """k x k inner products <g_i, g_j>, formed once per bundle.

@@ -9,7 +9,6 @@ continual learning falls out as the degenerate case s_t = e_{t-1} + 1.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -22,7 +21,6 @@ from .errors import (
     FormatError,
     InvalidInputError,
     StreamEnd,
-    load_json_object,
     read_field,
     section,
 )
@@ -106,12 +104,6 @@ class TaskTimeline:
                     )
             prev_start = s
             max_end = e if max_end is None else max(max_end, e)
-        # the ordering constraint already forbids dead ticks; check directly
-        covered = np.zeros(self.final_tick - self.first_tick + 1, dtype=bool)
-        for _, s, e in self.entries:
-            covered[s - self.first_tick : e - self.first_tick + 1] = True
-        if not covered.all():
-            raise InvalidInputError("timeline has ticks with no active stream")
 
     @property
     def first_tick(self) -> int:
@@ -456,14 +448,6 @@ def split_manifest(specs, timeline: TaskTimeline, seed: int, batch_size: int,
             for spec in specs
         ],
     }
-
-
-def write_manifest(manifest: dict, path) -> None:
-    Path(path).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-
-
-def read_manifest(path) -> dict:
-    return load_json_object(path, "split manifest")
 
 
 _MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}

@@ -5,6 +5,9 @@ grad_x ||g(x) - d||^2 by differencing the input gradient through a
 parameter perturbation. ``emgd.net.edit_direction`` computes the same
 quantity exactly; these slower approximations pin it down.
 
+``forward`` is one batch's class probabilities and mean loss, through the
+library's own stacking and head stage.
+
 ``per_group_gmed`` is the loss-difference editor that
 ``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
 ``forward`` and one ``input_gradient`` at theta and again at the look-ahead
@@ -34,14 +37,21 @@ from typing import NamedTuple
 import numpy as np
 
 from emgd.errors import InvalidInputError
-from emgd.net import (Batch, Network, _activations, _head, _layers, backward, features,
-                      forward, head_logits, input_gradient)
+from emgd.net import (Batch, Network, _activations, _head, _head_stage, _layers, _stack,
+                      backward, features, head_logits, input_gradient)
 from emgd.rehearsal import _as_rng, _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_sigma
 
 # Squared-norm threshold below which two scaled gradients are treated as the
 # same hull point (any convex weight is then optimal).
 PARALLEL_EPS = 1e-18
+
+
+def forward(net: Network, batch: Batch):
+    """Class probabilities and mean cross-entropy loss for one batch."""
+    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
+    probs, _, logp = _head_stage(_activations(net, inputs)[-1], labels, groups)
+    return probs, float(-logp.mean())
 
 
 def _head_pass(feats, labels, W_h, b_h):
@@ -138,7 +148,7 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
                 inputs = np.clip(inputs, 0.0, 1.0)
     finally:
         net.set_backbone_flat(theta)
-    _write_back(buffer, mem, inputs, cfg.clamp)
+    _write_back(buffer, mem, inputs)
     return objective
 
 

@@ -25,7 +25,6 @@ from emgd.net import (
     add_head,
     backward,
     edit_direction,
-    forward,
     input_gradient,
 )
 from emgd.rehearsal import MemoryBuffer
@@ -38,7 +37,8 @@ from emgd.solver import (
     solve_emgd,
 )
 from emgd.streams import build_parallel_split, derive_seed, synthetic_dataset
-from oracles import brute_force_weights, directional_edit_gradient, two_task_closed_form
+from oracles import (brute_force_weights, directional_edit_gradient, forward,
+                     two_task_closed_form)
 
 
 def ok(n, text):

@@ -450,6 +450,9 @@ class TestMalformedConfig:
         # a label set with no training rows, on a one-tick window that fits it
         (lambda m: m["tasks"][-1].update(labels=[99, 100], e=m["tasks"][-1]["s"]),
          "manifest.tasks[1].labels [99, 100] has no training data"),
+        # a window far too long for its task, checked without allocating per tick
+        (lambda m: m["tasks"][0].update(s=0, e=10**13),
+         "task 1: window [0, 10000000000000] does not match "),
     ])
     def test_manifest_mutation(self, tmp_path, capsys, edit, name):
         manifest_path = tmp_path / "m.json"
@@ -548,6 +551,15 @@ class TestRunToyRanges:
     def test_out_of_range_exit_1(self, tmp_path, capsys, argv, name):
         code = main(["run-toy", *argv, "--out", str(tmp_path)])
         assert_named_exit_1(code, capsys.readouterr(), name)
+
+    @pytest.mark.parametrize("start", [(1000.0, 0.0), (300.0, 0.0)])
+    def test_overflowing_start_exit_1(self, tmp_path, capsys, start):
+        # the objectives overflow on the first step; pytest turns any numpy warning into an error
+        argv = ["run-toy", "--start", *map(repr, start), "--iters", "5", "--out", str(tmp_path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured, f"tick 1 of the run from start {start!r}")
+        assert captured.err.count("\n") == 1
 
 
 class TestOutputPaths:

@@ -18,7 +18,6 @@ from emgd.net import (
     edit_direction,
     edit_objective,
     features,
-    forward,
     head_logits,
     input_gradient,
     load_checkpoint,
@@ -27,7 +26,8 @@ from emgd.net import (
     stream_gradients,
     write_blob,
 )
-from oracles import central_difference_edit, directional_edit_gradient, per_stream_gradients
+from oracles import (central_difference_edit, directional_edit_gradient, forward,
+                     per_stream_gradients)
 
 
 def make_net(rng_seed=1234, layers=(6, 10, 5), heads=((1, 4),)):

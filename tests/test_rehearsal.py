@@ -14,7 +14,6 @@ from emgd.net import (
     add_head,
     backward,
     edit_direction,
-    forward,
     stream_gradients,
 )
 from emgd.rehearsal import (
@@ -30,7 +29,7 @@ from emgd.rehearsal import (
     sample_memory,
     save_buffer_snapshot,
 )
-from oracles import (SlotListBuffer, directional_edit_gradient, per_group_gmed,
+from oracles import (SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
                      slot_list_insert)
 
 CHI2_99_DF5 = 15.086
@@ -418,10 +417,11 @@ class TestEditEmgd:
                                           [(int(t), slice(None))], d)
             expected[mask] = x0[mask] - eta * delta
             objective += value
-        before = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
+        before, after = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
         assert before == editing_objective(net, x0, mem, d)
+        assert after == editing_objective(net, mem.inputs, mem, d)
         for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
             last = np.flatnonzero(mem.slot_indices == slot)[-1]
             np.testing.assert_array_equal(buf.x[slot], mem.inputs[last])
@@ -432,12 +432,13 @@ class TestEditEmgd:
         mem = sample_memory(buf, buf.occupancy + 9, 4)
         assert len(set(mem.slot_indices.tolist())) < mem.size
         edited = rng.uniform(0.0, 1.0, mem.inputs.shape)  # repeated slots get different rows
-        _write_back(buf, mem, edited, clamp=False)
+        _write_back(buf, mem, edited)
         for slot in set(mem.slot_indices.tolist()):
             last = np.flatnonzero(mem.slot_indices == slot)[-1]
             np.testing.assert_array_equal(buf.x[slot], edited[last])
 
     def test_returns_objective_before_the_edit(self):
+        # and after it, at the rows written back
         rng = np.random.default_rng(21)
         net = make_net()
         buf = filled_buffer(rng)
@@ -446,9 +447,17 @@ class TestEditEmgd:
         for edit, cfg in ((edit_memory_emgd, RunConfig(edit_iterations=0)),
                           (edit_memory_emgd, RunConfig(eta_edit=0.0)),
                           (edit_memory_emgd, RunConfig(eta_edit=0.5, edit_iterations=3)),
-                          (edit_memory_gmed, RunConfig())):
-            expected = editing_objective(net, mem.inputs, mem, d)
-            assert edit(buf, net, mem, d, cfg) == expected
+                          (edit_memory_gmed, RunConfig(edit_iterations=0)),
+                          (edit_memory_gmed, RunConfig()),
+                          (edit_memory_gmed, RunConfig(eta_edit=0.5, edit_iterations=3))):
+            x0 = mem.inputs.copy()
+            expected = editing_objective(net, x0, mem, d)
+            before, after = edit(buf, net, mem, d, cfg)
+            assert before == expected
+            assert after == editing_objective(net, mem.inputs, mem, d)
+            assert (after == before) == np.array_equal(mem.inputs, x0)
+            for slot in set(mem.slot_indices.tolist()):
+                np.testing.assert_array_equal(buf.x[slot], mem.inputs[mem.slot_indices == slot][-1])
 
     def test_edits_touch_only_inputs(self):
         rng = np.random.default_rng(14)
@@ -537,9 +546,9 @@ class TestEditGmed:
         d = rng.normal(size=nets[0].backbone_dim) * 5
         bufs = [copy.deepcopy(buf) for _ in range(2)]
         mems = [copy.deepcopy(mem) for _ in range(2)]
-        got = edit_memory_gmed(bufs[0], nets[0], mems[0], d, cfg)
-        expected = per_group_gmed(bufs[1], nets[1], mems[1], d, cfg)
-        assert got == expected
+        before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, cfg)
+        assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, cfg)
+        assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d)
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
         np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
         for a, b in zip(bufs[0].x, bufs[1].x):
@@ -548,19 +557,26 @@ class TestEditGmed:
 
     @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
     @pytest.mark.parametrize("iterations", [0, 1, 3])
-    def test_writes_backbone_twice_per_iteration(self, monkeypatch, tasks, iterations):
+    def test_never_writes_the_backbone(self, tasks, iterations):
+        # a read-only backbone gives the same edit as a writable one
         rng = np.random.default_rng(23)
-        net = make_net(heads=((1, 4), (2, 3), (3, 5)))
         buf = filled_buffer(rng, tasks=tasks)
         mem = sample_memory(buf, 8, 7)
         assert len(np.unique(mem.task_ids)) == len(tasks)
-        calls = []
-        set_flat = Network.set_backbone_flat
-        monkeypatch.setattr(Network, "set_backbone_flat",
-                            lambda self, flat: calls.append(1) or set_flat(self, flat))
-        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim),
-                         RunConfig(edit_iterations=iterations))
-        assert len(calls) == 2 * iterations + 1
+        nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
+        frozen = nets[0]
+        for array in (frozen.theta, *(v for layer in frozen.backbone for v in layer)):
+            array.flags.writeable = False
+        d = rng.normal(size=frozen.backbone_dim)
+        cfg = RunConfig(edit_iterations=iterations)
+        bufs = [copy.deepcopy(buf) for _ in range(2)]
+        mems = [copy.deepcopy(mem) for _ in range(2)]
+        results = [edit_memory_gmed(b, net, m, d, cfg) for b, net, m in zip(bufs, nets, mems)]
+        assert results[0] == results[1]
+        np.testing.assert_array_equal(mems[0].inputs, mems[1].inputs)
+        np.testing.assert_array_equal(bufs[0].x, bufs[1].x)
+        np.testing.assert_array_equal(frozen.theta, nets[1].theta)
+        assert not np.array_equal(mems[0].inputs, mem.inputs) or iterations == 0
 
     def test_restores_parameters(self):
         rng = np.random.default_rng(18)

@@ -2,9 +2,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from emgd.errors import ConfigError, FormatError, InvalidInputError, StreamEnd
-from emgd.net import Batch, Network, add_head, apply_update, backward, forward
+from emgd.cli import _write_json
+from emgd.errors import ConfigError, FormatError, InvalidInputError, StreamEnd, load_json_object
+from emgd.net import Batch, Network, add_head, apply_update, backward
 from emgd.streams import (
     Dataset,
     TaskCursor,
@@ -14,14 +17,13 @@ from emgd.streams import (
     build_parallel_split,
     load_idx,
     next_batch,
-    read_manifest,
     specs_from_manifest,
     split_manifest,
     substream,
     synthetic_dataset,
     task_duration,
-    write_manifest,
 )
+from oracles import forward
 
 
 def toy_dataset(num_classes=12, per_class=10, dim=4, seed=0):
@@ -55,6 +57,20 @@ class TestTimeline:
     def test_serial_is_valid(self):
         tl = TaskTimeline([(1, 0, 4), (2, 5, 7), (3, 8, 8)])
         assert tl.final_tick == 8
+
+    @given(st.lists(st.tuples(st.integers(-2, 6), st.integers(-1, 5)), min_size=1, max_size=6))
+    def test_accepted_timelines_have_no_dead_tick(self, steps):
+        # each window starts a signed step after the last start and runs a length
+        entries, start = [], 0
+        for t, (step, length) in enumerate(steps, start=1):
+            start += step
+            entries.append((t, start, start + length))
+        try:
+            tl = TaskTimeline(entries)
+        except InvalidInputError:
+            return
+        covered = {tick for _, s, e in tl.entries for tick in range(s, e + 1)}
+        assert covered == set(range(tl.first_tick, tl.final_tick + 1))
 
 
 class TestBuildParallelSplit:
@@ -341,8 +357,8 @@ class TestManifest:
         specs, tl = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
         manifest = split_manifest(specs, tl, seed=1234, batch_size=8, epochs=1)
         path = tmp_path / "split.json"
-        write_manifest(manifest, path)
-        back = read_manifest(path)
+        _write_json(manifest, path)
+        back = load_json_object(path, "split manifest")
         specs2, tl2, _, _ = specs_from_manifest(back, ds)
         assert tl2.entries == tl.entries
         assert [s.label_set for s in specs2] == [s.label_set for s in specs]
@@ -364,7 +380,7 @@ class TestManifest:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            read_manifest(tmp_path / "nope.json")
+            load_json_object(tmp_path / "nope.json", "split manifest")
 
 
 class TestSubstream:
