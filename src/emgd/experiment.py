@@ -5,9 +5,9 @@ Each tick serves one batch per active stream, updates the task heads with
 their own gradients, combines the negative backbone gradients into a Pareto
 descent direction, applies theta <- theta + gamma * d, and optionally edits
 the sampled memory afterwards. Finished tasks feed the rehearsal buffer and
-re-enter as the memory stream 0. Accuracy is recorded at every finish tick
-and at the final tick, in both task-incremental (true head) and
-class-incremental (argmax over all heads) modes.
+re-enter as the memory stream 0. Each task is evaluated at its own finish
+tick and every seen task at the final tick, in both task-incremental (true
+head) and class-incremental (argmax over all heads) modes.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class RunConfig:
     batch_size: int = 128
     epochs: int = 1
     temperature: float = 1.0
-    eval_every: int = 0
     eval_mode: str = "task"
     seed: int = 1234
     memory_batch_size: int = 0
@@ -76,9 +75,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
-        for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("eval_every", 0),
-                          ("memory_batch_size", 0), ("capacity_per_class", 1),
-                          ("edit_iterations", 0)):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("edit_iterations", 0),
+                          ("memory_batch_size", 0), ("capacity_per_class", 1)):
             value = getattr(self, name)
             if value < low:
                 # batch_size and epochs come from the split or the manifest, which check them first
@@ -273,32 +271,31 @@ def convergence_probe(trace: ToyTrace) -> ProbeReport:
 # --- the full multi-stream loop ----------------------------------------------
 
 
-def _evaluate(net: Network, specs_by_id: dict, seen: list):
-    """Accuracies per seen task: (task-incremental, class-incremental).
+def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list):
+    """Accuracies per scored task: (task-incremental, class-incremental).
 
-    Each task's test features are scored once against every created head's
-    columns side by side; the task's own column block gives the
-    task-incremental prediction and the argmax over all columns the
+    Each scored task's test features are scored once against the columns of
+    every seen task's head side by side; the task's own column block gives
+    the task-incremental prediction and the argmax over all columns the
     class-incremental one, whose winning column must carry the sample's
     true global class."""
     task_acc, class_acc = {}, {}
-    head_tasks = [t for t in seen if t in net.heads]
-    heads = [net.head(t) for t in head_tasks]
+    heads = [net.head(t) for t in seen]
     W_all = np.concatenate([W for W, _ in heads], axis=1)
     b_all = np.concatenate([b for _, b in heads])
-    column_globals = np.asarray([c for t in head_tasks for c in specs_by_id[t].label_set])
-    lo = 0
-    for t, (W, _) in zip(head_tasks, heads):
-        spec, hi = specs_by_id[t], lo + W.shape[1]
+    column_globals = np.asarray([c for t in seen for c in specs_by_id[t].label_set])
+    bounds = np.cumsum([0] + [W.shape[1] for W, _ in heads])
+    for t in scored:
+        spec, i = specs_by_id[t], seen.index(t)
         if spec.test_inputs.shape[0] == 0:
             task_acc[t] = class_acc[t] = 0.0
         else:
             logits = features(net, spec.test_inputs) @ W_all
             logits += b_all
-            task_acc[t] = float((logits[:, lo:hi].argmax(axis=1) == spec.test_local).mean())
+            own = logits[:, bounds[i]:bounds[i + 1]].argmax(axis=1)
+            task_acc[t] = float((own == spec.test_local).mean())
             winners = column_globals[logits.argmax(axis=1)]
             class_acc[t] = float((winners == spec.test_labels).mean())
-        lo = hi
     return task_acc, class_acc
 
 
@@ -322,8 +319,8 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     stream, live once the buffer holds a finished task's data, routes each
     row through its task's head. The negated gradients are combined per
     ``cfg.method``, the backbone steps, and editing (when enabled) rewrites
-    the sampled slots. A task's training data enters the buffer at its
-    finish tick.
+    the sampled slots. At its finish tick a task's training data enters the
+    buffer and the task is evaluated; the final tick evaluates every seen task.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
@@ -399,11 +396,9 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             }
         )
 
-        want_eval = bool(finishing) or tick == timeline.final_tick
-        if cfg.eval_every and (tick - timeline.first_tick) % cfg.eval_every == 0:
-            want_eval = True
-        if want_eval:
-            task_acc, class_acc = _evaluate(net, specs_by_id, seen)
+        scored = seen if tick == timeline.final_tick else finishing
+        if scored:
+            task_acc, class_acc = _evaluate(net, specs_by_id, seen, scored)
             for t, acc in task_acc.items():
                 matrix_task.record(t, tick, acc)
             for t, acc in class_acc.items():

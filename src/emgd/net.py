@@ -135,10 +135,6 @@ class Network:
                 flat, (self.feature_dim, self.head_classes(task_id)))[0]
         return views
 
-    def flatten_backbone(self) -> np.ndarray:
-        """A copy of ``theta``: a snapshot later updates leave alone."""
-        return self.theta.copy()
-
     def ahead(self, direction: np.ndarray, step: float) -> Network:
         """A network at backbone ``theta + step * direction``, a vector of its
         own, that shares this one's heads; this one is left alone."""

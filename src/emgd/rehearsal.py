@@ -68,7 +68,6 @@ class MemoryBuffer:
         self.task_id = np.empty(0, dtype=np.int64)
         self.class_id = np.empty(0, dtype=np.int64)
         self.seen_counts: dict[int, int] = {}
-        self._by_class: dict[int, list[int]] = {}
 
     @property
     def occupancy(self) -> int:
@@ -100,11 +99,14 @@ def insert(buffer: MemoryBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
         raise InvalidInputError(
             f"batch rows have width {width}, the stored rows width {buffer.x.shape[1]}")
     cap, end = buffer.capacity_per_class, buffer.occupancy
+    by_class: dict[int, list[int]] = {}  # class -> its slots, in slot order
+    for slot, c in enumerate(buffer.class_id.tolist()):
+        by_class.setdefault(c, []).append(slot)
     writes: dict[int, int] = {}  # slot -> batch row
     for i, c in enumerate(class_ids.tolist()):
         seen = buffer.seen_counts.get(c, 0) + 1
         buffer.seen_counts[c] = seen
-        existing = buffer._by_class.setdefault(c, [])
+        existing = by_class.setdefault(c, [])
         if len(existing) < cap:
             existing.append(end)
             writes[end] = i
@@ -287,19 +289,18 @@ def load_buffer_snapshot(path) -> MemoryBuffer:
     buffer.seen_counts = header_int_map(header, "seen_counts")
     for c, seen in buffer.seen_counts.items():
         _check_count(seen, f"seen_counts.{c}")
-    meta = []
+    meta, stored = [], {}  # stored: class -> slots so far
     for i, fields in enumerate(slots):
         meta.append([_check_count(header_field(fields, key, int, f"slots.{i}."),
                                   f"slots.{i}.{key}") for key in ("label", "task", "class")])
         cls = meta[-1][2]
-        stored = buffer._by_class.setdefault(cls, [])
-        stored.append(i)
-        if len(stored) > buffer.capacity_per_class:  # insert keeps this bound
+        stored[cls] = count = stored.get(cls, 0) + 1
+        if count > buffer.capacity_per_class:  # insert keeps this bound
             raise FormatError(f"header field slots.{i}.class {cls} overfills capacity_per_class "
                               f"{buffer.capacity_per_class}", offset=12)
-        if buffer.seen_counts.get(cls, -1) < len(stored):  # keeps insert's odds cap/seen <= 1
+        if buffer.seen_counts.get(cls, -1) < count:  # keeps insert's odds cap/seen <= 1
             raise FormatError(f"header field seen_counts.{cls} is missing or below the "
-                              f"{len(stored)} stored slots of that class", offset=12)
+                              f"{count} stored slots of that class", offset=12)
     buffer.x = values.reshape(len(slots), dim).copy()
     columns = np.array(meta, dtype=np.int64).reshape(-1, 3).T.copy()
     buffer.label, buffer.task_id, buffer.class_id = columns

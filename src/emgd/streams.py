@@ -94,7 +94,13 @@ class TaskTimeline:
             raise InvalidInputError("timeline must contain at least one task")
         prev_start = None
         max_end = None
+        ids = set()
         for t, s, e in self.entries:
+            if t < 1:
+                raise InvalidInputError(f"task {t}: task ids must be >= 1 (0 is the memory stream)")
+            if t in ids:
+                raise InvalidInputError(f"task {t} appears twice on the timeline")
+            ids.add(t)
             if s > e:
                 raise InvalidInputError(f"task {t}: start {s} > end {e}")
             if prev_start is not None:

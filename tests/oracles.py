@@ -126,7 +126,7 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
     objective = editing_objective(net, mem.inputs, mem, d)
-    theta = net.flatten_backbone()
+    theta = net.theta.copy()
     inputs = mem.inputs.copy()
     try:
         for _ in range(cfg.edit_iterations):
@@ -240,7 +240,7 @@ def central_difference_edit(net: Network, batch: Batch, target_d: np.ndarray,
     difference, with the step scaled relative to the parameter magnitude.
     The backbone is restored afterwards."""
     v = -backward(net, batch).backbone_grad - target_d
-    theta = net.flatten_backbone()
+    theta = net.theta.copy()
     eps = fd_eps * (1.0 + float(np.sqrt(np.mean(theta * theta))))
 
     def input_grad_at(theta_prime):

@@ -203,7 +203,7 @@ def test_criterion_07_gradient_correctness():
             1,
         )
         report = backward(net, batch)
-        flat = net.flatten_backbone()
+        flat = net.theta.copy()
         for coord in rng.choice(net.backbone_dim, size=min(50, net.backbone_dim),
                                 replace=False):
             mod = flat.copy()

@@ -371,8 +371,9 @@ CONFIG_MUTATIONS = [
     (("run", "method"), 3, "run.method"),
     (("run", "method"), "sgd", "method"),
     (("run", "eval_mode"), "both", "eval_mode"),
-    (("run", "eval_every"), -1, "eval_every"),
-    (("run", "eval_every"), 1.5, "run.eval_every"),
+    # evaluation follows the metrics, so the former cadence knob is unknown, default included
+    (("run", "eval_every"), 3, "unknown field: run.eval_every"),
+    (("run", "eval_every"), 0, "unknown field: run.eval_every"),
     (("run", "memory_batch_size"), -1, "memory_batch_size"),
     (("run", "memory_batch_size"), 0, None),  # 0 means the batch size
     (("run", "max_iter"), "x", "run.max_iter"),
@@ -453,6 +454,10 @@ class TestMalformedConfig:
         # a window far too long for its task, checked without allocating per tick
         (lambda m: m["tasks"][0].update(s=0, e=10**13),
          "task 1: window [0, 10000000000000] does not match "),
+        # a repeated id would drop a task; id 0 is the memory stream
+        (lambda m: m["tasks"][1].update(id=1), "task 1 appears twice on the timeline"),
+        (lambda m: m["tasks"][0].update(id=0),
+         "task 0: task ids must be >= 1 (0 is the memory stream)"),
     ])
     def test_manifest_mutation(self, tmp_path, capsys, edit, name):
         manifest_path = tmp_path / "m.json"
@@ -518,7 +523,7 @@ FULL_CONFIG = {
     "split": {"num_tasks": 2, "label_bounds": [4, 4], "overlap": 0.0, "serial": False,
               "batch_size": 8, "epochs": 2},
     "run": {"method": "emgd_gs", "editing": "emgd", "gamma": 0.2, "gamma_heads": 1.0,
-            "temperature": 1.0, "eval_every": 3, "eval_mode": "task", "memory_batch_size": 4,
+            "temperature": 1.0, "eval_mode": "task", "memory_batch_size": 4,
             "capacity_per_class": 2, "eta_edit": 0.05, "edit_iterations": 2, "clamp": True,
             "freeze_finished_heads": False, "tol": 1e-8, "max_iter": 50,
             "snapshot_buffer": False},

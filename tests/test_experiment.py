@@ -342,16 +342,27 @@ class TestRunPcl:
         for x in result.buffer.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    def test_eval_every_adds_evaluation_ticks(self):
-        specs, tl, _ = pcl_setup(num_tasks=2)
-        ticks = {}
-        for every in (0, 2):
-            net = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
-            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(eval_every=every))
-            ticks[every] = {tick for _, tick in result.matrix_task.entries}
-        base = set(tl.finish_ticks().values())
-        assert ticks[0] == base
-        assert ticks[2] == base | set(range(tl.first_tick, tl.final_tick + 1, 2))
+    def test_evaluates_each_task_at_its_finish_and_final_tick(self, monkeypatch):
+        # the metrics read a task's accuracy at its finish tick and at the
+        # final tick; no other accuracy is computed
+        import emgd.experiment as exp
+
+        real_features, calls = exp.features, []
+
+        def counting_features(net, inputs):
+            calls.append(inputs.shape[0])
+            return real_features(net, inputs)
+
+        monkeypatch.setattr(exp, "features", counting_features)
+        for serial in (False, True):
+            calls.clear()
+            specs, tl, net = pcl_setup(num_tasks=4, serial=serial)
+            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg())
+            finish = tl.finish_ticks()
+            expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
+            assert set(result.matrix_task.entries) == expected
+            assert set(result.matrix_class.entries) == expected
+            assert len(calls) == len(expected)  # one test-set forward per scored task
 
     def test_edit_iterations_sets_the_number_of_edit_steps(self):
         specs, tl, _ = pcl_setup(num_tasks=3)
@@ -397,17 +408,26 @@ class TestEvaluate:
     def test_equals_per_head_evaluation(self, seed):
         from oracles import per_head_evaluate
 
+        def check(net, seen, scored):
+            # class-incremental accuracy still takes its argmax over every seen head
+            want = per_head_evaluate(net, specs_by_id, seen)
+            got = _evaluate(net, specs_by_id, seen, scored)
+            assert got == tuple({t: acc[t] for t in scored} for acc in want)
+
         specs, tl, net = pcl_setup(num_tasks=4, seed=seed)
         specs_by_id = {spec.task_id: spec for spec in specs}
         result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(seed=seed))
         for seen in ([1], [2, 1], [1, 2, 3, 4], [3, 1, 4]):
-            got = _evaluate(result.net, specs_by_id, seen)
-            assert got == per_head_evaluate(result.net, specs_by_id, seen)
+            check(result.net, seen, seen)
+            check(result.net, seen, seen[-1:])
+        check(result.net, [1, 2, 3, 4], [4, 2])
+        check(result.net, [3, 1, 4], [])
         fresh = Network((8, 16, 8), seed=seed)  # untrained heads too
         for spec in specs:
             add_head(fresh, spec.task_id, spec.class_count, seed=seed + spec.task_id)
         seen = [spec.task_id for spec in specs]
-        assert _evaluate(fresh, specs_by_id, seen) == per_head_evaluate(fresh, specs_by_id, seen)
+        check(fresh, seen, seen)
+        check(fresh, seen, [3])
 
 
 class TestRunConfig:
@@ -422,7 +442,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="max_iter"):
             RunConfig(max_iter=value)
 
-    @pytest.mark.parametrize("name", ["eval_every", "memory_batch_size"])
+    @pytest.mark.parametrize("name", ["memory_batch_size"])
     def test_rejects_negative_counts(self, name):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: -1})

@@ -136,7 +136,7 @@ class TestBackward:
             net = make_net(rng_seed=int(rng.integers(10_000)), layers=widths)
             batch = make_batch(rng, net, size=int(rng.integers(1, 6)))
             report = backward(net, batch)
-            flat = net.flatten_backbone()
+            flat = net.theta.copy()
             for coord in rng.choice(net.backbone_dim, size=10, replace=False):
                 fd = fd_param_gradient(net, batch, flat, int(coord))
                 assert report.backbone_grad[coord] == pytest.approx(
@@ -208,7 +208,7 @@ class TestHeadStep:
             assert got.loss == expect.loss
             for task, _ in heads:
                 np.testing.assert_array_equal(net.heads[task], ref.heads[task])
-            np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
+            np.testing.assert_array_equal(net.theta.copy(), ref.theta.copy())
 
     def test_zero_step_leaves_head_unchanged(self):
         rng = np.random.default_rng(12)
@@ -547,9 +547,9 @@ class TestHeads:
 class TestApplyUpdate:
     def test_zero_step_is_noop(self):
         net = make_net()
-        saved = net.flatten_backbone().copy()
+        saved = net.theta.copy()
         apply_update(net, np.ones(net.backbone_dim), 0.0)
-        np.testing.assert_array_equal(net.flatten_backbone(), saved)
+        np.testing.assert_array_equal(net.theta.copy(), saved)
 
     def test_two_updates_equal_summed_update(self):
         rng = np.random.default_rng(21)
@@ -560,7 +560,7 @@ class TestApplyUpdate:
         apply_update(net_a, d2, 0.1)
         apply_update(net_b, d1 + d2, 0.1)
         np.testing.assert_allclose(
-            net_a.flatten_backbone(), net_b.flatten_backbone(), atol=1e-15
+            net_a.theta.copy(), net_b.theta.copy(), atol=1e-15
         )
 
     def test_head_update_direction(self):
@@ -581,8 +581,8 @@ class TestApplyUpdate:
         rep = backward(net_a, batch)
         # combined direction for one task is g = -grad, applied as theta + gamma*g
         apply_update(net_a, -rep.backbone_grad, 0.05)
-        net_b.set_backbone_flat(net_b.flatten_backbone() - 0.05 * rep.backbone_grad)
-        np.testing.assert_array_equal(net_a.flatten_backbone(), net_b.flatten_backbone())
+        net_b.set_backbone_flat(net_b.theta.copy() - 0.05 * rep.backbone_grad)
+        np.testing.assert_array_equal(net_a.theta.copy(), net_b.theta.copy())
 
     def test_dimension_mismatch(self):
         net = make_net()
@@ -593,16 +593,16 @@ class TestApplyUpdate:
 class TestCheckpoint:
     def test_flatten_roundtrip_bit_exact(self):
         net = make_net()
-        flat = net.flatten_backbone()
+        flat = net.theta.copy()
         net.set_backbone_flat(flat.copy())
-        np.testing.assert_array_equal(net.flatten_backbone(), flat)
+        np.testing.assert_array_equal(net.theta.copy(), flat)
 
     def test_save_load_roundtrip(self, tmp_path):
         net = make_net(heads=((1, 4), (3, 2)))
         path = tmp_path / "model.bin"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.flatten_backbone(), net.flatten_backbone())
+        np.testing.assert_array_equal(loaded.theta.copy(), net.theta.copy())
         for task in (1, 3):
             np.testing.assert_array_equal(loaded.heads[task], net.heads[task])
         rng = np.random.default_rng(1)
@@ -722,13 +722,6 @@ class TestLayout:
         backward(net, make_batch(rng, net), head_step=0.5)
         assert net.theta is theta and net.heads[1] is head
         assert all(np.shares_memory(W, theta) for W, _ in net.backbone)
-
-    def test_flatten_backbone_is_a_copy(self):
-        net = make_net()
-        saved = net.theta.copy()
-        flat = net.flatten_backbone()
-        flat += 1.0
-        np.testing.assert_array_equal(net.theta, saved)
 
     def test_set_backbone_flat_copies_in_place(self):
         net = make_net()

@@ -312,7 +312,7 @@ class TestMemoryGradient:
                 np.testing.assert_allclose(
                     net.heads[t], ref.heads[t], rtol=1e-12, atol=0
                 )
-            np.testing.assert_array_equal(net.flatten_backbone(), ref.flatten_backbone())
+            np.testing.assert_array_equal(net.theta.copy(), ref.theta.copy())
 
 
 def per_group_memory_gradient(net, mem, head_step):
@@ -344,7 +344,7 @@ def per_group_memory_gradient(net, mem, head_step):
 def snapshot(buf, net):
     slots = list(zip(buf.x.copy(), buf.label.tolist(), buf.task_id.tolist(),
                      buf.class_id.tolist()))
-    return slots, net.flatten_backbone().copy(), {
+    return slots, net.theta.copy(), {
         t: net.heads[t].copy() for t in net.heads
     }
 
@@ -466,7 +466,7 @@ class TestEditEmgd:
         mem = sample_memory(buf, 4, 2)
         slots_before, backbone_before, heads_before = snapshot(buf, net)
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
-        np.testing.assert_array_equal(net.flatten_backbone(), backbone_before)
+        np.testing.assert_array_equal(net.theta.copy(), backbone_before)
         for t, flat in heads_before.items():
             np.testing.assert_array_equal(net.heads[t], flat)
         for (x0, label, task, cls), *now in zip(slots_before, buf.label, buf.task_id,
@@ -493,7 +493,7 @@ class TestEditGmed:
         mem = sample_memory(buf, 2, 4)
         d = -backward(net, class_batch(rng, 3, task=1, classes=4)).backbone_grad
         eta = 0.05
-        theta = net.flatten_backbone().copy()
+        theta = net.theta.copy()
         theta_ahead = theta + eta * d
 
         def squared_diff(inputs):
@@ -583,9 +583,9 @@ class TestEditGmed:
         net = make_net()
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 3, 9)
-        before = net.flatten_backbone().copy()
+        before = net.theta.copy()
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
-        np.testing.assert_array_equal(net.flatten_backbone(), before)
+        np.testing.assert_array_equal(net.theta.copy(), before)
 
 
 class TestQuadraticEditingOracle:
@@ -623,6 +623,20 @@ class TestSnapshot:
             np.testing.assert_array_equal(buf.x[i], back.x[i])
             assert ((buf.label[i], buf.task_id[i], buf.class_id[i])
                     == (back.label[i], back.task_id[i], back.class_id[i]))
+
+    def test_loaded_buffer_inserts_like_the_original(self, tmp_path):
+        # insert reads each class's slots from class_id, so a loaded snapshot
+        # makes the same reservoir replacements as the buffer it came from
+        rng = np.random.default_rng(23)
+        buf = filled_buffer(rng, capacity=2)
+        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
+        back = load_buffer_snapshot(tmp_path / "buffer.bin")
+        batch = class_batch(rng, 12, task=2, classes=3)
+        for target in (buf, back):
+            insert(target, batch, class_ids=20 + batch.labels, seed_or_rng=5)
+        assert back.seen_counts == buf.seen_counts
+        for name in ("x", "label", "task_id", "class_id"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(buf, name))
 
     def test_truncated_payload(self, tmp_path):
         rng = np.random.default_rng(20)

@@ -54,6 +54,15 @@ class TestTimeline:
         with pytest.raises(InvalidInputError):
             TaskTimeline([(1, 3, 1)])
 
+    def test_rejects_repeated_task_id(self):
+        with pytest.raises(InvalidInputError, match="task 1 appears twice on the timeline"):
+            TaskTimeline([(1, 0, 3), (1, 2, 5)])
+
+    @pytest.mark.parametrize("task_id", [0, -1])
+    def test_rejects_task_id_below_one(self, task_id):
+        with pytest.raises(InvalidInputError, match=rf"task {task_id}: task ids must be >= 1 "):
+            TaskTimeline([(task_id, 0, 3)])
+
     def test_serial_is_valid(self):
         tl = TaskTimeline([(1, 0, 4), (2, 5, 7), (3, 8, 8)])
         assert tl.final_tick == 8
