@@ -366,8 +366,8 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             raise NumericError(str(err), tick=tick) from None
         if not result.converged:
             log.warning("tick %d: combination solve hit max_iter, using best iterate", tick)
-        if not np.all(np.isfinite(result.direction)):
-            raise NumericError("non-finite update direction", tick=tick)
+        if not math.isfinite(result.objective):  # a NaN or inf in d makes ||d||^2 non-finite
+            raise NumericError("non-finite update direction or squared norm", tick=tick)
 
         apply_update(net, result.direction, cfg.gamma)
 

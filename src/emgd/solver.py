@@ -13,8 +13,9 @@ The elastic problem  min ||sum_i lambda_i g_i||^2  s.t.  sum_i lambda_i
 sigma_i = 1, lambda >= 0  reduces exactly to the classic min-norm-point
 problem over the scaled points g_i / sigma_i via mu_i = lambda_i * sigma_i,
 which needs only their Gram matrix G / (sigma sigma^T) (Wolfe 1976; Sener &
-Koltun 2018). A bundle forms G once; norms, cosines and the solve all read
-it, so the only D-length products per solve are G and d = lambda @ grads.
+Koltun 2018). A bundle forms and validates G at construction; norms,
+cosines and the solve all read it and nothing later re-scans the gradients,
+so the only D-length passes per solve are G and d = lambda @ grads.
 G comes from ``grads @ grads.T`` (BLAS syrk) except for 2 <= k <= 6
 gradients of dimension D >= 4096, where one matrix-vector product per row
 fills its upper triangle and the mirror: on a few long rows syrk's fixed
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -57,11 +57,15 @@ class GradientBundle:
 
     ``grads[i]`` is the negative loss gradient of task ``task_ids[i]`` with
     respect to the shared parameters. The memory stream, when present, uses
-    task id 0.
+    task id 0. ``gram`` holds the k x k inner products <g_i, g_j>, exactly
+    symmetric with a non-negative diagonal; its kernel follows the measured
+    rule at ``_ROW_GRAM_K``. The bundle forms and validates G at
+    construction; nothing later re-scans the gradients.
     """
 
     task_ids: tuple
     grads: np.ndarray
+    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grads = np.atleast_2d(np.asarray(self.grads, dtype=np.float64))
@@ -71,36 +75,34 @@ class GradientBundle:
         if grads.ndim != 2 or grads.shape[0] < 1 or grads.shape[1] < 1:
             raise InvalidInputError("need at least one gradient of dimension >= 1")
         if len(ids) != grads.shape[0]:
-            raise InvalidInputError(
-                f"{len(ids)} task ids for {grads.shape[0]} gradients"
-            )
+            raise InvalidInputError(f"{len(ids)} task ids for {grads.shape[0]} gradients")
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate task ids: {ids}")
-        if not np.isfinite(grads).all():
-            raise NumericError("gradient bundle contains non-finite entries")
+        gram = _gram(grads)  # a NaN or inf entry, or a squared norm past float64, shows in G
+        if not np.isfinite(gram).all():  # only then are the gradients scanned
+            if not np.isfinite(grads).all():
+                raise NumericError("gradient bundle contains non-finite entries")
+            raise NumericError("gram contains non-finite entries: a squared gradient norm "
+                               "overflows float64")
+        object.__setattr__(self, "gram", gram)
 
     @property
     def size(self) -> int:
         return self.grads.shape[0]
 
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """k x k inner products <g_i, g_j>, formed once per bundle.
-
-        Exactly symmetric with a non-negative diagonal either way; the
-        kernel follows the measured rule at ``_ROW_GRAM_K``.
-        """
-        grads = self.grads
-        k, dim = grads.shape
-        if not (_ROW_GRAM_K[0] <= k <= _ROW_GRAM_K[1] and dim >= _ROW_GRAM_MIN_DIM):
-            return grads @ grads.T
-        gram = np.empty((k, k))
-        for i in range(k):
-            gram[i, i:] = gram[i:, i] = grads[i:] @ grads[i]
-        return gram
-
     def norms(self) -> np.ndarray:
         return np.sqrt(self.gram.diagonal())
+
+
+@np.errstate(over="ignore", invalid="ignore")  # GradientBundle names a non-finite G
+def _gram(grads: np.ndarray) -> np.ndarray:
+    k, dim = grads.shape
+    if not (_ROW_GRAM_K[0] <= k <= _ROW_GRAM_K[1] and dim >= _ROW_GRAM_MIN_DIM):
+        return grads @ grads.T
+    gram = np.empty((k, k))
+    for i in range(k):
+        gram[i, i:] = gram[i:, i] = grads[i:] @ grads[i]
+    return gram
 
 
 @dataclass(frozen=True)
@@ -181,10 +183,7 @@ def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticF
     Each task's momentum statistic is refreshed with the bundle's gradient
     norm, then the factors are a temperature-scaled softmax of the momenta.
     """
-    norms = bundle.norms()
-    if not np.isfinite(norms).all():
-        raise NumericError("non-finite gradient norm")
-    for tid, n in zip(bundle.task_ids, norms):
+    for tid, n in zip(bundle.task_ids, bundle.norms()):
         prev = state.momentum.get(tid)
         if prev is None:
             state.momentum[tid] = float(n)
@@ -205,9 +204,10 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
     norms = bundle.norms()
-    if (norms == 0.0).any():
+    if not norms.all():  # a zero gradient
         return ElasticFactors(np.full(bundle.size, 1.0 / bundle.size))
-    scores = (bundle.gram / (norms[:, None] * norms)).sum(axis=1)
+    cosines = norms[:, None] * norms
+    scores = np.divide(bundle.gram, cosines, out=cosines).sum(axis=1)
     return ElasticFactors(_softmax(scores, temperature))
 
 
@@ -256,17 +256,24 @@ def solve_min_norm_simplex(
     smallest squared norm (1 when that is 0 or so small that its reciprocal
     overflows): the points' squared norms can span many orders of magnitude
     (elastic factors divide them by sigma^2), and a c at the largest would
-    leave c ee' + M_SS badly conditioned. If
-    the most violating point is already in S, or is numerically affinely
-    dependent on S (its pivot is not positive), the iterate can no longer
-    change: the solve stops there, not converged, and reports the whole
-    budget as used, as running it out would have.
+    leave c ee' + M_SS badly conditioned. If the most violating point is
+    already in S, or is numerically affinely dependent on S (its pivot is
+    not positive), the iterate can no longer change: the solve stops there,
+    not converged, and reports the whole budget as used, as running it out
+    would have. ``gram`` is checked here; ``solve_emgd`` runs the same core
+    on the scaled Gram of a bundle that validated G, without re-scanning it.
     """
     M = np.atleast_2d(np.asarray(gram, dtype=np.float64))
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidInputError("gram must be a square matrix")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise InvalidInputError("gram must be a non-empty square matrix")
     if not np.isfinite(M).all():
         raise NumericError("gram contains non-finite entries")
+    scale = float(M.diagonal().max()) if scale is None else scale
+    return _min_norm_point(M, tol, max_iter, scale)
+
+
+def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> MinNormResult:
+    # solve_min_norm_simplex's steps on a square, finite M the caller vouches for
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
     if max_iter < 1:
@@ -275,7 +282,7 @@ def solve_min_norm_simplex(
     if k == 1:
         return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
     diag = M.diagonal()
-    gap_tol = tol * (float(diag.max()) if scale is None else scale)
+    gap_tol = tol * scale
     budget = max(max_iter, 4 * k)
 
     first = int(diag.argmin())
@@ -348,8 +355,8 @@ def _as_sigma(sigma, k: int) -> np.ndarray:
 def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
              converged: bool) -> CombinationResult:
     direction = lam @ bundle.grads
-    zero = bundle.gram.diagonal() == 0.0
-    degenerate = tuple(tid for tid, z in zip(bundle.task_ids, zero) if z)
+    diag = bundle.gram.diagonal()
+    degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
     return CombinationResult(lam=lam, direction=direction, objective=float(direction @ direction),
                              iterations=iterations, converged=converged,
                              degenerate_tasks=degenerate)
@@ -370,15 +377,15 @@ def solve_emgd(
     <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
     """
     s = _as_sigma(sigma, bundle.size)
-    G = bundle.gram
+    G, M = bundle.gram, s[:, None] * s  # M becomes G / (s s^T) below
     # Each scaled entry |G_ij| / (s_i s_j) is at most the geometric mean of
     # two scaled diagonal entries (Cauchy-Schwarz), so finite G_ii / s_i^2
     # (s_i^2 > 0 included; s_i <= 1, so s_i^2 * MAX cannot overflow) keeps
     # every entry finite, checked before the division could warn.
-    diag = G.diagonal().tolist()
-    if not all(g < f * f * _FLOAT_MAX for g, f in zip(diag, s.tolist())):
+    diag = G.diagonal()
+    if not (diag < M.diagonal() * _FLOAT_MAX).all():
         raise NumericError("elastic factor underflowed to zero; raise the temperature")
-    res = solve_min_norm_simplex(G / (s[:, None] * s), tol, max_iter, scale=max(diag))
+    res = _min_norm_point(np.divide(G, M, out=M), tol, max_iter, float(diag.max()))
     return _combine(bundle, res.mu / s, res.iterations, res.converged)
 
 
@@ -446,12 +453,6 @@ def solve_request(doc: dict) -> dict:
         raise InvalidInputError("field grads must be a non-empty list of equal-length "
                                 "numeric vectors")
     bundle = GradientBundle(tuple(range(1, len(grads) + 1)), grads)
-    with np.errstate(over="ignore"):  # request gradients may be of any size; named below
-        gram = bundle.gram  # cached for the solve
-    if not max(gram.diagonal().tolist()) < math.inf:  # Cauchy-Schwarz bounds the rest
-        raise NumericError("gram contains non-finite entries: a squared gradient norm "
-                           "overflows float64")
-
     mode = read_field(doc, "sigma_mode", "fixed", error=InvalidInputError)
     if mode not in _SIGMA_MODES:
         raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")

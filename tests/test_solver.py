@@ -79,6 +79,35 @@ class TestBundleInvariants:
         with pytest.raises(InvalidInputError):
             GradientBundle((1, 2, 3), np.ones((2, 3)))
 
+    # The bundle validates its Gram matrix, not the gradients: a NaN or inf
+    # entry and a squared norm past float64 must each still be named, at k
+    # from 1 to 12 and D on both sides of the row-product threshold, so both
+    # Gram kernels run.
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        dim=st.one_of(st.integers(1, 64),
+                      st.integers(_ROW_GRAM_MIN_DIM - 8, _ROW_GRAM_MIN_DIM + 64)),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        big=st.floats(1.3407807929942597e154, 1e300),  # its square is past float64
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_entry_is_named_without_a_warning(self, k, dim, bad, big, seed):
+        rng = np.random.default_rng(seed)
+        grads = rng.standard_normal((k, dim))
+        row, col = int(rng.integers(k)), int(rng.integers(dim))
+        ids = tuple(range(1, k + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grads[row, col] = bad
+            with pytest.raises(NumericError,
+                               match="^gradient bundle contains non-finite entries$"):
+                GradientBundle(ids, grads)
+            grads[row, col] = big * rng.choice([-1.0, 1.0])
+            with pytest.raises(NumericError, match="^gram contains non-finite entries: a "
+                                                   "squared gradient norm overflows float64$"):
+                GradientBundle(ids, grads)
+
 
 class TestBundleGram:
     # k from 1 to 12 and D on both sides of the row-product threshold, so
@@ -275,6 +304,36 @@ class TestMinNormSimplex:
         assert res.converged
         assert res.objective <= 1e-16
 
+    # solve_emgd hands the solver a matrix it has already validated; the
+    # public entry point still checks everything it is given.
+    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 2, 2)),
+                                     np.zeros((0, 0))])
+    def test_rejects_a_non_square_gram(self, bad):
+        with pytest.raises(InvalidInputError, match="gram must be a non-empty square matrix"):
+            solve_min_norm_simplex(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+    def test_rejects_a_non_finite_gram(self, bad, at):
+        M = np.eye(3)
+        M[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^gram contains non-finite entries$"):
+                solve_min_norm_simplex(M)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, -np.inf, np.nan])
+    def test_rejects_a_non_positive_tol(self, k, tol):
+        with pytest.raises(InvalidInputError, match="tol must be positive"):
+            solve_min_norm_simplex(np.eye(k), tol=tol)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_rejects_max_iter_below_one(self, k, max_iter):
+        with pytest.raises(InvalidInputError, match=f"max_iter must be >= 1, got {max_iter}"):
+            solve_min_norm_simplex(np.eye(k), max_iter=max_iter)
+
 
 class TestSolveEmgd:
     @pytest.mark.parametrize("grads, sigma", [
@@ -287,6 +346,32 @@ class TestSolveEmgd:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="elastic factor underflowed to zero"):
                 solve_emgd(bundle(*grads), sigma)
+
+    @pytest.mark.parametrize("budget, name", [
+        ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": np.nan}, "tol"),
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
+    ])
+    def test_rejects_a_bad_tol_or_max_iter_by_name(self, budget, name):
+        for b in (bundle([1.0, 0.0]), bundle([1.0, 0.0], [0.0, 1.0])):
+            with pytest.raises(InvalidInputError, match=name):
+                solve_emgd(b, np.ones(b.size), **budget)
+
+    @pytest.mark.parametrize("call", ["avg_grad", "emgd_gmc", "emgd_gs", "mgda", "fixed",
+                                      "solve_emgd"])
+    @pytest.mark.parametrize("big", [1e200, 1.3407807929942597e154])  # squared: past float64
+    @pytest.mark.parametrize("dim", [2, _ROW_GRAM_MIN_DIM])  # both Gram kernels
+    def test_overflowing_squared_norm_is_named_without_a_warning(self, call, big, dim):
+        # every path names it, not only `emgd solve`
+        grads = np.zeros((2, dim))
+        grads[0, 0], grads[1, 1] = big, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="a squared gradient norm overflows float64"):
+                b = GradientBundle((1, 2), grads)
+                if call == "solve_emgd":
+                    solve_emgd(b, [1.0, 1.0])
+                else:
+                    combine(call, b, ElasticState())
 
     def test_tiny_factor_with_a_finite_scaled_gram_still_solves(self):
         with warnings.catch_warnings():
