@@ -24,7 +24,7 @@ import numpy as np
 
 from . import experiment, rehearsal, solver, streams
 from .errors import (ConfigError, EmgdError, InvalidInputError, NumericError, load_json_object,
-                     read_field, section)
+                     parse_json, read_field, section)
 from .net import Network
 
 log = logging.getLogger("emgd")
@@ -108,12 +108,7 @@ def _write_json(doc: dict, path) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        doc = json.loads(sys.stdin.read())
-    except json.JSONDecodeError as err:
-        print(f"error: request is not valid JSON: {err}", file=sys.stderr)
-        return 1
-    result = solver.solve_request(doc)
+    result = solver.solve_request(parse_json(sys.stdin.read(), "request"))
     print(json.dumps(result, sort_keys=True))
     return 0 if result["converged"] else 2
 

@@ -99,13 +99,23 @@ def section(doc, path: str, defaults: dict) -> dict:
     return {key: read_field(doc, key, default, path) for key, default in defaults.items()}
 
 
+def parse_json(text: str, what: str):
+    """The JSON value in ``text``, else a ConfigError that names ``what``."""
+    try:
+        return json.loads(text)
+    except ValueError as err:
+        raise ConfigError(f"{what} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} nests too deeply to parse") from None
+
+
 def load_json_object(path, what: str) -> dict:
     """The JSON object in the file at ``path``; ConfigError names ``what``."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = parse_json(Path(path).read_text(), f"{what} {path}")
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err.strerror}") from None
-    except ValueError as err:  # not UTF-8, or not JSON
+    except ValueError as err:  # not UTF-8
         raise ConfigError(f"{what} {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must be a JSON object")

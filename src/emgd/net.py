@@ -25,8 +25,8 @@ from .errors import (
     UnknownTaskError,
 )
 
-CHECKPOINT_MAGIC = b"EMGD"
-CHECKPOINT_VERSION = 1
+CONTAINER_MAGIC = b"EMGD"
+CONTAINER_VERSION = 1
 
 
 @dataclass
@@ -63,7 +63,7 @@ class GradientReport:
 def _layers(flat: np.ndarray, sizes) -> list:
     """(W, b) views of a flat parameter vector laid out per layer as W
     (fan_in x fan_out, row-major) then b. The one parameter layout: it holds
-    the backbone, each head, their gradients and the checkpoint payload."""
+    the backbone, each head and their gradients."""
     layers, pos = [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
         W = flat[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
@@ -73,14 +73,9 @@ def _layers(flat: np.ndarray, sizes) -> list:
     return layers
 
 
-def _layout_size(sizes) -> int:
-    """Length of the flat vector ``_layers`` reads for these widths."""
-    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-
-
 def _seeded_layers(rng, sizes) -> np.ndarray:
     """A flat parameter vector with each layer uniform in +-1/sqrt(fan_in)."""
-    flat = np.empty(_layout_size(sizes))
+    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
     for W, b in _layers(flat, sizes):
         bound = 1.0 / np.sqrt(W.shape[0])
         W[...] = rng.uniform(-bound, bound, size=W.shape)
@@ -138,11 +133,14 @@ class Network:
     def ahead(self, direction: np.ndarray, step: float) -> Network:
         """A network at backbone ``theta + step * direction``, a vector of its
         own, that shares this one's heads; this one is left alone."""
+        if direction.shape != self.theta.shape:
+            raise InvalidInputError("direction dimension mismatch")
         other = copy.copy(self)
         other.theta = self.theta + step * direction
         other.backbone = _layers(other.theta, self.layer_sizes)
         return other
 
+    # no caller in src, but perfbench/tracing.py SITES patches Network.set_backbone_flat
     def set_backbone_flat(self, flat: np.ndarray) -> None:
         if flat.shape != self.theta.shape:
             raise InvalidInputError(
@@ -203,6 +201,7 @@ def task_slices(task_ids) -> list:
 
 # A head's rows in a pass (a slice), its (W, b) views, stream, share of it, step.
 _Group = namedtuple("_Group", "task_id rows W b stream weight step")
+_Pass = namedtuple("_Pass", "activations groups probs dlogits logp grads dzs")
 
 
 def _stack(net: Network, streams: list) -> tuple:
@@ -299,9 +298,28 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     return feats @ W + b
 
 
+def _pass(net: Network, streams, grads: bool = True) -> tuple:
+    """The one pass: the streams' rows stacked, one backbone forward, one head
+    stage (rerun once heads with a positive step have stepped) and one backward
+    chain that writes each stream's backbone gradient into its row of a k x D
+    array (no rows unless ``grads``). Returns a ``_Pass`` of the activations,
+    ``_Group``s, probs, dlogits, log-probs, that array and the dzs."""
+    inputs, labels, spans, groups = _stack(net, list(streams))
+    activations = _activations(net, inputs)
+    feats = activations[-1]
+    probs, dlogits, logp = _head_stage(feats, labels, groups)
+    stepped = [g for g in groups if g.step > 0]
+    for g in stepped:  # g.W and g.b are views, so they see the step
+        net.heads[g.task_id] -= g.step * (g.weight * _head_grad(feats, dlogits, g))
+    if stepped:
+        probs, dlogits, logp = _head_stage(feats, labels, groups)
+    U, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups),
+                       spans if grads else [])
+    return _Pass(activations, groups, probs, dlogits, logp, U, dzs)
+
+
 def stream_gradients(net: Network, streams):
-    """Every stream's backbone gradient from one backbone forward, one head
-    stage over all rows and one backward chain.
+    """Every stream's backbone gradient from one ``_pass``.
 
     ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
     for the stream, or one per row sorted by task (see ``task_slices``). A
@@ -311,21 +329,12 @@ def stream_gradients(net: Network, streams):
     all heads are read before any step, a head may serve one stream only.
     Returns the k x D positive backbone gradients, the losses and the
     weighted head gradients."""
-    inputs, labels, spans, groups = _stack(net, list(streams))
-    activations = _activations(net, inputs)
-    feats = activations[-1]
-    _, dlogits, logp = _head_stage(feats, labels, groups)
-    if any(g.step > 0 for g in groups):
-        for g in groups:
-            if g.step > 0:  # g.W and g.b are views, so they see the step
-                net.heads[g.task_id] -= g.step * (g.weight * _head_grad(feats, dlogits, g))
-        _, dlogits, logp = _head_stage(feats, labels, groups)
-    losses, head_grads = [0.0] * len(spans), {}
-    for g in groups:
-        losses[g.stream] += g.weight * float(-logp[g.rows].mean())
-        head_grads[g.task_id] = g.weight * _head_grad(feats, dlogits, g)
-    grads, _ = _backprop(net, activations, _feature_delta(feats, dlogits, groups), spans)
-    return grads, losses, head_grads
+    p = _pass(net, streams)
+    feats, losses, head_grads = p.activations[-1], [0.0] * len(p.grads), {}
+    for g in p.groups:
+        losses[g.stream] += g.weight * float(-p.logp[g.rows].mean())
+        head_grads[g.task_id] = g.weight * _head_grad(feats, p.dlogits, g)
+    return p.grads, losses, head_grads
 
 
 def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
@@ -336,50 +345,32 @@ def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientRepo
     return GradientReport(grads[0], head_grads[batch.task_id], losses[0])
 
 
-def _group_pass(net: Network, inputs, labels, groups, grads: bool) -> tuple:
-    """``stream_gradients``' pass with each ``(task_id, slice)`` group of the
-    rows its own stream, no head step. Returns the activations, the
-    ``_Group``s, the head stage's probs and log-probs, each group's backbone
-    gradient (none unless ``grads``) and the dzs."""
-    inputs, labels, spans, groups = _stack(
-        net, [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups])
-    activations = _activations(net, inputs)
-    feats = activations[-1]
-    probs, dlogits, logp = _head_stage(feats, labels, groups)
-    delta = _feature_delta(feats, dlogits, groups)
-    U, dzs = _backprop(net, activations, delta, spans if grads else [])
-    return activations, groups, probs, logp, U, dzs
+def _group_streams(inputs, labels, groups) -> list:
+    """Each ``(task_id, slice)`` group of the rows as its own stream, no head step."""
+    return [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups]
 
 
-def input_gradient(net: Network, inputs, labels, groups):
-    """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
-    same shape as ``inputs``, and each group's mean loss: one forward, one
-    head stage and a backward chain with no parameter gradients."""
-    _, groups, _, logp, _, dzs = _group_pass(net, inputs, labels, groups, grads=False)
-    return dzs[0] @ net.backbone[0][0].T, np.array([-logp[g.rows].mean() for g in groups])
-
-
-def _edit_pass(net: Network, inputs, labels, groups, target_d):
-    """``_group_pass`` with each group's gradient; row j of ``U`` is group j's
-    gradient plus ``target_d``. Returns the activations, the dzs, the
-    ``_Group``s, the probs, ``U`` and the objective sum_j ||U_j||^2."""
+def _objective(U: np.ndarray, target_d) -> float:
+    """sum_j ||U_j + d||^2 over the group gradients ``U`` (rows), shifted in place."""
     target_d = np.asarray(target_d, dtype=np.float64)
-    if target_d.shape != (net.backbone_dim,):
-        raise InvalidInputError(f"target direction must have backbone dimension {net.backbone_dim}")
-    activations, groups, probs, _, U, dzs = _group_pass(net, inputs, labels, groups, grads=True)
+    if target_d.shape != U.shape[1:]:
+        raise InvalidInputError(f"target direction must have backbone dimension {U.shape[1]}")
     U += target_d
-    return activations, dzs, groups, probs, U, sum(float(u @ u) for u in U)
+    return sum(float(u @ u) for u in U)
 
 
-def edit_objective(net: Network, inputs, labels, groups, target_d) -> float:
-    """sum_g ||grad_theta L_g + d||^2 at ``inputs`` over ``(task_id, slice)``
-    groups: one forward and one backward over all rows, no tangent pass."""
-    return _edit_pass(net, inputs, labels, groups, target_d)[-1]
+def input_gradient(net: Network, inputs, labels, groups, grads: bool = False):
+    """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
+    same shape as ``inputs``, each group's mean loss and each group's backbone
+    gradient if ``grads`` (else no rows): one ``_pass``, a stream per group."""
+    p = _pass(net, _group_streams(inputs, labels, groups), grads)
+    losses = np.array([-p.logp[g.rows].mean() for g in p.groups])
+    return p.dzs[0] @ net.backbone[0][0].T, losses, p.grads
 
 
 def edit_direction(net: Network, inputs, labels, groups, target_d):
     """Gradient of the editing objective w.r.t. every input row, and the
-    objective at ``inputs`` (see ``edit_objective``).
+    objective sum_g ||grad_theta L_g + d||^2 at ``inputs``, from one ``_pass``.
 
     ``target_d`` is the combined update direction and ``-grad_theta L_g``
     the group's stored-convention gradient, so the objective is
@@ -390,8 +381,8 @@ def edit_direction(net: Network, inputs, labels, groups, target_d):
     costs one tangent forward and one tangent backward; parameters are
     never touched.
     """
-    activations, dzs, groups, probs, U, objective = _edit_pass(net, inputs, labels, groups,
-                                                               target_d)
+    activations, groups, probs, _, _, U, dzs = _pass(net, _group_streams(inputs, labels, groups))
+    objective = _objective(U, target_d)
     tangents = [_layers(row, net.layer_sizes) for row in U]
     # tangent forward: Rz_l = Ra_{l-1} W_l + a_{l-1} dW_l + db_l, Ra_l = (1 - a_l^2) Rz_l
     Rzs = []
@@ -429,19 +420,18 @@ def apply_update(net: Network, backbone_direction: np.ndarray, step_gamma: float
     net.theta += step_gamma * d
 
 
-# --- checkpoint container -------------------------------------------------
+# --- binary container -----------------------------------------------------
 #
 # Layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON header
-# | little-endian float64 payload. The same container stores buffer
-# snapshots, so the reader/writer pair is exposed.
+# | little-endian float64 payload. Buffer snapshots are stored in it.
 
 
 def write_blob(path, header: dict, values: np.ndarray) -> None:
     payload = np.ascontiguousarray(values, dtype="<f8")
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(CONTAINER_MAGIC)
+        fh.write(struct.pack("<I", CONTAINER_VERSION))
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
         fh.write(payload.tobytes())
@@ -449,19 +439,19 @@ def write_blob(path, header: dict, values: np.ndarray) -> None:
 
 def read_blob(path):
     raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
+    if raw[:4] != CONTAINER_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}", offset=0)
     if len(raw) < 12:
         raise FormatError("truncated container", offset=len(raw))
     (version,) = struct.unpack("<I", raw[4:8])
-    if version != CHECKPOINT_VERSION:
+    if version != CONTAINER_VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
     (hlen,) = struct.unpack("<I", raw[8:12])
     if len(raw) < 12 + hlen:
         raise FormatError("truncated header", offset=len(raw))
     try:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deeply
         raise FormatError(f"header is not UTF-8 JSON: {err}", offset=12) from None
     if not isinstance(header, dict):
         raise FormatError("header is not a JSON object", offset=12)
@@ -490,36 +480,3 @@ def header_int_map(header: dict, key: str) -> dict:
     if not all(k.isdecimal() for k in raw):
         raise FormatError(f"header field {key} has a non-integer key", offset=12)
     return {int(k): header_field(raw, k, int, f"{key}.") for k in raw}
-
-
-def save_checkpoint(net: Network, path) -> None:
-    """Write ``theta`` then each head in task-id order as one flat blob, plus
-    a JSON header with the widths and head class counts."""
-    header = {
-        "layer_sizes": list(net.layer_sizes),
-        "heads": {str(t): int(net.head_classes(t)) for t in sorted(net.heads)},
-    }
-    heads = [net.heads[t] for t in sorted(net.heads)]
-    write_blob(path, header, np.concatenate([net.theta, *heads]))
-
-
-def load_checkpoint(path) -> Network:
-    header, values = read_blob(path)
-    sizes = header_field(header, "layer_sizes", list)
-    if len(sizes) < 2 or not all(type(size) is int and size >= 1 for size in sizes):
-        raise FormatError("header field layer_sizes needs >= 2 positive integers", offset=12)
-    heads = header_int_map(header, "heads")
-    for t in sorted(heads):
-        if heads[t] < 1:
-            raise FormatError(f"header field heads.{t} is {heads[t]}, needs >= 1", offset=12)
-    # sized from the header alone, so a lying header allocates nothing
-    counts = [_layout_size(sizes)] + [_layout_size((sizes[-1], heads[t])) for t in sorted(heads)]
-    if values.size != sum(counts):
-        raise FormatError(
-            f"parameter count {values.size} != expected {sum(counts)}", offset=12
-        )
-    net = Network(sizes, seed=0)
-    parts = np.split(values, np.cumsum(counts)[:-1])
-    net.set_backbone_flat(parts[0])
-    net.heads = {t: part.copy() for t, part in zip(sorted(heads), parts[1:])}
-    return net

@@ -20,9 +20,11 @@ from .errors import EmptyMemoryError, FormatError, InvalidInputError
 from .net import (
     Batch,
     Network,
+    _group_streams,
+    _objective,
+    _pass,
     backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
-    edit_objective,
     header_field,
     header_int_map,
     input_gradient,
@@ -156,8 +158,10 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
 
 
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
-    """Sum over task groups of ||g_group(x) - d||^2 at the given inputs."""
-    return edit_objective(net, inputs, mem.labels, task_slices(mem.task_ids), direction_d)
+    """Sum over task groups of ||g_group(x) - d||^2 at ``inputs``, from one
+    ``net._pass`` with a stream per group."""
+    streams = _group_streams(inputs, mem.labels, task_slices(mem.task_ids))
+    return _objective(_pass(net, streams).grads, direction_d)
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
@@ -173,24 +177,23 @@ def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarr
                cfg: RunConfig, step) -> tuple:
     """The editing loop both editors share, set by the run config's
     ``edit_iterations``, ``eta_edit`` and ``clamp``. Each iteration moves the
-    batch's rows by ``-eta_edit`` times ``step(inputs, labels, groups)``'s
+    batch's rows by ``-eta_edit`` times ``step(inputs, labels, groups, first)``'s
     first result over its ``(task_id, slice)`` groups, then clamps; the edited
-    rows are written back. Returns the editing objective before the edit (a
-    step's second result on its first call, or else one ``editing_objective``
-    pass) and after it, at the written-back rows."""
+    rows are written back. Returns the editing objective before the edit (the
+    step's second result when ``first``, on the first iteration) and after it
+    (one ``editing_objective`` pass at the written-back rows, which gives both
+    when no iteration runs)."""
     groups = task_slices(mem.task_ids)
-    inputs = mem.inputs.copy()
-    before = None
-    for _ in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
-        delta, value = step(inputs, mem.labels, groups)
-        before = value if before is None else before
+    inputs, before = mem.inputs.copy(), None
+    for i in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
+        delta, value = step(inputs, mem.labels, groups, i == 0)
+        before = value if i == 0 else before
         inputs -= cfg.eta_edit * delta
         if cfg.clamp:
             np.clip(inputs, 0.0, 1.0, out=inputs)
-    if before is None:
-        before = editing_objective(net, mem.inputs, mem, d)
     _write_back(buffer, mem, inputs)
-    return before, editing_objective(net, inputs, mem, d)
+    after = editing_objective(net, inputs, mem, d)
+    return (after if before is None else before), after
 
 
 def edit_memory_emgd(
@@ -208,8 +211,8 @@ def edit_memory_emgd(
     over the batch. Returns the editing objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    return _edit_loop(buffer, net, mem, d, cfg,
-                      lambda inputs, labels, groups: edit_direction(net, inputs, labels, groups, d))
+    return _edit_loop(buffer, net, mem, d, cfg, lambda inputs, labels, groups, _:
+                      edit_direction(net, inputs, labels, groups, d))
 
 
 def edit_memory_gmed(
@@ -227,27 +230,25 @@ def edit_memory_gmed(
     2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
     network that shares the heads, so ``net`` is never written. Every edit
     iteration is two grouped ``input_gradient`` passes over the batch, one
-    per network. Returns the editing objective ||g(x) - d||^2 (see
-    ``editing_objective``) before and after the edit.
+    per network; the first at theta also forms the groups' backbone gradients,
+    and so the editing objective ||g(x) - d||^2, returned before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    if d.shape != (net.backbone_dim,):
-        raise InvalidInputError("direction dimension mismatch")
     ahead = net.ahead(d, cfg.eta_edit)
 
-    def step(inputs, labels, groups):
-        gx_ahead, loss_ahead = input_gradient(ahead, inputs, labels, groups)
-        delta, loss_now = input_gradient(net, inputs, labels, groups)
+    def step(inputs, labels, groups, first):
+        gx_ahead, loss_ahead, _ = input_gradient(ahead, inputs, labels, groups)
+        delta, loss_now, U = input_gradient(net, inputs, labels, groups, grads=first)
         delta -= gx_ahead
         for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
             delta[rows] *= 2.0 * (now - later)
-        return delta, None
+        return delta, _objective(U, d) if first else None
 
     return _edit_loop(buffer, net, mem, d, cfg, step)
 
 
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
-    """Write slot inputs plus a JSON slot manifest in the checkpoint format."""
+    """Write slot inputs plus a JSON slot manifest in ``net.write_blob``'s container."""
     header = {
         "kind": "memory-buffer",
         "capacity_per_class": buffer.capacity_per_class,

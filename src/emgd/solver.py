@@ -49,6 +49,7 @@ DEFAULT_MAX_ITER = 250
 _ROW_GRAM_K = (2, 6)
 _ROW_GRAM_MIN_DIM = 4096
 _FLOAT_MAX = float(np.finfo(np.float64).max)
+_UNSCALED = (2.0 ** -500, 2.0 ** 500)  # Grams solved as given (see _exponent)
 
 
 @dataclass(frozen=True)
@@ -252,15 +253,16 @@ def solve_min_norm_simplex(
     B = (c ee' + M_SS)^-1: M_SS w = nu e with e'w = 1 gives
     (c ee' + M_SS) w = (nu + c) e, so w = B e / (e'B e) for any c > 0.
     Adding a point borders B and dropping one downdates it, each O(|S|^2);
-    nothing is re-factorised. c is M_jj of the first working point, the
-    smallest squared norm (1 when that is 0 or so small that its reciprocal
-    overflows): the points' squared norms can span many orders of magnitude
-    (elastic factors divide them by sigma^2), and a c at the largest would
-    leave c ee' + M_SS badly conditioned. If the most violating point is
-    already in S, or is numerically affinely dependent on S (its pivot is
-    not positive), the iterate can no longer change: the solve stops there,
-    not converged, and reports the whole budget as used, as running it out
-    would have. ``gram`` is checked here; ``solve_emgd`` runs the same core
+    nothing is re-factorised. M and ``scale`` are first multiplied by 2^-e
+    (see ``_exponent``), and the objective is scaled back. c is M_jj of the
+    first working point, the smallest squared norm (1 when that is 0 or so
+    small that its reciprocal overflows): the points' squared norms can span
+    many orders of magnitude (elastic factors divide them by sigma^2), and a
+    c at the largest would leave c ee' + M_SS badly conditioned. If the most
+    violating point is already in S, or is numerically affinely dependent on
+    S (its pivot is not positive), the iterate can no longer change: the
+    solve stops there, not converged, and reports the whole budget as used,
+    as running it out would have. ``gram`` is checked here; ``solve_emgd`` runs the same core
     on the scaled Gram of a bundle that validated G, without re-scanning it.
     """
     M = np.atleast_2d(np.asarray(gram, dtype=np.float64))
@@ -270,6 +272,12 @@ def solve_min_norm_simplex(
         raise NumericError("gram contains non-finite entries")
     scale = float(M.diagonal().max()) if scale is None else scale
     return _min_norm_point(M, tol, max_iter, scale)
+
+
+def _exponent(top: float) -> int:
+    """0 for a largest Gram diagonal entry ``top`` in ``_UNSCALED`` (or 0), else its binary exponent
+    e: in units of 2^e (exact) nothing overflows near float64's max or goes subnormal."""
+    return math.frexp(top)[1] if top > _UNSCALED[1] or 0.0 < top < _UNSCALED[0] else 0
 
 
 def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> MinNormResult:
@@ -282,6 +290,9 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     if k == 1:
         return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
     diag = M.diagonal()
+    e = _exponent(max(diag.tolist()))  # tolist: cheaper than a reduction at small k
+    if e:
+        M, scale = np.ldexp(M, -e), math.ldexp(scale, -e)
     gap_tol = tol * scale
     budget = max(max_iter, 4 * k)
 
@@ -303,7 +314,7 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
         objective = float(mu @ inner)
         j = int(inner.argmin())
         if objective - inner[j] <= gap_tol:
-            return MinNormResult(mu, objective, iterations, True)
+            return MinNormResult(mu, math.ldexp(objective, e), iterations, True)
         if in_S[j]:  # the iterate cannot change any more (see above)
             break
         a = c + M[S[:n], j]
@@ -342,7 +353,7 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
         mu.fill(0.0)
         mu[S[:n]] = w[:n]
 
-    return MinNormResult(mu, float(mu @ (M @ mu)), budget, False)
+    return MinNormResult(mu, math.ldexp(float(mu @ (M @ mu)), e), budget, False)
 
 
 def _as_sigma(sigma, k: int) -> np.ndarray:
@@ -377,15 +388,18 @@ def solve_emgd(
     <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
     """
     s = _as_sigma(sigma, bundle.size)
-    G, M = bundle.gram, s[:, None] * s  # M becomes G / (s s^T) below
+    scale = float(bundle.gram.diagonal().max())
+    e = _exponent(scale)  # G / (s s^T) is formed in units of 2^e
+    G, M = np.ldexp(bundle.gram, -e) if e else bundle.gram, s[:, None] * s  # M: G / (s s^T)
     # Each scaled entry |G_ij| / (s_i s_j) is at most the geometric mean of
     # two scaled diagonal entries (Cauchy-Schwarz), so finite G_ii / s_i^2
     # (s_i^2 > 0 included; s_i <= 1, so s_i^2 * MAX cannot overflow) keeps
     # every entry finite, checked before the division could warn.
-    diag = G.diagonal()
-    if not (diag < M.diagonal() * _FLOAT_MAX).all():
+    if not (G.diagonal() < M.diagonal() * _FLOAT_MAX).all():
         raise NumericError("elastic factor underflowed to zero; raise the temperature")
-    res = _min_norm_point(np.divide(G, M, out=M), tol, max_iter, float(diag.max()))
+    res = _min_norm_point(np.divide(G, M, out=M), tol, max_iter, math.ldexp(scale, -e))
+    if e > 0 and res.objective >= math.ldexp(_FLOAT_MAX, -e - 1):  # ||d||^2 in units of 2^e
+        raise NumericError("the combined direction's squared norm overflows float64")
     return _combine(bundle, res.mu / s, res.iterations, res.converged)
 
 

@@ -138,10 +138,10 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
                 group = [(task_id, slice(None))]
                 net.set_backbone_flat(theta)
                 _, loss_now = forward(net, batch)
-                gx_now, _ = input_gradient(net, batch.inputs, batch.labels, group)
+                gx_now, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
                 net.set_backbone_flat(theta + cfg.eta_edit * d)
                 _, loss_ahead = forward(net, batch)
-                gx_ahead, _ = input_gradient(net, batch.inputs, batch.labels, group)
+                gx_ahead, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
                 delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
                 inputs[mask] = inputs[mask] - cfg.eta_edit * delta
             if cfg.clamp:

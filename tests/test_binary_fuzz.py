@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emgd.errors import EmgdError, FormatError
-from emgd.net import Batch, Network, add_head, load_checkpoint, save_checkpoint
+from emgd.net import Batch
 from emgd.rehearsal import MemoryBuffer, insert, load_buffer_snapshot, save_buffer_snapshot
 from emgd.streams import load_idx
 
@@ -45,14 +45,6 @@ def load_or_emgd_error(load, *paths) -> None:
         pass
 
 
-def checkpoint_bytes(tmp_path) -> bytes:
-    net = Network((3, 4, 2), seed=1)
-    add_head(net, 1, 3, seed=2)
-    add_head(net, 4, 2, seed=3)
-    save_checkpoint(net, tmp_path / "valid.bin")
-    return (tmp_path / "valid.bin").read_bytes()
-
-
 def snapshot_bytes(tmp_path) -> bytes:
     buf = MemoryBuffer(2)
     insert(buf, Batch(np.linspace(0.0, 1.0, 9).reshape(3, 3), [0, 1, 0], 1), [0, 1, 5], 0)
@@ -66,8 +58,7 @@ def idx_bytes(count: int) -> tuple:
     return images, labels
 
 
-@pytest.mark.parametrize("valid_bytes, load", [(checkpoint_bytes, load_checkpoint),
-                                               (snapshot_bytes, load_buffer_snapshot)])
+@pytest.mark.parametrize("valid_bytes, load", [(snapshot_bytes, load_buffer_snapshot)])
 @FUZZ
 @given(data=st.data())
 def test_container_truncated_or_flipped(tmp_path, valid_bytes, load, data):

@@ -116,6 +116,22 @@ class TestSolve:
         out = json.loads(captured.out)
         assert out["converged"] is True and out["lambda"][1] == 0.0
 
+    @pytest.mark.parametrize("grads", [[[1.3e154, 0.0], [0.0, 1.3e154]],  # ||g||^2 near max
+                                       [[1e-160, 0.0], [0.0, 2e-160]]])  # all subnormal
+    def test_extreme_scale_converges_without_a_warning(self, monkeypatch, capsys, grads):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve"], json.dumps({"grads": grads}), monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["converged"] is True
+        assert out["lambda"] == pytest.approx([0.5, 0.5] if grads[0][0] > 1 else [0.8, 0.2])
+
+    def test_deeply_nested_request_exit_1(self, monkeypatch, capsys):
+        code = run_cli(["solve"], "[" * 100_000, monkeypatch)
+        assert_named_exit_1(code, capsys.readouterr(), "request nests too deeply")
+
     def test_gs_zero_gradient_uses_uniform_factors(self, monkeypatch, capsys):
         code = run_cli(["solve"], '{"grads": [[1.0, 0.0], [0.0, 0.0]], "sigma_mode": "gs"}',
                        monkeypatch)
@@ -627,6 +643,34 @@ class TestOutputPaths:
         (tmp_path / "report_summary.csv").mkdir()
         code = main(["report", str(tmp_path)])
         assert_named_exit_1(code, capsys.readouterr(), "report_summary.csv")
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a named error at
+    every reader, not a RecursionError traceback."""
+
+    NESTED = "[" * 100_000
+
+    @pytest.mark.parametrize("command", ["run-pcl", "build-splits"])
+    def test_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(self.NESTED)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert_named_exit_1(code, capsys.readouterr(), f"config {cfg} nests too deeply")
+
+    def test_split_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(self.NESTED)
+        doc = json.loads(pcl_config(tmp_path).read_text()) | {"manifest": str(manifest)}
+        cfg = tmp_path / "with_manifest.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert_named_exit_1(code, capsys.readouterr(), f"manifest {manifest} nests too deeply")
+
+    def test_report_metrics(self, tmp_path, capsys):
+        (tmp_path / "metrics.json").write_text(self.NESTED)
+        code = main(["report", str(tmp_path)])
+        assert_named_exit_1(code, capsys.readouterr(), "metrics.json nests too deeply")
 
 
 class TestReportMalformed:

@@ -16,16 +16,14 @@ from emgd.net import (
     apply_update,
     backward,
     edit_direction,
-    edit_objective,
     features,
     head_logits,
     input_gradient,
-    load_checkpoint,
     read_blob,
-    save_checkpoint,
     stream_gradients,
     write_blob,
 )
+from emgd.rehearsal import MemoryBatch, editing_objective
 from oracles import (central_difference_edit, directional_edit_gradient, forward,
                      per_stream_gradients)
 
@@ -312,7 +310,7 @@ class TestInputGradient:
     def test_zero_backbone_gives_zero_input_gradient(self):
         net = zero_net()
         batch = Batch(np.full((2, 6), 0.3), [0, 1], task_id=1)
-        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+        grad, _, _ = input_gradient(net, batch.inputs, batch.labels,
                                  [(batch.task_id, slice(None))])
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
@@ -320,7 +318,7 @@ class TestInputGradient:
         rng = np.random.default_rng(12)
         net = make_net()
         batch = make_batch(rng, net, size=3)
-        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+        grad, _, _ = input_gradient(net, batch.inputs, batch.labels,
                                  [(batch.task_id, slice(None))])
         assert grad.shape == batch.inputs.shape
         h = 1e-5
@@ -338,14 +336,14 @@ class TestInputGradient:
         rng = np.random.default_rng(13)
         net = make_net()
         single = make_batch(rng, net, size=1)
-        grad1, _ = input_gradient(net, single.inputs, single.labels,
+        grad1, _, _ = input_gradient(net, single.inputs, single.labels,
                                   [(single.task_id, slice(None))])
         doubled = Batch(
             np.vstack([single.inputs, single.inputs]),
             np.concatenate([single.labels, single.labels]),
             task_id=1,
         )
-        grad2, _ = input_gradient(net, doubled.inputs, doubled.labels,
+        grad2, _, _ = input_gradient(net, doubled.inputs, doubled.labels,
                                   [(doubled.task_id, slice(None))])
         np.testing.assert_allclose(grad2[0], grad1[0] / 2.0, atol=1e-14)
 
@@ -365,7 +363,7 @@ class TestInputGradient:
         rng = np.random.default_rng(30)
         net = make_net(heads=((1, 4), (2, 2), (3, 5)))
         batches, inputs, labels, groups = self.grouped_batch(rng, net, (3, 1, 4))
-        grad, losses = input_gradient(net, inputs, labels, groups)
+        grad, losses, _ = input_gradient(net, inputs, labels, groups)
         assert grad.shape == inputs.shape and losses.shape == (3,)
         h = 1e-5
         for batch, (_, rows), loss in zip(batches, groups, losses):
@@ -385,9 +383,9 @@ class TestInputGradient:
         rng = np.random.default_rng(31)
         net = make_net(heads=((1, 4), (2, 2), (3, 5)))
         batches, inputs, labels, groups = self.grouped_batch(rng, net, (2, 5, 3))
-        grad, losses = input_gradient(net, inputs, labels, groups)
+        grad, losses, _ = input_gradient(net, inputs, labels, groups)
         for batch, (_, rows), loss in zip(batches, groups, losses):
-            alone, (alone_loss,) = input_gradient(net, batch.inputs, batch.labels,
+            alone, (alone_loss,), _ = input_gradient(net, batch.inputs, batch.labels,
                                                   [(batch.task_id, slice(None))])
             np.testing.assert_allclose(grad[rows], alone, rtol=1e-12, atol=1e-17)
             assert loss == pytest.approx(alone_loss, rel=1e-13)
@@ -506,7 +504,9 @@ class TestEditDirection:
             v = backward(net, batches[t]).backbone_grad + target
             expected_objective += float(v @ v)
         assert objective == pytest.approx(expected_objective, rel=1e-12)
-        assert edit_objective(net, inputs, labels, rows, target) == objective
+        task_ids = np.repeat(list(sizes), list(sizes.values()))
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
+        assert editing_objective(net, inputs, mem, target) == objective
 
     def test_dimension_check(self):
         net = make_net()
@@ -597,18 +597,6 @@ class TestCheckpoint:
         net.set_backbone_flat(flat.copy())
         np.testing.assert_array_equal(net.theta.copy(), flat)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        net = make_net(heads=((1, 4), (3, 2)))
-        path = tmp_path / "model.bin"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.theta.copy(), net.theta.copy())
-        for task in (1, 3):
-            np.testing.assert_array_equal(loaded.heads[task], net.heads[task])
-        rng = np.random.default_rng(1)
-        batch = make_batch(rng, net)
-        assert forward(loaded, batch)[1] == forward(net, batch)[1]
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -647,50 +635,6 @@ class TestCheckpoint:
         write_blob(path, [1, 2], np.zeros(2))  # JSON, but not an object
         with pytest.raises(FormatError):
             read_blob(path)
-
-    @pytest.mark.parametrize("field, change", [
-        ("layer_sizes", {"layer_sizes": None}),
-        ("heads", {"heads": None}),
-        ("layer_sizes", {"layer_sizes": "3,2"}),
-        ("layer_sizes", {"layer_sizes": [3, "2"]}),
-        ("layer_sizes", {"layer_sizes": [3, 2.0]}),
-        ("heads", {"heads": [2]}),
-        ("heads", {"heads": {"x": 2}}),
-        ("heads.1", {"heads": {"1": "2"}}),
-    ])
-    def test_checkpoint_missing_or_ill_typed_header_field(self, tmp_path, field, change):
-        net = make_net(heads=((1, 2),))
-        path = tmp_path / "model.bin"
-        save_checkpoint(net, path)
-        header, values = read_blob(path)
-        header.update(change)
-        header = {k: v for k, v in header.items() if v is not None}
-        write_blob(path, header, values)
-        with pytest.raises(FormatError, match=field) as err:
-            load_checkpoint(path)
-        assert err.value.offset == 12
-
-    @pytest.mark.parametrize("field, change", [
-        ("layer_sizes", {"layer_sizes": [6]}),
-        ("layer_sizes", {"layer_sizes": [6, 0, 5]}),
-        ("heads.1", {"heads": {"1": -3}}),
-        ("heads.1", {"heads": {"1": 0}}),
-        ("parameter count", {"layer_sizes": [60000, 60000]}),
-    ])
-    def test_header_checked_before_allocating(self, tmp_path, monkeypatch, field, change):
-        net = make_net(heads=((1, 2),))
-        path = tmp_path / "model.bin"
-        save_checkpoint(net, path)
-        header, values = read_blob(path)
-        write_blob(path, header | change, values[:1])
-
-        def no_network(*args, **kwargs):
-            raise AssertionError("network allocated before the header was checked")
-
-        monkeypatch.setattr("emgd.net.Network", no_network)
-        with pytest.raises(FormatError, match=field) as err:
-            load_checkpoint(path)
-        assert err.value.offset == 12
 
     def test_blob_roundtrip(self, tmp_path):
         path = tmp_path / "blob.bin"
@@ -732,13 +676,3 @@ class TestLayout:
         assert net.theta is theta and net.theta[0] == 0.0
         with pytest.raises(InvalidInputError):
             net.set_backbone_flat(np.zeros(net.backbone_dim + 1))
-
-    def test_checkpoint_payload_order(self, tmp_path):
-        net = make_net(layers=(6, 10, 7, 5), heads=((3, 2), (1, 4)))
-        path = tmp_path / "model.bin"
-        save_checkpoint(net, path)
-        header, values = read_blob(path)
-        expect = [part for W, b in net.backbone for part in (W.ravel(), b)]
-        expect += [part for t in (1, 3) for part in (net.head(t)[0].ravel(), net.head(t)[1])]
-        np.testing.assert_array_equal(values, np.concatenate(expect))
-        assert header == {"layer_sizes": [6, 10, 7, 5], "heads": {"1": 4, "3": 2}}

@@ -1,4 +1,5 @@
 import copy
+import struct
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emgd.net
 from emgd.errors import EmptyMemoryError, FormatError, InvalidInputError
 from emgd.experiment import RunConfig
 from emgd.net import (
@@ -588,6 +590,70 @@ class TestEditGmed:
         np.testing.assert_array_equal(net.theta.copy(), before)
 
 
+@pytest.mark.parametrize("iterations", [0, 1])
+@pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
+def test_editors_reject_a_direction_of_another_dimension(edit, iterations):
+    rng = np.random.default_rng(29)
+    net = make_net()
+    buf = filled_buffer(rng)
+    mem = sample_memory(buf, 4, 1)
+    before = buf.x.copy()
+    with pytest.raises(InvalidInputError, match="dimension"):
+        edit(buf, net, mem, np.zeros(net.backbone_dim + 1), RunConfig(edit_iterations=iterations))
+    np.testing.assert_array_equal(buf.x, before)
+
+
+class TestEditPasses:
+    """Each editor's passes over the memory batch, counted as backbone forwards."""
+
+    @staticmethod
+    def count_forwards(monkeypatch) -> list:
+        calls, activations = [], emgd.net._activations
+
+        def counted(net, inputs):
+            calls.append(len(inputs))
+            return activations(net, inputs)
+
+        monkeypatch.setattr(emgd.net, "_activations", counted)
+        return calls
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("edit, passes", [(edit_memory_emgd, lambda n: n + 1),
+                                              (edit_memory_gmed, lambda n: 2 * n + 1)],
+                             ids=["emgd", "gmed"])
+    def test_one_pass_per_step_and_one_after(self, monkeypatch, edit, passes, iterations):
+        # emgd: one edit_direction per iteration; gmed: two input_gradient per
+        # iteration, the first at theta also giving the objective before the
+        # edit; both: one editing_objective pass after it
+        rng = np.random.default_rng(27)
+        net = make_net(heads=((1, 4), (2, 3), (3, 5)))
+        buf = filled_buffer(rng, tasks=(1, 2, 3))
+        mem = sample_memory(buf, 8, 3)
+        d = rng.normal(size=net.backbone_dim)
+        expected = editing_objective(net, mem.inputs, mem, d)
+        calls = self.count_forwards(monkeypatch)
+        before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2,
+                                                         edit_iterations=iterations))
+        assert calls == [mem.size] * passes(iterations)
+        assert before == expected
+        assert after != before
+
+    @pytest.mark.parametrize("cfg", [RunConfig(edit_iterations=0), RunConfig(eta_edit=0.0)],
+                             ids=["iterations0", "eta0"])
+    @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
+    def test_no_step_is_one_pass(self, monkeypatch, edit, cfg):
+        rng = np.random.default_rng(28)
+        net = make_net()
+        buf = filled_buffer(rng)
+        mem = sample_memory(buf, 4, 2)
+        d = rng.normal(size=net.backbone_dim)
+        expected = editing_objective(net, mem.inputs, mem, d)
+        calls = self.count_forwards(monkeypatch)
+        before, after = edit(buf, net, mem, d, cfg)
+        assert len(calls) == 1
+        assert before == after == expected
+
+
 class TestQuadraticEditingOracle:
     def test_descends_to_the_analytic_minimizer(self):
         # loss(theta, x) = (theta x)^2 / 2: iterating the editing rule on
@@ -709,6 +775,31 @@ class TestSnapshot:
         path = tmp_path / "buffer.bin"
         write_blob(path, header, np.zeros(3 * len(header["slots"])))
         with pytest.raises(FormatError, match=field) as err:
+            load_buffer_snapshot(path)
+        assert err.value.offset == 12
+
+    @pytest.mark.parametrize("edit, offset, message", [
+        (lambda raw: b"NOPE" + raw[4:], 0, "bad magic"),
+        (lambda raw: raw[:10], 10, "truncated container"),
+        (lambda raw: raw[:4] + b"\x02" + raw[5:], 4, "unsupported version"),
+        (lambda raw: raw[:20], 20, "truncated header"),
+        (lambda raw: raw[:12] + b"\xff" + raw[13:], 12, "not UTF-8 JSON"),
+        (lambda raw: raw[:-3], -8, "not whole float64"),
+    ], ids=["magic", "short", "version", "header", "utf8", "payload"])
+    def test_container_checks_reach_the_loader(self, tmp_path, edit, offset, message):
+        path = tmp_path / "buffer.bin"
+        save_buffer_snapshot(filled_buffer(np.random.default_rng(24)), path)
+        raw = path.read_bytes()
+        path.write_bytes(edit(raw))
+        with pytest.raises(FormatError, match=message) as err:
+            load_buffer_snapshot(path)
+        assert err.value.offset == (offset if offset >= 0 else len(raw) + offset)
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"[" * 100_000], ids=["list", "nested"])
+    def test_header_must_be_a_json_object(self, tmp_path, header):
+        path = tmp_path / "buffer.bin"
+        path.write_bytes(b"EMGD" + struct.pack("<II", 1, len(header)) + header)
+        with pytest.raises(FormatError) as err:
             load_buffer_snapshot(path)
         assert err.value.offset == 12
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emgd.errors import InvalidInputError, NumericError
+from emgd.errors import EmgdError, InvalidInputError, NumericError
 from emgd.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -299,6 +299,19 @@ class TestMinNormSimplex:
             assert abs(res.mu.sum() - 1.0) <= 1e-9
             assert np.all(res.mu >= 0.0)
 
+    @pytest.mark.parametrize("gram, mu", [
+        ([[1.69e308, 0.0], [0.0, 1.69e308]], [0.5, 0.5]),  # c + M_jj overflows unscaled
+        ([[1e-320, 0.0], [0.0, 4e-320]], [0.8, 0.2]),  # every entry subnormal
+    ])
+    def test_extreme_scale_solves_in_units_of_a_power_of_two(self, gram, mu):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_min_norm_simplex(np.array(gram))
+        assert res.converged
+        np.testing.assert_allclose(res.mu, mu, rtol=1e-12)
+        assert res.objective == pytest.approx(float(np.array(mu) @ np.array(gram) @ mu),
+                                              rel=1e-12)
+
     def test_duplicate_points(self):
         res = solve_min_norm_simplex(gram([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]))
         assert res.converged
@@ -372,6 +385,50 @@ class TestSolveEmgd:
                     solve_emgd(b, [1.0, 1.0])
                 else:
                     combine(call, b, ElasticState())
+
+    @given(method=st.sampled_from(["emgd_gs", "emgd_gmc", "fixed"]), k=st.integers(2, 4),
+           dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_any_gradient_scale_converges_certified_or_is_named(self, method, k, dim,
+                                                                 log_scale, seed):
+        rng = np.random.default_rng(seed)
+        unit = rng.normal(size=(k, dim))
+        sigma = ElasticFactors(rng.uniform(0.1, 1.0, k)) if method == "fixed" else None
+        scale = 10.0 ** log_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                b = GradientBundle(tuple(range(1, k + 1)), unit * scale)
+                result, used = combine(method, b, ElasticState(), sigma=sigma)
+            except EmgdError:
+                return
+        # Two known stalls may end unconverged (exit 2 at the CLI): D < k (ROADMAP
+        # item 3, step 2), and factors spanning more than about 1e7, which emgd_gmc
+        # draws from gradient norms that differ by more than about 16 (ROADMAP item
+        # 3, step 3). The smallest stalling spread seen in 60,000 draws was 1.17e7;
+        # the allowance starts an order of magnitude lower.
+        if not result.converged and (dim < k or used.max() > used.min() * 1e6):
+            return
+        assert result.converged
+        # The certificate holds for the Gram the bundle formed, the solver's one
+        # input (below about 1e-154 its entries are subnormal and have lost digits),
+        # read in units of 2^e, where no product overflows or underflows.
+        top = b.gram.diagonal().max()
+        G, lam = np.ldexp(b.gram, -math.frexp(top)[1]), result.lam
+        margin = np.min(G @ lam - used * float(lam @ G @ lam))
+        assert margin >= -1e-8 * G.diagonal().max()
+
+    def test_scaled_gram_formed_in_units_of_a_power_of_two(self):
+        # gs factors are 1/2 here, so G_11 / sigma_1^2 overflows float64 unless
+        # formed in units of 2^e
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res, _ = combine("emgd_gs", bundle([1.3e154, 0.0], [0.0, 1e150]), ElasticState())
+            assert res.converged and np.isfinite(res.objective)
+            # equal norms: d = g_1 + g_2, and ||d||^2 overflows
+            with pytest.raises(NumericError, match="combined direction's squared norm"):
+                combine("emgd_gs", bundle([1.3e154, 0.0], [0.0, 1.3e154]), ElasticState())
 
     def test_tiny_factor_with_a_finite_scaled_gram_still_solves(self):
         with warnings.catch_warnings():
