@@ -133,6 +133,10 @@ def cmd_run_toy(args) -> int:
 def cmd_run_pcl(args) -> int:
     doc, seed, dataset = _load_config(args)
     if doc["manifest"]:
+        for flag, given in (("--serial", args.serial), ("--overlap", args.overlap is not None)):
+            if given:
+                raise ConfigError(f"{flag} builds a split, but this run reads its split from "
+                                  f"the manifest {doc['manifest']}")
         specs, timeline, batch_size, epochs = streams.specs_from_manifest(
             load_json_object(doc["manifest"], "split manifest"), dataset)
     else:

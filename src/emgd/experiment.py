@@ -286,16 +286,13 @@ def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list):
     column_globals = np.asarray([c for t in seen for c in specs_by_id[t].label_set])
     bounds = np.cumsum([0] + [W.shape[1] for W, _ in heads])
     for t in scored:
-        spec, i = specs_by_id[t], seen.index(t)
-        if spec.test_inputs.shape[0] == 0:
-            task_acc[t] = class_acc[t] = 0.0
-        else:
-            logits = features(net, spec.test_inputs) @ W_all
-            logits += b_all
-            own = logits[:, bounds[i]:bounds[i + 1]].argmax(axis=1)
-            task_acc[t] = float((own == spec.test_local).mean())
-            winners = column_globals[logits.argmax(axis=1)]
-            class_acc[t] = float((winners == spec.test_labels).mean())
+        spec, i = specs_by_id[t], seen.index(t)  # every task has test rows (_task_spec)
+        logits = features(net, spec.test_inputs) @ W_all
+        logits += b_all
+        own = logits[:, bounds[i]:bounds[i + 1]].argmax(axis=1)
+        task_acc[t] = float((own == spec.test_local).mean())
+        winners = column_globals[logits.argmax(axis=1)]
+        class_acc[t] = float((winners == spec.test_labels).mean())
     return task_acc, class_acc
 
 
@@ -357,7 +354,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
 
-        grads, losses, _ = stream_gradients(net, tick_streams)
+        grads, losses = stream_gradients(net, tick_streams)
         np.negative(grads, out=grads)  # the bundle holds negative gradients
         try:
             bundle = solver.GradientBundle(tuple(task_ids), grads)

@@ -10,23 +10,12 @@ exact second-order editing gradient are all computed here.
 from __future__ import annotations
 
 import copy
-import json
-import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    InvalidInputError,
-    TaskExistsError,
-    UnknownTaskError,
-)
-
-CONTAINER_MAGIC = b"EMGD"
-CONTAINER_VERSION = 1
+from .errors import InvalidInputError, TaskExistsError, UnknownTaskError
 
 
 @dataclass
@@ -327,22 +316,20 @@ def stream_gradients(net: Network, streams):
     ``head_step > 0`` each head first steps in place by ``head_step`` times
     its weighted gradient, and all results are read at the stepped heads; as
     all heads are read before any step, a head may serve one stream only.
-    Returns the k x D positive backbone gradients, the losses and the
-    weighted head gradients."""
+    Returns the k x D positive backbone gradients and the losses."""
     p = _pass(net, streams)
-    feats, losses, head_grads = p.activations[-1], [0.0] * len(p.grads), {}
+    losses = [0.0] * len(p.grads)
     for g in p.groups:
         losses[g.stream] += g.weight * float(-p.logp[g.rows].mean())
-        head_grads[g.task_id] = g.weight * _head_grad(feats, p.dlogits, g)
-    return p.grads, losses, head_grads
+    return p.grads, losses
 
 
 def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
     """Positive gradients of the mean batch loss for backbone and head: a
-    one-stream ``stream_gradients`` pass, read at the head after its step."""
-    stream = (batch.inputs, batch.labels, batch.task_id, head_step)
-    grads, losses, head_grads = stream_gradients(net, [stream])
-    return GradientReport(grads[0], head_grads[batch.task_id], losses[0])
+    one-stream ``_pass``, read at the head after its step."""
+    p = _pass(net, [(batch.inputs, batch.labels, batch.task_id, head_step)])
+    head_grad = _head_grad(p.activations[-1], p.dlogits, p.groups[0])
+    return GradientReport(p.grads[0], head_grad, float(-p.logp.mean()))
 
 
 def _group_streams(inputs, labels, groups) -> list:
@@ -419,64 +406,3 @@ def apply_update(net: Network, backbone_direction: np.ndarray, step_gamma: float
         raise InvalidInputError("backbone direction dimension mismatch")
     net.theta += step_gamma * d
 
-
-# --- binary container -----------------------------------------------------
-#
-# Layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON header
-# | little-endian float64 payload. Buffer snapshots are stored in it.
-
-
-def write_blob(path, header: dict, values: np.ndarray) -> None:
-    payload = np.ascontiguousarray(values, dtype="<f8")
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<I", CONTAINER_VERSION))
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(payload.tobytes())
-
-
-def read_blob(path):
-    raw = Path(path).read_bytes()
-    if raw[:4] != CONTAINER_MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r}", offset=0)
-    if len(raw) < 12:
-        raise FormatError("truncated container", offset=len(raw))
-    (version,) = struct.unpack("<I", raw[4:8])
-    if version != CONTAINER_VERSION:
-        raise FormatError(f"unsupported version {version}", offset=4)
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    if len(raw) < 12 + hlen:
-        raise FormatError("truncated header", offset=len(raw))
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or nested too deeply
-        raise FormatError(f"header is not UTF-8 JSON: {err}", offset=12) from None
-    if not isinstance(header, dict):
-        raise FormatError("header is not a JSON object", offset=12)
-    payload = raw[12 + hlen :]
-    whole = len(payload) - len(payload) % 8
-    if whole != len(payload):
-        raise FormatError(
-            f"payload of {len(payload)} bytes is not whole float64 values",
-            offset=12 + hlen + whole,
-        )
-    return header, np.frombuffer(payload, dtype="<f8")
-
-
-def header_field(header, key: str, kind: type, where: str = ""):
-    """``header[key]`` if it is a ``kind`` (a bool is no int), else FormatError."""
-    value = header.get(key) if isinstance(header, dict) else None
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise FormatError(f"header field {where}{key} is missing or not {kind.__name__}",
-                          offset=12)
-    return value
-
-
-def header_int_map(header: dict, key: str) -> dict:
-    """``header[key]`` as a dict from integer keys to integers."""
-    raw = header_field(header, key, dict)
-    if not all(k.isdecimal() for k in raw):
-        raise FormatError(f"header field {key} has a non-integer key", offset=12)
-    return {int(k): header_field(raw, k, int, f"{key}.") for k in raw}

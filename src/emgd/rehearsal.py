@@ -10,28 +10,25 @@ direction, the loss-difference variant is kept as a comparison arm.
 
 from __future__ import annotations
 
+import json
+import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyMemoryError, FormatError, InvalidInputError
+from .errors import EmptyMemoryError, InvalidInputError
 from .net import (
     Batch,
     Network,
     _group_streams,
+    _head_grad,
     _objective,
     _pass,
     backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
-    header_field,
-    header_int_map,
     input_gradient,
-    stream_gradients,
     task_slices,
-    write_blob,
-    read_blob,
 )
 
 if TYPE_CHECKING:
@@ -47,10 +44,6 @@ class MemoryBatch:
     labels: np.ndarray
     task_ids: np.ndarray
     slot_indices: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
 
 
 class MemoryBuffer:
@@ -151,10 +144,12 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryB
 def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     """Backbone gradient, loss and per-head gradients of the memory loss, the
     mean per-sample loss over the batch (so each task group weighs group
-    size / batch size): a one-stream ``stream_gradients`` pass."""
-    stream = (mem.inputs, mem.labels, mem.task_ids, head_step)
-    grads, losses, head_grads = stream_gradients(net, [stream])
-    return grads[0], losses[0], head_grads
+    size / batch size): a one-stream ``net._pass``."""
+    p = _pass(net, [(mem.inputs, mem.labels, mem.task_ids, head_step)])
+    loss = sum(g.weight * float(-p.logp[g.rows].mean()) for g in p.groups)
+    head_grads = {g.task_id: g.weight * _head_grad(p.activations[-1], p.dlogits, g)
+                  for g in p.groups}
+    return p.grads[0], loss, head_grads
 
 
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
@@ -247,12 +242,29 @@ def edit_memory_gmed(
     return _edit_loop(buffer, net, mem, d, cfg, step)
 
 
+# Snapshot layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON
+# header | little-endian float64 payload. No command reads a snapshot back.
+CONTAINER_MAGIC = b"EMGD"
+CONTAINER_VERSION = 1
+
+
+def write_blob(path, header: dict, values: np.ndarray) -> None:
+    payload = np.ascontiguousarray(values, dtype="<f8")
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CONTAINER_MAGIC)
+        fh.write(struct.pack("<I", CONTAINER_VERSION))
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        fh.write(payload.tobytes())
+
+
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
-    """Write slot inputs plus a JSON slot manifest in ``net.write_blob``'s container."""
+    """Write slot inputs plus a JSON slot manifest in ``write_blob``'s container."""
     header = {
         "kind": "memory-buffer",
         "capacity_per_class": buffer.capacity_per_class,
-        "dim": buffer.x.shape[1] if buffer.occupancy else 0,
+        "dim": buffer.x.shape[1],  # 0 while empty: x starts as 0 x 0
         "seen_counts": {str(c): n for c, n in sorted(buffer.seen_counts.items())},
         "slots": [
             {"task": t, "class": c, "label": label}
@@ -260,49 +272,4 @@ def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
                                    buffer.class_id.tolist())
         ],
     }
-    write_blob(path, header, buffer.x.ravel() if buffer.occupancy else np.zeros(0))
-
-
-def _check_count(value: int, where: str) -> int:
-    """A snapshot id or count; the buffer relies on none being negative."""
-    if value < 0:
-        raise FormatError(f"header field {where} is {value}, needs >= 0", offset=12)
-    return value
-
-
-def load_buffer_snapshot(path) -> MemoryBuffer:
-    header, values = read_blob(path)
-    if header.get("kind") != "memory-buffer":
-        raise InvalidInputError(f"not a buffer snapshot: {path}")
-    buffer = MemoryBuffer(header_field(header, "capacity_per_class", int))
-    dim = header_field(header, "dim", int)
-    if dim < 0:
-        raise FormatError(f"snapshot dim {dim!r} is not a non-negative integer", offset=12)
-    slots = header_field(header, "slots", list)
-    expected = len(slots) * dim
-    if values.size != expected:
-        # read_blob guarantees whole float64s, so the payload ends the file
-        payload_start = Path(path).stat().st_size - 8 * values.size
-        raise FormatError(
-            f"{values.size} stored values != {len(slots)} slots x dim {dim}",
-            offset=payload_start + 8 * min(values.size, expected),
-        )
-    buffer.seen_counts = header_int_map(header, "seen_counts")
-    for c, seen in buffer.seen_counts.items():
-        _check_count(seen, f"seen_counts.{c}")
-    meta, stored = [], {}  # stored: class -> slots so far
-    for i, fields in enumerate(slots):
-        meta.append([_check_count(header_field(fields, key, int, f"slots.{i}."),
-                                  f"slots.{i}.{key}") for key in ("label", "task", "class")])
-        cls = meta[-1][2]
-        stored[cls] = count = stored.get(cls, 0) + 1
-        if count > buffer.capacity_per_class:  # insert keeps this bound
-            raise FormatError(f"header field slots.{i}.class {cls} overfills capacity_per_class "
-                              f"{buffer.capacity_per_class}", offset=12)
-        if buffer.seen_counts.get(cls, -1) < count:  # keeps insert's odds cap/seen <= 1
-            raise FormatError(f"header field seen_counts.{cls} is missing or below the "
-                              f"{count} stored slots of that class", offset=12)
-    buffer.x = values.reshape(len(slots), dim).copy()
-    columns = np.array(meta, dtype=np.int64).reshape(-1, 3).T.copy()
-    buffer.label, buffer.task_id, buffer.class_id = columns
-    return buffer
+    write_blob(path, header, buffer.x.ravel())

@@ -232,20 +232,21 @@ def _drop(B: np.ndarray, n: int, p: int) -> None:
     B[:n - 1, :n - 1] -= (col / pivot)[:, None] * col
 
 
-def solve_min_norm_simplex(
-    gram: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    scale: float | None = None,
-) -> MinNormResult:
-    """Minimum-norm point of the convex hull of k points, given their Gram matrix.
+def _exponent(top: float) -> int:
+    """0 for a largest Gram diagonal entry ``top`` in ``_UNSCALED`` (or 0), else its binary exponent
+    e: in units of 2^e (exact) nothing overflows near float64's max or goes subnormal."""
+    return math.frexp(top)[1] if top > _UNSCALED[1] or 0.0 < top < _UNSCALED[0] else 0
 
-    Solves min_mu mu' M mu over the probability simplex (M = ``gram``) by
+
+def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> MinNormResult:
+    """Minimum-norm point of the convex hull of k points, given their Gram matrix M.
+
+    Solves min_mu mu' M mu over the probability simplex by
     Wolfe's min-norm-point method: repeatedly add the most violating point
     to the working set S, move to the affine minimiser over S, and clip
     back to the simplex when a weight would go negative. Stops when the
-    duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (default
-    scale max_i M_ii, so the test is the same at every magnitude), or after
+    duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (``solve_emgd``
+    passes max_i ||g_i||^2, so the test is the same at every magnitude), or after
     ``max(max_iter, 4k)`` iterations: each adds at most one working point.
     With two points a single affine solve reproduces the clipped closed form.
 
@@ -262,26 +263,10 @@ def solve_min_norm_simplex(
     violating point is already in S, or is numerically affinely dependent on
     S (its pivot is not positive), the iterate can no longer change: the
     solve stops there, not converged, and reports the whole budget as used,
-    as running it out would have. ``gram`` is checked here; ``solve_emgd`` runs the same core
-    on the scaled Gram of a bundle that validated G, without re-scanning it.
+    as running it out would have. Only ``tol`` and ``max_iter`` are checked
+    here: ``solve_emgd``, the one caller, hands over the scaled Gram of a
+    bundle that validated G, and M is not re-scanned.
     """
-    M = np.atleast_2d(np.asarray(gram, dtype=np.float64))
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
-        raise InvalidInputError("gram must be a non-empty square matrix")
-    if not np.isfinite(M).all():
-        raise NumericError("gram contains non-finite entries")
-    scale = float(M.diagonal().max()) if scale is None else scale
-    return _min_norm_point(M, tol, max_iter, scale)
-
-
-def _exponent(top: float) -> int:
-    """0 for a largest Gram diagonal entry ``top`` in ``_UNSCALED`` (or 0), else its binary exponent
-    e: in units of 2^e (exact) nothing overflows near float64's max or goes subnormal."""
-    return math.frexp(top)[1] if top > _UNSCALED[1] or 0.0 < top < _UNSCALED[0] else 0
-
-
-def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> MinNormResult:
-    # solve_min_norm_simplex's steps on a square, finite M the caller vouches for
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
     if max_iter < 1:

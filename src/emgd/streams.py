@@ -226,11 +226,14 @@ def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
 
 def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> TaskSpec:
     """The task's train and test rows of ``dataset``; ``where`` names the
-    label set when no training row carries one of its labels."""
+    label set when no training row, or no test row, carries one of its
+    labels (a task with no test rows would score an accuracy of nothing)."""
     train_mask = np.isin(dataset.train_labels, labels)
     if not train_mask.any():
         raise ConfigError(f"{where} {list(labels)} has no training data")
     test_mask = np.isin(dataset.test_labels, labels)
+    if not test_mask.any():
+        raise ConfigError(f"{where} {list(labels)} has no test data")
     return TaskSpec(task_id, labels, dataset.train_inputs[train_mask],
                     dataset.train_labels[train_mask], dataset.test_inputs[test_mask],
                     dataset.test_labels[test_mask])

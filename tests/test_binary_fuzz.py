@@ -1,4 +1,4 @@
-"""Byte-level fuzzing of the binary readers.
+"""Byte-level fuzzing of the IDX reader, the one binary reader.
 
 Each test writes a valid file, truncates it or XORs some of its bytes, and
 reads it back. The only allowed outcomes are a successful load or an
@@ -7,14 +7,11 @@ reads it back. The only allowed outcomes are a successful load or an
 
 import struct
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emgd.errors import EmgdError, FormatError
-from emgd.net import Batch
-from emgd.rehearsal import MemoryBuffer, insert, load_buffer_snapshot, save_buffer_snapshot
 from emgd.streams import load_idx
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -45,27 +42,10 @@ def load_or_emgd_error(load, *paths) -> None:
         pass
 
 
-def snapshot_bytes(tmp_path) -> bytes:
-    buf = MemoryBuffer(2)
-    insert(buf, Batch(np.linspace(0.0, 1.0, 9).reshape(3, 3), [0, 1, 0], 1), [0, 1, 5], 0)
-    save_buffer_snapshot(buf, tmp_path / "valid.bin")
-    return (tmp_path / "valid.bin").read_bytes()
-
-
 def idx_bytes(count: int) -> tuple:
     images = struct.pack(">IIII", 0x803, count, 2, 2) + bytes(range(4 * count))
     labels = struct.pack(">II", 0x801, count) + bytes(range(count))
     return images, labels
-
-
-@pytest.mark.parametrize("valid_bytes, load", [(snapshot_bytes, load_buffer_snapshot)])
-@FUZZ
-@given(data=st.data())
-def test_container_truncated_or_flipped(tmp_path, valid_bytes, load, data):
-    raw = valid_bytes(tmp_path)
-    path = tmp_path / "fuzzed.bin"
-    path.write_bytes(corrupt(raw, data.draw(corruptions(len(raw)))))
-    load_or_emgd_error(load, path)
 
 
 class TestIdxFuzz:

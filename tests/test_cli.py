@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from emgd.cli import main
+from oracles import read_snapshot
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -300,10 +301,9 @@ class TestRunPcl:
         )
         out = tmp_path / "snap"
         assert main(["run-pcl", "--config", str(cfg), "--out", str(out)]) == 0
-        from emgd.rehearsal import load_buffer_snapshot
-
-        buf = load_buffer_snapshot(out / "buffer_snapshot.bin")
-        assert buf.occupancy > 0
+        header, rows = read_snapshot(out / "buffer_snapshot.bin")
+        assert header["kind"] == "memory-buffer"
+        assert rows.shape[0] == len(header["slots"]) > 0
 
 
 class TestBuildSplits:
@@ -342,6 +342,20 @@ class TestBuildSplits:
         captured = capsys.readouterr()
         assert_named_exit_1(code, captured, "--overlap must lie in [0, 1), got 1.5")
         assert "split.overlap" not in captured.err
+
+    # a manifest run used to ignore both flags, even an out-of-range --overlap
+    @pytest.mark.parametrize("flags", [["--serial"], ["--overlap", "0.5"], ["--overlap", "7"]],
+                             ids=["serial", "overlap", "overlap-out-of-range"])
+    def test_split_flag_on_a_manifest_run_named(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("emgd.experiment.run_pcl", never_train)
+        manifest = tmp_path / "m.json"
+        assert main(["build-splits", "--config", str(pcl_config(tmp_path)),
+                     "--out", str(manifest)]) == 0
+        cfg = pcl_config(tmp_path, manifest=str(manifest))
+        code = main(["run-pcl", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")])
+        assert_named_exit_1(code, capsys.readouterr(),
+                            f"{flags[0]} builds a split, but this run reads its split from "
+                            f"the manifest {manifest}")
 
     def test_infeasible_bounds_exit_1(self, tmp_path, capsys):
         cfg = pcl_config(
@@ -472,6 +486,18 @@ def never_train(*args, **kwargs):
     raise AssertionError("training started")
 
 
+def write_idx(tmp_path, name: str, side: int, count: int = 8, classes: int = 4) -> dict:
+    """An IDX image/label pair of ``count`` side x side images, labels i % classes;
+    returns the ``dataset.idx`` fields naming it."""
+    pixels = bytes(range(count * side * side))
+    (tmp_path / f"{name}_images.idx").write_bytes(
+        struct.pack(">IIII", 0x803, count, side, side) + pixels)
+    (tmp_path / f"{name}_labels.idx").write_bytes(
+        struct.pack(">II", 0x801, count) + bytes(i % classes for i in range(count)))
+    return {f"{name}_{kind}": str(tmp_path / f"{name}_{kind}.idx")
+            for kind in ("images", "labels")}
+
+
 def assert_named_exit_1(code, captured, name):
     assert code == 1
     assert captured.err.startswith("error:") and name in captured.err
@@ -533,17 +559,7 @@ class TestMalformedConfig:
         assert_named_exit_1(code, capsys.readouterr(), name)
 
     def test_idx_width_mismatch_fails_before_training(self, tmp_path, capsys, monkeypatch):
-        def write_idx(name, side, count=8):
-            pixels = bytes(range(count * side * side))
-            (tmp_path / f"{name}_images.idx").write_bytes(
-                struct.pack(">IIII", 0x803, count, side, side) + pixels)
-            (tmp_path / f"{name}_labels.idx").write_bytes(
-                struct.pack(">II", 0x801, count) + bytes(i % 4 for i in range(count)))
-
-        write_idx("train", 2)
-        write_idx("test", 3)
-        idx = {f"{name}_{kind}": str(tmp_path / f"{name}_{kind}.idx")
-               for name in ("train", "test") for kind in ("images", "labels")}
+        idx = {**write_idx(tmp_path, "train", 2), **write_idx(tmp_path, "test", 3)}
         monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
         cfg = pcl_config(tmp_path, dataset={"idx": idx},
                          split={"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 4})
@@ -551,6 +567,34 @@ class TestMalformedConfig:
         captured = capsys.readouterr()
         assert_named_exit_1(code, captured, idx["test_images"])
         assert "width 9" in captured.err and "width 4" in captured.err
+
+    # the test file holds classes 0 and 1 only, so a one-class task of class 2 or 3
+    # has no test rows; it used to score an accuracy of 0.0 that A_final averaged in
+    @pytest.mark.parametrize("via, name", [("build-splits", "label set ["),
+                                           ("run-pcl", "label set ["),
+                                           ("manifest", "manifest.tasks[")])
+    def test_task_without_test_rows_named(self, tmp_path, capsys, via, name):
+        train = write_idx(tmp_path, "train", 2)
+        split = {"num_tasks": 4, "label_bounds": [1, 1], "batch_size": 2, "serial": True}
+        two_class_test = {**train, **write_idx(tmp_path, "test", 2, classes=2)}
+        if via == "build-splits":
+            cfg = pcl_config(tmp_path, dataset={"idx": two_class_test}, split=split)
+            code = main(["build-splits", "--config", str(cfg), "--out", str(tmp_path / "m.json")])
+        elif via == "run-pcl":  # the run builds its own split
+            cfg = pcl_config(tmp_path, dataset={"idx": two_class_test}, split=split)
+            code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        else:  # a manifest built where every class has test rows
+            every_class = {**train, "test_images": train["train_images"],
+                           "test_labels": train["train_labels"]}
+            cfg = pcl_config(tmp_path, dataset={"idx": every_class}, split=split)
+            assert main(["build-splits", "--config", str(cfg),
+                         "--out", str(tmp_path / "m.json")]) == 0
+            cfg = pcl_config(tmp_path, dataset={"idx": two_class_test},
+                             manifest=str(tmp_path / "m.json"))
+            code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured, name)
+        assert "has no test data" in captured.err
 
     def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)

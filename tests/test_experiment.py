@@ -335,7 +335,7 @@ class TestRunPcl:
         result = run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
         assert draws
         for occupancy, mem in draws:
-            assert mem.size == 40 > occupancy
+            assert len(mem.labels) == 40 > occupancy
         memory_rows = [r for r in result.tick_rows if 0 in r["active"]]
         assert len(memory_rows) == len(draws)
         assert all(np.isfinite(r["losses"][0]) for r in memory_rows)

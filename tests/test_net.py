@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emgd.errors import (
-    FormatError,
     InvalidInputError,
     TaskExistsError,
     UnknownTaskError,
@@ -19,12 +18,10 @@ from emgd.net import (
     features,
     head_logits,
     input_gradient,
-    read_blob,
     stream_gradients,
-    write_blob,
 )
 from emgd.rehearsal import MemoryBatch, editing_objective
-from oracles import (central_difference_edit, directional_edit_gradient, forward,
+from oracles import (_head_pass, central_difference_edit, directional_edit_gradient, forward,
                      per_stream_gradients)
 
 
@@ -226,6 +223,28 @@ class TestHeadStep:
         assert report.loss < before
         assert report.loss == forward(net, batch)[1]
 
+    # stream_gradients returns no head gradients, so backward forms its own
+    # from the pass; pin it to the closed form feats^T (p - onehot) / n
+    @pytest.mark.parametrize("step", [0.0, 0.4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_head_gradient_is_the_closed_form_after_the_step(self, step, seed):
+        rng = np.random.default_rng(300 + seed)
+        classes = int(rng.integers(2, 7))
+        net = make_net(rng_seed=seed, heads=((1, 3), (2, classes)))
+        batch = make_batch(rng, net, task=2, size=int(rng.integers(1, 9)))
+        feats = features(net, batch.inputs)
+        W, b = net.head(2)
+        _, before, _ = _head_pass(feats, batch.labels, W, b)
+        expect_head = net.heads[2] - step * before
+        other = net.heads[1].copy()
+        report = backward(net, batch, head_step=step)
+        np.testing.assert_allclose(net.heads[2], expect_head, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(net.heads[1], other)
+        W, b = net.head(2)
+        _, after, loss = _head_pass(feats, batch.labels, W, b)
+        np.testing.assert_allclose(report.head_grad, after, rtol=1e-12, atol=1e-15)
+        assert report.loss == pytest.approx(loss, rel=1e-12)
+
 
 def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(8, 16, 6)):
     """Two identical nets and one tick's streams: a task-sorted memory batch
@@ -265,13 +284,11 @@ class TestStreamGradients:
     def test_same_class_counts_bitwise(self, seed, mem_step):
         net, ref, streams = random_tick(np.random.default_rng(seed), True, mem_step)
         for _ in range(2):  # a second tick reads the stepped heads
-            grads, losses, head_grads = stream_gradients(net, streams)
+            grads, losses = stream_gradients(net, streams)
             ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
             np.testing.assert_array_equal(grads, ref_grads)
             assert losses == ref_losses
-            assert head_grads.keys() == ref_heads.keys()
             for t in ref_heads:
-                np.testing.assert_array_equal(head_grads[t], ref_heads[t])
                 np.testing.assert_array_equal(net.heads[t], ref.heads[t])
 
     @pytest.mark.parametrize("mem_step", [0.3, 0.0])
@@ -283,13 +300,11 @@ class TestStreamGradients:
         net, ref, streams = random_tick(np.random.default_rng(100 + seed), False, mem_step,
                                         min_rows=1)
         for _ in range(2):
-            grads, losses, head_grads = stream_gradients(net, streams)
+            grads, losses = stream_gradients(net, streams)
             ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
             assert all(close(g, r) for g, r in zip(grads, ref_grads))
             assert losses == pytest.approx(ref_losses, rel=1e-12)
-            assert head_grads.keys() == ref_heads.keys()
             for t in ref_heads:
-                assert close(head_grads[t], ref_heads[t])
                 assert close(net.heads[t], ref.heads[t])
 
     def test_head_serving_two_streams_is_rejected(self):
@@ -590,63 +605,14 @@ class TestApplyUpdate:
             apply_update(net, np.zeros(3), 0.1)
 
 
-class TestCheckpoint:
+class TestLayout:
+    """The backbone and each head are flat vectors; (W, b) are views."""
+
     def test_flatten_roundtrip_bit_exact(self):
         net = make_net()
         flat = net.theta.copy()
         net.set_backbone_flat(flat.copy())
         np.testing.assert_array_equal(net.theta.copy(), flat)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(FormatError) as err:
-            read_blob(path)
-        assert err.value.offset == 0
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "trunc.bin"
-        path.write_bytes(b"EMGD\x01\x00\x00\x00\xff\x00\x00\x00ab")
-        with pytest.raises(FormatError):
-            read_blob(path)
-
-    def test_partial_float_payload(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        write_blob(path, {"kind": "test"}, np.arange(3, dtype=float))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-3])
-        with pytest.raises(FormatError) as err:
-            read_blob(path)
-        assert err.value.offset == len(raw) - 8  # start of the cut float64
-
-    def test_header_not_utf8_json(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        write_blob(path, {"kind": "test"}, np.zeros(2))
-        raw = bytearray(path.read_bytes())
-        raw[12] = 0xFF  # first header byte
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError) as err:
-            read_blob(path)
-        assert err.value.offset == 12
-        raw[12] = ord("x")  # valid UTF-8, invalid JSON
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
-            read_blob(path)
-        write_blob(path, [1, 2], np.zeros(2))  # JSON, but not an object
-        with pytest.raises(FormatError):
-            read_blob(path)
-
-    def test_blob_roundtrip(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        values = np.arange(5, dtype=float)
-        write_blob(path, {"kind": "test"}, values)
-        header, back = read_blob(path)
-        assert header == {"kind": "test"}
-        np.testing.assert_array_equal(back, values)
-
-
-class TestLayout:
-    """The backbone and each head are flat vectors; (W, b) are views."""
 
     def test_backbone_layers_are_views_of_theta(self):
         net = make_net(layers=(6, 10, 7, 5))

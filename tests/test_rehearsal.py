@@ -1,5 +1,5 @@
 import copy
-import struct
+import json
 from collections import Counter
 
 import numpy as np
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emgd.net
-from emgd.errors import EmptyMemoryError, FormatError, InvalidInputError
+from emgd.errors import EmptyMemoryError, InvalidInputError
 from emgd.experiment import RunConfig
 from emgd.net import (
     Batch,
@@ -26,13 +26,12 @@ from emgd.rehearsal import (
     edit_memory_gmed,
     editing_objective,
     insert,
-    load_buffer_snapshot,
     memory_gradient,
     sample_memory,
     save_buffer_snapshot,
 )
 from oracles import (SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
-                     slot_list_insert)
+                     read_snapshot, slot_list_insert)
 
 CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
@@ -195,7 +194,7 @@ class TestSampleMemory:
         buf = MemoryBuffer(1)
         insert(buf, class_batch(rng, 1, label=0), class_ids=[0], seed_or_rng=0)
         mem = sample_memory(buf, 5, 8)
-        assert mem.size == 5
+        assert len(mem.labels) == 5
 
     def test_draw_frequency_uniform(self):
         rng = np.random.default_rng(7)
@@ -284,7 +283,7 @@ class TestMemoryGradient:
                 continue
             group = Batch(mem.inputs[mask], mem.labels[mask], t)
             rep = backward(net, group)
-            w = mask.sum() / mem.size
+            w = mask.sum() / len(mem.labels)
             total += w * rep.backbone_grad
             check_loss += w * rep.loss
             forward_loss += w * forward(net, group)[1]
@@ -327,7 +326,7 @@ def per_group_memory_gradient(net, mem, head_step):
 
     if head_step > 0:
         steps = {
-            t: (mask.sum() / mem.size * backward(net, group_batch(t, mask)).head_grad, head_step)
+            t: (mask.sum() / len(mem.labels) * backward(net, group_batch(t, mask)).head_grad, head_step)
             for t, mask in groups
         }
         for t, (grad, step) in steps.items():
@@ -335,7 +334,7 @@ def per_group_memory_gradient(net, mem, head_step):
     backbone = np.zeros(net.backbone_dim)
     heads, loss = {}, 0.0
     for t, mask in groups:
-        w = mask.sum() / mem.size
+        w = mask.sum() / len(mem.labels)
         rep = backward(net, group_batch(t, mask))
         backbone += w * rep.backbone_grad
         heads[t] = w * rep.head_grad
@@ -407,7 +406,7 @@ class TestEditEmgd:
         net = make_net(heads=((1, 4), (2, 3), (3, 3)))
         buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5)
         mem = sample_memory(buf, buf.occupancy + 5, 6)
-        assert len(set(mem.slot_indices.tolist())) < mem.size
+        assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
         assert len(np.unique(mem.task_ids)) >= 2
         d = rng.normal(size=net.backbone_dim)
@@ -432,7 +431,7 @@ class TestEditEmgd:
         rng = np.random.default_rng(26)
         buf = filled_buffer(rng, tasks=(1, 2, 3))
         mem = sample_memory(buf, buf.occupancy + 9, 4)
-        assert len(set(mem.slot_indices.tolist())) < mem.size
+        assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         edited = rng.uniform(0.0, 1.0, mem.inputs.shape)  # repeated slots get different rows
         _write_back(buf, mem, edited)
         for slot in set(mem.slot_indices.tolist()):
@@ -541,7 +540,7 @@ class TestEditGmed:
         rng = np.random.default_rng(22)
         buf = filled_buffer(rng, tasks=(1, 2, 3))
         mem = sample_memory(buf, buf.occupancy + 9, 6)
-        assert len(set(mem.slot_indices.tolist())) < mem.size
+        assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
         assert len(np.unique(mem.task_ids)) >= 2
         nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
@@ -634,7 +633,7 @@ class TestEditPasses:
         calls = self.count_forwards(monkeypatch)
         before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2,
                                                          edit_iterations=iterations))
-        assert calls == [mem.size] * passes(iterations)
+        assert calls == [len(mem.labels)] * passes(iterations)
         assert before == expected
         assert after != before
 
@@ -675,138 +674,113 @@ class TestQuadraticEditingOracle:
         assert x_core == pytest.approx(x_analytic, abs=1e-6)
 
 
+def assert_snapshot_is(buf, header, rows):
+    """The snapshot ``(header, rows)`` holds exactly ``buf``'s state."""
+    assert header["kind"] == "memory-buffer"
+    assert header["capacity_per_class"] == buf.capacity_per_class
+    assert header["dim"] == buf.x.shape[1]
+    assert header["seen_counts"] == {str(c): n for c, n in buf.seen_counts.items()}
+    assert ([(s["label"], s["task"], s["class"]) for s in header["slots"]]
+            == list(zip(buf.label.tolist(), buf.task_id.tolist(), buf.class_id.tolist())))
+    np.testing.assert_array_equal(rows, buf.x)
+
+
+def slots_per_class(header) -> Counter:
+    return Counter(s["class"] for s in header["slots"])
+
+
+def non_negative_int(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+# No command reads a snapshot back, so what a reader would have to check
+# holds of every snapshot the writer makes.
+SNAPSHOT_INVARIANTS = {
+    "kind": lambda h, rows: h["kind"] == "memory-buffer",
+    "capacity": lambda h, rows: type(h["capacity_per_class"]) is int
+    and h["capacity_per_class"] >= 1,
+    "dim": lambda h, rows: non_negative_int(h["dim"]) and rows.shape[1] == h["dim"],
+    "seen-counts": lambda h, rows: all(k.isdecimal() and non_negative_int(n)
+                                       for k, n in h["seen_counts"].items()),
+    "slot-fields": lambda h, rows: all(set(s) == {"task", "class", "label"}
+                                       and all(map(non_negative_int, s.values()))
+                                       for s in h["slots"]),
+    "slots-fit-capacity": lambda h, rows: all(n <= h["capacity_per_class"]
+                                              for n in slots_per_class(h).values()),
+    "slots-fit-seen-counts": lambda h, rows: all(n <= h["seen_counts"].get(str(c), 0)
+                                                 for c, n in slots_per_class(h).items()),
+    "one-row-per-slot": lambda h, rows: rows.shape[0] == len(h["slots"]),
+}
+
+
 class TestSnapshot:
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(19)
-        buf = filled_buffer(rng)
+        buf = filled_buffer(np.random.default_rng(19))
         path = tmp_path / "buffer.bin"
         save_buffer_snapshot(buf, path)
-        back = load_buffer_snapshot(path)
-        assert back.occupancy == buf.occupancy
-        assert back.capacity_per_class == buf.capacity_per_class
-        assert back.seen_counts == buf.seen_counts
-        for i in range(buf.occupancy):
-            np.testing.assert_array_equal(buf.x[i], back.x[i])
-            assert ((buf.label[i], buf.task_id[i], buf.class_id[i])
-                    == (back.label[i], back.task_id[i], back.class_id[i]))
+        header, rows = read_snapshot(path)
+        assert header["kind"] == "memory-buffer"
+        assert header["capacity_per_class"] == buf.capacity_per_class
+        assert header["seen_counts"] == {str(c): n for c, n in buf.seen_counts.items()}
+        assert ([(s["label"], s["task"], s["class"]) for s in header["slots"]]
+                == list(zip(buf.label.tolist(), buf.task_id.tolist(), buf.class_id.tolist())))
+        np.testing.assert_array_equal(rows, buf.x)
 
-    def test_loaded_buffer_inserts_like_the_original(self, tmp_path):
-        # insert reads each class's slots from class_id, so a loaded snapshot
-        # makes the same reservoir replacements as the buffer it came from
-        rng = np.random.default_rng(23)
-        buf = filled_buffer(rng, capacity=2)
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("capacity", [1, 2, 4])
+    def test_roundtrip_after_replacements(self, tmp_path, capacity, seed):
+        rng = np.random.default_rng(40 + seed)
+        buf = filled_buffer(rng, capacity=capacity, tasks=(1, 2, 3), per_task=14,
+                            dim=int(rng.integers(1, 9)))
+        assert sum(buf.seen_counts.values()) > buf.occupancy  # reservoir replaced slots
         save_buffer_snapshot(buf, tmp_path / "buffer.bin")
-        back = load_buffer_snapshot(tmp_path / "buffer.bin")
-        batch = class_batch(rng, 12, task=2, classes=3)
-        for target in (buf, back):
-            insert(target, batch, class_ids=20 + batch.labels, seed_or_rng=5)
-        assert back.seen_counts == buf.seen_counts
-        for name in ("x", "label", "task_id", "class_id"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(buf, name))
+        assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))
 
-    def test_truncated_payload(self, tmp_path):
-        rng = np.random.default_rng(20)
+    def test_empty_buffer(self, tmp_path):
+        save_buffer_snapshot(MemoryBuffer(3), tmp_path / "buffer.bin")
+        header, rows = read_snapshot(tmp_path / "buffer.bin")
+        assert header == {"kind": "memory-buffer", "capacity_per_class": 3, "dim": 0,
+                          "seen_counts": {}, "slots": []}
+        assert rows.shape == (0, 0)
+
+    @pytest.mark.parametrize("name", list(SNAPSHOT_INVARIANTS))
+    def test_writer_keeps_the_buffer_invariants(self, tmp_path, name):
+        buf = filled_buffer(np.random.default_rng(21), capacity=2, tasks=(1, 2, 3),
+                            per_task=10)
+        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
+        assert SNAPSHOT_INVARIANTS[name](*read_snapshot(tmp_path / "buffer.bin"))
+
+    # the documented layout, field by field, read without the oracle reader
+    @pytest.mark.parametrize("field, holds", [
+        ("magic", lambda raw, n, buf: raw[:4] == b"EMGD"),
+        ("version", lambda raw, n, buf: raw[4:8] == b"\x01\x00\x00\x00"),
+        ("length", lambda raw, n, buf: int.from_bytes(raw[8:12], "little") == n),
+        ("header", lambda raw, n, buf: raw[12:12 + n].decode("utf-8") == json.dumps(
+            json.loads(raw[12:12 + n]), sort_keys=True)),
+        ("payload", lambda raw, n, buf: raw[12 + n:] == buf.x.astype("<f8").tobytes()),
+    ])
+    def test_layout_field(self, tmp_path, field, holds):
+        buf = filled_buffer(np.random.default_rng(22))
+        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
+        raw = (tmp_path / "buffer.bin").read_bytes()
+        n = len(raw) - 12 - 8 * buf.x.size  # the header's length, from the slot rows
+        assert holds(raw, n, buf)
+
+    @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
+    def test_snapshot_holds_the_edited_rows(self, tmp_path, edit):
+        rng = np.random.default_rng(28)
+        net = make_net(heads=((1, 4), (2, 3)))
         buf = filled_buffer(rng)
-        path = tmp_path / "buffer.bin"
-        save_buffer_snapshot(buf, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])  # one float64 short: the last slot would lose a dim
-        with pytest.raises(FormatError) as err:
-            load_buffer_snapshot(path)
-        assert err.value.offset == len(raw) - 8
+        before = buf.x.copy()
+        mem = sample_memory(buf, 6, 3)
+        edit(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig(eta_edit=0.2))
+        assert not np.array_equal(buf.x, before)
+        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
+        assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))
 
-    @pytest.mark.parametrize("dim", ["6", -1, 1.5])
-    def test_rejects_bad_dim(self, tmp_path, dim):
-        from emgd.net import write_blob
-
-        path = tmp_path / "buffer.bin"
-        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": dim,
-                  "seen_counts": {}, "slots": []}
-        write_blob(path, header, np.zeros(0))
-        with pytest.raises(FormatError, match="dim"):
-            load_buffer_snapshot(path)
-
-    @pytest.mark.parametrize("field, change", [
-        ("capacity_per_class", {"capacity_per_class": None}),
-        ("dim", {"dim": None}),
-        ("slots", {"slots": None}),
-        ("seen_counts", {"seen_counts": None}),
-        ("capacity_per_class", {"capacity_per_class": 2.0}),
-        ("slots", {"slots": {"0": 1}}),
-        ("seen_counts", {"seen_counts": [1]}),
-        ("seen_counts", {"seen_counts": {"x": 1}}),
-        ("seen_counts.0", {"seen_counts": {"0": "1"}}),
-        ("slots.0.label", {"slots": [{"task": 1, "class": 0}]}),
-        ("slots.0.class", {"slots": [{"task": 1, "class": "0", "label": 0}]}),
-        ("slots.0.label", {"slots": [7]}),
-        ("slots.0.label", {"slots": [{"task": 1, "class": 0, "label": -7}]}),
-        ("slots.0.task", {"slots": [{"task": -1, "class": 0, "label": 0}]}),
-        ("slots.0.class", {"slots": [{"task": 1, "class": -2, "label": 0}]}),
-        ("seen_counts.0", {"seen_counts": {"0": -5}}),
-    ])
-    def test_missing_or_ill_typed_header_field(self, tmp_path, field, change):
-        from emgd.net import write_blob
-
-        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": 3,
-                  "seen_counts": {"0": 1},
-                  "slots": [{"task": 1, "class": 0, "label": 0}]}
-        header.update(change)
-        header = {k: v for k, v in header.items() if v is not None}
-        path = tmp_path / "buffer.bin"
-        write_blob(path, header, np.zeros(3))
-        with pytest.raises(FormatError, match=field) as err:
-            load_buffer_snapshot(path)
-        assert err.value.offset == 12
-
-    @pytest.mark.parametrize("field, change", [
-        # three class-0 slots under capacity 1 used to load with occupancy 3
-        ("slots.1.class", {"capacity_per_class": 1,
-                           "slots": [{"task": 1, "class": 0, "label": 0}] * 3}),
-        ("seen_counts.0", {"slots": [{"task": 1, "class": 0, "label": 0}] * 2}),
-        ("seen_counts.0", {"seen_counts": {"1": 4}}),  # class 0 stored, never seen
-    ])
-    def test_slot_counts_must_fit_capacity_and_seen_counts(self, tmp_path, field, change):
-        from emgd.net import write_blob
-
-        header = {"kind": "memory-buffer", "capacity_per_class": 2, "dim": 3,
-                  "seen_counts": {"0": 1},
-                  "slots": [{"task": 1, "class": 0, "label": 0}]}
-        header.update(change)
-        path = tmp_path / "buffer.bin"
-        write_blob(path, header, np.zeros(3 * len(header["slots"])))
-        with pytest.raises(FormatError, match=field) as err:
-            load_buffer_snapshot(path)
-        assert err.value.offset == 12
-
-    @pytest.mark.parametrize("edit, offset, message", [
-        (lambda raw: b"NOPE" + raw[4:], 0, "bad magic"),
-        (lambda raw: raw[:10], 10, "truncated container"),
-        (lambda raw: raw[:4] + b"\x02" + raw[5:], 4, "unsupported version"),
-        (lambda raw: raw[:20], 20, "truncated header"),
-        (lambda raw: raw[:12] + b"\xff" + raw[13:], 12, "not UTF-8 JSON"),
-        (lambda raw: raw[:-3], -8, "not whole float64"),
-    ], ids=["magic", "short", "version", "header", "utf8", "payload"])
-    def test_container_checks_reach_the_loader(self, tmp_path, edit, offset, message):
-        path = tmp_path / "buffer.bin"
-        save_buffer_snapshot(filled_buffer(np.random.default_rng(24)), path)
-        raw = path.read_bytes()
-        path.write_bytes(edit(raw))
-        with pytest.raises(FormatError, match=message) as err:
-            load_buffer_snapshot(path)
-        assert err.value.offset == (offset if offset >= 0 else len(raw) + offset)
-
-    @pytest.mark.parametrize("header", [b"[1, 2]", b"[" * 100_000], ids=["list", "nested"])
-    def test_header_must_be_a_json_object(self, tmp_path, header):
-        path = tmp_path / "buffer.bin"
-        path.write_bytes(b"EMGD" + struct.pack("<II", 1, len(header)) + header)
-        with pytest.raises(FormatError) as err:
-            load_buffer_snapshot(path)
-        assert err.value.offset == 12
-
-    def test_rejects_other_blobs(self, tmp_path):
-        from emgd.net import write_blob
-
-        path = tmp_path / "other.bin"
-        write_blob(path, {"kind": "something-else"}, np.zeros(3))
-        with pytest.raises(InvalidInputError):
-            load_buffer_snapshot(path)
+    def test_bytes_do_not_depend_on_seen_counts_order(self, tmp_path):
+        buf = filled_buffer(np.random.default_rng(29))
+        save_buffer_snapshot(buf, tmp_path / "a.bin")
+        buf.seen_counts = dict(reversed(list(buf.seen_counts.items())))
+        save_buffer_snapshot(buf, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

@@ -18,10 +18,9 @@ from emgd.solver import (
     elastic_factors_gmc,
     elastic_factors_gs,
     solve_emgd,
-    solve_min_norm_simplex,
     solve_request,
 )
-from emgd.solver import _ROW_GRAM_MIN_DIM
+from emgd.solver import _ROW_GRAM_MIN_DIM, _min_norm_point
 from oracles import (
     brute_force_weights,
     kkt_min_norm_simplex,
@@ -47,6 +46,12 @@ def random_bundle(rng, k, dim, scale_spread=False):
 def gram(points):
     P = np.asarray(points, dtype=float)
     return P @ P.T
+
+
+def min_norm(M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """``_min_norm_point`` at the gap scale ``solve_emgd`` uses at sigma = 1, max_i M_ii."""
+    M = np.asarray(M, dtype=float)
+    return _min_norm_point(M, tol, max_iter, float(M.diagonal().max()))
 
 
 def mgda(b):
@@ -78,6 +83,28 @@ class TestBundleInvariants:
     def test_rejects_mismatched_ids(self):
         with pytest.raises(InvalidInputError):
             GradientBundle((1, 2, 3), np.ones((2, 3)))
+
+    # The bundle is the one place a Gram matrix is formed and checked, so
+    # every malformed gradient array must stop here, before any solve.
+    @pytest.mark.parametrize("shape", [(0,), (0, 0), (2, 0), (2, 2, 2)])
+    def test_rejects_a_gradient_array_of_the_wrong_shape(self, shape):
+        with pytest.raises(InvalidInputError,
+                           match="need at least one gradient of dimension >= 1"):
+            GradientBundle((1, 2), np.ones(shape))
+
+    # A planted entry at the first and the last coordinate, under both Gram
+    # kernels: k = 3 lies in the row-product range of k.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, -1)], ids=["first", "last"])
+    @pytest.mark.parametrize("dim", [3, _ROW_GRAM_MIN_DIM])
+    def test_non_finite_entry_named_under_both_kernels(self, bad, at, dim):
+        grads = np.ones((3, dim))
+        grads[at] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError,
+                               match="^gradient bundle contains non-finite entries$"):
+                GradientBundle((1, 2, 3), grads)
 
     # The bundle validates its Gram matrix, not the gradients: a NaN or inf
     # entry and a squared norm past float64 must each still be named, at k
@@ -249,24 +276,24 @@ class TestElasticFactorsGs:
 
 class TestMinNormSimplex:
     def test_single_point(self):
-        res = solve_min_norm_simplex(gram([[3.0, 4.0]]))
+        res = min_norm(gram([[3.0, 4.0]]))
         assert res.mu.tolist() == [1.0]
         assert res.objective == pytest.approx(25.0)
         assert res.converged
 
     def test_orthogonal_pair(self):
-        res = solve_min_norm_simplex(gram([[1.0, 0.0], [0.0, 1.0]]))
+        res = min_norm(gram([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(res.mu, [0.5, 0.5], atol=1e-12)
         assert res.objective == pytest.approx(0.5, abs=1e-12)
 
     def test_opposed_pair_contains_origin(self):
         # 1-D clipped formula: mu1 = (p2.p2 - p1.p2) / ||p1 - p2||^2 = 1/3
-        res = solve_min_norm_simplex(gram([[2.0, 0.0], [-1.0, 0.0]]))
+        res = min_norm(gram([[2.0, 0.0], [-1.0, 0.0]]))
         np.testing.assert_allclose(res.mu, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
         assert res.objective <= 1e-16
 
     def test_dominated_point_gets_zero_weight(self):
-        res = solve_min_norm_simplex(gram([[1.0, 0.0], [3.0, 0.0]]))
+        res = min_norm(gram([[1.0, 0.0], [3.0, 0.0]]))
         np.testing.assert_allclose(res.mu, [1.0, 0.0], atol=1e-12)
         assert res.objective == pytest.approx(1.0)
 
@@ -279,7 +306,7 @@ class TestMinNormSimplex:
         # Here a minor cycle clips, drops a point and clips again, so its
         # second step must start from the kept weights of the first.
         M = gram(points)
-        res = solve_min_norm_simplex(M)
+        res = min_norm(M)
         ref = kkt_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER)
         assert res.converged and ref.converged
         assert res.iterations == ref.iterations == 5
@@ -291,7 +318,7 @@ class TestMinNormSimplex:
             k = int(rng.integers(2, 5))
             dim = int(rng.integers(1, 33))
             P = rng.normal(size=(k, dim)) * rng.uniform(0.2, 3.0, size=(k, 1))
-            res = solve_min_norm_simplex(gram(P), tol=1e-10)
+            res = min_norm(gram(P), tol=1e-10)
             assert res.converged
             q = res.mu @ P
             gaps = P @ q - float(q @ q)
@@ -306,46 +333,28 @@ class TestMinNormSimplex:
     def test_extreme_scale_solves_in_units_of_a_power_of_two(self, gram, mu):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = solve_min_norm_simplex(np.array(gram))
+            res = min_norm(gram)
         assert res.converged
         np.testing.assert_allclose(res.mu, mu, rtol=1e-12)
         assert res.objective == pytest.approx(float(np.array(mu) @ np.array(gram) @ mu),
                                               rel=1e-12)
 
     def test_duplicate_points(self):
-        res = solve_min_norm_simplex(gram([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]))
+        res = min_norm(gram([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]]))
         assert res.converged
         assert res.objective <= 1e-16
-
-    # solve_emgd hands the solver a matrix it has already validated; the
-    # public entry point still checks everything it is given.
-    @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.ones((3, 2)), np.ones((2, 2, 2)),
-                                     np.zeros((0, 0))])
-    def test_rejects_a_non_square_gram(self, bad):
-        with pytest.raises(InvalidInputError, match="gram must be a non-empty square matrix"):
-            solve_min_norm_simplex(bad)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
-    def test_rejects_a_non_finite_gram(self, bad, at):
-        M = np.eye(3)
-        M[at] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NumericError, match="^gram contains non-finite entries$"):
-                solve_min_norm_simplex(M)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("tol", [0.0, -1e-8, -np.inf, np.nan])
     def test_rejects_a_non_positive_tol(self, k, tol):
         with pytest.raises(InvalidInputError, match="tol must be positive"):
-            solve_min_norm_simplex(np.eye(k), tol=tol)
+            min_norm(np.eye(k), tol=tol)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("max_iter", [0, -5])
     def test_rejects_max_iter_below_one(self, k, max_iter):
         with pytest.raises(InvalidInputError, match=f"max_iter must be >= 1, got {max_iter}"):
-            solve_min_norm_simplex(np.eye(k), max_iter=max_iter)
+            min_norm(np.eye(k), max_iter=max_iter)
 
 
 class TestSolveEmgd:
@@ -537,7 +546,7 @@ def assert_matches_kkt_oracle(grads, sigma):
     # the scaled Gram matrix and gap scale that solve_emgd hands the solver
     G = grads @ grads.T
     M, scale = G / np.outer(sigma, sigma), float(np.max(np.diag(G)))
-    res = solve_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
+    res = _min_norm_point(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
     ref = kkt_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
     assert res.converged == ref.converged
     assert res.iterations == ref.iterations
@@ -597,7 +606,7 @@ class TestKktOracleEquivalence:
         # c + M_00 - (c + M_01)^2 / (c + M_11) = 1.5 - 2.25 is negative, so it
         # cannot enter the working set {1} and the iterate can never change
         M = np.array([[1.0, -2.0], [-2.0, 0.5]])
-        res = solve_min_norm_simplex(M)
+        res = min_norm(M)
         assert not res.converged
         assert res.iterations == DEFAULT_MAX_ITER
         np.testing.assert_array_equal(res.mu, [0.0, 1.0])
@@ -892,5 +901,5 @@ class TestCombine:
             b = random_bundle(rng, 4, 6)
             result, sigma = combine("mgda", b, ElasticState())
             np.testing.assert_array_equal(sigma, np.ones(4))
-            plain = solve_min_norm_simplex(b.grads @ b.grads.T)
+            plain = min_norm(b.grads @ b.grads.T)
             np.testing.assert_array_equal(result.lam, plain.mu)
