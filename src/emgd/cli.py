@@ -7,7 +7,9 @@ failing tick). Config documents are parsed strictly: unknown keys, ill-typed
 values and out-of-range values are rejected naming the dotted field path. All
 randomness flows
 from the single top-level seed through named substreams, so identical
-configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity.
+configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity: debug,
+info, warning (the default), error or critical, in any case; any other value
+exits 1.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ from .net import Network
 log = logging.getLogger("emgd")
 
 
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
 def _configure_logging() -> None:
-    level = os.environ.get("EMGD_LOG", "warning").upper()
+    level = os.environ.get("EMGD_LOG", "warning")
+    if level.lower() not in _LOG_LEVELS:
+        raise ConfigError(f"EMGD_LOG must be one of {', '.join(_LOG_LEVELS)}, got {level!r}")
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, level, logging.WARNING),
+        level=level.upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
 
@@ -270,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _configure_logging()
     args = build_parser().parse_args(argv)
     try:
+        _configure_logging()
         return args.func(args)
     except (EmgdError, OSError) as err:  # an OSError names its path
         print(f"error: {err}", file=sys.stderr)

@@ -60,6 +60,11 @@ _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "
           list: "a list of integers", dict: "a JSON object"}
 
 
+def is_number(value) -> bool:
+    """A JSON int or float; a bool is never a number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def read_field(doc: dict, key: str, default, path: str = "", error=ConfigError):
     """``doc[key]`` as the JSON type of ``default``, or ``default`` when absent.
 
@@ -75,7 +80,7 @@ def read_field(doc: dict, key: str, default, path: str = "", error=ConfigError):
             raise error(f"missing field {where}")
         return default
     value = doc[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    number = is_number(value)
     if kind is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
     if kind is float and number and abs(value) <= sys.float_info.max:

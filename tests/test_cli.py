@@ -133,12 +133,51 @@ class TestSolve:
         code = run_cli(["solve"], "[" * 100_000, monkeypatch)
         assert_named_exit_1(code, capsys.readouterr(), "request nests too deeply")
 
+    @pytest.mark.parametrize("request_text, where, value", [
+        ('{"grads": [["1", 0], [0, 1]]}', "grads[0][0]", "'1'"),
+        ('{"grads": [[true, 0], [0, 1]]}', "grads[0][0]", "True"),
+        ('{"grads": [[1, 0], [0, false]]}', "grads[1][1]", "False"),
+        ('{"grads": [[1, 0], [0, [1]]]}', "grads[1][1]", "[1]"),
+        ('{"grads": [[1, 0], [0, 1]], "sigma": [true, 1]}', "sigma[0]", "True"),
+        ('{"grads": [[1, 0], [0, 1]], "sigma": [1, "0.5"]}', "sigma[1]", "'0.5'"),
+    ])
+    def test_entry_that_is_not_a_number_named(self, monkeypatch, capsys, request_text, where,
+                                              value):
+        # np.asarray would read "1" and true as numbers; a bool is never a number
+        code = run_cli(["solve"], request_text, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: field {where} must be a number, got {value}\n"
+
+    def test_sigma_int_past_float64_named(self, monkeypatch, capsys):
+        request = '{"grads": [[1, 0], [0, 1]], "sigma": [1%s, 1]}' % ("0" * 400)
+        code = run_cli(["solve"], request, monkeypatch)
+        assert_named_exit_1(code, capsys.readouterr(), "field sigma: int too large")
+
     def test_gs_zero_gradient_uses_uniform_factors(self, monkeypatch, capsys):
         code = run_cli(["solve"], '{"grads": [[1.0, 0.0], [0.0, 0.0]], "sigma_mode": "gs"}',
                        monkeypatch)
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["direction"] == pytest.approx([0.0, 0.0], abs=1e-12)
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", "warn"])
+    def test_unknown_level_named(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("EMGD_LOG", value)
+        code = run_cli(["solve"], '{"grads": [[2, 0], [1, 1]]}', monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: EMGD_LOG must be one of debug, info, warning, error, "
+                                f"critical, got {value!r}\n")
+
+    @pytest.mark.parametrize("value", ["debug", "INFO", "Warning", "error", "CRITICAL"])
+    def test_level_names_accepted_in_any_case(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("EMGD_LOG", value)
+        code = run_cli(["solve"], '{"grads": [[2, 0], [1, 1]]}', monkeypatch)
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == [0.0, 1.0]
 
 
 NUMBERS = st.one_of(st.floats(width=64), st.integers(-3, 3),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emgd import solver
 from emgd.errors import ConfigError, IncompleteMatrixError
 from emgd.experiment import (
     AccuracyMatrix,
@@ -83,6 +84,13 @@ class TestRunToy:
         for m in ("emgd_gs", "emgd_gmc", "mgda"):
             for row in traces[m].rows:
                 assert row.margin >= -1e-12
+
+    @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "avg_grad"])
+    def test_two_point_solves_trace_as_the_loop_does(self, traces, monkeypatch, method):
+        # every step after the join solves two points; declining the branch
+        # runs Wolfe's loop on them, and the trace must not change by a bit
+        monkeypatch.setattr(solver, "_two_points", lambda *args: None)
+        assert toy_trace_csv(run_toy(method=method)) == toy_trace_csv(traces[method])
 
     def test_short_run_row_count(self):
         assert len(run_toy(method="mgda", iterations=10).rows) == 10

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from emgd import solver
 from emgd.errors import EmgdError, InvalidInputError, NumericError
 from emgd.solver import (
     DEFAULT_MAX_ITER,
@@ -20,7 +22,7 @@ from emgd.solver import (
     solve_emgd,
     solve_request,
 )
-from emgd.solver import _ROW_GRAM_MIN_DIM, _min_norm_point
+from emgd.solver import _ROW_GRAM_MIN_DIM, _min_norm_point, _two_points
 from oracles import (
     brute_force_weights,
     kkt_min_norm_simplex,
@@ -611,6 +613,97 @@ class TestKktOracleEquivalence:
         assert res.iterations == DEFAULT_MAX_ITER
         np.testing.assert_array_equal(res.mu, [0.0, 1.0])
         assert res.objective == 0.5
+
+
+def wolfe_loop(M, tol, max_iter, scale):
+    """``_min_norm_point`` with the two-point branch declined, so two points run
+    Wolfe's loop (``_wolfe``) from the same scaled Gram, start and budget."""
+    with mock.patch.object(solver, "_two_points", return_value=None):
+        return _min_norm_point(M, tol, max_iter, scale)
+
+
+def assert_bitwise_equal(res, ref):
+    assert res.mu.tobytes() == ref.mu.tobytes()
+    assert res.objective.hex() == ref.objective.hex()
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+
+
+class TestTwoPoints:
+    """``_two_points`` returns what Wolfe's loop returns, bit for bit."""
+
+    @given(dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
+           kind=st.sampled_from(["random", "identical", "parallel", "antiparallel", "near",
+                                 "first zero", "second zero", "both zero"]),
+           log_ratio=st.floats(-3.0, 3.0), fixed=st.booleans(),
+           tol=st.sampled_from([5e-324, 1e-300, 1e-12, DEFAULT_TOL, 1.0, 1e300, math.inf]),
+           max_iter=st.sampled_from([1, 2, 7, 8, 9, DEFAULT_MAX_ITER]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_loop_bit_for_bit(self, dim, log_scale, kind, log_ratio, fixed, tol,
+                                          max_iter, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, dim))
+        g[1] *= 10.0 ** log_ratio
+        if kind == "identical":
+            g[1] = g[0]
+        elif kind in ("parallel", "antiparallel"):
+            g[1] = (1.0 if kind == "parallel" else -1.0) * 10.0 ** log_ratio * g[0]
+        elif kind == "near":
+            g[1] = g[0] + 1e-9 * rng.normal(size=dim)
+        elif kind.endswith("zero"):
+            g[[0] if kind == "first zero" else [1] if kind == "second zero" else [0, 1]] = 0.0
+        try:
+            G = GradientBundle((1, 2), g * 10.0 ** log_scale).gram
+        except NumericError:  # a squared norm past float64
+            assume(False)
+        sigma = rng.uniform(0.05, 1.0, size=2) if fixed else np.ones(2)
+        with np.errstate(over="ignore"):
+            M = G / np.outer(sigma, sigma)
+        assume(np.isfinite(M).all())
+        scale = float(G.diagonal().max())
+        res = _min_norm_point(M, tol, max_iter, scale)
+        assert_bitwise_equal(res, wolfe_loop(M, tol, max_iter, scale))
+
+    @pytest.mark.parametrize("M, tol, scale, iterations, converged", [
+        ([[1.0, 3.0], [3.0, 9.0]], DEFAULT_TOL, 9.0, 1, True),  # the smaller point
+        ([[9.0, 3.0], [3.0, 1.0]], DEFAULT_TOL, 9.0, 1, True),  # ... at either index
+        ([[1.0, -2.0], [-2.0, 0.5]], DEFAULT_TOL, 1.0, DEFAULT_MAX_ITER, False),  # pivot < 0
+        ([[1.0, 0.0], [0.0, 4.0]], DEFAULT_TOL, 4.0, 2, True),  # interior
+        ([[13.0, -16.0], [-16.0, 20.0]], 5e-324, 20.0, DEFAULT_MAX_ITER, False),  # gap > tol
+        ([[0.0, 0.0], [0.0, 0.0]], math.inf, 0.0, DEFAULT_MAX_ITER, False),  # gap_tol NaN
+    ])
+    def test_each_exit_of_the_loop(self, M, tol, scale, iterations, converged):
+        M = np.array(M)
+        res = _two_points(M, int(M[1, 1] < M[0, 0]), tol * scale, DEFAULT_MAX_ITER, 0)
+        assert (res.iterations, res.converged) == (iterations, converged)
+        assert_bitwise_equal(res, _min_norm_point(M, tol, DEFAULT_MAX_ITER, scale))
+        assert_bitwise_equal(res, wolfe_loop(M, tol, DEFAULT_MAX_ITER, scale))
+
+    def test_a_clipping_affine_step_is_left_to_the_loop(self):
+        # not a Gram matrix: M_01 > M_00 puts the entering point's affine weight
+        # below 0, so the loop clips it and drops the point again
+        M = np.array([[1.0, 1.2], [0.0, 2.0]])
+        assert _two_points(M, 0, DEFAULT_TOL * 2.0, DEFAULT_MAX_ITER, 0) is None
+        assert_bitwise_equal(_min_norm_point(M, DEFAULT_TOL, DEFAULT_MAX_ITER, 2.0),
+                             wolfe_loop(M, DEFAULT_TOL, DEFAULT_MAX_ITER, 2.0))
+
+    @given(dim=st.integers(1, 4), log_scale=st.floats(-3.0, 3.0), fixed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_two_task_closed_form(self, dim, log_scale, fixed, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(2, 1))
+        g *= 10.0 ** log_scale
+        sigma = rng.uniform(0.1, 1.0, size=2) if fixed else np.ones(2)
+        sol = two_task_closed_form(g[0], g[1], *sigma)
+        # the scaled points g_1 / sigma_1 and g_2 / sigma_2 well apart, so the weights
+        # are unique and well conditioned
+        spread = float(np.sum((sigma[1] * g[0] - sigma[0] * g[1]) ** 2))
+        assume(spread > 1e-6 * float(np.sum((sigma[::-1, None] * g) ** 2)))
+        res = solve_emgd(GradientBundle((1, 2), g), sigma, tol=1e-14)
+        assert res.converged and res.iterations in (1, 2)
+        np.testing.assert_allclose(res.lam, [sol.lam1, sol.lam2], rtol=1e-7,
+                                   atol=1e-7 / sigma.min())
 
 
 class TestSolveMgda:
