@@ -22,8 +22,8 @@ from .net import (
     Batch,
     Network,
     _group_streams,
+    _edit_terms,
     _head_grad,
-    _objective,
     _pass,
     backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
@@ -154,9 +154,9 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
 
 def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
     """Sum over task groups of ||g_group(x) - d||^2 at ``inputs``, from one
-    ``net._pass`` with a stream per group."""
+    ``net._pass`` with a stream per group and its ``net._edit_terms``."""
     streams = _group_streams(inputs, mem.labels, task_slices(mem.task_ids))
-    return _objective(_pass(net, streams).grads, direction_d)
+    return _edit_terms(net, _pass(net, streams, grads=False), direction_d, False)[0]
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
@@ -223,21 +223,27 @@ def edit_memory_gmed(
     defines each task group's interference score (L(x, theta) - L(x, theta'))^2
     with L the group's mean loss; inputs step down its exact input gradient
     2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
-    network that shares the heads, so ``net`` is never written. Every edit
+    network that shares the heads, so ``net`` is never written; it is built on
+    the first iteration, so none is built when no iteration runs. Every edit
     iteration is two grouped ``input_gradient`` passes over the batch, one
-    per network; the first at theta also forms the groups' backbone gradients,
-    and so the editing objective ||g(x) - d||^2, returned before and after the edit.
+    per network; the first at theta also gives the editing objective
+    ||g(x) - d||^2 before the edit, from the same terms as ``editing_objective``.
+    Returns the objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    ahead = net.ahead(d, cfg.eta_edit)
+    ahead = None
 
     def step(inputs, labels, groups, first):
+        nonlocal ahead
+        if first:
+            ahead = net.ahead(d, cfg.eta_edit)
         gx_ahead, loss_ahead, _ = input_gradient(ahead, inputs, labels, groups)
-        delta, loss_now, U = input_gradient(net, inputs, labels, groups, grads=first)
+        delta, loss_now, before = input_gradient(net, inputs, labels, groups,
+                                                 d if first else None)
         delta -= gx_ahead
         for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
             delta[rows] *= 2.0 * (now - later)
-        return delta, _objective(U, d) if first else None
+        return delta, before
 
     return _edit_loop(buffer, net, mem, d, cfg, step)
 

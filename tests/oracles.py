@@ -8,6 +8,12 @@ quantity exactly; these slower approximations pin it down.
 ``forward`` is one batch's class probabilities and mean loss, through the
 library's own stacking and head stage.
 
+``explicit_edit`` is the editing pass that ``emgd.net._edit_terms``
+replaced: each task group's backbone gradient formed in full by
+``grouped_backward``, U_g = that gradient + d, the objective sum_g ||U_g||^2
+and each group's exact R-op 2 R{grad_x L_g}(U_g) through its own forward,
+head and backward, one group at a time.
+
 ``per_group_gmed`` is the loss-difference editor that
 ``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
 ``forward`` and one ``input_gradient`` at theta and again at the look-ahead
@@ -109,6 +115,48 @@ def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.
         if i > 0:
             delta = dz @ net.backbone[i][0].T
     return grad, float(loss), head_grads
+
+
+def _rop_edit(net: Network, inputs, labels, task_id: int, U: np.ndarray) -> np.ndarray:
+    """2 R{grad_x L}(U) for one group alone: its input gradient's derivative
+    along the backbone tangent U, forward-over-reverse."""
+    activations = _activations(net, inputs)
+    W_h, b_h = _head(net, task_id, labels)
+    logits = activations[-1] @ W_h + b_h
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    dlogits = probs.copy()
+    dlogits[np.arange(labels.size), labels] -= 1.0
+    delta = (dlogits / labels.size) @ W_h.T
+    dzs = [None] * len(net.backbone)
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        dzs[i] = delta * (1.0 - a_out * a_out)
+        delta = dzs[i] @ net.backbone[i][0].T
+    tangent = _layers(U, net.layer_sizes)
+    Ra, Rzs = np.zeros_like(inputs), []
+    for i, ((W, _), (dW, db)) in enumerate(zip(net.backbone, tangent)):
+        Rzs.append(Ra @ W + activations[i] @ dW + db)
+        Ra = (1.0 - activations[i + 1] ** 2) * Rzs[-1]
+    Rs = Ra @ W_h
+    Rdelta = ((probs * (Rs - (probs * Rs).sum(axis=1, keepdims=True))) / labels.size) @ W_h.T
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        Rdz = (1.0 - a_out * a_out) * Rdelta - 2.0 * a_out * dzs[i] * Rzs[i]
+        Rdelta = Rdz @ net.backbone[i][0].T + dzs[i] @ tangent[i][0].T
+    return 2.0 * Rdelta
+
+
+def explicit_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
+    """``edit_direction``'s results from every ``(task_id, slice)`` group's
+    explicit gradient U_g = ``grouped_backward`` + d, one group at a time."""
+    delta, objective = np.empty_like(inputs), 0.0
+    for task_id, rows in groups:
+        U = grouped_backward(net, inputs[rows], labels[rows], [(task_id, slice(None))])[0]
+        U += target_d
+        objective += float(U @ U)
+        delta[rows] = _rop_edit(net, inputs[rows], labels[rows], task_id, U)
+    return delta, objective
 
 
 def per_stream_gradients(net: Network, streams):

@@ -11,6 +11,11 @@ from emgd.errors import (
 from emgd.net import (
     Batch,
     Network,
+    _edit_terms,
+    _factored,
+    _group_streams,
+    _layers,
+    _pass,
     add_head,
     apply_update,
     backward,
@@ -21,8 +26,8 @@ from emgd.net import (
     stream_gradients,
 )
 from emgd.rehearsal import MemoryBatch, editing_objective
-from oracles import (_head_pass, central_difference_edit, directional_edit_gradient, forward,
-                     per_stream_gradients)
+from oracles import (_head_pass, central_difference_edit, directional_edit_gradient,
+                     explicit_edit, forward, per_stream_gradients)
 
 
 def make_net(rng_seed=1234, layers=(6, 10, 5), heads=((1, 4),)):
@@ -528,6 +533,109 @@ class TestEditDirection:
         with pytest.raises(InvalidInputError):
             edit_direction(net, np.zeros((1, 6)), np.zeros(1, dtype=np.int64),
                            [(1, slice(None))], np.zeros(3))
+
+
+def grouped_rows(rng, net, sizes):
+    """Rows of tasks 1, 2, ... stacked with the given group sizes, as inputs,
+    labels and ``(task_id, slice)`` groups."""
+    batches = [make_batch(rng, net, task=t, size=n) for t, n in enumerate(sizes, 1)]
+    bounds = np.cumsum([0, *sizes])
+    groups = [(t, slice(lo, hi)) for t, lo, hi in zip(range(1, len(sizes) + 1), bounds, bounds[1:])]
+    return (np.concatenate([b.inputs for b in batches]),
+            np.concatenate([b.labels for b in batches]), groups)
+
+
+class TestEditKernels:
+    """``_edit_terms``' factored and explicit kernels against each group's
+    explicitly formed gradient U_g = grad_theta L_g + d (``explicit_edit``)."""
+
+    @staticmethod
+    def kernels(net, n, groups) -> list:
+        """True for each layer that takes the factored kernel."""
+        sizes = net.layer_sizes
+        return [_factored(n, groups, fi, fo) for fi, fo in zip(sizes, sizes[1:])]
+
+    @pytest.mark.parametrize("layers, sizes, factored", [
+        ((16, 32, 16), (2, 3, 1, 2), [True, True]),
+        ((6, 10, 5), (3, 4), [False, False]),
+        ((784, 100, 64), (10, 9, 9, 9, 9, 9, 9), [True, False]),  # N = 64, G = 7
+        ((5, 7, 9, 4), (2, 2, 2), [True, True, True]),
+        ((12, 16, 6), (1, 1, 1, 1), [True, True]),  # one-row groups
+        ((2, 2, 2), (1,) * 7, [False, False]),
+        ((16, 32, 16), (8,), [False, False]),  # a single group
+        ((6, 10, 5), (1,), [False, False]),
+        ((8, 8, 8), (3, 3, 2), [True, True]),  # the rule's boundary: 64 * 16 == 8 * 2 * 64
+        ((8, 8, 8), (3, 3, 3), [False, False]),  # one row past it
+    ])
+    def test_matches_explicit_group_gradients(self, layers, sizes, factored):
+        rng = np.random.default_rng(sum(layers) + len(sizes))
+        net = make_net(layers=layers, heads=[(t, 2 + t % 3) for t in range(1, len(sizes) + 1)])
+        inputs, labels, groups = grouped_rows(rng, net, sizes)
+        assert self.kernels(net, len(labels), len(groups)) == factored
+        target = -backward(net, make_batch(rng, net, size=5)).backbone_grad
+        delta, objective = edit_direction(net, inputs, labels, groups, target)
+        want_delta, want_objective = explicit_edit(net, inputs, labels, groups, target)
+        assert abs(objective - want_objective) <= 1e-12 * want_objective
+        assert np.linalg.norm(delta - want_delta) <= 1e-12 * np.linalg.norm(want_delta)
+        # one objective implementation: every editing pass gives the same bits
+        task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
+        assert editing_objective(net, inputs, mem, target) == objective
+        assert input_gradient(net, inputs, labels, groups, target)[2] == objective
+
+    def test_factored_zero_when_already_aligned(self):
+        # four task groups, each the same two rows under the same head
+        # parameters, so every group's gradient is g; at d = -g each U_g is 0.
+        # The factored kernel never forms U_g, so each of its terms is a sum
+        # of at most K = N + max(fan_in, fan_out) + 2 products whose exact
+        # value is 0 up to the rounding already in g: by the standard bound
+        # (Higham 2002, eq. 3.5) it is at most 2 gamma_K = 2 K u / (1 - K u)
+        # times the sum of those products' absolute values, which the test
+        # forms from |A|, |Z| and |d|.
+        rng = np.random.default_rng(14)
+        net = make_net(heads=[(t, 4) for t in (1, 2, 3, 4)])
+        for t in (2, 3, 4):
+            net.heads[t][...] = net.heads[1]
+        batch = make_batch(rng, net, size=2)
+        groups = [(t, slice(2 * t - 2, 2 * t)) for t in (1, 2, 3, 4)]
+        inputs, labels = np.tile(batch.inputs, (4, 1)), np.tile(batch.labels, 4)
+        assert self.kernels(net, 8, 4) == [True, True]
+        target = -backward(net, batch).backbone_grad
+        p = _pass(net, _group_streams(inputs, labels, groups), grads=False)
+        _, terms = _edit_terms(net, p, target, True)
+        ids = np.repeat(np.arange(4), 2)
+        same = ids[:, None] == ids
+        u = np.finfo(np.float64).eps / 2
+        k = 8 + max(net.layer_sizes) + 2
+        gamma = 2 * k * u / (1 - k * u)
+        for a, dz, (dW, db), (fwd, bwd) in zip(p.activations, p.dzs,
+                                               _layers(np.abs(target), net.layer_sizes), terms):
+            a, dz = np.abs(a), np.abs(dz)
+            fwd_bound = (same * (a @ a.T + 1.0)) @ dz + a @ dW + db
+            bwd_bound = (same * (dz @ dz.T)) @ a + dz @ dW.T
+            assert np.all(np.abs(fwd) <= gamma * fwd_bound)
+            assert np.all(np.abs(bwd) <= gamma * bwd_bound)
+        # the step is linear in the terms: it is held to the same factor
+        # against the step at d = 0, whose terms are those products uncancelled
+        delta, _ = edit_direction(net, inputs, labels, groups, target)
+        away, _ = edit_direction(net, inputs, labels, groups, np.zeros_like(target))
+        assert np.linalg.norm(delta) <= gamma * np.linalg.norm(away)
+
+    @pytest.mark.parametrize("layers, sizes", [((16, 32, 16), (2, 3, 1, 2)),
+                                               ((6, 10, 5), (3, 4))], ids=["factored", "explicit"])
+    def test_wrong_target_length_is_named(self, layers, sizes):
+        rng = np.random.default_rng(40)
+        net = make_net(layers=layers, heads=[(t, 3) for t in range(1, len(sizes) + 1)])
+        inputs, labels, groups = grouped_rows(rng, net, sizes)
+        task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)))
+        for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
+            with pytest.raises(InvalidInputError, match="dimension"):
+                edit_direction(net, inputs, labels, groups, wrong)
+            with pytest.raises(InvalidInputError, match="dimension"):
+                editing_objective(net, inputs, mem, wrong)
+            with pytest.raises(InvalidInputError, match="dimension"):
+                input_gradient(net, inputs, labels, groups, wrong)
 
 
 class TestHeads:

@@ -13,6 +13,7 @@ from emgd.experiment import RunConfig
 from emgd.net import (
     Batch,
     Network,
+    _factored,
     add_head,
     backward,
     edit_direction,
@@ -592,14 +593,21 @@ class TestEditGmed:
 @pytest.mark.parametrize("iterations", [0, 1])
 @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
 def test_editors_reject_a_direction_of_another_dimension(edit, iterations):
-    rng = np.random.default_rng(29)
+    # a two-task batch takes the factored editing kernel, a one-task batch the explicit one
     net = make_net()
-    buf = filled_buffer(rng)
-    mem = sample_memory(buf, 4, 1)
-    before = buf.x.copy()
-    with pytest.raises(InvalidInputError, match="dimension"):
-        edit(buf, net, mem, np.zeros(net.backbone_dim + 1), RunConfig(edit_iterations=iterations))
-    np.testing.assert_array_equal(buf.x, before)
+    sizes = net.layer_sizes
+    for tasks, factored in (((1, 2), True), ((1,), False)):
+        rng = np.random.default_rng(29)
+        buf = filled_buffer(rng, tasks=tasks)
+        mem = sample_memory(buf, 4, 1)
+        assert len(np.unique(mem.task_ids)) == len(tasks)
+        kernels = [_factored(4, len(tasks), fi, fo) for fi, fo in zip(sizes, sizes[1:])]
+        assert kernels == [factored] * 2
+        before = buf.x.copy()
+        for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
+            with pytest.raises(InvalidInputError, match="dimension"):
+                edit(buf, net, mem, wrong, RunConfig(edit_iterations=iterations))
+            np.testing.assert_array_equal(buf.x, before)
 
 
 class TestEditPasses:
@@ -651,6 +659,27 @@ class TestEditPasses:
         before, after = edit(buf, net, mem, d, cfg)
         assert len(calls) == 1
         assert before == after == expected
+
+    @pytest.mark.parametrize("cfg, built", [(RunConfig(edit_iterations=0), 0),
+                                            (RunConfig(eta_edit=0.0), 0),
+                                            (RunConfig(), 1),
+                                            (RunConfig(eta_edit=0.2, edit_iterations=3), 1)],
+                             ids=["iterations0", "eta0", "one", "three"])
+    def test_gmed_builds_the_look_ahead_only_when_a_step_runs(self, monkeypatch, cfg, built):
+        rng = np.random.default_rng(30)
+        net = make_net()
+        buf = filled_buffer(rng)
+        mem = sample_memory(buf, 4, 2)
+        d = rng.normal(size=net.backbone_dim)
+        steps, ahead = [], Network.ahead
+
+        def counted(self, direction, step):
+            steps.append(step)
+            return ahead(self, direction, step)
+
+        monkeypatch.setattr(Network, "ahead", counted)
+        edit_memory_gmed(buf, net, mem, d, cfg)
+        assert steps == [cfg.eta_edit] * built
 
 
 class TestQuadraticEditingOracle:
