@@ -233,8 +233,8 @@ def run_toy(
                 if not (math.isfinite(f1) and math.isfinite(f2)):
                     raise NumericError(f"objectives f1={f1!r}, f2={f2!r} at ({x!r}, {y!r})")
                 trace.rows.append(ToyRow(tick, x, y, f1, f2, float(np.sqrt(dd)),
-                                         tuple(float(v) for v in result.lam),
-                                         tuple(float(v) for v in sigma), margin))
+                                         tuple(result.lam.tolist()),
+                                         tuple(sigma.tolist()), margin))
         except NumericError as err:
             raise NumericError(f"numeric failure at tick {tick} of the run from start "
                                f"{trace.start!r}: {err}", tick=tick) from None

@@ -23,9 +23,14 @@ cost dominates (k = 2, D = 33,088: 95 us against 31 us with 1 BLAS
 thread), while below D = 4096 or above k = 6 syrk is as fast or faster.
 The solve keeps one working-set inverse across its iterations, so each
 change of the working set costs O(|S|^2) and no linear system is re-solved.
-Two points, the commonest bundle in parallel continual learning, replay the
-same steps in Python floats, bit for bit: numpy's call overhead on
-2-element arrays would otherwise dominate the solve.
+Two tasks, the commonest bundle in parallel continual learning, take the
+same steps in Python floats from the Gram to the weights, bit for bit: the
+bundle's finiteness check, both factor rules and their range check, the
+scaled Gram and its underflow check, the min-norm solve and the
+degenerate-task test. Each reads G and sigma once (``_pair``); numpy's call
+overhead on 2-element arrays would otherwise dominate. ``exp`` and the
+BLAS products (G, M mu, lambda @ grads, ||d||^2) stay in numpy, whose SIMD
+``exp`` and BLAS kernels can round differently from ``math`` and Python.
 ``combine`` dispatches every method; ``mgda`` is the solve at sigma = 1.
 """
 
@@ -70,6 +75,7 @@ class GradientBundle:
     task_ids: tuple
     grads: np.ndarray
     gram: np.ndarray = field(init=False, repr=False)
+    pair: list | None = field(init=False, repr=False, compare=False)  # G in floats at k = 2
 
     def __post_init__(self):
         grads = np.atleast_2d(np.asarray(self.grads, dtype=np.float64))
@@ -83,12 +89,16 @@ class GradientBundle:
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate task ids: {ids}")
         gram = _gram(grads)  # a NaN or inf entry, or a squared norm past float64, shows in G
-        if not np.isfinite(gram).all():  # only then are the gradients scanned
+        rows = _pair(gram)
+        finite = (np.isfinite(gram).all() if rows is None
+                  else all(map(math.isfinite, rows[0] + rows[1])))
+        if not finite:  # only then are the gradients scanned
             if not np.isfinite(grads).all():
                 raise NumericError("gradient bundle contains non-finite entries")
             raise NumericError("gram contains non-finite entries: a squared gradient norm "
                                "overflows float64")
         object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "pair", rows)
 
     @property
     def size(self) -> int:
@@ -109,18 +119,28 @@ def _gram(grads: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _pair(values: np.ndarray) -> list | None:
+    # Two tasks' Gram or factors as Python floats, which the k = 2 steps read;
+    # None for any other count leaves them to the array steps.
+    return values.tolist() if len(values) == 2 else None
+
+
 @dataclass(frozen=True)
 class ElasticFactors:
     """Per-task relaxation weights, each in (0, 1]."""
 
     sigma: np.ndarray
+    pair: list | None = field(init=False, repr=False, compare=False)  # sigma in floats at k = 2
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.float64)
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 1 or sigma.size < 1:
             raise InvalidInputError("sigma must be a non-empty vector")
-        if not ((sigma > 0.0) & (sigma <= 1.0)).all():  # false on NaN and inf too
+        pair = _pair(sigma)
+        object.__setattr__(self, "pair", pair)
+        if not (((sigma > 0.0) & (sigma <= 1.0)).all() if pair is None  # false on NaN and inf too
+                else 0.0 < pair[0] <= 1.0 and 0.0 < pair[1] <= 1.0):
             if not np.isfinite(sigma).all():
                 raise NumericError("sigma contains non-finite entries")
             raise InvalidInputError("every elastic factor must lie in (0, 1]")
@@ -168,17 +188,38 @@ class MinNormResult(NamedTuple):
     converged: bool
 
 
+_LOGITS_OVERFLOW = "elastic factor logits overflow float64; raise the temperature"
+_UNDERFLOW = "elastic factor underflowed to zero; raise the temperature"
+
+
 def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     # logits / temperature can overflow only at temperatures below 1
     if temperature < 1.0 and not np.abs(logits).max() < temperature * _FLOAT_MAX:
-        raise NumericError("elastic factor logits overflow float64; raise the temperature")
+        raise NumericError(_LOGITS_OVERFLOW)
     logits = logits / temperature
     z = np.exp(logits - logits.max())
     if (z == 0.0).any():
-        raise NumericError(
-            "elastic factor underflowed to zero; raise the temperature"
-        )
+        raise NumericError(_UNDERFLOW)
     return z / z.sum()
+
+
+def _softmax_two(l0: float, l1: float, temperature: float) -> list | None:
+    # _softmax on two logits in Python floats, bit for bit. exp stays one
+    # numpy call: its SIMD float64 exp differs from math.exp in the last bit
+    # on some inputs. None (a logit over the temperature is not finite)
+    # leaves the logits to _softmax, which names or propagates what follows.
+    if temperature < 1.0 and not (abs(l0) < temperature * _FLOAT_MAX
+                                  and abs(l1) < temperature * _FLOAT_MAX):  # false on NaN
+        raise NumericError(_LOGITS_OVERFLOW)
+    a0, a1 = l0 / temperature, l1 / temperature
+    if not (math.isfinite(a0) and math.isfinite(a1)):
+        return None
+    top = max(a0, a1)
+    z0, z1 = np.exp(np.array((a0 - top, a1 - top))).tolist()
+    if z0 == 0.0 or z1 == 0.0:
+        raise NumericError(_UNDERFLOW)
+    total = z0 + z1
+    return [z0 / total, z1 / total]
 
 
 def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticFactors:
@@ -187,14 +228,18 @@ def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticF
     Each task's momentum statistic is refreshed with the bundle's gradient
     norm, then the factors are a temperature-scaled softmax of the momenta.
     """
-    for tid, n in zip(bundle.task_ids, bundle.norms()):
+    rows = bundle.pair
+    norms = (bundle.norms().tolist() if rows is None
+             else (math.sqrt(rows[0][0]), math.sqrt(rows[1][1])))
+    for tid, n in zip(bundle.task_ids, norms):
         prev = state.momentum.get(tid)
         if prev is None:
-            state.momentum[tid] = float(n)
+            state.momentum[tid] = n
         else:
-            state.momentum[tid] = state.eps1 * prev + state.eps2 * float(n)
-    logits = np.array([state.momentum[tid] for tid in bundle.task_ids])
-    return ElasticFactors(_softmax(logits, state.temperature))
+            state.momentum[tid] = state.eps1 * prev + state.eps2 * n
+    logits = [state.momentum[tid] for tid in bundle.task_ids]
+    sigma = None if rows is None else _softmax_two(*logits, state.temperature)
+    return ElasticFactors(_softmax(np.array(logits), state.temperature) if sigma is None else sigma)
 
 
 def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> ElasticFactors:
@@ -207,6 +252,16 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     """
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
+    if bundle.pair is not None:  # two tasks: the steps below in Python floats
+        (g00, g01), (g10, g11) = bundle.pair
+        n0, n1 = math.sqrt(g00), math.sqrt(g11)
+        # no product of two nonzero norms leaves [5e-324, MAX]: sqrt rounds
+        # sqrt(MAX) down, and sqrt(5e-324)^2 rounds to 5e-324
+        c01 = n0 * n1  # n1 * n0 too, bit for bit
+        sigma = _softmax_two(g00 / (n0 * n0) + g01 / c01, g10 / c01 + g11 / (n1 * n1),
+                             temperature) if n0 and n1 else None
+        if sigma is not None:
+            return ElasticFactors(sigma)
     norms = bundle.norms()
     if not norms.all():  # a zero gradient
         return ElasticFactors(np.full(bundle.size, 1.0 / bundle.size))
@@ -252,7 +307,8 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     passes max_i ||g_i||^2, so the test is the same at every magnitude), or after
     ``max(max_iter, 4k)`` iterations: each adds at most one working point.
     Two points take ``_two_points``, the loop's own steps in Python floats
-    (about 6 us against 36 us), with the same result bit for bit.
+    (a 2 x 2 Gram in 5 to 7 us against the loop's 33 to 35 us, minimum CPU
+    time, 1 BLAS thread), with the same result bit for bit.
 
     The affine minimiser is read off one inverse kept across iterations,
     B = (c ee' + M_SS)^-1: M_SS w = nu e with e'w = 1 gives
@@ -306,24 +362,22 @@ def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int,
     rows = M.tolist()
     other = 1 - first
     m_ff, m_fo, m_oo = rows[first][first], rows[first][other], rows[other][other]
-    unit = np.zeros(2)
-    unit[first] = 1.0
     column = (rows[0][first], rows[1][first])
     j = 0 if column[0] <= column[1] else 1
-    if m_ff - column[j] <= gap_tol:
-        return MinNormResult(unit, math.ldexp(m_ff, e), 1, True)
-    stalled = MinNormResult(unit, math.ldexp(m_ff, e), budget, False)
-    if j == first:
-        return stalled
-    c = m_ff
-    if not c > 1.0 / _FLOAT_MAX:
-        c = 1.0
-    b_ff = 1.0 / (c + m_ff)
-    a = c + m_fo
-    u = b_ff * a
-    pivot = c + m_oo - a * u
-    if not pivot > 0:
-        return stalled
+    converged = m_ff - column[j] <= gap_tol
+    pivot = 0.0
+    if not converged and j != first:  # j == first: stalled
+        c = m_ff
+        if not c > 1.0 / _FLOAT_MAX:
+            c = 1.0
+        b_ff = 1.0 / (c + m_ff)
+        a = c + m_fo
+        u = b_ff * a
+        pivot = c + m_oo - a * u
+    if not pivot > 0:  # converged at e_f, or stalled there
+        unit = np.zeros(2)
+        unit[first] = 1.0
+        return MinNormResult(unit, math.ldexp(m_ff, e), 1 if converged else budget, converged)
     b_ff += u / pivot * u  # _border
     b_fo = -u / pivot
     v_f, v_o = b_ff + b_fo, b_fo + 1.0 / pivot
@@ -407,18 +461,23 @@ def _wolfe(M: np.ndarray, first: int, gap_tol: float, budget: int, e: int) -> Mi
     return MinNormResult(mu, math.ldexp(float(mu @ (M @ mu)), e), budget, False)
 
 
-def _as_sigma(sigma, k: int) -> np.ndarray:
-    arr = (sigma if isinstance(sigma, ElasticFactors) else ElasticFactors(sigma)).sigma
-    if arr.shape != (k,):
-        raise InvalidInputError(f"expected {k} elastic factors, got shape {arr.shape}")
-    return arr
+def _as_factors(sigma, k: int) -> ElasticFactors:
+    factors = sigma if isinstance(sigma, ElasticFactors) else ElasticFactors(sigma)
+    if factors.sigma.shape != (k,):
+        raise InvalidInputError(f"expected {k} elastic factors, got shape {factors.sigma.shape}")
+    return factors
 
 
 def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
              converged: bool) -> CombinationResult:
     direction = lam @ bundle.grads
-    diag = bundle.gram.diagonal()
-    degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
+    rows = bundle.pair
+    if rows is None:
+        diag = bundle.gram.diagonal()
+        degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
+    else:  # the unscaled diagonal: scaled by 2^-e, a tiny entry could flush to 0
+        diag = (rows[0][0], rows[1][1])
+        degenerate = () if all(diag) else tuple(t for t, g in zip(bundle.task_ids, diag) if not g)
     return CombinationResult(lam=lam, direction=direction, objective=float(direction @ direction),
                              iterations=iterations, converged=converged,
                              degenerate_tasks=degenerate)
@@ -437,21 +496,37 @@ def solve_emgd(
     the weights are recovered as mu_i / sigma_i. The stopping gap is scaled
     by the unscaled max_j ||g_j||^2, so on a converged solve
     <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
+    Two tasks take the same steps in Python floats, bit for bit.
     """
-    s = _as_sigma(sigma, bundle.size)
-    scale = float(bundle.gram.diagonal().max())
-    e = _exponent(scale)  # G / (s s^T) is formed in units of 2^e
-    G, M = np.ldexp(bundle.gram, -e) if e else bundle.gram, s[:, None] * s  # M: G / (s s^T)
-    # Each scaled entry |G_ij| / (s_i s_j) is at most the geometric mean of
-    # two scaled diagonal entries (Cauchy-Schwarz), so finite G_ii / s_i^2
-    # (s_i^2 > 0 included; s_i <= 1, so s_i^2 * MAX cannot overflow) keeps
-    # every entry finite, checked before the division could warn.
-    if not (G.diagonal() < M.diagonal() * _FLOAT_MAX).all():
-        raise NumericError("elastic factor underflowed to zero; raise the temperature")
-    res = _min_norm_point(np.divide(G, M, out=M), tol, max_iter, math.ldexp(scale, -e))
+    factors = _as_factors(sigma, bundle.size)
+    # G / (s s^T) is formed in units of 2^e. Each scaled entry |G_ij| / (s_i s_j)
+    # is at most the geometric mean of two scaled diagonal entries
+    # (Cauchy-Schwarz), so finite G_ii / s_i^2 (s_i^2 > 0 included; s_i <= 1,
+    # so s_i^2 * MAX cannot overflow) keeps every entry finite, checked
+    # before the division could warn.
+    if bundle.pair is None or factors.pair is None:
+        s = factors.sigma
+        scale = float(bundle.gram.diagonal().max())
+        e = _exponent(scale)
+        G, M = np.ldexp(bundle.gram, -e) if e else bundle.gram, s[:, None] * s  # M: G / (s s^T)
+        if not (G.diagonal() < M.diagonal() * _FLOAT_MAX).all():
+            raise NumericError(_UNDERFLOW)
+        M = np.divide(G, M, out=M)
+    else:  # two tasks: the same steps in Python floats
+        (g00, g01), (g10, g11) = bundle.pair
+        s0, s1 = factors.pair
+        scale = max(g00, g11)
+        e = _exponent(scale)
+        if e:
+            g00, g01, g10, g11 = (math.ldexp(g, -e) for g in (g00, g01, g10, g11))
+        m00, m01, m11 = s0 * s0, s0 * s1, s1 * s1  # s1 * s0 is s0 * s1, bit for bit
+        if not (g00 < m00 * _FLOAT_MAX and g11 < m11 * _FLOAT_MAX):
+            raise NumericError(_UNDERFLOW)
+        M = np.array(((g00 / m00, g01 / m01), (g10 / m01, g11 / m11)))
+    res = _min_norm_point(M, tol, max_iter, math.ldexp(scale, -e))
     if e > 0 and res.objective >= math.ldexp(_FLOAT_MAX, -e - 1):  # ||d||^2 in units of 2^e
         raise NumericError("the combined direction's squared norm overflows float64")
-    return _combine(bundle, res.mu / s, res.iterations, res.converged)
+    return _combine(bundle, res.mu / factors.sigma, res.iterations, res.converged)
 
 
 def combine(
@@ -508,8 +583,10 @@ def solve_request(doc: dict) -> dict:
     ``combine`` as the training methods ``emgd_gs`` and ``emgd_gmc`` do, so
     a zero gradient under "gs" gets uniform factors; one-shot "gmc" has no
     momentum history, so its factors are a softmax of the gradient norms.
-    "fixed" uses ``sigma``; all ones (the default) is plain min-norm. Every
-    entry of ``grads`` and ``sigma`` must be a JSON int or float, not a bool.
+    "fixed" uses ``sigma``; all ones (the default) is plain min-norm. A
+    ``sigma`` under "gs" or "gmc", which compute their own factors, is
+    rejected by name. Every entry of ``grads`` and ``sigma`` must be a JSON
+    int or float, not a bool.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("request must be a JSON object")
@@ -534,7 +611,10 @@ def solve_request(doc: dict) -> dict:
     if mode not in _SIGMA_MODES:
         raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
     raw, sigma = doc.get("sigma"), None
-    if mode == "fixed" and raw is not None:
+    if raw is not None and mode != "fixed":  # gs and gmc compute their own factors
+        raise InvalidInputError(f"field sigma is read only under sigma_mode 'fixed', "
+                                f"not {mode!r}")
+    if raw is not None:
         if not isinstance(raw, list) or len(raw) != bundle.size:
             raise InvalidInputError("field sigma must list one factor per gradient")
         _require_numbers(raw, "sigma")

@@ -52,7 +52,7 @@ from emgd.errors import InvalidInputError
 from emgd.net import (Batch, Network, _activations, _head, _head_stage, _layers, _stack,
                       backward, features, head_logits, input_gradient)
 from emgd.rehearsal import _as_rng, _write_back, editing_objective
-from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_sigma
+from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
 
 # Squared-norm threshold below which two scaled gradients are treated as the
 # same hull point (any convex weight is then optimal).
@@ -458,7 +458,7 @@ def brute_force_weights(bundle: GradientBundle, sigma, grid_step: float):
         raise InvalidInputError(f"grid search supports k <= 4, got k={bundle.size}")
     if not (0.0 < grid_step <= 0.1):
         raise InvalidInputError("grid_step must lie in (0, 0.1]")
-    s = _as_sigma(sigma, bundle.size)
+    s = _as_factors(sigma, bundle.size).sigma
     if bundle.size == 1:
         lam = np.array([1.0 / s[0]])
         d = lam @ bundle.grads
@@ -475,7 +475,7 @@ def brute_force_weights(bundle: GradientBundle, sigma, grid_step: float):
 def pareto_descent_check(bundle: GradientBundle, sigma, result: CombinationResult,
                          tol: float) -> bool:
     """True iff <g_i, d> >= sigma_i * ||d||^2 - tol for every task."""
-    s = _as_sigma(sigma, bundle.size)
+    s = _as_factors(sigma, bundle.size).sigma
     d = result.direction
     dd = float(d @ d)
     return bool(np.all(bundle.grads @ d >= s * dd - tol))

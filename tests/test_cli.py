@@ -149,6 +149,15 @@ class TestSolve:
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: field {where} must be a number, got {value}\n"
 
+    @pytest.mark.parametrize("mode", ["gs", "gmc"])
+    def test_sigma_under_a_computed_mode_named(self, monkeypatch, capsys, mode):
+        request = '{"grads": [[1, 0], [0, 1]], "sigma_mode": "%s", "sigma": "junk"}' % mode
+        code = run_cli(["solve"], request, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: field sigma is read only under sigma_mode 'fixed', "
+                                f"not '{mode}'\n")
+
     def test_sigma_int_past_float64_named(self, monkeypatch, capsys):
         request = '{"grads": [[1, 0], [0, 1]], "sigma": [1%s, 1]}' % ("0" * 400)
         code = run_cli(["solve"], request, monkeypatch)

@@ -87,9 +87,11 @@ class TestRunToy:
 
     @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "avg_grad"])
     def test_two_point_solves_trace_as_the_loop_does(self, traces, monkeypatch, method):
-        # every step after the join solves two points; declining the branch
-        # runs Wolfe's loop on them, and the trace must not change by a bit
+        # every step after the join solves two points; declining the branches
+        # runs Wolfe's loop on them, and the factors and the solve's set-up on
+        # arrays, and the trace must not change by a bit
         monkeypatch.setattr(solver, "_two_points", lambda *args: None)
+        monkeypatch.setattr(solver, "_pair", lambda values: None)
         assert toy_trace_csv(run_toy(method=method)) == toy_trace_csv(traces[method])
 
     def test_short_run_row_count(self):

@@ -706,6 +706,103 @@ class TestTwoPoints:
                                    atol=1e-7 / sigma.min())
 
 
+def array_steps():
+    """Decline the k = 2 Python-float steps (``solver._pair``), so two tasks take
+    the array steps that every other bundle size takes."""
+    return mock.patch.object(solver, "_pair", return_value=None)
+
+
+def two_task_outcome(method, grads, temperature, momentum, sigma):
+    """Everything one two-task ``combine`` call returns or changes, or the error it raises."""
+    state = ElasticState(momentum=dict(momentum), temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            b = GradientBundle((1, 2), grads)
+            factors = None if sigma is None else ElasticFactors(sigma)
+            res, s = combine(method, b, state, sigma=factors)
+        except (EmgdError, RuntimeWarning) as err:
+            return type(err), str(err)
+    return (res.lam.tobytes(), res.direction.tobytes(), res.objective.hex(), res.iterations,
+            res.converged, s.tobytes(), res.degenerate_tasks,
+            {t: m.hex() for t, m in state.momentum.items()})
+
+
+class TestTwoTaskSteps:
+    """At k = 2, ``combine`` in Python floats gives the array steps' bits."""
+
+    @given(method=st.sampled_from(["emgd_gs", "emgd_gmc", "mgda", "fixed", "avg_grad"]),
+           dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
+           kind=st.sampled_from(["random", "identical", "parallel", "antiparallel", "near",
+                                 "first zero", "second zero", "both zero", "nan", "inf"]),
+           log_ratio=st.floats(-3.0, 3.0), temperature=st.sampled_from([1.0, 0.3, 0.05, 1e-3]),
+           momentum=st.sampled_from(["none", "random", "nan", "inf"]),
+           log_sigma=st.tuples(st.floats(-170.0, 0.0), st.floats(-170.0, 0.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_match_the_array_steps_bit_for_bit(self, method, dim, log_scale, kind, log_ratio,
+                                               temperature, momentum, log_sigma, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, dim))
+        g[1] *= 10.0 ** log_ratio
+        if kind == "identical":
+            g[1] = g[0]
+        elif kind in ("parallel", "antiparallel"):
+            g[1] = (1.0 if kind == "parallel" else -1.0) * 10.0 ** log_ratio * g[0]
+        elif kind == "near":
+            g[1] = g[0] + 1e-9 * rng.normal(size=dim)
+        elif kind.endswith("zero"):
+            g[[0] if kind == "first zero" else [1] if kind == "second zero" else [0, 1]] = 0.0
+        elif kind in ("nan", "inf"):
+            g[rng.integers(2), rng.integers(dim)] = math.nan if kind == "nan" else math.inf
+        g *= 10.0 ** log_scale
+        # a momentum history: gmc's logits are then not only this bundle's norms
+        prior = {"none": {}, "random": dict(zip((1, 2), 10.0 ** rng.uniform(-5.0, 5.0, 2))),
+                 "nan": {1: math.nan}, "inf": {2: math.inf}}[momentum]
+        sigma = 10.0 ** np.array(log_sigma) if method == "fixed" else None
+        with array_steps():
+            ref = two_task_outcome(method, g, temperature, prior, sigma)
+        if not isinstance(ref[0], type):  # a result, so the bundle was built
+            assert GradientBundle((1, 2), g).pair is not None  # and the k = 2 steps run
+        assert two_task_outcome(method, g, temperature, prior, sigma) == ref
+
+    @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "fixed"])
+    @pytest.mark.parametrize("grads", [
+        [[1e100, 0.0], [0.0, 1e-155]],  # G_11 = 1e-310 flushes to 0 when scaled by 2^-665
+        [[1e-160, 0.0], [0.0, 1.0]],  # a subnormal squared norm
+        [[1e150, 2e150], [-3e150, 1e150]],  # a Gram past 2^500, solved in units of 2^e
+        [[0.0, 0.0], [1.0, 2.0]],  # a zero gradient: degenerate
+    ])
+    def test_edge_bundles_match_the_array_steps(self, method, grads):
+        sigma = [0.5, 0.25] if method == "fixed" else None
+        with array_steps():
+            ref = two_task_outcome(method, np.array(grads), 1.0, {}, sigma)
+        assert two_task_outcome(method, np.array(grads), 1.0, {}, sigma) == ref
+
+    def test_each_check_raises_as_the_array_steps_do(self):
+        cases = [
+            ("emgd_gmc", [[400.0, 0.0], [0.0, 1.0]], 1.0, {}, None),  # factor underflow
+            ("emgd_gmc", [[1.0, 0.0], [0.0, 2.0]], 1e-3, {}, None),  # exp underflows to 0
+            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1e-310, {}, None),  # logits overflow
+            ("fixed", [[1.0, 0.0], [0.0, 1.0]], 1.0, {}, [0.5, 1e-170]),  # sigma^2 is 0
+            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1.0, {1: math.nan}, None),  # NaN logit
+            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1.0, {1: math.inf}, None),  # inf - inf warns
+        ]
+        for case in cases:
+            with array_steps():
+                ref = two_task_outcome(*case)
+            assert ref[0] in (NumericError, RuntimeWarning)
+            assert two_task_outcome(*case) == ref
+
+    def test_elastic_factors_reject_as_the_array_steps_do(self):
+        for sigma in ([0.5, 0.0], [1.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [-0.0, 1.0]):
+            with array_steps(), pytest.raises(EmgdError) as ref:
+                ElasticFactors(sigma)
+            with pytest.raises(type(ref.value)) as err:
+                ElasticFactors(sigma)
+            assert str(err.value) == str(ref.value)
+
+
 class TestSolveMgda:
     def test_singleton(self):
         res = mgda(bundle([1.0, 1.0]))
@@ -921,6 +1018,14 @@ class TestSolveRequest:
             solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": "fixed",
                            "sigma": sigma})
 
+    @pytest.mark.parametrize("mode", ["gs", "gmc"])
+    @pytest.mark.parametrize("sigma", ["junk", [0.5, 0.5], [1.0, 1.0]])
+    def test_sigma_under_a_computed_mode_named(self, mode, sigma):
+        # gs and gmc compute their own factors; a sigma there would be ignored
+        with pytest.raises(InvalidInputError, match=f"field sigma .* not '{mode}'"):
+            solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": mode,
+                           "sigma": sigma})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             solve_request({"grads": [[1.0]], "bogus": 1})
@@ -978,6 +1083,20 @@ class TestSolveRequest:
 
 
 class TestCombine:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reaches_factors_and_solve_through_module_attributes(self, monkeypatch, k):
+        # the traced benchmark counts and times these calls by patching them
+        calls = []
+        for name in ("elastic_factors_gs", "solve_emgd"):
+            def counted(*args, _real=getattr(solver, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(solver, name, counted)
+        b = random_bundle(np.random.default_rng(k), k, 4)
+        for _ in range(3):
+            combine("emgd_gs", b, ElasticState())
+        assert calls == ["elastic_factors_gs", "solve_emgd"] * 3
+
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             combine("bogus", bundle([1.0, 0.0]), ElasticState())
