@@ -111,12 +111,12 @@ def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
 
 
 def _write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def cmd_solve(args) -> int:
     result = solver.solve_request(parse_json(sys.stdin.read(), "request"))
-    print(json.dumps(result, sort_keys=True))
+    print(json.dumps(result, sort_keys=True, allow_nan=False))
     return 0 if result["converged"] else 2
 
 

@@ -23,15 +23,12 @@ cost dominates (k = 2, D = 33,088: 95 us against 31 us with 1 BLAS
 thread), while below D = 4096 or above k = 6 syrk is as fast or faster.
 The solve keeps one working-set inverse across its iterations, so each
 change of the working set costs O(|S|^2) and no linear system is re-solved.
-Two tasks, the commonest bundle in parallel continual learning, take the
-same steps in Python floats from the Gram to the weights, bit for bit: the
-bundle's finiteness check, both factor rules and their range check, the
-scaled Gram and its underflow check, the min-norm solve and the
-degenerate-task test. Each reads G and sigma once (``_pair``); numpy's call
-overhead on 2-element arrays would otherwise dominate. ``exp`` and the
-BLAS products (G, M mu, lambda @ grads, ||d||^2) stay in numpy, whose SIMD
-``exp`` and BLAS kernels can round differently from ``math`` and Python.
-``combine`` dispatches every method; ``mgda`` is the solve at sigma = 1.
+Two tasks, the commonest bundle in parallel continual learning, need no
+iteration: their ``gs`` factors are exactly 1/2, and their min-norm point
+has a closed form (``_two_points``). ``solve_emgd`` forms their scaled Gram
+in Python floats, where numpy's call overhead on 2 x 2 arrays would
+dominate. ``combine`` dispatches every method; ``mgda`` is the solve at
+sigma = 1.
 """
 
 from __future__ import annotations
@@ -75,7 +72,6 @@ class GradientBundle:
     task_ids: tuple
     grads: np.ndarray
     gram: np.ndarray = field(init=False, repr=False)
-    pair: list | None = field(init=False, repr=False, compare=False)  # G in floats at k = 2
 
     def __post_init__(self):
         grads = np.atleast_2d(np.asarray(self.grads, dtype=np.float64))
@@ -89,16 +85,12 @@ class GradientBundle:
         if len(set(ids)) != len(ids):
             raise InvalidInputError(f"duplicate task ids: {ids}")
         gram = _gram(grads)  # a NaN or inf entry, or a squared norm past float64, shows in G
-        rows = _pair(gram)
-        finite = (np.isfinite(gram).all() if rows is None
-                  else all(map(math.isfinite, rows[0] + rows[1])))
-        if not finite:  # only then are the gradients scanned
+        if not np.isfinite(gram).all():  # only then are the gradients scanned
             if not np.isfinite(grads).all():
                 raise NumericError("gradient bundle contains non-finite entries")
             raise NumericError("gram contains non-finite entries: a squared gradient norm "
                                "overflows float64")
         object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "pair", rows)
 
     @property
     def size(self) -> int:
@@ -119,28 +111,18 @@ def _gram(grads: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _pair(values: np.ndarray) -> list | None:
-    # Two tasks' Gram or factors as Python floats, which the k = 2 steps read;
-    # None for any other count leaves them to the array steps.
-    return values.tolist() if len(values) == 2 else None
-
-
 @dataclass(frozen=True)
 class ElasticFactors:
     """Per-task relaxation weights, each in (0, 1]."""
 
     sigma: np.ndarray
-    pair: list | None = field(init=False, repr=False, compare=False)  # sigma in floats at k = 2
 
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=np.float64)
         object.__setattr__(self, "sigma", sigma)
         if sigma.ndim != 1 or sigma.size < 1:
             raise InvalidInputError("sigma must be a non-empty vector")
-        pair = _pair(sigma)
-        object.__setattr__(self, "pair", pair)
-        if not (((sigma > 0.0) & (sigma <= 1.0)).all() if pair is None  # false on NaN and inf too
-                else 0.0 < pair[0] <= 1.0 and 0.0 < pair[1] <= 1.0):
+        if not ((sigma > 0.0) & (sigma <= 1.0)).all():  # false on NaN and inf too
             if not np.isfinite(sigma).all():
                 raise NumericError("sigma contains non-finite entries")
             raise InvalidInputError("every elastic factor must lie in (0, 1]")
@@ -163,6 +145,9 @@ class ElasticState:
         if not 0 < self.temperature < math.inf:
             raise InvalidInputError(
                 f"temperature must be positive and finite, got {self.temperature!r}")
+        for tid, m in self.momentum.items():  # updates from finite norms stay finite
+            if not math.isfinite(m):
+                raise InvalidInputError(f"momentum of task {tid} must be finite, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -203,43 +188,20 @@ def _softmax(logits: np.ndarray, temperature: float) -> np.ndarray:
     return z / z.sum()
 
 
-def _softmax_two(l0: float, l1: float, temperature: float) -> list | None:
-    # _softmax on two logits in Python floats, bit for bit. exp stays one
-    # numpy call: its SIMD float64 exp differs from math.exp in the last bit
-    # on some inputs. None (a logit over the temperature is not finite)
-    # leaves the logits to _softmax, which names or propagates what follows.
-    if temperature < 1.0 and not (abs(l0) < temperature * _FLOAT_MAX
-                                  and abs(l1) < temperature * _FLOAT_MAX):  # false on NaN
-        raise NumericError(_LOGITS_OVERFLOW)
-    a0, a1 = l0 / temperature, l1 / temperature
-    if not (math.isfinite(a0) and math.isfinite(a1)):
-        return None
-    top = max(a0, a1)
-    z0, z1 = np.exp(np.array((a0 - top, a1 - top))).tolist()
-    if z0 == 0.0 or z1 == 0.0:
-        raise NumericError(_UNDERFLOW)
-    total = z0 + z1
-    return [z0 / total, z1 / total]
-
-
 def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticFactors:
     """Elastic factors from gradient-norm momentum (mutates ``state``).
 
     Each task's momentum statistic is refreshed with the bundle's gradient
     norm, then the factors are a temperature-scaled softmax of the momenta.
     """
-    rows = bundle.pair
-    norms = (bundle.norms().tolist() if rows is None
-             else (math.sqrt(rows[0][0]), math.sqrt(rows[1][1])))
-    for tid, n in zip(bundle.task_ids, norms):
+    for tid, n in zip(bundle.task_ids, bundle.norms().tolist()):
         prev = state.momentum.get(tid)
         if prev is None:
             state.momentum[tid] = n
         else:
             state.momentum[tid] = state.eps1 * prev + state.eps2 * n
-    logits = [state.momentum[tid] for tid in bundle.task_ids]
-    sigma = None if rows is None else _softmax_two(*logits, state.temperature)
-    return ElasticFactors(_softmax(np.array(logits), state.temperature) if sigma is None else sigma)
+    logits = np.array([state.momentum[tid] for tid in bundle.task_ids])
+    return ElasticFactors(_softmax(logits, state.temperature))
 
 
 def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> ElasticFactors:
@@ -248,26 +210,24 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     Task i scores sum_k cos(g_i, g_k), self-similarity included, so the
     factors reflect how aligned each gradient is with the rest of the bundle.
     A zero-norm gradient leaves the cosines undefined; the factors are then
-    uniform, 1/k each.
+    uniform, 1/k each. Two tasks both score 1 + cos(g_1, g_2), so their
+    factors are exactly 1/2 at every temperature: one shared, read-only
+    ``ElasticFactors``.
     """
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
-    if bundle.pair is not None:  # two tasks: the steps below in Python floats
-        (g00, g01), (g10, g11) = bundle.pair
-        n0, n1 = math.sqrt(g00), math.sqrt(g11)
-        # no product of two nonzero norms leaves [5e-324, MAX]: sqrt rounds
-        # sqrt(MAX) down, and sqrt(5e-324)^2 rounds to 5e-324
-        c01 = n0 * n1  # n1 * n0 too, bit for bit
-        sigma = _softmax_two(g00 / (n0 * n0) + g01 / c01, g10 / c01 + g11 / (n1 * n1),
-                             temperature) if n0 and n1 else None
-        if sigma is not None:
-            return ElasticFactors(sigma)
+    if bundle.size == 2:
+        return _HALVES
     norms = bundle.norms()
     if not norms.all():  # a zero gradient
         return ElasticFactors(np.full(bundle.size, 1.0 / bundle.size))
     cosines = norms[:, None] * norms
     scores = np.divide(bundle.gram, cosines, out=cosines).sum(axis=1)
     return ElasticFactors(_softmax(scores, temperature))
+
+
+_HALVES = ElasticFactors(np.array([0.5, 0.5]))
+_HALVES.sigma.flags.writeable = False
 
 
 def _border(B: np.ndarray, n: int, u: np.ndarray, pivot: float) -> None:
@@ -306,9 +266,8 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (``solve_emgd``
     passes max_i ||g_i||^2, so the test is the same at every magnitude), or after
     ``max(max_iter, 4k)`` iterations: each adds at most one working point.
-    Two points take ``_two_points``, the loop's own steps in Python floats
-    (a 2 x 2 Gram in 5 to 7 us against the loop's 33 to 35 us, minimum CPU
-    time, 1 BLAS thread), with the same result bit for bit.
+    Two points take the closed form instead (``_two_points``), with the same
+    stopping test and the same exits.
 
     The affine minimiser is read off one inverse kept across iterations,
     B = (c ee' + M_SS)^-1: M_SS w = nu e with e'w = 1 gives
@@ -344,58 +303,34 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     gap_tol = tol * scale
     budget = max(max_iter, 4 * k)
     if k == 2:
-        res = _two_points(M, first, gap_tol, budget, e)
-        if res is not None:
-            return res
+        return _two_points(M, first, gap_tol, budget, e)
     return _wolfe(M, first, gap_tol, budget, e)
 
 
 def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int,
-                e: int) -> MinNormResult | None:
-    # _wolfe at k = 2, replayed in Python floats in the loop's order of
-    # operations. Iteration 1 is exact in scalars: from mu = e_f, M @ mu is
-    # column f and the objective is M_ff. Iteration 2 forms M @ mu and
-    # mu'(M mu) in numpy as the loop does, since BLAS may round a product
-    # differently. Returns None when the loop would clip the affine weights
-    # (a weight at or below -1e-14, or a value that is not finite): that path
-    # is left to the loop. Fuzzed Grams of random gradients never took it.
-    rows = M.tolist()
+                e: int) -> MinNormResult:
+    # The min-norm point of p_f and p_o in closed form (Sener & Koltun 2018),
+    # with _wolfe's exits. Iteration 1 tests the vertex e_f, the smaller point,
+    # as the loop does: a subnormal M_ff gets its whole weight, not a weight
+    # of M_ff / M_oo on p_o. Otherwise ||(1 - t) p_f + t p_o||^2 is least at
+    # t = <p_f, p_f - p_o> / ||p_f - p_o||^2, clipped to [0, 1], and the gap
+    # test decides convergence there. With no positive spread ||p_f - p_o||^2
+    # (identical points under a NaN gap tolerance, or a non-Gram M) the
+    # iterate stays at e_f.
     other = 1 - first
+    rows = M.tolist()
     m_ff, m_fo, m_oo = rows[first][first], rows[first][other], rows[other][other]
-    column = (rows[0][first], rows[1][first])
-    j = 0 if column[0] <= column[1] else 1
-    converged = m_ff - column[j] <= gap_tol
-    pivot = 0.0
-    if not converged and j != first:  # j == first: stalled
-        c = m_ff
-        if not c > 1.0 / _FLOAT_MAX:
-            c = 1.0
-        b_ff = 1.0 / (c + m_ff)
-        a = c + m_fo
-        u = b_ff * a
-        pivot = c + m_oo - a * u
-    if not pivot > 0:  # converged at e_f, or stalled there
-        unit = np.zeros(2)
-        unit[first] = 1.0
-        return MinNormResult(unit, math.ldexp(m_ff, e), 1 if converged else budget, converged)
-    b_ff += u / pivot * u  # _border
-    b_fo = -u / pivot
-    v_f, v_o = b_ff + b_fo, b_fo + 1.0 / pivot
-    total = v_f + v_o
-    if not total > 0:
-        return None
-    v_f /= total
-    v_o /= total
-    if not (v_f > -1e-14 and v_o > -1e-14):
-        return None
-    w_f = v_f if v_f > 0.0 else 0.0  # as np.clip(v, 0.0, None), which turns -0.0 into 0.0
-    w_o = v_o if v_o > 0.0 else 0.0
-    total = w_f + w_o
-    mu = np.empty(2)
-    mu[first], mu[other] = w_f / total, w_o / total
-    inner = M @ mu
-    objective = float(mu @ inner)
-    converged = objective - min(inner.tolist()) <= gap_tol
+    mu = np.zeros(2)
+    if m_ff - min(m_ff, m_fo) <= gap_tol:
+        mu[first] = 1.0
+        return MinNormResult(mu, math.ldexp(m_ff, e), 1, True)
+    spread = m_ff - 2.0 * m_fo + m_oo
+    t = min(max((m_ff - m_fo) / spread, 0.0), 1.0) if spread > 0.0 else 0.0
+    inner_f = (1.0 - t) * m_ff + t * m_fo  # M @ mu
+    inner_o = (1.0 - t) * m_fo + t * m_oo
+    objective = (1.0 - t) * inner_f + t * inner_o
+    converged = objective - min(inner_f, inner_o) <= gap_tol
+    mu[first], mu[other] = 1.0 - t, t
     return MinNormResult(mu, math.ldexp(objective, e), 2 if converged else budget, converged)
 
 
@@ -468,17 +403,16 @@ def _as_factors(sigma, k: int) -> ElasticFactors:
     return factors
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is named below
 def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
              converged: bool) -> CombinationResult:
     direction = lam @ bundle.grads
-    rows = bundle.pair
-    if rows is None:
-        diag = bundle.gram.diagonal()
-        degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
-    else:  # the unscaled diagonal: scaled by 2^-e, a tiny entry could flush to 0
-        diag = (rows[0][0], rows[1][1])
-        degenerate = () if all(diag) else tuple(t for t, g in zip(bundle.task_ids, diag) if not g)
-    return CombinationResult(lam=lam, direction=direction, objective=float(direction @ direction),
+    objective = float(direction @ direction)
+    if not math.isfinite(objective):  # d or ||d||^2 past float64: inf, or NaN from inf - inf
+        raise NumericError("the combined direction's squared norm overflows float64")
+    diag = bundle.gram.diagonal()
+    degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
+    return CombinationResult(lam=lam, direction=direction, objective=objective,
                              iterations=iterations, converged=converged,
                              degenerate_tasks=degenerate)
 
@@ -496,37 +430,34 @@ def solve_emgd(
     the weights are recovered as mu_i / sigma_i. The stopping gap is scaled
     by the unscaled max_j ||g_j||^2, so on a converged solve
     <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
-    Two tasks take the same steps in Python floats, bit for bit.
     """
-    factors = _as_factors(sigma, bundle.size)
+    s = _as_factors(sigma, bundle.size).sigma
     # G / (s s^T) is formed in units of 2^e. Each scaled entry |G_ij| / (s_i s_j)
     # is at most the geometric mean of two scaled diagonal entries
     # (Cauchy-Schwarz), so finite G_ii / s_i^2 (s_i^2 > 0 included; s_i <= 1,
     # so s_i^2 * MAX cannot overflow) keeps every entry finite, checked
     # before the division could warn.
-    if bundle.pair is None or factors.pair is None:
-        s = factors.sigma
+    if bundle.size == 2:  # the same steps in Python floats: numpy's calls cost more here
+        (g00, g01), (_, g11) = bundle.gram.tolist()
+        s0, s1 = s.tolist()
+        scale = max(g00, g11)
+        e = _exponent(scale)
+        if e:
+            g00, g01, g11 = math.ldexp(g00, -e), math.ldexp(g01, -e), math.ldexp(g11, -e)
+        m00, m11 = s0 * s0, s1 * s1
+        if not (g00 < m00 * _FLOAT_MAX and g11 < m11 * _FLOAT_MAX):
+            raise NumericError(_UNDERFLOW)
+        m01 = g01 / (s0 * s1)
+        M = np.array(((g00 / m00, m01), (m01, g11 / m11)))
+    else:
         scale = float(bundle.gram.diagonal().max())
         e = _exponent(scale)
         G, M = np.ldexp(bundle.gram, -e) if e else bundle.gram, s[:, None] * s  # M: G / (s s^T)
         if not (G.diagonal() < M.diagonal() * _FLOAT_MAX).all():
             raise NumericError(_UNDERFLOW)
         M = np.divide(G, M, out=M)
-    else:  # two tasks: the same steps in Python floats
-        (g00, g01), (g10, g11) = bundle.pair
-        s0, s1 = factors.pair
-        scale = max(g00, g11)
-        e = _exponent(scale)
-        if e:
-            g00, g01, g10, g11 = (math.ldexp(g, -e) for g in (g00, g01, g10, g11))
-        m00, m01, m11 = s0 * s0, s0 * s1, s1 * s1  # s1 * s0 is s0 * s1, bit for bit
-        if not (g00 < m00 * _FLOAT_MAX and g11 < m11 * _FLOAT_MAX):
-            raise NumericError(_UNDERFLOW)
-        M = np.array(((g00 / m00, g01 / m01), (g10 / m01, g11 / m11)))
     res = _min_norm_point(M, tol, max_iter, math.ldexp(scale, -e))
-    if e > 0 and res.objective >= math.ldexp(_FLOAT_MAX, -e - 1):  # ||d||^2 in units of 2^e
-        raise NumericError("the combined direction's squared norm overflows float64")
-    return _combine(bundle, res.mu / factors.sigma, res.iterations, res.converged)
+    return _combine(bundle, res.mu / s, res.iterations, res.converged)
 
 
 def combine(

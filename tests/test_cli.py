@@ -105,6 +105,20 @@ class TestSolve:
         assert captured.err == ("error: elastic factor underflowed to zero; "
                                 "raise the temperature\n")
 
+    def test_overflowing_direction_is_named_without_a_warning(self, monkeypatch, capsys):
+        # the scaled points lie on both sides of 0, so the min-norm point is near 0;
+        # but lambda = mu / sigma is about 1e120, and lambda @ grads cancels to a
+        # rounding residue near -1e202, whose square overflows
+        request = {"grads": [[-8.369242930825159e+97], [1.1473337060768428e+98]],
+                   "sigma_mode": "fixed",
+                   "sigma": [7.919153012950422e-141, 8.303111497428215e-121]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve"], json.dumps(request), monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the combined direction's squared norm overflows float64\n"
+
     @pytest.mark.parametrize("mode", ["fixed", "gs", "gmc"])
     def test_subnormal_squared_norm_solves_without_a_warning(self, monkeypatch, capsys, mode):
         # ||g_1||^2 = 1e-320 is subnormal, so 1 / ||g_1||^2 overflows float64

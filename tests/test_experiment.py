@@ -87,12 +87,20 @@ class TestRunToy:
 
     @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "avg_grad"])
     def test_two_point_solves_trace_as_the_loop_does(self, traces, monkeypatch, method):
-        # every step after the join solves two points; declining the branches
-        # runs Wolfe's loop on them, and the factors and the solve's set-up on
-        # arrays, and the trace must not change by a bit
-        monkeypatch.setattr(solver, "_two_points", lambda *args: None)
-        monkeypatch.setattr(solver, "_pair", lambda values: None)
-        assert toy_trace_csv(run_toy(method=method)) == toy_trace_csv(traces[method])
+        # every step after the join solves two points; Wolfe's loop in place of
+        # the closed form moves the trace by rounding only, and not the factors
+        monkeypatch.setattr(solver, "_two_points", solver._wolfe)
+        loop = run_toy(method=method)
+        for row, ref in zip(traces[method].rows, loop.rows, strict=True):
+            assert row.sigma == ref.sigma
+            np.testing.assert_allclose([row.x, row.y, row.f1, row.f2, row.d_norm],
+                                       [ref.x, ref.y, ref.f1, ref.f2, ref.d_norm], rtol=1e-13)
+            np.testing.assert_allclose(row.lam, ref.lam, rtol=1e-9, atol=1e-15)
+
+    def test_gs_factors_are_exact_halves_past_the_join(self, traces):
+        rows = traces["emgd_gs"].rows
+        assert {row.sigma for row in rows[:500]} == {(1.0,)}
+        assert {row.sigma for row in rows[500:]} == {(0.5, 0.5)}
 
     def test_short_run_row_count(self):
         assert len(run_toy(method="mgda", iterations=10).rows) == 10

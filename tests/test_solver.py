@@ -22,7 +22,7 @@ from emgd.solver import (
     solve_emgd,
     solve_request,
 )
-from emgd.solver import _ROW_GRAM_MIN_DIM, _min_norm_point, _two_points
+from emgd.solver import _ROW_GRAM_MIN_DIM, _min_norm_point, _two_points, _wolfe
 from oracles import (
     brute_force_weights,
     kkt_min_norm_simplex,
@@ -212,16 +212,19 @@ class TestElasticFactorsGmc:
             assert abs(sig.sigma.sum() - 1.0) <= 1e-12
             assert np.all(sig.sigma > 0) and np.all(sig.sigma < 1)
 
-    @pytest.mark.parametrize("factors", [
-        lambda b: elastic_factors_gmc(b, ElasticState(temperature=1e-310)),
-        lambda b: elastic_factors_gs(b, temperature=1e-310),
+    @pytest.mark.parametrize("factors, grads", [
+        (lambda b: elastic_factors_gmc(b, ElasticState(temperature=1e-310)),
+         [[3.0, 0.0], [1.0, 1.0]]),
+        # two tasks get gs factors 1/2 at any temperature (TestElasticFactorsGs)
+        (lambda b: elastic_factors_gs(b, temperature=1e-310),
+         [[3.0, 0.0], [1.0, 1.0], [0.0, 2.0]]),
     ], ids=["gmc", "gs"])
-    def test_overflowing_logits_fail_cleanly(self, factors):
+    def test_overflowing_logits_fail_cleanly(self, factors, grads):
         # logits / temperature passes float64's largest value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="raise the temperature"):
-                factors(bundle([3.0, 0.0], [1.0, 1.0]))
+                factors(bundle(*grads))
 
     def test_extreme_temperature_fails_cleanly(self):
         state = ElasticState(temperature=1e-4)
@@ -251,6 +254,22 @@ class TestElasticFactorsGs:
         sig = elastic_factors_gs(b, temperature=1.0)
         np.testing.assert_allclose(sig.sigma, expect, rtol=1e-12)
         np.testing.assert_allclose(sig.sigma, [0.2483, 0.2483, 0.5035], atol=5e-5)
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 1e-3, 1e-310, 1e300])
+    @pytest.mark.parametrize("grads", [
+        [[3.0, 0.0], [1.0, 1.0]],
+        [[1.0, 2.0], [-2.0, -4.1]],
+        [[1e-160, 0.0], [0.0, 1e150]],
+        [[0.0, 0.0], [1.0, 2.0]],
+        [[1.0, 2.0], [0.0, 0.0]],
+    ], ids=["acute", "near opposed", "scales apart", "first zero", "second zero"])
+    def test_two_tasks_get_exact_halves(self, grads, temperature):
+        # both score 1 + cos(g_1, g_2), so the softmax is 1/2 each at any temperature
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sig = elastic_factors_gs(bundle(*grads), temperature).sigma
+        assert sig.tobytes() == np.array([0.5, 0.5]).tobytes()
+        assert not sig.flags.writeable  # one shared instance
 
     def test_zero_norm_gradient_raises(self):
         # undefined cosines give uniform factors, not an error
@@ -606,86 +625,90 @@ class TestKktOracleEquivalence:
     def test_point_that_cannot_enter_stops_unconverged(self):
         # not a Gram matrix: point 0 is the most violating, but its pivot
         # c + M_00 - (c + M_01)^2 / (c + M_11) = 1.5 - 2.25 is negative, so it
-        # cannot enter the working set {1} and the iterate can never change
+        # cannot enter the working set {1} and the iterate can never change.
+        # Wolfe's loop is called directly: two points take the closed form.
         M = np.array([[1.0, -2.0], [-2.0, 0.5]])
-        res = min_norm(M)
+        res = _wolfe(M, 1, DEFAULT_TOL * 1.0, DEFAULT_MAX_ITER, 0)
         assert not res.converged
         assert res.iterations == DEFAULT_MAX_ITER
         np.testing.assert_array_equal(res.mu, [0.0, 1.0])
         assert res.objective == 0.5
 
 
-def wolfe_loop(M, tol, max_iter, scale):
-    """``_min_norm_point`` with the two-point branch declined, so two points run
-    Wolfe's loop (``_wolfe``) from the same scaled Gram, start and budget."""
-    with mock.patch.object(solver, "_two_points", return_value=None):
-        return _min_norm_point(M, tol, max_iter, scale)
+def two_point_solves(M, tol, max_iter):
+    """``_two_points`` and Wolfe's loop (``_wolfe``), each called on the same
+    scaled 2 x 2 Gram, start, gap tolerance and budget, as ``_min_norm_point``
+    would call them."""
+    M = np.asarray(M, dtype=float)
+    diag = M.diagonal().tolist()
+    args = (M, diag.index(min(diag)), tol * max(diag), max(max_iter, 8), 0)
+    return _two_points(*args), _wolfe(*args)
 
 
-def assert_bitwise_equal(res, ref):
-    assert res.mu.tobytes() == ref.mu.tobytes()
-    assert res.objective.hex() == ref.objective.hex()
-    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+def two_gradients(rng, dim, kind, log_ratio):
+    g = rng.normal(size=(2, dim))
+    g[1] *= 10.0 ** log_ratio
+    if kind == "identical":
+        g[1] = g[0]
+    elif kind in ("parallel", "antiparallel"):
+        g[1] = (1.0 if kind == "parallel" else -1.0) * 10.0 ** log_ratio * g[0]
+    elif kind == "near":
+        g[1] = g[0] + 1e-9 * rng.normal(size=dim)
+    elif kind.endswith("zero"):
+        g[[0] if kind == "first zero" else [1] if kind == "second zero" else [0, 1]] = 0.0
+    return g
+
+
+GRADIENT_KINDS = ["random", "identical", "parallel", "antiparallel", "near", "first zero",
+                  "second zero", "both zero"]
 
 
 class TestTwoPoints:
-    """``_two_points`` returns what Wolfe's loop returns, bit for bit."""
+    """``_two_points``, the closed form, exits as Wolfe's loop does, with the same weights."""
 
     @given(dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
-           kind=st.sampled_from(["random", "identical", "parallel", "antiparallel", "near",
-                                 "first zero", "second zero", "both zero"]),
-           log_ratio=st.floats(-3.0, 3.0), fixed=st.booleans(),
-           tol=st.sampled_from([5e-324, 1e-300, 1e-12, DEFAULT_TOL, 1.0, 1e300, math.inf]),
-           max_iter=st.sampled_from([1, 2, 7, 8, 9, DEFAULT_MAX_ITER]),
-           seed=st.integers(0, 2**32 - 1))
+           kind=st.sampled_from(GRADIENT_KINDS), log_ratio=st.floats(-3.0, 3.0),
+           fixed=st.booleans(), tol=st.sampled_from([1e-12, DEFAULT_TOL, 1e-4, 1.0, 1e300]),
+           max_iter=st.sampled_from([1, 2, 9, DEFAULT_MAX_ITER]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=1000, deadline=None)
-    def test_matches_the_loop_bit_for_bit(self, dim, log_scale, kind, log_ratio, fixed, tol,
-                                          max_iter, seed):
+    def test_matches_the_loop(self, dim, log_scale, kind, log_ratio, fixed, tol, max_iter, seed):
         rng = np.random.default_rng(seed)
-        g = rng.normal(size=(2, dim))
-        g[1] *= 10.0 ** log_ratio
-        if kind == "identical":
-            g[1] = g[0]
-        elif kind in ("parallel", "antiparallel"):
-            g[1] = (1.0 if kind == "parallel" else -1.0) * 10.0 ** log_ratio * g[0]
-        elif kind == "near":
-            g[1] = g[0] + 1e-9 * rng.normal(size=dim)
-        elif kind.endswith("zero"):
-            g[[0] if kind == "first zero" else [1] if kind == "second zero" else [0, 1]] = 0.0
         try:
-            G = GradientBundle((1, 2), g * 10.0 ** log_scale).gram
+            G = GradientBundle((1, 2), two_gradients(rng, dim, kind, log_ratio)
+                               * 10.0 ** log_scale).gram
         except NumericError:  # a squared norm past float64
             assume(False)
         sigma = rng.uniform(0.05, 1.0, size=2) if fixed else np.ones(2)
-        with np.errstate(over="ignore"):
-            M = G / np.outer(sigma, sigma)
-        assume(np.isfinite(M).all())
-        scale = float(G.diagonal().max())
-        res = _min_norm_point(M, tol, max_iter, scale)
-        assert_bitwise_equal(res, wolfe_loop(M, tol, max_iter, scale))
+        # the scaled Gram solve_emgd forms, in units of 2^e
+        M = np.ldexp(G, -solver._exponent(float(G.diagonal().max()))) / np.outer(sigma, sigma)
+        res, ref = two_point_solves(M, tol, max_iter)
+        # past the vertex test, the points well apart, so the weights are unique and
+        # well conditioned
+        top = float(M.diagonal().max())
+        assume(res.iterations == 1 or M[0, 0] - 2.0 * M[0, 1] + M[1, 1] > 1e-3 * top)
+        assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+        np.testing.assert_allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-12)
+        assert abs(res.objective - ref.objective) <= 1e-12 * top
 
-    @pytest.mark.parametrize("M, tol, scale, iterations, converged", [
-        ([[1.0, 3.0], [3.0, 9.0]], DEFAULT_TOL, 9.0, 1, True),  # the smaller point
-        ([[9.0, 3.0], [3.0, 1.0]], DEFAULT_TOL, 9.0, 1, True),  # ... at either index
-        ([[1.0, -2.0], [-2.0, 0.5]], DEFAULT_TOL, 1.0, DEFAULT_MAX_ITER, False),  # pivot < 0
-        ([[1.0, 0.0], [0.0, 4.0]], DEFAULT_TOL, 4.0, 2, True),  # interior
-        ([[13.0, -16.0], [-16.0, 20.0]], 5e-324, 20.0, DEFAULT_MAX_ITER, False),  # gap > tol
-        ([[0.0, 0.0], [0.0, 0.0]], math.inf, 0.0, DEFAULT_MAX_ITER, False),  # gap_tol NaN
-    ])
-    def test_each_exit_of_the_loop(self, M, tol, scale, iterations, converged):
-        M = np.array(M)
-        res = _two_points(M, int(M[1, 1] < M[0, 0]), tol * scale, DEFAULT_MAX_ITER, 0)
+    @pytest.mark.parametrize("M, tol, mu, iterations, converged", [
+        ([[1e-320, 0.0], [0.0, 1.0]], DEFAULT_TOL, [1.0, 0.0], 1, True),  # subnormal vertex
+        ([[9.0, 3.0], [3.0, 1.0]], DEFAULT_TOL, [0.0, 1.0], 1, True),  # ... at either index
+        ([[1.0, 0.0], [0.0, 4.0]], DEFAULT_TOL, [0.8, 0.2], 2, True),  # interior
+        ([[1.0, 1.0], [1.0, 1.0]], DEFAULT_TOL, [1.0, 0.0], 1, True),  # identical points
+        ([[0.0, 0.0], [0.0, 0.0]], math.inf, [1.0, 0.0], DEFAULT_MAX_ITER, False),  # spread 0
+        ([[32.0, 0.0], [0.0, 8.0]], 5e-324, [0.2, 0.8], DEFAULT_MAX_ITER, False),  # gap > tol
+    ], ids=["vertex", "vertex at index 1", "interior", "identical", "no spread", "gap above tol"])
+    def test_each_exit(self, M, tol, mu, iterations, converged):
+        # the vertex passes the gap test before any division: 1e-320 / 1 would put
+        # weight 1e-320 on the other point. Identical points pass it with gap 0. All
+        # zeros at tol inf make the gap tolerance 0 * inf (NaN), so the vertex fails
+        # the test, the spread is 0 and the iterate stays at the vertex, as the loop's
+        # does when the most violating point is already in its working set.
+        res, ref = two_point_solves(M, tol, DEFAULT_MAX_ITER)
         assert (res.iterations, res.converged) == (iterations, converged)
-        assert_bitwise_equal(res, _min_norm_point(M, tol, DEFAULT_MAX_ITER, scale))
-        assert_bitwise_equal(res, wolfe_loop(M, tol, DEFAULT_MAX_ITER, scale))
-
-    def test_a_clipping_affine_step_is_left_to_the_loop(self):
-        # not a Gram matrix: M_01 > M_00 puts the entering point's affine weight
-        # below 0, so the loop clips it and drops the point again
-        M = np.array([[1.0, 1.2], [0.0, 2.0]])
-        assert _two_points(M, 0, DEFAULT_TOL * 2.0, DEFAULT_MAX_ITER, 0) is None
-        assert_bitwise_equal(_min_norm_point(M, DEFAULT_TOL, DEFAULT_MAX_ITER, 2.0),
-                             wolfe_loop(M, DEFAULT_TOL, DEFAULT_MAX_ITER, 2.0))
+        assert (ref.iterations, ref.converged) == (iterations, converged)
+        np.testing.assert_allclose(res.mu, mu, rtol=1e-15)
+        np.testing.assert_allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-12)
 
     @given(dim=st.integers(1, 4), log_scale=st.floats(-3.0, 3.0), fixed=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
@@ -706,101 +729,105 @@ class TestTwoPoints:
                                    atol=1e-7 / sigma.min())
 
 
-def array_steps():
-    """Decline the k = 2 Python-float steps (``solver._pair``), so two tasks take
-    the array steps that every other bundle size takes."""
-    return mock.patch.object(solver, "_pair", return_value=None)
 
-
-def two_task_outcome(method, grads, temperature, momentum, sigma):
-    """Everything one two-task ``combine`` call returns or changes, or the error it raises."""
-    state = ElasticState(momentum=dict(momentum), temperature=temperature)
-    with warnings.catch_warnings():
+def assert_scaled_gram_matches_the_array_steps(grads, sigma):
+    """``solve_emgd`` at k = 2 forms G / (s s^T) in units of 2^e in Python floats.
+    It must hand ``_min_norm_point`` the array steps' Gram and gap scale bit for
+    bit, or raise their underflow error, with no numpy warning. Degenerate tasks
+    are read off the unscaled diagonal: scaled by 2^-e, a tiny entry could flush
+    to 0."""
+    b = GradientBundle((1, 2), grads)
+    scale = float(b.gram.diagonal().max())
+    e = solver._exponent(scale)
+    G, S = np.ldexp(b.gram, -e), np.outer(sigma, sigma)
+    underflow = not (G.diagonal() < S.diagonal() * np.finfo(float).max).all()
+    with warnings.catch_warnings(), mock.patch.object(
+            solver, "_min_norm_point", wraps=solver._min_norm_point) as spy:
         warnings.simplefilter("error")
         try:
-            b = GradientBundle((1, 2), grads)
-            factors = None if sigma is None else ElasticFactors(sigma)
-            res, s = combine(method, b, state, sigma=factors)
-        except (EmgdError, RuntimeWarning) as err:
-            return type(err), str(err)
-    return (res.lam.tobytes(), res.direction.tobytes(), res.objective.hex(), res.iterations,
-            res.converged, s.tobytes(), res.degenerate_tasks,
-            {t: m.hex() for t, m in state.momentum.items()})
+            res = solve_emgd(b, sigma)
+        except NumericError as err:
+            if underflow:
+                assert str(err) == "elastic factor underflowed to zero; raise the temperature"
+                return
+            assert str(err) == "the combined direction's squared norm overflows float64"
+            res = None
+    assert not underflow
+    M, _, _, gap_scale = spy.call_args.args
+    assert M.tobytes() == (G / S).tobytes()
+    assert gap_scale.hex() == math.ldexp(scale, -e).hex()
+    if res is not None:
+        zero = tuple(t for t, v in zip((1, 2), b.gram.diagonal()) if v == 0.0)
+        assert res.degenerate_tasks == zero
 
 
 class TestTwoTaskSteps:
-    """At k = 2, ``combine`` in Python floats gives the array steps' bits."""
+    """The one k = 2 step outside the factors and the solve, ``solve_emgd``'s
+    set-up, against the array steps; and every check a two-task step makes."""
 
-    @given(method=st.sampled_from(["emgd_gs", "emgd_gmc", "mgda", "fixed", "avg_grad"]),
-           dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
-           kind=st.sampled_from(["random", "identical", "parallel", "antiparallel", "near",
-                                 "first zero", "second zero", "both zero", "nan", "inf"]),
-           log_ratio=st.floats(-3.0, 3.0), temperature=st.sampled_from([1.0, 0.3, 0.05, 1e-3]),
-           momentum=st.sampled_from(["none", "random", "nan", "inf"]),
+    @given(dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
+           kind=st.sampled_from(GRADIENT_KINDS), log_ratio=st.floats(-3.0, 3.0),
+           factors=st.sampled_from(["ones", "halves", "random"]),
            log_sigma=st.tuples(st.floats(-170.0, 0.0), st.floats(-170.0, 0.0)),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=1000, deadline=None)
-    def test_match_the_array_steps_bit_for_bit(self, method, dim, log_scale, kind, log_ratio,
-                                               temperature, momentum, log_sigma, seed):
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(2, dim))
-        g[1] *= 10.0 ** log_ratio
-        if kind == "identical":
-            g[1] = g[0]
-        elif kind in ("parallel", "antiparallel"):
-            g[1] = (1.0 if kind == "parallel" else -1.0) * 10.0 ** log_ratio * g[0]
-        elif kind == "near":
-            g[1] = g[0] + 1e-9 * rng.normal(size=dim)
-        elif kind.endswith("zero"):
-            g[[0] if kind == "first zero" else [1] if kind == "second zero" else [0, 1]] = 0.0
-        elif kind in ("nan", "inf"):
-            g[rng.integers(2), rng.integers(dim)] = math.nan if kind == "nan" else math.inf
-        g *= 10.0 ** log_scale
-        # a momentum history: gmc's logits are then not only this bundle's norms
-        prior = {"none": {}, "random": dict(zip((1, 2), 10.0 ** rng.uniform(-5.0, 5.0, 2))),
-                 "nan": {1: math.nan}, "inf": {2: math.inf}}[momentum]
-        sigma = 10.0 ** np.array(log_sigma) if method == "fixed" else None
-        with array_steps():
-            ref = two_task_outcome(method, g, temperature, prior, sigma)
-        if not isinstance(ref[0], type):  # a result, so the bundle was built
-            assert GradientBundle((1, 2), g).pair is not None  # and the k = 2 steps run
-        assert two_task_outcome(method, g, temperature, prior, sigma) == ref
+    def test_scaled_gram_matches_the_array_steps_bit_for_bit(self, dim, log_scale, kind,
+                                                             log_ratio, factors, log_sigma, seed):
+        g = two_gradients(np.random.default_rng(seed), dim, kind, log_ratio) * 10.0 ** log_scale
+        try:
+            GradientBundle((1, 2), g)
+        except NumericError:  # a squared norm past float64
+            assume(False)
+        sigma = {"ones": np.ones(2), "halves": np.full(2, 0.5),
+                 "random": 10.0 ** np.array(log_sigma)}[factors]
+        assert_scaled_gram_matches_the_array_steps(g, sigma)
 
-    @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "fixed"])
+    @pytest.mark.parametrize("sigma", [[1.0, 1.0], [0.5, 0.5], [0.5, 0.25]])
     @pytest.mark.parametrize("grads", [
         [[1e100, 0.0], [0.0, 1e-155]],  # G_11 = 1e-310 flushes to 0 when scaled by 2^-665
         [[1e-160, 0.0], [0.0, 1.0]],  # a subnormal squared norm
         [[1e150, 2e150], [-3e150, 1e150]],  # a Gram past 2^500, solved in units of 2^e
         [[0.0, 0.0], [1.0, 2.0]],  # a zero gradient: degenerate
     ])
-    def test_edge_bundles_match_the_array_steps(self, method, grads):
-        sigma = [0.5, 0.25] if method == "fixed" else None
-        with array_steps():
-            ref = two_task_outcome(method, np.array(grads), 1.0, {}, sigma)
-        assert two_task_outcome(method, np.array(grads), 1.0, {}, sigma) == ref
+    def test_edge_bundles_match_the_array_steps(self, grads, sigma):
+        assert_scaled_gram_matches_the_array_steps(np.array(grads), np.array(sigma))
 
-    def test_each_check_raises_as_the_array_steps_do(self):
-        cases = [
-            ("emgd_gmc", [[400.0, 0.0], [0.0, 1.0]], 1.0, {}, None),  # factor underflow
-            ("emgd_gmc", [[1.0, 0.0], [0.0, 2.0]], 1e-3, {}, None),  # exp underflows to 0
-            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1e-310, {}, None),  # logits overflow
-            ("fixed", [[1.0, 0.0], [0.0, 1.0]], 1.0, {}, [0.5, 1e-170]),  # sigma^2 is 0
-            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1.0, {1: math.nan}, None),  # NaN logit
-            ("emgd_gmc", [[1.0, 0.0], [0.0, 1.0]], 1.0, {1: math.inf}, None),  # inf - inf warns
-        ]
-        for case in cases:
-            with array_steps():
-                ref = two_task_outcome(*case)
-            assert ref[0] in (NumericError, RuntimeWarning)
-            assert two_task_outcome(*case) == ref
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: combine("emgd_gmc", bundle([400.0, 0.0], [0.0, 1.0]), ElasticState()),
+         NumericError, "elastic factor underflowed to zero; raise the temperature"),
+        (lambda: combine("emgd_gmc", bundle([1.0, 0.0], [0.0, 2.0]),
+                         ElasticState(temperature=1e-3)),
+         NumericError, "elastic factor underflowed to zero; raise the temperature"),
+        (lambda: combine("emgd_gmc", bundle([1.0, 0.0], [0.0, 1.0]),
+                         ElasticState(temperature=1e-310)),
+         NumericError, "elastic factor logits overflow float64; raise the temperature"),
+        (lambda: combine("fixed", bundle([1.0, 0.0], [0.0, 1.0]), ElasticState(),
+                         sigma=ElasticFactors([0.5, 1e-170])),
+         NumericError, "elastic factor underflowed to zero; raise the temperature"),
+        (lambda: ElasticState(momentum={1: math.nan}),
+         InvalidInputError, "momentum of task 1 must be finite, got nan"),
+        (lambda: ElasticState(momentum={1: 2.0, 2: math.inf}),
+         InvalidInputError, "momentum of task 2 must be finite, got inf"),
+    ], ids=["factor underflow", "exp underflow", "logit overflow", "sigma squared 0",
+            "nan momentum", "inf momentum"])
+    def test_each_check_is_named(self, call, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as err:
+                call()
+        assert str(err.value) == message
 
-    def test_elastic_factors_reject_as_the_array_steps_do(self):
-        for sigma in ([0.5, 0.0], [1.5, 0.5], [0.5, math.nan], [math.inf, 0.5], [-0.0, 1.0]):
-            with array_steps(), pytest.raises(EmgdError) as ref:
-                ElasticFactors(sigma)
-            with pytest.raises(type(ref.value)) as err:
-                ElasticFactors(sigma)
-            assert str(err.value) == str(ref.value)
+    @pytest.mark.parametrize("sigma, error, message", [
+        ([0.5, 0.0], InvalidInputError, "every elastic factor must lie in (0, 1]"),
+        ([1.5, 0.5], InvalidInputError, "every elastic factor must lie in (0, 1]"),
+        ([0.5, math.nan], NumericError, "sigma contains non-finite entries"),
+        ([math.inf, 0.5], NumericError, "sigma contains non-finite entries"),
+        ([-0.0, 1.0], InvalidInputError, "every elastic factor must lie in (0, 1]"),
+    ])
+    def test_out_of_range_factors_named(self, sigma, error, message):
+        with pytest.raises(error) as err:
+            ElasticFactors(sigma)
+        assert str(err.value) == message
 
 
 class TestSolveMgda:
@@ -1096,6 +1123,26 @@ class TestCombine:
         for _ in range(3):
             combine("emgd_gs", b, ElasticState())
         assert calls == ["elastic_factors_gs", "solve_emgd"] * 3
+
+    @given(dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
+           kind=st.sampled_from(GRADIENT_KINDS), log_ratio=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None)
+    def test_gs_weights_are_twice_mgda_s_at_two_tasks(self, dim, log_scale, kind, log_ratio,
+                                                       seed):
+        # factors 1/2 scale every point by exactly 2, so the closed form's weight t is
+        # mgda's and lambda = mu / (1/2). The stopping gap, 4 times mgda's at the same
+        # tolerance, can end one solve at the vertex and the other past it.
+        g = two_gradients(np.random.default_rng(seed), dim, kind, log_ratio) * 10.0 ** log_scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                b = GradientBundle((1, 2), g)
+                gs, mg = (combine(m, b, ElasticState())[0] for m in ("emgd_gs", "mgda"))
+            except NumericError:  # a squared norm, or gs's doubled direction, past float64
+                assume(False)
+        assume((gs.iterations, gs.converged) == (mg.iterations, mg.converged))
+        assert gs.lam.tobytes() == (2.0 * mg.lam).tobytes()
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
