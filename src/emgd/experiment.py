@@ -314,7 +314,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     (``stream_gradients``): each head steps with its own gradient, and each
     stream's backbone gradient is read at the stepped heads. The memory
     stream, live once the buffer holds a finished task's data, routes each
-    row through its task's head. The negated gradients are combined per
+    row through its task's head. The negative gradients are combined per
     ``cfg.method``, the backbone steps, and editing (when enabled) rewrites
     the sampled slots. At its finish tick a task's training data enters the
     buffer and the task is evaluated; the final tick evaluates every seen task.
@@ -349,13 +349,12 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, memory_head_step))
+            tick_streams.append((mem.inputs, mem.labels, mem.groups, memory_head_step))
         for t in real_tasks:
             batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
 
-        grads, losses = stream_gradients(net, tick_streams)
-        np.negative(grads, out=grads)  # the bundle holds negative gradients
+        grads, losses = stream_gradients(net, tick_streams)  # negative, as the bundle holds them
         try:
             bundle = solver.GradientBundle(tuple(task_ids), grads)
             result, sigma = solver.combine(cfg.method, bundle, state, cfg.tol, cfg.max_iter)
@@ -363,8 +362,6 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             raise NumericError(str(err), tick=tick) from None
         if not result.converged:
             log.warning("tick %d: combination solve hit max_iter, using best iterate", tick)
-        if not math.isfinite(result.objective):  # a NaN or inf in d makes ||d||^2 non-finite
-            raise NumericError("non-finite update direction or squared norm", tick=tick)
 
         apply_update(net, result.direction, cfg.gamma)
 

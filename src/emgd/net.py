@@ -194,16 +194,19 @@ def task_slices(task_ids) -> list:
 
 # A head's rows in a pass (a slice), its (W, b) views, stream, share of it, step.
 _Group = namedtuple("_Group", "task_id rows W b stream weight step")
-_Pass = namedtuple("_Pass", "activations groups probs dlogits logp grads dzs")
+_Pass = namedtuple("_Pass", "activations groups probs dlogits logp sizes grads dzs slopes")
 
 
 def _stack(net: Network, streams: list) -> tuple:
     """The streams' rows stacked in order, each stream's ``(lo, hi)`` in the
-    stack, and one group per head with its slice of the stack."""
+    stack, and one group per head with its slice of the stack, its labels
+    checked against the head."""
     spans, groups, lo = [], [], 0
     for s, (_, labels, task_ids, head_step) in enumerate(streams):
         n = len(labels)
-        if np.ndim(task_ids) == 0:
+        if isinstance(task_ids, list):  # the rows' (task_id, slice) groups
+            routed = task_ids
+        elif np.ndim(task_ids) == 0:
             routed = [(int(task_ids), slice(0, n))]
         elif len(task_ids) == n:
             routed = task_slices(task_ids)
@@ -224,7 +227,8 @@ def _stack(net: Network, streams: list) -> tuple:
 def _head_stage(feats: np.ndarray, labels: np.ndarray, groups) -> tuple:
     """Softmax cross-entropy of every row under its group's head, in one N x C
     matrix (C the widest head's; a narrower head's extra columns are -inf).
-    Returns probs, d(group mean loss)/d(logits) and each label's log-prob."""
+    Returns probs, d(group mean loss)/d(logits), each label's log-prob and
+    each row's group size (an N x 1 column)."""
     n = feats.shape[0]
     logits = np.full((n, max(g.W.shape[1] for g in groups)), -np.inf)
     sizes = np.empty(n)
@@ -240,7 +244,7 @@ def _head_stage(feats: np.ndarray, labels: np.ndarray, groups) -> tuple:
     dlogits = probs.copy()
     dlogits[every, labels] -= 1.0
     dlogits /= sizes[:, None]
-    return probs, dlogits, shifted[every, labels] - np.log(total[:, 0])
+    return probs, dlogits, shifted[every, labels] - np.log(total[:, 0]), sizes[:, None]
 
 
 def _head_grad(feats: np.ndarray, dlogits: np.ndarray, g: _Group) -> np.ndarray:
@@ -249,11 +253,12 @@ def _head_grad(feats: np.ndarray, dlogits: np.ndarray, g: _Group) -> np.ndarray:
     return np.concatenate([(feats[g.rows].T @ d).ravel(), d.sum(axis=0)])
 
 
-def _feature_delta(feats: np.ndarray, dlogits: np.ndarray, groups) -> np.ndarray:
-    """d(stream loss)/d(features): each row's weighted dlogits through its head."""
+def _feature_delta(feats: np.ndarray, dlogits: np.ndarray, groups, sign: float) -> np.ndarray:
+    """``sign`` times d(stream loss)/d(features): each row's weighted dlogits
+    through its head. A sign of -1 negates every later product and sum exactly."""
     delta = np.empty_like(feats)
     for g in groups:
-        delta[g.rows] = (g.weight * dlogits[g.rows, : g.W.shape[1]]) @ g.W.T
+        delta[g.rows] = (sign * g.weight * dlogits[g.rows, : g.W.shape[1]]) @ g.W.T
     return delta
 
 
@@ -261,20 +266,21 @@ def _backprop(net: Network, activations: list, delta: np.ndarray, spans) -> tupl
     """Push d(loss)/d(features) back through the tanh layers in one chain of
     ``dz @ W.T`` over all rows, writing each layer's ``a.T @ dz`` over rows
     ``spans[s] = (lo, hi)`` into row s of a k x D array (none for no spans).
-    Returns it and the dzs."""
+    Returns it, the dzs and each layer's tanh' 1 - a^2."""
     grads = np.empty((len(spans), net.backbone_dim))
     views = [_layers(row, net.layer_sizes) for row in grads]
-    dzs = [None] * len(net.backbone)
+    dzs, slopes = [None] * len(net.backbone), [None] * len(net.backbone)
     for i in range(len(net.backbone) - 1, -1, -1):
         a_out = activations[i + 1]
-        dz = dzs[i] = delta * (1.0 - a_out * a_out)  # tanh'
+        slopes[i] = 1.0 - a_out * a_out  # tanh'
+        dz = dzs[i] = delta * slopes[i]
         for (lo, hi), grad in zip(spans, views):
             gW, gb = grad[i]
             np.matmul(activations[i][lo:hi].T, dz[lo:hi], out=gW)
             dz[lo:hi].sum(axis=0, out=gb)
         if i > 0:
             delta = dz @ net.backbone[i][0].T
-    return grads, dzs
+    return grads, dzs, slopes
 
 
 def features(net: Network, inputs: np.ndarray) -> np.ndarray:
@@ -291,38 +297,48 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     return feats @ W + b
 
 
-def _pass(net: Network, streams, grads: bool = True) -> tuple:
-    """The one pass: the streams' rows stacked, one backbone forward, one head
-    stage (rerun once heads with a positive step have stepped) and one backward
-    chain that writes each stream's backbone gradient into its row of a k x D
-    array (no rows unless ``grads``; the editing passes read the dzs through
-    ``_edit_terms`` instead). Returns a ``_Pass`` of the activations,
-    ``_Group``s, probs, dlogits, log-probs, that array and the dzs."""
-    inputs, labels, spans, groups = _stack(net, list(streams))
+def _pass(net: Network, streams=(), grouped=None, negate: bool = False) -> _Pass:
+    """The one pass: one backbone forward, one head stage (rerun once heads
+    with a positive step have stepped) and one backward chain. Training
+    ``streams`` go through ``_stack``, and each stream's backbone gradient,
+    negated when ``negate``, fills its row of a k x D array. An editing batch
+    comes ``grouped`` as ``(inputs, labels, groups)``, each ``(task_id,
+    slice)`` group a stream: rows as they are, labels unchecked (the training
+    pass checked them), no array; the editing passes read the dzs through
+    ``_edit_terms``. Returns a ``_Pass``: activations, ``_Group``s, probs,
+    dlogits, log-probs, group sizes, that array, the dzs and each tanh'."""
+    if grouped is None:
+        inputs, labels, spans, groups = _stack(net, streams)
+    else:
+        inputs, labels, routed = grouped
+        spans = []
+        groups = [_Group(t, rows, *net.head(t), s, 1.0, 0.0) for s, (t, rows) in enumerate(routed)]
     activations = _activations(net, inputs)
     feats = activations[-1]
-    probs, dlogits, logp = _head_stage(feats, labels, groups)
+    probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
     stepped = [g for g in groups if g.step > 0]
     for g in stepped:  # g.W and g.b are views, so they see the step
         net.heads[g.task_id] -= g.step * (g.weight * _head_grad(feats, dlogits, g))
     if stepped:
-        probs, dlogits, logp = _head_stage(feats, labels, groups)
-    U, dzs = _backprop(net, activations, _feature_delta(feats, dlogits, groups),
-                       spans if grads else [])
-    return _Pass(activations, groups, probs, dlogits, logp, U, dzs)
+        probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
+    delta = _feature_delta(feats, dlogits, groups, -1.0 if negate else 1.0)
+    return _Pass(activations, groups, probs, dlogits, logp, sizes,
+                 *_backprop(net, activations, delta, spans))
 
 
 def stream_gradients(net: Network, streams):
     """Every stream's backbone gradient from one ``_pass``.
 
     ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
-    for the stream, or one per row sorted by task (see ``task_slices``). A
-    head's n_g of n rows weigh n_g / n in the stream's mean loss. With
+    for the stream, one per row sorted by task (see ``task_slices``), or a
+    list of the rows' ``(task_id, slice)`` groups, as ``sample_memory`` gives
+    them. A head's n_g of n rows weigh n_g / n in the stream's mean loss. With
     ``head_step > 0`` each head first steps in place by ``head_step`` times
     its weighted gradient, and all results are read at the stepped heads; as
     all heads are read before any step, a head may serve one stream only.
-    Returns the k x D positive backbone gradients and the losses."""
-    p = _pass(net, streams)
+    Returns the k x D negative backbone gradients, the gradient bundle's
+    convention, and the losses."""
+    p = _pass(net, streams, negate=True)
     losses = [0.0] * len(p.grads)
     for g in p.groups:
         losses[g.stream] += g.weight * float(-p.logp[g.rows].mean())
@@ -335,11 +351,6 @@ def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientRepo
     p = _pass(net, [(batch.inputs, batch.labels, batch.task_id, head_step)])
     head_grad = _head_grad(p.activations[-1], p.dlogits, p.groups[0])
     return GradientReport(p.grads[0], head_grad, float(-p.logp.mean()))
-
-
-def _group_streams(inputs, labels, groups) -> list:
-    """Each ``(task_id, slice)`` group of the rows as its own stream, no head step."""
-    return [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups]
 
 
 # Editing kernel rule, per layer: the factored form when
@@ -431,11 +442,28 @@ def input_gradient(net: Network, inputs, labels, groups, target_d=None):
     """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
     same shape as ``inputs``, each group's mean loss and, given ``target_d``,
     the editing objective sum_g ||grad_theta L_g + d||^2 (else None): one
-    ``_pass``, a stream per group."""
-    p = _pass(net, _group_streams(inputs, labels, groups), grads=False)
+    ``_pass`` over the ``grouped`` rows."""
+    p = _pass(net, grouped=(inputs, labels, groups))
     losses = np.array([-p.logp[g.rows].mean() for g in p.groups])
     objective = None if target_d is None else _edit_terms(net, p, target_d, False)[0]
     return p.dzs[0] @ net.backbone[0][0].T, losses, objective
+
+
+def _head_tangent(p: _Pass, Ra: np.ndarray) -> np.ndarray:
+    """R(delta): the tangent of d(group mean loss)/d(features) through the
+    fixed heads, given the feature tangents ``Ra``. The matmuls run per group,
+    the softmax part once over all rows when every head has one width."""
+    Rdelta, Rs = np.empty_like(Ra), np.empty_like(p.probs)
+    for g in p.groups:
+        np.matmul(Ra[g.rows], g.W, out=Rs[g.rows, : g.W.shape[1]])
+    one = len({g.W.shape[1] for g in p.groups}) == 1
+    for rows, block in [(slice(None), p.groups)] if one else [(g.rows, [g]) for g in p.groups]:
+        probs, Rs_rows = p.probs[rows, : block[0].W.shape[1]], Rs[rows, : block[0].W.shape[1]]
+        Rp = probs * (Rs_rows - (probs * Rs_rows).sum(axis=1, keepdims=True))
+        Rp /= p.sizes[rows]
+        for g in block:
+            np.matmul(Rp[g.rows] if one else Rp, g.W.T, out=Rdelta[g.rows])
+    return Rdelta
 
 
 def edit_direction(net: Network, inputs, labels, groups, target_d):
@@ -451,28 +479,21 @@ def edit_direction(net: Network, inputs, labels, groups, target_d):
     costs one tangent forward and one tangent backward, whose U_g terms come
     from ``_edit_terms``; parameters are never touched.
     """
-    p = _pass(net, _group_streams(inputs, labels, groups), grads=False)
-    activations, dzs = p.activations, p.dzs
+    p = _pass(net, grouped=(inputs, labels, groups))
     objective, terms = _edit_terms(net, p, target_d, True)
     # tangent forward: Rz_l = Ra_{l-1} W_l + a_{l-1} dW_l + db_l, Ra_l = (1 - a_l^2) Rz_l
     Rzs = []
     for i, (W, _) in enumerate(net.backbone):
         Rz = terms[i][0] if i == 0 else Ra @ W + terms[i][0]
         Rzs.append(Rz)
-        a_out = activations[i + 1]
-        Ra = (1.0 - a_out * a_out) * Rz
-    # tangent of d(mean cross-entropy)/d(features) through the fixed head
-    Rdelta = np.empty_like(Ra)
-    for g in p.groups:
-        probs = p.probs[g.rows, : g.W.shape[1]]
-        Rs = Ra[g.rows] @ g.W
-        Rp = probs * (Rs - (probs * Rs).sum(axis=1, keepdims=True))
-        Rdelta[g.rows] = (Rp / probs.shape[0]) @ g.W.T
-    # tangent backward: R(dz) = (1 - a^2) R(delta) - 2 a dz Rz, R(dz W^T) = R(dz) W^T + dz dW^T
+        Ra = p.slopes[i] * Rz
+    Rdelta = _head_tangent(p, Ra)
+    # tangent backward: R(dz) = (1 - a^2) R(delta) - 2 a dz Rz, formed in Rdelta's
+    # array; R(dz W^T) = R(dz) W^T + dz dW^T
     for i in range(len(net.backbone) - 1, -1, -1):
-        a_out = activations[i + 1]
-        Rdz = (1.0 - a_out * a_out) * Rdelta - 2.0 * a_out * dzs[i] * Rzs[i]
-        Rdelta = Rdz @ net.backbone[i][0].T
+        Rdelta *= p.slopes[i]
+        Rdelta -= 2.0 * p.activations[i + 1] * p.dzs[i] * Rzs[i]
+        Rdelta = Rdelta @ net.backbone[i][0].T
         Rdelta += terms[i][1]
     Rdelta *= 2.0
     return Rdelta, objective

@@ -14,6 +14,12 @@ replaced: each task group's backbone gradient formed in full by
 and each group's exact R-op 2 R{grad_x L_g}(U_g) through its own forward,
 head and backward, one group at a time.
 
+``group_stream_edit`` and ``group_stream_objective`` are the editing passes
+that ``emgd.net``'s pre-grouped ``_pass`` entry replaced: the rows sliced
+into a stream per ``(task_id, slice)`` group (``group_streams``), stacked
+back, routed and label-checked by ``_stack``, and the tangent terms formed
+with tanh' recomputed per layer and the softmax part per group.
+
 ``per_group_gmed`` is the loss-difference editor that
 ``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
 ``forward`` and one ``input_gradient`` at theta and again at the look-ahead
@@ -49,8 +55,8 @@ from typing import NamedTuple
 import numpy as np
 
 from emgd.errors import InvalidInputError
-from emgd.net import (Batch, Network, _activations, _head, _head_stage, _layers, _stack,
-                      backward, features, head_logits, input_gradient)
+from emgd.net import (Batch, Network, _activations, _edit_terms, _head, _head_stage, _layers,
+                      _pass, _stack, backward, features, head_logits, input_gradient)
 from emgd.rehearsal import _as_rng, _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
 
@@ -62,7 +68,7 @@ PARALLEL_EPS = 1e-18
 def forward(net: Network, batch: Batch):
     """Class probabilities and mean cross-entropy loss for one batch."""
     inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
-    probs, _, logp = _head_stage(_activations(net, inputs)[-1], labels, groups)
+    probs, _, logp, _ = _head_stage(_activations(net, inputs)[-1], labels, groups)
     return probs, float(-logp.mean())
 
 
@@ -157,6 +163,42 @@ def explicit_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
         objective += float(U @ U)
         delta[rows] = _rop_edit(net, inputs[rows], labels[rows], task_id, U)
     return delta, objective
+
+
+def group_streams(inputs, labels, groups) -> list:
+    """Each ``(task_id, slice)`` group of the rows as its own stream, no head step."""
+    return [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups]
+
+
+def group_stream_objective(net: Network, inputs, labels, groups, target_d) -> float:
+    """``editing_objective`` through a stream per group."""
+    return _edit_terms(net, _pass(net, group_streams(inputs, labels, groups)), target_d, False)[0]
+
+
+def group_stream_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
+    """``edit_direction`` through a stream per group."""
+    p = _pass(net, group_streams(inputs, labels, groups))
+    activations, dzs = p.activations, p.dzs
+    objective, terms = _edit_terms(net, p, target_d, True)
+    Rzs = []
+    for i, (W, _) in enumerate(net.backbone):
+        Rz = terms[i][0] if i == 0 else Ra @ W + terms[i][0]
+        Rzs.append(Rz)
+        a_out = activations[i + 1]
+        Ra = (1.0 - a_out * a_out) * Rz
+    Rdelta = np.empty_like(Ra)
+    for g in p.groups:
+        probs = p.probs[g.rows, : g.W.shape[1]]
+        Rs = Ra[g.rows] @ g.W
+        Rp = probs * (Rs - (probs * Rs).sum(axis=1, keepdims=True))
+        Rdelta[g.rows] = (Rp / probs.shape[0]) @ g.W.T
+    for i in range(len(net.backbone) - 1, -1, -1):
+        a_out = activations[i + 1]
+        Rdz = (1.0 - a_out * a_out) * Rdelta - 2.0 * a_out * dzs[i] * Rzs[i]
+        Rdelta = Rdz @ net.backbone[i][0].T
+        Rdelta += terms[i][1]
+    Rdelta *= 2.0
+    return Rdelta, objective
 
 
 def per_stream_gradients(net: Network, streams):

@@ -2,7 +2,6 @@ import io
 import json
 import struct
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -324,36 +323,33 @@ class TestRunPcl:
         assert "tick 7" in captured.err
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-    def test_non_finite_direction_exit_3(self, tmp_path, capsys, monkeypatch, bad):
-        # run_pcl reads ||d||^2, not d: one bad entry of d must still stop the
-        # run at the tick whose combine returned it
+    def test_non_finite_gradient_exit_3(self, tmp_path, capsys, monkeypatch, bad):
+        # one bad entry in one stream's gradient stops the run at the tick
+        # whose pass returned it: the gradient bundle names it
         import emgd.experiment as experiment
 
-        real_combine, real_active = experiment.solver.combine, experiment.streams.active_tasks
+        real_gradients, real_active = experiment.stream_gradients, experiment.streams.active_tasks
         ticks = []
 
         def active_tasks(timeline, tick, **kwargs):
             ticks.append(tick)
             return real_active(timeline, tick, **kwargs)
 
-        def combine(*args, **kwargs):
-            result, sigma = real_combine(*args, **kwargs)
-            if len(ticks) < 3:
-                return result, sigma
-            direction = result.direction.copy()
-            direction[len(direction) // 2] = bad
-            return replace(result, direction=direction,
-                           objective=float(direction @ direction)), sigma
+        def stream_gradients(net, streams):
+            grads, losses = real_gradients(net, streams)
+            if len(ticks) == 3:
+                grads[-1, grads.shape[1] // 2] = bad
+            return grads, losses
 
-        monkeypatch.setattr(experiment.solver, "combine", combine)
+        monkeypatch.setattr(experiment, "stream_gradients", stream_gradients)
         monkeypatch.setattr(experiment.streams, "active_tasks", active_tasks)
         cfg = pcl_config(tmp_path)
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
         captured = capsys.readouterr()
         assert code == 3
         assert len(ticks) == 3
-        assert (f"numeric failure at tick {ticks[-1]}: non-finite update direction or squared "
-                "norm") in captured.err
+        assert (f"numeric failure at tick {ticks[-1]}: gradient bundle contains non-finite "
+                "entries") in captured.err
 
     def test_snapshot_buffer_written(self, tmp_path):
         cfg = pcl_config(

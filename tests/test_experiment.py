@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -359,6 +361,76 @@ class TestRunPcl:
         assert all(np.isfinite(r["losses"][0]) for r in memory_rows)
         for x in result.buffer.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
+
+    @pytest.mark.parametrize("editing, memory_batch_size", [
+        ("emgd", 0), ("gmed", 0), ("emgd", 40)])  # 40: more rows than slots, so rows repeat
+    def test_editing_tick_groups_and_checks_the_batch_once(self, monkeypatch, editing,
+                                                           memory_batch_size):
+        # task_slices runs once per sampled batch and the label check only in
+        # the training pass; the editing passes take the grouped rows as they
+        # are, and give the bits of the route they replaced, a stream per group
+        import emgd.experiment as exp
+        import emgd.net
+        import emgd.rehearsal
+        from oracles import group_stream_edit, group_stream_objective
+
+        calls, compared, state = Counter(), Counter(), {"training": False, "oracle": False}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                if not state["oracle"]:
+                    calls[name, state["training"]] += 1
+                return fn(*args)
+            return wrapper
+
+        @contextmanager
+        def flag(name):
+            state[name] = True
+            try:
+                yield
+            finally:
+                state[name] = False
+
+        real_gradients, real_sample = exp.stream_gradients, exp.rehearsal.sample_memory
+        real_edit, real_objective = emgd.rehearsal.edit_direction, emgd.rehearsal.editing_objective
+
+        def stream_gradients(net, streams):
+            with flag("training"):
+                return real_gradients(net, streams)
+
+        def edit_direction(net, inputs, labels, groups, d):
+            delta, objective = real_edit(net, inputs, labels, groups, d)
+            with flag("oracle"):
+                want_delta, want_objective = group_stream_edit(net, inputs, labels, groups, d)
+            np.testing.assert_array_equal(delta, want_delta)
+            assert objective == want_objective
+            compared["edit_direction"] += 1
+            return delta, objective
+
+        def editing_objective(net, inputs, mem, d):
+            objective = real_objective(net, inputs, mem, d)
+            with flag("oracle"):
+                assert objective == group_stream_objective(net, inputs, mem.labels, mem.groups, d)
+            compared["editing_objective"] += 1
+            return objective
+
+        monkeypatch.setattr(exp, "stream_gradients", stream_gradients)
+        monkeypatch.setattr(exp.rehearsal, "sample_memory", counted("sample", real_sample))
+        monkeypatch.setattr(emgd.rehearsal, "edit_direction", edit_direction)
+        monkeypatch.setattr(emgd.rehearsal, "editing_objective", editing_objective)
+        monkeypatch.setattr(emgd.net, "_head", counted("_head", emgd.net._head))
+        for module in (emgd.net, emgd.rehearsal):
+            monkeypatch.setattr(module, "task_slices", counted("task_slices", module.task_slices))
+        specs, tl, net = pcl_setup(num_tasks=3)
+        cfg = quick_cfg(editing=editing, memory_batch_size=memory_batch_size,
+                        capacity_per_class=2)
+        run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        samples = calls["sample", False]
+        assert samples > 0
+        assert calls["task_slices", False] == samples and calls["task_slices", True] == 0
+        assert calls["_head", True] > 0 and calls["_head", False] == 0
+        assert compared["editing_objective"] == samples
+        assert compared["edit_direction"] == (samples if editing == "emgd" else 0)
 
     def test_evaluates_each_task_at_its_finish_and_final_tick(self, monkeypatch):
         # the metrics read a task's accuracy at its finish tick and at the

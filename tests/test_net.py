@@ -13,7 +13,6 @@ from emgd.net import (
     Network,
     _edit_terms,
     _factored,
-    _group_streams,
     _layers,
     _pass,
     add_head,
@@ -27,7 +26,7 @@ from emgd.net import (
 )
 from emgd.rehearsal import MemoryBatch, editing_objective
 from oracles import (_head_pass, central_difference_edit, directional_edit_gradient,
-                     explicit_edit, forward, per_stream_gradients)
+                     explicit_edit, forward, group_stream_edit, per_stream_gradients)
 
 
 def make_net(rng_seed=1234, layers=(6, 10, 5), heads=((1, 4),)):
@@ -279,10 +278,11 @@ def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(
 
 class TestStreamGradients:
     """``stream_gradients`` against the per-stream path it replaced
-    (``grouped_backward`` per stream, then ``np.stack``). Bitwise when every
-    head has the same class count and every stream at least two rows; a
-    narrower head's padded softmax row, or a one-row stream (a vector-matrix
-    product in the per-stream path), changes only the rounding."""
+    (``grouped_backward`` per stream, then ``np.stack``), negated: the pass
+    returns the bundle's negative gradients, and negation is exact. Bitwise
+    when every head has the same class count and every stream at least two
+    rows; a narrower head's padded softmax row, or a one-row stream (a
+    vector-matrix product in the per-stream path), changes only the rounding."""
 
     @pytest.mark.parametrize("mem_step", [0.3, 0.0])  # 0.0: freeze_finished_heads
     @pytest.mark.parametrize("seed", range(10))
@@ -291,7 +291,7 @@ class TestStreamGradients:
         for _ in range(2):  # a second tick reads the stepped heads
             grads, losses = stream_gradients(net, streams)
             ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
-            np.testing.assert_array_equal(grads, ref_grads)
+            np.testing.assert_array_equal(grads, -ref_grads)
             assert losses == ref_losses
             for t in ref_heads:
                 np.testing.assert_array_equal(net.heads[t], ref.heads[t])
@@ -307,7 +307,7 @@ class TestStreamGradients:
         for _ in range(2):
             grads, losses = stream_gradients(net, streams)
             ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
-            assert all(close(g, r) for g, r in zip(grads, ref_grads))
+            assert all(close(g, -r) for g, r in zip(grads, ref_grads))
             assert losses == pytest.approx(ref_losses, rel=1e-12)
             for t in ref_heads:
                 assert close(net.heads[t], ref.heads[t])
@@ -525,7 +525,7 @@ class TestEditDirection:
             expected_objective += float(v @ v)
         assert objective == pytest.approx(expected_objective, rel=1e-12)
         task_ids = np.repeat(list(sizes), list(sizes.values()))
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)), rows, True)
         assert editing_objective(net, inputs, mem, target) == objective
 
     def test_dimension_check(self):
@@ -579,9 +579,14 @@ class TestEditKernels:
         assert np.linalg.norm(delta - want_delta) <= 1e-12 * np.linalg.norm(want_delta)
         # one objective implementation: every editing pass gives the same bits
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)), groups, True)
         assert editing_objective(net, inputs, mem, target) == objective
         assert input_gradient(net, inputs, labels, groups, target)[2] == objective
+        # and the bits of the route the pre-grouped pass replaced, under heads
+        # of different widths
+        old_delta, old_objective = group_stream_edit(net, inputs, labels, groups, target)
+        np.testing.assert_array_equal(delta, old_delta)
+        assert objective == old_objective
 
     def test_factored_zero_when_already_aligned(self):
         # four task groups, each the same two rows under the same head
@@ -601,7 +606,7 @@ class TestEditKernels:
         inputs, labels = np.tile(batch.inputs, (4, 1)), np.tile(batch.labels, 4)
         assert self.kernels(net, 8, 4) == [True, True]
         target = -backward(net, batch).backbone_grad
-        p = _pass(net, _group_streams(inputs, labels, groups), grads=False)
+        p = _pass(net, grouped=(inputs, labels, groups))
         _, terms = _edit_terms(net, p, target, True)
         ids = np.repeat(np.arange(4), 2)
         same = ids[:, None] == ids
@@ -628,7 +633,7 @@ class TestEditKernels:
         net = make_net(layers=layers, heads=[(t, 3) for t in range(1, len(sizes) + 1)])
         inputs, labels, groups = grouped_rows(rng, net, sizes)
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)))
+        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)), groups, True)
         for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
             with pytest.raises(InvalidInputError, match="dimension"):
                 edit_direction(net, inputs, labels, groups, wrong)
