@@ -349,7 +349,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            tick_streams.append((mem.inputs, mem.labels, mem.groups, memory_head_step))
+            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, memory_head_step))
         for t in real_tasks:
             batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))

@@ -204,9 +204,7 @@ def _stack(net: Network, streams: list) -> tuple:
     spans, groups, lo = [], [], 0
     for s, (_, labels, task_ids, head_step) in enumerate(streams):
         n = len(labels)
-        if isinstance(task_ids, list):  # the rows' (task_id, slice) groups
-            routed = task_ids
-        elif np.ndim(task_ids) == 0:
+        if np.ndim(task_ids) == 0:
             routed = [(int(task_ids), slice(0, n))]
         elif len(task_ids) == n:
             routed = task_slices(task_ids)
@@ -222,6 +220,22 @@ def _stack(net: Network, streams: list) -> tuple:
         lo += n
     inputs = np.concatenate([x for x, *_ in streams])
     return inputs, np.concatenate([y for _, y, *_ in streams]), spans, groups
+
+
+def _route(net: Network, labels: np.ndarray, routed) -> list:
+    """An editing batch's ``(task_id, slice)`` groups, which tile its rows in
+    order as ``task_slices`` gives them, as no-step ``_Group``s, a stream each,
+    after one check of the labels against their heads (one per-group max)."""
+    groups = []
+    for s, (task_id, rows) in enumerate(routed):
+        if task_id not in net.heads:
+            raise UnknownTaskError(f"no head for task {task_id}")
+        groups.append(_Group(task_id, rows, *net.head(task_id), s, 1.0, 0.0))
+    if labels.size:
+        tops = np.maximum.reduceat(labels, [g.rows.indices(labels.size)[0] for g in groups])
+        if labels.min() < 0 or any(top >= g.W.shape[1] for top, g in zip(tops.tolist(), groups)):
+            raise InvalidInputError("label out of range for the task head")
+    return groups
 
 
 def _head_stage(feats: np.ndarray, labels: np.ndarray, groups) -> tuple:
@@ -303,16 +317,15 @@ def _pass(net: Network, streams=(), grouped=None, negate: bool = False) -> _Pass
     ``streams`` go through ``_stack``, and each stream's backbone gradient,
     negated when ``negate``, fills its row of a k x D array. An editing batch
     comes ``grouped`` as ``(inputs, labels, groups)``, each ``(task_id,
-    slice)`` group a stream: rows as they are, labels unchecked (the training
-    pass checked them), no array; the editing passes read the dzs through
-    ``_edit_terms``. Returns a ``_Pass``: activations, ``_Group``s, probs,
-    dlogits, log-probs, group sizes, that array, the dzs and each tanh'."""
+    slice)`` group a stream (see ``_route``): rows as they are, no array; the
+    editing passes read the dzs through ``_edit_terms``. Returns a ``_Pass``:
+    activations, ``_Group``s, probs, dlogits, log-probs, group sizes, that
+    array, the dzs and each tanh'."""
     if grouped is None:
         inputs, labels, spans, groups = _stack(net, streams)
     else:
         inputs, labels, routed = grouped
-        spans = []
-        groups = [_Group(t, rows, *net.head(t), s, 1.0, 0.0) for s, (t, rows) in enumerate(routed)]
+        spans, groups = [], _route(net, labels, routed)
     activations = _activations(net, inputs)
     feats = activations[-1]
     probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
@@ -330,9 +343,8 @@ def stream_gradients(net: Network, streams):
     """Every stream's backbone gradient from one ``_pass``.
 
     ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
-    for the stream, one per row sorted by task (see ``task_slices``), or a
-    list of the rows' ``(task_id, slice)`` groups, as ``sample_memory`` gives
-    them. A head's n_g of n rows weigh n_g / n in the stream's mean loss. With
+    for the stream, or one per row sorted by task (see ``task_slices``). A
+    head's n_g of n rows weigh n_g / n in the stream's mean loss. With
     ``head_step > 0`` each head first steps in place by ``head_step`` times
     its weighted gradient, and all results are read at the stepped heads; as
     all heads are read before any step, a head may serve one stream only.
@@ -377,7 +389,7 @@ def _factored(n: int, groups: int, fan_in: int, fan_out: int) -> bool:
 
 def _edit_terms(net: Network, p: _Pass, target_d, tangent: bool) -> tuple:
     """The editing objective sum_g ||U_g||^2, U_g = grad_theta L_g + d over
-    the task groups of a ``grads=False`` pass, and with ``tangent`` each
+    the task groups of an editing pass, and with ``tangent`` each
     layer's (forward, backward) tangent terms: rows of group g get
     a_g dW_g + db_g and dz_g dW_g^T, (dW_g, db_g) the layer's blocks of U_g.
 

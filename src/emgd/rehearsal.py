@@ -37,16 +37,12 @@ if TYPE_CHECKING:
 @dataclass
 class MemoryBatch:
     """Samples drawn from the buffer, sorted by task id so that each task's
-    rows are one contiguous slice: ``groups`` lists each task's
-    ``(task_id, slice)`` (see ``net.task_slices``), and ``distinct`` says
-    that no slot was drawn twice."""
+    rows are one contiguous slice (see ``net.task_slices``)."""
 
     inputs: np.ndarray
     labels: np.ndarray
     task_ids: np.ndarray
     slot_indices: np.ndarray
-    groups: list
-    distinct: bool
 
 
 class MemoryBuffer:
@@ -127,8 +123,7 @@ def insert(buffer: MemoryBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
 
 def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryBatch:
     """Uniform sample of stored slots (without replacement when possible),
-    stably sorted by task id and grouped by task. Its labels are checked
-    against their heads by the training pass that routes the memory stream."""
+    stably sorted by task id."""
     if buffer.occupancy == 0:
         raise EmptyMemoryError("rehearsal buffer is empty")
     if batch_size < 1:
@@ -137,26 +132,32 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryB
     replace = batch_size > buffer.occupancy
     picks = rng.choice(buffer.occupancy, size=batch_size, replace=replace)
     picks = picks[np.argsort(buffer.task_id[picks], kind="stable")]
-    task_ids = buffer.task_id[picks]
-    return MemoryBatch(buffer.x[picks], buffer.label[picks], task_ids, picks,
-                       task_slices(task_ids), not replace)
+    return MemoryBatch(
+        inputs=buffer.x[picks],
+        labels=buffer.label[picks],
+        task_ids=buffer.task_id[picks],
+        slot_indices=picks,
+    )
 
 
 def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     """Backbone gradient, loss and per-head gradients of the memory loss, the
     mean per-sample loss over the batch (so each task group weighs group
     size / batch size): a one-stream ``net._pass``."""
-    p = _pass(net, [(mem.inputs, mem.labels, mem.groups, head_step)])
+    p = _pass(net, [(mem.inputs, mem.labels, mem.task_ids, head_step)])
     loss = sum(g.weight * float(-p.logp[g.rows].mean()) for g in p.groups)
     head_grads = {g.task_id: g.weight * _head_grad(p.activations[-1], p.dlogits, g)
                   for g in p.groups}
     return p.grads[0], loss, head_grads
 
 
-def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d) -> float:
+def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d,
+                      groups=None) -> float:
     """Sum over task groups of ||g_group(x) - d||^2 at ``inputs``, from one
-    ``net._pass`` over the batch's groups and its ``net._edit_terms``."""
-    p = _pass(net, grouped=(inputs, mem.labels, mem.groups))
+    ``net._pass`` over the batch's ``(task_id, slice)`` groups (``groups``,
+    else ``task_slices`` of its task ids) and its ``net._edit_terms``."""
+    groups = task_slices(mem.task_ids) if groups is None else groups
+    p = _pass(net, grouped=(inputs, mem.labels, groups))
     return _edit_terms(net, p, direction_d, False)[0]
 
 
@@ -164,8 +165,7 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
     """Store the edited rows in their slots and in ``mem``; a slot sampled
     twice (replacement) takes its last row."""
     slots = mem.slot_indices
-    last = (slice(None) if mem.distinct
-            else slots.size - 1 - np.unique(slots[::-1], return_index=True)[1])
+    last = slots.size - 1 - np.unique(slots[::-1], return_index=True)[1]
     buffer.x[slots[last]] = inputs[last]
     mem.inputs = inputs
 
@@ -180,15 +180,16 @@ def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarr
     step's second result when ``first``, on the first iteration) and after it
     (one ``editing_objective`` pass at the written-back rows, which gives both
     when no iteration runs)."""
+    groups = task_slices(mem.task_ids)
     inputs, before = mem.inputs.copy(), None
     for i in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
-        delta, value = step(inputs, mem.labels, mem.groups, i == 0)
+        delta, value = step(inputs, mem.labels, groups, i == 0)
         before = value if i == 0 else before
         inputs -= cfg.eta_edit * delta
         if cfg.clamp:
             np.clip(inputs, 0.0, 1.0, out=inputs)
     _write_back(buffer, mem, inputs)
-    after = editing_objective(net, inputs, mem, d)
+    after = editing_objective(net, inputs, mem, d, groups)
     return (after if before is None else before), after
 
 

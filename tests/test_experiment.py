@@ -364,10 +364,11 @@ class TestRunPcl:
 
     @pytest.mark.parametrize("editing, memory_batch_size", [
         ("emgd", 0), ("gmed", 0), ("emgd", 40)])  # 40: more rows than slots, so rows repeat
-    def test_editing_tick_groups_and_checks_the_batch_once(self, monkeypatch, editing,
-                                                           memory_batch_size):
-        # task_slices runs once per sampled batch and the label check only in
-        # the training pass; the editing passes take the grouped rows as they
+    def test_editing_passes_take_the_batch_grouped(self, monkeypatch, editing,
+                                                    memory_batch_size):
+        # task_slices runs once per sampled batch in the training pass and
+        # once per edit, and _head's per-group label check only in the
+        # training pass; the editing passes take the grouped rows as they
         # are, and give the bits of the route they replaced, a stream per group
         import emgd.experiment as exp
         import emgd.net
@@ -407,10 +408,11 @@ class TestRunPcl:
             compared["edit_direction"] += 1
             return delta, objective
 
-        def editing_objective(net, inputs, mem, d):
-            objective = real_objective(net, inputs, mem, d)
+        def editing_objective(net, inputs, mem, d, groups):
+            objective = real_objective(net, inputs, mem, d, groups)
             with flag("oracle"):
-                assert objective == group_stream_objective(net, inputs, mem.labels, mem.groups, d)
+                assert groups == emgd.net.task_slices(mem.task_ids)
+                assert objective == group_stream_objective(net, inputs, mem.labels, groups, d)
             compared["editing_objective"] += 1
             return objective
 
@@ -427,7 +429,7 @@ class TestRunPcl:
         run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
         samples = calls["sample", False]
         assert samples > 0
-        assert calls["task_slices", False] == samples and calls["task_slices", True] == 0
+        assert calls["task_slices", False] == samples and calls["task_slices", True] == samples
         assert calls["_head", True] > 0 and calls["_head", False] == 0
         assert compared["editing_objective"] == samples
         assert compared["edit_direction"] == (samples if editing == "emgd" else 0)

@@ -525,7 +525,7 @@ class TestEditDirection:
             expected_objective += float(v @ v)
         assert objective == pytest.approx(expected_objective, rel=1e-12)
         task_ids = np.repeat(list(sizes), list(sizes.values()))
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)), rows, True)
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
         assert editing_objective(net, inputs, mem, target) == objective
 
     def test_dimension_check(self):
@@ -579,7 +579,7 @@ class TestEditKernels:
         assert np.linalg.norm(delta - want_delta) <= 1e-12 * np.linalg.norm(want_delta)
         # one objective implementation: every editing pass gives the same bits
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)), groups, True)
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
         assert editing_objective(net, inputs, mem, target) == objective
         assert input_gradient(net, inputs, labels, groups, target)[2] == objective
         # and the bits of the route the pre-grouped pass replaced, under heads
@@ -633,7 +633,7 @@ class TestEditKernels:
         net = make_net(layers=layers, heads=[(t, 3) for t in range(1, len(sizes) + 1)])
         inputs, labels, groups = grouped_rows(rng, net, sizes)
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)), groups, True)
+        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)))
         for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
             with pytest.raises(InvalidInputError, match="dimension"):
                 edit_direction(net, inputs, labels, groups, wrong)
@@ -641,6 +641,35 @@ class TestEditKernels:
                 editing_objective(net, inputs, mem, wrong)
             with pytest.raises(InvalidInputError, match="dimension"):
                 input_gradient(net, inputs, labels, groups, wrong)
+
+    @pytest.mark.parametrize("fault", ["negative", "past_its_head", "past_every_head",
+                                       "unknown_task"])
+    def test_bad_label_or_task_is_named(self, fault):
+        # each editing pass checks every label against its own group's head:
+        # unchecked, a negative label would wrap around to the last class, and
+        # one past the narrow head's width would read a -inf logit
+        rng = np.random.default_rng(41)
+        net = make_net(heads=[(1, 4), (2, 2)])
+        inputs, labels, groups = grouped_rows(rng, net, (3, 2))
+        task_ids = np.repeat([1, 2], [3, 2])
+        if fault == "negative":
+            labels[4] = -1
+        elif fault == "past_its_head":
+            labels[4] = 3  # inside head 1's 4 classes, past head 2's 2
+        elif fault == "past_every_head":
+            labels[0] = 4
+        else:
+            groups[1], task_ids[3:] = (9, groups[1][1]), 9
+        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
+        target = rng.normal(size=net.backbone_dim)
+        error, match = ((UnknownTaskError, "no head for task 9") if fault == "unknown_task"
+                        else (InvalidInputError, "label out of range"))
+        for call in (lambda: edit_direction(net, inputs, labels, groups, target),
+                     lambda: input_gradient(net, inputs, labels, groups),
+                     lambda: editing_objective(net, inputs, mem, target),
+                     lambda: editing_objective(net, inputs, mem, target, groups)):
+            with pytest.raises(error, match=match):
+                call()
 
 
 class TestHeads:

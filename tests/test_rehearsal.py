@@ -18,7 +18,6 @@ from emgd.net import (
     backward,
     edit_direction,
     stream_gradients,
-    task_slices,
 )
 from emgd.rehearsal import (
     MemoryBatch,
@@ -224,44 +223,35 @@ class TestSampleMemory:
             np.testing.assert_array_equal(mem.inputs, buf.x[mem.slot_indices])
             np.testing.assert_array_equal(mem.labels, buf.label[mem.slot_indices])
             np.testing.assert_array_equal(mem.task_ids, buf.task_id[mem.slot_indices])
-            assert mem.groups == task_slices(mem.task_ids)
-            assert mem.distinct == (size <= buf.occupancy)
-            assert mem.distinct <= (len(set(mem.slot_indices.tolist())) == size)
-
-
-def grouped_batch(inputs, labels, task_ids, slots) -> MemoryBatch:
-    """A memory batch of the given rows, grouped as ``sample_memory`` groups them."""
-    return MemoryBatch(inputs, labels, task_ids, slots, task_slices(task_ids),
-                       len(set(slots.tolist())) == len(slots))
 
 
 class TestInterleavedBatch:
-    """Memory batches are task-sorted and grouped at sampling. Rows whose
-    task ids interleave reach neither the gradient pass nor the editors:
-    per-row ids and a batch's groups both come from ``task_slices``, which
-    names the error before the buffer or the net is touched."""
+    """Memory batches are task-sorted at sampling; the gradient pass and
+    both editors read each task's rows as one slice and reject a batch
+    whose task ids interleave, before touching the buffer or the net."""
 
     def interleaved(self, buf):
-        """Inputs, labels, task ids and slots of three rows, task ids 1, 2, 1."""
         mem = sample_memory(buf, buf.occupancy, 0)
         ones, twos = np.flatnonzero(mem.task_ids == 1), np.flatnonzero(mem.task_ids == 2)
         rows = [ones[0], twos[0], ones[1]]
-        return mem.inputs[rows], mem.labels[rows], mem.task_ids[rows], mem.slot_indices[rows]
+        return MemoryBatch(mem.inputs[rows], mem.labels[rows], mem.task_ids[rows],
+                           mem.slot_indices[rows])
 
     @pytest.mark.parametrize("call", [
-        lambda net, buf, rows, d: stream_gradients(net, [(*rows[:3], 0.3)]),
-        lambda net, buf, rows, d: edit_memory_emgd(buf, net, grouped_batch(*rows), d, RunConfig()),
-        lambda net, buf, rows, d: edit_memory_gmed(buf, net, grouped_batch(*rows), d, RunConfig()),
+        lambda net, buf, mem, d: stream_gradients(
+            net, [(mem.inputs, mem.labels, mem.task_ids, 0.3)]),
+        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, RunConfig()),
+        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, RunConfig()),
     ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
     def test_rejected_with_a_named_error(self, call):
         rng = np.random.default_rng(25)
         net, buf = make_net(), filled_buffer(rng)
-        rows = self.interleaved(buf)
-        assert np.any(np.diff(rows[2]) < 0)
+        mem = self.interleaved(buf)
+        assert np.any(np.diff(mem.task_ids) < 0)
         x, theta = buf.x.copy(), net.theta.copy()
         heads = {t: h.copy() for t, h in net.heads.items()}
         with pytest.raises(InvalidInputError, match="sorted by task"):
-            call(net, buf, rows, rng.normal(size=net.backbone_dim))
+            call(net, buf, mem, rng.normal(size=net.backbone_dim))
         np.testing.assert_array_equal(buf.x, x)
         np.testing.assert_array_equal(net.theta, theta)
         for t, h in heads.items():
