@@ -168,16 +168,6 @@ def _activations(net: Network, inputs: np.ndarray) -> list:
     return activations
 
 
-def _head(net: Network, task_id: int, labels: np.ndarray):
-    """The task's head parameters, after checking the labels fit it."""
-    if task_id not in net.heads:
-        raise UnknownTaskError(f"no head for task {task_id}")
-    W_h, b_h = net.head(task_id)
-    if labels.size and (labels.min() < 0 or labels.max() >= W_h.shape[1]):
-        raise InvalidInputError("label out of range for the task head")
-    return W_h, b_h
-
-
 def task_slices(task_ids) -> list:
     """``(task_id, slice)`` of each run of equal ids in a per-row id array
     sorted by task, so that every task's rows are one contiguous slice."""
@@ -197,40 +187,40 @@ _Group = namedtuple("_Group", "task_id rows W b stream weight step")
 _Pass = namedtuple("_Pass", "activations groups probs dlogits logp sizes grads dzs slopes")
 
 
-def _stack(net: Network, streams: list) -> tuple:
-    """The streams' rows stacked in order, each stream's ``(lo, hi)`` in the
-    stack, and one group per head with its slice of the stack, its labels
-    checked against the head."""
-    spans, groups, lo = [], [], 0
+def _stack(streams: list) -> tuple:
+    """The streams' rows and labels stacked in order, each head's ``(task_id,
+    slice, stream, weight, step)`` in the stack and each stream's ``(lo, hi)``:
+    ``_pass``'s arguments. Looks up no head."""
+    routed, spans, lo = [], [], 0
     for s, (_, labels, task_ids, head_step) in enumerate(streams):
         n = len(labels)
         if np.ndim(task_ids) == 0:
-            routed = [(int(task_ids), slice(0, n))]
+            pairs = [(int(task_ids), slice(0, n))]
         elif len(task_ids) == n:
-            routed = task_slices(task_ids)
+            pairs = task_slices(task_ids)
         else:
             raise InvalidInputError(f"{len(task_ids)} task ids for {n} rows")
-        for task_id, rows in routed:
-            if any(g.task_id == task_id for g in groups):
-                raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
-            W_h, b_h = _head(net, task_id, labels[rows])
-            groups.append(_Group(task_id, slice(lo + rows.start, lo + rows.stop), W_h, b_h, s,
-                                 (rows.stop - rows.start) / n, head_step))
+        routed += [(task_id, slice(lo + rows.start, lo + rows.stop), s,
+                    (rows.stop - rows.start) / n, head_step) for task_id, rows in pairs]
         spans.append((lo, lo + n))
         lo += n
     inputs = np.concatenate([x for x, *_ in streams])
-    return inputs, np.concatenate([y for _, y, *_ in streams]), spans, groups
+    return inputs, np.concatenate([y for _, y, *_ in streams]), routed, spans
 
 
 def _route(net: Network, labels: np.ndarray, routed) -> list:
-    """An editing batch's ``(task_id, slice)`` groups, which tile its rows in
-    order as ``task_slices`` gives them, as no-step ``_Group``s, a stream each,
-    after one check of the labels against their heads (one per-group max)."""
+    """A pass's head groups as ``_Group``s. ``routed`` tiles the rows in
+    order: ``_stack``'s groups, or an editing batch's ``(task_id, slice)``
+    pairs, each a stream of its own at weight 1 and step 0. Every task needs
+    a head that serves one group only, and every label must fit its head:
+    one per-group max and one min."""
     groups = []
-    for s, (task_id, rows) in enumerate(routed):
+    for s, (task_id, rows, *share) in enumerate(routed):
         if task_id not in net.heads:
             raise UnknownTaskError(f"no head for task {task_id}")
-        groups.append(_Group(task_id, rows, *net.head(task_id), s, 1.0, 0.0))
+        if any(g.task_id == task_id for g in groups):
+            raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
+        groups.append(_Group(task_id, rows, *net.head(task_id), *(share or (s, 1.0, 0.0))))
     if labels.size:
         tops = np.maximum.reduceat(labels, [g.rows.indices(labels.size)[0] for g in groups])
         if labels.min() < 0 or any(top >= g.W.shape[1] for top, g in zip(tops.tolist(), groups)):
@@ -304,28 +294,22 @@ def features(net: Network, inputs: np.ndarray) -> np.ndarray:
 
 def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     """Raw logits of one head on precomputed features; lets callers compare
-    scores across heads without per-head softmax renormalization."""
-    if task_id not in net.heads:
-        raise UnknownTaskError(f"no head for task {task_id}")
-    W, b = net.head(task_id)
-    return feats @ W + b
+    scores across heads without per-head softmax renormalization. The head
+    comes from ``_route``, as a group with no labels."""
+    g = _route(net, np.empty(0, dtype=np.int64), [(task_id, slice(None))])[0]
+    return feats @ g.W + g.b
 
 
-def _pass(net: Network, streams=(), grouped=None, negate: bool = False) -> _Pass:
-    """The one pass: one backbone forward, one head stage (rerun once heads
-    with a positive step have stepped) and one backward chain. Training
-    ``streams`` go through ``_stack``, and each stream's backbone gradient,
-    negated when ``negate``, fills its row of a k x D array. An editing batch
-    comes ``grouped`` as ``(inputs, labels, groups)``, each ``(task_id,
-    slice)`` group a stream (see ``_route``): rows as they are, no array; the
-    editing passes read the dzs through ``_edit_terms``. Returns a ``_Pass``:
-    activations, ``_Group``s, probs, dlogits, log-probs, group sizes, that
-    array, the dzs and each tanh'."""
-    if grouped is None:
-        inputs, labels, spans, groups = _stack(net, streams)
-    else:
-        inputs, labels, routed = grouped
-        spans, groups = [], _route(net, labels, routed)
+def _pass(net: Network, inputs, labels, routed, spans=(), negate: bool = False) -> _Pass:
+    """The one pass over rows grouped by head (``routed``, see ``_route``):
+    one backbone forward, one head stage (rerun once heads with a positive
+    step have stepped) and one backward chain. Training streams come through
+    ``_stack``, and each stream's backbone gradient over its ``spans`` row
+    range, negated when ``negate``, fills its row of a k x D array; the
+    editing passes give no spans and read the dzs through ``_edit_terms``.
+    Returns a ``_Pass``: activations, ``_Group``s, probs, dlogits, log-probs,
+    group sizes, that array, the dzs and each tanh'."""
+    groups = _route(net, labels, routed)
     activations = _activations(net, inputs)
     feats = activations[-1]
     probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
@@ -350,7 +334,7 @@ def stream_gradients(net: Network, streams):
     all heads are read before any step, a head may serve one stream only.
     Returns the k x D negative backbone gradients, the gradient bundle's
     convention, and the losses."""
-    p = _pass(net, streams, negate=True)
+    p = _pass(net, *_stack(streams), negate=True)
     losses = [0.0] * len(p.grads)
     for g in p.groups:
         losses[g.stream] += g.weight * float(-p.logp[g.rows].mean())
@@ -360,7 +344,7 @@ def stream_gradients(net: Network, streams):
 def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
     """Positive gradients of the mean batch loss for backbone and head: a
     one-stream ``_pass``, read at the head after its step."""
-    p = _pass(net, [(batch.inputs, batch.labels, batch.task_id, head_step)])
+    p = _pass(net, *_stack([(batch.inputs, batch.labels, batch.task_id, head_step)]))
     head_grad = _head_grad(p.activations[-1], p.dlogits, p.groups[0])
     return GradientReport(p.grads[0], head_grad, float(-p.logp.mean()))
 
@@ -454,8 +438,8 @@ def input_gradient(net: Network, inputs, labels, groups, target_d=None):
     """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
     same shape as ``inputs``, each group's mean loss and, given ``target_d``,
     the editing objective sum_g ||grad_theta L_g + d||^2 (else None): one
-    ``_pass`` over the ``grouped`` rows."""
-    p = _pass(net, grouped=(inputs, labels, groups))
+    ``_pass`` over the grouped rows."""
+    p = _pass(net, inputs, labels, groups)
     losses = np.array([-p.logp[g.rows].mean() for g in p.groups])
     objective = None if target_d is None else _edit_terms(net, p, target_d, False)[0]
     return p.dzs[0] @ net.backbone[0][0].T, losses, objective
@@ -463,18 +447,16 @@ def input_gradient(net: Network, inputs, labels, groups, target_d=None):
 
 def _head_tangent(p: _Pass, Ra: np.ndarray) -> np.ndarray:
     """R(delta): the tangent of d(group mean loss)/d(features) through the
-    fixed heads, given the feature tangents ``Ra``. The matmuls run per group,
-    the softmax part once over all rows when every head has one width."""
-    Rdelta, Rs = np.empty_like(Ra), np.empty_like(p.probs)
+    fixed heads, given the feature tangents ``Ra``. Past a head's width both
+    ``probs`` and Rs are 0, so the softmax part runs once over all rows; each
+    group's matmuls read its own columns."""
+    Rdelta, Rs = np.empty_like(Ra), np.zeros_like(p.probs)
     for g in p.groups:
         np.matmul(Ra[g.rows], g.W, out=Rs[g.rows, : g.W.shape[1]])
-    one = len({g.W.shape[1] for g in p.groups}) == 1
-    for rows, block in [(slice(None), p.groups)] if one else [(g.rows, [g]) for g in p.groups]:
-        probs, Rs_rows = p.probs[rows, : block[0].W.shape[1]], Rs[rows, : block[0].W.shape[1]]
-        Rp = probs * (Rs_rows - (probs * Rs_rows).sum(axis=1, keepdims=True))
-        Rp /= p.sizes[rows]
-        for g in block:
-            np.matmul(Rp[g.rows] if one else Rp, g.W.T, out=Rdelta[g.rows])
+    Rp = p.probs * (Rs - (p.probs * Rs).sum(axis=1, keepdims=True))
+    Rp /= p.sizes
+    for g in p.groups:
+        np.matmul(Rp[g.rows, : g.W.shape[1]], g.W.T, out=Rdelta[g.rows])
     return Rdelta
 
 
@@ -491,7 +473,7 @@ def edit_direction(net: Network, inputs, labels, groups, target_d):
     costs one tangent forward and one tangent backward, whose U_g terms come
     from ``_edit_terms``; parameters are never touched.
     """
-    p = _pass(net, grouped=(inputs, labels, groups))
+    p = _pass(net, inputs, labels, groups)
     objective, terms = _edit_terms(net, p, target_d, True)
     # tangent forward: Rz_l = Ra_{l-1} W_l + a_{l-1} dW_l + db_l, Ra_l = (1 - a_l^2) Rz_l
     Rzs = []

@@ -24,6 +24,7 @@ from .net import (
     _edit_terms,
     _head_grad,
     _pass,
+    _stack,
     backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
     edit_direction,
     input_gradient,
@@ -144,20 +145,18 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     """Backbone gradient, loss and per-head gradients of the memory loss, the
     mean per-sample loss over the batch (so each task group weighs group
     size / batch size): a one-stream ``net._pass``."""
-    p = _pass(net, [(mem.inputs, mem.labels, mem.task_ids, head_step)])
+    p = _pass(net, *_stack([(mem.inputs, mem.labels, mem.task_ids, head_step)]))
     loss = sum(g.weight * float(-p.logp[g.rows].mean()) for g in p.groups)
     head_grads = {g.task_id: g.weight * _head_grad(p.activations[-1], p.dlogits, g)
                   for g in p.groups}
     return p.grads[0], loss, head_grads
 
 
-def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d,
-                      groups=None) -> float:
+def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d, groups) -> float:
     """Sum over task groups of ||g_group(x) - d||^2 at ``inputs``, from one
-    ``net._pass`` over the batch's ``(task_id, slice)`` groups (``groups``,
-    else ``task_slices`` of its task ids) and its ``net._edit_terms``."""
-    groups = task_slices(mem.task_ids) if groups is None else groups
-    p = _pass(net, grouped=(inputs, mem.labels, groups))
+    ``net._pass`` over the batch's ``(task_id, slice)`` ``groups`` (``task_slices``
+    of its task ids) and its ``net._edit_terms``."""
+    p = _pass(net, inputs, mem.labels, groups)
     return _edit_terms(net, p, direction_d, False)[0]
 
 

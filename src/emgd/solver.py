@@ -43,6 +43,7 @@ from .errors import InvalidInputError, NumericError, is_number, read_field
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 250
+EPS1, EPS2 = 0.9, 0.1  # gradient-norm momentum: m_t <- EPS1 * m_t + EPS2 * ||g_t||
 
 # Gram kernel rule: row products for k in _ROW_GRAM_K and D >= the minimum.
 # Measured with OpenBLAS 0.3.31 on 1 thread, median us, syrk / row products:
@@ -132,13 +133,11 @@ class ElasticFactors:
 class ElasticState:
     """Running gradient-norm statistics used by the momentum factors.
 
-    ``momentum[t]`` follows m_t <- eps1 * m_t + eps2 * ||g_t||, seeded with
+    ``momentum[t]`` follows m_t <- EPS1 * m_t + EPS2 * ||g_t||, seeded with
     the first observed norm so a task's debut is not down-weighted.
     """
 
     momentum: dict = field(default_factory=dict)
-    eps1: float = 0.9
-    eps2: float = 0.1
     temperature: float = 1.0
 
     def __post_init__(self):
@@ -199,7 +198,7 @@ def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticF
         if prev is None:
             state.momentum[tid] = n
         else:
-            state.momentum[tid] = state.eps1 * prev + state.eps2 * n
+            state.momentum[tid] = EPS1 * prev + EPS2 * n
     logits = np.array([state.momentum[tid] for tid in bundle.task_ids])
     return ElasticFactors(_softmax(logits, state.temperature))
 

@@ -15,10 +15,14 @@ and each group's exact R-op 2 R{grad_x L_g}(U_g) through its own forward,
 head and backward, one group at a time.
 
 ``group_stream_edit`` and ``group_stream_objective`` are the editing passes
-that ``emgd.net``'s pre-grouped ``_pass`` entry replaced: the rows sliced
-into a stream per ``(task_id, slice)`` group (``group_streams``), stacked
-back, routed and label-checked by ``_stack``, and the tangent terms formed
-with tanh' recomputed per layer and the softmax part per group.
+that ``emgd.net``'s pre-grouped ``_pass`` replaced: the rows sliced into a
+stream per ``(task_id, slice)`` group (``group_streams``) and stacked back by
+``_stack``, and the tangent terms formed with tanh' recomputed per layer and
+the softmax part per group, over its own head's columns.
+
+``checked_head`` is the per-group head lookup and label min/max check that
+``emgd.net._route``'s one check per pass replaced; the per-group oracles
+read their heads through it.
 
 ``per_group_gmed`` is the loss-difference editor that
 ``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
@@ -54,9 +58,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emgd.errors import InvalidInputError
-from emgd.net import (Batch, Network, _activations, _edit_terms, _head, _head_stage, _layers,
-                      _pass, _stack, backward, features, head_logits, input_gradient)
+from emgd.errors import InvalidInputError, UnknownTaskError
+from emgd.net import (Batch, Network, _activations, _edit_terms, _head_stage, _layers, _pass,
+                      _route, _stack, backward, features, head_logits, input_gradient,
+                      task_slices)
 from emgd.rehearsal import _as_rng, _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
 
@@ -67,9 +72,20 @@ PARALLEL_EPS = 1e-18
 
 def forward(net: Network, batch: Batch):
     """Class probabilities and mean cross-entropy loss for one batch."""
-    inputs, labels, _, groups = _stack(net, [(batch.inputs, batch.labels, batch.task_id, 0.0)])
-    probs, _, logp, _ = _head_stage(_activations(net, inputs)[-1], labels, groups)
+    inputs, labels, routed, _ = _stack([(batch.inputs, batch.labels, batch.task_id, 0.0)])
+    probs, _, logp, _ = _head_stage(_activations(net, inputs)[-1], labels,
+                                    _route(net, labels, routed))
     return probs, float(-logp.mean())
+
+
+def checked_head(net: Network, task_id: int, labels: np.ndarray):
+    """The task's head parameters, after checking its labels' min and max fit it."""
+    if task_id not in net.heads:
+        raise UnknownTaskError(f"no head for task {task_id}")
+    W_h, b_h = net.head(task_id)
+    if labels.size and (labels.min() < 0 or labels.max() >= W_h.shape[1]):
+        raise InvalidInputError("label out of range for the task head")
+    return W_h, b_h
 
 
 def _head_pass(feats, labels, W_h, b_h):
@@ -101,7 +117,7 @@ def grouped_backward(net: Network, inputs, labels, groups, head_step: float = 0.
     head_grads, loss = {}, 0.0
     for task_id, rows in groups:
         group_labels = labels[rows]
-        W_h, b_h = _head(net, task_id, group_labels)
+        W_h, b_h = checked_head(net, task_id, group_labels)
         weight = group_labels.size / labels.size
         dlogits, head_grad, group_loss = _head_pass(feats[rows], group_labels, W_h, b_h)
         if head_step > 0:
@@ -127,7 +143,7 @@ def _rop_edit(net: Network, inputs, labels, task_id: int, U: np.ndarray) -> np.n
     """2 R{grad_x L}(U) for one group alone: its input gradient's derivative
     along the backbone tangent U, forward-over-reverse."""
     activations = _activations(net, inputs)
-    W_h, b_h = _head(net, task_id, labels)
+    W_h, b_h = checked_head(net, task_id, labels)
     logits = activations[-1] @ W_h + b_h
     expz = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs = expz / expz.sum(axis=1, keepdims=True)
@@ -172,12 +188,13 @@ def group_streams(inputs, labels, groups) -> list:
 
 def group_stream_objective(net: Network, inputs, labels, groups, target_d) -> float:
     """``editing_objective`` through a stream per group."""
-    return _edit_terms(net, _pass(net, group_streams(inputs, labels, groups)), target_d, False)[0]
+    p = _pass(net, *_stack(group_streams(inputs, labels, groups)))
+    return _edit_terms(net, p, target_d, False)[0]
 
 
 def group_stream_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
     """``edit_direction`` through a stream per group."""
-    p = _pass(net, group_streams(inputs, labels, groups))
+    p = _pass(net, *_stack(group_streams(inputs, labels, groups)))
     activations, dzs = p.activations, p.dzs
     objective, terms = _edit_terms(net, p, target_d, True)
     Rzs = []
@@ -221,7 +238,7 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
-    objective = editing_objective(net, mem.inputs, mem, d)
+    objective = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
     theta = net.theta.copy()
     inputs = mem.inputs.copy()
     try:

@@ -367,8 +367,8 @@ class TestRunPcl:
     def test_editing_passes_take_the_batch_grouped(self, monkeypatch, editing,
                                                     memory_batch_size):
         # task_slices runs once per sampled batch in the training pass and
-        # once per edit, and _head's per-group label check only in the
-        # training pass; the editing passes take the grouped rows as they
+        # once per edit, and _route exactly once per pass, training and
+        # editing alike; the editing passes take the grouped rows as they
         # are, and give the bits of the route they replaced, a stream per group
         import emgd.experiment as exp
         import emgd.net
@@ -378,10 +378,10 @@ class TestRunPcl:
         calls, compared, state = Counter(), Counter(), {"training": False, "oracle": False}
 
         def counted(name, fn):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 if not state["oracle"]:
                     calls[name, state["training"]] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapper
 
         @contextmanager
@@ -397,7 +397,7 @@ class TestRunPcl:
 
         def stream_gradients(net, streams):
             with flag("training"):
-                return real_gradients(net, streams)
+                return counted("stream_gradients", real_gradients)(net, streams)
 
         def edit_direction(net, inputs, labels, groups, d):
             delta, objective = real_edit(net, inputs, labels, groups, d)
@@ -420,9 +420,12 @@ class TestRunPcl:
         monkeypatch.setattr(exp.rehearsal, "sample_memory", counted("sample", real_sample))
         monkeypatch.setattr(emgd.rehearsal, "edit_direction", edit_direction)
         monkeypatch.setattr(emgd.rehearsal, "editing_objective", editing_objective)
-        monkeypatch.setattr(emgd.net, "_head", counted("_head", emgd.net._head))
+        monkeypatch.setattr(emgd.rehearsal, "input_gradient",
+                            counted("input_gradient", emgd.rehearsal.input_gradient))
+        monkeypatch.setattr(emgd.net, "_route", counted("_route", emgd.net._route))
         for module in (emgd.net, emgd.rehearsal):
             monkeypatch.setattr(module, "task_slices", counted("task_slices", module.task_slices))
+            monkeypatch.setattr(module, "_pass", counted("_pass", module._pass))
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(editing=editing, memory_batch_size=memory_batch_size,
                         capacity_per_class=2)
@@ -430,9 +433,15 @@ class TestRunPcl:
         samples = calls["sample", False]
         assert samples > 0
         assert calls["task_slices", False] == samples and calls["task_slices", True] == samples
-        assert calls["_head", True] > 0 and calls["_head", False] == 0
+        # one _route per pass: per training stream_gradients call, and per
+        # edit_direction, input_gradient and editing_objective pass
+        editing_passes = (compared["edit_direction"] + calls["input_gradient", False]
+                          + compared["editing_objective"])
+        assert calls["_route", True] == calls["_pass", True] == calls["stream_gradients", True] > 0
+        assert calls["_route", False] == calls["_pass", False] == editing_passes
         assert compared["editing_objective"] == samples
         assert compared["edit_direction"] == (samples if editing == "emgd" else 0)
+        assert calls["input_gradient", False] == (0 if editing == "emgd" else 2 * samples)
 
     def test_evaluates_each_task_at_its_finish_and_final_tick(self, monkeypatch):
         # the metrics read a task's accuracy at its finish tick and at the

@@ -23,6 +23,7 @@ from emgd.net import (
     head_logits,
     input_gradient,
     stream_gradients,
+    task_slices,
 )
 from emgd.rehearsal import MemoryBatch, editing_objective
 from oracles import (_head_pass, central_difference_edit, directional_edit_gradient,
@@ -526,7 +527,7 @@ class TestEditDirection:
         assert objective == pytest.approx(expected_objective, rel=1e-12)
         task_ids = np.repeat(list(sizes), list(sizes.values()))
         mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
-        assert editing_objective(net, inputs, mem, target) == objective
+        assert editing_objective(net, inputs, mem, target, task_slices(mem.task_ids)) == objective
 
     def test_dimension_check(self):
         net = make_net()
@@ -555,21 +556,25 @@ class TestEditKernels:
         sizes = net.layer_sizes
         return [_factored(n, groups, fi, fo) for fi, fo in zip(sizes, sizes[1:])]
 
-    @pytest.mark.parametrize("layers, sizes, factored", [
-        ((16, 32, 16), (2, 3, 1, 2), [True, True]),
-        ((6, 10, 5), (3, 4), [False, False]),
-        ((784, 100, 64), (10, 9, 9, 9, 9, 9, 9), [True, False]),  # N = 64, G = 7
-        ((5, 7, 9, 4), (2, 2, 2), [True, True, True]),
-        ((12, 16, 6), (1, 1, 1, 1), [True, True]),  # one-row groups
-        ((2, 2, 2), (1,) * 7, [False, False]),
-        ((16, 32, 16), (8,), [False, False]),  # a single group
-        ((6, 10, 5), (1,), [False, False]),
-        ((8, 8, 8), (3, 3, 2), [True, True]),  # the rule's boundary: 64 * 16 == 8 * 2 * 64
-        ((8, 8, 8), (3, 3, 3), [False, False]),  # one row past it
+    @pytest.mark.parametrize("layers, sizes, factored, widths", [
+        ((16, 32, 16), (2, 3, 1, 2), [True, True], None),
+        ((6, 10, 5), (3, 4), [False, False], None),
+        ((784, 100, 64), (10, 9, 9, 9, 9, 9, 9), [True, False], None),  # N = 64, G = 7
+        ((5, 7, 9, 4), (2, 2, 2), [True, True, True], None),
+        ((12, 16, 6), (1, 1, 1, 1), [True, True], None),  # one-row groups
+        ((2, 2, 2), (1,) * 7, [False, False], None),
+        ((16, 32, 16), (8,), [False, False], None),  # a single group
+        ((6, 10, 5), (1,), [False, False], None),
+        ((8, 8, 8), (3, 3, 2), [True, True], None),  # the rule's boundary: 64 * 16 == 8 * 2 * 64
+        ((8, 8, 8), (3, 3, 3), [False, False], None),  # one row past it
+        # 9 columns: the head tangent's row sums over the zero-padded width-2
+        # rows take numpy's unrolled pairwise form
+        ((16, 32, 16), (3, 5), [True, True], (2, 9)),
     ])
-    def test_matches_explicit_group_gradients(self, layers, sizes, factored):
+    def test_matches_explicit_group_gradients(self, monkeypatch, layers, sizes, factored, widths):
         rng = np.random.default_rng(sum(layers) + len(sizes))
-        net = make_net(layers=layers, heads=[(t, 2 + t % 3) for t in range(1, len(sizes) + 1)])
+        widths = widths or [2 + t % 3 for t in range(1, len(sizes) + 1)]
+        net = make_net(layers=layers, heads=list(enumerate(widths, 1)))
         inputs, labels, groups = grouped_rows(rng, net, sizes)
         assert self.kernels(net, len(labels), len(groups)) == factored
         target = -backward(net, make_batch(rng, net, size=5)).backbone_grad
@@ -580,13 +585,29 @@ class TestEditKernels:
         # one objective implementation: every editing pass gives the same bits
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
         mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
-        assert editing_objective(net, inputs, mem, target) == objective
+        assert editing_objective(net, inputs, mem, target, task_slices(mem.task_ids)) == objective
         assert input_gradient(net, inputs, labels, groups, target)[2] == objective
         # and the bits of the route the pre-grouped pass replaced, under heads
         # of different widths
         old_delta, old_objective = group_stream_edit(net, inputs, labels, groups, target)
         np.testing.assert_array_equal(delta, old_delta)
         assert objective == old_objective
+        # every array the pass allocates unfilled is written before it is read,
+        # a narrow head's padded head-tangent columns too: NaN at allocation,
+        # the bits hold
+        def poisoned(allocate):
+            def allocate_nan(*args, **kwargs):
+                out = allocate(*args, **kwargs)
+                if out.dtype.kind == "f":
+                    out.fill(np.nan)
+                return out
+            return allocate_nan
+
+        for name in ("empty", "empty_like"):
+            monkeypatch.setattr(np, name, poisoned(getattr(np, name)))
+        poisoned_delta, poisoned_objective = edit_direction(net, inputs, labels, groups, target)
+        np.testing.assert_array_equal(poisoned_delta, delta)
+        assert poisoned_objective == objective
 
     def test_factored_zero_when_already_aligned(self):
         # four task groups, each the same two rows under the same head
@@ -606,7 +627,7 @@ class TestEditKernels:
         inputs, labels = np.tile(batch.inputs, (4, 1)), np.tile(batch.labels, 4)
         assert self.kernels(net, 8, 4) == [True, True]
         target = -backward(net, batch).backbone_grad
-        p = _pass(net, grouped=(inputs, labels, groups))
+        p = _pass(net, inputs, labels, groups)
         _, terms = _edit_terms(net, p, target, True)
         ids = np.repeat(np.arange(4), 2)
         same = ids[:, None] == ids
@@ -638,18 +659,19 @@ class TestEditKernels:
             with pytest.raises(InvalidInputError, match="dimension"):
                 edit_direction(net, inputs, labels, groups, wrong)
             with pytest.raises(InvalidInputError, match="dimension"):
-                editing_objective(net, inputs, mem, wrong)
+                editing_objective(net, inputs, mem, wrong, task_slices(mem.task_ids))
             with pytest.raises(InvalidInputError, match="dimension"):
                 input_gradient(net, inputs, labels, groups, wrong)
 
     @pytest.mark.parametrize("fault", ["negative", "past_its_head", "past_every_head",
                                        "unknown_task"])
     def test_bad_label_or_task_is_named(self, fault):
-        # each editing pass checks every label against its own group's head:
-        # unchecked, a negative label would wrap around to the last class, and
-        # one past the narrow head's width would read a -inf logit
+        # every pass, editing and training alike, checks every label against
+        # its own group's head: unchecked, a negative label would wrap around
+        # to the last class, and one past the narrow head's width would read a
+        # -inf logit. The training pass raises before any head steps.
         rng = np.random.default_rng(41)
-        net = make_net(heads=[(1, 4), (2, 2)])
+        net = make_net(heads=[(1, 4), (2, 2), (3, 3)])
         inputs, labels, groups = grouped_rows(rng, net, (3, 2))
         task_ids = np.repeat([1, 2], [3, 2])
         if fault == "negative":
@@ -662,14 +684,19 @@ class TestEditKernels:
             groups[1], task_ids[3:] = (9, groups[1][1]), 9
         mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
         target = rng.normal(size=net.backbone_dim)
+        task = make_batch(rng, net, task=3, size=3)
+        heads = {t: h.copy() for t, h in net.heads.items()}
         error, match = ((UnknownTaskError, "no head for task 9") if fault == "unknown_task"
                         else (InvalidInputError, "label out of range"))
         for call in (lambda: edit_direction(net, inputs, labels, groups, target),
                      lambda: input_gradient(net, inputs, labels, groups),
-                     lambda: editing_objective(net, inputs, mem, target),
-                     lambda: editing_objective(net, inputs, mem, target, groups)):
+                     lambda: editing_objective(net, inputs, mem, target, groups),
+                     lambda: stream_gradients(net, [(inputs, labels, task_ids, 0.3),
+                                                    (task.inputs, task.labels, 3, 0.3)])):
             with pytest.raises(error, match=match):
                 call()
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
 
 
 class TestHeads:

@@ -18,6 +18,7 @@ from emgd.net import (
     backward,
     edit_direction,
     stream_gradients,
+    task_slices,
 )
 from emgd.rehearsal import (
     MemoryBatch,
@@ -382,9 +383,9 @@ class TestEditEmgd:
             mem = sample_memory(buf, 4, trial)
             other = class_batch(rng, 4, task=1, classes=4)
             d = -backward(net, other).backbone_grad
-            before = editing_objective(net, mem.inputs, mem, d)
+            before = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=1e-3, clamp=False))
-            after = editing_objective(net, mem.inputs, mem, d)
+            after = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             if after <= before + 1e-6:
                 hits += 1
         assert hits >= 0.95 * trials
@@ -422,8 +423,8 @@ class TestEditEmgd:
         before, after = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
-        assert before == editing_objective(net, x0, mem, d)
-        assert after == editing_objective(net, mem.inputs, mem, d)
+        assert before == editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
+        assert after == editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
         for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
             last = np.flatnonzero(mem.slot_indices == slot)[-1]
             np.testing.assert_array_equal(buf.x[slot], mem.inputs[last])
@@ -453,10 +454,10 @@ class TestEditEmgd:
                           (edit_memory_gmed, RunConfig()),
                           (edit_memory_gmed, RunConfig(eta_edit=0.5, edit_iterations=3))):
             x0 = mem.inputs.copy()
-            expected = editing_objective(net, x0, mem, d)
+            expected = editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
             before, after = edit(buf, net, mem, d, cfg)
             assert before == expected
-            assert after == editing_objective(net, mem.inputs, mem, d)
+            assert after == editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             assert (after == before) == np.array_equal(mem.inputs, x0)
             for slot in set(mem.slot_indices.tolist()):
                 np.testing.assert_array_equal(buf.x[slot], mem.inputs[mem.slot_indices == slot][-1])
@@ -550,7 +551,8 @@ class TestEditGmed:
         mems = [copy.deepcopy(mem) for _ in range(2)]
         before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, cfg)
         assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, cfg)
-        assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d)
+        assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d,
+                                          task_slices(mems[0].task_ids))
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
         np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
         for a, b in zip(bufs[0].x, bufs[1].x):
@@ -637,7 +639,7 @@ class TestEditPasses:
         buf = filled_buffer(rng, tasks=(1, 2, 3))
         mem = sample_memory(buf, 8, 3)
         d = rng.normal(size=net.backbone_dim)
-        expected = editing_objective(net, mem.inputs, mem, d)
+        expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
         calls = self.count_forwards(monkeypatch)
         before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2,
                                                          edit_iterations=iterations))
@@ -654,7 +656,7 @@ class TestEditPasses:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 2)
         d = rng.normal(size=net.backbone_dim)
-        expected = editing_objective(net, mem.inputs, mem, d)
+        expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
         calls = self.count_forwards(monkeypatch)
         before, after = edit(buf, net, mem, d, cfg)
         assert len(calls) == 1

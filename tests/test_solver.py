@@ -12,6 +12,8 @@ from emgd.errors import EmgdError, InvalidInputError, NumericError
 from emgd.solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    EPS1,
+    EPS2,
     CombinationResult,
     ElasticFactors,
     ElasticState,
@@ -190,10 +192,12 @@ class TestElasticFactorsGmc:
         np.testing.assert_allclose(sig.sigma, [0.5, 0.5], atol=1e-15)
 
     def test_unit_gap_softmax_value(self):
-        # Oracle: softmax of logits (1, 0) evaluated with scalar math.exp.
-        expect = [math.exp(1.0) / (math.exp(1.0) + 1.0), 1.0 / (math.exp(1.0) + 1.0)]
-        # eps2=0 freezes the update at eps1 * m, landing exactly on m=(1, 0)
-        state = ElasticState(momentum={1: 10.0 / 9.0, 2: 0.0}, eps2=0.0)
+        # unit norms move the momenta (1 / EPS1, 0) to EPS1 m + EPS2, a gap of 1.
+        # Oracle: softmax of those logits evaluated with scalar math.exp.
+        logits = [EPS1 * (1.0 / EPS1) + EPS2, EPS1 * 0.0 + EPS2]
+        total = math.exp(logits[0]) + math.exp(logits[1])
+        expect = [math.exp(logits[0]) / total, math.exp(logits[1]) / total]
+        state = ElasticState(momentum={1: 1.0 / EPS1, 2: 0.0})
         sig = elastic_factors_gmc(bundle([1.0, 0.0], [0.0, 1.0]), state)
         np.testing.assert_allclose(sig.sigma, expect, rtol=1e-12)
         np.testing.assert_allclose(sig.sigma, [0.7311, 0.2689], atol=5e-5)
