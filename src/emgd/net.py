@@ -194,6 +194,8 @@ def _stack(streams: list) -> tuple:
     routed, spans, lo = [], [], 0
     for s, (_, labels, task_ids, head_step) in enumerate(streams):
         n = len(labels)
+        if n == 0:
+            raise InvalidInputError(f"stream {s} has no rows")
         if np.ndim(task_ids) == 0:
             pairs = [(int(task_ids), slice(0, n))]
         elif len(task_ids) == n:

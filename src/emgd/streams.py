@@ -131,14 +131,14 @@ class TaskTimeline:
 
 @dataclass
 class TaskSpec:
-    """One task's label set and its train/test partitions (global labels)."""
+    """One task's label set and the row indices of its train and test
+    partitions in ``dataset``; the inputs stay in the dataset."""
 
     task_id: int
     label_set: tuple
-    train_inputs: np.ndarray
-    train_labels: np.ndarray
-    test_inputs: np.ndarray
-    test_labels: np.ndarray
+    dataset: Dataset = field(repr=False)
+    train_rows: np.ndarray
+    test_rows: np.ndarray
 
     def __post_init__(self):
         self.label_set = tuple(int(c) for c in self.label_set)
@@ -154,7 +154,24 @@ class TaskSpec:
 
     @property
     def train_size(self) -> int:
-        return self.train_inputs.shape[0]
+        return self.train_rows.size
+
+    # each read gathers the partition's rows out of the dataset afresh
+    @property
+    def train_inputs(self) -> np.ndarray:
+        return self.dataset.train_inputs[self.train_rows]
+
+    @property
+    def train_labels(self) -> np.ndarray:
+        return self.dataset.train_labels[self.train_rows]
+
+    @property
+    def test_inputs(self) -> np.ndarray:
+        return self.dataset.test_inputs[self.test_rows]
+
+    @property
+    def test_labels(self) -> np.ndarray:
+        return self.dataset.test_labels[self.test_rows]
 
     def to_local(self, global_labels: np.ndarray) -> np.ndarray:
         """Each global label's index in ``label_set``."""
@@ -167,13 +184,15 @@ class TaskSpec:
 
 
 def _draw_centers(rng, classes: int, dim: int, min_gap: float) -> np.ndarray:
-    # rejection-sample until all pairwise distances reach the separation bound
+    # rejection-sample until all pairwise distances reach the separation bound,
+    # one center's distances to the later ones at a time
     for _ in range(200):
         centers = rng.uniform(0.25, 0.75, size=(classes, dim))
-        diff = centers[:, None, :] - centers[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() >= min_gap:
+        for i in range(classes - 1):
+            diff = centers[i] - centers[i + 1:]
+            if np.sqrt((diff * diff).sum(axis=1)).min() < min_gap:
+                break
+        else:
             return centers
     raise ConfigError(
         f"could not place {classes} centers {min_gap:.3f} apart in dim {dim}"
@@ -181,12 +200,14 @@ def _draw_centers(rng, classes: int, dim: int, min_gap: float) -> np.ndarray:
 
 
 def _blob_samples(rng, centers, per_class, noise_sigma):
-    xs, ys = [], []
+    classes, dim = centers.shape
+    xs = np.empty((classes * per_class, dim))
     for c, center in enumerate(centers):
-        pts = center + noise_sigma * rng.standard_normal((per_class, centers.shape[1]))
-        xs.append(np.clip(pts, 0.0, 1.0))
-        ys.append(np.full(per_class, c, dtype=np.int64))
-    return np.vstack(xs), np.concatenate(ys)
+        pts = rng.standard_normal((per_class, dim))
+        pts *= noise_sigma
+        pts += center
+        np.clip(pts, 0.0, 1.0, out=xs[c * per_class:(c + 1) * per_class])
+    return xs, np.repeat(np.arange(classes, dtype=np.int64), per_class)
 
 
 def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
@@ -225,18 +246,16 @@ def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
 
 
 def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> TaskSpec:
-    """The task's train and test rows of ``dataset``; ``where`` names the
-    label set when no training row, or no test row, carries one of its
+    """The task's train and test row indices in ``dataset``; ``where`` names
+    the label set when no training row, or no test row, carries one of its
     labels (a task with no test rows would score an accuracy of nothing)."""
-    train_mask = np.isin(dataset.train_labels, labels)
-    if not train_mask.any():
+    train_rows = np.flatnonzero(np.isin(dataset.train_labels, labels))
+    if not train_rows.size:
         raise ConfigError(f"{where} {list(labels)} has no training data")
-    test_mask = np.isin(dataset.test_labels, labels)
-    if not test_mask.any():
+    test_rows = np.flatnonzero(np.isin(dataset.test_labels, labels))
+    if not test_rows.size:
         raise ConfigError(f"{where} {list(labels)} has no test data")
-    return TaskSpec(task_id, labels, dataset.train_inputs[train_mask],
-                    dataset.train_labels[train_mask], dataset.test_inputs[test_mask],
-                    dataset.test_labels[test_mask])
+    return TaskSpec(task_id, labels, dataset, train_rows, test_rows)
 
 
 def task_duration(train_size: int, batch_size: int, epochs: int) -> int:
@@ -369,7 +388,7 @@ def next_batch(spec: TaskSpec, batch_size: int, cursor: TaskCursor) -> Batch:
     idx = cursor.order[cursor.pos : cursor.pos + batch_size]
     cursor.pos += len(idx)
     return Batch(
-        inputs=spec.train_inputs[idx],
+        inputs=spec.dataset.train_inputs[spec.train_rows[idx]],
         labels=spec.train_local[idx],
         task_id=spec.task_id,
     )
@@ -414,7 +433,8 @@ def load_idx(images_path, labels_path):
         )
     pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
     images = (pixels.reshape(count, rows * cols) if count else
-              np.zeros((0, rows * cols))).astype(np.float64) / 255.0
+              np.zeros((0, rows * cols))).astype(np.float64)
+    images /= 255.0  # in place, so the conversion holds one float64 array
 
     raw_l = _read_bytes(labels_path)
     magic_l = _read_be32(raw_l, 0, "label magic")

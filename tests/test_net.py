@@ -327,6 +327,23 @@ class TestStreamGradients:
             np.testing.assert_array_equal(net.heads[t], h)
 
 
+    @pytest.mark.parametrize("position", [0, 1])
+    @pytest.mark.parametrize("per_row_ids", [False, True])
+    def test_stream_with_no_rows_is_named(self, position, per_row_ids):
+        rng = np.random.default_rng(6)
+        net = make_net(heads=((1, 4), (2, 3)))
+        task = make_batch(rng, net, task=2, size=3)
+        empty = (np.zeros((0, task.inputs.shape[1])), np.zeros(0, dtype=np.int64),
+                 np.zeros(0, dtype=np.int64) if per_row_ids else 1, 0.3)
+        streams = [(task.inputs, task.labels, 2, 0.3)]
+        streams.insert(position, empty)
+        heads = {t: h.copy() for t, h in net.heads.items()}
+        with pytest.raises(InvalidInputError, match=f"stream {position} has no rows"):
+            stream_gradients(net, streams)
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
+
+
 class TestInputGradient:
     def test_zero_backbone_gives_zero_input_gradient(self):
         net = zero_net()

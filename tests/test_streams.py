@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from emgd.errors import ConfigError, FormatError, InvalidInputError, StreamEnd, 
 from emgd.net import Batch, Network, add_head, apply_update, backward
 from emgd.streams import (
     Dataset,
+    _draw_centers,
     TaskCursor,
     TaskSpec,
     TaskTimeline,
@@ -241,14 +243,25 @@ class TestNextBatch:
 
 class TestTaskSpec:
     def spec(self, train_labels=(9, 2, 5, 5), test_labels=(2,)):
-        return TaskSpec(1, (5, 2, 9), np.zeros((len(train_labels), 2)), np.array(train_labels),
-                        np.zeros((len(test_labels), 2)), np.array(test_labels))
+        # each partition misses one dataset row, whose label is outside the set
+        data = Dataset(np.arange(2 * len(train_labels) + 2).reshape(-1, 2), (0, *train_labels),
+                       np.arange(2 * len(test_labels) + 2).reshape(-1, 2), (*test_labels, 7))
+        return TaskSpec(1, (5, 2, 9), data, np.arange(1, len(train_labels) + 1),
+                        np.arange(len(test_labels)))
 
     def test_to_local_follows_the_label_set_order(self):
         spec = self.spec()
         np.testing.assert_array_equal(spec.train_local, [2, 1, 0, 0])
         np.testing.assert_array_equal(spec.test_local, [1])
         np.testing.assert_array_equal(spec.to_local(np.array([9, 9, 5])), [2, 2, 0])
+
+    def test_partitions_are_read_through_the_row_indices(self):
+        spec = self.spec()
+        np.testing.assert_array_equal(spec.train_inputs, [[2, 3], [4, 5], [6, 7], [8, 9]])
+        np.testing.assert_array_equal(spec.train_labels, [9, 2, 5, 5])
+        np.testing.assert_array_equal(spec.test_inputs, [[0, 1]])
+        np.testing.assert_array_equal(spec.test_labels, [2])
+        assert spec.train_size == 4
 
     def test_to_local_names_a_label_outside_the_set(self):
         with pytest.raises(InvalidInputError, match="label 7 is not in task 1's label set"):
@@ -258,6 +271,57 @@ class TestTaskSpec:
     def test_a_partition_label_outside_the_set_is_rejected_at_construction(self, train, test):
         with pytest.raises(InvalidInputError, match="is not in task 1's label set"):
             self.spec(train, test)
+
+
+def tensor_distances(centers):
+    """Pairwise center distances from the classes x classes x dim difference
+    tensor, inf on the diagonal."""
+    diff = centers[:, None, :] - centers[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return dist
+
+
+def tensor_centers(rng, classes, dim, min_gap):
+    """``_draw_centers`` by ``tensor_distances``, and the attempt that placed
+    the centers (None, 200 when none did)."""
+    for attempt in range(1, 201):
+        centers = rng.uniform(0.25, 0.75, size=(classes, dim))
+        if tensor_distances(centers).min() >= min_gap:
+            return centers, attempt
+    return None, 200
+
+
+class TestDrawCenters:
+    @pytest.mark.parametrize("classes, dim, min_gap, seed, attempts", [
+        (1, 5, 0.1, 0, 1), (7, 3, 0.05, 1, 1), (40, 64, 1.2, 2, 1),
+        (8, 2, 0.1, 0, 29),  # placed on a retry
+        (8, 2, 0.12, 3, 200),  # never placed
+    ])
+    def test_matches_the_difference_tensor(self, classes, dim, min_gap, seed, attempts):
+        expect, tried = tensor_centers(np.random.default_rng(seed), classes, dim, min_gap)
+        assert tried == attempts
+        if expect is None:
+            with pytest.raises(ConfigError, match=f"could not place {classes} centers"):
+                _draw_centers(np.random.default_rng(seed), classes, dim, min_gap)
+        else:
+            got = _draw_centers(np.random.default_rng(seed), classes, dim, min_gap)
+            np.testing.assert_array_equal(got, expect)
+
+    @pytest.mark.parametrize("classes, dim", [(5, 3), (12, 50), (30, 784)])
+    def test_accepts_and_rejects_at_the_tensor_minimum_bit_for_bit(self, classes, dim):
+        # a gap equal to the first draw's least distance places it; one ulp more
+        # rejects it, so the least distance the rows compute rounds as the tensor's
+        rng = np.random.default_rng(classes)
+        first = rng.uniform(0.25, 0.75, size=(classes, dim))
+        gap = tensor_distances(first).min()
+        got = _draw_centers(np.random.default_rng(classes), classes, dim, gap)
+        np.testing.assert_array_equal(got, first)
+        above = np.nextafter(gap, np.inf)
+        expect, _ = tensor_centers(np.random.default_rng(classes), classes, dim, above)
+        got = _draw_centers(np.random.default_rng(classes), classes, dim, above)
+        assert not np.array_equal(got, first)
+        np.testing.assert_array_equal(got, expect)
 
 
 class TestSynthetic:
@@ -358,6 +422,73 @@ class TestLoadIdx:
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 3, 3), np.uint8), [0, 1, 2])
         with pytest.raises(FormatError):
             load_idx(img, lab)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn``'s result and the peak of the memory it allocated (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def nbytes(*arrays):
+    return sum(a.nbytes for a in arrays)
+
+
+class TestHeldOnce:
+    """A dataset's rows are held once: specs index them, and generation and
+    IDX loading allocate their output without a second full-size copy."""
+
+    SLACK = 64 * 1024
+
+    def dataset(self):
+        return synthetic_dataset(12, 128, 100, 20, 0.05, seed=5)
+
+    @pytest.mark.parametrize("from_manifest", [False, True])
+    def test_specs_allocate_under_five_percent_of_the_inputs(self, from_manifest):
+        data = self.dataset()
+        specs, tl = build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)
+        manifest = split_manifest(specs, tl, seed=1, batch_size=8, epochs=1)
+        if from_manifest:
+            def make():
+                return specs_from_manifest(manifest, data)[0]
+        else:
+            def make():
+                return build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)[0]
+        specs, peak = traced_peak(make)
+        assert sum(spec.train_size for spec in specs) == data.train_labels.size  # every row
+        assert peak < 0.05 * nbytes(data.train_inputs, data.test_inputs)
+
+    def test_synthetic_dataset_holds_its_output_and_one_class_block(self):
+        args = (10, 200, 500, 100, 0.1)
+        synthetic_dataset(*args, seed=0)
+        data, peak = traced_peak(synthetic_dataset, *args, seed=1)
+        output = nbytes(data.train_inputs, data.train_labels, data.test_inputs, data.test_labels)
+        assert peak < output + 500 * 200 * 8 + self.SLACK
+
+    def test_load_idx_holds_the_file_and_one_float64_array(self, tmp_path):
+        # under 256 KiB numpy does not reuse the temporary of astype(...) / 255.0
+        count = 40
+        images = np.random.default_rng(0).integers(0, 256, size=(count, 28, 28), dtype=np.uint8)
+        img, lab = write_idx_pair(tmp_path, images, np.arange(count) % 10)
+        load_idx(img, lab)
+        (inputs, labels), peak = traced_peak(load_idx, img, lab)
+        np.testing.assert_array_equal(inputs, images.reshape(count, -1).astype(np.float64) / 255.0)
+        files = img.stat().st_size + lab.stat().st_size
+        assert peak < files + nbytes(inputs, labels) + self.SLACK
+
+    def test_next_batch_reads_only_the_batch_rows(self):
+        data = self.dataset()
+        spec = build_parallel_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
+        cursor = TaskCursor(spec, epochs=1, seed=0)
+        next_batch(spec, 8, cursor)
+        batch, peak = traced_peak(next_batch, spec, 8, cursor)
+        np.testing.assert_array_equal(batch.inputs, spec.train_inputs[cursor.order[8:16]])
+        assert peak < 0.05 * nbytes(spec.train_inputs)
 
 
 class TestManifest:
