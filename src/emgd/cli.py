@@ -132,7 +132,7 @@ def cmd_run_toy(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "toy_trace.csv").write_text(experiment.toy_trace_csv(trace))
-    _write_json(experiment.toy_summary(trace, args.iters), out / "toy_summary.json")
+    _write_json(experiment.toy_summary(trace), out / "toy_summary.json")
     log.info("toy run (%s) written to %s", trace.method, out)
     return 0
 

@@ -44,10 +44,6 @@ class FormatError(EmgdError):
         self.offset = offset
 
 
-class IncompleteMatrixError(EmgdError):
-    """Accuracy matrix is missing entries required by the metric formulas."""
-
-
 class EmptyMemoryError(EmgdError):
     """Sampling requested from an empty rehearsal buffer."""
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rehearsal, solver, streams
-from .errors import ConfigError, IncompleteMatrixError, NumericError
+from .errors import ConfigError, InvalidInputError, NumericError
 from .net import (
-    Batch,
     Network,
     add_head,
     apply_update,
@@ -86,43 +85,17 @@ class RunConfig:
             raise ConfigError(f"run.eta_edit must lie in [0, 1], got {self.eta_edit!r}")
 
 
-@dataclass
-class AccuracyMatrix:
-    """Test accuracies a[task, tick] recorded at finish ticks and the end."""
+def compute_metrics(pairs):
+    """Final average accuracy A and forgetting F from each task's (accuracy
+    at its finish tick, accuracy at the final tick) pair, in task order.
 
-    finish_ticks: dict
-    final_tick: int
-    entries: dict = field(default_factory=dict)
-
-    def record(self, task_id: int, tick: int, accuracy: float) -> None:
-        self.entries[(task_id, tick)] = float(accuracy)
-
-    def at(self, task_id: int, tick: int) -> float:
-        try:
-            return self.entries[(task_id, tick)]
-        except KeyError:
-            raise IncompleteMatrixError(
-                f"no accuracy recorded for task {task_id} at tick {tick}"
-            ) from None
-
-    def tasks(self):
-        return sorted(self.finish_ticks)
-
-
-def compute_metrics(matrix: AccuracyMatrix):
-    """Final average accuracy A and forgetting F.
-
-    A averages each task's accuracy at the final tick; F averages the drop
-    from each task's accuracy at its own finish tick (negative F means the
-    tasks got worse after finishing).
+    A averages the final accuracies; F averages each task's drop from its
+    finish tick (negative F means the tasks got worse after finishing).
     """
-    tasks = matrix.tasks()
-    if not tasks:
-        raise IncompleteMatrixError("matrix records no tasks")
-    final = [matrix.at(t, matrix.final_tick) for t in tasks]
-    at_finish = [matrix.at(t, matrix.finish_ticks[t]) for t in tasks]
-    a_final = float(np.mean(final))
-    f_final = float(np.mean([f - e for f, e in zip(final, at_finish)]))
+    if not pairs:
+        raise InvalidInputError("no task accuracies to score")
+    a_final = float(np.mean([final for _, final in pairs]))
+    f_final = float(np.mean([final - at_finish for at_finish, final in pairs]))
     return a_final, f_final
 
 
@@ -253,7 +226,7 @@ def convergence_probe(trace: ToyTrace) -> ProbeReport:
     that was active at consecutive ticks did not increase."""
     rows = trace.rows
     if not rows:
-        raise IncompleteMatrixError("empty log")
+        raise InvalidInputError("empty log")
 
     def losses(r: ToyRow) -> tuple:
         return (r.f1, r.f2) if r.tick > trace.join_tick else (r.f1,)
@@ -271,15 +244,15 @@ def convergence_probe(trace: ToyTrace) -> ProbeReport:
 # --- the full multi-stream loop ----------------------------------------------
 
 
-def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list):
-    """Accuracies per scored task: (task-incremental, class-incremental).
+def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list) -> dict:
+    """Each scored task's (task-incremental, class-incremental) accuracies.
 
     Each scored task's test features are scored once against the columns of
     every seen task's head side by side; the task's own column block gives
     the task-incremental prediction and the argmax over all columns the
     class-incremental one, whose winning column must carry the sample's
     true global class."""
-    task_acc, class_acc = {}, {}
+    accuracies = {}
     heads = [net.head(t) for t in seen]
     W_all = np.concatenate([W for W, _ in heads], axis=1)
     b_all = np.concatenate([b for _, b in heads])
@@ -290,20 +263,21 @@ def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list):
         logits = features(net, spec.test_inputs) @ W_all
         logits += b_all
         own = logits[:, bounds[i]:bounds[i + 1]].argmax(axis=1)
-        task_acc[t] = float((own == spec.test_local).mean())
         winners = column_globals[logits.argmax(axis=1)]
-        class_acc[t] = float((winners == spec.test_labels).mean())
-    return task_acc, class_acc
+        accuracies[t] = (float((own == spec.test_local).mean()),
+                         float((winners == spec.test_labels).mean()))
+    return accuracies
 
 
 @dataclass
 class PclResult:
-    matrix_task: AccuracyMatrix
-    matrix_class: AccuracyMatrix
+    """Per task, its (task-incremental, class-incremental) accuracies at its
+    finish tick and at the final tick; the tick log; the rehearsal buffer."""
+
+    at_finish: dict
+    final: dict
     tick_rows: list
     buffer: MemoryBuffer
-    net: Network
-    timeline: TaskTimeline
 
 
 def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
@@ -316,8 +290,9 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     stream, live once the buffer holds a finished task's data, routes each
     row through its task's head. The negative gradients are combined per
     ``cfg.method``, the backbone steps, and editing (when enabled) rewrites
-    the sampled slots. At its finish tick a task's training data enters the
-    buffer and the task is evaluated; the final tick evaluates every seen task.
+    the sampled slots. At its finish tick a task's training partition streams
+    into the buffer (``rehearsal.insert``) and the task is evaluated; the
+    final tick evaluates every seen task.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
@@ -330,14 +305,12 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     rng_reservoir = substream(cfg.seed, "reservoir")
     state = solver.ElasticState(temperature=cfg.temperature)
     finish_ticks = timeline.finish_ticks()
-    matrix_task = AccuracyMatrix(finish_ticks, timeline.final_tick)
-    matrix_class = AccuracyMatrix(finish_ticks, timeline.final_tick)
-    tick_rows = []
+    at_finish, final, tick_rows = {}, {}, []
     seen: list = []
     memory_head_step = 0.0 if cfg.freeze_finished_heads else cfg.gamma_heads
 
     for tick in range(timeline.first_tick, timeline.final_tick + 1):
-        active = streams.active_tasks(timeline, tick, any_finished=buffer.occupancy > 0)
+        active = streams.active_tasks(timeline, tick)
         real_tasks = sorted(t for t in active if t != 0)
         for t in real_tasks:
             if t not in seen:
@@ -351,7 +324,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
             tick_streams.append((mem.inputs, mem.labels, mem.task_ids, memory_head_step))
         for t in real_tasks:
-            batch = streams.next_batch(specs_by_id[t], cfg.batch_size, cursors[t])
+            batch = streams.next_batch(cursors[t], cfg.batch_size)
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
 
         grads, losses = stream_gradients(net, tick_streams)  # negative, as the bundle holds them
@@ -374,9 +347,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
 
         finishing = [t for t, e in finish_ticks.items() if e == tick]
         for t in finishing:
-            spec = specs_by_id[t]
-            batch = Batch(spec.train_inputs, spec.train_local, t)
-            rehearsal.insert(buffer, batch, spec.train_labels, rng_reservoir)
+            rehearsal.insert(buffer, specs_by_id[t], rng_reservoir)
 
         tick_rows.append(
             {
@@ -392,13 +363,12 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
 
         scored = seen if tick == timeline.final_tick else finishing
         if scored:
-            task_acc, class_acc = _evaluate(net, specs_by_id, seen, scored)
-            for t, acc in task_acc.items():
-                matrix_task.record(t, tick, acc)
-            for t, acc in class_acc.items():
-                matrix_class.record(t, tick, acc)
+            accuracies = _evaluate(net, specs_by_id, seen, scored)
+            at_finish.update((t, accuracies[t]) for t in finishing)
+            if tick == timeline.final_tick:
+                final = accuracies
 
-    return PclResult(matrix_task, matrix_class, tick_rows, buffer, net, timeline)
+    return PclResult(at_finish, final, tick_rows, buffer)
 
 
 # --- serialization ------------------------------------------------------------
@@ -415,14 +385,14 @@ def toy_trace_csv(trace: ToyTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def toy_summary(trace: ToyTrace, iterations: int) -> dict:
+def toy_summary(trace: ToyTrace) -> dict:
     probe = convergence_probe(trace)
     joined = trace.join_tick <= len(trace.rows)
     return {
         "method": trace.method,
         "start": list(trace.start),
         "join_tick": trace.join_tick,
-        "iterations": iterations,
+        "iterations": len(trace.rows),
         "f1_initial": trace.f1_init,
         "f2_initial": trace.f2_init,
         "f1_at_join": trace.f1_at(trace.join_tick) if joined else None,
@@ -451,18 +421,14 @@ def tick_log_csv(tick_rows) -> str:
 def metrics_document(result: PclResult, cfg: RunConfig) -> dict:
     """Metrics JSON: headline A/F for ``cfg.eval_mode``, both modes nested."""
     docs = {}
-    for mode, matrix in (("task", result.matrix_task), ("class", result.matrix_class)):
-        a_final, f_final = compute_metrics(matrix)
+    for i, mode in enumerate(("task", "class")):
+        pairs = {t: (result.at_finish[t][i], result.final[t][i]) for t in sorted(result.final)}
+        a_final, f_final = compute_metrics(list(pairs.values()))
         docs[mode] = {
             "A_final": a_final,
             "F_final": f_final,
-            "per_task": {
-                str(t): {
-                    "at_finish": matrix.at(t, matrix.finish_ticks[t]),
-                    "final": matrix.at(t, matrix.final_tick),
-                }
-                for t in matrix.tasks()
-            },
+            "per_task": {str(t): {"at_finish": at_finish, "final": final}
+                         for t, (at_finish, final) in pairs.items()},
         }
     head = dict(docs[cfg.eval_mode])
     head.update(

@@ -34,10 +34,6 @@ class Batch:
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise InvalidInputError("inputs and labels disagree on batch size")
 
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
 
 @dataclass
 class GradientReport:

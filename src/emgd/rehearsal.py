@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import EmptyMemoryError, InvalidInputError
 from .net import (
-    Batch,
     Network,
     _edit_terms,
     _head_grad,
@@ -33,6 +32,7 @@ from .net import (
 
 if TYPE_CHECKING:
     from .experiment import RunConfig
+    from .streams import TaskSpec
 
 
 @dataclass
@@ -75,29 +75,30 @@ def _as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
-def insert(buffer: MemoryBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
-    """Stream one batch into the buffer with per-class reservoir sampling.
+def insert(buffer: MemoryBuffer, spec: TaskSpec, seed_or_rng) -> None:
+    """Stream a task's training partition into the buffer with per-class
+    reservoir sampling.
 
-    ``class_ids`` gives each sample's global class (the batch labels are
-    local head indices). While a class has free slots samples are appended;
+    The partition's rows stream in ``spec.train_rows`` order, each under its
+    global class. While a class has free slots samples are appended;
     afterwards each new sample replaces a uniformly random stored sample of
     its class with probability capacity / seen_count. The draws are made
-    sample by sample; the rows are then written at once, a slot drawn twice
-    taking the later sample.
+    sample by sample; only the rows kept are then gathered from
+    ``spec.dataset`` and written at once, a slot drawn twice taking the
+    later sample.
     """
     rng = _as_rng(seed_or_rng)
-    class_ids = np.asarray(class_ids, dtype=np.int64)
-    if class_ids.shape[0] != batch.size:
-        raise InvalidInputError("class_ids must match the batch size")
-    width = batch.inputs.shape[1]
+    width = spec.dataset.input_dim
     if buffer.occupancy and width != buffer.x.shape[1]:
         raise InvalidInputError(
-            f"batch rows have width {width}, the stored rows width {buffer.x.shape[1]}")
+            f"task {spec.task_id}'s rows have width {width}, the stored rows width "
+            f"{buffer.x.shape[1]}")
+    class_ids = spec.train_labels  # each partition row's global class
     cap, end = buffer.capacity_per_class, buffer.occupancy
     by_class: dict[int, list[int]] = {}  # class -> its slots, in slot order
     for slot, c in enumerate(buffer.class_id.tolist()):
         by_class.setdefault(c, []).append(slot)
-    writes: dict[int, int] = {}  # slot -> batch row
+    writes: dict[int, int] = {}  # slot -> partition row
     for i, c in enumerate(class_ids.tolist()):
         seen = buffer.seen_counts.get(c, 0) + 1
         buffer.seen_counts[c] = seen
@@ -116,9 +117,9 @@ def insert(buffer: MemoryBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
             for a in (buffer.label, buffer.task_id, buffer.class_id))
     slots = np.fromiter(writes, dtype=np.int64, count=len(writes))
     rows = np.fromiter(writes.values(), dtype=np.int64, count=len(writes))
-    buffer.x[slots] = batch.inputs[rows]
-    buffer.label[slots] = batch.labels[rows]
-    buffer.task_id[slots] = batch.task_id
+    buffer.x[slots] = spec.dataset.train_inputs[spec.train_rows[rows]]
+    buffer.label[slots] = spec.train_local[rows]
+    buffer.task_id[slots] = spec.task_id
     buffer.class_id[slots] = class_ids[rows]
 
 

@@ -158,10 +158,6 @@ class TaskSpec:
 
     # each read gathers the partition's rows out of the dataset afresh
     @property
-    def train_inputs(self) -> np.ndarray:
-        return self.dataset.train_inputs[self.train_rows]
-
-    @property
     def train_labels(self) -> np.ndarray:
         return self.dataset.train_labels[self.train_rows]
 
@@ -342,16 +338,15 @@ def build_parallel_split(
     return specs, TaskTimeline(entries)
 
 
-def active_tasks(timeline: TaskTimeline, tick: int, any_finished: bool = True) -> set:
+def active_tasks(timeline: TaskTimeline, tick: int) -> set:
     """Task ids with open windows at ``tick``; includes the memory stream 0
-    when a task has already finished (pass ``any_finished=False`` to
-    suppress it, e.g. while the rehearsal buffer is still empty)."""
+    once a task has finished (its finish tick filled the buffer)."""
     if not (timeline.first_tick <= tick <= timeline.final_tick):
         raise InvalidInputError(
             f"tick {tick} outside [{timeline.first_tick}, {timeline.final_tick}]"
         )
     active = {t for t, s, e in timeline.entries if s <= tick <= e}
-    if any_finished and any(e < tick for _, _, e in timeline.entries):
+    if any(e < tick for _, _, e in timeline.entries):
         active.add(0)
     return active
 
@@ -372,11 +367,13 @@ class TaskCursor:
         self.order = self.rng.permutation(self.spec.train_size)
 
 
-def next_batch(spec: TaskSpec, batch_size: int, cursor: TaskCursor) -> Batch:
-    """Sequential non-overlapping batches; labels remapped to [0, C_t).
+def next_batch(cursor: TaskCursor, batch_size: int) -> Batch:
+    """The next batch of the cursor's task: sequential non-overlapping
+    batches with labels remapped to [0, C_t).
 
     Raises StreamEnd once every sample has been served ``epochs`` times.
     """
+    spec = cursor.spec
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
     if cursor.pos >= spec.train_size:

@@ -286,7 +286,7 @@ def slot_list_insert(buffer: SlotListBuffer, batch: Batch, class_ids, seed_or_rn
     rng = _as_rng(seed_or_rng)
     class_ids = np.asarray(class_ids, dtype=np.int64)
     cap = buffer.capacity_per_class
-    for i in range(batch.size):
+    for i in range(len(batch.labels)):
         c = int(class_ids[i])
         seen = buffer.seen_counts.get(c, 0) + 1
         buffer.seen_counts[c] = seen

@@ -13,7 +13,6 @@ import pytest
 
 from emgd.cli import main
 from emgd.experiment import (
-    AccuracyMatrix,
     RunConfig,
     compute_metrics,
     run_pcl,
@@ -218,7 +217,7 @@ def test_criterion_07_gradient_correctness():
         grad_x, _, _ = input_gradient(net, batch.inputs, batch.labels,
                                    [(batch.task_id, slice(None))])
         for _ in range(50):
-            i = int(rng.integers(batch.size))
+            i = int(rng.integers(len(batch.labels)))
             j = int(rng.integers(widths[0]))
             x = batch.inputs.copy()
             x[i, j] += h
@@ -277,32 +276,20 @@ def test_criterion_08_editing_descent():
 
 
 def test_criterion_09_metrics():
-    m = AccuracyMatrix(finish_ticks={1: 5, 2: 9}, final_tick=9)
-    m.record(1, 5, 0.9)
-    m.record(1, 9, 0.8)
-    m.record(2, 9, 0.7)
-    a, f = compute_metrics(m)
+    a, f = compute_metrics([(0.9, 0.8), (0.7, 0.7)])
     assert a == 0.75
     assert f == pytest.approx(-0.05, abs=1e-15)
 
     rng = np.random.default_rng(23)
     for _ in range(50):
         tasks = int(rng.integers(2, 7))
-        finish = {t: 2 * t for t in range(1, tasks + 1)}
-        final = 2 * tasks + 3
-        matrix = AccuracyMatrix(finish_ticks=finish, final_tick=final)
-        vals = {}
-        for t in finish:
-            vals[(t, "e")] = float(rng.uniform(0, 1))
-            vals[(t, "f")] = float(rng.uniform(0, 1))
-            matrix.record(t, finish[t], vals[(t, "e")])
-            matrix.record(t, final, vals[(t, "f")])
-        a_direct = sum(vals[(t, "f")] for t in finish) / tasks
-        f_direct = sum(vals[(t, "f")] - vals[(t, "e")] for t in finish) / tasks
-        a, f = compute_metrics(matrix)
+        pairs = [(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))) for _ in range(tasks)]
+        a_direct = sum(final for _, final in pairs) / tasks
+        f_direct = sum(final - at_finish for at_finish, final in pairs) / tasks
+        a, f = compute_metrics(pairs)
         assert abs(a - a_direct) <= 1e-12
         assert abs(f - f_direct) <= 1e-12
-    ok(9, "hand fixture reproduced exactly; random matrices agree with "
+    ok(9, "hand fixture reproduced exactly; random accuracy pairs agree with "
           "direct recomputation within 1e-12")
 
 
@@ -327,7 +314,8 @@ def desk_run(seed, method, editing):
         eta_edit=0.005,
     )
     result = run_pcl(specs, timeline, net, MemoryBuffer(cfg.capacity_per_class), cfg)
-    return compute_metrics(result.matrix_task)
+    return compute_metrics([(result.at_finish[t][0], result.final[t][0])
+                            for t in sorted(result.final)])
 
 
 def test_criterion_10_desk_scale_comparison():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from emgd import solver
-from emgd.errors import ConfigError, IncompleteMatrixError
+from emgd.errors import ConfigError, InvalidInputError
 from emgd.experiment import (
-    AccuracyMatrix,
     RunConfig,
     ToyRow,
     ToyTrace,
@@ -131,8 +130,14 @@ class TestRunToy:
         csv = toy_trace_csv(traces["emgd_gs"])
         assert csv.count("\n") == 1501  # header + one row per iteration
         assert "np." not in csv  # plain float reprs only
-        summary = toy_summary(traces["emgd_gs"], 1500)
+        summary = toy_summary(traces["emgd_gs"])
         assert summary["f1_final"] <= summary["f1_at_join"] + 1e-9
+
+    def test_summary_counts_the_trace_rows(self):
+        trace = run_toy(iterations=7, join_tick=3)
+        assert toy_summary(trace)["iterations"] == len(trace.rows) == 7
+        trace.rows.pop()  # a trace cut short reports the rows it holds
+        assert toy_summary(trace)["iterations"] == 6
 
 
 class TestConvergenceProbe:
@@ -162,51 +167,37 @@ class TestConvergenceProbe:
         ])
         assert convergence_probe(trace).nonincrease_fraction == 0.5
 
+    def test_empty_trace_is_named(self):
+        trace = ToyTrace("emgd_gs", (0.0, 0.0), join_tick=1, f1_init=1.0, f2_init=1.0)
+        with pytest.raises(InvalidInputError, match="empty log"):
+            convergence_probe(trace)
+
 
 class TestMetrics:
-    def make_matrix(self):
-        m = AccuracyMatrix(finish_ticks={1: 5, 2: 9}, final_tick=9)
-        m.record(1, 5, 0.9)
-        m.record(1, 9, 0.8)
-        m.record(2, 9, 0.7)
-        return m
-
     def test_hand_fixture(self):
-        a, f = compute_metrics(self.make_matrix())
+        # task 1 at 0.9 on finishing, 0.8 at the end; task 2 finishes at the end at 0.7
+        a, f = compute_metrics([(0.9, 0.8), (0.7, 0.7)])
         assert a == 0.75
         assert f == pytest.approx(-0.05, abs=1e-15)
 
-    def test_constant_matrix(self):
-        m = AccuracyMatrix(finish_ticks={1: 2, 2: 4, 3: 6}, final_tick=6)
-        for t, e in m.finish_ticks.items():
-            m.record(t, e, 0.42)
-            m.record(t, 6, 0.42)
-        a, f = compute_metrics(m)
+    def test_constant_accuracies(self):
+        a, f = compute_metrics([(0.42, 0.42)] * 3)
         assert a == pytest.approx(0.42, abs=1e-15)
         assert f == 0.0
 
-    def test_random_matrix_against_direct_recomputation(self):
+    def test_random_pairs_against_direct_recomputation(self):
         rng = np.random.default_rng(5)
-        finish = {t: 3 * t for t in range(1, 6)}
-        m = AccuracyMatrix(finish_ticks=finish, final_tick=15)
-        vals = {}
-        for t, e in finish.items():
-            vals[(t, e)] = float(rng.uniform(0, 1))
-            vals[(t, 15)] = float(rng.uniform(0, 1))
-            m.record(t, e, vals[(t, e)])
-            m.record(t, 15, vals[(t, 15)])
+        pairs = [(float(rng.uniform(0, 1)), float(rng.uniform(0, 1))) for _ in range(5)]
         # independent arithmetic with plain Python floats
-        a_direct = sum(vals[(t, 15)] for t in finish) / 5
-        f_direct = sum(vals[(t, 15)] - vals[(t, finish[t])] for t in finish) / 5
-        a, f = compute_metrics(m)
+        a_direct = sum(final for _, final in pairs) / 5
+        f_direct = sum(final - at_finish for at_finish, final in pairs) / 5
+        a, f = compute_metrics(pairs)
         assert abs(a - a_direct) <= 1e-12
         assert abs(f - f_direct) <= 1e-12
 
-    def test_missing_entry(self):
-        m = AccuracyMatrix(finish_ticks={1: 5}, final_tick=9)
-        m.record(1, 5, 0.5)
-        with pytest.raises(IncompleteMatrixError):
-            compute_metrics(m)
+    def test_no_tasks_is_named(self):
+        with pytest.raises(InvalidInputError, match="no task accuracies"):
+            compute_metrics([])
 
 
 def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
@@ -218,6 +209,12 @@ def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
     )
     net = Network((dim, hidden, feature), seed=derive_seed(seed, "net-init"))
     return specs, tl, net
+
+
+def task_pairs(result, mode=0):
+    """Each task's (at finish, final) accuracies, task-incremental (mode 0)
+    or class-incremental (mode 1), in task order."""
+    return [(result.at_finish[t][mode], result.final[t][mode]) for t in sorted(result.final)]
 
 
 def quick_cfg(**kw):
@@ -239,7 +236,7 @@ class TestRunPcl:
         cursor = TaskCursor(specs[0], cfg.epochs, cfg.seed)
         ref_losses = []
         for _ in range(tl.final_tick + 1):
-            batch = next_batch(specs[0], cfg.batch_size, cursor)
+            batch = next_batch(cursor, cfg.batch_size)
             rep = backward(ref, batch)
             ref.heads[1] -= cfg.gamma_heads * rep.head_grad
             rep = backward(ref, batch)
@@ -273,28 +270,22 @@ class TestRunPcl:
     def test_frozen_finished_heads_stay_bit_identical(self):
         specs, tl, net = pcl_setup(num_tasks=2, serial=True)
         cfg = quick_cfg(method="emgd_gs", freeze_finished_heads=True)
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
 
         solo_specs, solo_tl, solo_net = pcl_setup(num_tasks=2, serial=True)
-        solo = run_pcl([solo_specs[0]],
-                       type(solo_tl)([solo_tl.entries[0]]),
-                       solo_net, MemoryBuffer(5), cfg)
-        np.testing.assert_array_equal(
-            result.net.heads[1], solo.net.heads[1]
-        )
+        run_pcl([solo_specs[0]], type(solo_tl)([solo_tl.entries[0]]), solo_net,
+                MemoryBuffer(5), cfg)
+        np.testing.assert_array_equal(net.heads[1], solo_net.heads[1])
 
     def test_unfrozen_heads_move(self):
         specs, tl, net = pcl_setup(num_tasks=2, serial=True)
         cfg = quick_cfg(method="emgd_gs", freeze_finished_heads=False)
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
 
         solo_specs, solo_tl, solo_net = pcl_setup(num_tasks=2, serial=True)
-        solo = run_pcl([solo_specs[0]],
-                       type(solo_tl)([solo_tl.entries[0]]),
-                       solo_net, MemoryBuffer(5), cfg)
-        assert not np.array_equal(
-            result.net.heads[1], solo.net.heads[1]
-        )
+        run_pcl([solo_specs[0]], type(solo_tl)([solo_tl.entries[0]]), solo_net,
+                MemoryBuffer(5), cfg)
+        assert not np.array_equal(net.heads[1], solo_net.heads[1])
 
     def test_editing_keeps_buffer_in_unit_cube(self):
         for editing in ("emgd", "gmed"):
@@ -310,7 +301,7 @@ class TestRunPcl:
         specs, tl, net = pcl_setup(num_tasks=3, epochs=5)
         cfg = quick_cfg(method="emgd_gs", epochs=5, gamma=0.2, gamma_heads=1.0)
         result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
-        a_final, _ = compute_metrics(result.matrix_task)
+        a_final, _ = compute_metrics(task_pairs(result))
         assert a_final > 0.7  # well above the 0.25 chance level
 
     def test_metrics_document_schema(self):
@@ -327,8 +318,8 @@ class TestRunPcl:
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(method="avg_grad")
         result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
-        a_task, _ = compute_metrics(result.matrix_task)
-        a_class, _ = compute_metrics(result.matrix_class)
+        a_task, _ = compute_metrics(task_pairs(result))
+        a_class, _ = compute_metrics(task_pairs(result, mode=1))
         assert a_task >= a_class
 
     def test_mismatched_specs_rejected(self):
@@ -460,10 +451,9 @@ class TestRunPcl:
             specs, tl, net = pcl_setup(num_tasks=4, serial=serial)
             result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg())
             finish = tl.finish_ticks()
+            assert set(result.at_finish) == set(result.final) == set(finish)
             expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
-            assert set(result.matrix_task.entries) == expected
-            assert set(result.matrix_class.entries) == expected
-            assert len(calls) == len(expected)  # one test-set forward per scored task
+            assert len(calls) == len(expected)  # one test-set forward per scored (task, tick)
 
     def test_edit_iterations_sets_the_number_of_edit_steps(self):
         specs, tl, _ = pcl_setup(num_tasks=3)
@@ -511,18 +501,18 @@ class TestEvaluate:
 
         def check(net, seen, scored):
             # class-incremental accuracy still takes its argmax over every seen head
-            want = per_head_evaluate(net, specs_by_id, seen)
+            task_acc, class_acc = per_head_evaluate(net, specs_by_id, seen)
             got = _evaluate(net, specs_by_id, seen, scored)
-            assert got == tuple({t: acc[t] for t in scored} for acc in want)
+            assert got == {t: (task_acc[t], class_acc[t]) for t in scored}
 
         specs, tl, net = pcl_setup(num_tasks=4, seed=seed)
         specs_by_id = {spec.task_id: spec for spec in specs}
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(seed=seed))
+        run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(seed=seed))
         for seen in ([1], [2, 1], [1, 2, 3, 4], [3, 1, 4]):
-            check(result.net, seen, seen)
-            check(result.net, seen, seen[-1:])
-        check(result.net, [1, 2, 3, 4], [4, 2])
-        check(result.net, [3, 1, 4], [])
+            check(net, seen, seen)
+            check(net, seen, seen[-1:])
+        check(net, [1, 2, 3, 4], [4, 2])
+        check(net, [3, 1, 4], [])
         fresh = Network((8, 16, 8), seed=seed)  # untrained heads too
         for spec in specs:
             add_head(fresh, spec.task_id, spec.class_count, seed=seed + spec.task_id)

@@ -361,7 +361,7 @@ class TestInputGradient:
         assert grad.shape == batch.inputs.shape
         h = 1e-5
         for _ in range(12):
-            i = int(rng.integers(batch.size))
+            i = int(rng.integers(len(batch.labels)))
             j = int(rng.integers(net.input_dim))
             x = batch.inputs.copy()
             x[i, j] += h
@@ -407,7 +407,7 @@ class TestInputGradient:
         for batch, (_, rows), loss in zip(batches, groups, losses):
             assert loss == pytest.approx(forward(net, batch)[1], rel=1e-13)
             for _ in range(8):
-                i = int(rng.integers(batch.size))
+                i = int(rng.integers(len(batch.labels)))
                 j = int(rng.integers(net.input_dim))
                 x = batch.inputs.copy()
                 x[i, j] += h
@@ -474,7 +474,7 @@ class TestEditDirection:
         h = 1e-5
         checked = 0
         while checked < 20:
-            i = int(rng.integers(batch.size))
+            i = int(rng.integers(len(batch.labels)))
             j = int(rng.integers(net.input_dim))
             x = batch.inputs.copy()
             x[i, j] += h

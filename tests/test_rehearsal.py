@@ -32,8 +32,10 @@ from emgd.rehearsal import (
     sample_memory,
     save_buffer_snapshot,
 )
+from emgd.streams import Dataset, TaskSpec
 from oracles import (SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
                      read_snapshot, slot_list_insert)
+from test_streams import nbytes, traced_peak
 
 CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
@@ -42,6 +44,20 @@ CHI2_99_DF7 = 18.475
 def class_batch(rng, n, dim=6, task=1, classes=4, label=None):
     labels = np.full(n, label, dtype=np.int64) if label is not None else rng.integers(0, classes, n)
     return Batch(rng.uniform(0, 1, (n, dim)), labels, task)
+
+
+def task_spec(batch, class_ids):
+    """``batch`` as a task whose training partition is its rows in order, each
+    under its global class in ``class_ids``; the label set puts each class at
+    its rows' head-local label (and a negative filler at a label no row has)."""
+    class_ids = np.asarray(class_ids, dtype=np.int64)
+    label_set = [-1 - i for i in range(int(batch.labels.max()) + 1)]
+    for local, c in zip(batch.labels.tolist(), class_ids.tolist()):
+        label_set[local] = c
+    data = Dataset(batch.inputs, class_ids, batch.inputs[:0], class_ids[:0])
+    spec = TaskSpec(batch.task_id, label_set, data, np.arange(class_ids.size), np.arange(0))
+    np.testing.assert_array_equal(spec.train_local, batch.labels)
+    return spec
 
 
 def make_net(seed=0, dim=6, heads=((1, 4), (2, 3))):
@@ -59,7 +75,7 @@ def filled_buffer(rng, capacity=3, tasks=(1, 2), per_task=6, dim=6):
     buf = MemoryBuffer(capacity)
     for t in tasks:
         batch = class_batch(rng, per_task, dim=dim, task=t, classes=3)
-        insert(buf, batch, class_ids=10 * t + batch.labels, seed_or_rng=rng)
+        insert(buf, task_spec(batch, 10 * t + batch.labels), rng)
     return buf
 
 
@@ -68,7 +84,7 @@ class TestInsert:
         rng = np.random.default_rng(0)
         buf = MemoryBuffer(5)
         batch = class_batch(rng, 3, label=0)
-        insert(buf, batch, class_ids=[7, 7, 7], seed_or_rng=1)
+        insert(buf, task_spec(batch, [7, 7, 7]), 1)
         assert buf.occupancy == 3
         assert class_counts(buf) == {7: 3}
 
@@ -77,7 +93,7 @@ class TestInsert:
         buf = MemoryBuffer(4)
         for _ in range(20):
             batch = class_batch(rng, 8, classes=3)
-            insert(buf, batch, class_ids=batch.labels, seed_or_rng=rng)
+            insert(buf, task_spec(batch, batch.labels), rng)
         assert all(n <= 4 for n in class_counts(buf).values())
         assert buf.occupancy == sum(class_counts(buf).values())
 
@@ -85,11 +101,11 @@ class TestInsert:
         rng = np.random.default_rng(2)
         buf = MemoryBuffer(2)
         b_batch = class_batch(rng, 2, label=1)
-        insert(buf, b_batch, class_ids=[5, 5], seed_or_rng=3)
+        insert(buf, task_spec(b_batch, [5, 5]), 3)
         before = buf.x[buf.class_id == 5]
         for _ in range(50):
             a_batch = class_batch(rng, 4, label=0)
-            insert(buf, a_batch, class_ids=[9, 9, 9, 9], seed_or_rng=rng)
+            insert(buf, task_spec(a_batch, [9, 9, 9, 9]), rng)
         after = buf.x[buf.class_id == 5]
         assert len(after) == 2
         for x, y in zip(before, after):
@@ -101,23 +117,38 @@ class TestInsert:
         counts = np.zeros(n)
         base = np.random.default_rng(99)
         inputs = base.uniform(0, 1, (n, 4))
+        spec = task_spec(Batch(inputs, np.zeros(n, dtype=np.int64), 1), np.zeros(n))
         for trial in range(trials):
             buf = MemoryBuffer(1)
-            batch = Batch(inputs, np.zeros(n, dtype=np.int64), 1)
-            insert(buf, batch, class_ids=np.zeros(n), seed_or_rng=trial)
+            insert(buf, spec, trial)
             survivor = buf.x[0]
             counts[int(np.argmax((inputs == survivor).all(axis=1)))] += 1
         expected = trials / n
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_99_DF7
 
-    def test_rejects_a_batch_of_another_width(self):
+    def test_rejects_a_task_of_another_width(self):
         rng = np.random.default_rng(3)
         buf = MemoryBuffer(2)
-        insert(buf, class_batch(rng, 3, dim=6), class_ids=[0, 1, 2], seed_or_rng=0)
+        insert(buf, task_spec(Batch(rng.uniform(0, 1, (3, 6)), [0, 1, 2], 1), [0, 1, 2]), 0)
         with pytest.raises(InvalidInputError, match="width 5"):
-            insert(buf, class_batch(rng, 2, dim=5), class_ids=[0, 1], seed_or_rng=0)
+            insert(buf, task_spec(Batch(rng.uniform(0, 1, (2, 5)), [0, 1], 1), [0, 1]), 0)
         assert buf.occupancy == 3 and buf.x.shape == (3, 6)
+
+    def test_gathers_only_the_kept_rows(self):
+        # a 20,000 x 64 partition (two of the dataset's three classes) into
+        # two slots per class
+        rng = np.random.default_rng(31)
+        labels = np.repeat(np.arange(3), 10_000)
+        data = Dataset(rng.uniform(0, 1, (labels.size, 64)), labels, np.zeros((0, 64)), [])
+        rows = np.flatnonzero(labels > 0)
+        spec = TaskSpec(1, (1, 2), data, rows, np.arange(0))
+        buf = MemoryBuffer(2)
+        _, peak = traced_peak(insert, buf, spec, 0)
+        assert buf.occupancy == 4 and buf.seen_counts == {1: 10_000, 2: 10_000}
+        for slot, c in enumerate(buf.class_id.tolist()):
+            assert (data.train_inputs[labels == c] == buf.x[slot]).all(axis=1).any()
+        assert peak < 0.05 * nbytes(data.train_inputs[rows])
 
 
 def assert_matches_slot_list(buf, ref):
@@ -145,7 +176,7 @@ class TestInsertMatchesSlotList:
         for task, labels in stream:
             batch = Batch(data.uniform(0.0, 1.0, (len(labels), 3)), labels, task)
             class_ids = 10 * task + batch.labels
-            insert(buf, batch, class_ids, draws)
+            insert(buf, task_spec(batch, class_ids), draws)
             slot_list_insert(ref, batch, class_ids, ref_draws)
             assert_matches_slot_list(buf, ref)
         assert draws.random() == ref_draws.random()  # the same reservoir draws were made
@@ -156,7 +187,7 @@ class TestInsertMatchesSlotList:
         n, seed = 40, 7
         buf, ref = MemoryBuffer(capacity), SlotListBuffer(capacity)
         batch = Batch(rng.uniform(0.0, 1.0, (n, 4)), np.zeros(n, dtype=np.int64), 1)
-        insert(buf, batch, np.zeros(n), seed)
+        insert(buf, task_spec(batch, np.zeros(n)), seed)
         slot_list_insert(ref, batch, np.zeros(n), seed)
         # replay the draws: the rows after the first ``capacity`` that land
         draws, victims = np.random.default_rng(seed), []
@@ -180,7 +211,7 @@ class TestSampleMemory:
         rng = np.random.default_rng(4)
         buf = MemoryBuffer(1)
         batch = class_batch(rng, 1, label=2)
-        insert(buf, batch, class_ids=[3], seed_or_rng=0)
+        insert(buf, task_spec(batch, [3]), 0)
         mem = sample_memory(buf, 1, 5)
         np.testing.assert_array_equal(mem.inputs[0], batch.inputs[0])
         assert mem.task_ids[0] == 1
@@ -194,7 +225,7 @@ class TestSampleMemory:
     def test_oversized_draw_uses_replacement(self):
         rng = np.random.default_rng(6)
         buf = MemoryBuffer(1)
-        insert(buf, class_batch(rng, 1, label=0), class_ids=[0], seed_or_rng=0)
+        insert(buf, task_spec(class_batch(rng, 1, label=0), [0]), 0)
         mem = sample_memory(buf, 5, 8)
         assert len(mem.labels) == 5
 
@@ -395,7 +426,7 @@ class TestEditEmgd:
         net = make_net()
         buf = MemoryBuffer(2)
         batch = Batch(np.zeros((2, 6)), [0, 1], 1)  # already at the boundary
-        insert(buf, batch, class_ids=[0, 1], seed_or_rng=0)
+        insert(buf, task_spec(batch, [0, 1]), 0)
         mem = sample_memory(buf, 2, 1)
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
                          RunConfig(eta_edit=1.0))
@@ -527,7 +558,7 @@ class TestEditGmed:
         rng = np.random.default_rng(17)
         net = make_net()
         buf = MemoryBuffer(2)
-        insert(buf, Batch(np.zeros((2, 6)), [0, 1], 1), class_ids=[0, 1], seed_or_rng=0)
+        insert(buf, task_spec(Batch(np.zeros((2, 6)), [0, 1], 1), [0, 1]), 0)
         mem = sample_memory(buf, 2, 1)
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
                          RunConfig(eta_edit=1.0))
