@@ -1,13 +1,15 @@
 """Command-line front end: solve | run-toy | run-pcl | build-splits | report.
 
 Data goes to stdout or files under --out, diagnostics go to stderr. Exit
-codes: 0 success, 1 input error (an unwritable output path included), 2 solver
-non-convergence (solve), 3 mid-run numeric failure (run-pcl, reported with the
-failing tick). Config documents are parsed strictly: unknown keys, ill-typed
-values and out-of-range values are rejected naming the dotted field path. All
-randomness flows
-from the single top-level seed through named substreams, so identical
-configs produce byte-identical outputs. EMGD_LOG selects stderr verbosity: debug,
+codes: 0 success, 1 input error (a malformed command line and an unwritable
+output path included), 2 solver non-convergence (solve), 3 mid-run numeric
+failure (run-pcl, reported with the failing tick). run-pcl and build-splits
+take every run setting from their config document; their only flags are
+--config, --seed (in place of the document's seed) and --out. Config documents
+are parsed strictly: unknown keys, ill-typed values and out-of-range values
+are rejected naming the dotted field path. All randomness flows from the
+single top-level seed through named substreams, so identical configs produce
+byte-identical outputs. EMGD_LOG selects stderr verbosity: debug,
 info, warning (the default), error or critical, in any case; any other value
 exits 1.
 """
@@ -83,20 +85,17 @@ def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
         raise ConfigError(f"test images {spec['test_images']}: {err}") from None
 
 
-def _build_split(doc: dict, dataset: streams.Dataset, seed: int, args):
+def _build_split(doc: dict, dataset: streams.Dataset, seed: int):
     split = section(doc, "split", _SPLIT)
-    if args.overlap is not None and not 0.0 <= args.overlap < 1.0:
-        # checked here so the error names the flag, not the config field
-        raise ConfigError(f"--overlap must lie in [0, 1), got {args.overlap!r}")
     specs, timeline = streams.build_parallel_split(
         dataset,
         num_tasks=split["num_tasks"],
         label_bounds=split["label_bounds"],
         seed=seed,
-        overlap_fraction=split["overlap"] if args.overlap is None else args.overlap,
+        overlap_fraction=split["overlap"],
         batch_size=split["batch_size"],
         epochs=split["epochs"],
-        serial=args.serial or split["serial"],
+        serial=split["serial"],
     )
     return specs, timeline, split["batch_size"], split["epochs"]
 
@@ -122,7 +121,7 @@ def cmd_solve(args) -> int:
 
 def cmd_run_toy(args) -> int:
     trace = experiment.run_toy(
-        method=args.method or "emgd_gs",
+        method=args.method,
         iterations=args.iters,
         step=args.step,
         join_tick=args.join_tick,
@@ -140,18 +139,12 @@ def cmd_run_toy(args) -> int:
 def cmd_run_pcl(args) -> int:
     doc, seed, dataset = _load_config(args)
     if doc["manifest"]:
-        for flag, given in (("--serial", args.serial), ("--overlap", args.overlap is not None)):
-            if given:
-                raise ConfigError(f"{flag} builds a split, but this run reads its split from "
-                                  f"the manifest {doc['manifest']}")
         specs, timeline, batch_size, epochs = streams.specs_from_manifest(
             load_json_object(doc["manifest"], "split manifest"), dataset)
     else:
-        specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
-    run = section(doc["run"], "run", _RUN)
-    flags = {"method": args.method, "editing": args.editing, "eval_mode": args.eval_mode}
-    run.update((key, value) for key, value in flags.items() if value)
-    cfg = experiment.RunConfig(**run, batch_size=batch_size, epochs=epochs, seed=seed)
+        specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed)
+    cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), batch_size=batch_size,
+                               epochs=epochs, seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
     buffer = rehearsal.MemoryBuffer(cfg.capacity_per_class)
     out = Path(args.out)
@@ -174,7 +167,7 @@ def cmd_run_pcl(args) -> int:
 def cmd_build_splits(args) -> int:
     # accepts the same document as run-pcl so one config serves both commands
     doc, seed, dataset = _load_config(args)
-    specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed, args)
+    specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed)
     manifest = streams.split_manifest(
         specs, timeline, seed, batch_size, epochs, dataset_info=doc["dataset"]
     )
@@ -239,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("run-toy", help="two-function toy experiment")
-    p.add_argument("--method", default=None,
-                   help="emgd_gmc | emgd_gs | mgda | avg_grad (default emgd_gs)")
+    p.add_argument("--method", default="emgd_gs", help="emgd_gmc | emgd_gs | mgda | avg_grad")
     p.add_argument("--iters", type=int, default=1500)
     p.add_argument("--step", type=float, default=2e-5)
     p.add_argument("--join-tick", type=int, default=500)
@@ -254,19 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.add_argument("--method", default=None)
-    p.add_argument("--editing", default=None)
-    p.add_argument("--eval-mode", default=None, help="task | class")
-    p.add_argument("--serial", action="store_true")
-    p.add_argument("--overlap", type=float, default=None)
     p.set_defaults(func=cmd_run_pcl)
 
     p = sub.add_parser("build-splits", help="write a split manifest")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--serial", action="store_true")
-    p.add_argument("--overlap", type=float, default=None)
     p.set_defaults(func=cmd_build_splits)
 
     p = sub.add_parser("report", help="aggregate metrics files into a table")
@@ -277,7 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as done:  # argparse exits 2 on a malformed command line, 0 after --help
+        return 1 if done.code else 0
     try:
         _configure_logging()
         return args.func(args)

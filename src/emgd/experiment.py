@@ -36,7 +36,6 @@ log = logging.getLogger("emgd")
 
 METHODS = ("emgd_gmc", "emgd_gs", "mgda", "avg_grad")
 EDITING = ("none", "emgd", "gmed")
-EVAL_MODE_ALIASES = {"task-incremental": "task", "class-incremental": "class"}
 
 
 @dataclass
@@ -64,7 +63,6 @@ class RunConfig:
     snapshot_buffer: bool = False
 
     def __post_init__(self):
-        self.eval_mode = EVAL_MODE_ALIASES.get(self.eval_mode, self.eval_mode)
         for name, allowed in (("method", METHODS), ("editing", EDITING),
                               ("eval_mode", ("task", "class"))):
             if getattr(self, name) not in allowed:
@@ -166,8 +164,6 @@ def run_toy(
     join_tick: int = 500,
     start=(3.0, 3.0),
     temperature: float = 1.0,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> ToyTrace:
     """Two synthetic objectives optimized in sequence-then-parallel.
 
@@ -196,7 +192,7 @@ def run_toy(
                     grads.append(toy_grad_f2(x, y))
                 grads = np.negative(grads)  # the bundle holds negative gradients
                 bundle = solver.GradientBundle((1, 2)[:len(grads)], grads)
-                result, sigma = solver.combine(method, bundle, state, tol, max_iter)
+                result, sigma = solver.combine(method, bundle, state)
                 d = result.direction
                 dd = result.objective
                 margin = min(float(g @ d) - float(s) * dd for g, s in zip(grads, sigma))

@@ -21,7 +21,6 @@ from .errors import (
     FormatError,
     InvalidInputError,
     StreamEnd,
-    read_field,
     section,
 )
 from .net import Batch
@@ -67,12 +66,6 @@ class Dataset:
         if self.test_inputs.shape[1] != self.train_inputs.shape[1]:
             raise InvalidInputError(f"test inputs have width {self.test_inputs.shape[1]}, "
                                     f"train inputs width {self.train_inputs.shape[1]}")
-
-    @property
-    def num_classes(self) -> int:
-        if self.train_labels.size == 0:
-            return 0
-        return int(self.train_labels.max()) + 1
 
     @property
     def input_dim(self) -> int:
@@ -243,11 +236,14 @@ def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
 
 def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> TaskSpec:
     """The task's train and test row indices in ``dataset``; ``where`` names
-    the label set when no training row, or no test row, carries one of its
-    labels (a task with no test rows would score an accuracy of nothing)."""
+    the label set when one of its labels has no training row (its head column
+    would be a phantom class), or when no test row carries any of its labels
+    (the task would score an accuracy of nothing)."""
     train_rows = np.flatnonzero(np.isin(dataset.train_labels, labels))
-    if not train_rows.size:
-        raise ConfigError(f"{where} {list(labels)} has no training data")
+    present = set(dataset.train_labels[train_rows].tolist())
+    missing = [c for c in labels if c not in present]
+    if missing:
+        raise ConfigError(f"{where} {list(labels)} has no training data for label {missing[0]}")
     test_rows = np.flatnonzero(np.isin(dataset.test_labels, labels))
     if not test_rows.size:
         raise ConfigError(f"{where} {list(labels)} has no test data")
@@ -288,7 +284,8 @@ def build_parallel_split(
     if not (0.0 <= overlap_fraction < 1.0):
         raise ConfigError(f"split.overlap must lie in [0, 1), got {overlap_fraction!r}")
     _check_steps(batch_size, epochs, "split.")
-    num_classes = dataset.num_classes
+    # only classes with training rows are drawn (np.unique would import numpy.ma, 1.7 MiB)
+    classes = np.array(sorted(set(dataset.train_labels.tolist())), dtype=np.int64)
     rng = substream(seed, "split")
 
     sizes = [int(rng.integers(lo, hi + 1)) for _ in range(num_tasks)]
@@ -299,12 +296,12 @@ def build_parallel_split(
         for t in range(1, num_tasks)
     ]
     fresh_needed = sum(sizes) - sum(overlaps)
-    if fresh_needed > num_classes:
+    if fresh_needed > classes.size:
         raise ConfigError(
-            f"label bounds need {fresh_needed} distinct classes, dataset has {num_classes}"
+            f"label bounds need {fresh_needed} distinct classes, dataset has {classes.size}"
         )
 
-    pool = list(rng.permutation(num_classes))
+    pool = list(rng.permutation(classes))
     label_sets = []
     cursor = 0
     for t in range(num_tasks):
@@ -407,12 +404,22 @@ def _read_be32(raw: bytes, offset: int, what: str) -> int:
     return struct.unpack(">I", raw[offset : offset + 4])[0]
 
 
+def _check_payload(raw: bytes, header: int, need: int, what: str) -> None:
+    """The file must hold exactly ``need`` bytes after its ``header``: a short
+    file is cut, and a long one's header understates its contents."""
+    found = len(raw) - header
+    if found != need:
+        gap = f"{need - found} short" if found < need else f"{found - need} extra"
+        raise FormatError(f"{what} payload needs {need} bytes, found {found} ({gap})",
+                          offset=header + min(found, need))
+
+
 def load_idx(images_path, labels_path):
     """Load an IDX image/label pair as ([0,1]-scaled rows, labels).
 
     Big-endian layout: u32 magic (0x00000803 images, 0x00000801 labels),
     dimension sizes as u32, then raw unsigned bytes, images flattened
-    row-major.
+    row-major. Each file is exactly its header's size.
     """
     raw = _read_bytes(images_path)
     magic = _read_be32(raw, 0, "image magic")
@@ -424,10 +431,7 @@ def load_idx(images_path, labels_path):
     if rows * cols > np.iinfo(np.intp).max // 8:  # a float64 row must be addressable
         raise FormatError(f"image of {rows} x {cols} pixels is too large", offset=8)
     need = count * rows * cols
-    if len(raw) < 16 + need:
-        raise FormatError(
-            f"image payload needs {need} bytes, found {len(raw) - 16}", offset=len(raw)
-        )
+    _check_payload(raw, 16, need, "image")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
     images = (pixels.reshape(count, rows * cols) if count else
               np.zeros((0, rows * cols))).astype(np.float64)
@@ -438,11 +442,7 @@ def load_idx(images_path, labels_path):
     if magic_l != IDX_LABEL_MAGIC:
         raise FormatError(f"bad label magic 0x{magic_l:08x}", offset=0)
     count_l = _read_be32(raw_l, 4, "label count")
-    if len(raw_l) < 8 + count_l:
-        raise FormatError(
-            f"label payload needs {count_l} bytes, found {len(raw_l) - 8}",
-            offset=len(raw_l),
-        )
+    _check_payload(raw_l, 8, count_l, "label")
     labels = np.frombuffer(raw_l, dtype=np.uint8, count=count_l, offset=8).astype(np.int64)
     if count != count_l:
         raise FormatError(
@@ -476,6 +476,8 @@ def split_manifest(specs, timeline: TaskTimeline, seed: int, batch_size: int,
     }
 
 
+# the fields split_manifest writes; "tasks", a list of task objects, is read on its own
+_MANIFEST = {"seed": 0, "batch_size": 128, "epochs": 1, "dataset": {}}
 _MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}
 
 
@@ -487,6 +489,7 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
     tasks = manifest.get("tasks")
     if not isinstance(tasks, list):
         raise ConfigError(f"field manifest.tasks must be a list of task objects, got {tasks!r}")
+    doc = section({k: v for k, v in manifest.items() if k != "tasks"}, "manifest", _MANIFEST)
     specs, entries = [], []
     for i, entry in enumerate(tasks):
         task = section(entry, f"manifest.tasks[{i}]", _MANIFEST_TASK)
@@ -494,8 +497,7 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
                                 f"manifest.tasks[{i}].labels"))
         entries.append((task["id"], task["s"], task["e"]))
     timeline = TaskTimeline(entries)
-    batch_size = read_field(manifest, "batch_size", 128, "manifest")
-    epochs = read_field(manifest, "epochs", 1, "manifest")
+    batch_size, epochs = doc["batch_size"], doc["epochs"]
     _check_steps(batch_size, epochs, "manifest.")
     for spec in specs:
         s, e = timeline.window(spec.task_id)

@@ -1,8 +1,9 @@
 """Byte-level fuzzing of the IDX reader, the one binary reader.
 
-Each test writes a valid file, truncates it or XORs some of its bytes, and
-reads it back. The only allowed outcomes are a successful load or an
-``EmgdError``; any other exception (a traceback at the CLI) fails the test.
+Each test writes a valid file, truncates it, XORs some of its bytes or
+rewrites a header field, and reads it back. The only allowed outcomes are a
+successful load or an ``EmgdError``; any other exception (a traceback at the
+CLI) fails the test.
 """
 
 import struct
@@ -58,6 +59,27 @@ class TestIdxFuzz:
         for path, raw in zip(paths, files):
             path.write_bytes(raw)
         load_or_emgd_error(load_idx, *paths)
+
+    @FUZZ
+    @given(count=st.sampled_from([0, 3]), field=st.sampled_from(["count", "rows", "cols", "labels"]),
+           value=st.integers(0, 8) | st.integers(0, 2**32 - 1))
+    def test_header_edit(self, tmp_path, count, field, value):
+        images, labels = (bytearray(raw) for raw in idx_bytes(count))
+        raw = labels if field == "labels" else images
+        offset = {"count": 4, "rows": 8, "cols": 12, "labels": 4}[field]
+        raw[offset:offset + 4] = struct.pack(">I", value)
+        paths = [tmp_path / "images.idx", tmp_path / "labels.idx"]
+        for path, data in zip(paths, (images, labels)):
+            path.write_bytes(data)
+        try:
+            inputs, read_labels = load_idx(*paths)
+        except EmgdError:
+            return
+        # an accepted file is exactly its header's size
+        count, rows, cols = struct.unpack(">III", images[4:16])
+        (label_count,) = struct.unpack(">I", labels[4:8])
+        assert len(images) == 16 + count * rows * cols and inputs.shape == (count, rows * cols)
+        assert len(labels) == 8 + label_count and read_labels.shape == (label_count,)
 
     def test_empty_file_with_huge_rows(self, tmp_path):
         _, labels = idx_bytes(0)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import struct
 import warnings
 
@@ -38,6 +39,38 @@ def pcl_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+class TestCommandLine:
+    """A malformed command line is an input error: exit 1, with the usage on stderr."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-pcl", "--config", "c.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        # run settings come from the config only
+        (["run-pcl", "--config", "c.json", "--method", "mgda"],
+         "unrecognized arguments: --method mgda"),
+        (["build-splits", "--config", "c.json", "--serial", "--out", "m.json"],
+         "unrecognized arguments: --serial"),
+        (["run-toy", "--iters", "abc"], "argument --iters: invalid int value: 'abc'"),
+        (["build-splits", "--config", "c.json"], "the following arguments are required: --out"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_malformed_command_line_exits_1(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("usage: emgd") and message in captured.err
+
+    @pytest.mark.parametrize("command, options", [
+        ("run-pcl", {"--config", "--seed", "--out"}),
+        ("build-splits", {"--config", "--seed", "--out"}),
+        ("run-toy", {"--method", "--iters", "--step", "--join-tick", "--start", "--temperature",
+                     "--out"}),
+    ])
+    def test_help_exits_0_listing_the_options(self, capsys, command, options):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"--[a-z-]+", out)) == options | {"--help"}
 
 
 class TestSolve:
@@ -267,10 +300,10 @@ class TestRunPcl:
         assert (out / "tick_log.csv").exists()
 
     def test_methods_differ_in_lambda_columns(self, tmp_path):
-        cfg = pcl_config(tmp_path)
         out_a, out_b = tmp_path / "avg", tmp_path / "gs"
-        main(["run-pcl", "--config", str(cfg), "--method", "avg_grad", "--out", str(out_a)])
-        main(["run-pcl", "--config", str(cfg), "--method", "emgd_gs", "--out", str(out_b)])
+        for method, out in (("avg_grad", out_a), ("emgd_gs", out_b)):
+            cfg = pcl_config(tmp_path, run={"method": method, "gamma": 0.2, "gamma_heads": 1.0})
+            assert main(["run-pcl", "--config", str(cfg), "--out", str(out)]) == 0
         log_a = (out_a / "tick_log.csv").read_text()
         log_b = (out_b / "tick_log.csv").read_text()
         lam_a = [line.split(",")[3] for line in log_a.splitlines()[1:]]
@@ -278,12 +311,11 @@ class TestRunPcl:
         assert lam_a != lam_b
 
     def test_eval_mode_ordering(self, tmp_path):
-        cfg = pcl_config(tmp_path)
         out_t, out_c = tmp_path / "task", tmp_path / "class"
-        main(["run-pcl", "--config", str(cfg), "--eval-mode", "task-incremental",
-              "--out", str(out_t)])
-        main(["run-pcl", "--config", str(cfg), "--eval-mode", "class-incremental",
-              "--out", str(out_c)])
+        for mode, out in (("task", out_t), ("class", out_c)):
+            cfg = pcl_config(tmp_path, run={"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0,
+                                            "eval_mode": mode})
+            assert main(["run-pcl", "--config", str(cfg), "--out", str(out)]) == 0
         a_task = json.loads((out_t / "metrics.json").read_text())["A_final"]
         a_class = json.loads((out_c / "metrics.json").read_text())["A_final"]
         assert a_task >= a_class
@@ -375,45 +407,38 @@ class TestBuildSplits:
         assert manifest["seed"] == 1234
         assert len(manifest["tasks"]) == 2
 
-    def test_serial_flag(self, tmp_path):
-        cfg = pcl_config(tmp_path)
+    def test_serial_field(self, tmp_path):
+        cfg = pcl_config(tmp_path, split={"num_tasks": 2, "label_bounds": [4, 4], "batch_size": 8,
+                                          "epochs": 2, "serial": True})
         out = tmp_path / "serial.json"
-        main(["build-splits", "--config", str(cfg), "--serial", "--out", str(out)])
+        assert main(["build-splits", "--config", str(cfg), "--out", str(out)]) == 0
         tasks = json.loads(out.read_text())["tasks"]
         for prev, cur in zip(tasks, tasks[1:]):
             assert cur["s"] == prev["e"] + 1
 
-    def test_overlap_flag(self, tmp_path):
-        cfg = pcl_config(tmp_path)
+    def test_overlap_field(self, tmp_path):
+        cfg = pcl_config(tmp_path, split={"num_tasks": 2, "label_bounds": [4, 4], "batch_size": 8,
+                                          "epochs": 2, "overlap": 0.5})
         out = tmp_path / "overlap.json"
-        main(["build-splits", "--config", str(cfg), "--overlap", "0.5", "--out", str(out)])
+        assert main(["build-splits", "--config", str(cfg), "--out", str(out)]) == 0
         tasks = json.loads(out.read_text())["tasks"]
         shared = set(tasks[0]["labels"]) & set(tasks[1]["labels"])
         assert len(shared) == 2  # ceil(0.5 * 4)
 
-    @pytest.mark.parametrize("command", ["build-splits", "run-pcl"])
-    def test_out_of_range_overlap_flag_named(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr("emgd.experiment.run_pcl", never_train)
-        cfg = pcl_config(tmp_path)  # its split.overlap is the default, 0.0
-        code = main([command, "--config", str(cfg), "--overlap", "1.5",
-                     "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert_named_exit_1(code, captured, "--overlap must lie in [0, 1), got 1.5")
-        assert "split.overlap" not in captured.err
-
-    # a manifest run used to ignore both flags, even an out-of-range --overlap
-    @pytest.mark.parametrize("flags", [["--serial"], ["--overlap", "0.5"], ["--overlap", "7"]],
-                             ids=["serial", "overlap", "overlap-out-of-range"])
-    def test_split_flag_on_a_manifest_run_named(self, tmp_path, capsys, monkeypatch, flags):
-        monkeypatch.setattr("emgd.experiment.run_pcl", never_train)
-        manifest = tmp_path / "m.json"
-        assert main(["build-splits", "--config", str(pcl_config(tmp_path)),
-                     "--out", str(manifest)]) == 0
-        cfg = pcl_config(tmp_path, manifest=str(manifest))
-        code = main(["run-pcl", "--config", str(cfg), *flags, "--out", str(tmp_path / "out")])
-        assert_named_exit_1(code, capsys.readouterr(),
-                            f"{flags[0]} builds a split, but this run reads its split from "
-                            f"the manifest {manifest}")
+    def test_split_draws_only_classes_with_rows(self, tmp_path):
+        # the IDX labels skip 3, so the five classes are 0, 1, 2, 4 and 5
+        idx = {**write_idx(tmp_path, "train", 2, count=10), **write_idx(tmp_path, "test", 2)}
+        for name, count in (("train_labels", 10), ("test_labels", 8)):
+            labels = bytes([0, 1, 2, 4, 5] * 2)[:count]
+            (tmp_path / f"{name}.idx").write_bytes(struct.pack(">II", 0x801, count) + labels)
+        cfg = pcl_config(tmp_path, dataset={"idx": idx},
+                         split={"num_tasks": 5, "label_bounds": [1, 1], "batch_size": 2})
+        for seed in range(4):
+            out = tmp_path / f"m{seed}.json"
+            assert main(["build-splits", "--config", str(cfg), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+            tasks = json.loads(out.read_text())["tasks"]
+            assert sorted(label for task in tasks for label in task["labels"]) == [0, 1, 2, 4, 5]
 
     def test_infeasible_bounds_exit_1(self, tmp_path, capsys):
         cfg = pcl_config(
@@ -582,9 +607,18 @@ class TestMalformedConfig:
         (lambda m: m.update(batch_size=0), "batch_size"),
         (None, "must be a JSON object"),  # the manifest is a list
         (lambda m: m.update(epochs=0), "must be >= 1, got manifest.epochs 0"),
+        # the keys split_manifest writes are the only ones allowed, each of its type
+        (lambda m: m.update(epochz=3), "unknown field: manifest.epochz"),
+        (lambda m: m.update(seed="x"), "field manifest.seed must be an integer, got 'x'"),
+        (lambda m: m.update(dataset=[]), "field manifest.dataset must be a JSON object, got []"),
         # a label set with no training rows, on a one-tick window that fits it
         (lambda m: m["tasks"][-1].update(labels=[99, 100], e=m["tasks"][-1]["s"]),
-         "manifest.tasks[1].labels [99, 100] has no training data"),
+         "manifest.tasks[1].labels [99, 100] has no training data for label 99"),
+        # one label without rows would add a phantom column to the task's head
+        (lambda m: m["tasks"][0]["labels"].append(99), "has no training data for label 99"),
+        (lambda m: m["tasks"][1]["labels"].insert(0, -1), "has no training data for label -1"),
+        (lambda m: m["tasks"][1]["labels"].append(10**30),
+         f"has no training data for label {10**30}"),
         # a window far too long for its task, checked without allocating per tick
         (lambda m: m["tasks"][0].update(s=0, e=10**13),
          "task 1: window [0, 10000000000000] does not match "),
@@ -656,8 +690,8 @@ class TestMalformedConfig:
 
     def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
-        code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--eval-mode", "both",
-                     "--out", str(tmp_path / "o")])
+        cfg = pcl_config(tmp_path, run={"eval_mode": "both"})
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert_named_exit_1(code, capsys.readouterr(), "eval_mode")
 
 

@@ -538,11 +538,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: -1})
 
-    def test_eval_mode_aliases_resolved(self):
-        assert RunConfig(eval_mode="class-incremental").eval_mode == "class"
-        assert RunConfig(eval_mode="task-incremental").eval_mode == "task"
-        with pytest.raises(ConfigError, match="eval_mode"):
-            RunConfig(eval_mode="both")
+    @pytest.mark.parametrize("mode", ["both", "task-incremental", "class-incremental"])
+    def test_eval_mode_is_task_or_class(self, mode):
+        with pytest.raises(ConfigError, match=f"unknown run.eval_mode {mode!r}, pick one of "
+                                              r"\('task', 'class'\)"):
+            RunConfig(eval_mode=mode)
 
     @pytest.mark.parametrize("knobs, name", [
         ({"eta_edit": 1.5}, "eta_edit"),

@@ -72,16 +72,19 @@ def run_every_command(tmp: Path, monkeypatch) -> None:
             "run": {"memory_batch_size": 4, "snapshot_buffer": True}}
     (tmp / "split.json").write_text(json.dumps(base))
     main("build-splits", "--config", tmp / "split.json", "--out", tmp / "manifest.json")
-    (tmp / "run.json").write_text(json.dumps({**base, "manifest": str(tmp / "manifest.json")}))
     for method in METHODS:
         for editing in EDITING:
-            main("run-pcl", "--config", tmp / "run.json", "--method", method,
-                 "--editing", editing, "--out", tmp / "runs" / f"{method}-{editing}")
+            run = {**base["run"], "method": method, "editing": editing}
+            (tmp / "run.json").write_text(json.dumps(
+                {**base, "manifest": str(tmp / "manifest.json"), "run": run}))
+            main("run-pcl", "--config", tmp / "run.json",
+                 "--out", tmp / "runs" / f"{method}-{editing}")
     idx = {**write_idx(tmp, "train", 2, count=12), **write_idx(tmp, "test", 2)}
-    split = {"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 3}  # the IDX files hold 4 classes
-    (tmp / "idx.json").write_text(json.dumps({**base, "dataset": {"idx": idx}, "split": split}))
-    main("run-pcl", "--config", tmp / "idx.json", "--serial", "--eval-mode", "class",
-         "--out", tmp / "runs" / "idx")
+    split = {"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 3,  # the IDX files hold 4 classes
+             "serial": True}
+    (tmp / "idx.json").write_text(json.dumps({**base, "dataset": {"idx": idx}, "split": split,
+                                              "run": {**base["run"], "eval_mode": "class"}}))
+    main("run-pcl", "--config", tmp / "idx.json", "--out", tmp / "runs" / "idx")
     for method in METHODS:
         main("run-toy", "--method", method, "--iters", 4, "--join-tick", 2,
              "--out", tmp / "toy" / method)

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -365,7 +366,7 @@ class TestSynthetic:
         b = synthetic_dataset(6, 8, 5, 2, 0.1, seed=4)
         np.testing.assert_array_equal(a.train_inputs, b.train_inputs)
         np.testing.assert_array_equal(a.test_inputs, b.test_inputs)
-        assert a.num_classes == 6
+        np.testing.assert_array_equal(np.unique(a.train_labels), np.arange(6))
 
 
 def write_idx_pair(tmp_path, images, labels, *, image_magic=0x803, label_magic=0x801,
@@ -417,6 +418,20 @@ class TestLoadIdx:
                                   truncate_images=5)
         with pytest.raises(FormatError):
             load_idx(img, lab)
+
+    # a header that understates the payload would load shifted rows and drop the rest
+    @pytest.mark.parametrize("header, payload, message, offset", [
+        ((0x803, 5, 4, 3), 80, "image payload needs 60 bytes, found 80 (20 extra)", 76),
+        ((0x803, 2, 3, 3), 17, "image payload needs 18 bytes, found 17 (1 short)", 33),
+        ((0x801, 2), 3, "label payload needs 2 bytes, found 3 (1 extra)", 10),
+    ])
+    def test_length_must_equal_the_header(self, tmp_path, header, payload, message, offset):
+        img, lab = write_idx_pair(tmp_path, np.zeros((2, 3, 3), np.uint8), [0, 1])
+        path = img if header[0] == 0x803 else lab
+        path.write_bytes(struct.pack(f">{len(header)}I", *header) + bytes(payload))
+        with pytest.raises(FormatError, match=re.escape(message)) as err:
+            load_idx(img, lab)
+        assert err.value.offset == offset
 
     def test_count_mismatch(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, np.zeros((2, 3, 3), np.uint8), [0, 1, 2])
