@@ -105,8 +105,12 @@ def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
     for key, widths in (("hidden", net["hidden"]), ("feature_dim", [net["feature_dim"]])):
         if any(width < 1 for width in widths):
             raise ConfigError(f"widths in field net.{key} must be >= 1, got {net[key]!r}")
-    return Network([input_dim, *net["hidden"], net["feature_dim"]],
-                   seed=streams.derive_seed(seed, "net-init"))
+    sizes = [input_dim, *net["hidden"], net["feature_dim"]]
+    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if params > streams.MAX_FLOAT64S:
+        raise ConfigError(f"widths in fields net.hidden and net.feature_dim give more backbone "
+                          f"parameters than one array can address, got {sizes[1:]!r}")
+    return Network(sizes, seed=streams.derive_seed(seed, "net-init"))
 
 
 def _write_json(doc: dict, path) -> None:
@@ -178,8 +182,8 @@ def cmd_build_splits(args) -> int:
 
 def _metric_fields(path: Path) -> tuple:
     doc = load_json_object(path, "metrics file")
-    fields = (("method", "?"), ("editing", "none"), ("seed", -1), ("A_final", float),
-              ("F_final", float))
+    fields = (("method", "?"), ("editing", "none"), ("eval_mode", "task"), ("seed", -1),
+              ("A_final", float), ("F_final", float))
     return tuple(read_field(doc, key, default, str(path)) for key, default in fields)
 
 
@@ -191,31 +195,32 @@ def cmd_report(args) -> int:
         return 1
     rows = [_metric_fields(p) for p in files]
 
+    # task- and class-incremental accuracies measure different things, so never share a row
     groups: dict = {}
-    for method, editing, seed, a, f in rows:
-        groups.setdefault((method, editing), []).append((seed, a, f))
+    for method, editing, eval_mode, seed, a, f in rows:
+        groups.setdefault((method, editing, eval_mode), []).append((seed, a, f))
 
     def spread(values):
         mean = float(np.mean(values))
         std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
         return mean, std
 
-    header = f"{'method':<12} {'editing':<8} {'n':>3}  {'A_final':>17}  {'F_final':>17}"
+    header = (f"{'method':<12} {'editing':<8} {'eval_mode':<9} {'n':>3}  {'A_final':>17}  "
+              f"{'F_final':>17}")
     print(header)
     print("-" * len(header))
-    summary_lines = ["method,editing,n,A_mean,A_std,F_mean,F_std"]
-    for (method, editing), entries in sorted(groups.items()):
+    summary_lines = ["method,editing,eval_mode,n,A_mean,A_std,F_mean,F_std"]
+    for (method, editing, eval_mode), entries in sorted(groups.items()):
         a_mean, a_std = spread([a for _, a, _ in entries])
         f_mean, f_std = spread([f for _, _, f in entries])
         print(
-            f"{method:<12} {editing:<8} {len(entries):>3}  "
+            f"{method:<12} {editing:<8} {eval_mode:<9} {len(entries):>3}  "
             f"{a_mean:8.4f} ± {a_std:6.4f}  {f_mean:+8.4f} ± {f_std:6.4f}"
         )
-        summary_lines.append(
-            f"{method},{editing},{len(entries)},{a_mean!r},{a_std!r},{f_mean!r},{f_std!r}"
-        )
-    rows_lines = ["method,editing,seed,A_final,F_final"]
-    rows_lines += [f"{m},{e},{s},{a!r},{f!r}" for m, e, s, a, f in rows]
+        summary_lines.append(f"{method},{editing},{eval_mode},{len(entries)},"
+                             f"{a_mean!r},{a_std!r},{f_mean!r},{f_std!r}")
+    rows_lines = ["method,editing,eval_mode,seed,A_final,F_final"]
+    rows_lines += [f"{m},{e},{mode},{s},{a!r},{f!r}" for m, e, mode, s, a, f in rows]
     (run_dir / "report_summary.csv").write_text("\n".join(summary_lines) + "\n")
     (run_dir / "report_rows.csv").write_text("\n".join(rows_lines) + "\n")
     return 0
@@ -229,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="one-shot combination solve, JSON stdin to stdout")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("run-toy", help="two-function toy experiment")
     p.add_argument("--method", default="emgd_gs", help="emgd_gmc | emgd_gs | mgda | avg_grad")
@@ -240,37 +245,39 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("X", "Y"))
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_run_toy)
+    p.set_defaults(func=cmd_run_toy, parser=p)
 
     p = sub.add_parser("run-pcl", help="multi-stream training run from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".")
-    p.set_defaults(func=cmd_run_pcl)
+    p.set_defaults(func=cmd_run_pcl, parser=p)
 
     p = sub.add_parser("build-splits", help="write a split manifest")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_splits)
+    p.set_defaults(func=cmd_build_splits, parser=p)
 
     p = sub.add_parser("report", help="aggregate metrics files into a table")
     p.add_argument("run_dir")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, parser=p)
 
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:  # named by the command's own parser, whose usage lists its options
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as done:  # argparse exits 2 on a malformed command line, 0 after --help
         return 1 if done.code else 0
     try:
         _configure_logging()
         return args.func(args)
-    except (EmgdError, OSError) as err:  # an OSError names its path
-        print(f"error: {err}", file=sys.stderr)
+    except (EmgdError, OSError, MemoryError) as err:  # OSError names a path, MemoryError a size
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -41,7 +41,7 @@ EDITING = ("none", "emgd", "gmed")
 @dataclass
 class RunConfig:
     """Knobs for one training run; ``memory_batch_size`` 0 means ``batch_size``.
-    The memory editors read ``eta_edit``, ``edit_iterations`` and ``clamp``."""
+    The memory editors read ``eta_edit``, the size of their one step."""
 
     method: str = "emgd_gs"
     editing: str = "none"
@@ -55,11 +55,6 @@ class RunConfig:
     memory_batch_size: int = 0
     capacity_per_class: int = 5
     eta_edit: float = 0.05
-    edit_iterations: int = 1
-    clamp: bool = True
-    freeze_finished_heads: bool = False
-    tol: float = solver.DEFAULT_TOL
-    max_iter: int = solver.DEFAULT_MAX_ITER
     snapshot_buffer: bool = False
 
     def __post_init__(self):
@@ -68,19 +63,19 @@ class RunConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(
                     f"unknown run.{name} {getattr(self, name)!r}, pick one of {allowed}")
-        for name in ("gamma", "gamma_heads", "temperature", "tol"):
+        for name in ("gamma", "gamma_heads", "temperature"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
-        for name, low in (("batch_size", 1), ("epochs", 1), ("max_iter", 1), ("edit_iterations", 0),
-                          ("memory_batch_size", 0), ("capacity_per_class", 1)):
+        for name, low in (("batch_size", 1), ("epochs", 1), ("memory_batch_size", 0),
+                          ("capacity_per_class", 1)):
             value = getattr(self, name)
             if value < low:
                 # batch_size and epochs come from the split or the manifest, which check them first
                 where = name if name in ("batch_size", "epochs") else f"run.{name}"
                 raise ConfigError(f"{where} must be >= {low}, got {value!r}")
-        if not 0.0 <= self.eta_edit <= 1.0:
-            raise ConfigError(f"run.eta_edit must lie in [0, 1], got {self.eta_edit!r}")
+        if not 0.0 < self.eta_edit <= 1.0:
+            raise ConfigError(f"run.eta_edit must lie in (0, 1], got {self.eta_edit!r}")
 
 
 def compute_metrics(pairs):
@@ -303,7 +298,6 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     finish_ticks = timeline.finish_ticks()
     at_finish, final, tick_rows = {}, {}, []
     seen: list = []
-    memory_head_step = 0.0 if cfg.freeze_finished_heads else cfg.gamma_heads
 
     for tick in range(timeline.first_tick, timeline.final_tick + 1):
         active = streams.active_tasks(timeline, tick)
@@ -318,7 +312,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, memory_head_step))
+            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, cfg.gamma_heads))
         for t in real_tasks:
             batch = streams.next_batch(cursors[t], cfg.batch_size)
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
@@ -326,7 +320,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         grads, losses = stream_gradients(net, tick_streams)  # negative, as the bundle holds them
         try:
             bundle = solver.GradientBundle(tuple(task_ids), grads)
-            result, sigma = solver.combine(cfg.method, bundle, state, cfg.tol, cfg.max_iter)
+            result, sigma = solver.combine(cfg.method, bundle, state)
         except NumericError as err:
             raise NumericError(str(err), tick=tick) from None
         if not result.converged:

@@ -170,27 +170,20 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
     mem.inputs = inputs
 
 
-def _edit_loop(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
-               cfg: RunConfig, step) -> tuple:
-    """The editing loop both editors share, set by the run config's
-    ``edit_iterations``, ``eta_edit`` and ``clamp``. Each iteration moves the
-    batch's rows by ``-eta_edit`` times ``step(inputs, labels, groups, first)``'s
-    first result over its ``(task_id, slice)`` groups, then clamps; the edited
-    rows are written back. Returns the editing objective before the edit (the
-    step's second result when ``first``, on the first iteration) and after it
-    (one ``editing_objective`` pass at the written-back rows, which gives both
-    when no iteration runs)."""
+def _edit(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
+          cfg: RunConfig, step) -> tuple:
+    """The one editing step both editors share. The batch's rows move by
+    ``-cfg.eta_edit`` times ``step(inputs, labels, groups)``'s first result over
+    their ``(task_id, slice)`` groups, are clamped into [0, 1] (the ``Dataset``
+    contract) and written back. Returns the editing objective before the edit
+    (the step's second result) and after it (one ``editing_objective`` pass at
+    the written-back rows)."""
     groups = task_slices(mem.task_ids)
-    inputs, before = mem.inputs.copy(), None
-    for i in range(cfg.edit_iterations if cfg.eta_edit > 0.0 else 0):
-        delta, value = step(inputs, mem.labels, groups, i == 0)
-        before = value if i == 0 else before
-        inputs -= cfg.eta_edit * delta
-        if cfg.clamp:
-            np.clip(inputs, 0.0, 1.0, out=inputs)
+    delta, before = step(mem.inputs, mem.labels, groups)
+    inputs = mem.inputs - cfg.eta_edit * delta
+    np.clip(inputs, 0.0, 1.0, out=inputs)
     _write_back(buffer, mem, inputs)
-    after = editing_objective(net, inputs, mem, d, groups)
-    return (after if before is None else before), after
+    return before, editing_objective(net, inputs, mem, d, groups)
 
 
 def edit_memory_emgd(
@@ -204,12 +197,12 @@ def edit_memory_emgd(
 
     Each task group is edited against the shared target direction; inputs
     are clamped back into [0, 1]. Labels, task ids and network parameters
-    are never touched. Every edit iteration is one ``edit_direction`` pass
-    over the batch. Returns the editing objective before and after the edit.
+    are never touched. The step is one ``edit_direction`` pass over the
+    batch. Returns the editing objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    return _edit_loop(buffer, net, mem, d, cfg, lambda inputs, labels, groups, _:
-                      edit_direction(net, inputs, labels, groups, d))
+    return _edit(buffer, net, mem, d, cfg, lambda inputs, labels, groups:
+                 edit_direction(net, inputs, labels, groups, d))
 
 
 def edit_memory_gmed(
@@ -225,29 +218,24 @@ def edit_memory_gmed(
     defines each task group's interference score (L(x, theta) - L(x, theta'))^2
     with L the group's mean loss; inputs step down its exact input gradient
     2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
-    network that shares the heads, so ``net`` is never written; it is built on
-    the first iteration, so none is built when no iteration runs. Every edit
-    iteration is two grouped ``input_gradient`` passes over the batch, one
-    per network; the first at theta also gives the editing objective
-    ||g(x) - d||^2 before the edit, from the same terms as ``editing_objective``.
-    Returns the objective before and after the edit.
+    network that shares the heads, built once, so ``net`` is never written.
+    The step is two grouped ``input_gradient`` passes over the batch, one per
+    network; the one at theta also gives the editing objective
+    ||g(x) - d||^2 before the edit, from the same terms as
+    ``editing_objective``. Returns the objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    ahead = None
+    ahead = net.ahead(d, cfg.eta_edit)
 
-    def step(inputs, labels, groups, first):
-        nonlocal ahead
-        if first:
-            ahead = net.ahead(d, cfg.eta_edit)
+    def step(inputs, labels, groups):
         gx_ahead, loss_ahead, _ = input_gradient(ahead, inputs, labels, groups)
-        delta, loss_now, before = input_gradient(net, inputs, labels, groups,
-                                                 d if first else None)
+        delta, loss_now, before = input_gradient(net, inputs, labels, groups, d)
         delta -= gx_ahead
         for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
             delta[rows] *= 2.0 * (now - later)
         return delta, before
 
-    return _edit_loop(buffer, net, mem, d, cfg, step)
+    return _edit(buffer, net, mem, d, cfg, step)
 
 
 # Snapshot layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON

@@ -27,6 +27,7 @@ from .net import Batch
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # the float64 values one array can address
 
 
 def substream(seed: int, *names) -> np.random.Generator:
@@ -214,6 +215,10 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
     if not 0 <= noise_sigma < math.inf:
         raise ConfigError(
             f"dataset.synthetic.noise_sigma must be finite and >= 0, got {noise_sigma!r}")
+    rows = num_classes * max(samples_per_class, test_per_class)
+    if rows * input_dim > MAX_FLOAT64S:
+        raise ConfigError(f"dataset.synthetic: {rows} rows of input_dim {input_dim} are more "
+                          "float64 values than one array can address")
     centers = _draw_centers(
         substream(seed, "centers"), num_classes, input_dim, 4.0 * noise_sigma
     )
@@ -286,6 +291,9 @@ def build_parallel_split(
     _check_steps(batch_size, epochs, "split.")
     # only classes with training rows are drawn (np.unique would import numpy.ma, 1.7 MiB)
     classes = np.array(sorted(set(dataset.train_labels.tolist())), dtype=np.int64)
+    if num_tasks > classes.size:  # each task takes a fresh class; checked before sizes are drawn
+        raise ConfigError(f"split.num_tasks {num_tasks} needs as many distinct classes, "
+                          f"dataset has {classes.size}")
     rng = substream(seed, "split")
 
     sizes = [int(rng.integers(lo, hi + 1)) for _ in range(num_tasks)]
@@ -428,7 +436,7 @@ def load_idx(images_path, labels_path):
     count = _read_be32(raw, 4, "image count")
     rows = _read_be32(raw, 8, "row count")
     cols = _read_be32(raw, 12, "column count")
-    if rows * cols > np.iinfo(np.intp).max // 8:  # a float64 row must be addressable
+    if rows * cols > MAX_FLOAT64S:  # a float64 row must be addressable
         raise FormatError(f"image of {rows} x {cols} pixels is too large", offset=8)
     need = count * rows * cols
     _check_payload(raw, 16, need, "image")

@@ -242,25 +242,21 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
     theta = net.theta.copy()
     inputs = mem.inputs.copy()
     try:
-        for _ in range(cfg.edit_iterations):
-            if cfg.eta_edit == 0.0:
-                break
-            for task_id in np.unique(mem.task_ids).tolist():
-                mask = mem.task_ids == task_id
-                batch = Batch(inputs[mask], mem.labels[mask], task_id)
-                group = [(task_id, slice(None))]
-                net.set_backbone_flat(theta)
-                _, loss_now = forward(net, batch)
-                gx_now, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
-                net.set_backbone_flat(theta + cfg.eta_edit * d)
-                _, loss_ahead = forward(net, batch)
-                gx_ahead, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
-                delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
-                inputs[mask] = inputs[mask] - cfg.eta_edit * delta
-            if cfg.clamp:
-                inputs = np.clip(inputs, 0.0, 1.0)
+        for task_id in np.unique(mem.task_ids).tolist():
+            mask = mem.task_ids == task_id
+            batch = Batch(mem.inputs[mask], mem.labels[mask], task_id)
+            group = [(task_id, slice(None))]
+            net.set_backbone_flat(theta)
+            _, loss_now = forward(net, batch)
+            gx_now, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
+            net.set_backbone_flat(theta + cfg.eta_edit * d)
+            _, loss_ahead = forward(net, batch)
+            gx_ahead, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
+            delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
+            inputs[mask] = batch.inputs - cfg.eta_edit * delta
     finally:
         net.set_backbone_flat(theta)
+    inputs = np.clip(inputs, 0.0, 1.0)
     _write_back(buffer, mem, inputs)
     return objective
 

@@ -44,22 +44,28 @@ def pcl_config(tmp_path, **overrides):
 class TestCommandLine:
     """A malformed command line is an input error: exit 1, with the usage on stderr."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["run-pcl", "--config", "c.json", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    @pytest.mark.parametrize("argv, usage, message", [
+        (["run-pcl", "--config", "c.json", "--bogus", "1"], "usage: emgd run-pcl",
+         "unrecognized arguments: --bogus 1"),
         # run settings come from the config only
-        (["run-pcl", "--config", "c.json", "--method", "mgda"],
+        (["run-pcl", "--config", "c.json", "--method", "mgda"], "usage: emgd run-pcl",
          "unrecognized arguments: --method mgda"),
         (["build-splits", "--config", "c.json", "--serial", "--out", "m.json"],
-         "unrecognized arguments: --serial"),
-        (["run-toy", "--iters", "abc"], "argument --iters: invalid int value: 'abc'"),
-        (["build-splits", "--config", "c.json"], "the following arguments are required: --out"),
-        ([], "the following arguments are required: command"),
+         "usage: emgd build-splits", "unrecognized arguments: --serial"),
+        (["run-toy", "--iters", "3", "extra"], "usage: emgd run-toy",
+         "unrecognized arguments: extra"),
+        (["run-toy", "--iters", "abc"], "usage: emgd run-toy",
+         "argument --iters: invalid int value: 'abc'"),
+        (["build-splits", "--config", "c.json"], "usage: emgd build-splits",
+         "the following arguments are required: --out"),
+        ([], "usage: emgd [-h]", "the following arguments are required: command"),
     ])
-    def test_malformed_command_line_exits_1(self, capsys, argv, message):
+    def test_malformed_command_line_exits_1(self, capsys, argv, usage, message):
+        # the usage shown is that of the command named, so it lists that command's options
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
-        assert captured.err.startswith("usage: emgd") and message in captured.err
+        assert captured.err.startswith(usage) and message in captured.err
 
     @pytest.mark.parametrize("command, options", [
         ("run-pcl", {"--config", "--seed", "--out"}),
@@ -116,8 +122,11 @@ class TestSolve:
         ("grads", '{"grads": [["a", 1.0]]}'),
         ("temperature", '{"grads": [[1.0, 0.0]], "temperature": "x"}'),
         ("tol", '{"grads": [[1.0, 0.0]], "tol": "x"}'),
+        ("tol", '{"grads": [[1.0, 0.0]], "tol": 0.0}'),
+        ("tol", '{"grads": [[1.0, 0.0]], "tol": -1.0}'),
         ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": "x"}'),
         ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": 0}'),
+        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": -1}'),
     ])
     def test_malformed_value_exit_1(self, monkeypatch, capsys, field, request_text):
         code = run_cli(["solve"], request_text, monkeypatch)
@@ -459,10 +468,11 @@ class TestBuildSplits:
 
 
 class TestReport:
-    def write_metrics(self, path, method, seed, a, f):
+    def write_metrics(self, path, method, seed, a, f, **more):
+        path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps({
             "A_final": a, "F_final": f, "method": method, "editing": "none",
-            "seed": seed,
+            "seed": seed, **more,
         }))
 
     def test_single_file_single_row(self, tmp_path, capsys):
@@ -479,10 +489,34 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 0
         _ = capsys.readouterr()
         summary = (tmp_path / "report_summary.csv").read_text().splitlines()
-        _, _, n, a_mean, a_std, _, _ = summary[1].split(",")
+        _, _, mode, n, a_mean, a_std, _, _ = summary[1].split(",")
+        assert mode == "task"  # a file without eval_mode is task-incremental
         assert int(n) == 3
         assert float(a_mean) == pytest.approx(0.9)
         assert float(a_std) == pytest.approx(0.1)  # sample standard deviation
+
+    def test_eval_modes_get_their_own_rows(self, tmp_path, capsys):
+        # the same runs scored task- and class-incremental are never averaged together
+        self.write_metrics(tmp_path / "a" / "metrics.json", "emgd_gs", 0, 0.5, 0.0,
+                           eval_mode="task")
+        self.write_metrics(tmp_path / "b" / "metrics.json", "emgd_gs", 0, 1 / 6, 0.0,
+                           eval_mode="class")
+        assert main(["report", str(tmp_path)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[0].split()[:4] == ["method", "editing", "eval_mode", "n"]
+        assert [line.split()[:4] for line in table[2:]] == [
+            ["emgd_gs", "none", "class", "1"], ["emgd_gs", "none", "task", "1"]]
+        summary = (tmp_path / "report_summary.csv").read_text().splitlines()
+        assert summary == [
+            "method,editing,eval_mode,n,A_mean,A_std,F_mean,F_std",
+            f"emgd_gs,none,class,1,{1 / 6!r},0.0,0.0,0.0",
+            "emgd_gs,none,task,1,0.5,0.0,0.0,0.0",
+        ]
+        assert (tmp_path / "report_rows.csv").read_text().splitlines() == [
+            "method,editing,eval_mode,seed,A_final,F_final",
+            "emgd_gs,none,task,0,0.5,0.0",
+            f"emgd_gs,none,class,0,{1 / 6!r},0.0",
+        ]
 
     def test_incomplete_file_named(self, tmp_path, capsys):
         (tmp_path / "metrics_bad.json").write_text('{"A_final": 0.5}')
@@ -514,7 +548,6 @@ CONFIG_MUTATIONS = [
     (("split", "serial"), "no", "split.serial"),
     (("run", "gamma"), "fast", "run.gamma"),
     (("run", "gamma"), float("nan"), "run.gamma"),
-    (("run", "clamp"), "no", "run.clamp"),
     (("run", "method"), 3, "run.method"),
     (("run", "method"), "sgd", "method"),
     (("run", "eval_mode"), "both", "eval_mode"),
@@ -523,8 +556,6 @@ CONFIG_MUTATIONS = [
     (("run", "eval_every"), 0, "unknown field: run.eval_every"),
     (("run", "memory_batch_size"), -1, "memory_batch_size"),
     (("run", "memory_batch_size"), 0, None),  # 0 means the batch size
-    (("run", "max_iter"), "x", "run.max_iter"),
-    (("run", "edit_iterations"), -1, "iterations"),
     (("run", "eta_edit"), 2.0, "eta_edit"),
     (("run", "capacity_per_class"), 0, "capacity_per_class"),
     (("run", "typo"), 1, "run.typo"),
@@ -533,12 +564,16 @@ CONFIG_MUTATIONS = [
     (("net", "hidden"), [0], "net.hidden"),
     (("net", "feature_dim"), 0, "net.feature_dim"),
     (("run", "fd_eps"), 1e-4, "unknown field: run.fd_eps"),  # the editor has no step
+    # the editor takes one step and the solver its own budget, so these are unknown
+    (("run", "edit_iterations"), 1, "unknown field: run.edit_iterations"),
+    (("run", "clamp"), True, "unknown field: run.clamp"),
+    (("run", "freeze_finished_heads"), False, "unknown field: run.freeze_finished_heads"),
+    (("run", "tol"), 1e-8, "unknown field: run.tol"),
+    (("run", "max_iter"), 250, "unknown field: run.max_iter"),
     # range errors name the dotted path, as type errors do
-    (("run", "max_iter"), 0, "run.max_iter must be >= 1, got 0"),
-    (("run", "tol"), -1.0, "run.tol must be positive"),
     (("run", "temperature"), 0.0, "run.temperature must be positive"),
-    (("run", "edit_iterations"), -1, "run.edit_iterations must be >= 0, got -1"),
-    (("run", "eta_edit"), 2.0, "run.eta_edit must lie in [0, 1], got 2.0"),
+    (("run", "eta_edit"), 2.0, "run.eta_edit must lie in (0, 1], got 2.0"),
+    (("run", "eta_edit"), 0.0, "run.eta_edit must lie in (0, 1], got 0.0"),  # "none" skips editing
     (("run", "capacity_per_class"), 0, "run.capacity_per_class must be >= 1, got 0"),
     (("split", "overlap"), 1.5, "split.overlap must lie in [0, 1), got 1.5"),
     (("split", "num_tasks"), 0, "split.num_tasks must be >= 1, got 0"),
@@ -553,6 +588,14 @@ CONFIG_MUTATIONS = [
      "dataset.synthetic.test_per_class must be >= 1"),
     (("dataset", "synthetic", "noise_sigma"), -0.1,
      "dataset.synthetic.noise_sigma must be finite and >= 0"),
+    # sizes past what one array can address are named before anything is allocated
+    (("net", "hidden"), [2**62], "widths in fields net.hidden and net.feature_dim give more "
+                                 "backbone parameters than one array can address"),
+    (("net", "feature_dim"), 2**62, "net.feature_dim"),
+    (("dataset", "synthetic", "input_dim"), 2**62,
+     "dataset.synthetic: 96 rows of input_dim 4611686018427387904 are more float64 values"),
+    (("dataset", "synthetic", "samples_per_class"), 2**62, "dataset.synthetic"),
+    (("split", "num_tasks"), 2**62, "split.num_tasks 4611686018427387904 needs as many"),
 ]
 
 
@@ -688,6 +731,21 @@ class TestMalformedConfig:
         assert_named_exit_1(code, captured, name)
         assert "has no test data" in captured.err
 
+    @pytest.mark.parametrize("site, message", [
+        ("emgd.cli.streams.synthetic_dataset",
+         "Unable to allocate 80.0 TiB for an array with shape (96, 1099511627776)"),
+        ("emgd.cli.Network", ""),
+    ], ids=["dataset", "net"])
+    def test_out_of_memory_exits_1(self, tmp_path, capsys, monkeypatch, site, message):
+        # an addressable size the machine cannot hold; no real allocation is attempted
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(site, exhausted)
+        code = main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--out",
+                     str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(), f"error: {message or 'out of memory'}")
+
     def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
         cfg = pcl_config(tmp_path, run={"eval_mode": "both"})
@@ -710,9 +768,7 @@ FULL_CONFIG = {
               "batch_size": 8, "epochs": 2},
     "run": {"method": "emgd_gs", "editing": "emgd", "gamma": 0.2, "gamma_heads": 1.0,
             "temperature": 1.0, "eval_mode": "task", "memory_batch_size": 4,
-            "capacity_per_class": 2, "eta_edit": 0.05, "edit_iterations": 2, "clamp": True,
-            "freeze_finished_heads": False, "tol": 1e-8, "max_iter": 50,
-            "snapshot_buffer": False},
+            "capacity_per_class": 2, "eta_edit": 0.05, "snapshot_buffer": False},
     "net": {"hidden": [16], "feature_dim": 8},
 }
 

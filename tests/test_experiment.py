@@ -267,19 +267,10 @@ class TestRunPcl:
             assert tick_log_csv(ra.tick_rows) == tick_log_csv(rb.tick_rows)
             assert metrics_document(ra, cfg) == metrics_document(rb, cfg)
 
-    def test_frozen_finished_heads_stay_bit_identical(self):
+    def test_memory_stream_steps_finished_heads(self):
+        # task 1's head keeps training through the memory stream after it finishes
         specs, tl, net = pcl_setup(num_tasks=2, serial=True)
-        cfg = quick_cfg(method="emgd_gs", freeze_finished_heads=True)
-        run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
-
-        solo_specs, solo_tl, solo_net = pcl_setup(num_tasks=2, serial=True)
-        run_pcl([solo_specs[0]], type(solo_tl)([solo_tl.entries[0]]), solo_net,
-                MemoryBuffer(5), cfg)
-        np.testing.assert_array_equal(net.heads[1], solo_net.heads[1])
-
-    def test_unfrozen_heads_move(self):
-        specs, tl, net = pcl_setup(num_tasks=2, serial=True)
-        cfg = quick_cfg(method="emgd_gs", freeze_finished_heads=False)
+        cfg = quick_cfg(method="emgd_gs")
         run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
 
         solo_specs, solo_tl, solo_net = pcl_setup(num_tasks=2, serial=True)
@@ -455,7 +446,7 @@ class TestRunPcl:
             expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
             assert len(calls) == len(expected)  # one test-set forward per scored (task, tick)
 
-    def test_edit_iterations_sets_the_number_of_edit_steps(self):
+    def test_editing_rewrites_the_stored_rows(self):
         specs, tl, _ = pcl_setup(num_tasks=3)
 
         def memory(**knobs):
@@ -464,11 +455,10 @@ class TestRunPcl:
             return result.buffer.x.copy()
 
         unedited = memory()
-        np.testing.assert_array_equal(memory(editing="emgd", edit_iterations=0), unedited)
-        once = memory(editing="emgd", edit_iterations=1)
-        twice = memory(editing="emgd", edit_iterations=2)
-        assert not np.array_equal(once, unedited)
-        assert not np.array_equal(twice, once)
+        emgd, gmed = memory(editing="emgd"), memory(editing="gmed")
+        assert not np.array_equal(emgd, unedited)
+        assert not np.array_equal(gmed, unedited)
+        assert not np.array_equal(emgd, gmed)
 
     def test_every_tick_direction_is_pareto_descent(self, monkeypatch):
         # record each tick's solve and re-check the certificate on the
@@ -522,16 +512,11 @@ class TestEvaluate:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("name", ["gamma", "gamma_heads", "temperature", "tol"])
+    @pytest.mark.parametrize("name", ["gamma", "gamma_heads", "temperature", "eta_edit"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
     def test_rejects_nonfinite_or_nonpositive(self, name, value):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: value})
-
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_rejects_max_iter_below_one(self, value):
-        with pytest.raises(ConfigError, match="max_iter"):
-            RunConfig(max_iter=value)
 
     @pytest.mark.parametrize("name", ["memory_batch_size"])
     def test_rejects_negative_counts(self, name):
@@ -546,11 +531,16 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("knobs, name", [
         ({"eta_edit": 1.5}, "eta_edit"),
-        ({"edit_iterations": -1}, "iterations"),
         ({"fd_eps": 0.0}, "fd_eps"),
+        ({"edit_iterations": 1}, "edit_iterations"),
+        ({"clamp": True}, "clamp"),
+        ({"freeze_finished_heads": False}, "freeze_finished_heads"),
+        ({"tol": 1e-8}, "tol"),
+        ({"max_iter": 250}, "max_iter"),
     ])
     def test_edit_knobs_checked_at_construction(self, knobs, name):
-        # the editing gradient is exact, so fd_eps is no RunConfig field at all
-        error = TypeError if name == "fd_eps" else ConfigError
+        # the editing gradient is exact, the edit is one clamped step and the
+        # solver keeps its own budget, so these names are no RunConfig fields at all
+        error = ConfigError if name == "eta_edit" else TypeError
         with pytest.raises(error, match=name):
             RunConfig(**knobs)

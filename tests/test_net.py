@@ -285,7 +285,7 @@ class TestStreamGradients:
     rows; a narrower head's padded softmax row, or a one-row stream (a
     vector-matrix product in the per-stream path), changes only the rounding."""
 
-    @pytest.mark.parametrize("mem_step", [0.3, 0.0])  # 0.0: freeze_finished_heads
+    @pytest.mark.parametrize("mem_step", [0.3, 0.0])  # 0.0: a stream whose heads stay put
     @pytest.mark.parametrize("seed", range(10))
     def test_same_class_counts_bitwise(self, seed, mem_step):
         net, ref, streams = random_tick(np.random.default_rng(seed), True, mem_step)

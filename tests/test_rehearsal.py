@@ -41,9 +41,9 @@ CHI2_99_DF5 = 15.086
 CHI2_99_DF7 = 18.475
 
 
-def class_batch(rng, n, dim=6, task=1, classes=4, label=None):
+def class_batch(rng, n, dim=6, task=1, classes=4, label=None, span=(0.0, 1.0)):
     labels = np.full(n, label, dtype=np.int64) if label is not None else rng.integers(0, classes, n)
-    return Batch(rng.uniform(0, 1, (n, dim)), labels, task)
+    return Batch(rng.uniform(*span, (n, dim)), labels, task)
 
 
 def task_spec(batch, class_ids):
@@ -71,12 +71,21 @@ def class_counts(buf):
     return Counter(buf.class_id.tolist())
 
 
-def filled_buffer(rng, capacity=3, tasks=(1, 2), per_task=6, dim=6):
+def filled_buffer(rng, capacity=3, tasks=(1, 2), per_task=6, dim=6, span=(0.0, 1.0)):
     buf = MemoryBuffer(capacity)
     for t in tasks:
-        batch = class_batch(rng, per_task, dim=dim, task=t, classes=3)
+        batch = class_batch(rng, per_task, dim=dim, task=t, classes=3, span=span)
         insert(buf, task_spec(batch, 10 * t + batch.labels), rng)
     return buf
+
+
+# Rows drawn here stay inside the unit cube after a small edit, so the
+# editors' clamp is idle and a test can read the unclamped step.
+INNER = (0.25, 0.75)
+
+
+def assert_clamp_idle(inputs):
+    assert 0.0 < inputs.min() and inputs.max() < 1.0
 
 
 class TestInsert:
@@ -395,27 +404,18 @@ class TestEditEmgd:
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
-    def test_zero_eta_is_bit_exact_noop(self):
-        rng = np.random.default_rng(11)
-        net = make_net()
-        buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, 4)
-        before = buf.x.copy()
-        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig(eta_edit=0.0))
-        for x, y in zip(before, buf.x):
-            np.testing.assert_array_equal(x, y)
-
     def test_objective_does_not_increase(self):
         rng = np.random.default_rng(12)
         hits, trials = 0, 40
         for trial in range(trials):
             net = make_net(seed=trial)
-            buf = filled_buffer(rng, capacity=2, per_task=4)
+            buf = filled_buffer(rng, capacity=2, per_task=4, span=INNER)
             mem = sample_memory(buf, 4, trial)
             other = class_batch(rng, 4, task=1, classes=4)
             d = -backward(net, other).backbone_grad
             before = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
-            edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=1e-3, clamp=False))
+            edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=1e-3))
+            assert_clamp_idle(mem.inputs)
             after = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             if after <= before + 1e-6:
                 hits += 1
@@ -437,7 +437,7 @@ class TestEditEmgd:
         # three tasks, and more rows than slots, so rows repeat
         rng = np.random.default_rng(20)
         net = make_net(heads=((1, 4), (2, 3), (3, 3)))
-        buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5)
+        buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5, span=INNER)
         mem = sample_memory(buf, buf.occupancy + 5, 6)
         assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
@@ -451,7 +451,8 @@ class TestEditEmgd:
                                           [(int(t), slice(None))], d)
             expected[mask] = x0[mask] - eta * delta
             objective += value
-        before, after = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
+        before, after = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta))
+        assert_clamp_idle(mem.inputs)
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
         assert before == editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
@@ -478,12 +479,10 @@ class TestEditEmgd:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, 5)
         d = rng.normal(size=net.backbone_dim)
-        for edit, cfg in ((edit_memory_emgd, RunConfig(edit_iterations=0)),
-                          (edit_memory_emgd, RunConfig(eta_edit=0.0)),
-                          (edit_memory_emgd, RunConfig(eta_edit=0.5, edit_iterations=3)),
-                          (edit_memory_gmed, RunConfig(edit_iterations=0)),
+        for edit, cfg in ((edit_memory_emgd, RunConfig()),
+                          (edit_memory_emgd, RunConfig(eta_edit=0.5)),
                           (edit_memory_gmed, RunConfig()),
-                          (edit_memory_gmed, RunConfig(eta_edit=0.5, edit_iterations=3))):
+                          (edit_memory_gmed, RunConfig(eta_edit=0.5))):
             x0 = mem.inputs.copy()
             expected = editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
             before, after = edit(buf, net, mem, d, cfg)
@@ -523,7 +522,7 @@ class TestEditGmed:
         # oracle: central difference of (loss(x,theta) - loss(x,theta'))^2
         rng = np.random.default_rng(16)
         net = make_net()
-        buf = filled_buffer(rng, tasks=(1,), capacity=2, per_task=2)
+        buf = filled_buffer(rng, tasks=(1,), capacity=2, per_task=2, span=INNER)
         mem = sample_memory(buf, 2, 4)
         d = -backward(net, class_batch(rng, 3, task=1, classes=4)).backbone_grad
         eta = 0.05
@@ -540,7 +539,8 @@ class TestEditGmed:
             return (l_now - l_ahead) ** 2
 
         x0 = mem.inputs.copy()
-        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=eta, clamp=False))
+        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=eta))
+        assert_clamp_idle(mem.inputs)
         applied = (x0 - mem.inputs) / eta  # recovered gradient estimate
         h = 1e-6
         for _ in range(10):
@@ -565,13 +565,14 @@ class TestEditGmed:
         for x in buf.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    @pytest.mark.parametrize("cfg", [RunConfig(eta_edit=0.5, edit_iterations=3, clamp=False),
-                                     RunConfig(eta_edit=0.2, edit_iterations=2)])
-    def test_matches_per_group_oracle(self, cfg):
+    @pytest.mark.parametrize("cfg, span", [(RunConfig(eta_edit=0.02), INNER),
+                                           (RunConfig(eta_edit=0.5), (0.99, 1.0))],
+                             ids=["inside", "clamped"])
+    def test_matches_per_group_oracle(self, cfg, span):
         # three tasks in the batch, drawn with replacement so slots repeat;
-        # the oracle edits one task group at a time
+        # the oracle edits one task group at a time, and clamps the same way
         rng = np.random.default_rng(22)
-        buf = filled_buffer(rng, tasks=(1, 2, 3))
+        buf = filled_buffer(rng, tasks=(1, 2, 3), span=span)
         mem = sample_memory(buf, buf.occupancy + 9, 6)
         assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
@@ -585,15 +586,20 @@ class TestEditGmed:
         assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d,
                                           task_slices(mems[0].task_ids))
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
+        if span == INNER:
+            assert_clamp_idle(mems[0].inputs)
+        else:
+            assert np.any(mems[0].inputs == 1.0)  # the clamp binds
         np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
         for a, b in zip(bufs[0].x, bufs[1].x):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
 
     @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
-    @pytest.mark.parametrize("iterations", [0, 1, 3])
-    def test_never_writes_the_backbone(self, tasks, iterations):
-        # a read-only backbone gives the same edit as a writable one
+    @pytest.mark.parametrize("eta", [0.05, 1.0])
+    def test_never_writes_the_backbone(self, tasks, eta):
+        # a read-only backbone gives the same edit as a writable one, at the
+        # default step and at the largest allowed one
         rng = np.random.default_rng(23)
         buf = filled_buffer(rng, tasks=tasks)
         mem = sample_memory(buf, 8, 7)
@@ -603,15 +609,15 @@ class TestEditGmed:
         for array in (frozen.theta, *(v for layer in frozen.backbone for v in layer)):
             array.flags.writeable = False
         d = rng.normal(size=frozen.backbone_dim)
-        cfg = RunConfig(edit_iterations=iterations)
         bufs = [copy.deepcopy(buf) for _ in range(2)]
         mems = [copy.deepcopy(mem) for _ in range(2)]
-        results = [edit_memory_gmed(b, net, m, d, cfg) for b, net, m in zip(bufs, nets, mems)]
+        results = [edit_memory_gmed(b, net, m, d, RunConfig(eta_edit=eta))
+                   for b, net, m in zip(bufs, nets, mems)]
         assert results[0] == results[1]
         np.testing.assert_array_equal(mems[0].inputs, mems[1].inputs)
         np.testing.assert_array_equal(bufs[0].x, bufs[1].x)
         np.testing.assert_array_equal(frozen.theta, nets[1].theta)
-        assert not np.array_equal(mems[0].inputs, mem.inputs) or iterations == 0
+        assert not np.array_equal(mems[0].inputs, mem.inputs)
 
     def test_restores_parameters(self):
         rng = np.random.default_rng(18)
@@ -623,9 +629,9 @@ class TestEditGmed:
         np.testing.assert_array_equal(net.theta.copy(), before)
 
 
-@pytest.mark.parametrize("iterations", [0, 1])
+@pytest.mark.parametrize("offset", [-1, 1], ids=["short", "long"])
 @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
-def test_editors_reject_a_direction_of_another_dimension(edit, iterations):
+def test_editors_reject_a_direction_of_another_dimension(edit, offset):
     # a two-task batch takes the factored editing kernel, a one-task batch the explicit one
     net = make_net()
     sizes = net.layer_sizes
@@ -637,10 +643,9 @@ def test_editors_reject_a_direction_of_another_dimension(edit, iterations):
         kernels = [_factored(4, len(tasks), fi, fo) for fi, fo in zip(sizes, sizes[1:])]
         assert kernels == [factored] * 2
         before = buf.x.copy()
-        for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
-            with pytest.raises(InvalidInputError, match="dimension"):
-                edit(buf, net, mem, wrong, RunConfig(edit_iterations=iterations))
-            np.testing.assert_array_equal(buf.x, before)
+        with pytest.raises(InvalidInputError, match="dimension"):
+            edit(buf, net, mem, np.zeros(net.backbone_dim + offset), RunConfig())
+        np.testing.assert_array_equal(buf.x, before)
 
 
 class TestEditPasses:
@@ -657,52 +662,34 @@ class TestEditPasses:
         monkeypatch.setattr(emgd.net, "_activations", counted)
         return calls
 
-    @pytest.mark.parametrize("iterations", [1, 2, 3])
-    @pytest.mark.parametrize("edit, passes", [(edit_memory_emgd, lambda n: n + 1),
-                                              (edit_memory_gmed, lambda n: 2 * n + 1)],
+    @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)], ids=["one-task", "three-task"])
+    @pytest.mark.parametrize("edit, passes", [(edit_memory_emgd, 2), (edit_memory_gmed, 3)],
                              ids=["emgd", "gmed"])
-    def test_one_pass_per_step_and_one_after(self, monkeypatch, edit, passes, iterations):
-        # emgd: one edit_direction per iteration; gmed: two input_gradient per
-        # iteration, the first at theta also giving the objective before the
-        # edit; both: one editing_objective pass after it
+    def test_one_step_and_one_pass_after(self, monkeypatch, edit, passes, tasks):
+        # emgd: one edit_direction; gmed: two input_gradient, the one at theta
+        # also giving the objective before the edit; both: one
+        # editing_objective pass after it, whichever kernel the batch takes
         rng = np.random.default_rng(27)
         net = make_net(heads=((1, 4), (2, 3), (3, 5)))
-        buf = filled_buffer(rng, tasks=(1, 2, 3))
+        buf = filled_buffer(rng, tasks=tasks)
         mem = sample_memory(buf, 8, 3)
+        assert len(np.unique(mem.task_ids)) == len(tasks)
         d = rng.normal(size=net.backbone_dim)
         expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
         calls = self.count_forwards(monkeypatch)
-        before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2,
-                                                         edit_iterations=iterations))
-        assert calls == [len(mem.labels)] * passes(iterations)
+        before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2))
+        assert calls == [len(mem.labels)] * passes
         assert before == expected
         assert after != before
 
-    @pytest.mark.parametrize("cfg", [RunConfig(edit_iterations=0), RunConfig(eta_edit=0.0)],
-                             ids=["iterations0", "eta0"])
-    @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
-    def test_no_step_is_one_pass(self, monkeypatch, edit, cfg):
-        rng = np.random.default_rng(28)
-        net = make_net()
-        buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, 2)
-        d = rng.normal(size=net.backbone_dim)
-        expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
-        calls = self.count_forwards(monkeypatch)
-        before, after = edit(buf, net, mem, d, cfg)
-        assert len(calls) == 1
-        assert before == after == expected
-
-    @pytest.mark.parametrize("cfg, built", [(RunConfig(edit_iterations=0), 0),
-                                            (RunConfig(eta_edit=0.0), 0),
-                                            (RunConfig(), 1),
-                                            (RunConfig(eta_edit=0.2, edit_iterations=3), 1)],
-                             ids=["iterations0", "eta0", "one", "three"])
-    def test_gmed_builds_the_look_ahead_only_when_a_step_runs(self, monkeypatch, cfg, built):
+    @pytest.mark.parametrize("tasks", [(1,), (1, 2)], ids=["one-task", "two-task"])
+    def test_gmed_builds_the_look_ahead_once(self, monkeypatch, tasks):
+        # one look-ahead serves every task group of the batch
         rng = np.random.default_rng(30)
         net = make_net()
-        buf = filled_buffer(rng)
+        buf = filled_buffer(rng, tasks=tasks)
         mem = sample_memory(buf, 4, 2)
+        assert len(np.unique(mem.task_ids)) == len(tasks)
         d = rng.normal(size=net.backbone_dim)
         steps, ahead = [], Network.ahead
 
@@ -711,8 +698,8 @@ class TestEditPasses:
             return ahead(self, direction, step)
 
         monkeypatch.setattr(Network, "ahead", counted)
-        edit_memory_gmed(buf, net, mem, d, cfg)
-        assert steps == [cfg.eta_edit] * built
+        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=0.2))
+        assert steps == [0.2]
 
 
 class TestQuadraticEditingOracle:
