@@ -85,9 +85,10 @@ def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
         raise ConfigError(f"test images {spec['test_images']}: {err}") from None
 
 
-def _build_split(doc: dict, dataset: streams.Dataset, seed: int):
+def _build_split(doc: dict, dataset: streams.Dataset, seed: int) -> dict:
+    """The manifest of the config's ``split`` section."""
     split = section(doc, "split", _SPLIT)
-    specs, timeline = streams.build_parallel_split(
+    return streams.build_parallel_split(
         dataset,
         num_tasks=split["num_tasks"],
         label_bounds=split["label_bounds"],
@@ -97,7 +98,6 @@ def _build_split(doc: dict, dataset: streams.Dataset, seed: int):
         epochs=split["epochs"],
         serial=split["serial"],
     )
-    return specs, timeline, split["batch_size"], split["epochs"]
 
 
 def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
@@ -142,11 +142,10 @@ def cmd_run_toy(args) -> int:
 
 def cmd_run_pcl(args) -> int:
     doc, seed, dataset = _load_config(args)
-    if doc["manifest"]:
-        specs, timeline, batch_size, epochs = streams.specs_from_manifest(
-            load_json_object(doc["manifest"], "split manifest"), dataset)
-    else:
-        specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed)
+    # a split section runs exactly as the manifest build-splits writes from it
+    manifest = (load_json_object(doc["manifest"], "split manifest") if doc["manifest"]
+                else _build_split(doc["split"], dataset, seed))
+    specs, timeline, batch_size, epochs = streams.specs_from_manifest(manifest, dataset)
     cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), batch_size=batch_size,
                                epochs=epochs, seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
@@ -171,11 +170,8 @@ def cmd_run_pcl(args) -> int:
 def cmd_build_splits(args) -> int:
     # accepts the same document as run-pcl so one config serves both commands
     doc, seed, dataset = _load_config(args)
-    specs, timeline, batch_size, epochs = _build_split(doc["split"], dataset, seed)
-    manifest = streams.split_manifest(
-        specs, timeline, seed, batch_size, epochs, dataset_info=doc["dataset"]
-    )
-    _write_json(manifest, args.out)
+    _write_json({**_build_split(doc["split"], dataset, seed), "dataset": doc["dataset"]},
+                args.out)
     log.info("split manifest written to %s", args.out)
     return 0
 

@@ -289,6 +289,10 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
         raise ConfigError("timeline tasks do not match the provided specs")
     mem_batch_size = cfg.memory_batch_size or cfg.batch_size
+    if mem_batch_size * net.input_dim > streams.MAX_FLOAT64S:  # checked before the first tick
+        raise ConfigError(f"run.memory_batch_size {cfg.memory_batch_size} gives memory batches "
+                          f"of {mem_batch_size} rows of input width {net.input_dim}, more "
+                          "float64 values than one array can address")
     cursors = {
         spec.task_id: TaskCursor(spec, cfg.epochs, cfg.seed) for spec in specs
     }

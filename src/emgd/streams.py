@@ -5,6 +5,8 @@ partition of some dataset restricted to its label set) and a timeline of
 integer access windows (s_t, e_t), one tick per optimization step. Tasks are
 accessed in order and the timeline never has a dead tick, so serial
 continual learning falls out as the degenerate case s_t = e_{t-1} + 1.
+A split is its manifest document: ``build_parallel_split`` draws one, and
+``specs_from_manifest`` turns a built or loaded one into specs and the timeline.
 """
 
 from __future__ import annotations
@@ -113,12 +115,6 @@ class TaskTimeline:
     def final_tick(self) -> int:
         return max(e for _, _, e in self.entries)
 
-    def window(self, task_id: int):
-        for t, s, e in self.entries:
-            if t == task_id:
-                return s, e
-        raise InvalidInputError(f"task {task_id} not on the timeline")
-
     def finish_ticks(self) -> dict:
         return {t: e for t, _, e in self.entries}
 
@@ -136,8 +132,6 @@ class TaskSpec:
 
     def __post_init__(self):
         self.label_set = tuple(int(c) for c in self.label_set)
-        if len(set(self.label_set)) != len(self.label_set):
-            raise InvalidInputError("label set contains duplicates")
         self._local = {c: i for i, c in enumerate(self.label_set)}
         self.train_local = self.to_local(self.train_labels)
         self.test_local = self.to_local(self.test_labels)
@@ -241,9 +235,14 @@ def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
 
 def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> TaskSpec:
     """The task's train and test row indices in ``dataset``; ``where`` names
-    the label set when one of its labels has no training row (its head column
-    would be a phantom class), or when no test row carries any of its labels
-    (the task would score an accuracy of nothing)."""
+    the label set when it repeats a label, when one of its labels has no
+    training row (its head column would be a phantom class), or when no test
+    row carries any of its labels (the task would score an accuracy of nothing)."""
+    seen = set()
+    for c in labels:
+        if c in seen:
+            raise ConfigError(f"{where} {list(labels)} repeats label {c}")
+        seen.add(c)
     train_rows = np.flatnonzero(np.isin(dataset.train_labels, labels))
     present = set(dataset.train_labels[train_rows].tolist())
     missing = [c for c in labels if c not in present]
@@ -270,8 +269,9 @@ def build_parallel_split(
     batch_size: int = 128,
     epochs: int = 1,
     serial: bool = False,
-):
-    """Random label sets and a random timeline over ``dataset``.
+) -> dict:
+    """The manifest of a random split of ``dataset``: ``seed``, ``batch_size``,
+    ``epochs`` and ``tasks``, each task's ``id``, ``labels`` and window ``s``, ``e``.
 
     Label sets are disjoint unless ``overlap_fraction`` > 0, in which case
     each task re-samples ceil(overlap * set size) labels from its
@@ -322,25 +322,23 @@ def build_parallel_split(
             shared = list(rng.choice(prev, size=overlaps[t], replace=False))
         label_sets.append(tuple(sorted(int(c) for c in fresh + shared)))
 
-    specs = [_task_spec(dataset, t, labels, f"task {t} label set")
-             for t, labels in enumerate(label_sets, start=1)]
-
+    # the specs check the label sets and size them; a run reads its own from the manifest
+    train_sizes = [_task_spec(dataset, t, labels, f"task {t} label set").train_size
+                   for t, labels in enumerate(label_sets, start=1)]
+    durations = [task_duration(size, batch_size, epochs) for size in train_sizes]
+    if sum(durations) > np.iinfo(np.int64).max:  # the windows' ticks are drawn as int64
+        raise ConfigError(f"split.epochs {epochs} gives task windows of {sum(durations)} ticks "
+                          "in all, past int64")
     rng_timeline = substream(seed, "timeline")
-    entries = []
-    start, max_end = 0, None
-    for spec in specs:
-        dur = task_duration(spec.train_size, batch_size, epochs)
-        if max_end is None:
-            s = 0
-        elif serial:
-            s = max_end + 1
-        else:
-            s = int(rng_timeline.integers(start, max_end + 2))
+    tasks, s, max_end = [], 0, -1
+    for t, (labels, dur) in enumerate(zip(label_sets, durations), start=1):
+        if t > 1:  # the first task starts at tick 0 without a draw
+            s = max_end + 1 if serial else int(rng_timeline.integers(s, max_end + 2))
         e = s + dur - 1
-        entries.append((spec.task_id, s, e))
-        start = s
-        max_end = e if max_end is None else max(max_end, e)
-    return specs, TaskTimeline(entries)
+        tasks.append({"id": t, "labels": list(labels), "s": s, "e": e})
+        max_end = max(max_end, e)
+    return {"seed": int(seed), "batch_size": int(batch_size), "epochs": int(epochs),
+            "tasks": tasks}
 
 
 def active_tasks(timeline: TaskTimeline, tick: int) -> set:
@@ -462,35 +460,15 @@ def load_idx(images_path, labels_path):
 # --- split manifests --------------------------------------------------------
 
 
-def split_manifest(specs, timeline: TaskTimeline, seed: int, batch_size: int,
-                   epochs: int, dataset_info: dict | None = None) -> dict:
-    """JSON-serializable description of a built split."""
-    windows = timeline.finish_ticks()
-    starts = {t: s for t, s, _ in timeline.entries}
-    return {
-        "seed": int(seed),
-        "batch_size": int(batch_size),
-        "epochs": int(epochs),
-        "dataset": dataset_info or {},
-        "tasks": [
-            {
-                "id": spec.task_id,
-                "labels": list(spec.label_set),
-                "s": starts[spec.task_id],
-                "e": windows[spec.task_id],
-            }
-            for spec in specs
-        ],
-    }
-
-
-# the fields split_manifest writes; "tasks", a list of task objects, is read on its own
+# the fields of a manifest besides "tasks", a list of task objects read on their own;
+# build-splits adds "dataset" to what build_parallel_split returns
 _MANIFEST = {"seed": 0, "batch_size": 128, "epochs": 1, "dataset": {}}
 _MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}
 
 
 def specs_from_manifest(manifest: dict, dataset: Dataset):
-    """Rebuild task specs and the timeline from a manifest over ``dataset``.
+    """Task specs and the timeline of a manifest over ``dataset``, one built
+    by ``build_parallel_split`` or one loaded from a file.
 
     Returns (specs, timeline, batch_size, epochs).
     """
@@ -507,8 +485,7 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
     timeline = TaskTimeline(entries)
     batch_size, epochs = doc["batch_size"], doc["epochs"]
     _check_steps(batch_size, epochs, "manifest.")
-    for spec in specs:
-        s, e = timeline.window(spec.task_id)
+    for spec, (_, s, e) in zip(specs, timeline.entries):
         expect = task_duration(spec.train_size, batch_size, epochs)
         if e - s + 1 != expect:
             raise ConfigError(

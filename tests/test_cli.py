@@ -466,6 +466,25 @@ class TestBuildSplits:
         assert main(["run-pcl", "--config", str(cfg2), "--out", str(out)]) == 0
         assert (out / "metrics.json").exists()
 
+    # a split section runs exactly as the manifest build-splits writes from it
+    @pytest.mark.parametrize("split, run", [
+        ({"overlap": 0.5, "epochs": 2}, {}),
+        ({"serial": True}, {"editing": "gmed"}),
+    ], ids=["overlap", "serial-gmed"])
+    def test_split_section_runs_as_its_manifest(self, tmp_path, split, run):
+        split = {"num_tasks": 2, "label_bounds": [4, 4], "batch_size": 8, "epochs": 2, **split}
+        run = {"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0, "snapshot_buffer": True,
+               **run}
+        cfg = pcl_config(tmp_path, split=split, run=run)
+        assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
+        manifest = tmp_path / "m.json"
+        assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
+        cfg = pcl_config(tmp_path, split=split, run=run, manifest=str(manifest))
+        assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "manifest")]) == 0
+        for name in ("tick_log.csv", "metrics.json", "buffer_snapshot.bin"):
+            assert ((tmp_path / "split" / name).read_bytes()
+                    == (tmp_path / "manifest" / name).read_bytes()), name
+
 
 class TestReport:
     def write_metrics(self, path, method, seed, a, f, **more):
@@ -596,6 +615,15 @@ CONFIG_MUTATIONS = [
      "dataset.synthetic: 96 rows of input_dim 4611686018427387904 are more float64 values"),
     (("dataset", "synthetic", "samples_per_class"), 2**62, "dataset.synthetic"),
     (("split", "num_tasks"), 2**62, "split.num_tasks 4611686018427387904 needs as many"),
+    # a memory batch is sized before the first tick: 0 takes split.batch_size
+    (("run", "memory_batch_size"), 2**62,
+     "run.memory_batch_size 4611686018427387904 gives memory batches of 4611686018427387904 "
+     "rows of input width 8, more float64 values than one array can address"),
+    (("split", "batch_size"), 2**62,
+     "run.memory_batch_size 0 gives memory batches of 4611686018427387904 rows"),
+    # two tasks of 6 steps an epoch: 12 * 2**62 ticks, counted before a start tick is drawn
+    (("split", "epochs"), 2**62, "split.epochs 4611686018427387904 gives task windows of "
+                                 "55340232221128654848 ticks in all, past int64"),
 ]
 
 
@@ -650,7 +678,7 @@ class TestMalformedConfig:
         (lambda m: m.update(batch_size=0), "batch_size"),
         (None, "must be a JSON object"),  # the manifest is a list
         (lambda m: m.update(epochs=0), "must be >= 1, got manifest.epochs 0"),
-        # the keys split_manifest writes are the only ones allowed, each of its type
+        # the keys build-splits writes are the only ones allowed, each of its type
         (lambda m: m.update(epochz=3), "unknown field: manifest.epochz"),
         (lambda m: m.update(seed="x"), "field manifest.seed must be an integer, got 'x'"),
         (lambda m: m.update(dataset=[]), "field manifest.dataset must be a JSON object, got []"),
@@ -669,6 +697,9 @@ class TestMalformedConfig:
         (lambda m: m["tasks"][1].update(id=1), "task 1 appears twice on the timeline"),
         (lambda m: m["tasks"][0].update(id=0),
          "task 0: task ids must be >= 1 (0 is the memory stream)"),
+        # a repeated label would give its task's head two columns for one class
+        (lambda m: m["tasks"][0].update(labels=[0, 0]),
+         "manifest.tasks[0].labels [0, 0] repeats label 0"),
     ])
     def test_manifest_mutation(self, tmp_path, capsys, edit, name):
         manifest_path = tmp_path / "m.json"

@@ -33,6 +33,7 @@ from emgd.streams import (
     build_parallel_split,
     derive_seed,
     next_batch,
+    specs_from_manifest,
     synthetic_dataset,
 )
 
@@ -203,10 +204,10 @@ class TestMetrics:
 def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
               batch_size=8, hidden=16, feature=8, epochs=1):
     ds = synthetic_dataset(4 * num_tasks, dim, per_class, 6, 0.08, seed=seed)
-    specs, tl = build_parallel_split(
+    specs, tl, _, _ = specs_from_manifest(build_parallel_split(
         ds, num_tasks, label_bounds=(4, 4), seed=seed, batch_size=batch_size,
         serial=serial, epochs=epochs,
-    )
+    ), ds)
     net = Network((dim, hidden, feature), seed=derive_seed(seed, "net-init"))
     return specs, tl, net
 

@@ -21,7 +21,6 @@ from emgd.streams import (
     load_idx,
     next_batch,
     specs_from_manifest,
-    split_manifest,
     substream,
     synthetic_dataset,
     task_duration,
@@ -31,6 +30,11 @@ from oracles import forward
 
 def train_inputs(spec):
     return spec.dataset.train_inputs[spec.train_rows]
+
+
+def built_split(dataset, *args, **kwargs):
+    """The specs and timeline of a built split, read as a run reads them."""
+    return specs_from_manifest(build_parallel_split(dataset, *args, **kwargs), dataset)[:2]
 
 
 def toy_dataset(num_classes=12, per_class=10, dim=4, seed=0):
@@ -92,9 +96,9 @@ class TestTimeline:
 class TestBuildParallelSplit:
     def test_single_task_takes_whole_window(self):
         ds = toy_dataset(num_classes=4)
-        specs, tl = build_parallel_split(ds, 1, label_bounds=(2, 4), seed=7, batch_size=8)
+        specs, tl = built_split(ds, 1, label_bounds=(2, 4), seed=7, batch_size=8)
         assert len(specs) == 1
-        s, e = tl.window(1)
+        [(_, s, e)] = tl.entries
         assert s == 0
         assert e == task_duration(specs[0].train_size, 8, 1) - 1
 
@@ -102,14 +106,11 @@ class TestBuildParallelSplit:
         ds = toy_dataset()
         a = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
         b = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
-        assert [s.label_set for s in a[0]] == [s.label_set for s in b[0]]
-        assert a[1].entries == b[1].entries
-        for sa, sb in zip(a[0], b[0]):
-            np.testing.assert_array_equal(train_inputs(sa), train_inputs(sb))
+        assert a == b
 
     def test_five_tasks_disjoint_and_bounded(self):
         ds = toy_dataset(num_classes=62, per_class=4, dim=3)
-        specs, _ = build_parallel_split(ds, 5, label_bounds=(2, 15), seed=1234, batch_size=16)
+        specs, _ = built_split(ds, 5, label_bounds=(2, 15), seed=1234, batch_size=16)
         seen = set()
         for spec in specs:
             assert 2 <= spec.class_count <= 15
@@ -119,14 +120,14 @@ class TestBuildParallelSplit:
     def test_timeline_invariants_across_seeds(self):
         ds = toy_dataset(num_classes=20, per_class=6)
         for seed in range(100):
-            _, tl = build_parallel_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
+            _, tl = built_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
             tl.validate()  # raises on violation
             starts = [s for _, s, _ in tl.entries]
             assert starts == sorted(starts)
 
     def test_serial_flag(self):
         ds = toy_dataset()
-        _, tl = build_parallel_split(
+        _, tl = built_split(
             ds, 3, label_bounds=(2, 4), seed=3, batch_size=8, serial=True
         )
         for (_, _, e_prev), (_, s, _) in zip(tl.entries, tl.entries[1:]):
@@ -134,7 +135,7 @@ class TestBuildParallelSplit:
 
     def test_overlap_shares_labels(self):
         ds = toy_dataset(num_classes=30)
-        specs, _ = build_parallel_split(
+        specs, _ = built_split(
             ds, 3, label_bounds=(4, 4), seed=5, overlap_fraction=0.5, batch_size=8
         )
         for prev, cur in zip(specs, specs[1:]):
@@ -159,6 +160,14 @@ class TestBuildParallelSplit:
             build_parallel_split(toy_dataset(), 2, label_bounds=(2, 3), seed=0,
                                  batch_size=batch_size, epochs=epochs)
 
+    def test_timeline_past_int64_named(self):
+        # each task of 20 rows takes 3 batches of 8 per epoch: 6 * 2**62 ticks in all
+        with pytest.raises(ConfigError, match="split.epochs 4611686018427387904 gives task "
+                                              "windows of 27670116110564327424 ticks in all, "
+                                              "past int64"):
+            build_parallel_split(toy_dataset(), 2, label_bounds=(2, 2), seed=0, batch_size=8,
+                                 epochs=2**62)
+
 
 class TestActiveTasks:
     def test_before_second_task(self):
@@ -178,7 +187,7 @@ class TestActiveTasks:
         rng = np.random.default_rng(44)
         ds = toy_dataset(num_classes=24, per_class=5)
         for seed in range(30):
-            _, tl = build_parallel_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
+            _, tl = built_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
             for tick in range(tl.first_tick, tl.final_tick + 1):
                 expect = {t for t, s, e in tl.entries if s <= tick <= e}
                 if any(e < tick for _, _, e in tl.entries):
@@ -190,7 +199,7 @@ class TestActiveTasks:
 class TestNextBatch:
     def make_spec(self, n=10, seed=0):
         ds = toy_dataset(num_classes=2, per_class=n // 2, dim=3, seed=seed)
-        specs, _ = build_parallel_split(ds, 1, label_bounds=(2, 2), seed=seed, batch_size=4)
+        specs, _ = built_split(ds, 1, label_bounds=(2, 2), seed=seed, batch_size=4)
         return specs[0]
 
     def test_single_batch_covers_everything(self):
@@ -466,14 +475,13 @@ class TestHeldOnce:
     @pytest.mark.parametrize("from_manifest", [False, True])
     def test_specs_allocate_under_five_percent_of_the_inputs(self, from_manifest):
         data = self.dataset()
-        specs, tl = build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)
-        manifest = split_manifest(specs, tl, seed=1, batch_size=8, epochs=1)
+        manifest = build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)
         if from_manifest:
             def make():
                 return specs_from_manifest(manifest, data)[0]
-        else:
+        else:  # building the split and reading it
             def make():
-                return build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)[0]
+                return built_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)[0]
         specs, peak = traced_peak(make)
         assert sum(spec.train_size for spec in specs) == data.train_labels.size  # every row
         assert peak < 0.05 * nbytes(data.train_inputs, data.test_inputs)
@@ -498,7 +506,7 @@ class TestHeldOnce:
 
     def test_next_batch_reads_only_the_batch_rows(self):
         data = self.dataset()
-        spec = build_parallel_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
+        spec = built_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
         cursor = TaskCursor(spec, epochs=1, seed=0)
         next_batch(cursor, 8)
         batch, peak = traced_peak(next_batch, cursor, 8)
@@ -509,27 +517,34 @@ class TestHeldOnce:
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         ds = toy_dataset()
-        specs, tl = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
-        manifest = split_manifest(specs, tl, seed=1234, batch_size=8, epochs=1)
+        manifest = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8,
+                                        epochs=2)
+        assert sorted(manifest) == ["batch_size", "epochs", "seed", "tasks"]
+        assert [sorted(task) for task in manifest["tasks"]] == [["e", "id", "labels", "s"]] * 3
         path = tmp_path / "split.json"
         _write_json(manifest, path)
         back = load_json_object(path, "split manifest")
-        specs2, tl2, _, _ = specs_from_manifest(back, ds)
-        assert tl2.entries == tl.entries
-        assert [s.label_set for s in specs2] == [s.label_set for s in specs]
+        assert back == manifest
+        specs, tl, batch_size, epochs = specs_from_manifest(manifest, ds)
+        specs2, tl2, batch_size2, epochs2 = specs_from_manifest(back, ds)
+        assert (tl2.entries, batch_size2, epochs2) == (tl.entries, batch_size, epochs) == (
+            [(t["id"], t["s"], t["e"]) for t in manifest["tasks"]], 8, 2)
+        for spec, spec2 in zip(specs, specs2, strict=True):
+            assert (spec2.task_id, spec2.label_set) == (spec.task_id, spec.label_set)
+            np.testing.assert_array_equal(spec2.train_rows, spec.train_rows)
+            np.testing.assert_array_equal(spec2.test_rows, spec.test_rows)
 
     def test_window_validation(self, tmp_path):
         ds = toy_dataset()
-        specs, tl = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
-        manifest = split_manifest(specs, tl, seed=5, batch_size=8, epochs=1)
+        manifest = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
         manifest["batch_size"] = 2  # inconsistent with the recorded windows
         with pytest.raises(ConfigError):
             specs_from_manifest(manifest, ds)
 
     def test_manifest_batch_size_zero_rejected(self):
         ds = toy_dataset()
-        specs, tl = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
-        manifest = split_manifest(specs, tl, seed=5, batch_size=0, epochs=1)
+        manifest = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
+        manifest["batch_size"] = 0
         with pytest.raises(ConfigError, match="batch_size"):
             specs_from_manifest(manifest, ds)
 
