@@ -56,9 +56,8 @@ _SYNTHETIC = {"num_classes": 12, "input_dim": 32, "samples_per_class": 50, "test
 _IDX = {"train_images": str, "train_labels": str, "test_images": str, "test_labels": str}
 _SPLIT = {"num_tasks": 3, "label_bounds": [2, 15], "overlap": 0.0, "serial": False,
           "batch_size": 128, "epochs": 1}
-# batch_size and epochs come from the split or manifest, the seed from the top level
-_RUN = {f.name: f.default for f in dataclasses.fields(experiment.RunConfig)
-        if f.name not in ("batch_size", "epochs", "seed")}
+# the seed comes from the top level
+_RUN = {f.name: f.default for f in dataclasses.fields(experiment.RunConfig) if f.name != "seed"}
 _NET = {"hidden": [100], "feature_dim": 64}
 
 
@@ -145,16 +144,14 @@ def cmd_run_pcl(args) -> int:
     # a split section runs exactly as the manifest build-splits writes from it
     manifest = (load_json_object(doc["manifest"], "split manifest") if doc["manifest"]
                 else _build_split(doc["split"], dataset, seed))
-    specs, timeline, batch_size, epochs = streams.specs_from_manifest(manifest, dataset)
-    cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), batch_size=batch_size,
-                               epochs=epochs, seed=seed)
+    specs, timeline = streams.specs_from_manifest(manifest, dataset)
+    cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
-    buffer = rehearsal.MemoryBuffer(cfg.capacity_per_class)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # an unwritable path fails before training
 
     try:
-        result = experiment.run_pcl(specs, timeline, net, buffer, cfg)
+        result = experiment.run_pcl(specs, timeline, net, cfg)
     except NumericError as err:
         print(f"error: numeric failure at tick {err.tick}: {err}", file=sys.stderr)
         return 3

@@ -48,10 +48,6 @@ class EmptyMemoryError(EmgdError):
     """Sampling requested from an empty rehearsal buffer."""
 
 
-class StreamEnd(Exception):
-    """Control-flow signal: a task's data stream is exhausted."""
-
-
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
           list: "a list of integers", dict: "a JSON object"}
 

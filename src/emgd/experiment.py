@@ -40,15 +40,15 @@ EDITING = ("none", "emgd", "gmed")
 
 @dataclass
 class RunConfig:
-    """Knobs for one training run; ``memory_batch_size`` 0 means ``batch_size``.
-    The memory editors read ``eta_edit``, the size of their one step."""
+    """Knobs for one training run. The split owns the schedule: the batch
+    size and the epochs are the timeline's, and ``memory_batch_size`` 0 means
+    the timeline's batch size. ``eta_edit`` is the size of the memory
+    editors' one step."""
 
     method: str = "emgd_gs"
     editing: str = "none"
     gamma: float = 0.05
     gamma_heads: float = 0.05
-    batch_size: int = 128
-    epochs: int = 1
     temperature: float = 1.0
     eval_mode: str = "task"
     seed: int = 1234
@@ -67,13 +67,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"run.{name} must be positive and finite, got {value!r}")
-        for name, low in (("batch_size", 1), ("epochs", 1), ("memory_batch_size", 0),
-                          ("capacity_per_class", 1)):
+        for name, low in (("memory_batch_size", 0), ("capacity_per_class", 1)):
             value = getattr(self, name)
             if value < low:
-                # batch_size and epochs come from the split or the manifest, which check them first
-                where = name if name in ("batch_size", "epochs") else f"run.{name}"
-                raise ConfigError(f"{where} must be >= {low}, got {value!r}")
+                raise ConfigError(f"run.{name} must be >= {low}, got {value!r}")
         if not 0.0 < self.eta_edit <= 1.0:
             raise ConfigError(f"run.eta_edit must lie in (0, 1], got {self.eta_edit!r}")
 
@@ -263,7 +260,8 @@ def _evaluate(net: Network, specs_by_id: dict, seen: list, scored: list) -> dict
 @dataclass
 class PclResult:
     """Per task, its (task-incremental, class-incremental) accuracies at its
-    finish tick and at the final tick; the tick log; the rehearsal buffer."""
+    finish tick and at the final tick; the tick log; the rehearsal buffer the
+    run built."""
 
     at_finish: dict
     final: dict
@@ -271,31 +269,30 @@ class PclResult:
     buffer: MemoryBuffer
 
 
-def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
-            cfg: RunConfig) -> PclResult:
+def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclResult:
     """Train over the timeline and record accuracies and a tick log.
 
-    Per tick, draw a batch per active stream and make one pass over them all
-    (``stream_gradients``): each head steps with its own gradient, and each
-    stream's backbone gradient is read at the stepped heads. The memory
-    stream, live once the buffer holds a finished task's data, routes each
-    row through its task's head. The negative gradients are combined per
-    ``cfg.method``, the backbone steps, and editing (when enabled) rewrites
-    the sampled slots. At its finish tick a task's training partition streams
-    into the buffer (``rehearsal.insert``) and the task is evaluated; the
-    final tick evaluates every seen task.
+    Per tick, draw a batch of ``timeline.batch_size`` rows per active task
+    and make one pass over all streams (``stream_gradients``): each head
+    steps with its own gradient, and each stream's backbone gradient is read
+    at the stepped heads. The memory stream, live once the buffer holds a
+    finished task's data, routes each row through its task's head. The
+    negative gradients are combined per ``cfg.method``, the backbone steps,
+    and editing (when enabled) rewrites the sampled slots. At its finish tick
+    a task's training partition streams into the buffer (``rehearsal.insert``),
+    which the run builds with ``cfg.capacity_per_class`` slots per class, and
+    the task is evaluated; the final tick evaluates every seen task.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
         raise ConfigError("timeline tasks do not match the provided specs")
-    mem_batch_size = cfg.memory_batch_size or cfg.batch_size
+    mem_batch_size = cfg.memory_batch_size or timeline.batch_size
     if mem_batch_size * net.input_dim > streams.MAX_FLOAT64S:  # checked before the first tick
         raise ConfigError(f"run.memory_batch_size {cfg.memory_batch_size} gives memory batches "
                           f"of {mem_batch_size} rows of input width {net.input_dim}, more "
                           "float64 values than one array can address")
-    cursors = {
-        spec.task_id: TaskCursor(spec, cfg.epochs, cfg.seed) for spec in specs
-    }
+    cursors = {spec.task_id: TaskCursor(spec, cfg.seed) for spec in specs}
+    buffer = MemoryBuffer(cfg.capacity_per_class)
     rng_sample = substream(cfg.seed, "memory-sample")
     rng_reservoir = substream(cfg.seed, "reservoir")
     state = solver.ElasticState(temperature=cfg.temperature)
@@ -318,7 +315,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
             tick_streams.append((mem.inputs, mem.labels, mem.task_ids, cfg.gamma_heads))
         for t in real_tasks:
-            batch = streams.next_batch(cursors[t], cfg.batch_size)
+            batch = streams.next_batch(cursors[t], timeline.batch_size)
             tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
 
         grads, losses = stream_gradients(net, tick_streams)  # negative, as the bundle holds them
@@ -336,7 +333,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, buffer: MemoryBuffer,
         if mem is not None and cfg.editing != "none":
             edit = (rehearsal.edit_memory_emgd if cfg.editing == "emgd"
                     else rehearsal.edit_memory_gmed)
-            before, after = edit(buffer, net, mem, result.direction, cfg)
+            before, after = edit(buffer, net, mem, result.direction, cfg.eta_edit)
             edit_objective = f"{before:.6e}->{after:.6e}"
 
         finishing = [t for t, e in finish_ticks.items() if e == tick]

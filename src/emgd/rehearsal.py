@@ -31,7 +31,6 @@ from .net import (
 )
 
 if TYPE_CHECKING:
-    from .experiment import RunConfig
     from .streams import TaskSpec
 
 
@@ -69,13 +68,7 @@ class MemoryBuffer:
         return self.label.size
 
 
-def _as_rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
-def insert(buffer: MemoryBuffer, spec: TaskSpec, seed_or_rng) -> None:
+def insert(buffer: MemoryBuffer, spec: TaskSpec, rng: np.random.Generator) -> None:
     """Stream a task's training partition into the buffer with per-class
     reservoir sampling.
 
@@ -87,7 +80,6 @@ def insert(buffer: MemoryBuffer, spec: TaskSpec, seed_or_rng) -> None:
     ``spec.dataset`` and written at once, a slot drawn twice taking the
     later sample.
     """
-    rng = _as_rng(seed_or_rng)
     width = spec.dataset.input_dim
     if buffer.occupancy and width != buffer.x.shape[1]:
         raise InvalidInputError(
@@ -123,14 +115,14 @@ def insert(buffer: MemoryBuffer, spec: TaskSpec, seed_or_rng) -> None:
     buffer.class_id[slots] = class_ids[rows]
 
 
-def sample_memory(buffer: MemoryBuffer, batch_size: int, seed_or_rng) -> MemoryBatch:
+def sample_memory(buffer: MemoryBuffer, batch_size: int,
+                  rng: np.random.Generator) -> MemoryBatch:
     """Uniform sample of stored slots (without replacement when possible),
     stably sorted by task id."""
     if buffer.occupancy == 0:
         raise EmptyMemoryError("rehearsal buffer is empty")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
-    rng = _as_rng(seed_or_rng)
     replace = batch_size > buffer.occupancy
     picks = rng.choice(buffer.occupancy, size=batch_size, replace=replace)
     picks = picks[np.argsort(buffer.task_id[picks], kind="stable")]
@@ -171,16 +163,16 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
 
 
 def _edit(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
-          cfg: RunConfig, step) -> tuple:
+          eta_edit: float, step) -> tuple:
     """The one editing step both editors share. The batch's rows move by
-    ``-cfg.eta_edit`` times ``step(inputs, labels, groups)``'s first result over
+    ``-eta_edit`` times ``step(inputs, labels, groups)``'s first result over
     their ``(task_id, slice)`` groups, are clamped into [0, 1] (the ``Dataset``
     contract) and written back. Returns the editing objective before the edit
     (the step's second result) and after it (one ``editing_objective`` pass at
     the written-back rows)."""
     groups = task_slices(mem.task_ids)
     delta, before = step(mem.inputs, mem.labels, groups)
-    inputs = mem.inputs - cfg.eta_edit * delta
+    inputs = mem.inputs - eta_edit * delta
     np.clip(inputs, 0.0, 1.0, out=inputs)
     _write_back(buffer, mem, inputs)
     return before, editing_objective(net, inputs, mem, d, groups)
@@ -191,9 +183,10 @@ def edit_memory_emgd(
     net: Network,
     mem: MemoryBatch,
     direction_d,
-    cfg: RunConfig,
+    eta_edit: float,
 ) -> tuple:
-    """Move sampled inputs down the gradient of ||g(x) - d||^2.
+    """Move sampled inputs down the gradient of ||g(x) - d||^2 by a step of
+    ``eta_edit``.
 
     Each task group is edited against the shared target direction; inputs
     are clamped back into [0, 1]. Labels, task ids and network parameters
@@ -201,7 +194,7 @@ def edit_memory_emgd(
     batch. Returns the editing objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    return _edit(buffer, net, mem, d, cfg, lambda inputs, labels, groups:
+    return _edit(buffer, net, mem, d, eta_edit, lambda inputs, labels, groups:
                  edit_direction(net, inputs, labels, groups, d))
 
 
@@ -210,13 +203,14 @@ def edit_memory_gmed(
     net: Network,
     mem: MemoryBatch,
     direction_d,
-    cfg: RunConfig,
+    eta_edit: float,
 ) -> tuple:
     """Loss-difference editing baseline.
 
-    A look-ahead parameter set theta' = theta + eta * d (one virtual update)
-    defines each task group's interference score (L(x, theta) - L(x, theta'))^2
-    with L the group's mean loss; inputs step down its exact input gradient
+    A look-ahead parameter set theta' = theta + eta_edit * d (one virtual
+    update) defines each task group's interference score
+    (L(x, theta) - L(x, theta'))^2 with L the group's mean loss; inputs take a
+    step of ``eta_edit`` down its exact input gradient
     2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
     network that shares the heads, built once, so ``net`` is never written.
     The step is two grouped ``input_gradient`` passes over the batch, one per
@@ -225,7 +219,7 @@ def edit_memory_gmed(
     ``editing_objective``. Returns the objective before and after the edit.
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    ahead = net.ahead(d, cfg.eta_edit)
+    ahead = net.ahead(d, eta_edit)
 
     def step(inputs, labels, groups):
         gx_ahead, loss_ahead, _ = input_gradient(ahead, inputs, labels, groups)
@@ -235,7 +229,7 @@ def edit_memory_gmed(
             delta[rows] *= 2.0 * (now - later)
         return delta, before
 
-    return _edit(buffer, net, mem, d, cfg, step)
+    return _edit(buffer, net, mem, d, eta_edit, step)
 
 
 # Snapshot layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON

@@ -2,11 +2,12 @@
 
 A run is described by a list of task specs (each owning a train and test
 partition of some dataset restricted to its label set) and a timeline of
-integer access windows (s_t, e_t), one tick per optimization step. Tasks are
-accessed in order and the timeline never has a dead tick, so serial
-continual learning falls out as the degenerate case s_t = e_{t-1} + 1.
-A split is its manifest document: ``build_parallel_split`` draws one, and
-``specs_from_manifest`` turns a built or loaded one into specs and the timeline.
+integer access windows (s_t, e_t), one tick per optimization step on one
+batch of the timeline's batch size. Tasks are accessed in order and the
+timeline never has a dead tick, so serial continual learning falls out as the
+degenerate case s_t = e_{t-1} + 1. A split is its manifest document:
+``build_parallel_split`` draws one, and ``specs_from_manifest`` turns a built
+or loaded one into specs and the timeline, whose windows hold the epochs.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    FormatError,
-    InvalidInputError,
-    StreamEnd,
-    section,
-)
+from .errors import ConfigError, FormatError, InvalidInputError, section
 from .net import Batch
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -77,9 +72,11 @@ class Dataset:
 
 @dataclass
 class TaskTimeline:
-    """Sorted (task_id, start_tick, end_tick) access windows."""
+    """Sorted (task_id, start_tick, end_tick) access windows, and the size of
+    the batch each open window serves per tick."""
 
     entries: list
+    batch_size: int
 
     def __post_init__(self):
         self.entries = [(int(t), int(s), int(e)) for t, s, e in self.entries]
@@ -359,9 +356,7 @@ class TaskCursor:
     """Position in a seeded shuffle of one task's training samples."""
 
     spec: TaskSpec
-    epochs: int
     seed: int
-    epoch: int = 0
     pos: int = 0
     order: np.ndarray = field(default=None, repr=False)
 
@@ -372,17 +367,14 @@ class TaskCursor:
 
 def next_batch(cursor: TaskCursor, batch_size: int) -> Batch:
     """The next batch of the cursor's task: sequential non-overlapping
-    batches with labels remapped to [0, C_t).
-
-    Raises StreamEnd once every sample has been served ``epochs`` times.
+    batches with labels remapped to [0, C_t). Each pass over the samples
+    ends in a short batch when ``batch_size`` does not divide them, and the
+    next pass serves a fresh shuffle; a task's window spans its epochs.
     """
     spec = cursor.spec
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
     if cursor.pos >= spec.train_size:
-        cursor.epoch += 1
-        if cursor.epoch >= cursor.epochs:
-            raise StreamEnd(f"task {spec.task_id} exhausted")
         cursor.order = cursor.rng.permutation(spec.train_size)
         cursor.pos = 0
     idx = cursor.order[cursor.pos : cursor.pos + batch_size]
@@ -470,7 +462,8 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
     """Task specs and the timeline of a manifest over ``dataset``, one built
     by ``build_parallel_split`` or one loaded from a file.
 
-    Returns (specs, timeline, batch_size, epochs).
+    Returns (specs, timeline); the timeline carries the batch size, and each
+    window spans its task's ``epochs`` passes.
     """
     tasks = manifest.get("tasks")
     if not isinstance(tasks, list):
@@ -482,14 +475,17 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
         specs.append(_task_spec(dataset, task["id"], tuple(task["labels"]),
                                 f"manifest.tasks[{i}].labels"))
         entries.append((task["id"], task["s"], task["e"]))
-    timeline = TaskTimeline(entries)
+    timeline = TaskTimeline(entries, doc["batch_size"])
     batch_size, epochs = doc["batch_size"], doc["epochs"]
     _check_steps(batch_size, epochs, "manifest.")
-    for spec, (_, s, e) in zip(specs, timeline.entries):
+    for i, (spec, (_, s, e)) in enumerate(zip(specs, timeline.entries)):
         expect = task_duration(spec.train_size, batch_size, epochs)
         if e - s + 1 != expect:
             raise ConfigError(
                 f"task {spec.task_id}: window [{s}, {e}] does not match "
                 f"{expect} steps from {spec.train_size} samples"
             )
-    return specs, timeline, batch_size, epochs
+        if e > np.iinfo(np.int64).max:  # a run steps through every tick up to it
+            raise ConfigError(f"field manifest.tasks[{i}].e: task {spec.task_id}'s window "
+                              f"[{s}, {e}] ends past int64 (manifest.epochs {epochs})")
+    return specs, timeline

@@ -62,7 +62,7 @@ from emgd.errors import InvalidInputError, UnknownTaskError
 from emgd.net import (Batch, Network, _activations, _edit_terms, _head_stage, _layers, _pass,
                       _route, _stack, backward, features, head_logits, input_gradient,
                       task_slices)
-from emgd.rehearsal import _as_rng, _write_back, editing_objective
+from emgd.rehearsal import _write_back, editing_objective
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
 
 # Squared-norm threshold below which two scaled gradients are treated as the
@@ -233,7 +233,7 @@ def per_stream_gradients(net: Network, streams):
     return np.stack(grads), losses, head_grads
 
 
-def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
+def per_group_gmed(buffer, net: Network, mem, direction_d, eta_edit: float) -> float:
     """``edit_memory_gmed``'s edit and return value, one task group at a time."""
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
@@ -249,11 +249,11 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, cfg) -> float:
             net.set_backbone_flat(theta)
             _, loss_now = forward(net, batch)
             gx_now, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
-            net.set_backbone_flat(theta + cfg.eta_edit * d)
+            net.set_backbone_flat(theta + eta_edit * d)
             _, loss_ahead = forward(net, batch)
             gx_ahead, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
             delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
-            inputs[mask] = batch.inputs - cfg.eta_edit * delta
+            inputs[mask] = batch.inputs - eta_edit * delta
     finally:
         net.set_backbone_flat(theta)
     inputs = np.clip(inputs, 0.0, 1.0)
@@ -277,9 +277,9 @@ class SlotListBuffer:
     by_class: dict = field(default_factory=dict)
 
 
-def slot_list_insert(buffer: SlotListBuffer, batch: Batch, class_ids, seed_or_rng) -> None:
+def slot_list_insert(buffer: SlotListBuffer, batch: Batch, class_ids,
+                     rng: np.random.Generator) -> None:
     """Per-class reservoir insert, one row copied into its own ``Slot`` at a time."""
-    rng = _as_rng(seed_or_rng)
     class_ids = np.asarray(class_ids, dtype=np.int64)
     cap = buffer.capacity_per_class
     for i in range(len(batch.labels)):

@@ -26,7 +26,6 @@ from emgd.net import (
     edit_direction,
     input_gradient,
 )
-from emgd.rehearsal import MemoryBuffer
 from emgd.solver import (
     ElasticState,
     GradientBundle,
@@ -299,22 +298,20 @@ def test_criterion_09_metrics():
 
 def desk_run(seed, method, editing):
     ds = synthetic_dataset(12, 32, 25, 10, 0.1, seed=seed)
-    specs, timeline, _, _ = specs_from_manifest(build_parallel_split(
+    specs, timeline = specs_from_manifest(build_parallel_split(
         ds, 3, label_bounds=(4, 4), seed=seed, batch_size=16, epochs=3
     ), ds)
     net = Network((32, 64, 32), seed=derive_seed(seed, "net-init"))
     cfg = RunConfig(
         method=method,
         editing=editing,
-        batch_size=16,
-        epochs=3,
         gamma=0.2,
         gamma_heads=1.0,
         seed=seed,
         capacity_per_class=5,
         eta_edit=0.005,
     )
-    result = run_pcl(specs, timeline, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+    result = run_pcl(specs, timeline, net, cfg)
     return compute_metrics([(result.at_finish[t][0], result.final[t][0])
                             for t in sorted(result.final)])
 

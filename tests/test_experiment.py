@@ -26,7 +26,6 @@ from emgd.experiment import (
     toy_trace_csv,
 )
 from emgd.net import Network, add_head, backward, apply_update
-from emgd.rehearsal import MemoryBuffer
 from emgd.solver import ElasticState, GradientBundle, combine
 from emgd.streams import (
     TaskCursor,
@@ -204,7 +203,7 @@ class TestMetrics:
 def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
               batch_size=8, hidden=16, feature=8, epochs=1):
     ds = synthetic_dataset(4 * num_tasks, dim, per_class, 6, 0.08, seed=seed)
-    specs, tl, _, _ = specs_from_manifest(build_parallel_split(
+    specs, tl = specs_from_manifest(build_parallel_split(
         ds, num_tasks, label_bounds=(4, 4), seed=seed, batch_size=batch_size,
         serial=serial, epochs=epochs,
     ), ds)
@@ -219,7 +218,7 @@ def task_pairs(result, mode=0):
 
 
 def quick_cfg(**kw):
-    base = dict(batch_size=8, gamma=0.3, gamma_heads=0.3, seed=1234)
+    base = dict(gamma=0.3, gamma_heads=0.3, seed=1234)
     base.update(kw)
     return RunConfig(**base)
 
@@ -228,16 +227,16 @@ class TestRunPcl:
     def test_single_task_equals_plain_descent(self):
         specs, tl, net = pcl_setup(num_tasks=1)
         cfg = quick_cfg(method="emgd_gmc")
-        result = run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        result = run_pcl(specs, tl, net, cfg)
         losses = [row["losses"][1] for row in result.tick_rows]
 
         # replay: plain descent with the same head seed and batch order
         ref = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
         add_head(ref, 1, specs[0].class_count, derive_seed(1234, "head", 1))
-        cursor = TaskCursor(specs[0], cfg.epochs, cfg.seed)
+        cursor = TaskCursor(specs[0], cfg.seed)
         ref_losses = []
         for _ in range(tl.final_tick + 1):
-            batch = next_batch(cursor, cfg.batch_size)
+            batch = next_batch(cursor, tl.batch_size)
             rep = backward(ref, batch)
             ref.heads[1] -= cfg.gamma_heads * rep.head_grad
             rep = backward(ref, batch)
@@ -248,7 +247,7 @@ class TestRunPcl:
     def test_serial_avg_grad_behaves_like_experience_replay(self):
         specs, tl, net = pcl_setup(num_tasks=3, serial=True)
         cfg = quick_cfg(method="avg_grad")
-        result = run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        result = run_pcl(specs, tl, net, cfg)
         finish = tl.finish_ticks()
         first_finish = min(finish.values())
         for row in result.tick_rows:
@@ -263,8 +262,8 @@ class TestRunPcl:
             specs_a, tl_a, net_a = pcl_setup()
             specs_b, tl_b, net_b = pcl_setup()
             cfg = quick_cfg(method="emgd_gs", editing=editing)
-            ra = run_pcl(specs_a, tl_a, net_a, MemoryBuffer(5), cfg)
-            rb = run_pcl(specs_b, tl_b, net_b, MemoryBuffer(5), cfg)
+            ra = run_pcl(specs_a, tl_a, net_a, cfg)
+            rb = run_pcl(specs_b, tl_b, net_b, cfg)
             assert tick_log_csv(ra.tick_rows) == tick_log_csv(rb.tick_rows)
             assert metrics_document(ra, cfg) == metrics_document(rb, cfg)
 
@@ -272,18 +271,44 @@ class TestRunPcl:
         # task 1's head keeps training through the memory stream after it finishes
         specs, tl, net = pcl_setup(num_tasks=2, serial=True)
         cfg = quick_cfg(method="emgd_gs")
-        run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        run_pcl(specs, tl, net, cfg)
 
         solo_specs, solo_tl, solo_net = pcl_setup(num_tasks=2, serial=True)
-        run_pcl([solo_specs[0]], type(solo_tl)([solo_tl.entries[0]]), solo_net,
-                MemoryBuffer(5), cfg)
+        solo_tl = type(solo_tl)([solo_tl.entries[0]], solo_tl.batch_size)
+        run_pcl([solo_specs[0]], solo_tl, solo_net, cfg)
         assert not np.array_equal(net.heads[1], solo_net.heads[1])
+
+    @pytest.mark.parametrize("epochs, serial", [(1, False), (3, False), (2, True)])
+    def test_serves_each_training_row_epochs_times(self, monkeypatch, epochs, serial):
+        # a batch of 5 leaves a short batch at the end of each pass over a
+        # task's 48 rows; each window serves exactly ``epochs`` passes, each a
+        # permutation of the task's rows
+        import emgd.experiment as exp
+
+        real_next, served = exp.streams.next_batch, {}
+
+        def recording_next(cursor, batch_size):
+            batch = real_next(cursor, batch_size)
+            rows = cursor.order[cursor.pos - len(batch.labels):cursor.pos]
+            served.setdefault(cursor.spec.task_id, []).append(cursor.spec.train_rows[rows])
+            return batch
+
+        monkeypatch.setattr(exp.streams, "next_batch", recording_next)
+        specs, tl, net = pcl_setup(num_tasks=3, serial=serial, batch_size=5, epochs=epochs)
+        run_pcl(specs, tl, net, quick_cfg())
+        for spec, (t, s, e) in zip(specs, tl.entries):
+            assert len(served[t]) == e - s + 1  # one batch per tick of the window
+            rows, n = np.concatenate(served[t]), spec.train_size
+            assert rows.size == epochs * n and n == 48
+            for k in range(epochs):
+                np.testing.assert_array_equal(np.sort(rows[k * n:(k + 1) * n]), spec.train_rows)
 
     def test_editing_keeps_buffer_in_unit_cube(self):
         for editing in ("emgd", "gmed"):
             specs, tl, net = pcl_setup(num_tasks=3)
-            cfg = quick_cfg(method="emgd_gs", editing=editing, eta_edit=0.2)
-            result = run_pcl(specs, tl, net, MemoryBuffer(3), cfg)
+            cfg = quick_cfg(method="emgd_gs", editing=editing, eta_edit=0.2,
+                            capacity_per_class=3)
+            result = run_pcl(specs, tl, net, cfg)
             for x in result.buffer.x:
                 assert x.min() >= 0.0 and x.max() <= 1.0
             edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
@@ -291,15 +316,15 @@ class TestRunPcl:
 
     def test_learns_separable_blobs(self):
         specs, tl, net = pcl_setup(num_tasks=3, epochs=5)
-        cfg = quick_cfg(method="emgd_gs", epochs=5, gamma=0.2, gamma_heads=1.0)
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        cfg = quick_cfg(method="emgd_gs", gamma=0.2, gamma_heads=1.0)
+        result = run_pcl(specs, tl, net, cfg)
         a_final, _ = compute_metrics(task_pairs(result))
         assert a_final > 0.7  # well above the 0.25 chance level
 
     def test_metrics_document_schema(self):
         specs, tl, net = pcl_setup(num_tasks=2)
         cfg = quick_cfg(eval_mode="task")
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        result = run_pcl(specs, tl, net, cfg)
         doc = metrics_document(result, cfg)
         assert set(doc) >= {"A_final", "F_final", "per_task", "method", "seed"}
         assert set(doc["modes"]) == {"task", "class"}
@@ -309,7 +334,7 @@ class TestRunPcl:
     def test_task_incremental_beats_class_incremental(self):
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(method="avg_grad")
-        result = run_pcl(specs, tl, net, MemoryBuffer(5), cfg)
+        result = run_pcl(specs, tl, net, cfg)
         a_task, _ = compute_metrics(task_pairs(result))
         a_class, _ = compute_metrics(task_pairs(result, mode=1))
         assert a_task >= a_class
@@ -317,7 +342,7 @@ class TestRunPcl:
     def test_mismatched_specs_rejected(self):
         specs, tl, net = pcl_setup(num_tasks=2)
         with pytest.raises(ConfigError):
-            run_pcl(specs[:1], tl, net, MemoryBuffer(5), quick_cfg())
+            run_pcl(specs[:1], tl, net, quick_cfg())
 
     def test_memory_batch_larger_than_buffer(self, monkeypatch):
         # the sampled memory rows repeat; editing writes a repeated slot twice
@@ -335,7 +360,7 @@ class TestRunPcl:
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(method="emgd_gs", editing="emgd", memory_batch_size=40,
                         capacity_per_class=2)
-        result = run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        result = run_pcl(specs, tl, net, cfg)
         assert draws
         for occupancy, mem in draws:
             assert len(mem.labels) == 40 > occupancy
@@ -412,7 +437,7 @@ class TestRunPcl:
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(editing=editing, memory_batch_size=memory_batch_size,
                         capacity_per_class=2)
-        run_pcl(specs, tl, net, MemoryBuffer(cfg.capacity_per_class), cfg)
+        run_pcl(specs, tl, net, cfg)
         samples = calls["sample", False]
         assert samples > 0
         assert calls["task_slices", False] == samples and calls["task_slices", True] == samples
@@ -441,7 +466,7 @@ class TestRunPcl:
         for serial in (False, True):
             calls.clear()
             specs, tl, net = pcl_setup(num_tasks=4, serial=serial)
-            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg())
+            result = run_pcl(specs, tl, net, quick_cfg())
             finish = tl.finish_ticks()
             assert set(result.at_finish) == set(result.final) == set(finish)
             expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
@@ -452,7 +477,7 @@ class TestRunPcl:
 
         def memory(**knobs):
             net = Network((8, 16, 8), seed=derive_seed(1234, "net-init"))
-            result = run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(**knobs))
+            result = run_pcl(specs, tl, net, quick_cfg(**knobs))
             return result.buffer.x.copy()
 
         unedited = memory()
@@ -477,7 +502,7 @@ class TestRunPcl:
 
         monkeypatch.setattr(exp.solver, "solve_emgd", recording_solve)
         specs, tl, net = pcl_setup(num_tasks=3)
-        run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(method="emgd_gs"))
+        run_pcl(specs, tl, net, quick_cfg(method="emgd_gs"))
         assert calls
         for bundle, sigma, result in calls:
             assert pareto_descent_check(bundle, sigma, result, 1e-8)
@@ -498,7 +523,7 @@ class TestEvaluate:
 
         specs, tl, net = pcl_setup(num_tasks=4, seed=seed)
         specs_by_id = {spec.task_id: spec for spec in specs}
-        run_pcl(specs, tl, net, MemoryBuffer(5), quick_cfg(seed=seed))
+        run_pcl(specs, tl, net, quick_cfg(seed=seed))
         for seen in ([1], [2, 1], [1, 2, 3, 4], [3, 1, 4]):
             check(net, seen, seen)
             check(net, seen, seen[-1:])
@@ -538,10 +563,13 @@ class TestRunConfig:
         ({"freeze_finished_heads": False}, "freeze_finished_heads"),
         ({"tol": 1e-8}, "tol"),
         ({"max_iter": 250}, "max_iter"),
+        ({"batch_size": 8}, "batch_size"),
+        ({"epochs": 5}, "epochs"),
     ])
     def test_edit_knobs_checked_at_construction(self, knobs, name):
-        # the editing gradient is exact, the edit is one clamped step and the
-        # solver keeps its own budget, so these names are no RunConfig fields at all
+        # the editing gradient is exact, the edit is one clamped step, the
+        # solver keeps its own budget and the split owns the batch size and the
+        # epochs, so these names are no RunConfig fields at all
         error = ConfigError if name == "eta_edit" else TypeError
         with pytest.raises(error, match=name):
             RunConfig(**knobs)

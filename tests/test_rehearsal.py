@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import default_rng
 
 import emgd.net
 from emgd.errors import EmptyMemoryError, InvalidInputError
@@ -60,6 +61,9 @@ def task_spec(batch, class_ids):
     return spec
 
 
+ETA_EDIT = RunConfig().eta_edit  # the run default
+
+
 def make_net(seed=0, dim=6, heads=((1, 4), (2, 3))):
     net = Network((dim, 8, 5), seed=seed)
     for task, classes in heads:
@@ -93,7 +97,7 @@ class TestInsert:
         rng = np.random.default_rng(0)
         buf = MemoryBuffer(5)
         batch = class_batch(rng, 3, label=0)
-        insert(buf, task_spec(batch, [7, 7, 7]), 1)
+        insert(buf, task_spec(batch, [7, 7, 7]), default_rng(1))
         assert buf.occupancy == 3
         assert class_counts(buf) == {7: 3}
 
@@ -110,7 +114,7 @@ class TestInsert:
         rng = np.random.default_rng(2)
         buf = MemoryBuffer(2)
         b_batch = class_batch(rng, 2, label=1)
-        insert(buf, task_spec(b_batch, [5, 5]), 3)
+        insert(buf, task_spec(b_batch, [5, 5]), default_rng(3))
         before = buf.x[buf.class_id == 5]
         for _ in range(50):
             a_batch = class_batch(rng, 4, label=0)
@@ -129,7 +133,7 @@ class TestInsert:
         spec = task_spec(Batch(inputs, np.zeros(n, dtype=np.int64), 1), np.zeros(n))
         for trial in range(trials):
             buf = MemoryBuffer(1)
-            insert(buf, spec, trial)
+            insert(buf, spec, default_rng(trial))
             survivor = buf.x[0]
             counts[int(np.argmax((inputs == survivor).all(axis=1)))] += 1
         expected = trials / n
@@ -139,9 +143,11 @@ class TestInsert:
     def test_rejects_a_task_of_another_width(self):
         rng = np.random.default_rng(3)
         buf = MemoryBuffer(2)
-        insert(buf, task_spec(Batch(rng.uniform(0, 1, (3, 6)), [0, 1, 2], 1), [0, 1, 2]), 0)
+        insert(buf, task_spec(Batch(rng.uniform(0, 1, (3, 6)), [0, 1, 2], 1), [0, 1, 2]),
+               default_rng(0))
         with pytest.raises(InvalidInputError, match="width 5"):
-            insert(buf, task_spec(Batch(rng.uniform(0, 1, (2, 5)), [0, 1], 1), [0, 1]), 0)
+            insert(buf, task_spec(Batch(rng.uniform(0, 1, (2, 5)), [0, 1], 1), [0, 1]),
+                   default_rng(0))
         assert buf.occupancy == 3 and buf.x.shape == (3, 6)
 
     def test_gathers_only_the_kept_rows(self):
@@ -153,7 +159,7 @@ class TestInsert:
         rows = np.flatnonzero(labels > 0)
         spec = TaskSpec(1, (1, 2), data, rows, np.arange(0))
         buf = MemoryBuffer(2)
-        _, peak = traced_peak(insert, buf, spec, 0)
+        _, peak = traced_peak(insert, buf, spec, default_rng(0))
         assert buf.occupancy == 4 and buf.seen_counts == {1: 10_000, 2: 10_000}
         for slot, c in enumerate(buf.class_id.tolist()):
             assert (data.train_inputs[labels == c] == buf.x[slot]).all(axis=1).any()
@@ -196,8 +202,8 @@ class TestInsertMatchesSlotList:
         n, seed = 40, 7
         buf, ref = MemoryBuffer(capacity), SlotListBuffer(capacity)
         batch = Batch(rng.uniform(0.0, 1.0, (n, 4)), np.zeros(n, dtype=np.int64), 1)
-        insert(buf, task_spec(batch, np.zeros(n)), seed)
-        slot_list_insert(ref, batch, np.zeros(n), seed)
+        insert(buf, task_spec(batch, np.zeros(n)), default_rng(seed))
+        slot_list_insert(ref, batch, np.zeros(n), default_rng(seed))
         # replay the draws: the rows after the first ``capacity`` that land
         draws, victims = np.random.default_rng(seed), []
         for seen in range(capacity + 1, n + 1):
@@ -214,28 +220,28 @@ class TestInsertMatchesSlotList:
 class TestSampleMemory:
     def test_empty_buffer_raises(self):
         with pytest.raises(EmptyMemoryError):
-            sample_memory(MemoryBuffer(2), 4, 0)
+            sample_memory(MemoryBuffer(2), 4, default_rng(0))
 
     def test_single_slot(self):
         rng = np.random.default_rng(4)
         buf = MemoryBuffer(1)
         batch = class_batch(rng, 1, label=2)
-        insert(buf, task_spec(batch, [3]), 0)
-        mem = sample_memory(buf, 1, 5)
+        insert(buf, task_spec(batch, [3]), default_rng(0))
+        mem = sample_memory(buf, 1, default_rng(5))
         np.testing.assert_array_equal(mem.inputs[0], batch.inputs[0])
         assert mem.task_ids[0] == 1
 
     def test_full_draw_is_exact_multiset(self):
         rng = np.random.default_rng(5)
         buf = filled_buffer(rng)
-        mem = sample_memory(buf, buf.occupancy, 7)
+        mem = sample_memory(buf, buf.occupancy, default_rng(7))
         assert sorted(mem.slot_indices.tolist()) == list(range(buf.occupancy))
 
     def test_oversized_draw_uses_replacement(self):
         rng = np.random.default_rng(6)
         buf = MemoryBuffer(1)
-        insert(buf, task_spec(class_batch(rng, 1, label=0), [0]), 0)
-        mem = sample_memory(buf, 5, 8)
+        insert(buf, task_spec(class_batch(rng, 1, label=0), [0]), default_rng(0))
+        mem = sample_memory(buf, 5, default_rng(8))
         assert len(mem.labels) == 5
 
     def test_draw_frequency_uniform(self):
@@ -255,7 +261,7 @@ class TestSampleMemory:
         rng = np.random.default_rng(24)
         buf = filled_buffer(rng, capacity=2, tasks=(2, 1, 3), per_task=6)  # slots by task 2, 1, 3
         for seed in range(5):
-            mem = sample_memory(buf, size, seed)
+            mem = sample_memory(buf, size, default_rng(seed))
             picks = np.random.default_rng(seed).choice(buf.occupancy, size=size,
                                                        replace=size > buf.occupancy)
             assert np.all(np.diff(mem.task_ids) >= 0)
@@ -272,7 +278,7 @@ class TestInterleavedBatch:
     whose task ids interleave, before touching the buffer or the net."""
 
     def interleaved(self, buf):
-        mem = sample_memory(buf, buf.occupancy, 0)
+        mem = sample_memory(buf, buf.occupancy, default_rng(0))
         ones, twos = np.flatnonzero(mem.task_ids == 1), np.flatnonzero(mem.task_ids == 2)
         rows = [ones[0], twos[0], ones[1]]
         return MemoryBatch(mem.inputs[rows], mem.labels[rows], mem.task_ids[rows],
@@ -281,8 +287,8 @@ class TestInterleavedBatch:
     @pytest.mark.parametrize("call", [
         lambda net, buf, mem, d: stream_gradients(
             net, [(mem.inputs, mem.labels, mem.task_ids, 0.3)]),
-        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, RunConfig()),
-        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, RunConfig()),
+        lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, ETA_EDIT),
+        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, ETA_EDIT),
     ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
     def test_rejected_with_a_named_error(self, call):
         rng = np.random.default_rng(25)
@@ -304,7 +310,7 @@ class TestMemoryGradient:
         rng = np.random.default_rng(8)
         net = make_net()
         buf = filled_buffer(rng, tasks=(1,), per_task=4)
-        mem = sample_memory(buf, buf.occupancy, 1)
+        mem = sample_memory(buf, buf.occupancy, default_rng(1))
         backbone, loss, heads = memory_gradient(net, mem)
         rep = backward(net, Batch(mem.inputs, mem.labels, 1))
         np.testing.assert_allclose(backbone, rep.backbone_grad, atol=1e-14)
@@ -315,7 +321,7 @@ class TestMemoryGradient:
         rng = np.random.default_rng(9)
         net = make_net()
         buf = filled_buffer(rng, tasks=(1, 2), per_task=3)
-        mem = sample_memory(buf, buf.occupancy, 2)
+        mem = sample_memory(buf, buf.occupancy, default_rng(2))
         backbone, loss, heads = memory_gradient(net, mem)
         total = np.zeros_like(backbone)
         check_loss = forward_loss = 0.0
@@ -343,7 +349,7 @@ class TestMemoryGradient:
         for draw in range(3):
             # the last draw is larger than the buffer, so rows repeat
             size = buf.occupancy + 4 if draw == 2 else 6
-            mem = sample_memory(buf, size, draw)
+            mem = sample_memory(buf, size, default_rng(draw))
             backbone, loss, head_grads = memory_gradient(net, mem, head_step=head_step)
             ref_backbone, ref_loss, ref_heads = per_group_memory_gradient(ref, mem, head_step)
             rel = np.abs(backbone - ref_backbone).max() / np.abs(ref_backbone).max()
@@ -397,10 +403,10 @@ class TestEditEmgd:
         rng = np.random.default_rng(10)
         net = make_net()
         buf = filled_buffer(rng, tasks=(1,), per_task=3)
-        mem = sample_memory(buf, buf.occupancy, 3)
+        mem = sample_memory(buf, buf.occupancy, default_rng(3))
         g, _, _ = memory_gradient(net, mem)
         before = buf.x.copy()
-        edit_memory_emgd(buf, net, mem, -g, RunConfig())
+        edit_memory_emgd(buf, net, mem, -g, ETA_EDIT)
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
@@ -410,11 +416,11 @@ class TestEditEmgd:
         for trial in range(trials):
             net = make_net(seed=trial)
             buf = filled_buffer(rng, capacity=2, per_task=4, span=INNER)
-            mem = sample_memory(buf, 4, trial)
+            mem = sample_memory(buf, 4, default_rng(trial))
             other = class_batch(rng, 4, task=1, classes=4)
             d = -backward(net, other).backbone_grad
             before = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
-            edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=1e-3))
+            edit_memory_emgd(buf, net, mem, d, 1e-3)
             assert_clamp_idle(mem.inputs)
             after = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             if after <= before + 1e-6:
@@ -426,10 +432,10 @@ class TestEditEmgd:
         net = make_net()
         buf = MemoryBuffer(2)
         batch = Batch(np.zeros((2, 6)), [0, 1], 1)  # already at the boundary
-        insert(buf, task_spec(batch, [0, 1]), 0)
-        mem = sample_memory(buf, 2, 1)
+        insert(buf, task_spec(batch, [0, 1]), default_rng(0))
+        mem = sample_memory(buf, 2, default_rng(1))
         edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
-                         RunConfig(eta_edit=1.0))
+                         1.0)
         for x in buf.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
@@ -438,7 +444,7 @@ class TestEditEmgd:
         rng = np.random.default_rng(20)
         net = make_net(heads=((1, 4), (2, 3), (3, 3)))
         buf = filled_buffer(rng, capacity=2, tasks=(1, 2, 3), per_task=5, span=INNER)
-        mem = sample_memory(buf, buf.occupancy + 5, 6)
+        mem = sample_memory(buf, buf.occupancy + 5, default_rng(6))
         assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
         assert len(np.unique(mem.task_ids)) >= 2
@@ -451,7 +457,7 @@ class TestEditEmgd:
                                           [(int(t), slice(None))], d)
             expected[mask] = x0[mask] - eta * delta
             objective += value
-        before, after = edit_memory_emgd(buf, net, mem, d, RunConfig(eta_edit=eta))
+        before, after = edit_memory_emgd(buf, net, mem, d, eta)
         assert_clamp_idle(mem.inputs)
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
@@ -464,7 +470,7 @@ class TestEditEmgd:
     def test_write_back_keeps_the_last_row_of_a_repeated_slot(self):
         rng = np.random.default_rng(26)
         buf = filled_buffer(rng, tasks=(1, 2, 3))
-        mem = sample_memory(buf, buf.occupancy + 9, 4)
+        mem = sample_memory(buf, buf.occupancy + 9, default_rng(4))
         assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         edited = rng.uniform(0.0, 1.0, mem.inputs.shape)  # repeated slots get different rows
         _write_back(buf, mem, edited)
@@ -477,15 +483,15 @@ class TestEditEmgd:
         rng = np.random.default_rng(21)
         net = make_net()
         buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, 5)
+        mem = sample_memory(buf, 4, default_rng(5))
         d = rng.normal(size=net.backbone_dim)
-        for edit, cfg in ((edit_memory_emgd, RunConfig()),
-                          (edit_memory_emgd, RunConfig(eta_edit=0.5)),
-                          (edit_memory_gmed, RunConfig()),
-                          (edit_memory_gmed, RunConfig(eta_edit=0.5))):
+        for edit, eta in ((edit_memory_emgd, ETA_EDIT),
+                          (edit_memory_emgd, 0.5),
+                          (edit_memory_gmed, ETA_EDIT),
+                          (edit_memory_gmed, 0.5)):
             x0 = mem.inputs.copy()
             expected = editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
-            before, after = edit(buf, net, mem, d, cfg)
+            before, after = edit(buf, net, mem, d, eta)
             assert before == expected
             assert after == editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
             assert (after == before) == np.array_equal(mem.inputs, x0)
@@ -496,9 +502,9 @@ class TestEditEmgd:
         rng = np.random.default_rng(14)
         net = make_net()
         buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, 2)
+        mem = sample_memory(buf, 4, default_rng(2))
         slots_before, backbone_before, heads_before = snapshot(buf, net)
-        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
+        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), ETA_EDIT)
         np.testing.assert_array_equal(net.theta.copy(), backbone_before)
         for t, flat in heads_before.items():
             np.testing.assert_array_equal(net.heads[t], flat)
@@ -512,9 +518,9 @@ class TestEditGmed:
         rng = np.random.default_rng(15)
         net = make_net()
         buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, 3)
+        mem = sample_memory(buf, 4, default_rng(3))
         before = buf.x.copy()
-        edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), RunConfig())
+        edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), ETA_EDIT)
         for x, y in zip(before, buf.x):
             np.testing.assert_array_equal(x, y)
 
@@ -523,7 +529,7 @@ class TestEditGmed:
         rng = np.random.default_rng(16)
         net = make_net()
         buf = filled_buffer(rng, tasks=(1,), capacity=2, per_task=2, span=INNER)
-        mem = sample_memory(buf, 2, 4)
+        mem = sample_memory(buf, 2, default_rng(4))
         d = -backward(net, class_batch(rng, 3, task=1, classes=4)).backbone_grad
         eta = 0.05
         theta = net.theta.copy()
@@ -539,7 +545,7 @@ class TestEditGmed:
             return (l_now - l_ahead) ** 2
 
         x0 = mem.inputs.copy()
-        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=eta))
+        edit_memory_gmed(buf, net, mem, d, eta)
         assert_clamp_idle(mem.inputs)
         applied = (x0 - mem.inputs) / eta  # recovered gradient estimate
         h = 1e-6
@@ -558,22 +564,21 @@ class TestEditGmed:
         rng = np.random.default_rng(17)
         net = make_net()
         buf = MemoryBuffer(2)
-        insert(buf, task_spec(Batch(np.zeros((2, 6)), [0, 1], 1), [0, 1]), 0)
-        mem = sample_memory(buf, 2, 1)
+        insert(buf, task_spec(Batch(np.zeros((2, 6)), [0, 1], 1), [0, 1]), default_rng(0))
+        mem = sample_memory(buf, 2, default_rng(1))
         edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
-                         RunConfig(eta_edit=1.0))
+                         1.0)
         for x in buf.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    @pytest.mark.parametrize("cfg, span", [(RunConfig(eta_edit=0.02), INNER),
-                                           (RunConfig(eta_edit=0.5), (0.99, 1.0))],
+    @pytest.mark.parametrize("eta, span", [(0.02, INNER), (0.5, (0.99, 1.0))],
                              ids=["inside", "clamped"])
-    def test_matches_per_group_oracle(self, cfg, span):
+    def test_matches_per_group_oracle(self, eta, span):
         # three tasks in the batch, drawn with replacement so slots repeat;
         # the oracle edits one task group at a time, and clamps the same way
         rng = np.random.default_rng(22)
         buf = filled_buffer(rng, tasks=(1, 2, 3), span=span)
-        mem = sample_memory(buf, buf.occupancy + 9, 6)
+        mem = sample_memory(buf, buf.occupancy + 9, default_rng(6))
         assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
         assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
         assert len(np.unique(mem.task_ids)) >= 2
@@ -581,8 +586,8 @@ class TestEditGmed:
         d = rng.normal(size=nets[0].backbone_dim) * 5
         bufs = [copy.deepcopy(buf) for _ in range(2)]
         mems = [copy.deepcopy(mem) for _ in range(2)]
-        before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, cfg)
-        assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, cfg)
+        before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, eta)
+        assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, eta)
         assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d,
                                           task_slices(mems[0].task_ids))
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
@@ -602,7 +607,7 @@ class TestEditGmed:
         # default step and at the largest allowed one
         rng = np.random.default_rng(23)
         buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 8, 7)
+        mem = sample_memory(buf, 8, default_rng(7))
         assert len(np.unique(mem.task_ids)) == len(tasks)
         nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
         frozen = nets[0]
@@ -611,7 +616,7 @@ class TestEditGmed:
         d = rng.normal(size=frozen.backbone_dim)
         bufs = [copy.deepcopy(buf) for _ in range(2)]
         mems = [copy.deepcopy(mem) for _ in range(2)]
-        results = [edit_memory_gmed(b, net, m, d, RunConfig(eta_edit=eta))
+        results = [edit_memory_gmed(b, net, m, d, eta)
                    for b, net, m in zip(bufs, nets, mems)]
         assert results[0] == results[1]
         np.testing.assert_array_equal(mems[0].inputs, mems[1].inputs)
@@ -623,9 +628,9 @@ class TestEditGmed:
         rng = np.random.default_rng(18)
         net = make_net()
         buf = filled_buffer(rng)
-        mem = sample_memory(buf, 3, 9)
+        mem = sample_memory(buf, 3, default_rng(9))
         before = net.theta.copy()
-        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig())
+        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), ETA_EDIT)
         np.testing.assert_array_equal(net.theta.copy(), before)
 
 
@@ -638,13 +643,13 @@ def test_editors_reject_a_direction_of_another_dimension(edit, offset):
     for tasks, factored in (((1, 2), True), ((1,), False)):
         rng = np.random.default_rng(29)
         buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 4, 1)
+        mem = sample_memory(buf, 4, default_rng(1))
         assert len(np.unique(mem.task_ids)) == len(tasks)
         kernels = [_factored(4, len(tasks), fi, fo) for fi, fo in zip(sizes, sizes[1:])]
         assert kernels == [factored] * 2
         before = buf.x.copy()
         with pytest.raises(InvalidInputError, match="dimension"):
-            edit(buf, net, mem, np.zeros(net.backbone_dim + offset), RunConfig())
+            edit(buf, net, mem, np.zeros(net.backbone_dim + offset), ETA_EDIT)
         np.testing.assert_array_equal(buf.x, before)
 
 
@@ -672,12 +677,12 @@ class TestEditPasses:
         rng = np.random.default_rng(27)
         net = make_net(heads=((1, 4), (2, 3), (3, 5)))
         buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 8, 3)
+        mem = sample_memory(buf, 8, default_rng(3))
         assert len(np.unique(mem.task_ids)) == len(tasks)
         d = rng.normal(size=net.backbone_dim)
         expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
         calls = self.count_forwards(monkeypatch)
-        before, after = edit(buf, net, mem, d, RunConfig(eta_edit=0.2))
+        before, after = edit(buf, net, mem, d, 0.2)
         assert calls == [len(mem.labels)] * passes
         assert before == expected
         assert after != before
@@ -688,7 +693,7 @@ class TestEditPasses:
         rng = np.random.default_rng(30)
         net = make_net()
         buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 4, 2)
+        mem = sample_memory(buf, 4, default_rng(2))
         assert len(np.unique(mem.task_ids)) == len(tasks)
         d = rng.normal(size=net.backbone_dim)
         steps, ahead = [], Network.ahead
@@ -698,7 +703,7 @@ class TestEditPasses:
             return ahead(self, direction, step)
 
         monkeypatch.setattr(Network, "ahead", counted)
-        edit_memory_gmed(buf, net, mem, d, RunConfig(eta_edit=0.2))
+        edit_memory_gmed(buf, net, mem, d, 0.2)
         assert steps == [0.2]
 
 
@@ -821,8 +826,8 @@ class TestSnapshot:
         net = make_net(heads=((1, 4), (2, 3)))
         buf = filled_buffer(rng)
         before = buf.x.copy()
-        mem = sample_memory(buf, 6, 3)
-        edit(buf, net, mem, rng.normal(size=net.backbone_dim), RunConfig(eta_edit=0.2))
+        mem = sample_memory(buf, 6, default_rng(3))
+        edit(buf, net, mem, rng.normal(size=net.backbone_dim), 0.2)
         assert not np.array_equal(buf.x, before)
         save_buffer_snapshot(buf, tmp_path / "buffer.bin")
         assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from emgd.cli import _write_json
-from emgd.errors import ConfigError, FormatError, InvalidInputError, StreamEnd, load_json_object
+from emgd.errors import ConfigError, FormatError, InvalidInputError, load_json_object
 from emgd.net import Batch, Network, add_head, apply_update, backward
 from emgd.streams import (
     Dataset,
@@ -34,7 +34,7 @@ def train_inputs(spec):
 
 def built_split(dataset, *args, **kwargs):
     """The specs and timeline of a built split, read as a run reads them."""
-    return specs_from_manifest(build_parallel_split(dataset, *args, **kwargs), dataset)[:2]
+    return specs_from_manifest(build_parallel_split(dataset, *args, **kwargs), dataset)
 
 
 def toy_dataset(num_classes=12, per_class=10, dim=4, seed=0):
@@ -55,27 +55,27 @@ class TestDataset:
 class TestTimeline:
     def test_rejects_gap(self):
         with pytest.raises(InvalidInputError):
-            TaskTimeline([(1, 0, 3), (2, 5, 8)])
+            TaskTimeline([(1, 0, 3), (2, 5, 8)], batch_size=4)
 
     def test_rejects_out_of_order_start(self):
         with pytest.raises(InvalidInputError):
-            TaskTimeline([(1, 4, 8), (2, 2, 9)])
+            TaskTimeline([(1, 4, 8), (2, 2, 9)], batch_size=4)
 
     def test_rejects_inverted_window(self):
         with pytest.raises(InvalidInputError):
-            TaskTimeline([(1, 3, 1)])
+            TaskTimeline([(1, 3, 1)], batch_size=4)
 
     def test_rejects_repeated_task_id(self):
         with pytest.raises(InvalidInputError, match="task 1 appears twice on the timeline"):
-            TaskTimeline([(1, 0, 3), (1, 2, 5)])
+            TaskTimeline([(1, 0, 3), (1, 2, 5)], batch_size=4)
 
     @pytest.mark.parametrize("task_id", [0, -1])
     def test_rejects_task_id_below_one(self, task_id):
         with pytest.raises(InvalidInputError, match=rf"task {task_id}: task ids must be >= 1 "):
-            TaskTimeline([(task_id, 0, 3)])
+            TaskTimeline([(task_id, 0, 3)], batch_size=4)
 
     def test_serial_is_valid(self):
-        tl = TaskTimeline([(1, 0, 4), (2, 5, 7), (3, 8, 8)])
+        tl = TaskTimeline([(1, 0, 4), (2, 5, 7), (3, 8, 8)], batch_size=4)
         assert tl.final_tick == 8
 
     @given(st.lists(st.tuples(st.integers(-2, 6), st.integers(-1, 5)), min_size=1, max_size=6))
@@ -86,7 +86,7 @@ class TestTimeline:
             start += step
             entries.append((t, start, start + length))
         try:
-            tl = TaskTimeline(entries)
+            tl = TaskTimeline(entries, batch_size=4)
         except InvalidInputError:
             return
         covered = {tick for _, s, e in tl.entries for tick in range(s, e + 1)}
@@ -171,15 +171,15 @@ class TestBuildParallelSplit:
 
 class TestActiveTasks:
     def test_before_second_task(self):
-        tl = TaskTimeline([(1, 0, 9), (2, 4, 12)])
+        tl = TaskTimeline([(1, 0, 9), (2, 4, 12)], batch_size=4)
         assert active_tasks(tl, 2) == {1}
 
     def test_memory_joins_after_first_finish(self):
-        tl = TaskTimeline([(1, 0, 3), (2, 2, 8)])
+        tl = TaskTimeline([(1, 0, 3), (2, 2, 8)], batch_size=4)
         assert active_tasks(tl, 5) == {0, 2}
 
     def test_out_of_range(self):
-        tl = TaskTimeline([(1, 0, 3)])
+        tl = TaskTimeline([(1, 0, 3)], batch_size=4)
         with pytest.raises(InvalidInputError):
             active_tasks(tl, 4)
 
@@ -203,40 +203,34 @@ class TestNextBatch:
         return specs[0]
 
     def test_single_batch_covers_everything(self):
+        # and the next batch starts the next pass, over everything again
         spec = self.make_spec(n=6)
-        cursor = TaskCursor(spec, epochs=1, seed=1)
-        batch = next_batch(cursor, 100)
-        assert batch.labels.size == spec.train_size
-        with pytest.raises(StreamEnd):
-            next_batch(cursor, 100)
+        cursor = TaskCursor(spec, seed=1)
+        for _ in range(3):
+            batch = next_batch(cursor, 100)
+            np.testing.assert_array_equal(np.sort(batch.inputs, axis=0),
+                                          np.sort(train_inputs(spec), axis=0))
 
     def test_epoch_batch_sizes(self):
+        # each pass over the 10 rows ends in a short batch, then the cursor cycles
         spec = self.make_spec(n=10)
-        cursor = TaskCursor(spec, epochs=2, seed=1)
-        sizes = []
-        while True:
-            try:
-                sizes.append(next_batch(cursor, 3).labels.size)
-            except StreamEnd:
-                break
+        cursor = TaskCursor(spec, seed=1)
+        sizes = [next_batch(cursor, 3).labels.size for _ in range(8)]
         assert sizes == [3, 3, 3, 1, 3, 3, 3, 1]
 
     def test_epoch_is_a_permutation(self):
+        # each pass serves every row once, in the shuffle drawn for that pass
         spec = self.make_spec(n=10)
-        cursor = TaskCursor(spec, epochs=1, seed=9)
-        rows = []
-        try:
-            while True:
-                rows.append(next_batch(cursor, 3).inputs)
-        except StreamEnd:
-            pass
-        served = np.vstack(rows)
-        expect = np.sort(train_inputs(spec), axis=0)
-        np.testing.assert_array_equal(np.sort(served, axis=0), expect)
+        cursor = TaskCursor(spec, seed=9)
+        shuffles = substream(9, "shuffle", spec.task_id)
+        for _ in range(3):
+            order = shuffles.permutation(spec.train_size)
+            served = np.vstack([next_batch(cursor, 3).inputs for _ in range(4)])
+            np.testing.assert_array_equal(served, train_inputs(spec)[order])
 
     def test_labels_are_local(self):
         spec = self.make_spec()
-        cursor = TaskCursor(spec, epochs=1, seed=2)
+        cursor = TaskCursor(spec, seed=2)
         batch = next_batch(cursor, 100)
         assert set(np.unique(batch.labels)) <= set(range(spec.class_count))
 
@@ -246,7 +240,7 @@ class TestNextBatch:
                                       spec.train_labels)
         np.testing.assert_array_equal(np.asarray(spec.label_set)[spec.test_local],
                                       spec.test_labels)
-        cursor = TaskCursor(spec, epochs=1, seed=2)
+        cursor = TaskCursor(spec, seed=2)
         rows = cursor.order[:4]
         np.testing.assert_array_equal(next_batch(cursor, 4).labels, spec.train_local[rows])
 
@@ -507,7 +501,7 @@ class TestHeldOnce:
     def test_next_batch_reads_only_the_batch_rows(self):
         data = self.dataset()
         spec = built_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
-        cursor = TaskCursor(spec, epochs=1, seed=0)
+        cursor = TaskCursor(spec, seed=0)
         next_batch(cursor, 8)
         batch, peak = traced_peak(next_batch, cursor, 8)
         np.testing.assert_array_equal(batch.inputs, train_inputs(spec)[cursor.order[8:16]])
@@ -525,10 +519,10 @@ class TestManifest:
         _write_json(manifest, path)
         back = load_json_object(path, "split manifest")
         assert back == manifest
-        specs, tl, batch_size, epochs = specs_from_manifest(manifest, ds)
-        specs2, tl2, batch_size2, epochs2 = specs_from_manifest(back, ds)
-        assert (tl2.entries, batch_size2, epochs2) == (tl.entries, batch_size, epochs) == (
-            [(t["id"], t["s"], t["e"]) for t in manifest["tasks"]], 8, 2)
+        specs, tl = specs_from_manifest(manifest, ds)
+        specs2, tl2 = specs_from_manifest(back, ds)
+        assert (tl2.entries, tl2.batch_size) == (tl.entries, tl.batch_size) == (
+            [(t["id"], t["s"], t["e"]) for t in manifest["tasks"]], 8)
         for spec, spec2 in zip(specs, specs2, strict=True):
             assert (spec2.task_id, spec2.label_set) == (spec.task_id, spec.label_set)
             np.testing.assert_array_equal(spec2.train_rows, spec.train_rows)
@@ -546,6 +540,27 @@ class TestManifest:
         manifest = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
         manifest["batch_size"] = 0
         with pytest.raises(ConfigError, match="batch_size"):
+            specs_from_manifest(manifest, ds)
+
+    @pytest.mark.parametrize("epochs, first_start, late", [
+        (2**62, 0, 0),  # 3 * 2**62 ticks a window: the first ends past int64
+        (1, 2**63 - 4, 1),  # 3-tick windows from near 2**63: the second ends past it
+    ], ids=["epochs", "offset"])
+    def test_final_tick_past_int64_named(self, epochs, first_start, late):
+        # windows that match their epochs but end past int64: a run over them
+        # would never end, so the manifest is rejected before any tick, naming
+        # the window end at fault
+        ds = toy_dataset()
+        manifest = build_parallel_split(ds, 2, label_bounds=(2, 2), seed=0, batch_size=8,
+                                        serial=True)
+        steps = 3 * epochs  # ceil(20 rows / 8) per epoch
+        manifest["epochs"] = epochs
+        for i, task in enumerate(manifest["tasks"]):
+            task["s"], task["e"] = first_start + i * steps, first_start + (i + 1) * steps - 1
+        task = manifest["tasks"][late]
+        with pytest.raises(ConfigError, match=re.escape(
+                f"field manifest.tasks[{late}].e: task {task['id']}'s window "
+                f"[{task['s']}, {task['e']}] ends past int64 (manifest.epochs {epochs})")):
             specs_from_manifest(manifest, ds)
 
     def test_missing_file(self, tmp_path):
