@@ -25,10 +25,12 @@ The solve keeps one working-set inverse across its iterations, so each
 change of the working set costs O(|S|^2) and no linear system is re-solved.
 Two tasks, the commonest bundle in parallel continual learning, need no
 iteration: their ``gs`` factors are exactly 1/2, and their min-norm point
-has a closed form (``_two_points``). ``solve_emgd`` forms their scaled Gram
-in Python floats, where numpy's call overhead on 2 x 2 arrays would
-dominate. ``combine`` dispatches every method; ``mgda`` is the solve at
-sigma = 1.
+has a closed form (``_two_points``). One task, as on a tick that trains a
+single stream, takes the same shortcuts: its ``gs`` factor is exactly 1, and
+its min-norm point is the one point. ``solve_emgd`` forms the scaled Gram of
+one or two gradients in Python floats, where numpy's call overhead on 1 x 1
+and 2 x 2 arrays would dominate. ``combine`` dispatches every method;
+``mgda`` is the solve at sigma = 1.
 """
 
 from __future__ import annotations
@@ -210,23 +212,25 @@ def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> Elas
     factors reflect how aligned each gradient is with the rest of the bundle.
     A zero-norm gradient leaves the cosines undefined; the factors are then
     uniform, 1/k each. Two tasks both score 1 + cos(g_1, g_2), so their
-    factors are exactly 1/2 at every temperature: one shared, read-only
-    ``ElasticFactors``.
+    factors are exactly 1/2 at every temperature, and the softmax of one
+    task's one score is exactly 1: for k <= 2 the factors are one shared,
+    read-only ``ElasticFactors`` per k, and no score is computed.
     """
     if not 0 < temperature < math.inf:
         raise InvalidInputError(f"temperature must be positive and finite, got {temperature!r}")
-    if bundle.size == 2:
-        return _HALVES
+    k = bundle.size
+    if k <= 2:
+        return _HALVES if k == 2 else _ONE
     norms = bundle.norms()
     if not norms.all():  # a zero gradient
-        return ElasticFactors(np.full(bundle.size, 1.0 / bundle.size))
+        return ElasticFactors(np.full(k, 1.0 / k))
     cosines = norms[:, None] * norms
     scores = np.divide(bundle.gram, cosines, out=cosines).sum(axis=1)
     return ElasticFactors(_softmax(scores, temperature))
 
 
-_HALVES = ElasticFactors(np.array([0.5, 0.5]))
-_HALVES.sigma.flags.writeable = False
+_ONE, _HALVES = ElasticFactors(np.array([1.0])), ElasticFactors(np.array([0.5, 0.5]))
+_ONE.sigma.flags.writeable = _HALVES.sigma.flags.writeable = False
 
 
 def _border(B: np.ndarray, n: int, u: np.ndarray, pivot: float) -> None:
@@ -430,15 +434,18 @@ def solve_emgd(
     by the unscaled max_j ||g_j||^2, so on a converged solve
     <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
     """
-    s = _as_factors(sigma, bundle.size).sigma
+    k = bundle.size
+    s = _as_factors(sigma, k).sigma
     # G / (s s^T) is formed in units of 2^e. Each scaled entry |G_ij| / (s_i s_j)
     # is at most the geometric mean of two scaled diagonal entries
     # (Cauchy-Schwarz), so finite G_ii / s_i^2 (s_i^2 > 0 included; s_i <= 1,
     # so s_i^2 * MAX cannot overflow) keeps every entry finite, checked
     # before the division could warn.
-    if bundle.size == 2:  # the same steps in Python floats: numpy's calls cost more here
-        (g00, g01), (_, g11) = bundle.gram.tolist()
-        s0, s1 = s.tolist()
+    if k <= 2:  # the same steps in Python floats: numpy's calls cost more here
+        # one gradient takes them on (G_00, s_0) twice and keeps the 1 x 1 corner
+        rows, sl = bundle.gram.tolist(), s.tolist()
+        (g00, g01), (_, g11) = rows if k == 2 else (rows[0] * 2,) * 2
+        s0, s1 = sl if k == 2 else sl * 2
         scale = max(g00, g11)
         e = _exponent(scale)
         if e:
@@ -447,7 +454,7 @@ def solve_emgd(
         if not (g00 < m00 * _FLOAT_MAX and g11 < m11 * _FLOAT_MAX):
             raise NumericError(_UNDERFLOW)
         m01 = g01 / (s0 * s1)
-        M = np.array(((g00 / m00, m01), (m01, g11 / m11)))
+        M = np.array(((g00 / m00, m01), (m01, g11 / m11)) if k == 2 else ((m01,),))
     else:
         scale = float(bundle.gram.diagonal().max())
         e = _exponent(scale)

@@ -44,7 +44,8 @@ No command reads snapshots back, so it is what keeps the writer checked.
 
 ``kkt_min_norm_simplex`` is the min-norm-point loop that
 ``emgd.solver._min_norm_point`` replaced: the same steps, with a
-dense KKT solve of the affine subproblem at every minor step. The
+dense KKT solve of the affine subproblem at every minor step, its
+bordered system equilibrated by the working points' norms. The
 two-task closed form, the simplex grid search and the descent
 certificate check pin the solver down from outside.
 """
@@ -378,13 +379,19 @@ def central_difference_edit(net: Network, batch: Batch, target_d: np.ndarray,
 
 def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
     # Minimize w' M_SS w subject to sum(w) = 1 (weights may be negative):
-    # KKT system [[2 M_SS, 1], [1', 0]] [w; nu] = [0; 1].
+    # KKT system [[2 M_SS, 1], [1', 0]] [w; nu] = [0; 1]. It is solved
+    # equilibrated by D = diag(M_SS)^-1/2, 1 for a zero point, as
+    # [[2 D M_SS D, D 1], [1' D, 0]] [y; nu] = [0; 1] with w = D y: squared
+    # norms many orders apart would otherwise leave it badly conditioned.
     n = len(idx)
     sub = M[np.ix_(idx, idx)]
+    diag = sub.diagonal()
+    scale = np.ones(n)
+    scale[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
     A = np.zeros((n + 1, n + 1))
-    A[:n, :n] = 2.0 * sub
-    A[:n, n] = 1.0
-    A[n, :n] = 1.0
+    A[:n, :n] = 2.0 * scale[:, None] * sub * scale
+    A[:n, n] = scale
+    A[n, :n] = scale
     b = np.zeros(n + 1)
     b[n] = 1.0
     try:
@@ -393,7 +400,7 @@ def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-    return sol[:n]
+    return scale * sol[:n]
 
 
 def kkt_min_norm_simplex(M: np.ndarray, tol: float, max_iter: int,

@@ -103,6 +103,12 @@ class TestRunToy:
         assert {row.sigma for row in rows[:500]} == {(1.0,)}
         assert {row.sigma for row in rows[500:]} == {(0.5, 0.5)}
 
+    @pytest.mark.parametrize("method", ["emgd_gs", "emgd_gmc", "mgda", "avg_grad"])
+    def test_one_task_steps_before_the_join(self, traces, method):
+        # one task alone: factor 1, weight 1, so d = g and <g, d> - ||d||^2 is exactly 0
+        for row in traces[method].rows[:500]:
+            assert (row.lam, row.sigma, row.margin) == ((1.0,), (1.0,), 0.0)
+
     def test_short_run_row_count(self):
         assert len(run_toy(method="mgda", iterations=10).rows) == 10
 

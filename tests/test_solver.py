@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from emgd import solver
@@ -274,6 +274,19 @@ class TestElasticFactorsGs:
             sig = elastic_factors_gs(bundle(*grads), temperature).sigma
         assert sig.tobytes() == np.array([0.5, 0.5]).tobytes()
         assert not sig.flags.writeable  # one shared instance
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.3, 1e-3, 1e-310, 1e300])
+    @pytest.mark.parametrize("grad", [[3.0, 4.0], [1e-160, 0.0], [0.0, 1e150], [0.0, 0.0]],
+                             ids=["unit scale", "subnormal norm", "large", "zero"])
+    def test_one_task_gets_exact_one(self, grad, temperature):
+        # the softmax of one score is 1 at any temperature, 1e-310 included,
+        # where the score over the temperature would overflow float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = elastic_factors_gs(bundle(grad), temperature)
+        assert factors.sigma.tobytes() == np.array([1.0]).tobytes()
+        assert not factors.sigma.flags.writeable
+        assert factors is elastic_factors_gs(bundle([1.0, 2.0], ids=(7,)))  # one shared instance
 
     def test_zero_norm_gradient_raises(self):
         # undefined cosines give uniform factors, not an error
@@ -590,6 +603,10 @@ class TestKktOracleEquivalence:
            mode=st.sampled_from(["gs", "mgda", "fixed"]), shared=st.floats(0.0, 1.0),
            duplicate=st.booleans(), zero=st.booleans(), seed=st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=300, deadline=None)
+    # D = k with gs factors down to 4e-9: the bordered KKT solve without
+    # equilibration stalled here for the whole budget, the solver converges in 3
+    @example(k=42, extra_dim=0, log_scale=0.0, mode="gs", shared=0.5, duplicate=False,
+             zero=False, seed=0)
     def test_random_bundles(self, k, extra_dim, log_scale, mode, shared, duplicate, zero, seed):
         # D >= k, as for any bundle of parameter gradients; with fewer
         # dimensions than points the hull is degenerate and the weights of a
@@ -735,12 +752,12 @@ class TestTwoPoints:
 
 
 def assert_scaled_gram_matches_the_array_steps(grads, sigma):
-    """``solve_emgd`` at k = 2 forms G / (s s^T) in units of 2^e in Python floats.
+    """``solve_emgd`` at k <= 2 forms G / (s s^T) in units of 2^e in Python floats.
     It must hand ``_min_norm_point`` the array steps' Gram and gap scale bit for
     bit, or raise their underflow error, with no numpy warning. Degenerate tasks
     are read off the unscaled diagonal: scaled by 2^-e, a tiny entry could flush
     to 0."""
-    b = GradientBundle((1, 2), grads)
+    b = GradientBundle(tuple(range(1, len(grads) + 1)), grads)
     scale = float(b.gram.diagonal().max())
     e = solver._exponent(scale)
     G, S = np.ldexp(b.gram, -e), np.outer(sigma, sigma)
@@ -761,13 +778,14 @@ def assert_scaled_gram_matches_the_array_steps(grads, sigma):
     assert M.tobytes() == (G / S).tobytes()
     assert gap_scale.hex() == math.ldexp(scale, -e).hex()
     if res is not None:
-        zero = tuple(t for t, v in zip((1, 2), b.gram.diagonal()) if v == 0.0)
+        zero = tuple(t for t, v in zip(b.task_ids, b.gram.diagonal()) if v == 0.0)
         assert res.degenerate_tasks == zero
 
 
 class TestTwoTaskSteps:
     """The one k = 2 step outside the factors and the solve, ``solve_emgd``'s
-    set-up, against the array steps; and every check a two-task step makes."""
+    set-up, against the array steps; and every check a two-task step makes.
+    One gradient takes the same set-up and is held to the same steps."""
 
     @given(dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
            kind=st.sampled_from(GRADIENT_KINDS), log_ratio=st.floats(-3.0, 3.0),
@@ -795,6 +813,16 @@ class TestTwoTaskSteps:
     ])
     def test_edge_bundles_match_the_array_steps(self, grads, sigma):
         assert_scaled_gram_matches_the_array_steps(np.array(grads), np.array(sigma))
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5, 1e-170])  # 1e-170 squared flushes to 0
+    @pytest.mark.parametrize("grad", [
+        [3.0, 4.0],
+        [1e100, 0.0],  # G_00 = 1e200 past 2^500, solved in units of 2^e
+        [1e-160, 0.0],  # a subnormal squared norm
+        [0.0, 0.0],  # a zero gradient: degenerate
+    ])
+    def test_one_gradient_matches_the_array_steps(self, grad, sigma):
+        assert_scaled_gram_matches_the_array_steps(np.array([grad]), np.array([sigma]))
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: combine("emgd_gmc", bundle([400.0, 0.0], [0.0, 1.0]), ElasticState()),
