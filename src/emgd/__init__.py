@@ -9,4 +9,11 @@ Subpackages:
   cli         Command-line front end.
 """
 
+import os
+
+# Importing the package, before numpy, sets BLAS to one thread unless the
+# environment names a count: outputs are byte-identical only at a fixed count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -219,6 +220,11 @@ def cmd_report(args) -> int:
     return 0
 
 
+# argparse takes "-1e-05" for an option: its negative-number pattern has no exponent on
+# Python 3.10 and 3.11. run-toy matches any negative float; none of its options looks like one.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="emgd",
@@ -239,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_run_toy, parser=p)
+    p._negative_number_matcher = _NEGATIVE_NUMBER
 
     p = sub.add_parser("run-pcl", help="multi-stream training run from a config")
     p.add_argument("--config", required=True)

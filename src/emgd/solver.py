@@ -6,8 +6,9 @@ combined direction d is a Pareto descent direction when
 
     <g_i, d> >= sigma_i * ||d||^2    for every task i,
 
-which is what the elastic solver guarantees up to tol * max_i ||g_i||^2,
-a slack relative to the gradients' scale.
+which the elastic solver guarantees up to DEFAULT_TOL * max_i ||g_i||^2, a
+slack relative to the gradients' scale. Every solve stops at that tolerance or
+after max(DEFAULT_MAX_ITER, 4k) iterations for k tasks; no caller sets either.
 
 The elastic problem  min ||sum_i lambda_i g_i||^2  s.t.  sum_i lambda_i
 sigma_i = 1, lambda >= 0  reduces exactly to the classic min-norm-point
@@ -29,8 +30,8 @@ has a closed form (``_two_points``). One task, as on a tick that trains a
 single stream, takes the same shortcuts: its ``gs`` factor is exactly 1, and
 its min-norm point is the one point. ``solve_emgd`` forms the scaled Gram of
 one or two gradients in Python floats, where numpy's call overhead on 1 x 1
-and 2 x 2 arrays would dominate. ``combine`` dispatches every method;
-``mgda`` is the solve at sigma = 1.
+and 2 x 2 arrays would dominate. ``combine`` dispatches every training
+method; ``mgda`` is the solve at sigma = 1.
 """
 
 from __future__ import annotations
@@ -259,16 +260,17 @@ def _exponent(top: float) -> int:
     return math.frexp(top)[1] if top > _UNSCALED[1] or 0.0 < top < _UNSCALED[0] else 0
 
 
-def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> MinNormResult:
+def _min_norm_point(M: np.ndarray, scale: float) -> MinNormResult:
     """Minimum-norm point of the convex hull of k points, given their Gram matrix M.
 
     Solves min_mu mu' M mu over the probability simplex by
     Wolfe's min-norm-point method: repeatedly add the most violating point
     to the working set S, move to the affine minimiser over S, and clip
     back to the simplex when a weight would go negative. Stops when the
-    duality gap ||q||^2 - min_i <p_i, q> drops to ``tol * scale`` (``solve_emgd``
-    passes max_i ||g_i||^2, so the test is the same at every magnitude), or after
-    ``max(max_iter, 4k)`` iterations: each adds at most one working point.
+    duality gap ||q||^2 - min_i <p_i, q> drops to ``DEFAULT_TOL * scale``
+    (``solve_emgd`` passes max_i ||g_i||^2, so the test is the same at every
+    magnitude), or after ``max(DEFAULT_MAX_ITER, 4k)`` iterations: each adds at
+    most one working point.
     Two points take the closed form instead (``_two_points``), with the same
     stopping test and the same exits.
 
@@ -285,14 +287,10 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     violating point is already in S, or is numerically affinely dependent on
     S (its pivot is not positive), the iterate can no longer change: the
     solve stops there, not converged, and reports the whole budget as used,
-    as running it out would have. Only ``tol`` and ``max_iter`` are checked
-    here: ``solve_emgd``, the one caller, hands over the scaled Gram of a
-    bundle that validated G, and M is not re-scanned.
+    as running it out would have. Nothing is checked here: ``solve_emgd``, the
+    one caller, hands over the scaled Gram of a bundle that validated G, and M
+    is not re-scanned.
     """
-    if not tol > 0:
-        raise InvalidInputError("tol must be positive")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter!r}")
     k = M.shape[0]
     if k == 1:
         return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
@@ -303,8 +301,8 @@ def _min_norm_point(M: np.ndarray, tol: float, max_iter: int, scale: float) -> M
     # the smallest squared norm, the first on ties as argmin would pick, read
     # before the scaling: it can flush two tiny entries to an equal 0
     first = diag.index(min(diag))
-    gap_tol = tol * scale
-    budget = max(max_iter, 4 * k)
+    gap_tol = DEFAULT_TOL * scale
+    budget = max(DEFAULT_MAX_ITER, 4 * k)
     if k == 2:
         return _two_points(M, first, gap_tol, budget, e)
     return _wolfe(M, first, gap_tol, budget, e)
@@ -420,19 +418,14 @@ def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
                              degenerate_tasks=degenerate)
 
 
-def solve_emgd(
-    bundle: GradientBundle,
-    sigma,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CombinationResult:
+def solve_emgd(bundle: GradientBundle, sigma) -> CombinationResult:
     """Elastic combination: min ||sum lambda_i g_i||^2 s.t. sum lambda_i sigma_i = 1.
 
     Substituting mu_i = lambda_i * sigma_i turns the problem into the plain
     min-norm point of {g_i / sigma_i}, with Gram matrix G / (sigma sigma^T);
     the weights are recovered as mu_i / sigma_i. The stopping gap is scaled
     by the unscaled max_j ||g_j||^2, so on a converged solve
-    <g_i, d> >= sigma_i ||d||^2 - tol * max_j ||g_j||^2 for every i.
+    <g_i, d> >= sigma_i ||d||^2 - DEFAULT_TOL * max_j ||g_j||^2 for every i.
     """
     k = bundle.size
     s = _as_factors(sigma, k).sigma
@@ -462,25 +455,18 @@ def solve_emgd(
         if not (G.diagonal() < M.diagonal() * _FLOAT_MAX).all():
             raise NumericError(_UNDERFLOW)
         M = np.divide(G, M, out=M)
-    res = _min_norm_point(M, tol, max_iter, math.ldexp(scale, -e))
+    res = _min_norm_point(M, math.ldexp(scale, -e))
     return _combine(bundle, res.mu / s, res.iterations, res.converged)
 
 
-def combine(
-    method: str,
-    bundle: GradientBundle,
-    state: ElasticState,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    sigma: ElasticFactors | None = None,
-):
+def combine(method: str, bundle: GradientBundle, state: ElasticState):
     """Combine a bundle per ``method``; returns (CombinationResult, sigma used).
 
     ``emgd_gmc`` and ``emgd_gs`` compute elastic factors from ``state``
     (momenta, temperature); for ``emgd_gs`` a zero gradient gives factors
     1/k (see ``elastic_factors_gs``). ``mgda`` fixes every factor at one,
-    ``fixed`` uses ``sigma`` (all ones when omitted), and ``avg_grad`` is the
-    plain mean, every task weighted 1/k and reported with factors 1/k.
+    and ``avg_grad`` is the plain mean, every task weighted 1/k and reported
+    with factors 1/k. Given factors are not a method: ``solve_emgd`` takes them.
     """
     k = bundle.size
     if method == "avg_grad":
@@ -491,15 +477,13 @@ def combine(
         factors = elastic_factors_gs(bundle, state.temperature)
     elif method == "mgda":
         factors = ElasticFactors(np.ones(k))
-    elif method == "fixed":
-        factors = ElasticFactors(np.ones(k)) if sigma is None else sigma
     else:
         raise InvalidInputError(f"unknown combination method {method!r}")
-    return solve_emgd(bundle, factors, tol, max_iter), factors.sigma
+    return solve_emgd(bundle, factors), factors.sigma
 
 
-_REQUEST_KEYS = {"grads", "sigma_mode", "sigma", "temperature", "tol", "max_iter"}
-_SIGMA_MODES = {"gmc": "emgd_gmc", "gs": "emgd_gs", "fixed": "fixed"}
+_REQUEST_KEYS = {"grads", "sigma_mode", "sigma", "temperature"}
+_SIGMA_MODES = {"gmc": "emgd_gmc", "gs": "emgd_gs", "fixed": "mgda"}  # fixed with no sigma
 
 
 def _require_numbers(values: list, where: str) -> None:
@@ -513,15 +497,15 @@ def solve_request(doc: dict) -> dict:
     """One-shot solver call on a JSON-style document.
 
     Accepts {"grads": [[...], ...], "sigma_mode": "gmc"|"gs"|"fixed",
-    "sigma": [...], "temperature": 1.0, "tol", "max_iter"} (tol and max_iter
-    default to DEFAULT_TOL and DEFAULT_MAX_ITER) and returns {"lambda",
-    "direction", "objective", "converged"}; unknown keys and malformed values
-    are rejected by name. "gs" and "gmc" run
-    ``combine`` as the training methods ``emgd_gs`` and ``emgd_gmc`` do, so
-    a zero gradient under "gs" gets uniform factors; one-shot "gmc" has no
-    momentum history, so its factors are a softmax of the gradient norms.
-    "fixed" uses ``sigma``; all ones (the default) is plain min-norm. A
-    ``sigma`` under "gs" or "gmc", which compute their own factors, is
+    "sigma": [...], "temperature": 1.0} and returns {"lambda", "direction",
+    "objective", "converged"}; unknown keys (``tol`` and ``max_iter`` among
+    them: every solve has the one budget) and malformed values are rejected
+    by name. "gs" and "gmc" run ``combine`` as the training methods
+    ``emgd_gs`` and ``emgd_gmc`` do, so a zero gradient under "gs" gets
+    uniform factors; one-shot "gmc" has no momentum history, so its factors
+    are a softmax of the gradient norms. "fixed" runs ``solve_emgd`` on
+    ``sigma``; with none it is ``mgda``, plain min-norm at factors all ones.
+    A ``sigma`` under "gs" or "gmc", which compute their own factors, is
     rejected by name. Every entry of ``grads`` and ``sigma`` must be a JSON
     int or float, not a bool.
     """
@@ -547,7 +531,7 @@ def solve_request(doc: dict) -> dict:
     mode = read_field(doc, "sigma_mode", "fixed", error=InvalidInputError)
     if mode not in _SIGMA_MODES:
         raise InvalidInputError(f"unknown field value: sigma_mode={mode!r}")
-    raw, sigma = doc.get("sigma"), None
+    raw = doc.get("sigma")
     if raw is not None and mode != "fixed":  # gs and gmc compute their own factors
         raise InvalidInputError(f"field sigma is read only under sigma_mode 'fixed', "
                                 f"not {mode!r}")
@@ -560,9 +544,8 @@ def solve_request(doc: dict) -> dict:
         except (InvalidInputError, NumericError, OverflowError) as err:  # an int past float64
             raise InvalidInputError(f"field sigma: {err}") from None
     state = ElasticState(temperature=read_field(doc, "temperature", 1.0, error=InvalidInputError))
-    tol = read_field(doc, "tol", DEFAULT_TOL, error=InvalidInputError)
-    max_iter = read_field(doc, "max_iter", DEFAULT_MAX_ITER, error=InvalidInputError)
-    result, _ = combine(_SIGMA_MODES[mode], bundle, state, tol, max_iter, sigma)
+    result = (combine(_SIGMA_MODES[mode], bundle, state)[0] if raw is None
+              else solve_emgd(bundle, sigma))
     return {
         "lambda": result.lam.tolist(),
         "direction": result.direction.tolist(),

@@ -1,14 +1,19 @@
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import emgd
 from emgd.cli import main
 from oracles import read_snapshot
 
@@ -121,12 +126,13 @@ class TestSolve:
     @pytest.mark.parametrize("field, request_text", [
         ("grads", '{"grads": [["a", 1.0]]}'),
         ("temperature", '{"grads": [[1.0, 0.0]], "temperature": "x"}'),
-        ("tol", '{"grads": [[1.0, 0.0]], "tol": "x"}'),
-        ("tol", '{"grads": [[1.0, 0.0]], "tol": 0.0}'),
-        ("tol", '{"grads": [[1.0, 0.0]], "tol": -1.0}'),
-        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": "x"}'),
-        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": 0}'),
-        ("max_iter", '{"grads": [[1.0, 0.0]], "max_iter": -1}'),
+        # every solve has the one budget, so a budget field is unknown whatever its value
+        ("unknown field: tol", '{"grads": [[1.0, 0.0]], "tol": "x"}'),
+        ("unknown field: tol", '{"grads": [[1.0, 0.0]], "tol": 0.0}'),
+        ("unknown field: tol", '{"grads": [[1.0, 0.0]], "tol": -1.0}'),
+        ("unknown field: max_iter", '{"grads": [[1.0, 0.0]], "max_iter": "x"}'),
+        ("unknown field: max_iter", '{"grads": [[1.0, 0.0]], "max_iter": 0}'),
+        ("unknown field: max_iter", '{"grads": [[1.0, 0.0]], "max_iter": -1}'),
     ])
     def test_malformed_value_exit_1(self, monkeypatch, capsys, field, request_text):
         code = run_cli(["solve"], request_text, monkeypatch)
@@ -134,6 +140,18 @@ class TestSolve:
         assert code == 1
         assert captured.err.startswith("error:") and field in captured.err
         assert "Traceback" not in captured.err
+
+    def test_stalled_solve_exits_2_with_its_answer(self, monkeypatch, capsys):
+        # gmc factors of about (1, 5e-111, 6e-48) stall the solve (ROADMAP item 4,
+        # step 3): it runs its whole budget and prints its best iterate, unconverged
+        grads = (np.random.default_rng(3).normal(size=(3, 3)) * 100).tolist()
+        code = run_cli(["solve"], json.dumps({"grads": grads, "sigma_mode": "gmc"}),
+                       monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        out = json.loads(captured.out)
+        assert out["converged"] is False
+        assert all(map(np.isfinite, out["lambda"] + out["direction"] + [out["objective"]]))
 
     def test_underflowed_factor_is_named_without_a_warning(self, monkeypatch, capsys):
         # softmax of momenta 400 and 1 leaves sigma_2 ~ 1e-173, so sigma_2^2 is 0
@@ -253,8 +271,8 @@ REQUESTS = st.one_of(JUNK, st.fixed_dictionaries({}, optional={
     "sigma_mode": st.one_of(st.sampled_from(["fixed", "gs", "gmc", "bogus"]), JUNK),
     "sigma": st.one_of(st.lists(NUMBERS, max_size=5), JUNK),
     "temperature": st.one_of(NUMBERS, JUNK),
+    # no longer request fields: sent so that unknown ones are fuzzed too
     "tol": st.one_of(NUMBERS, JUNK),
-    # bounded, so a request that never converges still ends quickly
     "max_iter": st.one_of(st.integers(-2, 300), st.floats(-2.0, 300.0), JUNK,
                           st.sampled_from([float("nan"), float("inf")])),
     "bogus": NUMBERS,
@@ -268,6 +286,8 @@ def test_any_solve_request_exits_0_1_or_2(monkeypatch, capsys, request_doc):
     code = run_cli(["solve"], json.dumps(request_doc), monkeypatch)
     captured = capsys.readouterr()
     assert code in (0, 1, 2) and "Traceback" not in captured.err
+    if isinstance(request_doc, dict) and {"tol", "max_iter"} & set(request_doc):
+        assert code == 1 and captured.err.startswith("error: unknown field: ")
     if code == 1:
         assert captured.err.startswith("error:")
     else:
@@ -297,6 +317,18 @@ class TestRunToy:
     def test_invalid_method_exit_1(self, tmp_path, capsys):
         assert main(["run-toy", "--method", "sgd", "--out", str(tmp_path)]) == 1
         assert "method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x, y", [("-1e-05", "1"), ("1", "-2.5e-07"), ("-0.5", "1"),
+                                      ("-1E-3", "1"), ("1", "-2.5e+00"), ("-5.e-1", "-.5")])
+    def test_negative_start_in_any_float_notation(self, tmp_path, x, y):
+        # the benchmark formats a start with repr, which writes small numbers
+        # in exponent notation; argparse alone reads "-1e-05" as an option
+        assert main(["run-toy", "--iters", "3", "--start", x, y, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "toy_summary.json").read_text())
+        assert summary["start"] == [float(x), float(y)]
+        first = (tmp_path / "toy_trace.csv").read_text().splitlines()[1].split(",")
+        step = 2e-5 * float(first[5])  # the default step times ||d||
+        assert abs(float(first[3]) - float(x)) <= step and abs(float(first[4]) - float(y)) <= step
 
 
 class TestRunPcl:
@@ -403,6 +435,45 @@ class TestRunPcl:
         header, rows = read_snapshot(out / "buffer_snapshot.bin")
         assert header["kind"] == "memory-buffer"
         assert rows.shape[0] == len(header["slots"]) > 0
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(args, **threads):
+    """``python args`` in a fresh process with emgd on its path, the BLAS thread
+    variables unset except those given."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    src = str(Path(emgd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**env, **threads}, check=True,
+                          capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    """One BLAS thread unless the environment names a count: some reductions
+    over D sum in an order that depends on it."""
+
+    def test_unset_reads_one_and_a_given_count_is_kept(self):
+        show = ["-c", "import os, emgd; print(*(os.environ[v] for v in %r))" % (BLAS_THREADS,)]
+        assert run_python(show).stdout.split() == ["1", "1", "1"]
+        assert run_python(show, OPENBLAS_NUM_THREADS="2").stdout.split() == ["2", "1", "1"]
+
+    def test_run_pcl_unset_matches_one_thread(self, tmp_path):
+        # D = 65 * 128 + 129 * 64 = 16,576 >= 4096, and from tick 11 on two
+        # streams, so the row-product Gram runs; at this size two threads
+        # change tick_log.csv
+        config = pcl_config(tmp_path, net={"hidden": [128], "feature_dim": 64}, dataset={
+            "synthetic": {"num_classes": 8, "input_dim": 64, "samples_per_class": 12,
+                          "test_per_class": 6, "noise_sigma": 0.08}})
+        for out, threads in (("unset", {}), ("one", dict.fromkeys(BLAS_THREADS, "1"))):
+            run_python(["-m", "emgd.cli", "run-pcl", "--config", str(config),
+                        "--out", str(tmp_path / out)], **threads)
+        log = (tmp_path / "one" / "tick_log.csv").read_text()
+        assert any(";" in row.split(",")[1] for row in log.splitlines()[1:])  # two streams
+        for name in ("tick_log.csv", "metrics.json"):
+            unset, one = (tmp_path / out / name for out in ("unset", "one"))
+            assert unset.read_bytes() == one.read_bytes()
 
 
 class TestBuildSplits:

@@ -501,8 +501,8 @@ class TestRunPcl:
 
         calls = []
 
-        def recording_solve(bundle, sigma, tol, max_iter):
-            result = real_solve(bundle, sigma, tol, max_iter)
+        def recording_solve(bundle, sigma):
+            result = real_solve(bundle, sigma)
             calls.append((bundle, sigma, result))
             return result
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from unittest import mock
@@ -52,10 +53,16 @@ def gram(points):
     return P @ P.T
 
 
-def min_norm(M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def min_norm(M):
     """``_min_norm_point`` at the gap scale ``solve_emgd`` uses at sigma = 1, max_i M_ii."""
     M = np.asarray(M, dtype=float)
-    return _min_norm_point(M, tol, max_iter, float(M.diagonal().max()))
+    return _min_norm_point(M, float(M.diagonal().max()))
+
+
+def gap_tolerance(tol):
+    """Every solve in the ``with`` block stops at the relative gap ``tol``, not
+    DEFAULT_TOL, which ``_min_norm_point`` reads at each call."""
+    return mock.patch.object(solver, "DEFAULT_TOL", tol)
 
 
 def mgda(b):
@@ -356,7 +363,8 @@ class TestMinNormSimplex:
             k = int(rng.integers(2, 5))
             dim = int(rng.integers(1, 33))
             P = rng.normal(size=(k, dim)) * rng.uniform(0.2, 3.0, size=(k, 1))
-            res = min_norm(gram(P), tol=1e-10)
+            with gap_tolerance(1e-10):
+                res = min_norm(gram(P))
             assert res.converged
             q = res.mu @ P
             gaps = P @ q - float(q @ q)
@@ -382,17 +390,24 @@ class TestMinNormSimplex:
         assert res.converged
         assert res.objective <= 1e-16
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, -np.inf, np.nan])
-    def test_rejects_a_non_positive_tol(self, k, tol):
-        with pytest.raises(InvalidInputError, match="tol must be positive"):
-            min_norm(np.eye(k), tol=tol)
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_budget_never_falls_below_4k(self, k):
+        # the k vertices of the unit simplex enter one per iteration, so Wolfe's
+        # loop needs k iterations: a module budget of 1 still leaves 4k
+        with mock.patch.object(solver, "DEFAULT_MAX_ITER", 1):
+            res = min_norm(np.eye(k))
+        assert res.converged and res.iterations == (0 if k == 1 else k)
+        np.testing.assert_allclose(res.mu, np.full(k, 1.0 / k), rtol=1e-12)
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_rejects_max_iter_below_one(self, k, max_iter):
-        with pytest.raises(InvalidInputError, match=f"max_iter must be >= 1, got {max_iter}"):
-            min_norm(np.eye(k), max_iter=max_iter)
+    @pytest.mark.parametrize("max_iter, budget", [(1, 12), (12, 12), (13, 13),
+                                                  (DEFAULT_MAX_ITER, DEFAULT_MAX_ITER)])
+    def test_a_stall_reports_the_budget_read_at_the_call(self, max_iter, budget):
+        # gmc factors of about (1, 5e-111, 6e-48) stall the solve (ROADMAP item 4,
+        # step 3); with k = 3 the budget is max(DEFAULT_MAX_ITER, 12)
+        b = GradientBundle((1, 2, 3), np.random.default_rng(3).normal(size=(3, 3)) * 100)
+        with mock.patch.object(solver, "DEFAULT_MAX_ITER", max_iter):
+            res, _ = combine("emgd_gmc", b, ElasticState())
+        assert not res.converged and res.iterations == budget
 
 
 class TestSolveEmgd:
@@ -407,17 +422,7 @@ class TestSolveEmgd:
             with pytest.raises(NumericError, match="elastic factor underflowed to zero"):
                 solve_emgd(bundle(*grads), sigma)
 
-    @pytest.mark.parametrize("budget, name", [
-        ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": np.nan}, "tol"),
-        ({"max_iter": 0}, "max_iter"), ({"max_iter": -3}, "max_iter"),
-    ])
-    def test_rejects_a_bad_tol_or_max_iter_by_name(self, budget, name):
-        for b in (bundle([1.0, 0.0]), bundle([1.0, 0.0], [0.0, 1.0])):
-            with pytest.raises(InvalidInputError, match=name):
-                solve_emgd(b, np.ones(b.size), **budget)
-
-    @pytest.mark.parametrize("call", ["avg_grad", "emgd_gmc", "emgd_gs", "mgda", "fixed",
-                                      "solve_emgd"])
+    @pytest.mark.parametrize("call", ["avg_grad", "emgd_gmc", "emgd_gs", "mgda", "solve_emgd"])
     @pytest.mark.parametrize("big", [1e200, 1.3407807929942597e154])  # squared: past float64
     @pytest.mark.parametrize("dim", [2, _ROW_GRAM_MIN_DIM])  # both Gram kernels
     def test_overflowing_squared_norm_is_named_without_a_warning(self, call, big, dim):
@@ -433,7 +438,7 @@ class TestSolveEmgd:
                 else:
                     combine(call, b, ElasticState())
 
-    @given(method=st.sampled_from(["emgd_gs", "emgd_gmc", "fixed"]), k=st.integers(2, 4),
+    @given(method=st.sampled_from(["emgd_gs", "emgd_gmc", "solve_emgd"]), k=st.integers(2, 4),
            dim=st.integers(1, 4), log_scale=st.floats(-160.0, math.log10(1.3e154)),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -441,13 +446,16 @@ class TestSolveEmgd:
                                                                  log_scale, seed):
         rng = np.random.default_rng(seed)
         unit = rng.normal(size=(k, dim))
-        sigma = ElasticFactors(rng.uniform(0.1, 1.0, k)) if method == "fixed" else None
+        sigma = rng.uniform(0.1, 1.0, k)
         scale = 10.0 ** log_scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
                 b = GradientBundle(tuple(range(1, k + 1)), unit * scale)
-                result, used = combine(method, b, ElasticState(), sigma=sigma)
+                if method == "solve_emgd":
+                    result, used = solve_emgd(b, sigma), sigma
+                else:
+                    result, used = combine(method, b, ElasticState())
             except EmgdError:
                 return
         # Two known stalls may end unconverged (exit 2 at the CLI): D < k (ROADMAP
@@ -536,8 +544,9 @@ class TestSolveEmgd:
         c = 10.0 ** log_c
         b = random_bundle(np.random.default_rng(seed), k, 8)
         scaled_b = GradientBundle(b.task_ids, b.grads * c)
-        base, sig = combine("emgd_gs", b, ElasticState(), tol=1e-12)
-        scaled, scaled_sig = combine("emgd_gs", scaled_b, ElasticState(), tol=1e-12)
+        with gap_tolerance(1e-12):
+            base, sig = combine("emgd_gs", b, ElasticState())
+            scaled, scaled_sig = combine("emgd_gs", scaled_b, ElasticState())
         assert base.converged and scaled.converged
         np.testing.assert_allclose(scaled_sig, sig, rtol=1e-12)
         np.testing.assert_allclose(scaled.lam, base.lam, atol=1e-9)
@@ -584,7 +593,7 @@ def assert_matches_kkt_oracle(grads, sigma):
     # the scaled Gram matrix and gap scale that solve_emgd hands the solver
     G = grads @ grads.T
     M, scale = G / np.outer(sigma, sigma), float(np.max(np.diag(G)))
-    res = _min_norm_point(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
+    res = _min_norm_point(M, scale)
     ref = kkt_min_norm_simplex(M, DEFAULT_TOL, DEFAULT_MAX_ITER, scale)
     assert res.converged == ref.converged
     assert res.iterations == ref.iterations
@@ -654,6 +663,16 @@ class TestKktOracleEquivalence:
         assert res.iterations == DEFAULT_MAX_ITER
         np.testing.assert_array_equal(res.mu, [0.0, 1.0])
         assert res.objective == 0.5
+
+    @pytest.mark.parametrize("budget", [1, 2, 4, 5])
+    def test_small_budget_stops_at_its_last_iterate(self, budget):
+        # each iteration adds one vertex of the unit simplex and moves to the
+        # centroid of those in the working set; all 5 are in at iteration 5
+        res = _wolfe(np.eye(5), 0, DEFAULT_TOL, budget, 0)
+        n = min(budget + 1, 5)
+        assert res.converged == (budget == 5) and res.iterations == budget
+        np.testing.assert_allclose(res.mu, [1.0 / n] * n + [0.0] * (5 - n), rtol=1e-12)
+        assert res.objective == pytest.approx(1.0 / n, rel=1e-12)
 
 
 def two_point_solves(M, tol, max_iter):
@@ -744,7 +763,8 @@ class TestTwoPoints:
         # are unique and well conditioned
         spread = float(np.sum((sigma[1] * g[0] - sigma[0] * g[1]) ** 2))
         assume(spread > 1e-6 * float(np.sum((sigma[::-1, None] * g) ** 2)))
-        res = solve_emgd(GradientBundle((1, 2), g), sigma, tol=1e-14)
+        with gap_tolerance(1e-14):
+            res = solve_emgd(GradientBundle((1, 2), g), sigma)
         assert res.converged and res.iterations in (1, 2)
         np.testing.assert_allclose(res.lam, [sol.lam1, sol.lam2], rtol=1e-7,
                                    atol=1e-7 / sigma.min())
@@ -774,7 +794,7 @@ def assert_scaled_gram_matches_the_array_steps(grads, sigma):
             assert str(err) == "the combined direction's squared norm overflows float64"
             res = None
     assert not underflow
-    M, _, _, gap_scale = spy.call_args.args
+    M, gap_scale = spy.call_args.args
     assert M.tobytes() == (G / S).tobytes()
     assert gap_scale.hex() == math.ldexp(scale, -e).hex()
     if res is not None:
@@ -833,8 +853,7 @@ class TestTwoTaskSteps:
         (lambda: combine("emgd_gmc", bundle([1.0, 0.0], [0.0, 1.0]),
                          ElasticState(temperature=1e-310)),
          NumericError, "elastic factor logits overflow float64; raise the temperature"),
-        (lambda: combine("fixed", bundle([1.0, 0.0], [0.0, 1.0]), ElasticState(),
-                         sigma=ElasticFactors([0.5, 1e-170])),
+        (lambda: solve_emgd(bundle([1.0, 0.0], [0.0, 1.0]), ElasticFactors([0.5, 1e-170])),
          NumericError, "elastic factor underflowed to zero; raise the temperature"),
         (lambda: ElasticState(momentum={1: math.nan}),
          InvalidInputError, "momentum of task 1 must be finite, got nan"),
@@ -941,7 +960,8 @@ class TestTwoTaskClosedForm:
             g2 = rng.normal(size=4)
             s = rng.uniform(0.1, 1.0, size=2)
             sol = two_task_closed_form(g1, g2, s[0], s[1])
-            res = solve_emgd(bundle(g1, g2), s, tol=1e-12)
+            with gap_tolerance(1e-12):
+                res = solve_emgd(bundle(g1, g2), s)
             d_closed = sol.lam1 * g1 + sol.lam2 * g2
             assert float(d_closed @ d_closed) == pytest.approx(
                 res.objective, abs=1e-9
@@ -1046,7 +1066,7 @@ class TestLemmaProperties:
             k = int(rng.integers(2, 5))
             b = random_bundle(rng, k, 8)
             sig = elastic_factors_gs(b).sigma
-            res = solve_emgd(b, sig, tol=1e-8)
+            res = solve_emgd(b, sig)
             assert res.converged
             scaled = b.grads / sig[:, None]
             dd = float(res.direction @ res.direction)
@@ -1121,14 +1141,15 @@ class TestSolveRequest:
         ("temperature", {"temperature": "x"}),
         ("temperature", {"temperature": float("nan")}),
         ("temperature", {"temperature": 0.0}),
-        ("tol", {"tol": "x"}),
-        ("tol", {"tol": [1e-8]}),
-        ("tol", {"tol": float("inf")}),
-        ("tol", {"tol": -1.0}),
-        ("max_iter", {"max_iter": "x"}),
-        ("max_iter", {"max_iter": 2.5}),
-        ("max_iter", {"max_iter": float("inf")}),
-        ("max_iter", {"max_iter": 0}),
+        # every solve has the one budget, so a budget field is unknown whatever its value
+        ("^unknown field: tol$", {"tol": "x"}),
+        ("^unknown field: tol$", {"tol": [1e-8]}),
+        ("^unknown field: tol$", {"tol": float("inf")}),
+        ("^unknown field: tol$", {"tol": -1.0}),
+        ("^unknown field: max_iter$", {"max_iter": "x"}),
+        ("^unknown field: max_iter$", {"max_iter": 2.5}),
+        ("^unknown field: max_iter$", {"max_iter": float("inf")}),
+        ("^unknown field: max_iter$", {"max_iter": 0}),
         ("sigma_mode", {"sigma_mode": ["gs"]}),
     ])
     def test_malformed_field_named(self, field, doc):
@@ -1136,9 +1157,10 @@ class TestSolveRequest:
         with pytest.raises(InvalidInputError, match=field):
             solve_request(request)
 
-    def test_integral_max_iter_accepted(self):
-        out = solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "max_iter": 3.0})
-        assert out["converged"] is True
+    def test_fixed_without_sigma_is_mgda(self):
+        grads = [[2.0, 0.0], [0.5, 1.0]]
+        out = solve_request({"grads": grads, "sigma_mode": "fixed"})
+        assert out["lambda"] == mgda(bundle(*grads)).lam.tolist()
 
 
 class TestCombine:
@@ -1180,11 +1202,19 @@ class TestCombine:
         with pytest.raises(InvalidInputError, match="bogus"):
             combine("bogus", bundle([1.0, 0.0]), ElasticState())
 
-    def test_fixed_without_sigma_is_mgda(self):
-        b = bundle([2.0, 0.0], [0.5, 1.0])
-        fixed, sigma = combine("fixed", b, ElasticState())
-        np.testing.assert_array_equal(sigma, [1.0, 1.0])
-        np.testing.assert_array_equal(fixed.lam, combine("mgda", b, ElasticState())[0].lam)
+    def test_fixed_is_not_a_method(self):
+        # given factors go to solve_emgd; `emgd solve`'s "fixed" mode calls it
+        with pytest.raises(InvalidInputError, match="unknown combination method 'fixed'"):
+            combine("fixed", bundle([2.0, 0.0], [0.5, 1.0]), ElasticState())
+
+    @pytest.mark.parametrize("function, params", [
+        (solve_emgd, ["bundle", "sigma"]),
+        (combine, ["method", "bundle", "state"]),
+        (_min_norm_point, ["M", "scale"]),
+    ])
+    def test_no_call_takes_a_solver_budget(self, function, params):
+        # every solve reads DEFAULT_TOL and DEFAULT_MAX_ITER; none is handed them
+        assert list(inspect.signature(function).parameters) == params
 
     def test_mgda_is_elastic_solve_at_unit_sigma(self):
         rng = np.random.default_rng(43)
