@@ -202,16 +202,10 @@ def run_toy(
     return trace
 
 
-@dataclass
-class ProbeReport:
-    final_direction_norm: float
-    min_direction_norm: float
-    nonincrease_fraction: float
-
-
-def convergence_probe(trace: ToyTrace) -> ProbeReport:
+def convergence_probe(trace: ToyTrace) -> dict:
     """Direction-norm summary plus the fraction of ticks where every loss
-    that was active at consecutive ticks did not increase."""
+    that was active at consecutive ticks did not increase: the last three
+    ``toy_summary`` entries."""
     rows = trace.rows
     if not rows:
         raise InvalidInputError("empty log")
@@ -222,11 +216,11 @@ def convergence_probe(trace: ToyTrace) -> ProbeReport:
     # f1 is active at every tick, so every consecutive pair shares a loss
     good = sum(all(cur <= prev + 1e-15 for prev, cur in zip(losses(a), losses(b)))
                for a, b in zip(rows, rows[1:]))
-    return ProbeReport(
-        final_direction_norm=float(rows[-1].d_norm),
-        min_direction_norm=float(min(r.d_norm for r in rows)),
-        nonincrease_fraction=good / (len(rows) - 1) if len(rows) > 1 else 1.0,
-    )
+    return {
+        "final_direction_norm": float(rows[-1].d_norm),
+        "min_direction_norm": float(min(r.d_norm for r in rows)),
+        "loss_nonincrease_fraction": good / (len(rows) - 1) if len(rows) > 1 else 1.0,
+    }
 
 
 # --- the full multi-stream loop ----------------------------------------------
@@ -313,12 +307,12 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
         task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
         if 0 in active:
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
-            tick_streams.append((mem.inputs, mem.labels, mem.task_ids, cfg.gamma_heads))
+            tick_streams.append((mem.inputs, mem.labels, mem.task_ids))
         for t in real_tasks:
-            batch = streams.next_batch(cursors[t], timeline.batch_size)
-            tick_streams.append((batch.inputs, batch.labels, t, cfg.gamma_heads))
+            tick_streams.append((*streams.next_batch(cursors[t], timeline.batch_size), t))
 
-        grads, losses = stream_gradients(net, tick_streams)  # negative, as the bundle holds them
+        # negative, as the bundle holds them
+        grads, losses = stream_gradients(net, tick_streams, cfg.gamma_heads)
         try:
             bundle = solver.GradientBundle(tuple(task_ids), grads)
             result, sigma = solver.combine(cfg.method, bundle, state)
@@ -377,7 +371,7 @@ def toy_trace_csv(trace: ToyTrace) -> str:
 
 
 def toy_summary(trace: ToyTrace) -> dict:
-    probe = convergence_probe(trace)
+    probe = convergence_probe(trace)  # first: it names an empty trace
     joined = trace.join_tick <= len(trace.rows)
     return {
         "method": trace.method,
@@ -390,9 +384,7 @@ def toy_summary(trace: ToyTrace) -> dict:
         "f2_at_join": trace.f2_at(trace.join_tick) if joined else None,
         "f1_final": trace.rows[-1].f1,
         "f2_final": trace.rows[-1].f2,
-        "final_direction_norm": probe.final_direction_norm,
-        "min_direction_norm": probe.min_direction_norm,
-        "loss_nonincrease_fraction": probe.nonincrease_fraction,
+        **probe,
     }
 
 

@@ -11,38 +11,10 @@ from __future__ import annotations
 
 import copy
 from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, TaskExistsError, UnknownTaskError
-
-
-@dataclass
-class Batch:
-    """Input rows in [0, 1] with integer class labels local to one task."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-    task_id: int
-
-    def __post_init__(self):
-        self.inputs = np.atleast_2d(np.asarray(self.inputs, dtype=np.float64))
-        self.labels = np.atleast_1d(np.asarray(self.labels, dtype=np.int64))
-        if self.inputs.shape[0] < 1:
-            raise InvalidInputError("batch must contain at least one sample")
-        if self.inputs.shape[0] != self.labels.shape[0]:
-            raise InvalidInputError("inputs and labels disagree on batch size")
-
-
-@dataclass
-class GradientReport:
-    """Flat positive gradients of the mean batch loss (negation happens
-    where gradient bundles are assembled)."""
-
-    backbone_grad: np.ndarray
-    head_grad: np.ndarray
-    loss: float
 
 
 def _blocks(flat: np.ndarray, sizes) -> list:
@@ -152,10 +124,9 @@ def add_head(net: Network, task_id: int, num_classes: int, seed: int) -> None:
 def _activations(net: Network, inputs: np.ndarray) -> list:
     """Inputs followed by every backbone layer's output; the last entry is
     the feature matrix."""
-    if inputs.shape[1] != net.input_dim:
+    if inputs.ndim != 2 or inputs.shape[1] != net.input_dim:
         raise InvalidInputError(
-            f"input dim {inputs.shape[1]} != network input dim {net.input_dim}"
-        )
+            f"inputs of shape {inputs.shape} are not rows of network input dim {net.input_dim}")
     activations = [inputs]
     for W, b in net.backbone:
         z = activations[-1] @ W
@@ -178,20 +149,22 @@ def task_slices(task_ids) -> list:
     return [(t, slice(lo, hi)) for t, lo, hi in zip(firsts, bounds, bounds[1:])]
 
 
-# A head's rows in a pass (a slice), its (W, b) views, stream, share of it, step.
-_Group = namedtuple("_Group", "task_id rows W b stream weight step")
+# A head's rows in a pass (a slice), its (W, b) views, stream and share of it.
+_Group = namedtuple("_Group", "task_id rows W b stream weight")
 _Pass = namedtuple("_Pass", "activations groups probs dlogits logp sizes grads dzs slopes")
 
 
 def _stack(streams: list) -> tuple:
     """The streams' rows and labels stacked in order, each head's ``(task_id,
-    slice, stream, weight, step)`` in the stack and each stream's ``(lo, hi)``:
+    slice, stream, weight)`` in the stack and each stream's ``(lo, hi)``:
     ``_pass``'s arguments. Looks up no head."""
     routed, spans, lo = [], [], 0
-    for s, (_, labels, task_ids, head_step) in enumerate(streams):
+    for s, (inputs, labels, task_ids) in enumerate(streams):
         n = len(labels)
         if n == 0:
             raise InvalidInputError(f"stream {s} has no rows")
+        if len(inputs) != n:
+            raise InvalidInputError(f"stream {s} has {len(inputs)} input rows for {n} labels")
         if np.ndim(task_ids) == 0:
             pairs = [(int(task_ids), slice(0, n))]
         elif len(task_ids) == n:
@@ -199,7 +172,7 @@ def _stack(streams: list) -> tuple:
         else:
             raise InvalidInputError(f"{len(task_ids)} task ids for {n} rows")
         routed += [(task_id, slice(lo + rows.start, lo + rows.stop), s,
-                    (rows.stop - rows.start) / n, head_step) for task_id, rows in pairs]
+                    (rows.stop - rows.start) / n) for task_id, rows in pairs]
         spans.append((lo, lo + n))
         lo += n
     inputs = np.concatenate([x for x, *_ in streams])
@@ -209,7 +182,7 @@ def _stack(streams: list) -> tuple:
 def _route(net: Network, labels: np.ndarray, routed) -> list:
     """A pass's head groups as ``_Group``s. ``routed`` tiles the rows in
     order: ``_stack``'s groups, or an editing batch's ``(task_id, slice)``
-    pairs, each a stream of its own at weight 1 and step 0. Every task needs
+    pairs, each a stream of its own at weight 1. Every task needs
     a head that serves one group only, and every label must fit its head:
     one per-group max and one min."""
     groups = []
@@ -218,7 +191,7 @@ def _route(net: Network, labels: np.ndarray, routed) -> list:
             raise UnknownTaskError(f"no head for task {task_id}")
         if any(g.task_id == task_id for g in groups):
             raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
-        groups.append(_Group(task_id, rows, *net.head(task_id), *(share or (s, 1.0, 0.0))))
+        groups.append(_Group(task_id, rows, *net.head(task_id), *(share or (s, 1.0))))
     if labels.size:
         tops = np.maximum.reduceat(labels, [g.rows.indices(labels.size)[0] for g in groups])
         if labels.min() < 0 or any(top >= g.W.shape[1] for top, g in zip(tops.tolist(), groups)):
@@ -298,53 +271,60 @@ def head_logits(net: Network, feats: np.ndarray, task_id: int) -> np.ndarray:
     return feats @ g.W + g.b
 
 
-def _pass(net: Network, inputs, labels, routed, spans=(), negate: bool = False) -> _Pass:
+def _pass(net: Network, inputs, labels, routed, spans=(), negate: bool = False,
+          head_step: float = 0.0) -> _Pass:
     """The one pass over rows grouped by head (``routed``, see ``_route``):
-    one backbone forward, one head stage (rerun once heads with a positive
-    step have stepped) and one backward chain. Training streams come through
-    ``_stack``, and each stream's backbone gradient over its ``spans`` row
-    range, negated when ``negate``, fills its row of a k x D array; the
-    editing passes give no spans and read the dzs through ``_edit_terms``.
-    Returns a ``_Pass``: activations, ``_Group``s, probs, dlogits, log-probs,
-    group sizes, that array, the dzs and each tanh'."""
+    one backbone forward, one head stage (rerun once every head has stepped
+    by ``head_step`` times its weighted gradient, when positive) and one
+    backward chain. Training streams come through ``_stack``, and each
+    stream's backbone gradient over its ``spans`` row range, negated when
+    ``negate``, fills its row of a k x D array; the editing passes give no
+    spans and read the dzs through ``_edit_terms``. Returns a ``_Pass``:
+    activations, ``_Group``s, probs, dlogits, log-probs, group sizes, that
+    array, the dzs and each tanh'."""
+    if len(inputs) != len(labels):
+        raise InvalidInputError(f"{len(inputs)} input rows for {len(labels)} labels")
     groups = _route(net, labels, routed)
     activations = _activations(net, inputs)
     feats = activations[-1]
     probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
-    stepped = [g for g in groups if g.step > 0]
-    for g in stepped:  # g.W and g.b are views, so they see the step
-        net.heads[g.task_id] -= g.step * (g.weight * _head_grad(feats, dlogits, g))
-    if stepped:
+    if head_step > 0:
+        for g in groups:  # g.W and g.b are views, so they see the step
+            net.heads[g.task_id] -= head_step * (g.weight * _head_grad(feats, dlogits, g))
         probs, dlogits, logp, sizes = _head_stage(feats, labels, groups)
     delta = _feature_delta(feats, dlogits, groups, -1.0 if negate else 1.0)
     return _Pass(activations, groups, probs, dlogits, logp, sizes,
                  *_backprop(net, activations, delta, spans))
 
 
-def stream_gradients(net: Network, streams):
+def stream_gradients(net: Network, streams, head_step: float = 0.0):
     """Every stream's backbone gradient from one ``_pass``.
 
-    ``streams`` lists ``(inputs, labels, task_ids, head_step)``: one task id
-    for the stream, or one per row sorted by task (see ``task_slices``). A
-    head's n_g of n rows weigh n_g / n in the stream's mean loss. With
-    ``head_step > 0`` each head first steps in place by ``head_step`` times
+    ``streams`` lists ``(inputs, labels, task_ids)``: one task id for the
+    stream, or one per row sorted by task (see ``task_slices``). A head's
+    n_g of n rows weigh n_g / n in the stream's mean loss. With
+    ``head_step > 0`` every head first steps in place by ``head_step`` times
     its weighted gradient, and all results are read at the stepped heads; as
     all heads are read before any step, a head may serve one stream only.
     Returns the k x D negative backbone gradients, the gradient bundle's
     convention, and the losses."""
-    p = _pass(net, *_stack(streams), negate=True)
+    p = _pass(net, *_stack(streams), negate=True, head_step=head_step)
     losses = [0.0] * len(p.grads)
     for g in p.groups:
         losses[g.stream] += g.weight * float(-p.logp[g.rows].mean())
     return p.grads, losses
 
 
-def backward(net: Network, batch: Batch, head_step: float = 0.0) -> GradientReport:
-    """Positive gradients of the mean batch loss for backbone and head: a
-    one-stream ``_pass``, read at the head after its step."""
-    p = _pass(net, *_stack([(batch.inputs, batch.labels, batch.task_id, head_step)]))
-    head_grad = _head_grad(p.activations[-1], p.dlogits, p.groups[0])
-    return GradientReport(p.grads[0], head_grad, float(-p.logp.mean()))
+def backward(net: Network, inputs, labels, task_ids, head_step: float = 0.0) -> tuple:
+    """One stream's positive backbone gradient, mean loss and ``{task_id:
+    weighted head gradient}``, read after the head step: a one-stream
+    ``stream_gradients`` pass, not negated. ``task_ids`` is one task id or
+    one per row sorted by task."""
+    p = _pass(net, *_stack([(inputs, labels, task_ids)]), head_step=head_step)
+    loss = sum(g.weight * float(-p.logp[g.rows].mean()) for g in p.groups)
+    heads = {g.task_id: g.weight * _head_grad(p.activations[-1], p.dlogits, g)
+             for g in p.groups}
+    return p.grads[0], loss, heads
 
 
 # Editing kernel rule, per layer: the factored form when
@@ -430,6 +410,13 @@ def _edit_terms(net: Network, p: _Pass, target_d, tangent: bool) -> tuple:
                     np.matmul(dz[r], block_W.T, out=bwd[r])
         terms.append((fwd, bwd))
     return objective, terms
+
+
+def editing_objective(net: Network, inputs, labels, groups, target_d) -> float:
+    """The editing objective sum_g ||grad_theta L_g + d||^2 over the
+    ``(task_id, slice)`` ``groups`` of the rows, from one ``_pass`` and its
+    ``_edit_terms``."""
+    return _edit_terms(net, _pass(net, inputs, labels, groups), target_d, False)[0]
 
 
 def input_gradient(net: Network, inputs, labels, groups, target_d=None):

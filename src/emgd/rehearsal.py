@@ -20,12 +20,9 @@ import numpy as np
 from .errors import EmptyMemoryError, InvalidInputError
 from .net import (
     Network,
-    _edit_terms,
-    _head_grad,
-    _pass,
-    _stack,
-    backward,  # unused here, but perfbench/tracing.py SITES patches rehearsal.backward
+    backward,
     edit_direction,
+    editing_objective,
     input_gradient,
     task_slices,
 )
@@ -137,20 +134,8 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int,
 def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
     """Backbone gradient, loss and per-head gradients of the memory loss, the
     mean per-sample loss over the batch (so each task group weighs group
-    size / batch size): a one-stream ``net._pass``."""
-    p = _pass(net, *_stack([(mem.inputs, mem.labels, mem.task_ids, head_step)]))
-    loss = sum(g.weight * float(-p.logp[g.rows].mean()) for g in p.groups)
-    head_grads = {g.task_id: g.weight * _head_grad(p.activations[-1], p.dlogits, g)
-                  for g in p.groups}
-    return p.grads[0], loss, head_grads
-
-
-def editing_objective(net: Network, inputs, mem: MemoryBatch, direction_d, groups) -> float:
-    """Sum over task groups of ||g_group(x) - d||^2 at ``inputs``, from one
-    ``net._pass`` over the batch's ``(task_id, slice)`` ``groups`` (``task_slices``
-    of its task ids) and its ``net._edit_terms``."""
-    p = _pass(net, inputs, mem.labels, groups)
-    return _edit_terms(net, p, direction_d, False)[0]
+    size / batch size): one ``net.backward`` pass over the batch."""
+    return backward(net, mem.inputs, mem.labels, mem.task_ids, head_step)
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
@@ -175,7 +160,7 @@ def _edit(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
     inputs = mem.inputs - eta_edit * delta
     np.clip(inputs, 0.0, 1.0, out=inputs)
     _write_back(buffer, mem, inputs)
-    return before, editing_objective(net, inputs, mem, d, groups)
+    return before, editing_objective(net, inputs, mem.labels, groups, d)
 
 
 def edit_memory_emgd(

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, InvalidInputError, section
-from .net import Batch
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -365,11 +364,12 @@ class TaskCursor:
         self.order = self.rng.permutation(self.spec.train_size)
 
 
-def next_batch(cursor: TaskCursor, batch_size: int) -> Batch:
-    """The next batch of the cursor's task: sequential non-overlapping
-    batches with labels remapped to [0, C_t). Each pass over the samples
-    ends in a short batch when ``batch_size`` does not divide them, and the
-    next pass serves a fresh shuffle; a task's window spans its epochs.
+def next_batch(cursor: TaskCursor, batch_size: int) -> tuple:
+    """The next batch of the cursor's task, ``(inputs, labels)``: sequential
+    non-overlapping batches with labels remapped to [0, C_t). Each pass over
+    the samples ends in a short batch when ``batch_size`` does not divide
+    them, and the next pass serves a fresh shuffle; a task's window spans
+    its epochs.
     """
     spec = cursor.spec
     if batch_size < 1:
@@ -379,11 +379,7 @@ def next_batch(cursor: TaskCursor, batch_size: int) -> Batch:
         cursor.pos = 0
     idx = cursor.order[cursor.pos : cursor.pos + batch_size]
     cursor.pos += len(idx)
-    return Batch(
-        inputs=spec.dataset.train_inputs[spec.train_rows[idx]],
-        labels=spec.train_local[idx],
-        task_id=spec.task_id,
-    )
+    return spec.dataset.train_inputs[spec.train_rows[idx]], spec.train_local[idx]
 
 
 # --- IDX binary format ------------------------------------------------------

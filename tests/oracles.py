@@ -5,8 +5,10 @@ grad_x ||g(x) - d||^2 by differencing the input gradient through a
 parameter perturbation. ``emgd.net.edit_direction`` computes the same
 quantity exactly; these slower approximations pin it down.
 
-``forward`` is one batch's class probabilities and mean loss, through the
-library's own stacking and head stage.
+``Batch`` holds one task's rows and labels as a stream tuple
+``(inputs, labels, task_id)``, the arguments ``backward`` takes; ``forward``
+is one batch's class probabilities and mean loss, through the library's own
+stacking and head stage.
 
 ``explicit_edit`` is the editing pass that ``emgd.net._edit_terms``
 replaced: each task group's backbone gradient formed in full by
@@ -53,6 +55,7 @@ certificate check pin the solver down from outside.
 import itertools
 import json
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -60,10 +63,10 @@ from typing import NamedTuple
 import numpy as np
 
 from emgd.errors import InvalidInputError, UnknownTaskError
-from emgd.net import (Batch, Network, _activations, _edit_terms, _head_stage, _layers, _pass,
-                      _route, _stack, backward, features, head_logits, input_gradient,
-                      task_slices)
-from emgd.rehearsal import _write_back, editing_objective
+from emgd.net import (Network, _activations, _edit_terms, _head_stage, _layers, _pass, _route,
+                      _stack, backward, editing_objective, features, head_logits,
+                      input_gradient, task_slices)
+from emgd.rehearsal import _write_back
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
 
 # Squared-norm threshold below which two scaled gradients are treated as the
@@ -71,9 +74,20 @@ from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_fa
 PARALLEL_EPS = 1e-18
 
 
+class Batch(namedtuple("Batch", "inputs labels task_id")):
+    """One task's rows as float64 and labels as int64, in a stream tuple:
+    ``backward(net, *batch)`` and ``stream_gradients(net, [batch])`` read it."""
+
+    __slots__ = ()
+
+    def __new__(cls, inputs, labels, task_id):
+        return super().__new__(cls, np.atleast_2d(np.asarray(inputs, dtype=np.float64)),
+                               np.atleast_1d(np.asarray(labels, dtype=np.int64)), task_id)
+
+
 def forward(net: Network, batch: Batch):
     """Class probabilities and mean cross-entropy loss for one batch."""
-    inputs, labels, routed, _ = _stack([(batch.inputs, batch.labels, batch.task_id, 0.0)])
+    inputs, labels, routed, _ = _stack([batch])
     probs, _, logp, _ = _head_stage(_activations(net, inputs)[-1], labels,
                                     _route(net, labels, routed))
     return probs, float(-logp.mean())
@@ -183,8 +197,8 @@ def explicit_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
 
 
 def group_streams(inputs, labels, groups) -> list:
-    """Each ``(task_id, slice)`` group of the rows as its own stream, no head step."""
-    return [(inputs[rows], labels[rows], task_id, 0.0) for task_id, rows in groups]
+    """Each ``(task_id, slice)`` group of the rows as its own stream."""
+    return [(inputs[rows], labels[rows], task_id) for task_id, rows in groups]
 
 
 def group_stream_objective(net: Network, inputs, labels, groups, target_d) -> float:
@@ -219,10 +233,10 @@ def group_stream_edit(net: Network, inputs, labels, groups, target_d) -> tuple:
     return Rdelta, objective
 
 
-def per_stream_gradients(net: Network, streams):
+def per_stream_gradients(net: Network, streams, head_step: float = 0.0):
     """``stream_gradients``' results, one ``grouped_backward`` per stream."""
     grads, losses, head_grads = [], [], {}
-    for inputs, labels, task_ids, head_step in streams:
+    for inputs, labels, task_ids in streams:
         if np.ndim(task_ids) == 0:
             groups = [(int(task_ids), slice(None))]
         else:
@@ -239,7 +253,7 @@ def per_group_gmed(buffer, net: Network, mem, direction_d, eta_edit: float) -> f
     d = np.asarray(direction_d, dtype=np.float64)
     if d.shape != (net.backbone_dim,):
         raise InvalidInputError("direction dimension mismatch")
-    objective = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+    objective = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
     theta = net.theta.copy()
     inputs = mem.inputs.copy()
     try:
@@ -361,7 +375,7 @@ def central_difference_edit(net: Network, batch: Batch, target_d: np.ndarray,
     """Editing gradient of one task's batch by a directional central
     difference, with the step scaled relative to the parameter magnitude.
     The backbone is restored afterwards."""
-    v = -backward(net, batch).backbone_grad - target_d
+    v = -backward(net, *batch)[0] - target_d
     theta = net.theta.copy()
     eps = fd_eps * (1.0 + float(np.sqrt(np.mean(theta * theta))))
 

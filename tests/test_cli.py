@@ -408,8 +408,8 @@ class TestRunPcl:
             ticks.append(tick)
             return real_active(timeline, tick, **kwargs)
 
-        def stream_gradients(net, streams):
-            grads, losses = real_gradients(net, streams)
+        def stream_gradients(net, streams, head_step):
+            grads, losses = real_gradients(net, streams, head_step)
             if len(ticks) == 3:
                 grads[-1, grads.shape[1] // 2] = bad
             return grads, losses

@@ -150,8 +150,8 @@ class TestConvergenceProbe:
     def test_toy_trace_probe(self):
         tr = run_toy(method="emgd_gs")
         probe = convergence_probe(tr)
-        assert probe.final_direction_norm < tr.rows[0].d_norm
-        assert probe.nonincrease_fraction == 1.0
+        assert probe["final_direction_norm"] < tr.rows[0].d_norm
+        assert probe["loss_nonincrease_fraction"] == 1.0
 
     def test_pareto_critical_start_has_zero_direction(self):
         # opposed equal gradients: the combined direction vanishes at tick 1
@@ -162,7 +162,7 @@ class TestConvergenceProbe:
             for tick, d_norm in ((1, float(np.linalg.norm(res.direction))), (2, 0.0))
         ])
         probe = convergence_probe(trace)
-        assert probe.min_direction_norm <= 1e-6
+        assert probe["min_direction_norm"] <= 1e-6
         assert trace.rows[0].d_norm <= 1e-6
 
     def test_second_loss_counts_only_after_the_join(self):
@@ -171,12 +171,20 @@ class TestConvergenceProbe:
             ToyRow(tick, 0.0, 0.0, 1.0, f2, 1.0, (), (), 0.0)
             for tick, f2 in ((1, 5.0), (2, 9.0), (3, 10.0))
         ])
-        assert convergence_probe(trace).nonincrease_fraction == 0.5
+        assert convergence_probe(trace)["loss_nonincrease_fraction"] == 0.5
 
     def test_empty_trace_is_named(self):
         trace = ToyTrace("emgd_gs", (0.0, 0.0), join_tick=1, f1_init=1.0, f2_init=1.0)
-        with pytest.raises(InvalidInputError, match="empty log"):
-            convergence_probe(trace)
+        for summarize in (convergence_probe, toy_summary):
+            with pytest.raises(InvalidInputError, match="empty log"):
+                summarize(trace)
+
+    def test_summary_ends_with_the_probe(self):
+        trace = run_toy(iterations=7, join_tick=3)
+        summary, probe = toy_summary(trace), convergence_probe(trace)
+        assert list(probe) == ["final_direction_norm", "min_direction_norm",
+                               "loss_nonincrease_fraction"]
+        assert list(summary.items())[-3:] == list(probe.items())
 
 
 class TestMetrics:
@@ -242,12 +250,11 @@ class TestRunPcl:
         cursor = TaskCursor(specs[0], cfg.seed)
         ref_losses = []
         for _ in range(tl.final_tick + 1):
-            batch = next_batch(cursor, tl.batch_size)
-            rep = backward(ref, batch)
-            ref.heads[1] -= cfg.gamma_heads * rep.head_grad
-            rep = backward(ref, batch)
-            apply_update(ref, -rep.backbone_grad, cfg.gamma)
-            ref_losses.append(rep.loss)
+            inputs, labels = next_batch(cursor, tl.batch_size)
+            ref.heads[1] -= cfg.gamma_heads * backward(ref, inputs, labels, 1)[2][1]
+            grad, loss, _ = backward(ref, inputs, labels, 1)
+            apply_update(ref, -grad, cfg.gamma)
+            ref_losses.append(loss)
         assert losses == ref_losses  # bitwise identical trajectories
 
     def test_serial_avg_grad_behaves_like_experience_replay(self):
@@ -295,7 +302,7 @@ class TestRunPcl:
 
         def recording_next(cursor, batch_size):
             batch = real_next(cursor, batch_size)
-            rows = cursor.order[cursor.pos - len(batch.labels):cursor.pos]
+            rows = cursor.order[cursor.pos - len(batch[1]):cursor.pos]
             served.setdefault(cursor.spec.task_id, []).append(cursor.spec.train_rows[rows])
             return batch
 
@@ -390,6 +397,7 @@ class TestRunPcl:
         from oracles import group_stream_edit, group_stream_objective
 
         calls, compared, state = Counter(), Counter(), {"training": False, "oracle": False}
+        sampled = []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -409,9 +417,9 @@ class TestRunPcl:
         real_gradients, real_sample = exp.stream_gradients, exp.rehearsal.sample_memory
         real_edit, real_objective = emgd.rehearsal.edit_direction, emgd.rehearsal.editing_objective
 
-        def stream_gradients(net, streams):
+        def stream_gradients(net, streams, head_step):
             with flag("training"):
-                return counted("stream_gradients", real_gradients)(net, streams)
+                return counted("stream_gradients", real_gradients)(net, streams, head_step)
 
         def edit_direction(net, inputs, labels, groups, d):
             delta, objective = real_edit(net, inputs, labels, groups, d)
@@ -422,24 +430,29 @@ class TestRunPcl:
             compared["edit_direction"] += 1
             return delta, objective
 
-        def editing_objective(net, inputs, mem, d, groups):
-            objective = real_objective(net, inputs, mem, d, groups)
+        def editing_objective(net, inputs, labels, groups, d):
+            objective = real_objective(net, inputs, labels, groups, d)
             with flag("oracle"):
-                assert groups == emgd.net.task_slices(mem.task_ids)
-                assert objective == group_stream_objective(net, inputs, mem.labels, groups, d)
+                mem = sampled[-1]
+                assert labels is mem.labels and groups == emgd.net.task_slices(mem.task_ids)
+                assert objective == group_stream_objective(net, inputs, labels, groups, d)
             compared["editing_objective"] += 1
             return objective
 
         monkeypatch.setattr(exp, "stream_gradients", stream_gradients)
-        monkeypatch.setattr(exp.rehearsal, "sample_memory", counted("sample", real_sample))
+        def sample_memory(*args):
+            sampled.append(counted("sample", real_sample)(*args))
+            return sampled[-1]
+
+        monkeypatch.setattr(exp.rehearsal, "sample_memory", sample_memory)
         monkeypatch.setattr(emgd.rehearsal, "edit_direction", edit_direction)
         monkeypatch.setattr(emgd.rehearsal, "editing_objective", editing_objective)
         monkeypatch.setattr(emgd.rehearsal, "input_gradient",
                             counted("input_gradient", emgd.rehearsal.input_gradient))
         monkeypatch.setattr(emgd.net, "_route", counted("_route", emgd.net._route))
+        monkeypatch.setattr(emgd.net, "_pass", counted("_pass", emgd.net._pass))
         for module in (emgd.net, emgd.rehearsal):
             monkeypatch.setattr(module, "task_slices", counted("task_slices", module.task_slices))
-            monkeypatch.setattr(module, "_pass", counted("_pass", module._pass))
         specs, tl, net = pcl_setup(num_tasks=3)
         cfg = quick_cfg(editing=editing, memory_batch_size=memory_batch_size,
                         capacity_per_class=2)

@@ -9,7 +9,6 @@ from emgd.errors import (
     UnknownTaskError,
 )
 from emgd.net import (
-    Batch,
     Network,
     _edit_terms,
     _factored,
@@ -19,14 +18,15 @@ from emgd.net import (
     apply_update,
     backward,
     edit_direction,
+    editing_objective,
     features,
     head_logits,
     input_gradient,
     stream_gradients,
     task_slices,
 )
-from emgd.rehearsal import MemoryBatch, editing_objective
-from oracles import (_head_pass, central_difference_edit, directional_edit_gradient,
+from emgd.rehearsal import MemoryBatch, memory_gradient
+from oracles import (Batch, _head_pass, central_difference_edit, directional_edit_gradient,
                      explicit_edit, forward, group_stream_edit, per_stream_gradients)
 
 
@@ -135,11 +135,11 @@ class TestBackward:
             widths = (int(rng.integers(2, 8)), int(rng.integers(3, 12)), int(rng.integers(2, 6)))
             net = make_net(rng_seed=int(rng.integers(10_000)), layers=widths)
             batch = make_batch(rng, net, size=int(rng.integers(1, 6)))
-            report = backward(net, batch)
+            grad = backward(net, *batch)[0]
             flat = net.theta.copy()
             for coord in rng.choice(net.backbone_dim, size=10, replace=False):
                 fd = fd_param_gradient(net, batch, flat, int(coord))
-                assert report.backbone_grad[coord] == pytest.approx(
+                assert grad[coord] == pytest.approx(
                     fd, rel=1e-4, abs=1e-9
                 )
 
@@ -147,7 +147,7 @@ class TestBackward:
         rng = np.random.default_rng(9)
         net = make_net()
         batch = make_batch(rng, net, size=3)
-        report = backward(net, batch)
+        head_grad = backward(net, *batch)[2][1]
         flat = net.heads[1].copy()
         h = 1e-5
         for coord in rng.choice(flat.size, size=8, replace=False):
@@ -159,7 +159,7 @@ class TestBackward:
             net.heads[1][...] = mod
             _, down = forward(net, batch)
             net.heads[1][...] = flat
-            assert report.head_grad[coord] == pytest.approx(
+            assert head_grad[coord] == pytest.approx(
                 (up - down) / (2 * h), rel=1e-4, abs=1e-9
             )
 
@@ -168,9 +168,9 @@ class TestBackward:
         # cancel against the one-hot targets in every gradient term
         net = zero_net()
         batch = Batch(np.zeros((4, 6)), [0, 1, 2, 3], task_id=1)
-        report = backward(net, batch)
-        assert np.linalg.norm(report.backbone_grad) <= 1e-8
-        assert np.linalg.norm(report.head_grad) <= 1e-8
+        grad, _, heads = backward(net, *batch)
+        assert np.linalg.norm(grad) <= 1e-8
+        assert np.linalg.norm(heads[1]) <= 1e-8
 
     def test_duplicating_samples_keeps_mean_gradient(self):
         rng = np.random.default_rng(10)
@@ -181,10 +181,10 @@ class TestBackward:
             np.concatenate([batch.labels, batch.labels]),
             task_id=1,
         )
-        a = backward(net, batch)
-        b = backward(net, doubled)
-        np.testing.assert_allclose(a.backbone_grad, b.backbone_grad, atol=1e-14)
-        assert a.loss == pytest.approx(b.loss, abs=1e-14)
+        a_grad, a_loss, _ = backward(net, *batch)
+        b_grad, b_loss, _ = backward(net, *doubled)
+        np.testing.assert_allclose(a_grad, b_grad, atol=1e-14)
+        assert a_loss == pytest.approx(b_loss, abs=1e-14)
 
 
 class TestHeadStep:
@@ -199,13 +199,12 @@ class TestHeadStep:
         net = make_net(heads=heads)
         for _ in range(3):  # repeated steps, as over consecutive ticks
             batch = make_batch(rng, net, size=5)
-            first = backward(ref, batch)
-            ref.heads[1] -= step * first.head_grad
-            expect = backward(ref, batch)
-            got = backward(net, batch, head_step=step)
-            np.testing.assert_array_equal(got.backbone_grad, expect.backbone_grad)
-            np.testing.assert_array_equal(got.head_grad, expect.head_grad)
-            assert got.loss == expect.loss
+            ref.heads[1] -= step * backward(ref, *batch)[2][1]
+            expect_grad, expect_loss, expect_heads = backward(ref, *batch)
+            grad, loss, got_heads = backward(net, *batch, head_step=step)
+            np.testing.assert_array_equal(grad, expect_grad)
+            np.testing.assert_array_equal(got_heads[1], expect_heads[1])
+            assert loss == expect_loss
             for task, _ in heads:
                 np.testing.assert_array_equal(net.heads[task], ref.heads[task])
             np.testing.assert_array_equal(net.theta.copy(), ref.theta.copy())
@@ -215,18 +214,18 @@ class TestHeadStep:
         net = make_net()
         batch = make_batch(rng, net)
         head = net.heads[1].copy()
-        report = backward(net, batch, head_step=0.0)
+        heads = backward(net, *batch, head_step=0.0)[2]
         np.testing.assert_array_equal(net.heads[1], head)
-        np.testing.assert_array_equal(report.head_grad, backward(net, batch).head_grad)
+        np.testing.assert_array_equal(heads[1], backward(net, *batch)[2][1])
 
     def test_step_lowers_batch_loss(self):
         rng = np.random.default_rng(13)
         net = make_net()
         batch = make_batch(rng, net, size=6)
         before = forward(net, batch)[1]
-        report = backward(net, batch, head_step=0.1)
-        assert report.loss < before
-        assert report.loss == forward(net, batch)[1]
+        loss = backward(net, *batch, head_step=0.1)[1]
+        assert loss < before
+        assert loss == forward(net, batch)[1]
 
     # stream_gradients returns no head gradients, so backward forms its own
     # from the pass; pin it to the closed form feats^T (p - onehot) / n
@@ -242,16 +241,17 @@ class TestHeadStep:
         _, before, _ = _head_pass(feats, batch.labels, W, b)
         expect_head = net.heads[2] - step * before
         other = net.heads[1].copy()
-        report = backward(net, batch, head_step=step)
+        _, got_loss, heads = backward(net, *batch, head_step=step)
         np.testing.assert_allclose(net.heads[2], expect_head, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(net.heads[1], other)
         W, b = net.head(2)
         _, after, loss = _head_pass(feats, batch.labels, W, b)
-        np.testing.assert_allclose(report.head_grad, after, rtol=1e-12, atol=1e-15)
-        assert report.loss == pytest.approx(loss, rel=1e-12)
+        assert list(heads) == [2]
+        np.testing.assert_allclose(heads[2], after, rtol=1e-12, atol=1e-15)
+        assert got_loss == pytest.approx(loss, rel=1e-12)
 
 
-def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(8, 16, 6)):
+def random_tick(rng, same_classes, min_rows=2, layers=(8, 16, 6)):
     """Two identical nets and one tick's streams: a task-sorted memory batch
     over 1-6 heads with repeated rows, then 0-4 task batches, each on its own head.
     Every stream has at least ``min_rows`` rows."""
@@ -270,10 +270,9 @@ def random_tick(rng, same_classes, mem_step, min_rows=2, task_step=0.3, layers=(
         i, j = rng.integers(0, size, 2)
         inputs[j], labels[j], task_ids[j] = inputs[i], labels[i], task_ids[i]
     order = np.argsort(task_ids, kind="stable")  # sampled memory comes sorted by task
-    streams = [(inputs[order], labels[order], task_ids[order], mem_step)]
+    streams = [(inputs[order], labels[order], task_ids[order])]
     for t in range(mem_heads + 1, mem_heads + tasks + 1):
-        batch = make_batch(rng, net, task=t, size=int(rng.integers(min_rows, 9)))
-        streams.append((batch.inputs, batch.labels, t, task_step))
+        streams.append(make_batch(rng, net, task=t, size=int(rng.integers(min_rows, 9))))
     return net, ref, streams
 
 
@@ -283,31 +282,31 @@ class TestStreamGradients:
     returns the bundle's negative gradients, and negation is exact. Bitwise
     when every head has the same class count and every stream at least two
     rows; a narrower head's padded softmax row, or a one-row stream (a
-    vector-matrix product in the per-stream path), changes only the rounding."""
+    vector-matrix product in the per-stream path), changes only the rounding.
+    One head step serves the whole pass; at 0.0 every head stays put."""
 
-    @pytest.mark.parametrize("mem_step", [0.3, 0.0])  # 0.0: a stream whose heads stay put
+    @pytest.mark.parametrize("head_step", [0.3, 0.0])
     @pytest.mark.parametrize("seed", range(10))
-    def test_same_class_counts_bitwise(self, seed, mem_step):
-        net, ref, streams = random_tick(np.random.default_rng(seed), True, mem_step)
+    def test_same_class_counts_bitwise(self, seed, head_step):
+        net, ref, streams = random_tick(np.random.default_rng(seed), True)
         for _ in range(2):  # a second tick reads the stepped heads
-            grads, losses = stream_gradients(net, streams)
-            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
+            grads, losses = stream_gradients(net, streams, head_step)
+            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams, head_step)
             np.testing.assert_array_equal(grads, -ref_grads)
             assert losses == ref_losses
             for t in ref_heads:
                 np.testing.assert_array_equal(net.heads[t], ref.heads[t])
 
-    @pytest.mark.parametrize("mem_step", [0.3, 0.0])
+    @pytest.mark.parametrize("head_step", [0.3, 0.0])
     @pytest.mark.parametrize("seed", range(10))
-    def test_mixed_class_counts_within_rounding(self, seed, mem_step):
+    def test_mixed_class_counts_within_rounding(self, seed, head_step):
         def close(a, b):
             return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-        net, ref, streams = random_tick(np.random.default_rng(100 + seed), False, mem_step,
-                                        min_rows=1)
+        net, ref, streams = random_tick(np.random.default_rng(100 + seed), False, min_rows=1)
         for _ in range(2):
-            grads, losses = stream_gradients(net, streams)
-            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams)
+            grads, losses = stream_gradients(net, streams, head_step)
+            ref_grads, ref_losses, ref_heads = per_stream_gradients(ref, streams, head_step)
             assert all(close(g, -r) for g, r in zip(grads, ref_grads))
             assert losses == pytest.approx(ref_losses, rel=1e-12)
             for t in ref_heads:
@@ -321,8 +320,8 @@ class TestStreamGradients:
         heads = {t: h.copy() for t, h in net.heads.items()}
         mem_ids = np.array([1, 1, 1, 2])  # task 2's head also routes a memory row
         with pytest.raises(InvalidInputError, match="task 2"):
-            stream_gradients(net, [(mem.inputs, np.zeros(4, dtype=np.int64), mem_ids, 0.3),
-                                   (task.inputs, task.labels, 2, 0.3)])
+            stream_gradients(net, [(mem.inputs, np.zeros(4, dtype=np.int64), mem_ids), task],
+                             0.3)
         for t, h in heads.items():
             np.testing.assert_array_equal(net.heads[t], h)
 
@@ -334,14 +333,71 @@ class TestStreamGradients:
         net = make_net(heads=((1, 4), (2, 3)))
         task = make_batch(rng, net, task=2, size=3)
         empty = (np.zeros((0, task.inputs.shape[1])), np.zeros(0, dtype=np.int64),
-                 np.zeros(0, dtype=np.int64) if per_row_ids else 1, 0.3)
-        streams = [(task.inputs, task.labels, 2, 0.3)]
+                 np.zeros(0, dtype=np.int64) if per_row_ids else 1)
+        streams = [task]
         streams.insert(position, empty)
         heads = {t: h.copy() for t, h in net.heads.items()}
         with pytest.raises(InvalidInputError, match=f"stream {position} has no rows"):
-            stream_gradients(net, streams)
+            stream_gradients(net, streams, 0.3)
         for t, h in heads.items():
             np.testing.assert_array_equal(net.heads[t], h)
+
+
+class TestRowsAndLabels:
+    """Every pass names inputs and labels that disagree on the row count,
+    before any head steps; unchecked, the head stage indexes past the rows
+    or the backward chain reads rows that have no label."""
+
+    ENTRIES = {
+        "stream_gradients": lambda net, x, y, d: stream_gradients(net, [(x, y, 1)], 0.3),
+        "second_stream": lambda net, x, y, d: stream_gradients(
+            net, [(x[:2], y[:2], 1), (x[2:], y[2:], 2)], 0.3),
+        "backward": lambda net, x, y, d: backward(net, x, y, 1, head_step=0.3),
+        "memory_gradient": lambda net, x, y, d: memory_gradient(
+            net, MemoryBatch(x, y, np.repeat([1, 2], [2, len(y) - 2]), np.arange(len(y))), 0.3),
+        "input_gradient": lambda net, x, y, d: input_gradient(net, x, y, [(1, slice(None))], d),
+        "edit_direction": lambda net, x, y, d: edit_direction(net, x, y, [(1, slice(None))], d),
+        "editing_objective": lambda net, x, y, d: editing_objective(
+            net, x, y, [(1, slice(None))], d),
+    }
+
+    @pytest.mark.parametrize("rows", [3, 5])
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_mismatch_is_named(self, entry, rows):
+        rng = np.random.default_rng(42)
+        net = make_net(layers=(4, 5, 3), heads=((1, 3), (2, 3)))
+        theta, heads = net.theta.copy(), {t: h.copy() for t, h in net.heads.items()}
+        inputs, labels = rng.uniform(0.0, 1.0, (rows, 4)), rng.integers(0, 3, 4)
+        # the second stream's first 2 rows are whole, the rest hold the mismatch
+        match = (f"stream 1 has {rows - 2} input rows for 2 labels" if entry == "second_stream"
+                 else f"{rows} input rows for 4 labels")
+        with pytest.raises(InvalidInputError, match=match):
+            self.ENTRIES[entry](net, inputs, labels, rng.normal(size=net.backbone_dim))
+        np.testing.assert_array_equal(net.theta, theta)
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_inputs_that_are_not_rows_are_named(self, entry):
+        # one flat vector of 4 values for 4 labels: the counts agree
+        rng = np.random.default_rng(44)
+        net = make_net(layers=(4, 5, 3), heads=((1, 3), (2, 3)))
+        heads = {t: h.copy() for t, h in net.heads.items()}
+        with pytest.raises(InvalidInputError, match=r"inputs of shape \(\d+,\) are not rows"):
+            self.ENTRIES[entry](net, rng.uniform(0.0, 1.0, 4), rng.integers(0, 3, 4),
+                                rng.normal(size=net.backbone_dim))
+        for t, h in heads.items():
+            np.testing.assert_array_equal(net.heads[t], h)
+
+    def test_streams_whose_counts_offset_are_named(self):
+        # one row too many in stream 0 and one too few in stream 1: the
+        # stacked counts agree, so only a check per stream sees it
+        rng = np.random.default_rng(43)
+        net = make_net(layers=(4, 5, 3), heads=((1, 3), (2, 3)))
+        streams = [(rng.uniform(0.0, 1.0, (4, 4)), rng.integers(0, 3, 3), 1),
+                   (rng.uniform(0.0, 1.0, (2, 4)), rng.integers(0, 3, 3), 2)]
+        with pytest.raises(InvalidInputError, match="stream 0 has 4 input rows for 3 labels"):
+            stream_gradients(net, streams, 0.3)
 
 
 class TestInputGradient:
@@ -434,7 +490,7 @@ class TestEditDirection:
         rng = np.random.default_rng(14)
         net = make_net()
         batch = make_batch(rng, net)
-        g = -backward(net, batch).backbone_grad
+        g = -backward(net, *batch)[0]
         delta, _ = edit_direction(net, batch.inputs, batch.labels, [(1, slice(None))], g)
         np.testing.assert_allclose(delta, 0.0)
 
@@ -463,11 +519,10 @@ class TestEditDirection:
         net = make_net(layers=(5, 8, 4), heads=((1, 3),))
         batch = make_batch(rng, net, size=2)
         other = make_batch(rng, net, size=3)
-        target = -backward(net, other).backbone_grad
+        target = -backward(net, *other)[0]
 
         def objective(x):
-            rep = backward(net, Batch(x, batch.labels, 1))
-            v = -rep.backbone_grad - target
+            v = -backward(net, x, batch.labels, 1)[0] - target
             return float(v @ v)
 
         delta, _ = edit_direction(net, batch.inputs, batch.labels, [(1, slice(None))], target)
@@ -495,11 +550,10 @@ class TestEditDirection:
             net = make_net(rng_seed=int(rng.integers(10_000)))
             batch = make_batch(rng, net, size=3)
             other = make_batch(rng, net, size=3)
-            target = -backward(net, other).backbone_grad
+            target = -backward(net, *other)[0]
 
             def objective(x):
-                rep = backward(net, Batch(x, batch.labels, 1))
-                v = -rep.backbone_grad - target
+                v = -backward(net, x, batch.labels, 1)[0] - target
                 return float(v @ v)
 
             before = objective(batch.inputs)
@@ -528,7 +582,7 @@ class TestEditDirection:
             start += n
         inputs = np.vstack([b.inputs for b in batches.values()])
         labels = np.concatenate([b.labels for b in batches.values()])
-        target = -backward(net, make_batch(rng, net, task=1, size=5)).backbone_grad
+        target = -backward(net, *make_batch(rng, net, task=1, size=5))[0]
         theta, heads = net.theta.copy(), {t: h.copy() for t, h in net.heads.items()}
         got, objective = edit_direction(net, inputs, labels, rows, target)
         np.testing.assert_array_equal(net.theta, theta)
@@ -539,12 +593,11 @@ class TestEditDirection:
         for t, sl in rows:
             ref = central_difference_edit(net, batches[t], target, fd_eps=1e-4)
             assert np.linalg.norm(got[sl] - ref) <= 1e-6 * np.linalg.norm(ref)
-            v = backward(net, batches[t]).backbone_grad + target
+            v = backward(net, *batches[t])[0] + target
             expected_objective += float(v @ v)
         assert objective == pytest.approx(expected_objective, rel=1e-12)
         task_ids = np.repeat(list(sizes), list(sizes.values()))
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
-        assert editing_objective(net, inputs, mem, target, task_slices(mem.task_ids)) == objective
+        assert editing_objective(net, inputs, labels, task_slices(task_ids), target) == objective
 
     def test_dimension_check(self):
         net = make_net()
@@ -594,15 +647,14 @@ class TestEditKernels:
         net = make_net(layers=layers, heads=list(enumerate(widths, 1)))
         inputs, labels, groups = grouped_rows(rng, net, sizes)
         assert self.kernels(net, len(labels), len(groups)) == factored
-        target = -backward(net, make_batch(rng, net, size=5)).backbone_grad
+        target = -backward(net, *make_batch(rng, net, size=5))[0]
         delta, objective = edit_direction(net, inputs, labels, groups, target)
         want_delta, want_objective = explicit_edit(net, inputs, labels, groups, target)
         assert abs(objective - want_objective) <= 1e-12 * want_objective
         assert np.linalg.norm(delta - want_delta) <= 1e-12 * np.linalg.norm(want_delta)
         # one objective implementation: every editing pass gives the same bits
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
-        assert editing_objective(net, inputs, mem, target, task_slices(mem.task_ids)) == objective
+        assert editing_objective(net, inputs, labels, task_slices(task_ids), target) == objective
         assert input_gradient(net, inputs, labels, groups, target)[2] == objective
         # and the bits of the route the pre-grouped pass replaced, under heads
         # of different widths
@@ -643,7 +695,7 @@ class TestEditKernels:
         groups = [(t, slice(2 * t - 2, 2 * t)) for t in (1, 2, 3, 4)]
         inputs, labels = np.tile(batch.inputs, (4, 1)), np.tile(batch.labels, 4)
         assert self.kernels(net, 8, 4) == [True, True]
-        target = -backward(net, batch).backbone_grad
+        target = -backward(net, *batch)[0]
         p = _pass(net, inputs, labels, groups)
         _, terms = _edit_terms(net, p, target, True)
         ids = np.repeat(np.arange(4), 2)
@@ -670,13 +722,11 @@ class TestEditKernels:
         rng = np.random.default_rng(40)
         net = make_net(layers=layers, heads=[(t, 3) for t in range(1, len(sizes) + 1)])
         inputs, labels, groups = grouped_rows(rng, net, sizes)
-        task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-        mem = MemoryBatch(inputs.copy(), labels, task_ids, np.arange(len(labels)))
         for wrong in (np.zeros(net.backbone_dim - 1), np.zeros(net.backbone_dim + 1)):
             with pytest.raises(InvalidInputError, match="dimension"):
                 edit_direction(net, inputs, labels, groups, wrong)
             with pytest.raises(InvalidInputError, match="dimension"):
-                editing_objective(net, inputs, mem, wrong, task_slices(mem.task_ids))
+                editing_objective(net, inputs, labels, groups, wrong)
             with pytest.raises(InvalidInputError, match="dimension"):
                 input_gradient(net, inputs, labels, groups, wrong)
 
@@ -699,7 +749,6 @@ class TestEditKernels:
             labels[0] = 4
         else:
             groups[1], task_ids[3:] = (9, groups[1][1]), 9
-        mem = MemoryBatch(inputs, labels, task_ids, np.arange(len(labels)))
         target = rng.normal(size=net.backbone_dim)
         task = make_batch(rng, net, task=3, size=3)
         heads = {t: h.copy() for t, h in net.heads.items()}
@@ -707,9 +756,8 @@ class TestEditKernels:
                         else (InvalidInputError, "label out of range"))
         for call in (lambda: edit_direction(net, inputs, labels, groups, target),
                      lambda: input_gradient(net, inputs, labels, groups),
-                     lambda: editing_objective(net, inputs, mem, target, groups),
-                     lambda: stream_gradients(net, [(inputs, labels, task_ids, 0.3),
-                                                    (task.inputs, task.labels, 3, 0.3)])):
+                     lambda: editing_objective(net, inputs, labels, groups, target),
+                     lambda: stream_gradients(net, [(inputs, labels, task_ids), task], 0.3)):
             with pytest.raises(error, match=match):
                 call()
         for t, h in heads.items():
@@ -738,11 +786,11 @@ class TestHeads:
         rng = np.random.default_rng(20)
         net = make_net()
         batch = make_batch(rng, net)
-        before = backward(net, batch)
+        before_grad, before_loss, _ = backward(net, *batch)
         add_head(net, 3, 7, seed=123)
-        after = backward(net, batch)
-        np.testing.assert_array_equal(before.backbone_grad, after.backbone_grad)
-        assert before.loss == after.loss
+        after_grad, after_loss, _ = backward(net, *batch)
+        np.testing.assert_array_equal(before_grad, after_grad)
+        assert before_loss == after_loss
 
 
 class TestApplyUpdate:
@@ -768,21 +816,21 @@ class TestApplyUpdate:
         rng = np.random.default_rng(22)
         net = make_net()
         batch = make_batch(rng, net)
-        report = backward(net, batch)
+        head_grad = backward(net, *batch)[2][1]
         flat_before = net.heads[1].copy()
-        net.heads[1] -= 0.5 * report.head_grad
+        net.heads[1] -= 0.5 * head_grad
         np.testing.assert_allclose(
-            net.heads[1], flat_before - 0.5 * report.head_grad, atol=1e-15
+            net.heads[1], flat_before - 0.5 * head_grad, atol=1e-15
         )
 
     def test_single_task_step_equals_plain_descent(self):
         rng = np.random.default_rng(23)
         net_a, net_b = make_net(), make_net()
         batch = make_batch(rng, net_a)
-        rep = backward(net_a, batch)
+        grad = backward(net_a, *batch)[0]
         # combined direction for one task is g = -grad, applied as theta + gamma*g
-        apply_update(net_a, -rep.backbone_grad, 0.05)
-        net_b.set_backbone_flat(net_b.theta.copy() - 0.05 * rep.backbone_grad)
+        apply_update(net_a, -grad, 0.05)
+        net_b.set_backbone_flat(net_b.theta.copy() - 0.05 * grad)
         np.testing.assert_array_equal(net_a.theta.copy(), net_b.theta.copy())
 
     def test_dimension_mismatch(self):
@@ -815,7 +863,7 @@ class TestLayout:
         net = make_net()
         theta, head = net.theta, net.heads[1]
         apply_update(net, rng.normal(size=net.backbone_dim), 0.1)
-        backward(net, make_batch(rng, net), head_step=0.5)
+        backward(net, *make_batch(rng, net), head_step=0.5)
         assert net.theta is theta and net.heads[1] is head
         assert all(np.shares_memory(W, theta) for W, _ in net.backbone)
 

@@ -12,12 +12,12 @@ import emgd.net
 from emgd.errors import EmptyMemoryError, InvalidInputError
 from emgd.experiment import RunConfig
 from emgd.net import (
-    Batch,
     Network,
     _factored,
     add_head,
     backward,
     edit_direction,
+    editing_objective,
     stream_gradients,
     task_slices,
 )
@@ -27,14 +27,13 @@ from emgd.rehearsal import (
     _write_back,
     edit_memory_emgd,
     edit_memory_gmed,
-    editing_objective,
     insert,
     memory_gradient,
     sample_memory,
     save_buffer_snapshot,
 )
 from emgd.streams import Dataset, TaskSpec
-from oracles import (SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
+from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
                      read_snapshot, slot_list_insert)
 from test_streams import nbytes, traced_peak
 
@@ -286,7 +285,7 @@ class TestInterleavedBatch:
 
     @pytest.mark.parametrize("call", [
         lambda net, buf, mem, d: stream_gradients(
-            net, [(mem.inputs, mem.labels, mem.task_ids, 0.3)]),
+            net, [(mem.inputs, mem.labels, mem.task_ids)], 0.3),
         lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, ETA_EDIT),
         lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, ETA_EDIT),
     ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
@@ -312,10 +311,10 @@ class TestMemoryGradient:
         buf = filled_buffer(rng, tasks=(1,), per_task=4)
         mem = sample_memory(buf, buf.occupancy, default_rng(1))
         backbone, loss, heads = memory_gradient(net, mem)
-        rep = backward(net, Batch(mem.inputs, mem.labels, 1))
-        np.testing.assert_allclose(backbone, rep.backbone_grad, atol=1e-14)
-        assert loss == pytest.approx(rep.loss, abs=1e-14)
-        np.testing.assert_allclose(heads[1], rep.head_grad, atol=1e-14)
+        one_backbone, one_loss, one_heads = backward(net, mem.inputs, mem.labels, 1)
+        np.testing.assert_allclose(backbone, one_backbone, atol=1e-14)
+        assert loss == pytest.approx(one_loss, abs=1e-14)
+        np.testing.assert_allclose(heads[1], one_heads[1], atol=1e-14)
 
     def test_mixed_batch_weights_by_group_size(self):
         rng = np.random.default_rng(9)
@@ -330,12 +329,12 @@ class TestMemoryGradient:
             if not mask.any():
                 continue
             group = Batch(mem.inputs[mask], mem.labels[mask], t)
-            rep = backward(net, group)
+            group_backbone, group_loss, group_heads = backward(net, *group)
             w = mask.sum() / len(mem.labels)
-            total += w * rep.backbone_grad
-            check_loss += w * rep.loss
+            total += w * group_backbone
+            check_loss += w * group_loss
             forward_loss += w * forward(net, group)[1]
-            np.testing.assert_allclose(heads[t], w * rep.head_grad, atol=1e-14)
+            np.testing.assert_allclose(heads[t], w * group_heads[t], atol=1e-14)
         np.testing.assert_allclose(backbone, total, atol=1e-14)
         assert loss == pytest.approx(check_loss, abs=1e-14)
         assert forward_loss == pytest.approx(loss, abs=1e-14)
@@ -374,19 +373,19 @@ def per_group_memory_gradient(net, mem, head_step):
 
     if head_step > 0:
         steps = {
-            t: (mask.sum() / len(mem.labels) * backward(net, group_batch(t, mask)).head_grad, head_step)
+            t: mask.sum() / len(mem.labels) * backward(net, *group_batch(t, mask))[2][t]
             for t, mask in groups
         }
-        for t, (grad, step) in steps.items():
-            net.heads[t] -= step * grad
+        for t, grad in steps.items():
+            net.heads[t] -= head_step * grad
     backbone = np.zeros(net.backbone_dim)
     heads, loss = {}, 0.0
     for t, mask in groups:
         w = mask.sum() / len(mem.labels)
-        rep = backward(net, group_batch(t, mask))
-        backbone += w * rep.backbone_grad
-        heads[t] = w * rep.head_grad
-        loss += w * rep.loss
+        group_backbone, group_loss, group_heads = backward(net, *group_batch(t, mask))
+        backbone += w * group_backbone
+        heads[t] = w * group_heads[t]
+        loss += w * group_loss
     return backbone, loss, heads
 
 
@@ -418,11 +417,11 @@ class TestEditEmgd:
             buf = filled_buffer(rng, capacity=2, per_task=4, span=INNER)
             mem = sample_memory(buf, 4, default_rng(trial))
             other = class_batch(rng, 4, task=1, classes=4)
-            d = -backward(net, other).backbone_grad
-            before = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+            d = -backward(net, *other)[0]
+            before = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
             edit_memory_emgd(buf, net, mem, d, 1e-3)
             assert_clamp_idle(mem.inputs)
-            after = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+            after = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
             if after <= before + 1e-6:
                 hits += 1
         assert hits >= 0.95 * trials
@@ -461,8 +460,8 @@ class TestEditEmgd:
         assert_clamp_idle(mem.inputs)
         np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
-        assert before == editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
-        assert after == editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+        assert before == editing_objective(net, x0, mem.labels, task_slices(mem.task_ids), d)
+        assert after == editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
         for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
             last = np.flatnonzero(mem.slot_indices == slot)[-1]
             np.testing.assert_array_equal(buf.x[slot], mem.inputs[last])
@@ -490,10 +489,11 @@ class TestEditEmgd:
                           (edit_memory_gmed, ETA_EDIT),
                           (edit_memory_gmed, 0.5)):
             x0 = mem.inputs.copy()
-            expected = editing_objective(net, x0, mem, d, task_slices(mem.task_ids))
+            expected = editing_objective(net, x0, mem.labels, task_slices(mem.task_ids), d)
             before, after = edit(buf, net, mem, d, eta)
             assert before == expected
-            assert after == editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+            assert after == editing_objective(net, mem.inputs, mem.labels,
+                                              task_slices(mem.task_ids), d)
             assert (after == before) == np.array_equal(mem.inputs, x0)
             for slot in set(mem.slot_indices.tolist()):
                 np.testing.assert_array_equal(buf.x[slot], mem.inputs[mem.slot_indices == slot][-1])
@@ -530,7 +530,7 @@ class TestEditGmed:
         net = make_net()
         buf = filled_buffer(rng, tasks=(1,), capacity=2, per_task=2, span=INNER)
         mem = sample_memory(buf, 2, default_rng(4))
-        d = -backward(net, class_batch(rng, 3, task=1, classes=4)).backbone_grad
+        d = -backward(net, *class_batch(rng, 3, task=1, classes=4))[0]
         eta = 0.05
         theta = net.theta.copy()
         theta_ahead = theta + eta * d
@@ -588,8 +588,8 @@ class TestEditGmed:
         mems = [copy.deepcopy(mem) for _ in range(2)]
         before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, eta)
         assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, eta)
-        assert after == editing_objective(nets[0], mems[0].inputs, mems[0], d,
-                                          task_slices(mems[0].task_ids))
+        assert after == editing_objective(nets[0], mems[0].inputs, mems[0].labels,
+                                          task_slices(mems[0].task_ids), d)
         assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
         if span == INNER:
             assert_clamp_idle(mems[0].inputs)
@@ -680,7 +680,7 @@ class TestEditPasses:
         mem = sample_memory(buf, 8, default_rng(3))
         assert len(np.unique(mem.task_ids)) == len(tasks)
         d = rng.normal(size=net.backbone_dim)
-        expected = editing_objective(net, mem.inputs, mem, d, task_slices(mem.task_ids))
+        expected = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
         calls = self.count_forwards(monkeypatch)
         before, after = edit(buf, net, mem, d, 0.2)
         assert calls == [len(mem.labels)] * passes

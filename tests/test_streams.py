@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from emgd.cli import _write_json
 from emgd.errors import ConfigError, FormatError, InvalidInputError, load_json_object
-from emgd.net import Batch, Network, add_head, apply_update, backward
+from emgd.net import Network, add_head, apply_update, backward
 from emgd.streams import (
     Dataset,
     _draw_centers,
@@ -25,7 +25,7 @@ from emgd.streams import (
     synthetic_dataset,
     task_duration,
 )
-from oracles import forward
+from oracles import Batch, forward
 
 
 def train_inputs(spec):
@@ -207,15 +207,15 @@ class TestNextBatch:
         spec = self.make_spec(n=6)
         cursor = TaskCursor(spec, seed=1)
         for _ in range(3):
-            batch = next_batch(cursor, 100)
-            np.testing.assert_array_equal(np.sort(batch.inputs, axis=0),
+            inputs, _ = next_batch(cursor, 100)
+            np.testing.assert_array_equal(np.sort(inputs, axis=0),
                                           np.sort(train_inputs(spec), axis=0))
 
     def test_epoch_batch_sizes(self):
         # each pass over the 10 rows ends in a short batch, then the cursor cycles
         spec = self.make_spec(n=10)
         cursor = TaskCursor(spec, seed=1)
-        sizes = [next_batch(cursor, 3).labels.size for _ in range(8)]
+        sizes = [next_batch(cursor, 3)[1].size for _ in range(8)]
         assert sizes == [3, 3, 3, 1, 3, 3, 3, 1]
 
     def test_epoch_is_a_permutation(self):
@@ -225,14 +225,14 @@ class TestNextBatch:
         shuffles = substream(9, "shuffle", spec.task_id)
         for _ in range(3):
             order = shuffles.permutation(spec.train_size)
-            served = np.vstack([next_batch(cursor, 3).inputs for _ in range(4)])
+            served = np.vstack([next_batch(cursor, 3)[0] for _ in range(4)])
             np.testing.assert_array_equal(served, train_inputs(spec)[order])
 
     def test_labels_are_local(self):
         spec = self.make_spec()
         cursor = TaskCursor(spec, seed=2)
-        batch = next_batch(cursor, 100)
-        assert set(np.unique(batch.labels)) <= set(range(spec.class_count))
+        _, labels = next_batch(cursor, 100)
+        assert set(np.unique(labels)) <= set(range(spec.class_count))
 
     def test_batch_labels_index_the_local_labels_computed_at_construction(self):
         spec = self.make_spec()
@@ -242,7 +242,7 @@ class TestNextBatch:
                                       spec.test_labels)
         cursor = TaskCursor(spec, seed=2)
         rows = cursor.order[:4]
-        np.testing.assert_array_equal(next_batch(cursor, 4).labels, spec.train_local[rows])
+        np.testing.assert_array_equal(next_batch(cursor, 4)[1], spec.train_local[rows])
 
 
 class TestTaskSpec:
@@ -343,9 +343,9 @@ class TestSynthetic:
         add_head(net, 1, 4, seed=1)
         batch = Batch(data.train_inputs, data.train_labels, 1)
         for _ in range(300):
-            rep = backward(net, batch)
-            apply_update(net, -rep.backbone_grad, 0.5)
-            net.heads[1] -= 0.5 * rep.head_grad
+            grad, _, heads = backward(net, *batch)
+            apply_update(net, -grad, 0.5)
+            net.heads[1] -= 0.5 * heads[1]
         probs, _ = forward(net, batch)
         acc = float((probs.argmax(axis=1) == batch.labels).mean())
         assert acc >= 0.99
@@ -503,8 +503,8 @@ class TestHeldOnce:
         spec = built_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
         cursor = TaskCursor(spec, seed=0)
         next_batch(cursor, 8)
-        batch, peak = traced_peak(next_batch, cursor, 8)
-        np.testing.assert_array_equal(batch.inputs, train_inputs(spec)[cursor.order[8:16]])
+        (inputs, _), peak = traced_peak(next_batch, cursor, 8)
+        np.testing.assert_array_equal(inputs, train_inputs(spec)[cursor.order[8:16]])
         assert peak < 0.05 * nbytes(train_inputs(spec))
 
 
