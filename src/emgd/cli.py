@@ -30,7 +30,7 @@ import numpy as np
 from . import experiment, rehearsal, solver, streams
 from .errors import (ConfigError, EmgdError, InvalidInputError, NumericError, load_json_object,
                      parse_json, read_field, section)
-from .net import Network
+from .net import Network, flat_size
 
 log = logging.getLogger("emgd")
 
@@ -85,29 +85,13 @@ def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
         raise ConfigError(f"test images {spec['test_images']}: {err}") from None
 
 
-def _build_split(doc: dict, dataset: streams.Dataset, seed: int) -> dict:
-    """The manifest of the config's ``split`` section."""
-    split = section(doc, "split", _SPLIT)
-    return streams.build_parallel_split(
-        dataset,
-        num_tasks=split["num_tasks"],
-        label_bounds=split["label_bounds"],
-        seed=seed,
-        overlap_fraction=split["overlap"],
-        batch_size=split["batch_size"],
-        epochs=split["epochs"],
-        serial=split["serial"],
-    )
-
-
 def _build_net(doc: dict, input_dim: int, seed: int) -> Network:
     net = section(doc, "net", _NET)
     for key, widths in (("hidden", net["hidden"]), ("feature_dim", [net["feature_dim"]])):
         if any(width < 1 for width in widths):
             raise ConfigError(f"widths in field net.{key} must be >= 1, got {net[key]!r}")
     sizes = [input_dim, *net["hidden"], net["feature_dim"]]
-    params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    if params > streams.MAX_FLOAT64S:
+    if flat_size(sizes) > streams.MAX_FLOAT64S:
         raise ConfigError(f"widths in fields net.hidden and net.feature_dim give more backbone "
                           f"parameters than one array can address, got {sizes[1:]!r}")
     return Network(sizes, seed=streams.derive_seed(seed, "net-init"))
@@ -124,14 +108,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_run_toy(args) -> int:
-    trace = experiment.run_toy(
-        method=args.method,
-        iterations=args.iters,
-        step=args.step,
-        join_tick=args.join_tick,
-        start=(args.start[0], args.start[1]),
-        temperature=args.temperature,
-    )
+    # only the flags given reach run_toy, whose signature holds the defaults
+    trace = experiment.run_toy(**{key: value for key, value in vars(args).items()
+                                  if key in ("method", "iterations", "start")})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "toy_trace.csv").write_text(experiment.toy_trace_csv(trace))
@@ -143,8 +122,9 @@ def cmd_run_toy(args) -> int:
 def cmd_run_pcl(args) -> int:
     doc, seed, dataset = _load_config(args)
     # a split section runs exactly as the manifest build-splits writes from it
-    manifest = (load_json_object(doc["manifest"], "split manifest") if doc["manifest"]
-                else _build_split(doc["split"], dataset, seed))
+    manifest = (load_json_object(doc["manifest"], "split manifest") if doc["manifest"] else
+                streams.build_parallel_split(dataset, seed,
+                                             **section(doc["split"], "split", _SPLIT)))
     specs, timeline = streams.specs_from_manifest(manifest, dataset)
     cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
@@ -168,17 +148,18 @@ def cmd_run_pcl(args) -> int:
 def cmd_build_splits(args) -> int:
     # accepts the same document as run-pcl so one config serves both commands
     doc, seed, dataset = _load_config(args)
-    _write_json({**_build_split(doc["split"], dataset, seed), "dataset": doc["dataset"]},
-                args.out)
+    manifest = streams.build_parallel_split(dataset, seed, **section(doc["split"], "split", _SPLIT))
+    _write_json({**manifest, "dataset": doc["dataset"]}, args.out)
     log.info("split manifest written to %s", args.out)
     return 0
 
 
 def _metric_fields(path: Path) -> tuple:
     doc = load_json_object(path, "metrics file")
-    fields = (("method", "?"), ("editing", "none"), ("eval_mode", "task"), ("seed", -1),
+    # every key run-pcl writes is required, so no file joins a row it was not scored for
+    fields = (("method", str), ("editing", str), ("eval_mode", str), ("seed", int),
               ("A_final", float), ("F_final", float))
-    return tuple(read_field(doc, key, default, str(path)) for key, default in fields)
+    return tuple(read_field(doc, key, kind, str(path)) for key, kind in fields)
 
 
 def cmd_report(args) -> int:
@@ -235,14 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="one-shot combination solve, JSON stdin to stdout")
     p.set_defaults(func=cmd_solve, parser=p)
 
-    p = sub.add_parser("run-toy", help="two-function toy experiment")
-    p.add_argument("--method", default="emgd_gs", help="emgd_gmc | emgd_gs | mgda | avg_grad")
-    p.add_argument("--iters", type=int, default=1500)
-    p.add_argument("--step", type=float, default=2e-5)
-    p.add_argument("--join-tick", type=int, default=500)
-    p.add_argument("--start", type=float, nargs=2, default=(3.0, 3.0),
-                   metavar=("X", "Y"))
-    p.add_argument("--temperature", type=float, default=1.0)
+    p = sub.add_parser("run-toy", help="two-function toy experiment",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--method", help="emgd_gmc | emgd_gs | mgda | avg_grad")
+    p.add_argument("--iters", dest="iterations", type=int, metavar="N")
+    p.add_argument("--start", type=float, nargs=2, metavar=("X", "Y"))
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_run_toy, parser=p)
     p._negative_number_matcher = _NEGATIVE_NUMBER

@@ -155,7 +155,6 @@ def run_toy(
     step: float = 2e-5,
     join_tick: int = 500,
     start=(3.0, 3.0),
-    temperature: float = 1.0,
 ) -> ToyTrace:
     """Two synthetic objectives optimized in sequence-then-parallel.
 
@@ -163,7 +162,8 @@ def run_toy(
     joins and every update uses the configured combiner. Gradients are
     analytic; the whole run is deterministic. A start far enough out
     overflows the objectives; the run then stops with a NumericError naming
-    the tick and the start.
+    the tick and the start. These defaults are run-toy's, whose flags set
+    ``method``, ``iterations`` and ``start``.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, pick one of {METHODS}")
@@ -173,7 +173,7 @@ def run_toy(
         raise ConfigError("need iterations >= 1, join_tick >= 0, a positive finite step and a "
                           f"finite start, got iterations={iterations!r}, join_tick={join_tick!r}, "
                           f"step={step!r}, start={(x, y)!r}")
-    state = solver.ElasticState(temperature=temperature)
+    state = solver.ElasticState()
     # overflow shows up as non-finite values, which the checks below name
     with np.errstate(over="ignore", invalid="ignore"):
         trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))

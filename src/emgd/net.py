@@ -34,9 +34,14 @@ def _layers(flat: np.ndarray, sizes) -> list:
     return [(block[:-1], block[-1]) for block in _blocks(flat, sizes)]
 
 
+def flat_size(sizes) -> int:
+    """The length of the flat parameter vector of layers of widths ``sizes``."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
 def _seeded_layers(rng, sizes) -> np.ndarray:
     """A flat parameter vector with each layer uniform in +-1/sqrt(fan_in)."""
-    flat = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:])))
+    flat = np.empty(flat_size(sizes))
     for W, b in _layers(flat, sizes):
         bound = 1.0 / np.sqrt(W.shape[0])
         W[...] = rng.uniform(-bound, bound, size=W.shape)

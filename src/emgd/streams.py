@@ -256,25 +256,18 @@ def task_duration(train_size: int, batch_size: int, epochs: int) -> int:
     return max(1, epochs * math.ceil(train_size / batch_size))
 
 
-def build_parallel_split(
-    dataset: Dataset,
-    num_tasks: int,
-    label_bounds=(2, 15),
-    seed: int = 1234,
-    overlap_fraction: float = 0.0,
-    batch_size: int = 128,
-    epochs: int = 1,
-    serial: bool = False,
-) -> dict:
+def build_parallel_split(dataset: Dataset, seed: int, *, num_tasks: int, label_bounds,
+                         overlap: float, serial: bool, batch_size: int, epochs: int) -> dict:
     """The manifest of a random split of ``dataset``: ``seed``, ``batch_size``,
     ``epochs`` and ``tasks``, each task's ``id``, ``labels`` and window ``s``, ``e``.
 
-    Label sets are disjoint unless ``overlap_fraction`` > 0, in which case
-    each task re-samples ceil(overlap * set size) labels from its
+    The keyword arguments are the fields of a config's ``split`` section, whose
+    defaults the CLI holds. Label sets are disjoint unless ``overlap`` > 0, in
+    which case each task re-samples ceil(overlap * set size) labels from its
     predecessor. Task t starts uniformly inside the legal window
     [s_{t-1}, 1 + max previous end]; ``serial`` collapses that to
     back-to-back scheduling. Identical inputs reproduce identical splits.
-    Range errors name the ``split`` config field that feeds each argument.
+    Range errors name the ``split`` field.
     """
     if num_tasks < 1:
         raise ConfigError(f"split.num_tasks must be >= 1, got {num_tasks!r}")
@@ -282,8 +275,8 @@ def build_parallel_split(
         raise ConfigError(
             f"split.label_bounds must be [lo, hi] with 1 <= lo <= hi, got {label_bounds!r}")
     lo, hi = int(label_bounds[0]), int(label_bounds[1])
-    if not (0.0 <= overlap_fraction < 1.0):
-        raise ConfigError(f"split.overlap must lie in [0, 1), got {overlap_fraction!r}")
+    if not (0.0 <= overlap < 1.0):
+        raise ConfigError(f"split.overlap must lie in [0, 1), got {overlap!r}")
     _check_steps(batch_size, epochs, "split.")
     # only classes with training rows are drawn (np.unique would import numpy.ma, 1.7 MiB)
     classes = np.array(sorted(set(dataset.train_labels.tolist())), dtype=np.int64)
@@ -294,8 +287,8 @@ def build_parallel_split(
 
     sizes = [int(rng.integers(lo, hi + 1)) for _ in range(num_tasks)]
     overlaps = [0] + [
-        min(math.ceil(overlap_fraction * sizes[t]), sizes[t - 1], sizes[t] - 1)
-        if overlap_fraction > 0
+        min(math.ceil(overlap * sizes[t]), sizes[t - 1], sizes[t] - 1)
+        if overlap > 0
         else 0
         for t in range(1, num_tasks)
     ]
@@ -449,8 +442,8 @@ def load_idx(images_path, labels_path):
 
 
 # the fields of a manifest besides "tasks", a list of task objects read on their own;
-# build-splits adds "dataset" to what build_parallel_split returns
-_MANIFEST = {"seed": 0, "batch_size": 128, "epochs": 1, "dataset": {}}
+# build_parallel_split writes the required ones, and build-splits adds "dataset"
+_MANIFEST = {"seed": int, "batch_size": int, "epochs": int, "dataset": {}}
 _MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}
 
 

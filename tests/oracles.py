@@ -68,10 +68,20 @@ from emgd.net import (Network, _activations, _edit_terms, _head_stage, _layers, 
                       input_gradient, task_slices)
 from emgd.rehearsal import _write_back
 from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
+from emgd.streams import build_parallel_split
 
 # Squared-norm threshold below which two scaled gradients are treated as the
 # same hull point (any convex weight is then optimal).
 PARALLEL_EPS = 1e-18
+
+# a config's split section with the reader's defaults; tests name the fields they change
+SPLIT = {"num_tasks": 3, "label_bounds": [2, 15], "overlap": 0.0, "serial": False,
+         "batch_size": 128, "epochs": 1}
+
+
+def make_split(dataset, seed, **fields):
+    """``build_parallel_split`` of the ``SPLIT`` section with ``fields`` changed."""
+    return build_parallel_split(dataset, seed, **{**SPLIT, **fields})
 
 
 class Batch(namedtuple("Batch", "inputs labels task_id")):

@@ -33,10 +33,9 @@ from emgd.solver import (
     elastic_factors_gs,
     solve_emgd,
 )
-from emgd.streams import (build_parallel_split, derive_seed, specs_from_manifest,
-                          synthetic_dataset)
+from emgd.streams import derive_seed, specs_from_manifest, synthetic_dataset
 from oracles import (Batch, brute_force_weights, directional_edit_gradient, forward,
-                     two_task_closed_form)
+                     make_split, two_task_closed_form)
 
 
 def ok(n, text):
@@ -297,8 +296,8 @@ def test_criterion_09_metrics():
 
 def desk_run(seed, method, editing):
     ds = synthetic_dataset(12, 32, 25, 10, 0.1, seed=seed)
-    specs, timeline = specs_from_manifest(build_parallel_split(
-        ds, 3, label_bounds=(4, 4), seed=seed, batch_size=16, epochs=3
+    specs, timeline = specs_from_manifest(make_split(
+        ds, num_tasks=3, label_bounds=(4, 4), seed=seed, batch_size=16, epochs=3
     ), ds)
     net = Network((32, 64, 32), seed=derive_seed(seed, "net-init"))
     cfg = RunConfig(

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -14,8 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emgd
-from emgd.cli import main
-from oracles import read_snapshot
+from emgd.cli import _SPLIT, main
+from emgd.experiment import METHODS, run_toy, toy_summary, toy_trace_csv
+from emgd.streams import build_parallel_split
+from oracles import SPLIT, read_snapshot
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -64,6 +67,9 @@ class TestCommandLine:
         (["build-splits", "--config", "c.json"], "usage: emgd build-splits",
          "the following arguments are required: --out"),
         ([], "usage: emgd [-h]", "the following arguments are required: command"),
+        # the toy's step, join tick and temperature are fixed by run_toy
+        (["run-toy", "--step", "1e-5"], "usage: emgd run-toy",
+         "unrecognized arguments: --step 1e-5"),
     ])
     def test_malformed_command_line_exits_1(self, capsys, argv, usage, message):
         # the usage shown is that of the command named, so it lists that command's options
@@ -75,8 +81,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("command, options", [
         ("run-pcl", {"--config", "--seed", "--out"}),
         ("build-splits", {"--config", "--seed", "--out"}),
-        ("run-toy", {"--method", "--iters", "--step", "--join-tick", "--start", "--temperature",
-                     "--out"}),
+        ("run-toy", {"--method", "--iters", "--start", "--out"}),
     ])
     def test_help_exits_0_listing_the_options(self, capsys, command, options):
         assert main([command, "--help"]) == 0
@@ -303,6 +308,14 @@ class TestRunToy:
         assert summary["iterations"] == 1500
         assert summary["join_tick"] == 500
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_defaults_are_the_library_defaults(self, tmp_path, method):
+        # the command line restates no default of run_toy's, so both run the same toy
+        assert main(["run-toy", "--method", method, "--out", str(tmp_path)]) == 0
+        trace = run_toy(method=method)
+        assert (tmp_path / "toy_trace.csv").read_text() == toy_trace_csv(trace)
+        assert json.loads((tmp_path / "toy_summary.json").read_text()) == toy_summary(trace)
+
     def test_short_run(self, tmp_path):
         assert main(["run-toy", "--iters", "10", "--out", str(tmp_path)]) == 0
         assert len((tmp_path / "toy_trace.csv").read_text().splitlines()) == 11
@@ -528,6 +541,31 @@ class TestBuildSplits:
         assert main(["build-splits", "--config", str(cfg), "--out", str(tmp_path / "m.json")]) == 1
         assert "classes" in capsys.readouterr().err
 
+    def test_split_parameters_are_the_split_fields(self):
+        # the config reader holds the defaults; the library takes each field by name, none default
+        params = list(inspect.signature(build_parallel_split).parameters.values())
+        assert [p.name for p in params] == ["dataset", "seed", *_SPLIT]
+        assert all(p.default is inspect.Parameter.empty for p in params)
+        assert SPLIT == _SPLIT
+
+    @pytest.mark.parametrize("key", ["seed", "batch_size", "epochs"])
+    def test_manifest_keys_build_splits_writes_are_required(self, tmp_path, capsys, key):
+        # each task of 2 classes x 10 rows takes one step at batch 20 and at 128, so the
+        # window check cannot tell the batch sizes apart; the required key must
+        synthetic = {"num_classes": 6, "input_dim": 5, "samples_per_class": 10,
+                     "test_per_class": 3}
+        cfg = pcl_config(tmp_path, dataset={"synthetic": synthetic},
+                         split={"num_tasks": 3, "label_bounds": [2, 2], "batch_size": 20})
+        manifest = tmp_path / "m.json"
+        assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
+        doc = json.loads(manifest.read_text())
+        del doc[key]
+        manifest.write_text(json.dumps(doc))
+        cfg = pcl_config(tmp_path, dataset={"synthetic": synthetic}, manifest=str(manifest))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert_named_exit_1(code, capsys.readouterr(), f"missing field manifest.{key}")
+        assert not (tmp_path / "run").exists()
+
     def test_manifest_feeds_run_pcl(self, tmp_path):
         cfg = pcl_config(tmp_path)
         manifest_path = tmp_path / "m.json"
@@ -562,7 +600,7 @@ class TestReport:
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps({
             "A_final": a, "F_final": f, "method": method, "editing": "none",
-            "seed": seed, **more,
+            "eval_mode": "task", "seed": seed, **more,
         }))
 
     def test_single_file_single_row(self, tmp_path, capsys):
@@ -580,7 +618,7 @@ class TestReport:
         _ = capsys.readouterr()
         summary = (tmp_path / "report_summary.csv").read_text().splitlines()
         _, _, mode, n, a_mean, a_std, _, _ = summary[1].split(",")
-        assert mode == "task"  # a file without eval_mode is task-incremental
+        assert mode == "task"
         assert int(n) == 3
         assert float(a_mean) == pytest.approx(0.9)
         assert float(a_std) == pytest.approx(0.1)  # sample standard deviation
@@ -607,6 +645,20 @@ class TestReport:
             "emgd_gs,none,task,0,0.5,0.0",
             f"emgd_gs,none,class,0,{1 / 6!r},0.0",
         ]
+
+    @pytest.mark.parametrize("key", ["method", "editing", "eval_mode", "seed"])
+    def test_every_key_run_pcl_writes_is_required(self, tmp_path, capsys, key):
+        # a file missing a key must not join the other file's row under a guessed value
+        self.write_metrics(tmp_path / "a" / "metrics.json", "emgd_gs", 0, 0.9, 0.0)
+        self.write_metrics(tmp_path / "b" / "metrics.json", "emgd_gs", 1, 0.3, 0.0)
+        doc = json.loads((tmp_path / "b" / "metrics.json").read_text())
+        del doc[key]
+        (tmp_path / "b" / "metrics.json").write_text(json.dumps(doc))
+        code = main(["report", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert_named_exit_1(code, captured,
+                            f"missing field {tmp_path / 'b' / 'metrics.json'}.{key}")
+        assert captured.out == "" and not (tmp_path / "report_summary.csv").exists()
 
     def test_incomplete_file_named(self, tmp_path, capsys):
         (tmp_path / "metrics_bad.json").write_text('{"A_final": 0.5}')
@@ -889,11 +941,7 @@ def test_any_field_mutation_exits_0_or_1(tmp_path, capsys, path, value):
 
 class TestRunToyRanges:
     @pytest.mark.parametrize("argv, name", [
-        (["--join-tick", "-5", "--iters", "3"], "join_tick=-5"),
         (["--iters", "0"], "iterations=0"),
-        (["--step", "inf"], "step=inf"),
-        (["--step=-1e-5"], "step=-1e-05"),
-        (["--temperature", "nan"], "temperature"),
         (["--start", "inf", "0"], "start=(inf, 0.0)"),
         (["--start", "0", "nan"], "start=(0.0, nan)"),
     ])
@@ -970,7 +1018,8 @@ class TestDeeplyNestedJson:
 class TestReportMalformed:
     @pytest.mark.parametrize("text, name", [
         ("{not json", "not valid JSON"),
-        ('{"A_final": "x", "F_final": 0.0}', "A_final"),
+        ('{"A_final": "x", "F_final": 0.0, "method": "mgda", "editing": "none", '
+         '"eval_mode": "task", "seed": 0}', "A_final"),
         ("[1, 2]", "must be a JSON object"),
     ])
     def test_named_exit_1(self, tmp_path, capsys, text, name):

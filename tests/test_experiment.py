@@ -29,12 +29,12 @@ from emgd.net import Network, add_head, backward, apply_update
 from emgd.solver import ElasticState, GradientBundle, combine
 from emgd.streams import (
     TaskCursor,
-    build_parallel_split,
     derive_seed,
     next_batch,
     specs_from_manifest,
     synthetic_dataset,
 )
+from oracles import make_split
 
 
 class TestToyFunctions:
@@ -217,8 +217,8 @@ class TestMetrics:
 def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
               batch_size=8, hidden=16, feature=8, epochs=1):
     ds = synthetic_dataset(4 * num_tasks, dim, per_class, 6, 0.08, seed=seed)
-    specs, tl = specs_from_manifest(build_parallel_split(
-        ds, num_tasks, label_bounds=(4, 4), seed=seed, batch_size=batch_size,
+    specs, tl = specs_from_manifest(make_split(
+        ds, num_tasks=num_tasks, label_bounds=(4, 4), seed=seed, batch_size=batch_size,
         serial=serial, epochs=epochs,
     ), ds)
     net = Network((dim, hidden, feature), seed=derive_seed(seed, "net-init"))

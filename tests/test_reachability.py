@@ -86,8 +86,8 @@ def run_every_command(tmp: Path, monkeypatch) -> None:
                                               "run": {**base["run"], "eval_mode": "class"}}))
     main("run-pcl", "--config", tmp / "idx.json", "--out", tmp / "runs" / "idx")
     for method in METHODS:
-        main("run-toy", "--method", method, "--iters", 4, "--join-tick", 2,
-             "--out", tmp / "toy" / method)
+        # the second objective joins after tick 500
+        main("run-toy", "--method", method, "--iters", 502, "--out", tmp / "toy" / method)
     main("report", tmp / "runs")
     for request in SOLVE_REQUESTS:
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))

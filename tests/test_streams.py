@@ -17,7 +17,6 @@ from emgd.streams import (
     TaskSpec,
     TaskTimeline,
     active_tasks,
-    build_parallel_split,
     load_idx,
     next_batch,
     specs_from_manifest,
@@ -25,16 +24,16 @@ from emgd.streams import (
     synthetic_dataset,
     task_duration,
 )
-from oracles import Batch, forward
+from oracles import Batch, forward, make_split
 
 
 def train_inputs(spec):
     return spec.dataset.train_inputs[spec.train_rows]
 
 
-def built_split(dataset, *args, **kwargs):
+def built_split(dataset, **fields):
     """The specs and timeline of a built split, read as a run reads them."""
-    return specs_from_manifest(build_parallel_split(dataset, *args, **kwargs), dataset)
+    return specs_from_manifest(make_split(dataset, **fields), dataset)
 
 
 def toy_dataset(num_classes=12, per_class=10, dim=4, seed=0):
@@ -96,7 +95,7 @@ class TestTimeline:
 class TestBuildParallelSplit:
     def test_single_task_takes_whole_window(self):
         ds = toy_dataset(num_classes=4)
-        specs, tl = built_split(ds, 1, label_bounds=(2, 4), seed=7, batch_size=8)
+        specs, tl = built_split(ds, num_tasks=1, label_bounds=(2, 4), seed=7, batch_size=8)
         assert len(specs) == 1
         [(_, s, e)] = tl.entries
         assert s == 0
@@ -104,13 +103,13 @@ class TestBuildParallelSplit:
 
     def test_deterministic(self):
         ds = toy_dataset()
-        a = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
-        b = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8)
+        a = make_split(ds, num_tasks=3, label_bounds=(2, 4), seed=1234, batch_size=8)
+        b = make_split(ds, num_tasks=3, label_bounds=(2, 4), seed=1234, batch_size=8)
         assert a == b
 
     def test_five_tasks_disjoint_and_bounded(self):
         ds = toy_dataset(num_classes=62, per_class=4, dim=3)
-        specs, _ = built_split(ds, 5, label_bounds=(2, 15), seed=1234, batch_size=16)
+        specs, _ = built_split(ds, num_tasks=5, label_bounds=(2, 15), seed=1234, batch_size=16)
         seen = set()
         for spec in specs:
             assert 2 <= spec.class_count <= 15
@@ -120,7 +119,7 @@ class TestBuildParallelSplit:
     def test_timeline_invariants_across_seeds(self):
         ds = toy_dataset(num_classes=20, per_class=6)
         for seed in range(100):
-            _, tl = built_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
+            _, tl = built_split(ds, num_tasks=4, label_bounds=(2, 5), seed=seed, batch_size=4)
             tl.validate()  # raises on violation
             starts = [s for _, s, _ in tl.entries]
             assert starts == sorted(starts)
@@ -128,7 +127,7 @@ class TestBuildParallelSplit:
     def test_serial_flag(self):
         ds = toy_dataset()
         _, tl = built_split(
-            ds, 3, label_bounds=(2, 4), seed=3, batch_size=8, serial=True
+            ds, num_tasks=3, label_bounds=(2, 4), seed=3, batch_size=8, serial=True
         )
         for (_, _, e_prev), (_, s, _) in zip(tl.entries, tl.entries[1:]):
             assert s == e_prev + 1
@@ -136,7 +135,7 @@ class TestBuildParallelSplit:
     def test_overlap_shares_labels(self):
         ds = toy_dataset(num_classes=30)
         specs, _ = built_split(
-            ds, 3, label_bounds=(4, 4), seed=5, overlap_fraction=0.5, batch_size=8
+            ds, num_tasks=3, label_bounds=(4, 4), seed=5, overlap=0.5, batch_size=8
         )
         for prev, cur in zip(specs, specs[1:]):
             shared = set(prev.label_set) & set(cur.label_set)
@@ -145,28 +144,28 @@ class TestBuildParallelSplit:
     def test_infeasible_bounds(self):
         ds = toy_dataset(num_classes=4)
         with pytest.raises(ConfigError):
-            build_parallel_split(ds, 3, label_bounds=(2, 3), seed=0, batch_size=8)
+            make_split(ds, num_tasks=3, label_bounds=(2, 3), seed=0, batch_size=8)
 
     @pytest.mark.parametrize("bounds", [(4,), (2, 3, 4), ()])
     def test_label_bounds_must_be_a_pair(self, bounds):
         with pytest.raises(ConfigError, match="label_bounds"):
-            build_parallel_split(toy_dataset(), 2, label_bounds=bounds, seed=0, batch_size=8)
+            make_split(toy_dataset(), num_tasks=2, label_bounds=bounds, seed=0, batch_size=8)
 
     @pytest.mark.parametrize("batch_size, epochs", [(0, 1), (-1, 1), (8, 0)])
     def test_batch_size_and_epochs_below_one_rejected(self, batch_size, epochs):
         with pytest.raises(ConfigError, match="batch_size and epochs"):
             task_duration(10, batch_size, epochs)
         with pytest.raises(ConfigError, match="batch_size and epochs"):
-            build_parallel_split(toy_dataset(), 2, label_bounds=(2, 3), seed=0,
-                                 batch_size=batch_size, epochs=epochs)
+            make_split(toy_dataset(), num_tasks=2, label_bounds=(2, 3), seed=0,
+                       batch_size=batch_size, epochs=epochs)
 
     def test_timeline_past_int64_named(self):
         # each task of 20 rows takes 3 batches of 8 per epoch: 6 * 2**62 ticks in all
         with pytest.raises(ConfigError, match="split.epochs 4611686018427387904 gives task "
                                               "windows of 27670116110564327424 ticks in all, "
                                               "past int64"):
-            build_parallel_split(toy_dataset(), 2, label_bounds=(2, 2), seed=0, batch_size=8,
-                                 epochs=2**62)
+            make_split(toy_dataset(), num_tasks=2, label_bounds=(2, 2), seed=0, batch_size=8,
+                       epochs=2**62)
 
 
 class TestActiveTasks:
@@ -187,7 +186,7 @@ class TestActiveTasks:
         rng = np.random.default_rng(44)
         ds = toy_dataset(num_classes=24, per_class=5)
         for seed in range(30):
-            _, tl = built_split(ds, 4, label_bounds=(2, 5), seed=seed, batch_size=4)
+            _, tl = built_split(ds, num_tasks=4, label_bounds=(2, 5), seed=seed, batch_size=4)
             for tick in range(tl.first_tick, tl.final_tick + 1):
                 expect = {t for t, s, e in tl.entries if s <= tick <= e}
                 if any(e < tick for _, _, e in tl.entries):
@@ -199,7 +198,7 @@ class TestActiveTasks:
 class TestNextBatch:
     def make_spec(self, n=10, seed=0):
         ds = toy_dataset(num_classes=2, per_class=n // 2, dim=3, seed=seed)
-        specs, _ = built_split(ds, 1, label_bounds=(2, 2), seed=seed, batch_size=4)
+        specs, _ = built_split(ds, num_tasks=1, label_bounds=(2, 2), seed=seed, batch_size=4)
         return specs[0]
 
     def test_single_batch_covers_everything(self):
@@ -469,13 +468,13 @@ class TestHeldOnce:
     @pytest.mark.parametrize("from_manifest", [False, True])
     def test_specs_allocate_under_five_percent_of_the_inputs(self, from_manifest):
         data = self.dataset()
-        manifest = build_parallel_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)
+        manifest = make_split(data, num_tasks=4, label_bounds=(3, 3), seed=1, batch_size=8)
         if from_manifest:
             def make():
                 return specs_from_manifest(manifest, data)[0]
         else:  # building the split and reading it
             def make():
-                return built_split(data, 4, label_bounds=(3, 3), seed=1, batch_size=8)[0]
+                return built_split(data, num_tasks=4, label_bounds=(3, 3), seed=1, batch_size=8)[0]
         specs, peak = traced_peak(make)
         assert sum(spec.train_size for spec in specs) == data.train_labels.size  # every row
         assert peak < 0.05 * nbytes(data.train_inputs, data.test_inputs)
@@ -500,7 +499,7 @@ class TestHeldOnce:
 
     def test_next_batch_reads_only_the_batch_rows(self):
         data = self.dataset()
-        spec = built_split(data, 1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
+        spec = built_split(data, num_tasks=1, label_bounds=(12, 12), seed=1, batch_size=8)[0][0]
         cursor = TaskCursor(spec, seed=0)
         next_batch(cursor, 8)
         (inputs, _), peak = traced_peak(next_batch, cursor, 8)
@@ -511,8 +510,8 @@ class TestHeldOnce:
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         ds = toy_dataset()
-        manifest = build_parallel_split(ds, 3, label_bounds=(2, 4), seed=1234, batch_size=8,
-                                        epochs=2)
+        manifest = make_split(ds, num_tasks=3, label_bounds=(2, 4), seed=1234, batch_size=8,
+                              epochs=2)
         assert sorted(manifest) == ["batch_size", "epochs", "seed", "tasks"]
         assert [sorted(task) for task in manifest["tasks"]] == [["e", "id", "labels", "s"]] * 3
         path = tmp_path / "split.json"
@@ -530,14 +529,14 @@ class TestManifest:
 
     def test_window_validation(self, tmp_path):
         ds = toy_dataset()
-        manifest = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
+        manifest = make_split(ds, num_tasks=2, label_bounds=(2, 3), seed=5, batch_size=8)
         manifest["batch_size"] = 2  # inconsistent with the recorded windows
         with pytest.raises(ConfigError):
             specs_from_manifest(manifest, ds)
 
     def test_manifest_batch_size_zero_rejected(self):
         ds = toy_dataset()
-        manifest = build_parallel_split(ds, 2, label_bounds=(2, 3), seed=5, batch_size=8)
+        manifest = make_split(ds, num_tasks=2, label_bounds=(2, 3), seed=5, batch_size=8)
         manifest["batch_size"] = 0
         with pytest.raises(ConfigError, match="batch_size"):
             specs_from_manifest(manifest, ds)
@@ -551,8 +550,8 @@ class TestManifest:
         # would never end, so the manifest is rejected before any tick, naming
         # the window end at fault
         ds = toy_dataset()
-        manifest = build_parallel_split(ds, 2, label_bounds=(2, 2), seed=0, batch_size=8,
-                                        serial=True)
+        manifest = make_split(ds, num_tasks=2, label_bounds=(2, 2), seed=0, batch_size=8,
+                              serial=True)
         steps = 3 * epochs  # ceil(20 rows / 8) per epoch
         manifest["epochs"] = epochs
         for i, task in enumerate(manifest["tasks"]):
