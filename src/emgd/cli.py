@@ -51,7 +51,8 @@ def _configure_logging() -> None:
 
 # Each table gives a config section's fields with their defaults, and so their JSON
 # types; a type in place of a default marks a required field.
-_TOP = {"dataset": dict, "split": {}, "manifest": "", "run": {}, "net": {}, "seed": 1234}
+_TOP = {"dataset": dict, "split": {}, "manifest": "", "run": {}, "net": {},
+        "seed": experiment.RunConfig.seed}
 _SYNTHETIC = {"num_classes": 12, "input_dim": 32, "samples_per_class": 50, "test_per_class": 20,
               "noise_sigma": 0.1}
 _IDX = {"train_images": str, "train_labels": str, "test_images": str, "test_labels": str}

@@ -24,14 +24,6 @@ class NumericError(EmgdError):
         self.tick = tick
 
 
-class UnknownTaskError(EmgdError):
-    """Referenced task has no classifier head."""
-
-
-class TaskExistsError(EmgdError):
-    """Attempt to add a head for a task that already has one."""
-
-
 class ConfigError(EmgdError):
     """Invalid or infeasible configuration."""
 
@@ -42,10 +34,6 @@ class FormatError(EmgdError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
-
-
-class EmptyMemoryError(EmgdError):
-    """Sampling requested from an empty rehearsal buffer."""
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",

@@ -49,7 +49,7 @@ class RunConfig:
     editing: str = "none"
     gamma: float = 0.05
     gamma_heads: float = 0.05
-    temperature: float = 1.0
+    temperature: float = solver.ElasticState.temperature
     eval_mode: str = "task"
     seed: int = 1234
     memory_batch_size: int = 0
@@ -90,6 +90,9 @@ def compute_metrics(pairs):
 
 
 # --- toy two-function problem ------------------------------------------------
+
+TOY_STEP = 2e-5  # theta <- theta + TOY_STEP * d
+TOY_JOIN_TICK = 500  # f2 joins after this tick
 
 
 def toy_f1(x: float, y: float) -> float:
@@ -137,7 +140,6 @@ class ToyRow:
 class ToyTrace:
     method: str
     start: tuple
-    join_tick: int
     f1_init: float
     f2_init: float
     rows: list = field(default_factory=list)
@@ -149,38 +151,30 @@ class ToyTrace:
         return self.f2_init if tick == 0 else self.rows[tick - 1].f2
 
 
-def run_toy(
-    method: str = "emgd_gs",
-    iterations: int = 1500,
-    step: float = 2e-5,
-    join_tick: int = 500,
-    start=(3.0, 3.0),
-) -> ToyTrace:
+def run_toy(method: str = "emgd_gs", iterations: int = 1500, start=(3.0, 3.0)) -> ToyTrace:
     """Two synthetic objectives optimized in sequence-then-parallel.
 
-    The first function trains alone until ``join_tick``, then the second
-    joins and every update uses the configured combiner. Gradients are
-    analytic; the whole run is deterministic. A start far enough out
-    overflows the objectives; the run then stops with a NumericError naming
-    the tick and the start. These defaults are run-toy's, whose flags set
-    ``method``, ``iterations`` and ``start``.
+    The first function trains alone until ``TOY_JOIN_TICK``, then the second
+    joins and every update, a step of ``TOY_STEP``, uses the configured
+    combiner. Gradients are analytic; the whole run is deterministic. A start
+    far enough out overflows the objectives; the run then stops with a
+    NumericError naming the tick and the start. These defaults are run-toy's,
+    whose flags set the three parameters.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}, pick one of {METHODS}")
     x, y = float(start[0]), float(start[1])
-    if (iterations < 1 or join_tick < 0 or not 0 < step < math.inf
-            or not (math.isfinite(x) and math.isfinite(y))):
-        raise ConfigError("need iterations >= 1, join_tick >= 0, a positive finite step and a "
-                          f"finite start, got iterations={iterations!r}, join_tick={join_tick!r}, "
-                          f"step={step!r}, start={(x, y)!r}")
+    if iterations < 1 or not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError("need iterations >= 1 and a finite start, got "
+                          f"iterations={iterations!r}, start={(x, y)!r}")
     state = solver.ElasticState()
     # overflow shows up as non-finite values, which the checks below name
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = ToyTrace(method, (x, y), join_tick, toy_f1(x, y), toy_f2(x, y))
+        trace = ToyTrace(method, (x, y), toy_f1(x, y), toy_f2(x, y))
         try:
             for tick in range(1, iterations + 1):
                 grads = [toy_grad_f1(x, y)]
-                if tick > join_tick:
+                if tick > TOY_JOIN_TICK:
                     grads.append(toy_grad_f2(x, y))
                 grads = np.negative(grads)  # the bundle holds negative gradients
                 bundle = solver.GradientBundle((1, 2)[:len(grads)], grads)
@@ -188,8 +182,8 @@ def run_toy(
                 d = result.direction
                 dd = result.objective
                 margin = min(float(g @ d) - float(s) * dd for g, s in zip(grads, sigma))
-                x += step * float(d[0])
-                y += step * float(d[1])
+                x += TOY_STEP * float(d[0])
+                y += TOY_STEP * float(d[1])
                 f1, f2 = toy_f1(x, y), toy_f2(x, y)
                 if not (math.isfinite(f1) and math.isfinite(f2)):
                     raise NumericError(f"objectives f1={f1!r}, f2={f2!r} at ({x!r}, {y!r})")
@@ -211,7 +205,7 @@ def convergence_probe(trace: ToyTrace) -> dict:
         raise InvalidInputError("empty log")
 
     def losses(r: ToyRow) -> tuple:
-        return (r.f1, r.f2) if r.tick > trace.join_tick else (r.f1,)
+        return (r.f1, r.f2) if r.tick > TOY_JOIN_TICK else (r.f1,)
 
     # f1 is active at every tick, so every consecutive pair shares a loss
     good = sum(all(cur <= prev + 1e-15 for prev, cur in zip(losses(a), losses(b)))
@@ -372,16 +366,16 @@ def toy_trace_csv(trace: ToyTrace) -> str:
 
 def toy_summary(trace: ToyTrace) -> dict:
     probe = convergence_probe(trace)  # first: it names an empty trace
-    joined = trace.join_tick <= len(trace.rows)
+    joined = TOY_JOIN_TICK <= len(trace.rows)
     return {
         "method": trace.method,
         "start": list(trace.start),
-        "join_tick": trace.join_tick,
+        "join_tick": TOY_JOIN_TICK,
         "iterations": len(trace.rows),
         "f1_initial": trace.f1_init,
         "f2_initial": trace.f2_init,
-        "f1_at_join": trace.f1_at(trace.join_tick) if joined else None,
-        "f2_at_join": trace.f2_at(trace.join_tick) if joined else None,
+        "f1_at_join": trace.f1_at(TOY_JOIN_TICK) if joined else None,
+        "f2_at_join": trace.f2_at(TOY_JOIN_TICK) if joined else None,
         "f1_final": trace.rows[-1].f1,
         "f2_final": trace.rows[-1].f2,
         **probe,

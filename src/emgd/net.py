@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import InvalidInputError, TaskExistsError, UnknownTaskError
+from .errors import InvalidInputError
 
 
 def _blocks(flat: np.ndarray, sizes) -> list:
@@ -119,7 +119,7 @@ def add_head(net: Network, task_id: int, num_classes: int, seed: int) -> None:
     """Create a seeded linear head for a new task; existing parameters are
     left untouched."""
     if task_id in net.heads:
-        raise TaskExistsError(f"task {task_id} already has a head")
+        raise InvalidInputError(f"task {task_id} already has a head")
     if num_classes < 1:
         raise InvalidInputError("num_classes must be >= 1")
     rng = np.random.default_rng(seed)
@@ -193,7 +193,7 @@ def _route(net: Network, labels: np.ndarray, routed) -> list:
     groups = []
     for s, (task_id, rows, *share) in enumerate(routed):
         if task_id not in net.heads:
-            raise UnknownTaskError(f"no head for task {task_id}")
+            raise InvalidInputError(f"no head for task {task_id}")
         if any(g.task_id == task_id for g in groups):
             raise InvalidInputError(f"task {task_id}'s head serves more than one stream")
         groups.append(_Group(task_id, rows, *net.head(task_id), *(share or (s, 1.0))))

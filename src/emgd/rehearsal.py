@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import EmptyMemoryError, InvalidInputError
+from .errors import InvalidInputError
 from .net import (
     Network,
     backward,
@@ -117,7 +117,7 @@ def sample_memory(buffer: MemoryBuffer, batch_size: int,
     """Uniform sample of stored slots (without replacement when possible),
     stably sorted by task id."""
     if buffer.occupancy == 0:
-        raise EmptyMemoryError("rehearsal buffer is empty")
+        raise InvalidInputError("rehearsal buffer is empty")
     if batch_size < 1:
         raise InvalidInputError("batch_size must be >= 1")
     replace = batch_size > buffer.occupancy
@@ -139,12 +139,11 @@ def memory_gradient(net: Network, mem: MemoryBatch, head_step: float = 0.0):
 
 
 def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
-    """Store the edited rows in their slots and in ``mem``; a slot sampled
-    twice (replacement) takes its last row."""
+    """Store the edited rows in their slots; a slot sampled twice
+    (replacement) takes its last row. ``mem`` keeps the rows as sampled."""
     slots = mem.slot_indices
     last = slots.size - 1 - np.unique(slots[::-1], return_index=True)[1]
     buffer.x[slots[last]] = inputs[last]
-    mem.inputs = inputs
 
 
 def _edit(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
@@ -223,19 +222,8 @@ CONTAINER_MAGIC = b"EMGD"
 CONTAINER_VERSION = 1
 
 
-def write_blob(path, header: dict, values: np.ndarray) -> None:
-    payload = np.ascontiguousarray(values, dtype="<f8")
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(struct.pack("<I", CONTAINER_VERSION))
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(payload.tobytes())
-
-
 def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
-    """Write slot inputs plus a JSON slot manifest in ``write_blob``'s container."""
+    """Write slot inputs plus a JSON slot manifest in the container above."""
     header = {
         "kind": "memory-buffer",
         "capacity_per_class": buffer.capacity_per_class,
@@ -247,4 +235,7 @@ def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
                                    buffer.class_id.tolist())
         ],
     }
-    write_blob(path, header, buffer.x.ravel())
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CONTAINER_MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head)
+        fh.write(buffer.x.astype("<f8", copy=False).tobytes())

@@ -134,22 +134,21 @@ class ElasticFactors:
 
 @dataclass
 class ElasticState:
-    """Running gradient-norm statistics used by the momentum factors.
+    """The factors' temperature, and the running gradient-norm statistics
+    used by the momentum factors.
 
     ``momentum[t]`` follows m_t <- EPS1 * m_t + EPS2 * ||g_t||, seeded with
-    the first observed norm so a task's debut is not down-weighted.
+    the first observed norm so a task's debut is not down-weighted. It starts
+    empty and only updates from finite norms fill it.
     """
 
-    momentum: dict = field(default_factory=dict)
-    temperature: float = 1.0
+    temperature: float = 1.0  # the one default temperature: runs and requests read it
+    momentum: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if not 0 < self.temperature < math.inf:
             raise InvalidInputError(
                 f"temperature must be positive and finite, got {self.temperature!r}")
-        for tid, m in self.momentum.items():  # updates from finite norms stay finite
-            if not math.isfinite(m):
-                raise InvalidInputError(f"momentum of task {tid} must be finite, got {m!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,6 @@ class CombinationResult:
     """Solver output: weights, combined direction and diagnostics.
 
     ``objective`` is ||d||^2, 0 at a Pareto critical point.
-    ``degenerate_tasks`` lists task ids whose gradient was exactly zero.
     """
 
     lam: np.ndarray
@@ -165,12 +163,10 @@ class CombinationResult:
     objective: float
     iterations: int
     converged: bool
-    degenerate_tasks: tuple = ()
 
 
 class MinNormResult(NamedTuple):
     mu: np.ndarray
-    objective: float
     iterations: int
     converged: bool
 
@@ -206,7 +202,8 @@ def elastic_factors_gmc(bundle: GradientBundle, state: ElasticState) -> ElasticF
     return ElasticFactors(_softmax(logits, state.temperature))
 
 
-def elastic_factors_gs(bundle: GradientBundle, temperature: float = 1.0) -> ElasticFactors:
+def elastic_factors_gs(bundle: GradientBundle,
+                       temperature: float = ElasticState.temperature) -> ElasticFactors:
     """Elastic factors from summed pairwise cosine similarities.
 
     Task i scores sum_k cos(g_i, g_k), self-similarity included, so the
@@ -279,9 +276,9 @@ def _min_norm_point(M: np.ndarray, scale: float) -> MinNormResult:
     (c ee' + M_SS) w = (nu + c) e, so w = B e / (e'B e) for any c > 0.
     Adding a point borders B and dropping one downdates it, each O(|S|^2);
     nothing is re-factorised. M and ``scale`` are first multiplied by 2^-e
-    (see ``_exponent``), and the objective is scaled back. c is M_jj of the
-    first working point, the smallest squared norm (1 when that is 0 or so
-    small that its reciprocal overflows): the points' squared norms can span
+    (see ``_exponent``); the weights are the same in either unit. c is M_jj
+    of the first working point, the smallest squared norm (1 when that is 0
+    or so small that its reciprocal overflows): the points' squared norms can span
     many orders of magnitude (elastic factors divide them by sigma^2), and a
     c at the largest would leave c ee' + M_SS badly conditioned. If the most
     violating point is already in S, or is numerically affinely dependent on
@@ -293,7 +290,7 @@ def _min_norm_point(M: np.ndarray, scale: float) -> MinNormResult:
     """
     k = M.shape[0]
     if k == 1:
-        return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
+        return MinNormResult(np.ones(1), 0, True)
     diag = M.diagonal().tolist()  # tolist: cheaper than a reduction at small k
     e = _exponent(max(diag))
     if e:
@@ -304,12 +301,11 @@ def _min_norm_point(M: np.ndarray, scale: float) -> MinNormResult:
     gap_tol = DEFAULT_TOL * scale
     budget = max(DEFAULT_MAX_ITER, 4 * k)
     if k == 2:
-        return _two_points(M, first, gap_tol, budget, e)
-    return _wolfe(M, first, gap_tol, budget, e)
+        return _two_points(M, first, gap_tol, budget)
+    return _wolfe(M, first, gap_tol, budget)
 
 
-def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int,
-                e: int) -> MinNormResult:
+def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int) -> MinNormResult:
     # The min-norm point of p_f and p_o in closed form (Sener & Koltun 2018),
     # with _wolfe's exits. Iteration 1 tests the vertex e_f, the smaller point,
     # as the loop does: a subnormal M_ff gets its whole weight, not a weight
@@ -324,7 +320,7 @@ def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int,
     mu = np.zeros(2)
     if m_ff - min(m_ff, m_fo) <= gap_tol:
         mu[first] = 1.0
-        return MinNormResult(mu, math.ldexp(m_ff, e), 1, True)
+        return MinNormResult(mu, 1, True)
     spread = m_ff - 2.0 * m_fo + m_oo
     t = min(max((m_ff - m_fo) / spread, 0.0), 1.0) if spread > 0.0 else 0.0
     inner_f = (1.0 - t) * m_ff + t * m_fo  # M @ mu
@@ -332,10 +328,10 @@ def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int,
     objective = (1.0 - t) * inner_f + t * inner_o
     converged = objective - min(inner_f, inner_o) <= gap_tol
     mu[first], mu[other] = 1.0 - t, t
-    return MinNormResult(mu, math.ldexp(objective, e), 2 if converged else budget, converged)
+    return MinNormResult(mu, 2 if converged else budget, converged)
 
 
-def _wolfe(M: np.ndarray, first: int, gap_tol: float, budget: int, e: int) -> MinNormResult:
+def _wolfe(M: np.ndarray, first: int, gap_tol: float, budget: int) -> MinNormResult:
     # Wolfe's loop (see _min_norm_point) on M in units of 2^e, from point first
     k = M.shape[0]
     c = float(M[first, first])
@@ -355,7 +351,7 @@ def _wolfe(M: np.ndarray, first: int, gap_tol: float, budget: int, e: int) -> Mi
         objective = float(mu @ inner)
         j = int(inner.argmin())
         if objective - inner[j] <= gap_tol:
-            return MinNormResult(mu, math.ldexp(objective, e), iterations, True)
+            return MinNormResult(mu, iterations, True)
         if in_S[j]:  # the iterate cannot change any more (see above)
             break
         a = c + M[S[:n], j]
@@ -394,7 +390,7 @@ def _wolfe(M: np.ndarray, first: int, gap_tol: float, budget: int, e: int) -> Mi
         mu.fill(0.0)
         mu[S[:n]] = w[:n]
 
-    return MinNormResult(mu, math.ldexp(float(mu @ (M @ mu)), e), budget, False)
+    return MinNormResult(mu, budget, False)
 
 
 def _as_factors(sigma, k: int) -> ElasticFactors:
@@ -411,11 +407,8 @@ def _combine(bundle: GradientBundle, lam: np.ndarray, iterations: int,
     objective = float(direction @ direction)
     if not math.isfinite(objective):  # d or ||d||^2 past float64: inf, or NaN from inf - inf
         raise NumericError("the combined direction's squared norm overflows float64")
-    diag = bundle.gram.diagonal()
-    degenerate = () if diag.all() else tuple(np.compress(diag == 0.0, bundle.task_ids).tolist())
     return CombinationResult(lam=lam, direction=direction, objective=objective,
-                             iterations=iterations, converged=converged,
-                             degenerate_tasks=degenerate)
+                             iterations=iterations, converged=converged)
 
 
 def solve_emgd(bundle: GradientBundle, sigma) -> CombinationResult:
@@ -543,7 +536,8 @@ def solve_request(doc: dict) -> dict:
             sigma = ElasticFactors(np.asarray(raw, dtype=np.float64))
         except (InvalidInputError, NumericError, OverflowError) as err:  # an int past float64
             raise InvalidInputError(f"field sigma: {err}") from None
-    state = ElasticState(temperature=read_field(doc, "temperature", 1.0, error=InvalidInputError))
+    state = ElasticState(temperature=read_field(doc, "temperature", ElasticState.temperature,
+                                                error=InvalidInputError))
     result = (combine(_SIGMA_MODES[mode], bundle, state)[0] if raw is None
               else solve_emgd(bundle, sigma))
     return {

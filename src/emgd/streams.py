@@ -24,6 +24,7 @@ from .errors import ConfigError, FormatError, InvalidInputError, section
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # the float64 values one array can address
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def substream(seed: int, *names) -> np.random.Generator:
@@ -79,9 +80,6 @@ class TaskTimeline:
 
     def __post_init__(self):
         self.entries = [(int(t), int(s), int(e)) for t, s, e in self.entries]
-        self.validate()
-
-    def validate(self) -> None:
         if not self.entries:
             raise InvalidInputError("timeline must contain at least one task")
         prev_start = None
@@ -221,7 +219,7 @@ def synthetic_dataset(num_classes: int, input_dim: int, samples_per_class: int,
     return Dataset(train_x, train_y, test_x, test_y)
 
 
-def _check_steps(batch_size: int, epochs: int, where: str = "") -> None:
+def _check_steps(batch_size: int, epochs: int, where: str) -> None:
     """ConfigError naming ``where`` + each of batch_size and epochs below 1."""
     low = [f"{where}{name} {value!r}" for name, value in
            (("batch_size", batch_size), ("epochs", epochs)) if value < 1]
@@ -251,8 +249,8 @@ def _task_spec(dataset: Dataset, task_id: int, labels: tuple, where: str) -> Tas
 
 
 def task_duration(train_size: int, batch_size: int, epochs: int) -> int:
-    # one tick per optimization step; the final short batch still costs a tick
-    _check_steps(batch_size, epochs)
+    # one tick per optimization step; the final short batch still costs a tick.
+    # Both callers have checked batch_size and epochs under their own names.
     return max(1, epochs * math.ceil(train_size / batch_size))
 
 
@@ -271,9 +269,10 @@ def build_parallel_split(dataset: Dataset, seed: int, *, num_tasks: int, label_b
     """
     if num_tasks < 1:
         raise ConfigError(f"split.num_tasks must be >= 1, got {num_tasks!r}")
-    if len(label_bounds) != 2 or not 1 <= label_bounds[0] <= label_bounds[1]:
-        raise ConfigError(
-            f"split.label_bounds must be [lo, hi] with 1 <= lo <= hi, got {label_bounds!r}")
+    if len(label_bounds) != 2 or not 1 <= label_bounds[0] <= label_bounds[1] <= INT64_MAX:
+        # the set sizes are drawn as int64
+        raise ConfigError(f"split.label_bounds must be [lo, hi] with 1 <= lo <= hi <= {INT64_MAX}, "
+                          f"got {label_bounds!r}")
     lo, hi = int(label_bounds[0]), int(label_bounds[1])
     if not (0.0 <= overlap < 1.0):
         raise ConfigError(f"split.overlap must lie in [0, 1), got {overlap!r}")
@@ -315,7 +314,7 @@ def build_parallel_split(dataset: Dataset, seed: int, *, num_tasks: int, label_b
     train_sizes = [_task_spec(dataset, t, labels, f"task {t} label set").train_size
                    for t, labels in enumerate(label_sets, start=1)]
     durations = [task_duration(size, batch_size, epochs) for size in train_sizes]
-    if sum(durations) > np.iinfo(np.int64).max:  # the windows' ticks are drawn as int64
+    if sum(durations) > INT64_MAX:  # the windows' ticks are drawn as int64
         raise ConfigError(f"split.epochs {epochs} gives task windows of {sum(durations)} ticks "
                           "in all, past int64")
     rng_timeline = substream(seed, "timeline")
@@ -461,6 +460,9 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
     specs, entries = [], []
     for i, entry in enumerate(tasks):
         task = section(entry, f"manifest.tasks[{i}]", _MANIFEST_TASK)
+        if task["id"] > INT64_MAX:  # the rehearsal buffer stores task ids as int64
+            raise ConfigError(f"field manifest.tasks[{i}].id must be at most {INT64_MAX}, "
+                              f"got {task['id']}")
         specs.append(_task_spec(dataset, task["id"], tuple(task["labels"]),
                                 f"manifest.tasks[{i}].labels"))
         entries.append((task["id"], task["s"], task["e"]))
@@ -474,7 +476,7 @@ def specs_from_manifest(manifest: dict, dataset: Dataset):
                 f"task {spec.task_id}: window [{s}, {e}] does not match "
                 f"{expect} steps from {spec.train_size} samples"
             )
-        if e > np.iinfo(np.int64).max:  # a run steps through every tick up to it
+        if e > INT64_MAX:  # a run steps through every tick up to it
             raise ConfigError(f"field manifest.tasks[{i}].e: task {spec.task_id}'s window "
                               f"[{s}, {e}] ends past int64 (manifest.epochs {epochs})")
     return specs, timeline

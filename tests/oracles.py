@@ -47,7 +47,9 @@ No command reads snapshots back, so it is what keeps the writer checked.
 ``kkt_min_norm_simplex`` is the min-norm-point loop that
 ``emgd.solver._min_norm_point`` replaced: the same steps, with a
 dense KKT solve of the affine subproblem at every minor step, its
-bordered system equilibrated by the working points' norms. The
+bordered system equilibrated by the working points' norms; it reports
+its own objective. ``hull_objective`` is mu' M mu for a given Gram matrix,
+the objective of the solver's weights, which its result does not carry. The
 two-task closed form, the simplex grid search and the descent
 certificate check pin the solver down from outside.
 """
@@ -62,12 +64,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from emgd.errors import InvalidInputError, UnknownTaskError
+from emgd.errors import InvalidInputError
 from emgd.net import (Network, _activations, _edit_terms, _head_stage, _layers, _pass, _route,
                       _stack, backward, editing_objective, features, head_logits,
                       input_gradient, task_slices)
 from emgd.rehearsal import _write_back
-from emgd.solver import CombinationResult, GradientBundle, MinNormResult, _as_factors
+from emgd.solver import CombinationResult, GradientBundle, _as_factors
 from emgd.streams import build_parallel_split
 
 # Squared-norm threshold below which two scaled gradients are treated as the
@@ -106,7 +108,7 @@ def forward(net: Network, batch: Batch):
 def checked_head(net: Network, task_id: int, labels: np.ndarray):
     """The task's head parameters, after checking its labels' min and max fit it."""
     if task_id not in net.heads:
-        raise UnknownTaskError(f"no head for task {task_id}")
+        raise InvalidInputError(f"no head for task {task_id}")
     W_h, b_h = net.head(task_id)
     if labels.size and (labels.min() < 0 or labels.max() >= W_h.shape[1]):
         raise InvalidInputError("label out of range for the task head")
@@ -427,14 +429,28 @@ def _affine_min_norm(M: np.ndarray, idx: list) -> np.ndarray:
     return scale * sol[:n]
 
 
+class KktResult(NamedTuple):
+    mu: np.ndarray
+    objective: float
+    iterations: int
+    converged: bool
+
+
+def hull_objective(M, mu) -> float:
+    """mu' M mu: the squared norm of the hull point with weights ``mu`` over
+    the points whose Gram matrix is ``M``."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return float(mu @ np.asarray(M, dtype=np.float64) @ mu)
+
+
 def kkt_min_norm_simplex(M: np.ndarray, tol: float, max_iter: int,
-                         scale: float | None = None) -> MinNormResult:
+                         scale: float | None = None) -> KktResult:
     """Min-norm point of the hull of k points with Gram matrix ``M``,
     re-solving the working set's KKT system at every minor step."""
     M = np.asarray(M, dtype=np.float64)
     k = M.shape[0]
     if k == 1:
-        return MinNormResult(np.ones(1), float(M[0, 0]), 0, True)
+        return KktResult(np.ones(1), float(M[0, 0]), 0, True)
     gap_tol = tol * (float(np.max(np.diag(M))) if scale is None else scale)
 
     S = [int(np.argmin(np.diag(M)))]
@@ -448,7 +464,7 @@ def kkt_min_norm_simplex(M: np.ndarray, tol: float, max_iter: int,
         if objective - inner[j] <= gap_tol:
             mu = np.zeros(k)
             mu[S] = w
-            return MinNormResult(mu, objective, iterations, True)
+            return KktResult(mu, objective, iterations, True)
         if j not in S:
             S.append(j)
             w = np.append(w, 0.0)
@@ -474,7 +490,7 @@ def kkt_min_norm_simplex(M: np.ndarray, tol: float, max_iter: int,
     mu = np.zeros(k)
     mu[S] = w
     inner = M[:, S] @ w
-    return MinNormResult(mu, float(w @ inner[S]), iterations, False)
+    return KktResult(mu, float(w @ inner[S]), iterations, False)
 
 
 class TwoTaskSolution(NamedTuple):

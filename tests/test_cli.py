@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emgd
-from emgd.cli import _SPLIT, main
+from emgd.cli import _SPLIT, build_parser, main
 from emgd.experiment import METHODS, run_toy, toy_summary, toy_trace_csv
 from emgd.streams import build_parallel_split
 from oracles import SPLIT, read_snapshot
@@ -315,6 +315,14 @@ class TestRunToy:
         trace = run_toy(method=method)
         assert (tmp_path / "toy_trace.csv").read_text() == toy_trace_csv(trace)
         assert json.loads((tmp_path / "toy_summary.json").read_text()) == toy_summary(trace)
+
+    def test_run_toy_parameters_are_the_flags(self):
+        # each run_toy parameter is a flag, and the step and join tick are the module's
+        args = vars(build_parser().parse_args(
+            ["run-toy", "--method", "mgda", "--iters", "3", "--start", "1", "2", "--out", "x"]))
+        dests = [k for k in args if k not in ("command", "out", "func", "parser")]
+        assert dests == list(inspect.signature(run_toy).parameters) == [
+            "method", "iterations", "start"]
 
     def test_short_run(self, tmp_path):
         assert main(["run-toy", "--iters", "10", "--out", str(tmp_path)]) == 0
@@ -845,6 +853,40 @@ class TestMalformedConfig:
         idx = {key: str(tmp_path / f"{key}.idx") for key in keys}
         cfg = pcl_config(tmp_path, dataset={"idx": idx})
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(), name)
+
+    @pytest.mark.parametrize("task_id, code", [(2**63, 1), (2**63 - 1, 0)],
+                             ids=["past int64", "int64 max"])
+    def test_task_id_past_int64_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                       task_id, code):
+        manifest_path = tmp_path / "m.json"
+        main(["build-splits", "--config", str(pcl_config(tmp_path)), "--out", str(manifest_path)])
+        manifest = json.loads(manifest_path.read_text())
+        manifest["tasks"][0]["id"] = task_id
+        manifest_path.write_text(json.dumps(manifest))
+        if code:
+            monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
+        cfg = pcl_config(tmp_path, manifest=str(manifest_path))
+        assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        if code:  # the buffer stores task ids as int64; past it the first finish tick overflowed
+            assert_named_exit_1(code, capsys.readouterr(),
+                                "error: field manifest.tasks[0].id must be at most "
+                                "9223372036854775807, got 9223372036854775808")
+        else:  # the largest int64 id trains and is scored under its own key
+            metrics = json.loads((tmp_path / "o" / "metrics.json").read_text())
+            assert str(task_id) in metrics["per_task"]
+
+    @pytest.mark.parametrize("command", ["build-splits", "run-pcl"])
+    @pytest.mark.parametrize("hi, name", [
+        (2**63, "error: split.label_bounds must be [lo, hi] with 1 <= lo <= hi <= "
+                "9223372036854775807, got [2, 9223372036854775808]"),
+        # the largest int64 bound is drawn, and names the classes it would need
+        (2**63 - 1, "error: label bounds need "),
+    ], ids=["past int64", "int64 max"])
+    def test_label_bounds_past_int64_named(self, tmp_path, capsys, command, hi, name):
+        split = {"num_tasks": 2, "label_bounds": [2, hi], "batch_size": 8}
+        cfg = pcl_config(tmp_path, split=split)
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert_named_exit_1(code, capsys.readouterr(), name)
 
     def test_idx_width_mismatch_fails_before_training(self, tmp_path, capsys, monkeypatch):

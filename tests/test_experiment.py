@@ -1,11 +1,12 @@
 import math
+import re
 from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from emgd import solver
+from emgd import experiment, solver
 from emgd.errors import ConfigError, InvalidInputError
 from emgd.experiment import (
     RunConfig,
@@ -123,13 +124,10 @@ class TestRunToy:
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"iterations": 0}, "iterations=0"),
-        ({"join_tick": -5, "iterations": 3}, "join_tick=-5"),
-        ({"step": 0.0}, "step=0.0"),
-        ({"step": float("nan")}, "step=nan"),
-        ({"step": float("inf")}, "step=inf"),
+        ({"start": (0.0, float("nan"))}, "start=(0.0, nan)"),
     ])
     def test_out_of_range_arguments_named(self, kwargs, name):
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(ConfigError, match=re.escape(name)):
             run_toy(**kwargs)
 
     def test_csv_and_summary_shapes(self, traces):
@@ -139,8 +137,9 @@ class TestRunToy:
         summary = toy_summary(traces["emgd_gs"])
         assert summary["f1_final"] <= summary["f1_at_join"] + 1e-9
 
-    def test_summary_counts_the_trace_rows(self):
-        trace = run_toy(iterations=7, join_tick=3)
+    def test_summary_counts_the_trace_rows(self, monkeypatch):
+        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 3)
+        trace = run_toy(iterations=7)
         assert toy_summary(trace)["iterations"] == len(trace.rows) == 7
         trace.rows.pop()  # a trace cut short reports the rows it holds
         assert toy_summary(trace)["iterations"] == 6
@@ -153,11 +152,12 @@ class TestConvergenceProbe:
         assert probe["final_direction_norm"] < tr.rows[0].d_norm
         assert probe["loss_nonincrease_fraction"] == 1.0
 
-    def test_pareto_critical_start_has_zero_direction(self):
+    def test_pareto_critical_start_has_zero_direction(self, monkeypatch):
         # opposed equal gradients: the combined direction vanishes at tick 1
+        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 0)
         g = np.array([1.0, -2.0, 0.5])
         res, _ = combine("mgda", GradientBundle((1, 2), np.stack([g, -g])), ElasticState())
-        trace = ToyTrace("mgda", (0.0, 0.0), join_tick=0, f1_init=1.0, f2_init=1.0, rows=[
+        trace = ToyTrace("mgda", (0.0, 0.0), f1_init=1.0, f2_init=1.0, rows=[
             ToyRow(tick, 0.0, 0.0, 1.0, 1.0, d_norm, (), (), 0.0)
             for tick, d_norm in ((1, float(np.linalg.norm(res.direction))), (2, 0.0))
         ])
@@ -165,22 +165,24 @@ class TestConvergenceProbe:
         assert probe["min_direction_norm"] <= 1e-6
         assert trace.rows[0].d_norm <= 1e-6
 
-    def test_second_loss_counts_only_after_the_join(self):
+    def test_second_loss_counts_only_after_the_join(self, monkeypatch):
         # f2 rises 5 -> 9 across the join (not yet shared) and 9 -> 10 after it
-        trace = ToyTrace("emgd_gs", (0.0, 0.0), join_tick=1, f1_init=1.0, f2_init=5.0, rows=[
+        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 1)
+        trace = ToyTrace("emgd_gs", (0.0, 0.0), f1_init=1.0, f2_init=5.0, rows=[
             ToyRow(tick, 0.0, 0.0, 1.0, f2, 1.0, (), (), 0.0)
             for tick, f2 in ((1, 5.0), (2, 9.0), (3, 10.0))
         ])
         assert convergence_probe(trace)["loss_nonincrease_fraction"] == 0.5
 
     def test_empty_trace_is_named(self):
-        trace = ToyTrace("emgd_gs", (0.0, 0.0), join_tick=1, f1_init=1.0, f2_init=1.0)
+        trace = ToyTrace("emgd_gs", (0.0, 0.0), f1_init=1.0, f2_init=1.0)
         for summarize in (convergence_probe, toy_summary):
             with pytest.raises(InvalidInputError, match="empty log"):
                 summarize(trace)
 
-    def test_summary_ends_with_the_probe(self):
-        trace = run_toy(iterations=7, join_tick=3)
+    def test_summary_ends_with_the_probe(self, monkeypatch):
+        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 3)
+        trace = run_toy(iterations=7)
         summary, probe = toy_summary(trace), convergence_probe(trace)
         assert list(probe) == ["final_direction_norm", "min_direction_norm",
                                "loss_nonincrease_fraction"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.random import default_rng
 
 import emgd.net
-from emgd.errors import EmptyMemoryError, InvalidInputError
+from emgd.errors import InvalidInputError
 from emgd.experiment import RunConfig
 from emgd.net import (
     Network,
@@ -218,7 +218,7 @@ class TestInsertMatchesSlotList:
 
 class TestSampleMemory:
     def test_empty_buffer_raises(self):
-        with pytest.raises(EmptyMemoryError):
+        with pytest.raises(InvalidInputError, match="rehearsal buffer is empty"):
             sample_memory(MemoryBuffer(2), 4, default_rng(0))
 
     def test_single_slot(self):
@@ -420,8 +420,9 @@ class TestEditEmgd:
             d = -backward(net, *other)[0]
             before = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
             edit_memory_emgd(buf, net, mem, d, 1e-3)
-            assert_clamp_idle(mem.inputs)
-            after = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
+            edited = buf.x[mem.slot_indices]
+            assert_clamp_idle(edited)
+            after = editing_objective(net, edited, mem.labels, task_slices(mem.task_ids), d)
             if after <= before + 1e-6:
                 hits += 1
         assert hits >= 0.95 * trials
@@ -457,14 +458,13 @@ class TestEditEmgd:
             expected[mask] = x0[mask] - eta * delta
             objective += value
         before, after = edit_memory_emgd(buf, net, mem, d, eta)
-        assert_clamp_idle(mem.inputs)
-        np.testing.assert_allclose(mem.inputs, expected, rtol=1e-12, atol=1e-15)
+        edited = buf.x[mem.slot_indices]  # a repeated slot's rows edit alike
+        assert_clamp_idle(edited)
+        np.testing.assert_allclose(edited, expected, rtol=1e-12, atol=1e-15)
         assert before == pytest.approx(objective, rel=1e-12)
         assert before == editing_objective(net, x0, mem.labels, task_slices(mem.task_ids), d)
-        assert after == editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
-        for slot in set(mem.slot_indices.tolist()):  # the last row of a slot wins
-            last = np.flatnonzero(mem.slot_indices == slot)[-1]
-            np.testing.assert_array_equal(buf.x[slot], mem.inputs[last])
+        assert after == editing_objective(net, edited, mem.labels, task_slices(mem.task_ids), d)
+        np.testing.assert_array_equal(mem.inputs, x0)  # the batch keeps its sampled rows
 
     def test_write_back_keeps_the_last_row_of_a_repeated_slot(self):
         rng = np.random.default_rng(26)
@@ -488,15 +488,15 @@ class TestEditEmgd:
                           (edit_memory_emgd, 0.5),
                           (edit_memory_gmed, ETA_EDIT),
                           (edit_memory_gmed, 0.5)):
-            x0 = mem.inputs.copy()
+            x0 = buf.x[mem.slot_indices]  # each edit starts from the rows the last one stored
+            mem = MemoryBatch(x0, mem.labels, mem.task_ids, mem.slot_indices)
             expected = editing_objective(net, x0, mem.labels, task_slices(mem.task_ids), d)
             before, after = edit(buf, net, mem, d, eta)
+            edited = buf.x[mem.slot_indices]
             assert before == expected
-            assert after == editing_objective(net, mem.inputs, mem.labels,
+            assert after == editing_objective(net, edited, mem.labels,
                                               task_slices(mem.task_ids), d)
-            assert (after == before) == np.array_equal(mem.inputs, x0)
-            for slot in set(mem.slot_indices.tolist()):
-                np.testing.assert_array_equal(buf.x[slot], mem.inputs[mem.slot_indices == slot][-1])
+            assert (after == before) == np.array_equal(edited, x0)
 
     def test_edits_touch_only_inputs(self):
         rng = np.random.default_rng(14)
@@ -546,8 +546,9 @@ class TestEditGmed:
 
         x0 = mem.inputs.copy()
         edit_memory_gmed(buf, net, mem, d, eta)
-        assert_clamp_idle(mem.inputs)
-        applied = (x0 - mem.inputs) / eta  # recovered gradient estimate
+        edited = buf.x[mem.slot_indices]
+        assert_clamp_idle(edited)
+        applied = (x0 - edited) / eta  # recovered gradient estimate
         h = 1e-6
         for _ in range(10):
             i = int(rng.integers(x0.shape[0]))
@@ -588,14 +589,15 @@ class TestEditGmed:
         mems = [copy.deepcopy(mem) for _ in range(2)]
         before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, eta)
         assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, eta)
-        assert after == editing_objective(nets[0], mems[0].inputs, mems[0].labels,
-                                          task_slices(mems[0].task_ids), d)
-        assert not np.array_equal(mems[0].inputs, mem.inputs)  # the edit moved rows
+        edited = [b.x[mem.slot_indices] for b in bufs]
+        assert after == editing_objective(nets[0], edited[0], mem.labels,
+                                          task_slices(mem.task_ids), d)
+        assert not np.array_equal(edited[0], mem.inputs)  # the edit moved rows
         if span == INNER:
-            assert_clamp_idle(mems[0].inputs)
+            assert_clamp_idle(edited[0])
         else:
-            assert np.any(mems[0].inputs == 1.0)  # the clamp binds
-        np.testing.assert_allclose(mems[0].inputs, mems[1].inputs, rtol=1e-12, atol=0)
+            assert np.any(edited[0] == 1.0)  # the clamp binds
+        np.testing.assert_allclose(edited[0], edited[1], rtol=1e-12, atol=0)
         for a, b in zip(bufs[0].x, bufs[1].x):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
@@ -619,10 +621,9 @@ class TestEditGmed:
         results = [edit_memory_gmed(b, net, m, d, eta)
                    for b, net, m in zip(bufs, nets, mems)]
         assert results[0] == results[1]
-        np.testing.assert_array_equal(mems[0].inputs, mems[1].inputs)
         np.testing.assert_array_equal(bufs[0].x, bufs[1].x)
         np.testing.assert_array_equal(frozen.theta, nets[1].theta)
-        assert not np.array_equal(mems[0].inputs, mem.inputs)
+        assert not np.array_equal(bufs[0].x[mem.slot_indices], mem.inputs)
 
     def test_restores_parameters(self):
         rng = np.random.default_rng(18)
