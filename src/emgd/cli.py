@@ -65,7 +65,10 @@ _NET = {"hidden": [100], "feature_dim": 64}
 
 def _load_config(args):
     """The checked top level of the config, the seed and the dataset."""
-    doc = section(load_json_object(args.config, "config"), "config", _TOP)
+    raw = load_json_object(args.config, "config")
+    doc = section(raw, "config", _TOP)
+    if "split" in raw and doc["manifest"]:  # a manifest is a built split
+        raise ConfigError("config needs at most one of: split, manifest")
     seed = doc["seed"] if args.seed is None else args.seed
     return doc, seed, _build_dataset(doc["dataset"], seed)
 
@@ -149,6 +152,9 @@ def cmd_run_pcl(args) -> int:
 def cmd_build_splits(args) -> int:
     # accepts the same document as run-pcl so one config serves both commands
     doc, seed, dataset = _load_config(args)
+    if doc["manifest"]:
+        raise ConfigError(f"build-splits builds a split from the split section, but field "
+                          f"manifest names a built one: {doc['manifest']!r}")
     manifest = streams.build_parallel_split(dataset, seed, **section(doc["split"], "split", _SPLIT))
     _write_json({**manifest, "dataset": doc["dataset"]}, args.out)
     log.info("split manifest written to %s", args.out)
@@ -202,8 +208,8 @@ def cmd_report(args) -> int:
     return 0
 
 
-# argparse takes "-1e-05" for an option: its negative-number pattern has no exponent on
-# Python 3.10 and 3.11. run-toy matches any negative float; none of its options looks like one.
+# argparse takes "-1e-05" for an option: its negative-number pattern has no exponent (checked
+# on Python 3.10 to 3.13.0). run-toy matches any negative float; none of its options looks like one.
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$", re.IGNORECASE)
 
 

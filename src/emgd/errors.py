@@ -29,11 +29,10 @@ class ConfigError(EmgdError):
 
 
 class FormatError(EmgdError):
-    """Malformed binary file. ``offset`` locates the first bad byte."""
+    """Malformed binary file; the message ends with the first bad byte's offset."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",

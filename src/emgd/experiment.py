@@ -192,7 +192,7 @@ def run_toy(method: str = "emgd_gs", iterations: int = 1500, start=(3.0, 3.0)) -
                                          tuple(sigma.tolist()), margin))
         except NumericError as err:
             raise NumericError(f"numeric failure at tick {tick} of the run from start "
-                               f"{trace.start!r}: {err}", tick=tick) from None
+                               f"{trace.start!r}: {err}") from None
     return trace
 
 
@@ -269,7 +269,8 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
     and editing (when enabled) rewrites the sampled slots. At its finish tick
     a task's training partition streams into the buffer (``rehearsal.insert``),
     which the run builds with ``cfg.capacity_per_class`` slots per class, and
-    the task is evaluated; the final tick evaluates every seen task.
+    the task is evaluated; the final tick evaluates every seen task. A task's
+    first tick gives it a fresh head (``add_head``), which ``net`` must not hold.
     """
     specs_by_id = {spec.task_id: spec for spec in specs}
     if set(specs_by_id) != {t for t, _, _ in timeline.entries}:
@@ -284,23 +285,21 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
     rng_sample = substream(cfg.seed, "memory-sample")
     rng_reservoir = substream(cfg.seed, "reservoir")
     state = solver.ElasticState(temperature=cfg.temperature)
-    finish_ticks = timeline.finish_ticks()
     at_finish, final, tick_rows = {}, {}, []
     seen: list = []
 
     for tick in range(timeline.first_tick, timeline.final_tick + 1):
-        active = streams.active_tasks(timeline, tick)
-        real_tasks = sorted(t for t in active if t != 0)
+        real_tasks = sorted(streams.active_tasks(timeline, tick))
         for t in real_tasks:
             if t not in seen:
                 seen.append(t)
-                if t not in net.heads:
-                    add_head(net, t, specs_by_id[t].class_count,
-                             streams.derive_seed(cfg.seed, "head", t))
+                add_head(net, t, specs_by_id[t].class_count,
+                         streams.derive_seed(cfg.seed, "head", t))
 
-        task_ids, tick_streams, mem = [0] * (0 in active) + real_tasks, [], None
-        if 0 in active:
+        task_ids, tick_streams, mem = real_tasks, [], None
+        if buffer.occupancy:  # the memory stream 0 goes first
             mem = rehearsal.sample_memory(buffer, mem_batch_size, rng_sample)
+            task_ids = [0] + real_tasks
             tick_streams.append((mem.inputs, mem.labels, mem.task_ids))
         for t in real_tasks:
             tick_streams.append((*streams.next_batch(cursors[t], timeline.batch_size), t))
@@ -324,7 +323,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
             before, after = edit(buffer, net, mem, result.direction, cfg.eta_edit)
             edit_objective = f"{before:.6e}->{after:.6e}"
 
-        finishing = [t for t, e in finish_ticks.items() if e == tick]
+        finishing = [t for t, _, e in timeline.entries if e == tick]
         for t in finishing:
             rehearsal.insert(buffer, specs_by_id[t], rng_reservoir)
 

@@ -498,9 +498,9 @@ def solve_request(doc: dict) -> dict:
     uniform factors; one-shot "gmc" has no momentum history, so its factors
     are a softmax of the gradient norms. "fixed" runs ``solve_emgd`` on
     ``sigma``; with none it is ``mgda``, plain min-norm at factors all ones.
-    A ``sigma`` under "gs" or "gmc", which compute their own factors, is
-    rejected by name. Every entry of ``grads`` and ``sigma`` must be a JSON
-    int or float, not a bool.
+    A ``sigma`` under "gs" or "gmc", which compute their own factors, and a
+    ``temperature`` under "fixed", which computes none, are rejected by name.
+    Every entry of ``grads`` and ``sigma`` must be a JSON int or float, not a bool.
     """
     if not isinstance(doc, dict):
         raise InvalidInputError("request must be a JSON object")
@@ -528,6 +528,9 @@ def solve_request(doc: dict) -> dict:
     if raw is not None and mode != "fixed":  # gs and gmc compute their own factors
         raise InvalidInputError(f"field sigma is read only under sigma_mode 'fixed', "
                                 f"not {mode!r}")
+    if "temperature" in doc and mode == "fixed":
+        raise InvalidInputError("field temperature is read only under sigma_mode 'gs' or "
+                                "'gmc', not 'fixed'")
     if raw is not None:
         if not isinstance(raw, list) or len(raw) != bundle.size:
             raise InvalidInputError("field sigma must list one factor per gradient")

@@ -72,19 +72,21 @@ class Dataset:
 
 @dataclass
 class TaskTimeline:
-    """Sorted (task_id, start_tick, end_tick) access windows, and the size of
-    the batch each open window serves per tick."""
+    """Sorted (task_id, start_tick, end_tick) access windows, the size of the
+    batch each open window serves per tick, and the first and final ticks."""
 
     entries: list
     batch_size: int
+    first_tick: int = field(init=False)
+    final_tick: int = field(init=False)
 
     def __post_init__(self):
         self.entries = [(int(t), int(s), int(e)) for t, s, e in self.entries]
         if not self.entries:
             raise InvalidInputError("timeline must contain at least one task")
-        prev_start = None
-        max_end = None
-        ids = set()
+        # the first window opens the run: each later start lies in [previous start, 1 + max end]
+        self.first_tick = prev_start = self.entries[0][1]
+        max_end, ids = prev_start - 1, set()
         for t, s, e in self.entries:
             if t < 1:
                 raise InvalidInputError(f"task {t}: task ids must be >= 1 (0 is the memory stream)")
@@ -93,24 +95,11 @@ class TaskTimeline:
             ids.add(t)
             if s > e:
                 raise InvalidInputError(f"task {t}: start {s} > end {e}")
-            if prev_start is not None:
-                if not (prev_start <= s <= 1 + max_end):
-                    raise InvalidInputError(
-                        f"task {t}: start {s} outside [{prev_start}, {1 + max_end}]"
-                    )
-            prev_start = s
-            max_end = e if max_end is None else max(max_end, e)
-
-    @property
-    def first_tick(self) -> int:
-        return min(s for _, s, _ in self.entries)
-
-    @property
-    def final_tick(self) -> int:
-        return max(e for _, _, e in self.entries)
-
-    def finish_ticks(self) -> dict:
-        return {t: e for t, _, e in self.entries}
+            if not (prev_start <= s <= 1 + max_end):
+                raise InvalidInputError(
+                    f"task {t}: start {s} outside [{prev_start}, {1 + max_end}]")
+            prev_start, max_end = s, max(max_end, e)
+        self.final_tick = max_end
 
 
 @dataclass
@@ -330,16 +319,12 @@ def build_parallel_split(dataset: Dataset, seed: int, *, num_tasks: int, label_b
 
 
 def active_tasks(timeline: TaskTimeline, tick: int) -> set:
-    """Task ids with open windows at ``tick``; includes the memory stream 0
-    once a task has finished (its finish tick filled the buffer)."""
+    """Task ids with open windows at ``tick``."""
     if not (timeline.first_tick <= tick <= timeline.final_tick):
         raise InvalidInputError(
             f"tick {tick} outside [{timeline.first_tick}, {timeline.final_tick}]"
         )
-    active = {t for t, s, e in timeline.entries if s <= tick <= e}
-    if any(e < tick for _, _, e in timeline.entries):
-        active.add(0)
-    return active
+    return {t for t, s, e in timeline.entries if s <= tick <= e}
 
 
 @dataclass

@@ -28,6 +28,8 @@ def run_cli(argv, stdin_text=None, monkeypatch=None):
 
 
 def pcl_config(tmp_path, **overrides):
+    """A run config; one that names a manifest has no split section unless
+    ``overrides`` gives one."""
     doc = {
         "seed": 1234,
         "dataset": {
@@ -43,6 +45,8 @@ def pcl_config(tmp_path, **overrides):
         "run": {"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0},
         "net": {"hidden": [16], "feature_dim": 8},
     }
+    if overrides.get("manifest"):
+        del doc["split"]
     doc.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -130,7 +134,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("field, request_text", [
         ("grads", '{"grads": [["a", 1.0]]}'),
-        ("temperature", '{"grads": [[1.0, 0.0]], "temperature": "x"}'),
+        ("temperature", '{"grads": [[1.0, 0.0]], "sigma_mode": "gs", "temperature": "x"}'),
         # every solve has the one budget, so a budget field is unknown whatever its value
         ("unknown field: tol", '{"grads": [[1.0, 0.0]], "tol": "x"}'),
         ("unknown field: tol", '{"grads": [[1.0, 0.0]], "tol": 0.0}'),
@@ -236,6 +240,18 @@ class TestSolve:
         assert captured.err == (f"error: field sigma is read only under sigma_mode 'fixed', "
                                 f"not '{mode}'\n")
 
+    @pytest.mark.parametrize("mode", ['"sigma_mode": "fixed", ', ""], ids=["fixed", "default"])
+    @pytest.mark.parametrize("rest", ['"sigma": [0.5, 1.0], "temperature": 7',
+                                      '"temperature": 1.0'], ids=["sigma", "mgda"])
+    def test_temperature_under_fixed_named(self, monkeypatch, capsys, mode, rest):
+        # fixed computes no factors, so a temperature there would be ignored
+        request = '{"grads": [[1, 0], [0, 1]], %s%s}' % (mode, rest)
+        code = run_cli(["solve"], request, monkeypatch)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: field temperature is read only under sigma_mode 'gs' "
+                                "or 'gmc', not 'fixed'\n")
+
     def test_sigma_int_past_float64_named(self, monkeypatch, capsys):
         request = '{"grads": [[1, 0], [0, 1]], "sigma": [1%s, 1]}' % ("0" * 400)
         code = run_cli(["solve"], request, monkeypatch)
@@ -293,6 +309,9 @@ def test_any_solve_request_exits_0_1_or_2(monkeypatch, capsys, request_doc):
     assert code in (0, 1, 2) and "Traceback" not in captured.err
     if isinstance(request_doc, dict) and {"tol", "max_iter"} & set(request_doc):
         assert code == 1 and captured.err.startswith("error: unknown field: ")
+    if (isinstance(request_doc, dict) and "temperature" in request_doc
+            and request_doc.get("sigma_mode", "fixed") == "fixed"):
+        assert code == 1  # fixed reads no temperature
     if code == 1:
         assert captured.err.startswith("error:")
     else:
@@ -395,6 +414,30 @@ class TestRunPcl:
         cfg = pcl_config(tmp_path, manifest=str(tmp_path / "missing.json"))
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "manifest" in capsys.readouterr().err
+
+    # a manifest is a built split: a split section beside it was never read, so
+    # a malformed one ran as if it were not there
+    @pytest.mark.parametrize("command", ["run-pcl", "build-splits"])
+    @pytest.mark.parametrize("split", [{"typo": 1}, {"batch_size": -5}, {}],
+                             ids=["typo", "negative", "empty"])
+    def test_split_beside_a_manifest_named(self, tmp_path, capsys, command, split):
+        manifest = tmp_path / "m.json"
+        assert main(["build-splits", "--config", str(pcl_config(tmp_path)),
+                     "--out", str(manifest)]) == 0
+        cfg = pcl_config(tmp_path, split=split, manifest=str(manifest))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(),
+                            "error: config needs at most one of: split, manifest")
+        assert not (tmp_path / "o").exists()
+
+    def test_an_empty_manifest_builds_the_split(self, tmp_path):
+        # "" is the manifest default: the run builds its split from the split section
+        for name, cfg in (("default", pcl_config(tmp_path)),
+                          ("empty", pcl_config(tmp_path, manifest=""))):
+            assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for name in ("tick_log.csv", "metrics.json"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "empty" / name).read_bytes())
 
     def test_unknown_config_key_exit_1(self, tmp_path, capsys):
         cfg = pcl_config(tmp_path, typo_key=1)
@@ -574,6 +617,19 @@ class TestBuildSplits:
         assert_named_exit_1(code, capsys.readouterr(), f"missing field manifest.{key}")
         assert not (tmp_path / "run").exists()
 
+    def test_a_manifest_is_not_rebuilt(self, tmp_path, capsys):
+        # build-splits builds from the split section; it used to write the
+        # default split over a config that names a built one
+        manifest = tmp_path / "m.json"
+        assert main(["build-splits", "--config", str(pcl_config(tmp_path)),
+                     "--out", str(manifest)]) == 0
+        cfg = pcl_config(tmp_path, manifest=str(manifest))
+        code = main(["build-splits", "--config", str(cfg), "--out", str(tmp_path / "again.json")])
+        assert_named_exit_1(code, capsys.readouterr(),
+                            f"error: build-splits builds a split from the split section, but "
+                            f"field manifest names a built one: '{manifest}'")
+        assert not (tmp_path / "again.json").exists()
+
     def test_manifest_feeds_run_pcl(self, tmp_path):
         cfg = pcl_config(tmp_path)
         manifest_path = tmp_path / "m.json"
@@ -596,7 +652,7 @@ class TestBuildSplits:
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
         manifest = tmp_path / "m.json"
         assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
-        cfg = pcl_config(tmp_path, split=split, run=run, manifest=str(manifest))
+        cfg = pcl_config(tmp_path, run=run, manifest=str(manifest))
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "manifest")]) == 0
         for name in ("tick_log.csv", "metrics.json", "buffer_snapshot.bin"):
             assert ((tmp_path / "split" / name).read_bytes()
@@ -1045,9 +1101,7 @@ class TestDeeplyNestedJson:
     def test_split_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(self.NESTED)
-        doc = json.loads(pcl_config(tmp_path).read_text()) | {"manifest": str(manifest)}
-        cfg = tmp_path / "with_manifest.json"
-        cfg.write_text(json.dumps(doc))
+        cfg = pcl_config(tmp_path, manifest=str(manifest))
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert_named_exit_1(code, capsys.readouterr(), f"manifest {manifest} nests too deeply")
 

@@ -259,18 +259,32 @@ class TestRunPcl:
             ref_losses.append(loss)
         assert losses == ref_losses  # bitwise identical trajectories
 
-    def test_serial_avg_grad_behaves_like_experience_replay(self):
-        specs, tl, net = pcl_setup(num_tasks=3, serial=True)
-        cfg = quick_cfg(method="avg_grad")
-        result = run_pcl(specs, tl, net, cfg)
-        finish = tl.finish_ticks()
-        first_finish = min(finish.values())
-        for row in result.tick_rows:
-            tick = row["tick"]
-            expect = {t for t, s, e in tl.entries if s <= tick <= e}
-            if tick > first_finish:
-                expect.add(0)  # memory stream joins right after the first finish
-            assert set(row["active"]) == expect
+    @pytest.mark.parametrize("serial", [True, False], ids=["serial", "parallel"])
+    def test_the_first_finish_opens_the_memory_stream(self, serial):
+        # the first finish tick fills the buffer, so from the next tick on the
+        # memory stream 0 leads the open windows; serial avg_grad is then
+        # experience replay
+        overlapping = 0
+        for seed in range(4):
+            specs, tl, net = pcl_setup(num_tasks=4, seed=seed, serial=serial)
+            result = run_pcl(specs, tl, net, quick_cfg(method="avg_grad", seed=seed))
+            first_finish = min(e for _, _, e in tl.entries)
+            assert [row["tick"] for row in result.tick_rows] == list(
+                range(tl.first_tick, tl.final_tick + 1))
+            for row in result.tick_rows:
+                tick = row["tick"]
+                open_windows = sorted(t for t, s, e in tl.entries if s <= tick <= e)
+                memory = [0] if tick > first_finish else []
+                assert list(row["active"]) == memory + open_windows
+                overlapping += len(open_windows) > 1
+        assert (overlapping > 0) != serial  # only parallel windows overlap
+
+    def test_a_head_the_net_already_holds_is_named(self):
+        # every task of the run gets a fresh head; the net brings none of them
+        specs, tl, net = pcl_setup(num_tasks=2)
+        add_head(net, 1, specs[0].class_count, seed=0)
+        with pytest.raises(InvalidInputError, match="^task 1 already has a head$"):
+            run_pcl(specs, tl, net, quick_cfg())
 
     def test_deterministic_replay(self):
         for editing in ("none", "emgd", "gmed"):
@@ -488,7 +502,7 @@ class TestRunPcl:
             calls.clear()
             specs, tl, net = pcl_setup(num_tasks=4, serial=serial)
             result = run_pcl(specs, tl, net, quick_cfg())
-            finish = tl.finish_ticks()
+            finish = {t: e for t, _, e in tl.entries}
             assert set(result.at_finish) == set(result.final) == set(finish)
             expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
             assert len(calls) == len(expected)  # one test-set forward per scored (task, tick)

@@ -67,10 +67,11 @@ def run_every_command(tmp: Path, monkeypatch) -> None:
 
     synthetic = {"synthetic": {"num_classes": 6, "input_dim": 4, "samples_per_class": 6,
                                "test_per_class": 2, "noise_sigma": 0.05}}
+    # a config names a split section or a built split, its manifest
     base = {"seed": 3, "dataset": synthetic, "net": {"hidden": [5], "feature_dim": 3},
-            "split": {"num_tasks": 3, "label_bounds": [2, 2], "batch_size": 3},
             "run": {"memory_batch_size": 4, "snapshot_buffer": True}}
-    (tmp / "split.json").write_text(json.dumps(base))
+    (tmp / "split.json").write_text(json.dumps(
+        {**base, "split": {"num_tasks": 3, "label_bounds": [2, 2], "batch_size": 3}}))
     main("build-splits", "--config", tmp / "split.json", "--out", tmp / "manifest.json")
     for method in METHODS:
         for editing in EDITING:

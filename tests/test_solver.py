@@ -1111,6 +1111,14 @@ class TestSolveRequest:
             solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "sigma_mode": mode,
                            "sigma": sigma})
 
+    @pytest.mark.parametrize("doc", [{"sigma_mode": "fixed", "sigma": [0.5, 1.0]},
+                                     {"sigma_mode": "fixed"}, {}])
+    def test_temperature_under_fixed_named(self, doc):
+        # fixed computes no factors; a temperature there would be ignored
+        with pytest.raises(InvalidInputError, match="^field temperature is read only under "
+                                                    "sigma_mode 'gs' or 'gmc', not 'fixed'$"):
+            solve_request({"grads": [[1.0, 0.0], [0.0, 1.0]], "temperature": 7.0, **doc})
+
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidInputError, match="bogus"):
             solve_request({"grads": [[1.0]], "bogus": 1})
