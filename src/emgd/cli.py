@@ -73,14 +73,19 @@ def _load_config(args):
     return doc, seed, _build_dataset(doc["dataset"], seed)
 
 
-def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
-    doc = section(raw, "dataset", {"synthetic": {}, "idx": {}})
+def _dataset_section(raw, path: str) -> tuple:
+    """The checked dataset section at ``path``: its kind and that kind's fields."""
+    doc = section(raw, path, {"synthetic": {}, "idx": {}})
     if ("synthetic" in raw) == ("idx" in raw):
-        raise ConfigError("dataset needs exactly one of: synthetic, idx")
-    if "synthetic" in raw:
-        spec = section(doc["synthetic"], "dataset.synthetic", _SYNTHETIC)
+        raise ConfigError(f"{path} needs exactly one of: synthetic, idx")
+    kind = "synthetic" if "synthetic" in raw else "idx"
+    return kind, section(doc[kind], f"{path}.{kind}", _SYNTHETIC if kind == "synthetic" else _IDX)
+
+
+def _build_dataset(raw: dict, seed: int) -> streams.Dataset:
+    kind, spec = _dataset_section(raw, "dataset")
+    if kind == "synthetic":
         return streams.synthetic_dataset(**spec, seed=seed)
-    spec = section(doc["idx"], "dataset.idx", _IDX)
     train_x, train_y = streams.load_idx(spec["train_images"], spec["train_labels"])
     test_x, test_y = streams.load_idx(spec["test_images"], spec["test_labels"])
     try:
@@ -129,6 +134,15 @@ def cmd_run_pcl(args) -> int:
     manifest = (load_json_object(doc["manifest"], "split manifest") if doc["manifest"] else
                 streams.build_parallel_split(dataset, seed,
                                              **section(doc["split"], "split", _SPLIT)))
+    if "dataset" in manifest:  # build-splits wrote its config's, whose seed may differ
+        # the kind first, so fields are compared only between datasets of one kind
+        built, ours = ({"dataset": kind, **{f"dataset.{kind}.{k}": v for k, v in spec.items()}}
+                       for kind, spec in (_dataset_section(manifest["dataset"], "manifest.dataset"),
+                                          _dataset_section(doc["dataset"], "dataset")))
+        name = next((key for key in ours if built[key] != ours[key]), None)
+        if name:
+            raise ConfigError(f"split manifest {doc['manifest']} was built over other data: "
+                              f"its {name} is {built[name]!r}, the config's is {ours[name]!r}")
     specs, timeline = streams.specs_from_manifest(manifest, dataset)
     cfg = experiment.RunConfig(**section(doc["run"], "run", _RUN), seed=seed)
     net = _build_net(doc["net"], dataset.input_dim, seed)
@@ -138,7 +152,7 @@ def cmd_run_pcl(args) -> int:
     try:
         result = experiment.run_pcl(specs, timeline, net, cfg)
     except NumericError as err:
-        print(f"error: numeric failure at tick {err.tick}: {err}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return 3
 
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))

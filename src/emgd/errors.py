@@ -14,14 +14,8 @@ class InvalidInputError(EmgdError):
 
 
 class NumericError(EmgdError):
-    """A computation produced or received non-finite values.
-
-    Carries an optional ``tick`` attribute when raised mid-run.
-    """
-
-    def __init__(self, message: str, tick: int | None = None):
-        super().__init__(message)
-        self.tick = tick
+    """A computation produced or received non-finite values; mid-run, the
+    message names the failing tick."""
 
 
 class ConfigError(EmgdError):

@@ -144,12 +144,6 @@ class ToyTrace:
     f2_init: float
     rows: list = field(default_factory=list)
 
-    def f1_at(self, tick: int) -> float:
-        return self.f1_init if tick == 0 else self.rows[tick - 1].f1
-
-    def f2_at(self, tick: int) -> float:
-        return self.f2_init if tick == 0 else self.rows[tick - 1].f2
-
 
 def run_toy(method: str = "emgd_gs", iterations: int = 1500, start=(3.0, 3.0)) -> ToyTrace:
     """Two synthetic objectives optimized in sequence-then-parallel.
@@ -194,27 +188,6 @@ def run_toy(method: str = "emgd_gs", iterations: int = 1500, start=(3.0, 3.0)) -
             raise NumericError(f"numeric failure at tick {tick} of the run from start "
                                f"{trace.start!r}: {err}") from None
     return trace
-
-
-def convergence_probe(trace: ToyTrace) -> dict:
-    """Direction-norm summary plus the fraction of ticks where every loss
-    that was active at consecutive ticks did not increase: the last three
-    ``toy_summary`` entries."""
-    rows = trace.rows
-    if not rows:
-        raise InvalidInputError("empty log")
-
-    def losses(r: ToyRow) -> tuple:
-        return (r.f1, r.f2) if r.tick > TOY_JOIN_TICK else (r.f1,)
-
-    # f1 is active at every tick, so every consecutive pair shares a loss
-    good = sum(all(cur <= prev + 1e-15 for prev, cur in zip(losses(a), losses(b)))
-               for a, b in zip(rows, rows[1:]))
-    return {
-        "final_direction_norm": float(rows[-1].d_norm),
-        "min_direction_norm": float(min(r.d_norm for r in rows)),
-        "loss_nonincrease_fraction": good / (len(rows) - 1) if len(rows) > 1 else 1.0,
-    }
 
 
 # --- the full multi-stream loop ----------------------------------------------
@@ -310,7 +283,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
             bundle = solver.GradientBundle(tuple(task_ids), grads)
             result, sigma = solver.combine(cfg.method, bundle, state)
         except NumericError as err:
-            raise NumericError(str(err), tick=tick) from None
+            raise NumericError(f"numeric failure at tick {tick}: {err}") from None
         if not result.converged:
             log.warning("tick %d: combination solve hit max_iter, using best iterate", tick)
 
@@ -364,20 +337,26 @@ def toy_trace_csv(trace: ToyTrace) -> str:
 
 
 def toy_summary(trace: ToyTrace) -> dict:
-    probe = convergence_probe(trace)  # first: it names an empty trace
-    joined = TOY_JOIN_TICK <= len(trace.rows)
+    """The run's settings, f1 and f2 at its start, join and end, and how it converged."""
+    rows = trace.rows
+    join = rows[TOY_JOIN_TICK - 1] if TOY_JOIN_TICK <= len(rows) else None
+    # steps where no loss active at both ends rose; f2 is active past the join tick
+    good = sum(b.f1 <= a.f1 + 1e-15 and (a.tick <= TOY_JOIN_TICK or b.f2 <= a.f2 + 1e-15)
+               for a, b in zip(rows, rows[1:]))
     return {
         "method": trace.method,
         "start": list(trace.start),
         "join_tick": TOY_JOIN_TICK,
-        "iterations": len(trace.rows),
+        "iterations": len(rows),
         "f1_initial": trace.f1_init,
         "f2_initial": trace.f2_init,
-        "f1_at_join": trace.f1_at(TOY_JOIN_TICK) if joined else None,
-        "f2_at_join": trace.f2_at(TOY_JOIN_TICK) if joined else None,
-        "f1_final": trace.rows[-1].f1,
-        "f2_final": trace.rows[-1].f2,
-        **probe,
+        "f1_at_join": join.f1 if join else None,
+        "f2_at_join": join.f2 if join else None,
+        "f1_final": rows[-1].f1,
+        "f2_final": rows[-1].f2,
+        "final_direction_norm": rows[-1].d_norm,
+        "min_direction_norm": min(r.d_norm for r in rows),
+        "loss_nonincrease_fraction": good / (len(rows) - 1) if len(rows) > 1 else 1.0,
     }
 
 

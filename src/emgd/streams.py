@@ -274,12 +274,8 @@ def build_parallel_split(dataset: Dataset, seed: int, *, num_tasks: int, label_b
     rng = substream(seed, "split")
 
     sizes = [int(rng.integers(lo, hi + 1)) for _ in range(num_tasks)]
-    overlaps = [0] + [
-        min(math.ceil(overlap * sizes[t]), sizes[t - 1], sizes[t] - 1)
-        if overlap > 0
-        else 0
-        for t in range(1, num_tasks)
-    ]
+    overlaps = [0] + [min(math.ceil(overlap * sizes[t]), sizes[t - 1], sizes[t] - 1)
+                      for t in range(1, num_tasks)]
     fresh_needed = sum(sizes) - sum(overlaps)
     if fresh_needed > classes.size:
         raise ConfigError(
@@ -426,7 +422,8 @@ def load_idx(images_path, labels_path):
 
 
 # the fields of a manifest besides "tasks", a list of task objects read on their own;
-# build_parallel_split writes the required ones, and build-splits adds "dataset"
+# build_parallel_split writes the required ones, and build-splits adds "dataset", its
+# config's dataset section, which a run's config must match (the seeds may differ)
 _MANIFEST = {"seed": int, "batch_size": int, "epochs": int, "dataset": {}}
 _MANIFEST_TASK = {"id": int, "labels": list, "s": int, "e": int}
 

@@ -167,10 +167,11 @@ def test_criterion_06_toy_experiment():
     emgd = run_toy(method="emgd_gs")
     avg = run_toy(method="avg_grad")
     elapsed = time.monotonic() - start
-    assert emgd.f1_at(1500) <= emgd.f1_at(500) + 1e-9
-    assert emgd.f2_at(1500) < emgd.f2_at(500)
-    emgd_reg = emgd.f1_at(1500) - emgd.f1_at(500)
-    avg_reg = avg.f1_at(1500) - avg.f1_at(500)
+    # tick t is rows[t - 1]
+    assert emgd.rows[1499].f1 <= emgd.rows[499].f1 + 1e-9
+    assert emgd.rows[1499].f2 < emgd.rows[499].f2
+    emgd_reg = emgd.rows[1499].f1 - emgd.rows[499].f1
+    avg_reg = avg.rows[1499].f1 - avg.rows[499].f1
     assert avg_reg > emgd_reg
     assert elapsed < 5.0
     ok(6, f"old task never worsened (delta f1 = {emgd_reg:+.2e}), new task "

@@ -27,6 +27,11 @@ def run_cli(argv, stdin_text=None, monkeypatch=None):
     return main(argv)
 
 
+# the smallest split the CI runs: 3 tasks of 2 classes, each of 10 training rows
+SYNTHETIC = {"num_classes": 6, "input_dim": 5, "samples_per_class": 10, "test_per_class": 3}
+SMALL_SPLIT = {"num_tasks": 3, "label_bounds": [2, 2], "batch_size": 4}
+
+
 def pcl_config(tmp_path, **overrides):
     """A run config; one that names a manifest has no split section unless
     ``overrides`` gives one."""
@@ -444,20 +449,18 @@ class TestRunPcl:
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "typo_key" in capsys.readouterr().err
 
-    def test_numeric_failure_exit_3(self, tmp_path, capsys, monkeypatch):
-        # the float64 tanh net saturates instead of overflowing, so force the
-        # failure path to pin the exit-code contract
-        from emgd.errors import NumericError
-
-        def boom(*args, **kwargs):
-            raise NumericError("non-finite update direction", tick=7)
-
-        monkeypatch.setattr("emgd.cli.experiment.run_pcl", boom)
-        cfg = pcl_config(tmp_path)
+    def test_numeric_failure_exit_3(self, tmp_path, capsys):
+        # a head step of 1e308 makes the first pass's gradients overflow: the
+        # message names the tick, and the run writes no outputs
+        cfg = pcl_config(tmp_path, seed=7, net={"hidden": [6], "feature_dim": 4},
+                         dataset={"synthetic": SYNTHETIC}, split=SMALL_SPLIT,
+                         run={"gamma_heads": 1e308})
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        captured = capsys.readouterr()
         assert code == 3
-        assert "tick 7" in captured.err
+        assert capsys.readouterr().err == ("error: numeric failure at tick 0: gram contains "
+                                           "non-finite entries: a squared gradient norm "
+                                           "overflows float64\n")
+        assert list((tmp_path / "o").iterdir()) == []
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_exit_3(self, tmp_path, capsys, monkeypatch, bad):
@@ -629,6 +632,64 @@ class TestBuildSplits:
                             f"error: build-splits builds a split from the split section, but "
                             f"field manifest names a built one: '{manifest}'")
         assert not (tmp_path / "again.json").exists()
+
+    # build-splits records its config's dataset section; a run over other data
+    # used to train on rows the split was not drawn from
+    @pytest.mark.parametrize("dataset, name", [
+        ({"synthetic": {**SYNTHETIC, "noise_sigma": 0.05}},
+         "its dataset.synthetic.noise_sigma is 0.1, the config's is 0.05"),
+        ({"synthetic": {**SYNTHETIC, "test_per_class": 4}},
+         "its dataset.synthetic.test_per_class is 3, the config's is 4"),
+        ("idx", "its dataset is 'synthetic', the config's is 'idx'"),
+    ], ids=["noise_sigma", "test_per_class", "kind"])
+    def test_manifest_over_other_data_named(self, tmp_path, capsys, monkeypatch, dataset, name):
+        manifest = tmp_path / "m.json"
+        cfg = pcl_config(tmp_path, dataset={"synthetic": SYNTHETIC}, split=SMALL_SPLIT)
+        assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
+        if dataset == "idx":
+            dataset = {"idx": {**write_idx(tmp_path, "train", 2),
+                               **write_idx(tmp_path, "test", 2)}}
+        monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
+        cfg = pcl_config(tmp_path, dataset=dataset, manifest=str(manifest))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(),
+                            f"error: split manifest {manifest} was built over other data: {name}")
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_over_other_idx_files_named(self, tmp_path, capsys):
+        idx = {**write_idx(tmp_path, "train", 2), **write_idx(tmp_path, "test", 2)}
+        manifest = tmp_path / "m.json"
+        split = {"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 2}
+        cfg = pcl_config(tmp_path, dataset={"idx": idx}, split=split)
+        assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
+        (tmp_path / "copy").mkdir()
+        copy = write_idx(tmp_path / "copy", "test", 2)
+        cfg = pcl_config(tmp_path, dataset={"idx": {**idx, **copy}}, manifest=str(manifest))
+        code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert_named_exit_1(code, capsys.readouterr(),
+                            f"its dataset.idx.test_images is {idx['test_images']!r}, "
+                            f"the config's is {copy['test_images']!r}")
+
+    def test_manifest_over_the_same_data_runs(self, tmp_path):
+        # defaults written out are the same data, the seed may differ, and a
+        # manifest that records no dataset is not compared
+        manifest = tmp_path / "m.json"
+        cfg = pcl_config(tmp_path, dataset={"synthetic": SYNTHETIC}, split=SMALL_SPLIT)
+        assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps({k: v for k, v in json.loads(manifest.read_text()).items()
+                                    if k != "dataset"}))
+        runs = {"plain": ({"synthetic": SYNTHETIC}, manifest),
+                "written-out": ({"synthetic": {**SYNTHETIC, "noise_sigma": 0.1}}, manifest),
+                "bare": ({"synthetic": {**SYNTHETIC, "noise_sigma": 0.05}}, bare)}
+        for out, (dataset, path) in runs.items():
+            cfg = pcl_config(tmp_path, dataset=dataset, manifest=str(path))
+            assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+        assert main(["run-pcl", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path / "seed")]) == 0
+        for name in ("tick_log.csv", "metrics.json"):
+            assert ((tmp_path / "plain" / name).read_bytes()
+                    == (tmp_path / "written-out" / name).read_bytes())
 
     def test_manifest_feeds_run_pcl(self, tmp_path):
         cfg = pcl_config(tmp_path)
@@ -976,6 +1037,10 @@ class TestMalformedConfig:
             cfg = pcl_config(tmp_path, dataset={"idx": every_class}, split=split)
             assert main(["build-splits", "--config", str(cfg),
                          "--out", str(tmp_path / "m.json")]) == 0
+            # paired with other test files on purpose, so no dataset to compare
+            manifest = json.loads((tmp_path / "m.json").read_text())
+            del manifest["dataset"]
+            (tmp_path / "m.json").write_text(json.dumps(manifest))
             cfg = pcl_config(tmp_path, dataset={"idx": two_class_test},
                              manifest=str(tmp_path / "m.json"))
             code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])

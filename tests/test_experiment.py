@@ -14,7 +14,6 @@ from emgd.experiment import (
     ToyTrace,
     _evaluate,
     compute_metrics,
-    convergence_probe,
     metrics_document,
     run_pcl,
     run_toy,
@@ -72,15 +71,15 @@ class TestRunToy:
 
     def test_emgd_never_worsens_old_task(self, traces):
         for m in ("emgd_gs", "emgd_gmc"):
-            tr = traces[m]
-            assert tr.f1_at(1500) <= tr.f1_at(500) + 1e-9
-            assert tr.f2_at(1500) < tr.f2_at(500)
+            rows = traces[m].rows  # tick t is rows[t - 1]
+            assert rows[1499].f1 <= rows[499].f1 + 1e-9
+            assert rows[1499].f2 < rows[499].f2
 
     def test_avg_grad_regresses_more(self, traces):
+        avg = traces["avg_grad"].rows
         for m in ("emgd_gs", "emgd_gmc"):
-            emgd_reg = traces[m].f1_at(1500) - traces[m].f1_at(500)
-            avg_reg = traces["avg_grad"].f1_at(1500) - traces["avg_grad"].f1_at(500)
-            assert avg_reg > emgd_reg
+            rows = traces[m].rows
+            assert avg[1499].f1 - avg[499].f1 > rows[1499].f1 - rows[499].f1
 
     def test_per_tick_descent_margin(self, traces):
         for m in ("emgd_gs", "emgd_gmc", "mgda"):
@@ -145,24 +144,33 @@ class TestRunToy:
         assert toy_summary(trace)["iterations"] == 6
 
 
-class TestConvergenceProbe:
-    def test_toy_trace_probe(self):
-        tr = run_toy(method="emgd_gs")
-        probe = convergence_probe(tr)
-        assert probe["final_direction_norm"] < tr.rows[0].d_norm
-        assert probe["loss_nonincrease_fraction"] == 1.0
+class TestToySummary:
+    def test_toy_run_converges(self, traces):
+        tr = traces["emgd_gs"]
+        summary = toy_summary(tr)
+        assert summary["final_direction_norm"] == tr.rows[-1].d_norm < tr.rows[0].d_norm
+        assert summary["min_direction_norm"] == min(r.d_norm for r in tr.rows)
+        assert summary["loss_nonincrease_fraction"] == 1.0
 
-    def test_pareto_critical_start_has_zero_direction(self, monkeypatch):
+    def test_join_row_is_the_join_tick(self, traces):
+        tr = traces["emgd_gs"]
+        summary = toy_summary(tr)
+        join = tr.rows[experiment.TOY_JOIN_TICK - 1]
+        assert join.tick == experiment.TOY_JOIN_TICK == summary["join_tick"]
+        assert (summary["f1_at_join"], summary["f2_at_join"]) == (join.f1, join.f2)
+        short = toy_summary(run_toy(iterations=experiment.TOY_JOIN_TICK - 1))
+        assert (short["f1_at_join"], short["f2_at_join"]) == (None, None)
+
+    def test_pareto_critical_start_has_zero_direction(self):
         # opposed equal gradients: the combined direction vanishes at tick 1
-        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 0)
         g = np.array([1.0, -2.0, 0.5])
         res, _ = combine("mgda", GradientBundle((1, 2), np.stack([g, -g])), ElasticState())
         trace = ToyTrace("mgda", (0.0, 0.0), f1_init=1.0, f2_init=1.0, rows=[
             ToyRow(tick, 0.0, 0.0, 1.0, 1.0, d_norm, (), (), 0.0)
             for tick, d_norm in ((1, float(np.linalg.norm(res.direction))), (2, 0.0))
         ])
-        probe = convergence_probe(trace)
-        assert probe["min_direction_norm"] <= 1e-6
+        summary = toy_summary(trace)
+        assert summary["min_direction_norm"] <= 1e-6
         assert trace.rows[0].d_norm <= 1e-6
 
     def test_second_loss_counts_only_after_the_join(self, monkeypatch):
@@ -172,21 +180,18 @@ class TestConvergenceProbe:
             ToyRow(tick, 0.0, 0.0, 1.0, f2, 1.0, (), (), 0.0)
             for tick, f2 in ((1, 5.0), (2, 9.0), (3, 10.0))
         ])
-        assert convergence_probe(trace)["loss_nonincrease_fraction"] == 0.5
+        assert toy_summary(trace)["loss_nonincrease_fraction"] == 0.5
 
-    def test_empty_trace_is_named(self):
-        trace = ToyTrace("emgd_gs", (0.0, 0.0), f1_init=1.0, f2_init=1.0)
-        for summarize in (convergence_probe, toy_summary):
-            with pytest.raises(InvalidInputError, match="empty log"):
-                summarize(trace)
+    def test_first_loss_counts_at_every_step(self):
+        # f1 rises on the second of two steps, all before the join
+        trace = ToyTrace("emgd_gs", (0.0, 0.0), f1_init=1.0, f2_init=1.0, rows=[
+            ToyRow(tick, 0.0, 0.0, f1, 9.0 - tick, 1.0, (), (), 0.0)
+            for tick, f1 in ((1, 3.0), (2, 2.0), (3, 2.5))
+        ])
+        assert toy_summary(trace)["loss_nonincrease_fraction"] == 0.5
 
-    def test_summary_ends_with_the_probe(self, monkeypatch):
-        monkeypatch.setattr(experiment, "TOY_JOIN_TICK", 3)
-        trace = run_toy(iterations=7)
-        summary, probe = toy_summary(trace), convergence_probe(trace)
-        assert list(probe) == ["final_direction_norm", "min_direction_norm",
-                               "loss_nonincrease_fraction"]
-        assert list(summary.items())[-3:] == list(probe.items())
+    def test_one_row_has_no_step_to_rise(self):
+        assert toy_summary(run_toy(iterations=1))["loss_nonincrease_fraction"] == 1.0
 
 
 class TestMetrics:
