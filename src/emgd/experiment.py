@@ -35,15 +35,15 @@ from .streams import TaskCursor, TaskTimeline, substream
 log = logging.getLogger("emgd")
 
 METHODS = ("emgd_gmc", "emgd_gs", "mgda", "avg_grad")
-EDITING = ("none", "emgd", "gmed")
+EDITING = ("none", "emgd")
 
 
 @dataclass
 class RunConfig:
     """Knobs for one training run. The split owns the schedule: the batch
     size and the epochs are the timeline's, and ``memory_batch_size`` 0 means
-    the timeline's batch size. ``eta_edit`` is the size of the memory
-    editors' one step."""
+    the timeline's batch size. ``editing`` ``emgd`` turns the memory editor
+    on, and ``eta_edit`` is the size of its one step."""
 
     method: str = "emgd_gs"
     editing: str = "none"
@@ -239,7 +239,8 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
     at the stepped heads. The memory stream, live once the buffer holds a
     finished task's data, routes each row through its task's head. The
     negative gradients are combined per ``cfg.method``, the backbone steps,
-    and editing (when enabled) rewrites the sampled slots. At its finish tick
+    and under ``cfg.editing`` ``emgd`` the sampled slots are edited toward
+    the combined direction (``rehearsal.edit_memory_emgd``). At its finish tick
     a task's training partition streams into the buffer (``rehearsal.insert``),
     which the run builds with ``cfg.capacity_per_class`` slots per class, and
     the task is evaluated; the final tick evaluates every seen task. A task's
@@ -291,9 +292,8 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
 
         edit_objective = ""
         if mem is not None and cfg.editing != "none":
-            edit = (rehearsal.edit_memory_emgd if cfg.editing == "emgd"
-                    else rehearsal.edit_memory_gmed)
-            before, after = edit(buffer, net, mem, result.direction, cfg.eta_edit)
+            before, after = rehearsal.edit_memory_emgd(buffer, net, mem, result.direction,
+                                                       cfg.eta_edit)
             edit_objective = f"{before:.6e}->{after:.6e}"
 
         finishing = [t for t, _, e in timeline.entries if e == tick]

@@ -9,7 +9,6 @@ exact second-order editing gradient are all computed here.
 
 from __future__ import annotations
 
-import copy
 from collections import namedtuple
 
 import numpy as np
@@ -95,16 +94,6 @@ class Network:
             views = self._head_views[task_id] = _layers(
                 flat, (self.feature_dim, self.head_classes(task_id)))[0]
         return views
-
-    def ahead(self, direction: np.ndarray, step: float) -> Network:
-        """A network at backbone ``theta + step * direction``, a vector of its
-        own, that shares this one's heads; this one is left alone."""
-        if direction.shape != self.theta.shape:
-            raise InvalidInputError("direction dimension mismatch")
-        other = copy.copy(self)
-        other.theta = self.theta + step * direction
-        other.backbone = _layers(other.theta, self.layer_sizes)
-        return other
 
     # no caller in src, but perfbench/tracing.py SITES patches Network.set_backbone_flat
     def set_backbone_flat(self, flat: np.ndarray) -> None:
@@ -424,15 +413,14 @@ def editing_objective(net: Network, inputs, labels, groups, target_d) -> float:
     return _edit_terms(net, _pass(net, inputs, labels, groups), target_d, False)[0]
 
 
-def input_gradient(net: Network, inputs, labels, groups, target_d=None):
+# no caller in src, but perfbench/tracing.py SITES patches net.input_gradient
+def input_gradient(net: Network, inputs, labels, groups):
     """Each row's gradient of its own ``(task_id, slice)`` group's mean loss,
-    same shape as ``inputs``, each group's mean loss and, given ``target_d``,
-    the editing objective sum_g ||grad_theta L_g + d||^2 (else None): one
-    ``_pass`` over the grouped rows."""
+    same shape as ``inputs``, and each group's mean loss: one ``_pass`` over
+    the grouped rows."""
     p = _pass(net, inputs, labels, groups)
     losses = np.array([-p.logp[g.rows].mean() for g in p.groups])
-    objective = None if target_d is None else _edit_terms(net, p, target_d, False)[0]
-    return p.dzs[0] @ net.backbone[0][0].T, losses, objective
+    return p.dzs[0] @ net.backbone[0][0].T, losses
 
 
 def _head_tangent(p: _Pass, Ra: np.ndarray) -> np.ndarray:

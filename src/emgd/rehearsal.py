@@ -3,9 +3,8 @@
 Finished tasks live on as stored samples replayed through their original
 heads (the memory stream, task id 0). Insertion is per-class reservoir
 sampling, so each class keeps a uniform subsample of everything it has
-streamed. Editing rewrites stored inputs, never labels or task ids: the
-elastic variant pushes the memory batch gradient toward the current combined
-direction, the loss-difference variant is kept as a comparison arm.
+streamed. Editing rewrites stored inputs, never labels or task ids: it
+pushes the memory batch gradient toward the current combined direction.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from .net import (
     backward,
     edit_direction,
     editing_objective,
-    input_gradient,
+    input_gradient,  # unused here, but perfbench/tracing.py SITES patches rehearsal.input_gradient
     task_slices,
 )
 
@@ -146,22 +145,6 @@ def _write_back(buffer: MemoryBuffer, mem: MemoryBatch, inputs) -> None:
     buffer.x[slots[last]] = inputs[last]
 
 
-def _edit(buffer: MemoryBuffer, net: Network, mem: MemoryBatch, d: np.ndarray,
-          eta_edit: float, step) -> tuple:
-    """The one editing step both editors share. The batch's rows move by
-    ``-eta_edit`` times ``step(inputs, labels, groups)``'s first result over
-    their ``(task_id, slice)`` groups, are clamped into [0, 1] (the ``Dataset``
-    contract) and written back. Returns the editing objective before the edit
-    (the step's second result) and after it (one ``editing_objective`` pass at
-    the written-back rows)."""
-    groups = task_slices(mem.task_ids)
-    delta, before = step(mem.inputs, mem.labels, groups)
-    inputs = mem.inputs - eta_edit * delta
-    np.clip(inputs, 0.0, 1.0, out=inputs)
-    _write_back(buffer, mem, inputs)
-    return before, editing_objective(net, inputs, mem.labels, groups, d)
-
-
 def edit_memory_emgd(
     buffer: MemoryBuffer,
     net: Network,
@@ -172,48 +155,21 @@ def edit_memory_emgd(
     """Move sampled inputs down the gradient of ||g(x) - d||^2 by a step of
     ``eta_edit``.
 
-    Each task group is edited against the shared target direction; inputs
-    are clamped back into [0, 1]. Labels, task ids and network parameters
-    are never touched. The step is one ``edit_direction`` pass over the
-    batch. Returns the editing objective before and after the edit.
+    Each task group is edited against the shared target direction. The step
+    is one ``edit_direction`` pass over the batch's ``(task_id, slice)``
+    groups; the moved rows are clamped into [0, 1] (the ``Dataset`` contract)
+    and written back. Labels, task ids and network parameters are never
+    touched. Returns the editing objective before the edit (from the step's
+    pass) and after it (one ``editing_objective`` pass at the written-back
+    rows).
     """
     d = np.asarray(direction_d, dtype=np.float64)
-    return _edit(buffer, net, mem, d, eta_edit, lambda inputs, labels, groups:
-                 edit_direction(net, inputs, labels, groups, d))
-
-
-def edit_memory_gmed(
-    buffer: MemoryBuffer,
-    net: Network,
-    mem: MemoryBatch,
-    direction_d,
-    eta_edit: float,
-) -> tuple:
-    """Loss-difference editing baseline.
-
-    A look-ahead parameter set theta' = theta + eta_edit * d (one virtual
-    update) defines each task group's interference score
-    (L(x, theta) - L(x, theta'))^2 with L the group's mean loss; inputs take a
-    step of ``eta_edit`` down its exact input gradient
-    2 (L - L') (grad_x L - grad_x L'). theta' is read through a second
-    network that shares the heads, built once, so ``net`` is never written.
-    The step is two grouped ``input_gradient`` passes over the batch, one per
-    network; the one at theta also gives the editing objective
-    ||g(x) - d||^2 before the edit, from the same terms as
-    ``editing_objective``. Returns the objective before and after the edit.
-    """
-    d = np.asarray(direction_d, dtype=np.float64)
-    ahead = net.ahead(d, eta_edit)
-
-    def step(inputs, labels, groups):
-        gx_ahead, loss_ahead, _ = input_gradient(ahead, inputs, labels, groups)
-        delta, loss_now, before = input_gradient(net, inputs, labels, groups, d)
-        delta -= gx_ahead
-        for (_, rows), now, later in zip(groups, loss_now, loss_ahead):
-            delta[rows] *= 2.0 * (now - later)
-        return delta, before
-
-    return _edit(buffer, net, mem, d, eta_edit, step)
+    groups = task_slices(mem.task_ids)
+    delta, before = edit_direction(net, mem.inputs, mem.labels, groups, d)
+    inputs = mem.inputs - eta_edit * delta
+    np.clip(inputs, 0.0, 1.0, out=inputs)
+    _write_back(buffer, mem, inputs)
+    return before, editing_objective(net, inputs, mem.labels, groups, d)
 
 
 # Snapshot layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON

@@ -26,11 +26,6 @@ the softmax part per group, over its own head's columns.
 ``emgd.net._route``'s one check per pass replaced; the per-group oracles
 read their heads through it.
 
-``per_group_gmed`` is the loss-difference editor that
-``emgd.rehearsal.edit_memory_gmed`` replaced: per task group, one
-``forward`` and one ``input_gradient`` at theta and again at the look-ahead
-theta + eta * d, with the backbone written twice per group.
-
 ``per_stream_gradients`` is the per-stream training path that
 ``emgd.net.stream_gradients`` replaced: one forward and one backward per
 stream, one softmax per head group, then ``np.stack``.
@@ -66,9 +61,7 @@ import numpy as np
 
 from emgd.errors import InvalidInputError
 from emgd.net import (Network, _activations, _edit_terms, _head_stage, _layers, _pass, _route,
-                      _stack, backward, editing_objective, features, head_logits,
-                      input_gradient, task_slices)
-from emgd.rehearsal import _write_back
+                      _stack, backward, features, head_logits, input_gradient)
 from emgd.solver import CombinationResult, GradientBundle, _as_factors
 from emgd.streams import build_parallel_split
 
@@ -258,34 +251,6 @@ def per_stream_gradients(net: Network, streams, head_step: float = 0.0):
         losses.append(loss)
         head_grads.update(heads)
     return np.stack(grads), losses, head_grads
-
-
-def per_group_gmed(buffer, net: Network, mem, direction_d, eta_edit: float) -> float:
-    """``edit_memory_gmed``'s edit and return value, one task group at a time."""
-    d = np.asarray(direction_d, dtype=np.float64)
-    if d.shape != (net.backbone_dim,):
-        raise InvalidInputError("direction dimension mismatch")
-    objective = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
-    theta = net.theta.copy()
-    inputs = mem.inputs.copy()
-    try:
-        for task_id in np.unique(mem.task_ids).tolist():
-            mask = mem.task_ids == task_id
-            batch = Batch(mem.inputs[mask], mem.labels[mask], task_id)
-            group = [(task_id, slice(None))]
-            net.set_backbone_flat(theta)
-            _, loss_now = forward(net, batch)
-            gx_now, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
-            net.set_backbone_flat(theta + eta_edit * d)
-            _, loss_ahead = forward(net, batch)
-            gx_ahead, _, _ = input_gradient(net, batch.inputs, batch.labels, group)
-            delta = 2.0 * (loss_now - loss_ahead) * (gx_now - gx_ahead)
-            inputs[mask] = batch.inputs - eta_edit * delta
-    finally:
-        net.set_backbone_flat(theta)
-    inputs = np.clip(inputs, 0.0, 1.0)
-    _write_back(buffer, mem, inputs)
-    return objective
 
 
 @dataclass

@@ -213,7 +213,7 @@ def test_criterion_07_gradient_correctness():
             _, down = forward(net, batch)
             net.set_backbone_flat(flat)
             assert close(backbone_grad[coord], (up - down) / (2 * h))
-        grad_x, _, _ = input_gradient(net, batch.inputs, batch.labels,
+        grad_x, _ = input_gradient(net, batch.inputs, batch.labels,
                                    [(batch.task_id, slice(None))])
         for _ in range(50):
             i = int(rng.integers(len(batch.labels)))

@@ -703,8 +703,8 @@ class TestBuildSplits:
     # a split section runs exactly as the manifest build-splits writes from it
     @pytest.mark.parametrize("split, run", [
         ({"overlap": 0.5, "epochs": 2}, {}),
-        ({"serial": True}, {"editing": "gmed"}),
-    ], ids=["overlap", "serial-gmed"])
+        ({"serial": True}, {"editing": "emgd"}),
+    ], ids=["overlap", "serial-emgd"])
     def test_split_section_runs_as_its_manifest(self, tmp_path, split, run):
         split = {"num_tasks": 2, "label_bounds": [4, 4], "batch_size": 8, "epochs": 2, **split}
         run = {"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0, "snapshot_buffer": True,

@@ -9,6 +9,7 @@ import pytest
 from emgd import experiment, solver
 from emgd.errors import ConfigError, InvalidInputError
 from emgd.experiment import (
+    EDITING,
     RunConfig,
     ToyRow,
     ToyTrace,
@@ -292,7 +293,7 @@ class TestRunPcl:
             run_pcl(specs, tl, net, quick_cfg())
 
     def test_deterministic_replay(self):
-        for editing in ("none", "emgd", "gmed"):
+        for editing in EDITING:
             specs_a, tl_a, net_a = pcl_setup()
             specs_b, tl_b, net_b = pcl_setup()
             cfg = quick_cfg(method="emgd_gs", editing=editing)
@@ -338,15 +339,13 @@ class TestRunPcl:
                 np.testing.assert_array_equal(np.sort(rows[k * n:(k + 1) * n]), spec.train_rows)
 
     def test_editing_keeps_buffer_in_unit_cube(self):
-        for editing in ("emgd", "gmed"):
-            specs, tl, net = pcl_setup(num_tasks=3)
-            cfg = quick_cfg(method="emgd_gs", editing=editing, eta_edit=0.2,
-                            capacity_per_class=3)
-            result = run_pcl(specs, tl, net, cfg)
-            for x in result.buffer.x:
-                assert x.min() >= 0.0 and x.max() <= 1.0
-            edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
-            assert edited_rows  # editing actually ran
+        specs, tl, net = pcl_setup(num_tasks=3)
+        cfg = quick_cfg(method="emgd_gs", editing="emgd", eta_edit=0.2, capacity_per_class=3)
+        result = run_pcl(specs, tl, net, cfg)
+        for x in result.buffer.x:
+            assert x.min() >= 0.0 and x.max() <= 1.0
+        edited_rows = [r for r in result.tick_rows if r["edit_objective"]]
+        assert edited_rows  # editing actually ran
 
     def test_learns_separable_blobs(self):
         specs, tl, net = pcl_setup(num_tasks=3, epochs=5)
@@ -404,10 +403,8 @@ class TestRunPcl:
         for x in result.buffer.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    @pytest.mark.parametrize("editing, memory_batch_size", [
-        ("emgd", 0), ("gmed", 0), ("emgd", 40)])  # 40: more rows than slots, so rows repeat
-    def test_editing_passes_take_the_batch_grouped(self, monkeypatch, editing,
-                                                    memory_batch_size):
+    @pytest.mark.parametrize("memory_batch_size", [0, 40])  # 40: more rows than slots, so rows repeat
+    def test_editing_passes_take_the_batch_grouped(self, monkeypatch, memory_batch_size):
         # task_slices runs once per sampled batch in the training pass and
         # once per edit, and _route exactly once per pass, training and
         # editing alike; the editing passes take the grouped rows as they
@@ -468,28 +465,23 @@ class TestRunPcl:
         monkeypatch.setattr(exp.rehearsal, "sample_memory", sample_memory)
         monkeypatch.setattr(emgd.rehearsal, "edit_direction", edit_direction)
         monkeypatch.setattr(emgd.rehearsal, "editing_objective", editing_objective)
-        monkeypatch.setattr(emgd.rehearsal, "input_gradient",
-                            counted("input_gradient", emgd.rehearsal.input_gradient))
         monkeypatch.setattr(emgd.net, "_route", counted("_route", emgd.net._route))
         monkeypatch.setattr(emgd.net, "_pass", counted("_pass", emgd.net._pass))
         for module in (emgd.net, emgd.rehearsal):
             monkeypatch.setattr(module, "task_slices", counted("task_slices", module.task_slices))
         specs, tl, net = pcl_setup(num_tasks=3)
-        cfg = quick_cfg(editing=editing, memory_batch_size=memory_batch_size,
+        cfg = quick_cfg(editing="emgd", memory_batch_size=memory_batch_size,
                         capacity_per_class=2)
         run_pcl(specs, tl, net, cfg)
         samples = calls["sample", False]
         assert samples > 0
         assert calls["task_slices", False] == samples and calls["task_slices", True] == samples
         # one _route per pass: per training stream_gradients call, and per
-        # edit_direction, input_gradient and editing_objective pass
-        editing_passes = (compared["edit_direction"] + calls["input_gradient", False]
-                          + compared["editing_objective"])
+        # edit_direction and editing_objective pass
+        editing_passes = compared["edit_direction"] + compared["editing_objective"]
         assert calls["_route", True] == calls["_pass", True] == calls["stream_gradients", True] > 0
         assert calls["_route", False] == calls["_pass", False] == editing_passes
-        assert compared["editing_objective"] == samples
-        assert compared["edit_direction"] == (samples if editing == "emgd" else 0)
-        assert calls["input_gradient", False] == (0 if editing == "emgd" else 2 * samples)
+        assert compared["editing_objective"] == compared["edit_direction"] == samples
 
     def test_evaluates_each_task_at_its_finish_and_final_tick(self, monkeypatch):
         # the metrics read a task's accuracy at its finish tick and at the
@@ -520,11 +512,7 @@ class TestRunPcl:
             result = run_pcl(specs, tl, net, quick_cfg(**knobs))
             return result.buffer.x.copy()
 
-        unedited = memory()
-        emgd, gmed = memory(editing="emgd"), memory(editing="gmed")
-        assert not np.array_equal(emgd, unedited)
-        assert not np.array_equal(gmed, unedited)
-        assert not np.array_equal(emgd, gmed)
+        assert not np.array_equal(memory(editing="emgd"), memory())
 
     def test_every_tick_direction_is_pareto_descent(self, monkeypatch):
         # record each tick's solve and re-check the certificate on the
@@ -594,6 +582,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"unknown run.eval_mode {mode!r}, pick one of "
                                               r"\('task', 'class'\)"):
             RunConfig(eval_mode=mode)
+
+    def test_editing_is_none_or_emgd(self):
+        # emgd is the one memory editor; any other name, gmed included, is unknown
+        with pytest.raises(ConfigError, match=r"^unknown run.editing 'gmed', pick one of "
+                                              r"\('none', 'emgd'\)$"):
+            RunConfig(editing="gmed")
 
     @pytest.mark.parametrize("knobs, name", [
         ({"eta_edit": 1.5}, "eta_edit"),

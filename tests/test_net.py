@@ -351,7 +351,7 @@ class TestRowsAndLabels:
         "backward": lambda net, x, y, d: backward(net, x, y, 1, head_step=0.3),
         "memory_gradient": lambda net, x, y, d: memory_gradient(
             net, MemoryBatch(x, y, np.repeat([1, 2], [2, len(y) - 2]), np.arange(len(y))), 0.3),
-        "input_gradient": lambda net, x, y, d: input_gradient(net, x, y, [(1, slice(None))], d),
+        "input_gradient": lambda net, x, y, d: input_gradient(net, x, y, [(1, slice(None))]),
         "edit_direction": lambda net, x, y, d: edit_direction(net, x, y, [(1, slice(None))], d),
         "editing_objective": lambda net, x, y, d: editing_objective(
             net, x, y, [(1, slice(None))], d),
@@ -400,16 +400,16 @@ class TestInputGradient:
     def test_zero_backbone_gives_zero_input_gradient(self):
         net = zero_net()
         batch = Batch(np.full((2, 6), 0.3), [0, 1], task_id=1)
-        grad, _, _ = input_gradient(net, batch.inputs, batch.labels,
-                                 [(batch.task_id, slice(None))])
+        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+                              [(batch.task_id, slice(None))])
         np.testing.assert_allclose(grad, 0.0, atol=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
         net = make_net()
         batch = make_batch(rng, net, size=3)
-        grad, _, _ = input_gradient(net, batch.inputs, batch.labels,
-                                 [(batch.task_id, slice(None))])
+        grad, _ = input_gradient(net, batch.inputs, batch.labels,
+                              [(batch.task_id, slice(None))])
         assert grad.shape == batch.inputs.shape
         h = 1e-5
         for _ in range(12):
@@ -426,15 +426,15 @@ class TestInputGradient:
         rng = np.random.default_rng(13)
         net = make_net()
         single = make_batch(rng, net, size=1)
-        grad1, _, _ = input_gradient(net, single.inputs, single.labels,
-                                  [(single.task_id, slice(None))])
+        grad1, _ = input_gradient(net, single.inputs, single.labels,
+                               [(single.task_id, slice(None))])
         doubled = Batch(
             np.vstack([single.inputs, single.inputs]),
             np.concatenate([single.labels, single.labels]),
             task_id=1,
         )
-        grad2, _, _ = input_gradient(net, doubled.inputs, doubled.labels,
-                                  [(doubled.task_id, slice(None))])
+        grad2, _ = input_gradient(net, doubled.inputs, doubled.labels,
+                               [(doubled.task_id, slice(None))])
         np.testing.assert_allclose(grad2[0], grad1[0] / 2.0, atol=1e-14)
 
 
@@ -453,7 +453,7 @@ class TestInputGradient:
         rng = np.random.default_rng(30)
         net = make_net(heads=((1, 4), (2, 2), (3, 5)))
         batches, inputs, labels, groups = self.grouped_batch(rng, net, (3, 1, 4))
-        grad, losses, _ = input_gradient(net, inputs, labels, groups)
+        grad, losses = input_gradient(net, inputs, labels, groups)
         assert grad.shape == inputs.shape and losses.shape == (3,)
         h = 1e-5
         for batch, (_, rows), loss in zip(batches, groups, losses):
@@ -473,10 +473,10 @@ class TestInputGradient:
         rng = np.random.default_rng(31)
         net = make_net(heads=((1, 4), (2, 2), (3, 5)))
         batches, inputs, labels, groups = self.grouped_batch(rng, net, (2, 5, 3))
-        grad, losses, _ = input_gradient(net, inputs, labels, groups)
+        grad, losses = input_gradient(net, inputs, labels, groups)
         for batch, (_, rows), loss in zip(batches, groups, losses):
-            alone, (alone_loss,), _ = input_gradient(net, batch.inputs, batch.labels,
-                                                  [(batch.task_id, slice(None))])
+            alone, (alone_loss,) = input_gradient(net, batch.inputs, batch.labels,
+                                               [(batch.task_id, slice(None))])
             np.testing.assert_allclose(grad[rows], alone, rtol=1e-12, atol=1e-17)
             assert loss == pytest.approx(alone_loss, rel=1e-13)
 
@@ -651,7 +651,6 @@ class TestEditKernels:
         # one objective implementation: every editing pass gives the same bits
         task_ids = np.repeat(np.arange(1, len(sizes) + 1), sizes)
         assert editing_objective(net, inputs, labels, task_slices(task_ids), target) == objective
-        assert input_gradient(net, inputs, labels, groups, target)[2] == objective
         # and the bits of the route the pre-grouped pass replaced, under heads
         # of different widths
         old_delta, old_objective = group_stream_edit(net, inputs, labels, groups, target)
@@ -723,8 +722,6 @@ class TestEditKernels:
                 edit_direction(net, inputs, labels, groups, wrong)
             with pytest.raises(InvalidInputError, match="dimension"):
                 editing_objective(net, inputs, labels, groups, wrong)
-            with pytest.raises(InvalidInputError, match="dimension"):
-                input_gradient(net, inputs, labels, groups, wrong)
 
     @pytest.mark.parametrize("fault", ["negative", "past_its_head", "past_every_head",
                                        "unknown_task"])

@@ -1,4 +1,3 @@
-import copy
 import json
 from collections import Counter
 
@@ -26,15 +25,14 @@ from emgd.rehearsal import (
     MemoryBuffer,
     _write_back,
     edit_memory_emgd,
-    edit_memory_gmed,
     insert,
     memory_gradient,
     sample_memory,
     save_buffer_snapshot,
 )
 from emgd.streams import Dataset, TaskSpec
-from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward, per_group_gmed,
-                     read_snapshot, slot_list_insert)
+from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward, read_snapshot,
+                     slot_list_insert)
 from test_streams import nbytes, traced_peak
 
 CHI2_99_DF5 = 15.086
@@ -273,7 +271,7 @@ class TestSampleMemory:
 
 class TestInterleavedBatch:
     """Memory batches are task-sorted at sampling; the gradient pass and
-    both editors read each task's rows as one slice and reject a batch
+    the editor read each task's rows as one slice and reject a batch
     whose task ids interleave, before touching the buffer or the net."""
 
     def interleaved(self, buf):
@@ -287,8 +285,7 @@ class TestInterleavedBatch:
         lambda net, buf, mem, d: stream_gradients(
             net, [(mem.inputs, mem.labels, mem.task_ids)], 0.3),
         lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, ETA_EDIT),
-        lambda net, buf, mem, d: edit_memory_gmed(buf, net, mem, d, ETA_EDIT),
-    ], ids=["stream_gradients", "edit_memory_emgd", "edit_memory_gmed"])
+    ], ids=["stream_gradients", "edit_memory_emgd"])
     def test_rejected_with_a_named_error(self, call):
         rng = np.random.default_rng(25)
         net, buf = make_net(), filled_buffer(rng)
@@ -484,14 +481,11 @@ class TestEditEmgd:
         buf = filled_buffer(rng)
         mem = sample_memory(buf, 4, default_rng(5))
         d = rng.normal(size=net.backbone_dim)
-        for edit, eta in ((edit_memory_emgd, ETA_EDIT),
-                          (edit_memory_emgd, 0.5),
-                          (edit_memory_gmed, ETA_EDIT),
-                          (edit_memory_gmed, 0.5)):
+        for eta in (ETA_EDIT, 0.5):
             x0 = buf.x[mem.slot_indices]  # each edit starts from the rows the last one stored
             mem = MemoryBatch(x0, mem.labels, mem.task_ids, mem.slot_indices)
             expected = editing_objective(net, x0, mem.labels, task_slices(mem.task_ids), d)
-            before, after = edit(buf, net, mem, d, eta)
+            before, after = edit_memory_emgd(buf, net, mem, d, eta)
             edited = buf.x[mem.slot_indices]
             assert before == expected
             assert after == editing_objective(net, edited, mem.labels,
@@ -513,131 +507,8 @@ class TestEditEmgd:
             assert tuple(now) == (label, task, cls)
 
 
-class TestEditGmed:
-    def test_zero_direction_zero_edit(self):
-        rng = np.random.default_rng(15)
-        net = make_net()
-        buf = filled_buffer(rng)
-        mem = sample_memory(buf, 4, default_rng(3))
-        before = buf.x.copy()
-        edit_memory_gmed(buf, net, mem, np.zeros(net.backbone_dim), ETA_EDIT)
-        for x, y in zip(before, buf.x):
-            np.testing.assert_array_equal(x, y)
-
-    def test_matches_scalar_finite_difference(self):
-        # oracle: central difference of (loss(x,theta) - loss(x,theta'))^2
-        rng = np.random.default_rng(16)
-        net = make_net()
-        buf = filled_buffer(rng, tasks=(1,), capacity=2, per_task=2, span=INNER)
-        mem = sample_memory(buf, 2, default_rng(4))
-        d = -backward(net, *class_batch(rng, 3, task=1, classes=4))[0]
-        eta = 0.05
-        theta = net.theta.copy()
-        theta_ahead = theta + eta * d
-
-        def squared_diff(inputs):
-            batch = Batch(inputs, mem.labels, 1)
-            net.set_backbone_flat(theta)
-            _, l_now = forward(net, batch)
-            net.set_backbone_flat(theta_ahead)
-            _, l_ahead = forward(net, batch)
-            net.set_backbone_flat(theta)
-            return (l_now - l_ahead) ** 2
-
-        x0 = mem.inputs.copy()
-        edit_memory_gmed(buf, net, mem, d, eta)
-        edited = buf.x[mem.slot_indices]
-        assert_clamp_idle(edited)
-        applied = (x0 - edited) / eta  # recovered gradient estimate
-        h = 1e-6
-        for _ in range(10):
-            i = int(rng.integers(x0.shape[0]))
-            j = int(rng.integers(x0.shape[1]))
-            xp = x0.copy()
-            xp[i, j] += h
-            up = squared_diff(xp)
-            xp[i, j] -= 2 * h
-            down = squared_diff(xp)
-            fd = (up - down) / (2 * h)
-            assert applied[i, j] == pytest.approx(fd, rel=1e-3, abs=1e-8)
-
-    def test_clamp_behavior_matches_emgd_editing(self):
-        rng = np.random.default_rng(17)
-        net = make_net()
-        buf = MemoryBuffer(2)
-        insert(buf, task_spec(Batch(np.zeros((2, 6)), [0, 1], 1), [0, 1]), default_rng(0))
-        mem = sample_memory(buf, 2, default_rng(1))
-        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim) * 10,
-                         1.0)
-        for x in buf.x:
-            assert x.min() >= 0.0 and x.max() <= 1.0
-
-    @pytest.mark.parametrize("eta, span", [(0.02, INNER), (0.5, (0.99, 1.0))],
-                             ids=["inside", "clamped"])
-    def test_matches_per_group_oracle(self, eta, span):
-        # three tasks in the batch, drawn with replacement so slots repeat;
-        # the oracle edits one task group at a time, and clamps the same way
-        rng = np.random.default_rng(22)
-        buf = filled_buffer(rng, tasks=(1, 2, 3), span=span)
-        mem = sample_memory(buf, buf.occupancy + 9, default_rng(6))
-        assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
-        assert np.all(np.diff(mem.task_ids) >= 0)  # sorted by task at sampling
-        assert len(np.unique(mem.task_ids)) >= 2
-        nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
-        d = rng.normal(size=nets[0].backbone_dim) * 5
-        bufs = [copy.deepcopy(buf) for _ in range(2)]
-        mems = [copy.deepcopy(mem) for _ in range(2)]
-        before, after = edit_memory_gmed(bufs[0], nets[0], mems[0], d, eta)
-        assert before == per_group_gmed(bufs[1], nets[1], mems[1], d, eta)
-        edited = [b.x[mem.slot_indices] for b in bufs]
-        assert after == editing_objective(nets[0], edited[0], mem.labels,
-                                          task_slices(mem.task_ids), d)
-        assert not np.array_equal(edited[0], mem.inputs)  # the edit moved rows
-        if span == INNER:
-            assert_clamp_idle(edited[0])
-        else:
-            assert np.any(edited[0] == 1.0)  # the clamp binds
-        np.testing.assert_allclose(edited[0], edited[1], rtol=1e-12, atol=0)
-        for a, b in zip(bufs[0].x, bufs[1].x):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(nets[0].theta, nets[1].theta)
-
-    @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
-    @pytest.mark.parametrize("eta", [0.05, 1.0])
-    def test_never_writes_the_backbone(self, tasks, eta):
-        # a read-only backbone gives the same edit as a writable one, at the
-        # default step and at the largest allowed one
-        rng = np.random.default_rng(23)
-        buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 8, default_rng(7))
-        assert len(np.unique(mem.task_ids)) == len(tasks)
-        nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
-        frozen = nets[0]
-        for array in (frozen.theta, *(v for layer in frozen.backbone for v in layer)):
-            array.flags.writeable = False
-        d = rng.normal(size=frozen.backbone_dim)
-        bufs = [copy.deepcopy(buf) for _ in range(2)]
-        mems = [copy.deepcopy(mem) for _ in range(2)]
-        results = [edit_memory_gmed(b, net, m, d, eta)
-                   for b, net, m in zip(bufs, nets, mems)]
-        assert results[0] == results[1]
-        np.testing.assert_array_equal(bufs[0].x, bufs[1].x)
-        np.testing.assert_array_equal(frozen.theta, nets[1].theta)
-        assert not np.array_equal(bufs[0].x[mem.slot_indices], mem.inputs)
-
-    def test_restores_parameters(self):
-        rng = np.random.default_rng(18)
-        net = make_net()
-        buf = filled_buffer(rng)
-        mem = sample_memory(buf, 3, default_rng(9))
-        before = net.theta.copy()
-        edit_memory_gmed(buf, net, mem, rng.normal(size=net.backbone_dim), ETA_EDIT)
-        np.testing.assert_array_equal(net.theta.copy(), before)
-
-
 @pytest.mark.parametrize("offset", [-1, 1], ids=["short", "long"])
-@pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
-def test_editors_reject_a_direction_of_another_dimension(edit, offset):
+def test_editor_rejects_a_direction_of_another_dimension(offset):
     # a two-task batch takes the factored editing kernel, a one-task batch the explicit one
     net = make_net()
     sizes = net.layer_sizes
@@ -650,12 +521,12 @@ def test_editors_reject_a_direction_of_another_dimension(edit, offset):
         assert kernels == [factored] * 2
         before = buf.x.copy()
         with pytest.raises(InvalidInputError, match="dimension"):
-            edit(buf, net, mem, np.zeros(net.backbone_dim + offset), ETA_EDIT)
+            edit_memory_emgd(buf, net, mem, np.zeros(net.backbone_dim + offset), ETA_EDIT)
         np.testing.assert_array_equal(buf.x, before)
 
 
 class TestEditPasses:
-    """Each editor's passes over the memory batch, counted as backbone forwards."""
+    """The editor's passes over the memory batch, counted as backbone forwards."""
 
     @staticmethod
     def count_forwards(monkeypatch) -> list:
@@ -669,12 +540,9 @@ class TestEditPasses:
         return calls
 
     @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)], ids=["one-task", "three-task"])
-    @pytest.mark.parametrize("edit, passes", [(edit_memory_emgd, 2), (edit_memory_gmed, 3)],
-                             ids=["emgd", "gmed"])
-    def test_one_step_and_one_pass_after(self, monkeypatch, edit, passes, tasks):
-        # emgd: one edit_direction; gmed: two input_gradient, the one at theta
-        # also giving the objective before the edit; both: one
-        # editing_objective pass after it, whichever kernel the batch takes
+    def test_one_step_and_one_pass_after(self, monkeypatch, tasks):
+        # one edit_direction, also giving the objective before the edit, and
+        # one editing_objective pass after it, whichever kernel the batch takes
         rng = np.random.default_rng(27)
         net = make_net(heads=((1, 4), (2, 3), (3, 5)))
         buf = filled_buffer(rng, tasks=tasks)
@@ -683,29 +551,10 @@ class TestEditPasses:
         d = rng.normal(size=net.backbone_dim)
         expected = editing_objective(net, mem.inputs, mem.labels, task_slices(mem.task_ids), d)
         calls = self.count_forwards(monkeypatch)
-        before, after = edit(buf, net, mem, d, 0.2)
-        assert calls == [len(mem.labels)] * passes
+        before, after = edit_memory_emgd(buf, net, mem, d, 0.2)
+        assert calls == [len(mem.labels)] * 2
         assert before == expected
         assert after != before
-
-    @pytest.mark.parametrize("tasks", [(1,), (1, 2)], ids=["one-task", "two-task"])
-    def test_gmed_builds_the_look_ahead_once(self, monkeypatch, tasks):
-        # one look-ahead serves every task group of the batch
-        rng = np.random.default_rng(30)
-        net = make_net()
-        buf = filled_buffer(rng, tasks=tasks)
-        mem = sample_memory(buf, 4, default_rng(2))
-        assert len(np.unique(mem.task_ids)) == len(tasks)
-        d = rng.normal(size=net.backbone_dim)
-        steps, ahead = [], Network.ahead
-
-        def counted(self, direction, step):
-            steps.append(step)
-            return ahead(self, direction, step)
-
-        monkeypatch.setattr(Network, "ahead", counted)
-        edit_memory_gmed(buf, net, mem, d, 0.2)
-        assert steps == [0.2]
 
 
 class TestQuadraticEditingOracle:
@@ -821,14 +670,13 @@ class TestSnapshot:
         n = len(raw) - 12 - 8 * buf.x.size  # the header's length, from the slot rows
         assert holds(raw, n, buf)
 
-    @pytest.mark.parametrize("edit", [edit_memory_emgd, edit_memory_gmed], ids=["emgd", "gmed"])
-    def test_snapshot_holds_the_edited_rows(self, tmp_path, edit):
+    def test_snapshot_holds_the_edited_rows(self, tmp_path):
         rng = np.random.default_rng(28)
         net = make_net(heads=((1, 4), (2, 3)))
         buf = filled_buffer(rng)
         before = buf.x.copy()
         mem = sample_memory(buf, 6, default_rng(3))
-        edit(buf, net, mem, rng.normal(size=net.backbone_dim), 0.2)
+        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), 0.2)
         assert not np.array_equal(buf.x, before)
         save_buffer_snapshot(buf, tmp_path / "buffer.bin")
         assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))
