@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -269,7 +270,7 @@ def _min_norm_point(M: np.ndarray, scale: float) -> MinNormResult:
     magnitude), or after ``max(DEFAULT_MAX_ITER, 4k)`` iterations: each adds at
     most one working point.
     Two points take the closed form instead (``_two_points``), with the same
-    stopping test and the same exits.
+    stopping test, exact where floats fail it, and the same exits.
 
     The affine minimiser is read off one inverse kept across iterations,
     B = (c ee' + M_SS)^-1: M_SS w = nu e with e'w = 1 gives
@@ -311,11 +312,11 @@ def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int) -> MinNo
     # as the loop does: a subnormal M_ff gets its whole weight, not a weight
     # of M_ff / M_oo on p_o. Otherwise ||(1 - t) p_f + t p_o||^2 is least at
     # t = <p_f, p_f - p_o> / ||p_f - p_o||^2, clipped to [0, 1], and the gap
-    # test decides convergence there. With no positive spread ||p_f - p_o||^2
-    # (identical points under a NaN gap tolerance, or a non-Gram M) the
-    # iterate stays at e_f.
-    other = 1 - first
-    rows = M.tolist()
+    # test decides convergence there, on the weights' exact gap where it fails
+    # in floats (the closed form's gap is rounding only). With no positive
+    # spread ||p_f - p_o||^2 (identical points under a NaN gap tolerance, or a
+    # non-Gram M) the iterate stays at e_f.
+    rows, other = M.tolist(), 1 - first
     m_ff, m_fo, m_oo = rows[first][first], rows[first][other], rows[other][other]
     mu = np.zeros(2)
     if m_ff - min(m_ff, m_fo) <= gap_tol:
@@ -327,6 +328,10 @@ def _two_points(M: np.ndarray, first: int, gap_tol: float, budget: int) -> MinNo
     inner_o = (1.0 - t) * m_fo + t * m_oo
     objective = (1.0 - t) * inner_f + t * inner_o
     converged = objective - min(inner_f, inner_o) <= gap_tol
+    if not converged:  # in rationals, at the weights below
+        w_f, w_o, f_ff, f_fo, f_oo = map(Fraction, (1.0 - t, t, m_ff, m_fo, m_oo))
+        e_f, e_o = w_f * f_ff + w_o * f_fo, w_f * f_fo + w_o * f_oo
+        converged = w_f * e_f + w_o * e_o - min(e_f, e_o) <= gap_tol
     mu[first], mu[other] = 1.0 - t, t
     return MinNormResult(mu, 2 if converged else budget, converged)
 

@@ -818,6 +818,9 @@ CONFIG_MUTATIONS = [
     (("run", "method"), 3, "run.method"),
     (("run", "method"), "sgd", "method"),
     (("run", "eval_mode"), "both", "eval_mode"),
+    # emgd is the one memory editor
+    (("run", "editing"), "emgd", None),
+    (("run", "editing"), "gmed", "error: unknown run.editing 'gmed', pick one of ('none', 'emgd')"),
     # evaluation follows the metrics, so the former cadence knob is unknown, default included
     (("run", "eval_every"), 3, "unknown field: run.eval_every"),
     (("run", "eval_every"), 0, "unknown field: run.eval_every"),

@@ -403,7 +403,8 @@ class TestRunPcl:
         for x in result.buffer.x:
             assert x.min() >= 0.0 and x.max() <= 1.0
 
-    @pytest.mark.parametrize("memory_batch_size", [0, 40])  # 40: more rows than slots, so rows repeat
+    # 1: one task group per edit; 40: more rows than slots, so rows repeat
+    @pytest.mark.parametrize("memory_batch_size", [0, 1, 40])
     def test_editing_passes_take_the_batch_grouped(self, monkeypatch, memory_batch_size):
         # task_slices runs once per sampled batch in the training pass and
         # once per edit, and _route exactly once per pass, training and
@@ -583,11 +584,13 @@ class TestRunConfig:
                                               r"\('task', 'class'\)"):
             RunConfig(eval_mode=mode)
 
-    def test_editing_is_none_or_emgd(self):
-        # emgd is the one memory editor; any other name, gmed included, is unknown
-        with pytest.raises(ConfigError, match=r"^unknown run.editing 'gmed', pick one of "
-                                              r"\('none', 'emgd'\)$"):
-            RunConfig(editing="gmed")
+    @pytest.mark.parametrize("editing", ["gmed", "EMGD", " none"])
+    def test_editing_is_none_or_emgd(self, editing):
+        # emgd is the one memory editor; any other name, gmed included, is unknown,
+        # and names are matched as written
+        with pytest.raises(ConfigError, match=rf"^unknown run.editing {re.escape(repr(editing))}, "
+                                              r"pick one of \('none', 'emgd'\)$"):
+            RunConfig(editing=editing)
 
     @pytest.mark.parametrize("knobs, name", [
         ({"eta_edit": 1.5}, "eta_edit"),

@@ -1,3 +1,4 @@
+import copy
 import json
 from collections import Counter
 
@@ -31,8 +32,8 @@ from emgd.rehearsal import (
     save_buffer_snapshot,
 )
 from emgd.streams import Dataset, TaskSpec
-from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward, read_snapshot,
-                     slot_list_insert)
+from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward,
+                     group_stream_edit, read_snapshot, slot_list_insert)
 from test_streams import nbytes, traced_peak
 
 CHI2_99_DF5 = 15.086
@@ -284,8 +285,9 @@ class TestInterleavedBatch:
     @pytest.mark.parametrize("call", [
         lambda net, buf, mem, d: stream_gradients(
             net, [(mem.inputs, mem.labels, mem.task_ids)], 0.3),
+        lambda net, buf, mem, d: memory_gradient(net, mem, 0.3),
         lambda net, buf, mem, d: edit_memory_emgd(buf, net, mem, d, ETA_EDIT),
-    ], ids=["stream_gradients", "edit_memory_emgd"])
+    ], ids=["stream_gradients", "memory_gradient", "edit_memory_emgd"])
     def test_rejected_with_a_named_error(self, call):
         rng = np.random.default_rng(25)
         net, buf = make_net(), filled_buffer(rng)
@@ -506,6 +508,87 @@ class TestEditEmgd:
                                                  buf.class_id):
             assert tuple(now) == (label, task, cls)
 
+    def test_matches_scalar_finite_difference(self):
+        # oracle: central difference of the editing objective in one input entry
+        # at a time, over a two-task batch
+        rng = np.random.default_rng(16)
+        net = make_net()
+        buf = filled_buffer(rng, capacity=2, per_task=4, span=INNER)
+        mem = sample_memory(buf, 6, default_rng(4))
+        groups = task_slices(mem.task_ids)
+        assert len(groups) == 2 and len(set(mem.slot_indices.tolist())) == 6
+        d = -backward(net, *class_batch(rng, 3, task=1, classes=4))[0]
+        eta = 0.05
+        x0 = mem.inputs.copy()
+        edit_memory_emgd(buf, net, mem, d, eta)
+        edited = buf.x[mem.slot_indices]
+        assert_clamp_idle(edited)
+        applied = (x0 - edited) / eta  # recovered gradient
+        h = 1e-6
+        for _ in range(12):
+            i = int(rng.integers(x0.shape[0]))
+            j = int(rng.integers(x0.shape[1]))
+            xp = x0.copy()
+            xp[i, j] += h
+            up = editing_objective(net, xp, mem.labels, groups, d)
+            xp[i, j] -= 2 * h
+            down = editing_objective(net, xp, mem.labels, groups, d)
+            assert applied[i, j] == pytest.approx((up - down) / (2 * h), rel=1e-5, abs=1e-8)
+
+    @pytest.mark.parametrize("eta, span", [(0.02, INNER), (0.5, (0.99, 1.0))],
+                             ids=["inside", "clamped"])
+    def test_matches_per_group_oracle(self, eta, span):
+        # three tasks in the batch, drawn with replacement so slots repeat; the
+        # oracle edits one task group at a time through a stream of its own,
+        # clamps the same way and writes back the last row of a repeated slot
+        rng = np.random.default_rng(22)
+        buf = filled_buffer(rng, tasks=(1, 2, 3), span=span)
+        mem = sample_memory(buf, buf.occupancy + 9, default_rng(6))
+        assert len(set(mem.slot_indices.tolist())) < len(mem.labels)
+        net = make_net(heads=((1, 4), (2, 3), (3, 5)))
+        d = rng.normal(size=net.backbone_dim) * 5
+        groups = task_slices(mem.task_ids)
+        assert len(groups) == 3
+        expected, objective = mem.inputs.copy(), 0.0
+        for task_id, rows in groups:
+            delta, value = group_stream_edit(net, mem.inputs[rows], mem.labels[rows],
+                                             [(task_id, slice(None))], d)
+            expected[rows] = np.clip(mem.inputs[rows] - eta * delta, 0.0, 1.0)
+            objective += value
+        oracle = copy.deepcopy(buf)
+        _write_back(oracle, mem, expected)
+        before, after = edit_memory_emgd(buf, net, mem, d, eta)
+        edited = buf.x[mem.slot_indices]
+        assert before == pytest.approx(objective, rel=1e-12)
+        assert after == editing_objective(net, edited, mem.labels, groups, d)
+        assert not np.array_equal(edited, mem.inputs)  # the edit moved rows
+        if span == INNER:
+            assert_clamp_idle(edited)
+        else:
+            assert np.any(edited == 1.0)  # the clamp binds
+        np.testing.assert_allclose(buf.x, oracle.x, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)])
+    @pytest.mark.parametrize("eta", [0.05, 1.0])
+    def test_never_writes_the_backbone(self, tasks, eta):
+        # a read-only backbone gives the same edit as a writable one, at the
+        # default step and at the largest allowed one, on either editing kernel
+        rng = np.random.default_rng(23)
+        buf = filled_buffer(rng, tasks=tasks)
+        mem = sample_memory(buf, 8, default_rng(7))
+        assert len(np.unique(mem.task_ids)) == len(tasks)
+        nets = [make_net(heads=((1, 4), (2, 3), (3, 5))) for _ in range(2)]
+        frozen = nets[0]
+        for array in (frozen.theta, *(v for layer in frozen.backbone for v in layer)):
+            array.flags.writeable = False
+        d = rng.normal(size=frozen.backbone_dim)
+        bufs = [copy.deepcopy(buf) for _ in range(2)]
+        results = [edit_memory_emgd(b, net, mem, d, eta) for b, net in zip(bufs, nets)]
+        assert results[0] == results[1]
+        np.testing.assert_array_equal(bufs[0].x, bufs[1].x)
+        np.testing.assert_array_equal(frozen.theta, nets[1].theta)
+        assert not np.array_equal(bufs[0].x[mem.slot_indices], mem.inputs)
+
 
 @pytest.mark.parametrize("offset", [-1, 1], ids=["short", "long"])
 def test_editor_rejects_a_direction_of_another_dimension(offset):
@@ -539,7 +622,8 @@ class TestEditPasses:
         monkeypatch.setattr(emgd.net, "_activations", counted)
         return calls
 
-    @pytest.mark.parametrize("tasks", [(1,), (1, 2, 3)], ids=["one-task", "three-task"])
+    @pytest.mark.parametrize("tasks", [(1,), (1, 2), (1, 2, 3)],
+                             ids=["one-task", "two-task", "three-task"])
     def test_one_step_and_one_pass_after(self, monkeypatch, tasks):
         # one edit_direction, also giving the objective before the edit, and
         # one editing_objective pass after it, whichever kernel the batch takes

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -702,6 +703,13 @@ def two_point_solves(M, tol, max_iter):
     return _two_points(*args), _wolfe(*args)
 
 
+def exact_gap(M, mu) -> Fraction:
+    """mu' M mu - min_i (M mu)_i of float arrays, in rational arithmetic."""
+    n = len(mu)
+    inner = [sum(Fraction(M[i, j]) * Fraction(mu[j]) for j in range(n)) for i in range(n)]
+    return sum(Fraction(mu[i]) * inner[i] for i in range(n)) - min(inner)
+
+
 def two_gradients(rng, dim, kind, log_ratio):
     g = rng.normal(size=(2, dim))
     g[1] *= 10.0 ** log_ratio
@@ -767,9 +775,51 @@ class TestTwoPoints:
         np.testing.assert_allclose(res.mu, mu, rtol=1e-15)
         np.testing.assert_allclose(res.mu, ref.mu, rtol=1e-12, atol=1e-12)
 
+    def test_a_failed_float_gap_test_is_decided_on_the_exact_gap(self):
+        # the scaled Gram solve_emgd forms at the pinned draw of
+        # test_matches_the_two_task_closed_form: antiparallel points in 1-D, whose
+        # rounded inner products give a gap above this tolerance at weights whose
+        # exact gap is below it
+        M = np.array([[0.0017601009256577288, -0.001582257651407707],
+                      [-0.001582257651407707, 0.0014223839320479249]])
+        tol = 3.9205466621512477e-19  # below the float gap, 3.9966e-19
+        res = _two_points(M, 1, tol, DEFAULT_MAX_ITER)
+        gap = exact_gap(M, res.mu)
+        assert gap <= tol and (res.iterations, res.converged) == (2, True)
+        # the exit turns at the exact gap: converged at the float at or above
+        # it, not at the float below, with the same weights
+        at = float(gap) if Fraction(float(gap)) >= gap else math.nextafter(float(gap), math.inf)
+        for gap_tol, converged in ((at, True), (math.nextafter(at, 0.0), False)):
+            edge = _two_points(M, 1, gap_tol, DEFAULT_MAX_ITER)
+            assert edge.converged == converged
+            assert edge.iterations == (2 if converged else DEFAULT_MAX_ITER)
+            np.testing.assert_array_equal(edge.mu, res.mu)
+
+    @given(dim=st.integers(1, 4), log_scale=st.floats(-3.0, 3.0),
+           log_tol=st.floats(-17.0, -13.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_an_unconverged_exit_misses_the_tolerance_exactly(self, dim, log_scale, log_tol,
+                                                              seed):
+        # at tolerances near float64's resolution of the scaled Gram: every exit
+        # short of convergence holds weights whose exact gap is above the tolerance
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(2, dim)) * 10.0 ** (log_scale + rng.uniform(-1.0, 1.0, size=(2, 1)))
+        sigma = rng.uniform(0.05, 1.0, size=2)
+        G = GradientBundle((1, 2), g).gram
+        M = np.ldexp(G, -solver._exponent(float(G.diagonal().max()))) / np.outer(sigma, sigma)
+        diag = M.diagonal().tolist()
+        gap_tol = 10.0 ** log_tol * max(diag)
+        res = _two_points(M, diag.index(min(diag)), gap_tol, DEFAULT_MAX_ITER)
+        gap = exact_gap(M, res.mu)
+        if not res.converged:
+            assert gap > gap_tol and res.iterations == DEFAULT_MAX_ITER
+
     @given(dim=st.integers(1, 4), log_scale=st.floats(-3.0, 3.0), fixed=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=500, deadline=None)
+    # antiparallel points in 1-D: the rounded inner products gave a gap above the
+    # tolerance at an iterate whose exact gap is below it
+    @example(dim=1, log_scale=-2.6169995437097846, fixed=True, seed=2106)
     def test_matches_the_two_task_closed_form(self, dim, log_scale, fixed, seed):
         rng = np.random.default_rng(seed)
         g = rng.normal(size=(2, dim)) * 10.0 ** rng.uniform(-1.0, 1.0, size=(2, 1))
