@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiment, rehearsal, solver, streams
+from . import experiment, solver, streams
 from .errors import (ConfigError, EmgdError, InvalidInputError, NumericError, load_json_object,
                      parse_json, read_field, section)
 from .net import Network, flat_size
@@ -157,8 +157,6 @@ def cmd_run_pcl(args) -> int:
 
     (out / "tick_log.csv").write_text(experiment.tick_log_csv(result.tick_rows))
     _write_json(experiment.metrics_document(result, cfg), out / "metrics.json")
-    if cfg.snapshot_buffer:
-        rehearsal.save_buffer_snapshot(result.buffer, out / "buffer_snapshot.bin")
     log.info("run (%s/%s, seed %d) written to %s", cfg.method, cfg.editing, seed, out)
     return 0
 
@@ -175,12 +173,20 @@ def cmd_build_splits(args) -> int:
     return 0
 
 
-def _metric_fields(path: Path) -> tuple:
-    doc = load_json_object(path, "metrics file")
+def _metric_rows(path: Path) -> list:
+    """The file's task-incremental row, then its class-incremental one."""
+    doc, where = load_json_object(path, "metrics file"), str(path)
     # every key run-pcl writes is required, so no file joins a row it was not scored for
-    fields = (("method", str), ("editing", str), ("eval_mode", str), ("seed", int),
-              ("A_final", float), ("F_final", float))
-    return tuple(read_field(doc, key, kind, str(path)) for key, kind in fields)
+    method, editing, seed = (read_field(doc, key, kind, where)
+                             for key, kind in (("method", str), ("editing", str), ("seed", int)))
+    modes = read_field(doc, "modes", dict, where)
+    rows = []
+    for mode in ("task", "class"):
+        scores = read_field(modes, mode, dict, f"{where}.modes")
+        a, f = (read_field(scores, key, float, f"{where}.modes.{mode}")
+                for key in ("A_final", "F_final"))
+        rows.append((method, editing, mode, seed, a, f))
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -189,12 +195,12 @@ def cmd_report(args) -> int:
     if not files:
         print(f"error: no metrics files under {run_dir}", file=sys.stderr)
         return 1
-    rows = [_metric_fields(p) for p in files]
+    rows = [row for p in files for row in _metric_rows(p)]
 
     # task- and class-incremental accuracies measure different things, so never share a row
     groups: dict = {}
-    for method, editing, eval_mode, seed, a, f in rows:
-        groups.setdefault((method, editing, eval_mode), []).append((seed, a, f))
+    for method, editing, mode, seed, a, f in rows:
+        groups.setdefault((method, editing, mode), []).append((seed, a, f))
 
     def spread(values):
         mean = float(np.mean(values))
@@ -206,14 +212,14 @@ def cmd_report(args) -> int:
     print(header)
     print("-" * len(header))
     summary_lines = ["method,editing,eval_mode,n,A_mean,A_std,F_mean,F_std"]
-    for (method, editing, eval_mode), entries in sorted(groups.items()):
+    for (method, editing, mode), entries in sorted(groups.items()):
         a_mean, a_std = spread([a for _, a, _ in entries])
         f_mean, f_std = spread([f for _, _, f in entries])
         print(
-            f"{method:<12} {editing:<8} {eval_mode:<9} {len(entries):>3}  "
+            f"{method:<12} {editing:<8} {mode:<9} {len(entries):>3}  "
             f"{a_mean:8.4f} ± {a_std:6.4f}  {f_mean:+8.4f} ± {f_std:6.4f}"
         )
-        summary_lines.append(f"{method},{editing},{eval_mode},{len(entries)},"
+        summary_lines.append(f"{method},{editing},{mode},{len(entries)},"
                              f"{a_mean!r},{a_std!r},{f_mean!r},{f_std!r}")
     rows_lines = ["method,editing,eval_mode,seed,A_final,F_final"]
     rows_lines += [f"{m},{e},{mode},{s},{a!r},{f!r}" for m, e, mode, s, a, f in rows]

@@ -50,16 +50,13 @@ class RunConfig:
     gamma: float = 0.05
     gamma_heads: float = 0.05
     temperature: float = solver.ElasticState.temperature
-    eval_mode: str = "task"
     seed: int = 1234
     memory_batch_size: int = 0
     capacity_per_class: int = 5
     eta_edit: float = 0.05
-    snapshot_buffer: bool = False
 
     def __post_init__(self):
-        for name, allowed in (("method", METHODS), ("editing", EDITING),
-                              ("eval_mode", ("task", "class"))):
+        for name, allowed in (("method", METHODS), ("editing", EDITING)):
             if getattr(self, name) not in allowed:
                 raise ConfigError(
                     f"unknown run.{name} {getattr(self, name)!r}, pick one of {allowed}")
@@ -374,7 +371,7 @@ def tick_log_csv(tick_rows) -> str:
 
 
 def metrics_document(result: PclResult, cfg: RunConfig) -> dict:
-    """Metrics JSON: headline A/F for ``cfg.eval_mode``, both modes nested."""
+    """Metrics JSON: the task-incremental A/F at the top level, both modes nested."""
     docs = {}
     for i, mode in enumerate(("task", "class")):
         pairs = {t: (result.at_finish[t][i], result.final[t][i]) for t in sorted(result.final)}
@@ -385,14 +382,5 @@ def metrics_document(result: PclResult, cfg: RunConfig) -> dict:
             "per_task": {str(t): {"at_finish": at_finish, "final": final}
                          for t, (at_finish, final) in pairs.items()},
         }
-    head = dict(docs[cfg.eval_mode])
-    head.update(
-        {
-            "eval_mode": cfg.eval_mode,
-            "method": cfg.method,
-            "editing": cfg.editing,
-            "seed": cfg.seed,
-            "modes": docs,
-        }
-    )
-    return head
+    return {**docs["task"], "method": cfg.method, "editing": cfg.editing, "seed": cfg.seed,
+            "modes": docs}

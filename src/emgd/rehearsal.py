@@ -9,8 +9,6 @@ pushes the memory batch gradient toward the current combined direction.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -170,28 +168,3 @@ def edit_memory_emgd(
     np.clip(inputs, 0.0, 1.0, out=inputs)
     _write_back(buffer, mem, inputs)
     return before, editing_objective(net, inputs, mem.labels, groups, d)
-
-
-# Snapshot layout: magic "EMGD" | u32 version | u32 header length | UTF-8 JSON
-# header | little-endian float64 payload. No command reads a snapshot back.
-CONTAINER_MAGIC = b"EMGD"
-CONTAINER_VERSION = 1
-
-
-def save_buffer_snapshot(buffer: MemoryBuffer, path) -> None:
-    """Write slot inputs plus a JSON slot manifest in the container above."""
-    header = {
-        "kind": "memory-buffer",
-        "capacity_per_class": buffer.capacity_per_class,
-        "dim": buffer.x.shape[1],  # 0 while empty: x starts as 0 x 0
-        "seen_counts": {str(c): n for c, n in sorted(buffer.seen_counts.items())},
-        "slots": [
-            {"task": t, "class": c, "label": label}
-            for label, t, c in zip(buffer.label.tolist(), buffer.task_id.tolist(),
-                                   buffer.class_id.tolist())
-        ],
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head)
-        fh.write(buffer.x.astype("<f8", copy=False).tobytes())

@@ -329,8 +329,8 @@ class TaskCursor:
 
     spec: TaskSpec
     seed: int
-    pos: int = 0
-    order: np.ndarray = field(default=None, repr=False)
+    pos: int = field(default=0, init=False)
+    order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.rng = substream(self.seed, "shuffle", self.spec.task_id)

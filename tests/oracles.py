@@ -36,9 +36,6 @@ and ``insert`` replaced; ``per_head_evaluate`` is the evaluation that
 ``emgd.experiment._evaluate`` replaced, one ``head_logits`` call per
 (task, head) pair and one ``np.hstack`` per task.
 
-``read_snapshot`` reads a buffer snapshot by its documented byte layout.
-No command reads snapshots back, so it is what keeps the writer checked.
-
 ``kkt_min_norm_simplex`` is the min-norm-point loop that
 ``emgd.solver._min_norm_point`` replaced: the same steps, with a
 dense KKT solve of the affine subproblem at every minor step, its
@@ -50,11 +47,8 @@ certificate check pin the solver down from outside.
 """
 
 import itertools
-import json
-import struct
 from collections import namedtuple
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -289,18 +283,6 @@ def slot_list_insert(buffer: SlotListBuffer, batch: Batch, class_ids,
             buffer.slots[victim] = Slot(
                 batch.inputs[i].copy(), int(batch.labels[i]), batch.task_id, c
             )
-
-
-def read_snapshot(path):
-    """A buffer snapshot's JSON header and its slot rows, read by the layout
-    magic "EMGD" | u32 version | u32 header length | UTF-8 JSON header |
-    little-endian float64 payload, ``dim`` values per slot."""
-    raw = Path(path).read_bytes()
-    magic, version, length = struct.unpack("<4sII", raw[:12])
-    assert (magic, version) == (b"EMGD", 1)
-    header = json.loads(raw[12:12 + length].decode("utf-8"))
-    rows = np.frombuffer(raw[12 + length:], dtype="<f8")
-    return header, rows.reshape(len(header["slots"]), header["dim"])
 
 
 def per_head_evaluate(net: Network, specs_by_id: dict, seen: list):

@@ -18,7 +18,7 @@ import emgd
 from emgd.cli import _SPLIT, build_parser, main
 from emgd.experiment import METHODS, run_toy, toy_summary, toy_trace_csv
 from emgd.streams import build_parallel_split
-from oracles import SPLIT, read_snapshot
+from oracles import SPLIT
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None):
@@ -397,15 +397,13 @@ class TestRunPcl:
         assert lam_a != lam_b
 
     def test_eval_mode_ordering(self, tmp_path):
-        out_t, out_c = tmp_path / "task", tmp_path / "class"
-        for mode, out in (("task", out_t), ("class", out_c)):
-            cfg = pcl_config(tmp_path, run={"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0,
-                                            "eval_mode": mode})
-            assert main(["run-pcl", "--config", str(cfg), "--out", str(out)]) == 0
-        a_task = json.loads((out_t / "metrics.json").read_text())["A_final"]
-        a_class = json.loads((out_c / "metrics.json").read_text())["A_final"]
-        assert a_task >= a_class
-        assert json.loads((out_t / "metrics.json").read_text())["eval_mode"] == "task"
+        # one run scores both protocols; its top level is the task-incremental one
+        out = tmp_path / "out"
+        assert main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--out", str(out)]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["modes"]["task"]["A_final"] >= metrics["modes"]["class"]["A_final"]
+        assert metrics["A_final"] == metrics["modes"]["task"]["A_final"]
+        assert "eval_mode" not in metrics
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = pcl_config(tmp_path)
@@ -490,18 +488,6 @@ class TestRunPcl:
         assert len(ticks) == 3
         assert (f"numeric failure at tick {ticks[-1]}: gradient bundle contains non-finite "
                 "entries") in captured.err
-
-    def test_snapshot_buffer_written(self, tmp_path):
-        cfg = pcl_config(
-            tmp_path,
-            run={"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0,
-                 "snapshot_buffer": True},
-        )
-        out = tmp_path / "snap"
-        assert main(["run-pcl", "--config", str(cfg), "--out", str(out)]) == 0
-        header, rows = read_snapshot(out / "buffer_snapshot.bin")
-        assert header["kind"] == "memory-buffer"
-        assert rows.shape[0] == len(header["slots"]) > 0
 
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -707,25 +693,27 @@ class TestBuildSplits:
     ], ids=["overlap", "serial-emgd"])
     def test_split_section_runs_as_its_manifest(self, tmp_path, split, run):
         split = {"num_tasks": 2, "label_bounds": [4, 4], "batch_size": 8, "epochs": 2, **split}
-        run = {"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0, "snapshot_buffer": True,
-               **run}
+        run = {"method": "emgd_gs", "gamma": 0.2, "gamma_heads": 1.0, **run}
         cfg = pcl_config(tmp_path, split=split, run=run)
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "split")]) == 0
         manifest = tmp_path / "m.json"
         assert main(["build-splits", "--config", str(cfg), "--out", str(manifest)]) == 0
         cfg = pcl_config(tmp_path, run=run, manifest=str(manifest))
         assert main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "manifest")]) == 0
-        for name in ("tick_log.csv", "metrics.json", "buffer_snapshot.bin"):
+        for name in ("tick_log.csv", "metrics.json"):
             assert ((tmp_path / "split" / name).read_bytes()
                     == (tmp_path / "manifest" / name).read_bytes()), name
 
 
 class TestReport:
-    def write_metrics(self, path, method, seed, a, f, **more):
+    def write_metrics(self, path, method, seed, a, f, class_a=0.25, **more):
+        """A metrics file as run-pcl writes it: the task-incremental block at the
+        top level, both blocks under ``modes``; the class block scores ``class_a``."""
+        modes = {"task": {"A_final": a, "F_final": f}, "class": {"A_final": class_a, "F_final": f}}
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps({
-            "A_final": a, "F_final": f, "method": method, "editing": "none",
-            "eval_mode": "task", "seed": seed, **more,
+            "A_final": a, "F_final": f, "method": method, "editing": "none", "seed": seed,
+            "modes": modes, **more,
         }))
 
     def test_single_file_single_row(self, tmp_path, capsys):
@@ -742,18 +730,16 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 0
         _ = capsys.readouterr()
         summary = (tmp_path / "report_summary.csv").read_text().splitlines()
-        _, _, mode, n, a_mean, a_std, _, _ = summary[1].split(",")
+        _, _, mode, n, a_mean, a_std, _, _ = summary[2].split(",")  # the class row sorts first
         assert mode == "task"
         assert int(n) == 3
         assert float(a_mean) == pytest.approx(0.9)
         assert float(a_std) == pytest.approx(0.1)  # sample standard deviation
 
     def test_eval_modes_get_their_own_rows(self, tmp_path, capsys):
-        # the same runs scored task- and class-incremental are never averaged together
+        # one run scored task- and class-incremental is never averaged together
         self.write_metrics(tmp_path / "a" / "metrics.json", "emgd_gs", 0, 0.5, 0.0,
-                           eval_mode="task")
-        self.write_metrics(tmp_path / "b" / "metrics.json", "emgd_gs", 0, 1 / 6, 0.0,
-                           eval_mode="class")
+                           class_a=1 / 6)
         assert main(["report", str(tmp_path)]) == 0
         table = capsys.readouterr().out.splitlines()
         assert table[0].split()[:4] == ["method", "editing", "eval_mode", "n"]
@@ -771,7 +757,38 @@ class TestReport:
             f"emgd_gs,none,class,0,{1 / 6!r},0.0",
         ]
 
-    @pytest.mark.parametrize("key", ["method", "editing", "eval_mode", "seed"])
+    def test_rows_are_each_files_task_then_class_row(self, tmp_path, capsys):
+        self.write_metrics(tmp_path / "a" / "metrics.json", "mgda", 0, 0.9, 0.0, class_a=0.1)
+        self.write_metrics(tmp_path / "b" / "metrics.json", "emgd_gs", 1, 0.8, 0.0, class_a=0.2)
+        assert main(["report", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "report_rows.csv").read_text().splitlines()[1:] == [
+            "mgda,none,task,0,0.9,0.0", "mgda,none,class,0,0.1,0.0",
+            "emgd_gs,none,task,1,0.8,0.0", "emgd_gs,none,class,1,0.2,0.0"]
+
+    def test_a_run_pcl_run_reports_both_modes(self, tmp_path, capsys):
+        out = tmp_path / "runs" / "a"
+        assert main(["run-pcl", "--config", str(pcl_config(tmp_path)), "--out", str(out)]) == 0
+        modes = json.loads((out / "metrics.json").read_text())["modes"]
+        assert main(["report", str(tmp_path / "runs")]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert [line.split()[2] for line in table[2:]] == ["class", "task"]
+        assert (tmp_path / "runs" / "report_rows.csv").read_text().splitlines()[1:] == [
+            f"emgd_gs,none,{mode},1234,{modes[mode]['A_final']!r},{modes[mode]['F_final']!r}"
+            for mode in ("task", "class")]
+
+    def test_a_file_with_a_class_top_level_reads_its_rows_from_modes(self, tmp_path, capsys):
+        # a file written while the top level followed run.eval_mode "class"
+        self.write_metrics(tmp_path / "metrics.json", "emgd_gs", 0, 0.5, 0.0, class_a=0.25)
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        doc.update(doc["modes"]["class"], eval_mode="class")
+        (tmp_path / "metrics.json").write_text(json.dumps(doc))
+        assert main(["report", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "report_rows.csv").read_text().splitlines()[1:] == [
+            "emgd_gs,none,task,0,0.5,0.0", "emgd_gs,none,class,0,0.25,0.0"]
+
+    @pytest.mark.parametrize("key", ["method", "editing", "seed", "modes"])
     def test_every_key_run_pcl_writes_is_required(self, tmp_path, capsys, key):
         # a file missing a key must not join the other file's row under a guessed value
         self.write_metrics(tmp_path / "a" / "metrics.json", "emgd_gs", 0, 0.9, 0.0)
@@ -783,6 +800,22 @@ class TestReport:
         captured = capsys.readouterr()
         assert_named_exit_1(code, captured,
                             f"missing field {tmp_path / 'b' / 'metrics.json'}.{key}")
+        assert captured.out == "" and not (tmp_path / "report_summary.csv").exists()
+
+    @pytest.mark.parametrize("mode", ["task", "class"])
+    @pytest.mark.parametrize("key", [None, "A_final", "F_final"])
+    def test_every_score_of_both_modes_is_required(self, tmp_path, capsys, mode, key):
+        self.write_metrics(tmp_path / "metrics.json", "emgd_gs", 0, 0.9, 0.0)
+        doc = json.loads((tmp_path / "metrics.json").read_text())
+        if key is None:
+            del doc["modes"][mode]
+        else:
+            del doc["modes"][mode][key]
+        (tmp_path / "metrics.json").write_text(json.dumps(doc))
+        code = main(["report", str(tmp_path)])
+        captured = capsys.readouterr()
+        field = ".".join(filter(None, ("modes", mode, key)))
+        assert_named_exit_1(code, captured, f"missing field {tmp_path / 'metrics.json'}.{field}")
         assert captured.out == "" and not (tmp_path / "report_summary.csv").exists()
 
     def test_incomplete_file_named(self, tmp_path, capsys):
@@ -817,7 +850,9 @@ CONFIG_MUTATIONS = [
     (("run", "gamma"), float("nan"), "run.gamma"),
     (("run", "method"), 3, "run.method"),
     (("run", "method"), "sgd", "method"),
-    (("run", "eval_mode"), "both", "eval_mode"),
+    # run-pcl writes both protocols and no buffer snapshot, so these are unknown
+    (("run", "eval_mode"), "task", "unknown field: run.eval_mode"),
+    (("run", "snapshot_buffer"), True, "unknown field: run.snapshot_buffer"),
     # emgd is the one memory editor
     (("run", "editing"), "emgd", None),
     (("run", "editing"), "gmed", "error: unknown run.editing 'gmed', pick one of ('none', 'emgd')"),
@@ -1067,10 +1102,11 @@ class TestMalformedConfig:
         assert_named_exit_1(code, capsys.readouterr(), f"error: {message or 'out of memory'}")
 
     def test_bad_eval_mode_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        # every run scores both protocols, so the former switch is unknown, its default included
         monkeypatch.setattr("emgd.cli.experiment.run_pcl", never_train)
-        cfg = pcl_config(tmp_path, run={"eval_mode": "both"})
+        cfg = pcl_config(tmp_path, run={"eval_mode": "task"})
         code = main(["run-pcl", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert_named_exit_1(code, capsys.readouterr(), "eval_mode")
+        assert_named_exit_1(code, capsys.readouterr(), "error: unknown field: run.eval_mode")
 
 
 def config_fields(doc, prefix=()):
@@ -1087,8 +1123,8 @@ FULL_CONFIG = {
     "split": {"num_tasks": 2, "label_bounds": [4, 4], "overlap": 0.0, "serial": False,
               "batch_size": 8, "epochs": 2},
     "run": {"method": "emgd_gs", "editing": "emgd", "gamma": 0.2, "gamma_heads": 1.0,
-            "temperature": 1.0, "eval_mode": "task", "memory_batch_size": 4,
-            "capacity_per_class": 2, "eta_edit": 0.05, "snapshot_buffer": False},
+            "temperature": 1.0, "memory_batch_size": 4, "capacity_per_class": 2,
+            "eta_edit": 0.05},
     "net": {"hidden": [16], "feature_dim": 8},
 }
 
@@ -1182,8 +1218,9 @@ class TestDeeplyNestedJson:
 class TestReportMalformed:
     @pytest.mark.parametrize("text, name", [
         ("{not json", "not valid JSON"),
-        ('{"A_final": "x", "F_final": 0.0, "method": "mgda", "editing": "none", '
-         '"eval_mode": "task", "seed": 0}', "A_final"),
+        ('{"method": "mgda", "editing": "none", "seed": 0, "modes": {'
+         '"task": {"A_final": "x", "F_final": 0.0}, "class": {"A_final": 0.5, "F_final": 0.0}}}',
+         "metrics_bad.json.modes.task.A_final"),
         ("[1, 2]", "must be a JSON object"),
     ])
     def test_named_exit_1(self, tmp_path, capsys, text, name):

@@ -223,11 +223,11 @@ class TestMetrics:
 
 
 def pcl_setup(num_tasks=3, seed=1234, serial=False, dim=8, per_class=12,
-              batch_size=8, hidden=16, feature=8, epochs=1):
+              batch_size=8, hidden=16, feature=8, epochs=1, overlap=0.0):
     ds = synthetic_dataset(4 * num_tasks, dim, per_class, 6, 0.08, seed=seed)
     specs, tl = specs_from_manifest(make_split(
         ds, num_tasks=num_tasks, label_bounds=(4, 4), seed=seed, batch_size=batch_size,
-        serial=serial, epochs=epochs,
+        serial=serial, epochs=epochs, overlap=overlap,
     ), ds)
     net = Network((dim, hidden, feature), seed=derive_seed(seed, "net-init"))
     return specs, tl, net
@@ -356,13 +356,14 @@ class TestRunPcl:
 
     def test_metrics_document_schema(self):
         specs, tl, net = pcl_setup(num_tasks=2)
-        cfg = quick_cfg(eval_mode="task")
-        result = run_pcl(specs, tl, net, cfg)
-        doc = metrics_document(result, cfg)
-        assert set(doc) >= {"A_final", "F_final", "per_task", "method", "seed"}
+        cfg = quick_cfg()
+        doc = metrics_document(run_pcl(specs, tl, net, cfg), cfg)
+        # the top level is the task-incremental block, plus the run it scores
+        assert set(doc) == {"A_final", "F_final", "per_task", "method", "editing", "seed",
+                            "modes"}
         assert set(doc["modes"]) == {"task", "class"}
-        class_doc = metrics_document(result, quick_cfg(eval_mode="class"))
-        assert class_doc["A_final"] == doc["modes"]["class"]["A_final"]
+        assert {key: doc[key] for key in doc["modes"]["task"]} == doc["modes"]["task"]
+        assert (doc["method"], doc["editing"], doc["seed"]) == (cfg.method, cfg.editing, cfg.seed)
 
     def test_task_incremental_beats_class_incremental(self):
         specs, tl, net = pcl_setup(num_tasks=3)
@@ -371,6 +372,18 @@ class TestRunPcl:
         a_task, _ = compute_metrics(task_pairs(result))
         a_class, _ = compute_metrics(task_pairs(result, mode=1))
         assert a_task >= a_class
+
+    @pytest.mark.parametrize("overlap, shared", [(0.5, True), (0.0, False)])
+    def test_a_class_two_tasks_share_keeps_rows_of_both(self, overlap, shared):
+        # at overlap 0.5 each task re-samples two of its predecessor's four
+        # classes, so one class's reservoir takes rows from two tasks; label
+        # sets are disjoint at overlap 0
+        specs, tl, net = pcl_setup(num_tasks=3, overlap=overlap)
+        buffer = run_pcl(specs, tl, net, quick_cfg()).buffer
+        tasks_of = {}
+        for c, t in zip(buffer.class_id.tolist(), buffer.task_id.tolist()):
+            tasks_of.setdefault(c, set()).add(t)
+        assert any(len(tasks) == 2 for tasks in tasks_of.values()) == shared
 
     def test_mismatched_specs_rejected(self):
         specs, tl, net = pcl_setup(num_tasks=2)
@@ -577,12 +590,6 @@ class TestRunConfig:
     def test_rejects_negative_counts(self, name):
         with pytest.raises(ConfigError, match=name):
             RunConfig(**{name: -1})
-
-    @pytest.mark.parametrize("mode", ["both", "task-incremental", "class-incremental"])
-    def test_eval_mode_is_task_or_class(self, mode):
-        with pytest.raises(ConfigError, match=f"unknown run.eval_mode {mode!r}, pick one of "
-                                              r"\('task', 'class'\)"):
-            RunConfig(eval_mode=mode)
 
     @pytest.mark.parametrize("editing", ["gmed", "EMGD", " none"])
     def test_editing_is_none_or_emgd(self, editing):

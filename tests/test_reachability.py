@@ -1,12 +1,12 @@
 """Every function and method defined in ``src/emgd`` is reached by a command.
 
 The commands run in process under ``sys.setprofile``: ``run-pcl`` with every
-method and editing mode (buffer snapshots on), from a split manifest and
-from an IDX dataset, ``run-toy`` with every method, ``build-splits``,
-``report`` and ``solve`` requests, one of which makes the solver drop a
-working point. A function that none of them calls is dead code, unless the
-benchmark's traced run patches it (``SITES`` in ``perfbench/tracing.py``).
-Dunder methods are exempt: dataclasses and exceptions call them.
+method and editing mode, from a split manifest and from an IDX dataset,
+``run-toy`` with every method, ``build-splits``, ``report`` and ``solve``
+requests, one of which makes the solver drop a working point. A function
+that none of them calls is dead code, unless the benchmark's traced run
+patches it (``SITES`` in ``perfbench/tracing.py``). Dunder methods are
+exempt: dataclasses and exceptions call them.
 """
 
 import inspect
@@ -69,7 +69,7 @@ def run_every_command(tmp: Path, monkeypatch) -> None:
                                "test_per_class": 2, "noise_sigma": 0.05}}
     # a config names a split section or a built split, its manifest
     base = {"seed": 3, "dataset": synthetic, "net": {"hidden": [5], "feature_dim": 3},
-            "run": {"memory_batch_size": 4, "snapshot_buffer": True}}
+            "run": {"memory_batch_size": 4}}
     (tmp / "split.json").write_text(json.dumps(
         {**base, "split": {"num_tasks": 3, "label_bounds": [2, 2], "batch_size": 3}}))
     main("build-splits", "--config", tmp / "split.json", "--out", tmp / "manifest.json")
@@ -83,8 +83,7 @@ def run_every_command(tmp: Path, monkeypatch) -> None:
     idx = {**write_idx(tmp, "train", 2, count=12), **write_idx(tmp, "test", 2)}
     split = {"num_tasks": 2, "label_bounds": [2, 2], "batch_size": 3,  # the IDX files hold 4 classes
              "serial": True}
-    (tmp / "idx.json").write_text(json.dumps({**base, "dataset": {"idx": idx}, "split": split,
-                                              "run": {**base["run"], "eval_mode": "class"}}))
+    (tmp / "idx.json").write_text(json.dumps({**base, "dataset": {"idx": idx}, "split": split}))
     main("run-pcl", "--config", tmp / "idx.json", "--out", tmp / "runs" / "idx")
     for method in METHODS:
         # the second objective joins after tick 500

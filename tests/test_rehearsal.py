@@ -1,5 +1,4 @@
 import copy
-import json
 from collections import Counter
 
 import numpy as np
@@ -29,11 +28,10 @@ from emgd.rehearsal import (
     insert,
     memory_gradient,
     sample_memory,
-    save_buffer_snapshot,
 )
 from emgd.streams import Dataset, TaskSpec
 from oracles import (Batch, SlotListBuffer, directional_edit_gradient, forward,
-                     group_stream_edit, read_snapshot, slot_list_insert)
+                     group_stream_edit, slot_list_insert)
 from test_streams import nbytes, traced_peak
 
 CHI2_99_DF5 = 15.086
@@ -107,6 +105,24 @@ class TestInsert:
             insert(buf, task_spec(batch, batch.labels), rng)
         assert all(n <= 4 for n in class_counts(buf).values())
         assert buf.occupancy == sum(class_counts(buf).values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(capacity=st.integers(1, 4),
+           stream=st.lists(st.tuples(st.integers(1, 3),
+                                     st.lists(st.integers(0, 3), min_size=1, max_size=12)),
+                           min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_class_holds_its_capacity_or_its_seen_count(self, capacity, stream, seed):
+        # tasks 1 to 3 share classes 0 to 3, so a class's reservoir takes rows of several
+        rng = np.random.default_rng(seed)
+        buf = MemoryBuffer(capacity)
+        for task, labels in stream:
+            batch = Batch(rng.uniform(0.0, 1.0, (len(labels), 3)), labels, task)
+            insert(buf, task_spec(batch, batch.labels), rng)
+            assert class_counts(buf) == {c: min(capacity, n) for c, n in buf.seen_counts.items()}
+            # x has one row per slot
+            assert buf.x.shape == (buf.occupancy, 3)
+            assert buf.task_id.size == buf.class_id.size == buf.occupancy
 
     def test_inserting_one_class_never_evicts_another(self):
         rng = np.random.default_rng(2)
@@ -660,114 +676,3 @@ class TestQuadraticEditingOracle:
             x_core -= 0.02 * float(step[0])
         assert x_analytic == pytest.approx(target, abs=1e-6)
         assert x_core == pytest.approx(x_analytic, abs=1e-6)
-
-
-def assert_snapshot_is(buf, header, rows):
-    """The snapshot ``(header, rows)`` holds exactly ``buf``'s state."""
-    assert header["kind"] == "memory-buffer"
-    assert header["capacity_per_class"] == buf.capacity_per_class
-    assert header["dim"] == buf.x.shape[1]
-    assert header["seen_counts"] == {str(c): n for c, n in buf.seen_counts.items()}
-    assert ([(s["label"], s["task"], s["class"]) for s in header["slots"]]
-            == list(zip(buf.label.tolist(), buf.task_id.tolist(), buf.class_id.tolist())))
-    np.testing.assert_array_equal(rows, buf.x)
-
-
-def slots_per_class(header) -> Counter:
-    return Counter(s["class"] for s in header["slots"])
-
-
-def non_negative_int(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-# No command reads a snapshot back, so what a reader would have to check
-# holds of every snapshot the writer makes.
-SNAPSHOT_INVARIANTS = {
-    "kind": lambda h, rows: h["kind"] == "memory-buffer",
-    "capacity": lambda h, rows: type(h["capacity_per_class"]) is int
-    and h["capacity_per_class"] >= 1,
-    "dim": lambda h, rows: non_negative_int(h["dim"]) and rows.shape[1] == h["dim"],
-    "seen-counts": lambda h, rows: all(k.isdecimal() and non_negative_int(n)
-                                       for k, n in h["seen_counts"].items()),
-    "slot-fields": lambda h, rows: all(set(s) == {"task", "class", "label"}
-                                       and all(map(non_negative_int, s.values()))
-                                       for s in h["slots"]),
-    "slots-fit-capacity": lambda h, rows: all(n <= h["capacity_per_class"]
-                                              for n in slots_per_class(h).values()),
-    "slots-fit-seen-counts": lambda h, rows: all(n <= h["seen_counts"].get(str(c), 0)
-                                                 for c, n in slots_per_class(h).items()),
-    "one-row-per-slot": lambda h, rows: rows.shape[0] == len(h["slots"]),
-}
-
-
-class TestSnapshot:
-    def test_roundtrip(self, tmp_path):
-        buf = filled_buffer(np.random.default_rng(19))
-        path = tmp_path / "buffer.bin"
-        save_buffer_snapshot(buf, path)
-        header, rows = read_snapshot(path)
-        assert header["kind"] == "memory-buffer"
-        assert header["capacity_per_class"] == buf.capacity_per_class
-        assert header["seen_counts"] == {str(c): n for c, n in buf.seen_counts.items()}
-        assert ([(s["label"], s["task"], s["class"]) for s in header["slots"]]
-                == list(zip(buf.label.tolist(), buf.task_id.tolist(), buf.class_id.tolist())))
-        np.testing.assert_array_equal(rows, buf.x)
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("capacity", [1, 2, 4])
-    def test_roundtrip_after_replacements(self, tmp_path, capacity, seed):
-        rng = np.random.default_rng(40 + seed)
-        buf = filled_buffer(rng, capacity=capacity, tasks=(1, 2, 3), per_task=14,
-                            dim=int(rng.integers(1, 9)))
-        assert sum(buf.seen_counts.values()) > buf.occupancy  # reservoir replaced slots
-        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
-        assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))
-
-    def test_empty_buffer(self, tmp_path):
-        save_buffer_snapshot(MemoryBuffer(3), tmp_path / "buffer.bin")
-        header, rows = read_snapshot(tmp_path / "buffer.bin")
-        assert header == {"kind": "memory-buffer", "capacity_per_class": 3, "dim": 0,
-                          "seen_counts": {}, "slots": []}
-        assert rows.shape == (0, 0)
-
-    @pytest.mark.parametrize("name", list(SNAPSHOT_INVARIANTS))
-    def test_writer_keeps_the_buffer_invariants(self, tmp_path, name):
-        buf = filled_buffer(np.random.default_rng(21), capacity=2, tasks=(1, 2, 3),
-                            per_task=10)
-        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
-        assert SNAPSHOT_INVARIANTS[name](*read_snapshot(tmp_path / "buffer.bin"))
-
-    # the documented layout, field by field, read without the oracle reader
-    @pytest.mark.parametrize("field, holds", [
-        ("magic", lambda raw, n, buf: raw[:4] == b"EMGD"),
-        ("version", lambda raw, n, buf: raw[4:8] == b"\x01\x00\x00\x00"),
-        ("length", lambda raw, n, buf: int.from_bytes(raw[8:12], "little") == n),
-        ("header", lambda raw, n, buf: raw[12:12 + n].decode("utf-8") == json.dumps(
-            json.loads(raw[12:12 + n]), sort_keys=True)),
-        ("payload", lambda raw, n, buf: raw[12 + n:] == buf.x.astype("<f8").tobytes()),
-    ])
-    def test_layout_field(self, tmp_path, field, holds):
-        buf = filled_buffer(np.random.default_rng(22))
-        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
-        raw = (tmp_path / "buffer.bin").read_bytes()
-        n = len(raw) - 12 - 8 * buf.x.size  # the header's length, from the slot rows
-        assert holds(raw, n, buf)
-
-    def test_snapshot_holds_the_edited_rows(self, tmp_path):
-        rng = np.random.default_rng(28)
-        net = make_net(heads=((1, 4), (2, 3)))
-        buf = filled_buffer(rng)
-        before = buf.x.copy()
-        mem = sample_memory(buf, 6, default_rng(3))
-        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim), 0.2)
-        assert not np.array_equal(buf.x, before)
-        save_buffer_snapshot(buf, tmp_path / "buffer.bin")
-        assert_snapshot_is(buf, *read_snapshot(tmp_path / "buffer.bin"))
-
-    def test_bytes_do_not_depend_on_seen_counts_order(self, tmp_path):
-        buf = filled_buffer(np.random.default_rng(29))
-        save_buffer_snapshot(buf, tmp_path / "a.bin")
-        buf.seen_counts = dict(reversed(list(buf.seen_counts.items())))
-        save_buffer_snapshot(buf, tmp_path / "b.bin")
-        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()

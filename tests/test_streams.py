@@ -214,6 +214,14 @@ class TestNextBatch:
             np.testing.assert_array_equal(np.sort(inputs, axis=0),
                                           np.sort(train_inputs(spec), axis=0))
 
+    @pytest.mark.parametrize("state", [{"order": np.arange(3)}, {"pos": 4}])
+    def test_position_and_order_are_not_arguments(self, state):
+        # both are the cursor's own state: the shuffle is drawn from the seed, from row 0
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(state))}'"):
+            TaskCursor(self.make_spec(), 0, **state)
+        cursor = TaskCursor(self.make_spec(), 0)
+        assert cursor.pos == 0
+
     def test_epoch_batch_sizes(self):
         # each pass over the 10 rows ends in a short batch, then the cursor cycles
         spec = self.make_spec(n=10)
