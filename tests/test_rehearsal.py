@@ -676,3 +676,75 @@ class TestQuadraticEditingOracle:
             x_core -= 0.02 * float(step[0])
         assert x_analytic == pytest.approx(target, abs=1e-6)
         assert x_core == pytest.approx(x_analytic, abs=1e-6)
+
+
+def shared_class_buffer(rng, capacity=4, tasks=(1, 2, 3), per_task=20, dim=6):
+    """Tasks whose head-local label ``l`` is global class ``(l + task) % 4``:
+    every class is streamed by several tasks, each under its own label."""
+    buf = MemoryBuffer(capacity)
+    for t in tasks:
+        batch = class_batch(rng, per_task, dim=dim, task=t, classes=4)
+        insert(buf, task_spec(batch, (batch.labels + t) % 4), rng)
+    return buf
+
+
+def buffer_in_state(state):
+    if state == "empty":
+        return MemoryBuffer(3)
+    rng = np.random.default_rng(21)
+    buf = shared_class_buffer(rng)
+    assert sum(buf.seen_counts.values()) > buf.occupancy  # reservoir replaced slots
+    if state == "edited":
+        net = make_net(heads=((1, 4), (2, 4), (3, 4)))
+        before = buf.x.copy()
+        mem = sample_memory(buf, 6, default_rng(3))
+        edit_memory_emgd(buf, net, mem, rng.normal(size=net.backbone_dim) * 10, 1.0)
+        assert not np.array_equal(buf.x, before)
+        assert ((buf.x == 0.0) | (buf.x == 1.0)).any()  # the step reached the clamp
+    return buf
+
+
+def slots_per_class(buf) -> Counter:
+    return Counter(buf.class_id.tolist())
+
+
+def non_negative_int(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def slot_field(a) -> bool:
+    return a.dtype == np.int64 and a.ndim == 1 and bool((a >= 0).all())
+
+
+# What holds of every buffer: after construction, after reservoir
+# replacements, and after an editor has rewritten sampled rows.
+BUFFER_INVARIANTS = {
+    "capacity": lambda b: type(b.capacity_per_class) is int and b.capacity_per_class >= 1,
+    "rows-are-2d-floats": lambda b: b.x.ndim == 2 and b.x.dtype == np.float64,
+    "seen-counts": lambda b: all(non_negative_int(c) and non_negative_int(n) and n >= 1
+                                 for c, n in b.seen_counts.items()),
+    "slot-fields": lambda b: all(map(slot_field, (b.label, b.task_id, b.class_id))),
+    "slots-fit-capacity": lambda b: all(n <= b.capacity_per_class
+                                        for n in slots_per_class(b).values()),
+    "slots-fit-seen-counts": lambda b: all(n <= b.seen_counts.get(c, 0)
+                                           for c, n in slots_per_class(b).items()),
+    "one-row-per-slot": lambda b: b.x.shape[0] == b.occupancy
+    == b.task_id.size == b.class_id.size,
+    "one-label-per-task-class": lambda b: len(set(zip(b.task_id.tolist(), b.class_id.tolist())))
+    == len(set(zip(b.task_id.tolist(), b.class_id.tolist(), b.label.tolist()))),
+    "rows-in-unit-cube": lambda b: bool(((b.x >= 0.0) & (b.x <= 1.0)).all()),
+}
+
+
+class TestBufferInvariants:
+    @pytest.mark.parametrize("name", list(BUFFER_INVARIANTS))
+    @pytest.mark.parametrize("state", ["empty", "replaced", "edited"])
+    def test_every_state_keeps_the_invariant(self, state, name):
+        assert BUFFER_INVARIANTS[name](buffer_in_state(state))
+
+    def test_a_shared_class_keeps_rows_of_several_tasks(self):
+        # the "replaced" state above is not vacuous for the per-task labels
+        buf = buffer_in_state("replaced")
+        tasks_of = {c: set(buf.task_id[buf.class_id == c].tolist())
+                    for c in set(buf.class_id.tolist())}
+        assert max(map(len, tasks_of.values())) >= 2
