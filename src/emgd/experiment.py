@@ -282,6 +282,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
             result, sigma = solver.combine(cfg.method, bundle, state)
         except NumericError as err:
             raise NumericError(f"numeric failure at tick {tick}: {err}") from None
+        del grads, bundle  # read no further: freed before the update and editing allocate
         if not result.converged:
             log.warning("tick %d: combination solve hit max_iter, using best iterate", tick)
 
@@ -308,6 +309,7 @@ def run_pcl(specs, timeline: TaskTimeline, net: Network, cfg: RunConfig) -> PclR
                 "edit_objective": edit_objective,
             }
         )
+        del result, tick_streams, mem  # so no array of this tick is alive in the next pass
 
         scored = seen if tick == timeline.final_tick else finishing
         if scored:

@@ -235,14 +235,16 @@ def _backprop(net: Network, activations: list, delta: np.ndarray, spans) -> tupl
     """Push d(loss)/d(features) back through the tanh layers in one chain of
     ``dz @ W.T`` over all rows, writing each layer's ``a.T @ dz`` over rows
     ``spans[s] = (lo, hi)`` into row s of a k x D array (none for no spans).
-    Returns it, the dzs and each layer's tanh' 1 - a^2."""
+    Returns it, the dzs and each layer's tanh' 1 - a^2. Each tanh' is formed
+    in its own array and each dz in delta's, so ``delta`` is overwritten."""
     grads = np.empty((len(spans), net.backbone_dim))
     views = [_layers(row, net.layer_sizes) for row in grads]
     dzs, slopes = [None] * len(net.backbone), [None] * len(net.backbone)
     for i in range(len(net.backbone) - 1, -1, -1):
         a_out = activations[i + 1]
-        slopes[i] = 1.0 - a_out * a_out  # tanh'
-        dz = dzs[i] = delta * slopes[i]
+        s = slopes[i] = np.multiply(a_out, a_out)
+        np.subtract(1.0, s, out=s)  # tanh'
+        dz = dzs[i] = np.multiply(delta, s, out=delta)
         for (lo, hi), grad in zip(spans, views):
             gW, gb = grad[i]
             np.matmul(activations[i][lo:hi].T, dz[lo:hi], out=gW)
@@ -381,9 +383,9 @@ def _edit_terms(net: Network, p: _Pass, target_d, tangent: bool) -> tuple:
             shift += db
             objective += (float(np.vdot(dz, fwd)) + 2.0 * float(np.vdot(dz, shift))
                           + len(rows) * float(np.vdot(layer, layer)))
-            fwd += shift
             bwd = None
             if tangent:
+                fwd += shift
                 gram = dz @ dz.T
                 gram *= same
                 bwd = gram @ a

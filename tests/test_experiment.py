@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 
@@ -517,6 +518,33 @@ class TestRunPcl:
             assert set(result.at_finish) == set(result.final) == set(finish)
             expected = set(finish.items()) | {(t, tl.final_tick) for t in finish}
             assert len(calls) == len(expected)  # one test-set forward per scored (task, tick)
+
+    @pytest.mark.parametrize("editing", ["none", "emgd"])
+    def test_no_tick_array_outlives_its_tick(self, monkeypatch, editing):
+        # a run holds its data plus one tick: when a pass starts, no earlier
+        # tick's gradients or combined direction is alive. The factors are
+        # not tracked, as those of one or two tasks are shared constants.
+        real_gradients, real_combine = experiment.stream_gradients, solver.combine
+        refs, alive = [], []
+
+        def stream_gradients(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            grads, losses = real_gradients(*args)
+            refs.append(weakref.ref(grads))
+            return grads, losses
+
+        def combine(*args):
+            result, sigma = real_combine(*args)
+            refs.append(weakref.ref(result.direction))
+            return result, sigma
+
+        monkeypatch.setattr(experiment, "stream_gradients", stream_gradients)
+        monkeypatch.setattr(solver, "combine", combine)
+        specs, tl, net = pcl_setup(num_tasks=3)
+        result = run_pcl(specs, tl, net, quick_cfg(editing=editing, capacity_per_class=2))
+        assert any(row["active"][0] == 0 for row in result.tick_rows)  # memory ticks ran
+        assert len(alive) == len(result.tick_rows) and len(refs) == 2 * len(alive)
+        assert alive == [0] * len(alive)
 
     def test_editing_rewrites_the_stored_rows(self):
         specs, tl, _ = pcl_setup(num_tasks=3)

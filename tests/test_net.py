@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from emgd.errors import InvalidInputError
 from emgd.net import (
     Network,
+    _activations,
+    _backprop,
     _edit_terms,
     _factored,
     _layers,
@@ -829,6 +832,33 @@ class TestApplyUpdate:
         net = make_net()
         with pytest.raises(InvalidInputError):
             apply_update(net, np.zeros(3), 0.1)
+
+
+class TestBackpropMemory:
+    """Each layer's tanh' takes one array of its own and its dz takes
+    delta's, so the chain holds two N x width arrays at a layer, not three."""
+
+    def test_no_array_past_delta_and_tanh_slope(self):
+        rows, wide = 2000, 512  # the one 2000 x 512 layer outweighs all else
+        net = Network((8, wide, 8), seed=3)
+        activations = _activations(net, np.random.default_rng(31).normal(size=(rows, 8)))
+        delta = np.random.default_rng(32).normal(size=(rows, 8))
+        a1, a2 = activations[1:]
+        want_dz1 = delta * (1.0 - a2 * a2)
+        want_dz0 = (want_dz1 @ net.backbone[1][0].T) * (1.0 - a1 * a1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads, dzs, slopes = _backprop(net, activations, delta, ())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rows * wide * 8, peak / (rows * wide * 8)
+        assert grads.shape == (0, net.backbone_dim)
+        assert np.shares_memory(dzs[1], delta)  # dz is formed in delta's array
+        np.testing.assert_array_equal(slopes[0], 1.0 - a1 * a1)
+        np.testing.assert_array_equal(dzs[1], want_dz1)
+        np.testing.assert_array_equal(dzs[0], want_dz0)
 
 
 class TestLayout:
